@@ -218,7 +218,7 @@ def run_bench(num_cpus: int, turns: int, sf_dir: str) -> dict:
     results["serve_passes_sec"] = round(time.perf_counter() - t_stage, 3)
     rep.shutdown()
     engine.shutdown()
-    # result-cache serving (LR_RESULTCACHE family): separate pool + stat so the
+    # result-cache serving (result_cache=True): separate pool + stat so the
     # scoring qps above stays comparable across rounds — this line measures the
     # repeat-query serving feature, on by default in the engine
     t_stage = time.perf_counter()

@@ -322,7 +322,12 @@ class SegmentReader:
         long-lived scorer actors). The per-query ``pq.read_table(dir,
         filters=...)`` was paying dataset discovery + open + footer parse on
         EVERY cold (field, terms) miss — a ~12 ms floor per call even for
-        absent terms (the dominant rep-1 cost of sequential serving)."""
+        absent terms (the dominant rep-1 cost of sequential serving).
+
+        Assumes ``postings.parquet`` is a DIRECTORY of ``*.parquet`` piece
+        files — the layout every writer here produces (Ray ``write_parquet``
+        in build, append and compaction). A single-file ``postings.parquet``
+        is not handled: ``os.listdir`` raises on it."""
         cached = getattr(self, "_postings_pf_cache", None)
         if cached is not None:
             return cached

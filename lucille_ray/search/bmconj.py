@@ -9,24 +9,27 @@ at the 10M index; BASELINE.md "10M-turn serving latency").
 This module skips most of that decode for top-k queries, with the same exact
 contract as wand.py: skipping must NEVER change the returned ranks or scores.
 
-Per segment, for a query that is a pure conjunction of single-token terms
-(possibly boosted / field-routed):
+Per segment, for a query that is a conjunction of clauses, each a single-token
+term or an OR of them (possibly boosted / field-routed; a clause matches a doc
+when any of its members does):
 
-1. fetch raw posting BLOCKS for every term; any term absent from the segment
-   makes the conjunction empty;
-2. anchor = the term with the fewest postings. For every anchor block b compute
-   a conjunction upper bound ``conj_ub(b) = σ_anchor(b) + Σ_j maxσ_j over
-   [first_b, last_b]`` where σ is wand.py's per-block BM25 bound and the inner
-   max is an interval query on a piecewise-constant step function built from
-   term j's block ranges (a sparse-table RMQ over the event-sweep values, built
-   once per (field, term) and cached on the reader — boost factors out because
-   σ scales linearly in it). Anchor blocks where some term has NO overlapping
-   block are infeasible (no doc in them can match every term) and are dropped;
+1. fetch raw posting BLOCKS for every member; a clause with no member in the
+   segment makes the conjunction empty;
+2. anchor = the single-term clause with the fewest postings. For every anchor
+   block b compute a conjunction upper bound ``conj_ub(b) = σ_anchor(b) +
+   Σ_j maxσ_j over [first_b, last_b]`` where σ is wand.py's per-block BM25
+   bound and the inner max is an interval query on a piecewise-constant step
+   function built from clause j's members' block ranges (a sparse-table RMQ
+   over the event-sweep values, built once per (field, term) and cached on the
+   reader — boost factors out because σ scales linearly in it). Anchor blocks
+   where some clause has NO overlapping block are infeasible (no doc in them
+   can match every clause) and are dropped;
 3. process anchor blocks in DESCENDING conj_ub order, in geometrically growing
    chunks: decode the chunk's anchor blocks, selectively decode every other
-   term around those candidate docs (wand's `_decode_candidates` point-interval
-   machinery), intersect, and score the surviving docs exactly — per-term BM25
-   accumulated in query-clause order, bit-identical to SegmentEval._bool;
+   clause's members around those candidate docs (wand's `_decode_candidates`
+   point-interval machinery), intersect, and score the surviving docs exactly
+   — per-clause BM25 accumulated in query-clause order, bit-identical to
+   SegmentEval._bool;
 4. after each chunk, θ = the k-th best pooled score; stop as soon as the best
    remaining block's conj_ub < θ − ε. Every unprocessed matching doc lives in
    exactly one unprocessed anchor block, its true score is ≤ that block's
@@ -45,13 +48,14 @@ a decode-counting proof that skipping actually skips.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis import DEFAULT_FIELD
 from ..query import nodes as qn
-from .eval import B, EMPTY, EvalContext, K1, simple_term_of, top_k
+from .eval import B, EMPTY, EvalContext, K1, _unwrap, simple_term_of, top_k
 from .wand import (
     THETA_EPS,
     _bm25_exact,
@@ -108,68 +112,6 @@ def match_cache_put(reader, key, *val) -> None:
     reader._match_cache_bytes += _entry_nbytes(val)
     while reader._match_cache_bytes > MATCH_CACHE_BYTES and len(cache) > 1:
         reader._match_cache_bytes -= _entry_nbytes(cache.pop(next(iter(cache))))
-
-
-def conj_parts(
-    q: qn.Query, field: str = DEFAULT_FIELD
-) -> Optional[
-    Tuple[List[Tuple[str, str, float]], List[Tuple[str, str]], Tuple[float, ...]]
-]:
-    """Match the conjunction shapes eligible for block-max skipping:
-    (Group/Boost/Field)* wrapping an And whose children are simple single-token
-    terms, any of which may be negated (``Not`` / ``UnaryMinus`` around a
-    simple term — exclusion doesn't contribute score, so the positive bounds
-    stay valid and the match set only shrinks). Returns ((field, term, boost)
-    positives in clause order, (field, term) negatives, root Boost weights
-    outermost-first — applied innermost-first by the engine, eval's
-    nested-Boost multiply order) or None.
-    UnaryPlus children fall back (eval accumulates UnaryPlus musts ahead of
-    the other clauses, so the float order differs); duplicate positives fall
-    back (eval sums duplicate clauses); zero positives fall back (pure
-    negative matches nothing — eval's convention)."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
-    if not isinstance(q, qn.And) or len(q.qs) < 2:
-        return None
-    parts: List[Tuple[str, str, float]] = []
-    negs: List[Tuple[str, str]] = []
-    seen = set()
-    neg_seen = set()
-    for c in q.qs:
-        if isinstance(c, (qn.Not, qn.UnaryMinus)):
-            s = simple_term_of(c.q, field)
-            if s is None:
-                return None
-            f, t, _b = s  # boost can't change a negative's match set
-            if (f, t) not in neg_seen:  # exclusion is idempotent
-                neg_seen.add((f, t))
-                negs.append((f, t))
-            continue
-        s = simple_term_of(c, field)
-        if s is None:
-            return None
-        f, t, b = s
-        if (f, t) in seen:
-            return None
-        seen.add((f, t))
-        parts.append(s)
-    if len(parts) < 2:
-        # zero positives: pure negative matches nothing (eval's convention).
-        # ONE positive: there is no intersection to prune and the single
-        # term's bounds are as flat as its postings — the chunked machinery
-        # measured 0.5-0.9x of the plain evaluator at 10M, so fall back.
-        return None
-    prod = 1.0
-    for w in weights:
-        prod *= w
-    if prod <= 0 or any(b <= 0 for _f, _t, b in parts):
-        return None  # non-positive boosts flip the bound direction
-    return parts, negs, tuple(weights)
 
 
 class _StepMax:
@@ -241,243 +183,60 @@ def _stepfn(reader, ctx: EvalContext, field: str, term: str, rb) -> _StepMax:
     return sf
 
 
-def conj_top_k(
-    reader, ctx: EvalContext, parts: List[Tuple[str, str, float]], k: int,
-    negs: Tuple[Tuple[str, str], ...] = (),
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact top-k of a conjunction of simple terms over one segment, decoding
-    only anchor blocks whose conjunction upper bound can still beat the running
-    k-th best score (and other terms only around those candidates). ``negs``
-    excludes candidates present in a negative term's postings BEFORE scoring —
-    per-doc score values are element-wise, so removal order vs eval's
-    _apply_must_not (which filters after scoring) cannot change them."""
-    cache_key = (tuple(parts), negs)
-    cached = match_cache(reader).get(cache_key)
-    if cached is not None:
-        # complete match set known (docs + final summed scores): any k,
-        # zero decodes — the hot x hot conjunction's flat bounds force a
-        # full pass anyway, so its first evaluation caches below
-        if cached[0].size == 0:
-            return EMPTY
-        return top_k(cached[0], cached[1], k)
-    by_field: dict = {}
-    for field, term, _boost in parts:
-        by_field.setdefault(field, []).append(term)
-    raw = {
-        (f, t): blocks
-        for f, ts in by_field.items()
-        for t, blocks in reader.raw_blocks_many(f, ts).items()
-    }
-    metas = []  # per part: (field, term, boost, rb, firsts, lasts, ub) + size
-    sizes = []
-    for field, term, boost in parts:
-        rb = raw.get((field, term))
-        if rb is None or not len(rb):
-            return EMPTY  # a required term absent from the segment
-        firsts, lasts, max_tf, dl_min = _term_block_meta(reader, field, term, rb)
-        avgdl = ctx.avgdl.get(field) or 1.0
-        idf = ctx.idf(field, term)
-        if idf <= 0.0:
-            return EMPTY  # df == 0 globally: required term matches nothing
-        ub = boost * idf * max_tf * (K1 + 1.0) / (
-            max_tf + K1 * (1.0 - B + B * dl_min / avgdl)
-        )
-        metas.append((field, term, boost, rb, firsts, lasts, ub))
-        sizes.append(int(rb.ns.sum()))
-
-    anchor = int(np.argmin(sizes))
-    a_field, a_term, a_boost, a_rb, a_firsts, a_lasts, a_ub = metas[anchor]
-    others = [i for i in range(len(parts)) if i != anchor]
-
-    # conjunction upper bound per anchor block; infeasible blocks dropped
-    conj_ub = a_ub.astype(np.float64, copy=True)
-    feasible = np.ones(conj_ub.size, dtype=bool)
-    for j in others:
-        f_j, t_j, boost_j, rb_j, *_ = metas[j]
-        mx = _stepfn(reader, ctx, f_j, t_j, rb_j).interval_max(a_firsts, a_lasts)
-        # a real overlapping block has ub > 0 (idf > 0, max_tf >= 1); zero means
-        # no coverage anywhere in the anchor block's doc range
-        feasible &= mx > 0.0
-        conj_ub += boost_j * mx
-    idx = np.flatnonzero(feasible)
-    if idx.size == 0:
-        return EMPTY
-    order = idx[np.argsort(-conj_ub[idx], kind="stable")]
-
-    # ascending-size fetch order for the early-exit intersection
-    others_by_size = sorted(others, key=lambda j: sizes[j])
-
-    # resumable θ-pass prefix (same cache family as the complete-pass match
-    # set): the pool of exact matches in the first `pos` processed blocks is
-    # k-INDEPENDENT and commit-constant — a repeat query recomputes only the
-    # (cached-metadata) bounds and the θ test, and a larger k RESUMES the
-    # sweep where the last one stopped instead of redoing its chunks
-    prefix_key = (tuple(parts), negs, "θ-prefix")
-    state = match_cache(reader).get(prefix_key)
-    if state is not None:
-        pos, chunk, _pd, _ps = state
-        pool_docs = [_pd]
-        pool_scores = [_ps]
-        pooled = int(_pd.size)
-    else:
-        pool_docs: List[np.ndarray] = []
-        pool_scores: List[np.ndarray] = []
-        pooled = 0
-        pos = 0
-        chunk = CONJ_CHUNK0
-    start_pos = pos
-    theta = -np.inf
-    complete = True  # flipped on the θ early-exit below
-    while pos < order.size:
-        if pooled >= k:
-            theta = float(
-                -np.partition(-np.concatenate(pool_scores), k - 1)[k - 1]
-            )
-            if conj_ub[order[pos]] < theta - THETA_EPS:
-                complete = False
-                break  # descending order: every remaining block is below θ too
-        take = order[pos: pos + chunk]
-        pos += take.size
-        chunk *= 2
-        mask = np.zeros(len(a_rb), dtype=bool)
-        mask[take] = True
-        docs_a, tfs_a = _sorted2(a_rb.decode(False, keep=mask))
-        cand = docs_a
-        got: dict = {}
-        for j in others_by_size:
-            gj = _decode_candidates(reader, ctx, metas[j], cand, cand + 1)
-            if gj is None:
-                cand = EMPTY[0]
-                break
-            dj, _sj = gj
-            if dj.size == 0:
-                cand = EMPTY[0]
-                break
-            got[j] = gj
-            keep_idx = np.searchsorted(dj, cand)
-            keep_idx_c = np.clip(keep_idx, 0, dj.size - 1)
-            cand = cand[dj[keep_idx_c] == cand]
-            if cand.size == 0:
-                break
-        if cand.size == 0:
-            continue
-        for f_n, t_n in negs:
-            p = reader.postings_many(
-                f_n, [t_n], want_positions=False, candidates=cand
-            ).get(t_n)
-            if p is None or p[0].size == 0:
-                continue
-            nd = p[0]
-            idxn = np.clip(np.searchsorted(nd, cand), 0, nd.size - 1)
-            cand = cand[nd[idxn] != cand]
-            if cand.size == 0:
-                break
-        if cand.size == 0:
-            continue
-        # exact scores, accumulated in query-clause order — the same float
-        # addition sequence as SegmentEval._bool's `scores += ...` loop
-        scores = np.zeros(cand.size, dtype=np.float64)
-        for i, (f_i, t_i, boost_i) in enumerate(parts):
-            if i == anchor:
-                at = np.searchsorted(docs_a, cand)
-                s_i = _bm25_exact(
-                    reader, ctx, f_i, t_i, boost_i, cand, tfs_a[at], full=False
-                )
-            else:
-                dj, sj = got[i]
-                s_i = sj[np.searchsorted(dj, cand)]
-            scores += s_i
-        pool_docs.append(cand)
-        pool_scores.append(scores)
-        pooled += cand.size
-    if complete:
-        # every feasible anchor block was processed (the flat hot x hot
-        # shape): the pool IS the full match set — cache it so warm repeats
-        # skip the per-chunk decode + intersect entirely (same contract as
-        # bmphrase's complete-pass cache; shared byte-capped store)
-        docs_all = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
-        scores_all = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
-        match_cache_put(reader, cache_key, docs_all, scores_all)
-        match_cache_pop(reader, prefix_key)  # superseded by the full set
-        if docs_all.size == 0:
-            return EMPTY
-        return top_k(docs_all, scores_all, k)
-    if not pool_docs:
-        return EMPTY
-    docs_all = np.concatenate(pool_docs)
-    scores_all = np.concatenate(pool_scores)
-    if pos > start_pos:  # new blocks processed: refresh the resumable prefix
-        match_cache_put(reader, prefix_key, pos, chunk, docs_all, scores_all)
-    return top_k(docs_all, scores_all, k)
-
-
 def conj_parts_compound(
-    q: qn.Query, field: str = DEFAULT_FIELD
-) -> Optional[Tuple[tuple, List[Tuple[str, str]], Tuple[float, ...]]]:
-    """Generalized conjunction shapes: an And whose positive clauses may be
-    DISJUNCTIONS of simple terms — ``(deploy OR data)^2 AND query`` — plus
-    the simple-term/negative clauses conj_parts already takes. The plain
-    evaluator fully decodes every member of every clause for these (measured
-    453 ms warm at 10M for the example above); the compound block-max path
-    anchors on a single-term clause and prunes like conj_top_k.
+    q: qn.Query, ctx: Optional[EvalContext] = None
+) -> Optional[Tuple[dict, Tuple[float, ...]]]:
+    """Match the conjunction shapes :func:`conj_top_k_compound` serves: an
+    And, under any (Group/Boost/Field)* wrapper, whose positive clauses are
+    simple single-token terms or DISJUNCTIONS of them — ``data AND query``,
+    ``(deploy OR data)^2 AND query`` — and whose other clauses are negated
+    simple terms (``Not`` / ``UnaryMinus``: exclusion contributes no score,
+    so the positive bounds stay valid and the match set only shrinks). An
+    all-simple conjunction is the case where every clause holds one term.
+    The plain evaluator fully decodes the rarest term (and every member of
+    every OR clause) for these — 227-377 ms for hot AND hot, 453 ms for the
+    OR example, warm at 10M.
 
-    Returns (clauses, negs, root weights) where each clause is
-    ``(members, cweights)`` — members a tuple of (field, term, boost) in
-    query order (member boosts fold exactly like conj_parts, post-multiplied
-    by _bm25_exact), cweights the clause-level Boost weights outermost-first
-    (eval multiplies them AFTER the member union, innermost-first). None when
-    any shape rule fails, matching eval's float order unconditionally:
-    duplicate terms anywhere fall back (eval sums duplicates), nested boosts
-    fall back (simple_term_of's rule), UnaryPlus falls back, and the shape
-    must have >= 2 positives with >= 1 multi-member clause (all-simple is
-    conj_parts' job)."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
-    if not isinstance(q, qn.And) or len(q.qs) < 2:
+    Returns ({"clauses", "negs"}, root Boost weights outermost-first) or
+    None. Each clause is ``(members, cweights)`` — members a tuple of
+    (field, term, boost) in query order (member boosts fold once, post-
+    multiplied by _bm25_exact), cweights the clause-level Boost weights
+    outermost-first (eval multiplies them AFTER the member union,
+    innermost-first); negs are deduplicated (field, term) pairs (exclusion
+    is idempotent). ``ctx`` is unused (the routing-table signature). None
+    when any shape rule fails, matching eval's float order unconditionally:
+    duplicate positive terms anywhere fall back (eval sums duplicates),
+    nested boosts fall back (simple_term_of's rule), UnaryPlus falls back
+    (eval accumulates UnaryPlus musts ahead of the other clauses), and the
+    shape needs >= 2 positive clauses (zero positives matches nothing —
+    eval's convention; ONE has no intersection to prune and measured
+    0.5-0.9x of the plain evaluator at 10M) with >= 1 single-term clause to
+    anchor the block sweep on."""
+    q, field, weights = _unwrap(q, DEFAULT_FIELD)
+    if not isinstance(q, qn.And) or len(q.qs) < 2 or math.prod(weights) <= 0:
         return None
     clauses: List[tuple] = []
     negs: List[Tuple[str, str]] = []
     seen: set = set()
-    neg_seen: set = set()
-    any_multi = False
     for c in q.qs:
         if isinstance(c, (qn.Not, qn.UnaryMinus)):
             s = simple_term_of(c.q, field)
             if s is None:
                 return None
-            f, t, _b = s
-            if (f, t) not in neg_seen:
-                neg_seen.add((f, t))
-                negs.append((f, t))
+            if s[:2] not in negs:  # boost can't change a negative's match set
+                negs.append(s[:2])
             continue
         if isinstance(c, qn.UnaryPlus):
-            return None  # eval accumulates UnaryPlus musts first
+            return None
         # unwrap clause-level Group/Boost/Field down to an Or or a leaf
-        cw: List[float] = []
-        cf = field
-        node = c
-        while isinstance(node, (qn.Group, qn.Boost, qn.Field)):
-            if isinstance(node, qn.Boost):
-                cw.append(float(node.weight))
-            elif isinstance(node, qn.Field):
-                cf = node.field
-            node = node.q
+        node, cf, cw = _unwrap(c, field)
         if isinstance(node, qn.Or):
-            members = []
-            for ch in node.qs:
-                s = simple_term_of(ch, cf)
-                if s is None:
-                    return None
-                members.append(s)
-            any_multi = True
-            clause = (tuple(members), tuple(cw))
+            members = tuple(simple_term_of(ch, cf) for ch in node.qs)
+            if None in members:
+                return None
+            clause = (members, cw)
         else:
-            # single-term clause: EXACTLY conj_parts' folding (one Boost max)
+            # single-term clause: one Boost folds into the member
             s = simple_term_of(c, field)
             if s is None:
                 return None
@@ -489,28 +248,29 @@ def conj_parts_compound(
         if any(w <= 0 for w in clause[1]):
             return None
         clauses.append(clause)
-    if len(clauses) < 2 or not any_multi:
+    if len(clauses) < 2:
         return None
     if not any(len(m) == 1 and not w for m, w in clauses):
         return None  # no plain single-term clause to anchor the block sweep on
-    prod = 1.0
-    for w in weights:
-        prod *= w
-    if prod <= 0:
-        return None
-    return tuple(clauses), negs, tuple(weights)
+    return {"clauses": tuple(clauses), "negs": tuple(negs)}, weights
 
 
 def conj_top_k_compound(
     reader, ctx: EvalContext, clauses: tuple, k: int,
     negs: Tuple[Tuple[str, str], ...] = (),
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """conj_top_k generalized to compound (OR-of-terms) clauses. A clause
+    """Exact top-k of a conjunction over one segment, decoding only anchor
+    blocks whose conjunction upper bound can still beat the running k-th
+    best score (and other clauses only around those candidates). A clause
     matches a doc when ANY live member does; its score is the member BM25
     sum accumulated in member order, then scaled by its cweights
     innermost-first — the same float sequence as eval's union + Boost.
-    Returns None when this segment leaves no single-member clause to anchor
-    on (the caller falls back to the plain evaluator for this reader)."""
+    ``negs`` excludes candidates present in a negative term's postings
+    BEFORE scoring — per-doc score values are element-wise, so removal order
+    vs eval's _apply_must_not (which filters after scoring) cannot change
+    them. Returns None when this segment leaves no single-member clause to
+    anchor on (the caller falls back to the plain evaluator for this
+    reader)."""
     cache_key = (clauses, negs)
     cached = match_cache(reader).get(cache_key)
     if cached is not None:
@@ -580,7 +340,11 @@ def conj_top_k_compound(
     order = idx[np.argsort(-conj_ub[idx], kind="stable")]
     others_by_size = sorted(others, key=lambda j: sizes[j])
 
-    # resumable θ-pass prefix — see conj_top_k (pool is k-independent)
+    # resumable θ-pass prefix (same cache family as the complete-pass match
+    # set): the pool of exact matches in the first `pos` processed blocks is
+    # k-INDEPENDENT and commit-constant — a repeat query recomputes only the
+    # (cached-metadata) bounds and the θ test, and a larger k RESUMES the
+    # sweep where the last one stopped instead of redoing its chunks
     prefix_key = (clauses, negs, "θ-prefix")
     state = match_cache(reader).get(prefix_key)
     if state is not None:

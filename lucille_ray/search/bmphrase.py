@@ -41,9 +41,8 @@ analyzer-split Term, gap=0):
 
 ``idf_sum <= 0`` (degenerate: every term in more than ~half the corpus under
 a raw-idf variant) flips the bound direction, so that case runs the unpruned
-path (`_full`, the exact `_phrase` recipe). ``LR_BMPHRASE=0`` pins `_full`
-too via the engine dispatch. tests/test_bmphrase.py proves rank+score
-identity vs SegmentEval over fixed and randomized corpora plus a
+path (`_full`, the exact `_phrase` recipe). tests/test_bmphrase.py proves
+rank+score identity vs SegmentEval over fixed and randomized corpora plus a
 decode-skip proof.
 """
 
@@ -56,7 +55,7 @@ import numpy as np
 from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
 from .bmconj import STEPFN_CACHE_ENTRIES, _StepMax, match_cache, match_cache_put
-from .eval import B, EMPTY, EvalContext, K1, SegmentEval, top_k
+from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap, top_k
 from .wand import THETA_EPS, _sorted2, _term_block_meta
 
 #: first chunk of anchor blocks decoded per round (doubles every round)
@@ -71,32 +70,25 @@ _match_cache_put = match_cache_put
 
 
 def phrase_parts(
-    q: qn.Query, field: str = DEFAULT_FIELD
-) -> Optional[Tuple[str, List[str], int, Tuple[float, ...]]]:
+    q: qn.Query, ctx: Optional[EvalContext] = None
+) -> Optional[Tuple[dict, Tuple[float, ...]]]:
     """Match the positional shapes eligible for block-max skipping:
     (Group/Boost/Field/UnaryPlus)* wrapping ONE Phrase / Proximity / multi-token
-    Term. Returns (field, terms, gap, boost weights outermost-first) or None.
-    Weights are applied innermost-first by the caller — the same multiply
-    order as eval's nested Boost handling."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field, qn.UnaryPlus)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
-    if isinstance(q, qn.Phrase):
-        text, gap = q.value, 0
-    elif isinstance(q, qn.Proximity):
-        text, gap = q.value, max(0, q.num)
-    elif isinstance(q, qn.Term):
-        text, gap = q.value, 0  # analyzer may split -> implicit phrase
+    Term. Returns ({"field", "terms", "gap"}, boost weights outermost-first)
+    or None; ``ctx`` is unused (the routing-table signature). Weights are
+    applied innermost-first by the caller — the same multiply order as
+    eval's nested Boost handling."""
+    q, field, weights = _unwrap(q, DEFAULT_FIELD, also=(qn.UnaryPlus,))
+    if isinstance(q, qn.Proximity):
+        gap = max(0, q.num)
+    elif isinstance(q, (qn.Phrase, qn.Term)):
+        gap = 0  # a Term the analyzer splits is an implicit phrase
     else:
         return None
-    terms = tokenize(text)
+    terms = tokenize(q.value)
     if len(terms) < 2:
         return None  # single-token: the plain term path is already optimal
-    return field, terms, gap, tuple(weights)
+    return {"field": field, "terms": terms, "gap": gap}, weights
 
 
 def _tf_stepfn(reader, field: str, term: str, rb) -> _StepMax:

@@ -32,6 +32,8 @@ from ..index.build import INDEX_META_FILE
 from ..index.segment import SegmentReader
 from ..query import nodes as qn
 from ..query.parser import parse
+from .bmconj import conj_parts_compound, conj_top_k_compound
+from .bmphrase import phrase_parts, phrase_top_k
 from .eval import (
     EvalContext,
     ExpansionSpec,
@@ -41,12 +43,28 @@ from .eval import (
     collect_term_requests,
     top_k,
 )
+from .wand import single_term_top_k, term_parts, wand_parts, wand_top_k
 
 QueryLike = Union[str, qn.Query]
 
+#: Per-segment top-k routing: (shape matcher, executor) rows, first match wins.
+#: ``matcher(query, ctx)`` runs once per query and returns (executor keyword
+#: args, root Boost weights outermost-first) or None; ``executor(reader, ctx,
+#: k=k, **args)`` returns the segment's exact top-k with unboosted root scores,
+#: or None to decline the segment. Every executor is top-k selection under
+#: per-block score upper bounds, rank+score-identical to SegmentEval, which
+#: answers everything no row takes (k=None, tombstoned segments, declines).
+#: Tests pin the plain evaluator by substituting ``()`` for this table.
+TOP_K_ROUTES = (
+    (wand_parts, wand_top_k),  # Or, MinimumMatch, expansions of >= 2 terms
+    (conj_parts_compound, conj_top_k_compound),  # And of terms / ORs of terms
+    (phrase_parts, phrase_top_k),  # Phrase, Proximity, analyzer-split Term
+    (term_parts, single_term_top_k),  # Term, expansions of 1 term
+)
+
 
 def _merge_ctx(
-    reqs: TermRequests, resolved_list: list, n_docs: int, avgdl: Dict[str, float]
+    resolved_list: list, n_docs: int, avgdl: Dict[str, float]
 ) -> Tuple[EvalContext, Dict[Tuple[str, str], int], Dict[ExpansionSpec, tuple]]:
     """Merge per-scorer resolve outputs into a global EvalContext.
 
@@ -149,80 +167,26 @@ class SegmentScorer:
         self, query: qn.Query, reqs: TermRequests, ctx: EvalContext, k: Optional[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate across this scorer's segments; local top-k unless ``k`` is
-        None (match-all / corpus-filtering mode). Disjunctions and m-of-n
-        MinimumMatch over simple terms with finite k take the block-max WAND
-        score-skipping path (exact by construction; see wand.py); pure
-        conjunctions of simple terms take the block-max conjunction path
-        (bmconj.py)."""
-        from .bmconj import (
-            conj_parts,
-            conj_parts_compound,
-            conj_top_k,
-            conj_top_k_compound,
-        )
-        from .bmphrase import phrase_parts, phrase_top_k
-        from .wand import (
-            expansion_term_parts,
-            expansion_wand_parts,
-            single_term_top_k,
-            term_parts,
-            wand_parts,
-            wand_top_k,
-        )
-
-        wand = wand_parts(query) if k is not None else None
-        exp_term = None
-        if (
-            wand is None and k is not None
-            and os.environ.get("LR_BMEXP", "1") != "0"
-        ):
-            # top-level dictionary expansions score through WAND too: the
-            # expanded union is a disjunction of simple terms (LR_BMEXP=0
-            # pins the plain evaluator — same A/B valve family as LR_BMCONJ);
-            # an expansion that resolved to exactly ONE term routes through
-            # the single-term block-max path instead (bit-identical scores,
-            # ~10x warm at 10M — see expansion_term_parts)
-            wand = expansion_wand_parts(query, ctx)
-            if wand is None:
-                exp_term = expansion_term_parts(query, ctx)
-        # LR_BMCONJ=0 / LR_BMPHRASE=0 pin eligible shapes to the plain
-        # evaluator (A/B measurement + safety valve, like LR_FUSE_DOCMAP)
-        conj = (
-            conj_parts(query)
-            if k is not None and wand is None
-            and os.environ.get("LR_BMCONJ", "1") != "0"
-            else None
-        )
-        # conjunctions whose positive clauses include OR-of-simple-terms
-        # disjunctions — (a OR b)^w AND c — anchor on a single-term clause
-        # and prune like conj_top_k (same LR_BMCONJ valve; bit-identical)
-        conjc = (
-            conj_parts_compound(query)
-            if k is not None and wand is None and conj is None
-            and os.environ.get("LR_BMCONJ", "1") != "0"
-            else None
-        )
-        phrase = (
-            phrase_parts(query)
-            if k is not None and wand is None and conj is None
-            and os.environ.get("LR_BMPHRASE", "1") != "0"
-            else None
-        )
-        term1 = exp_term if exp_term is not None else (
-            term_parts(query, ctx)
-            if k is not None and wand is None and conj is None and phrase is None
-            and os.environ.get("LR_BMTERM", "1") != "0"
-            else None
-        )
+        None (match-all / corpus-filtering mode). A finite-k query whose shape
+        matches a :data:`TOP_K_ROUTES` row takes that row's block-max executor
+        (exact by construction) on every segment without tombstones; anything
+        else — and any segment the executor declines — takes the plain
+        evaluator."""
+        route = None
+        if k is not None:
+            for matcher, executor in TOP_K_ROUTES:
+                match = matcher(query, ctx)
+                if match is not None:
+                    route = (executor, *match)
+                    break
         # per-reader exact top-k result cache: a reader serves one commit point
         # (tombstones load in __init__), so (query AST, k) fully determines the
         # answer; a cached K >= k answers by prefix since top_k output is
         # (score desc, doc_id asc) ordered. Keyed by repr(query), NOT
         # print_query — the printer rounds boosts to 2 decimals, which would
-        # collide distinct queries. Gated by the CONSTRUCTOR flag (the engine
-        # resolves LR_RESULTCACHE in the driver — env mutations after ray.init
-        # never reach running actors); bench latency stages pin it off so
-        # official qps stays a scoring measurement.
+        # collide distinct queries. Gated by the constructor flag; bench
+        # latency stages pin it off so official qps stays a scoring
+        # measurement.
         qkey = repr(query) if k is not None and self.result_cache else None
         all_docs, all_scores = [], []
         for r in self.readers:
@@ -232,52 +196,27 @@ class SegmentScorer:
                 rcache = getattr(r, "_result_topk_cache", None)
                 if rcache is None:
                     rcache = r._result_topk_cache = {}
-                got = rcache.get(qkey)
-                if got is not None and got[0] >= k:
-                    docs, scores = got[1][:k], got[2][:k]
+                hit = rcache.get(qkey)
+                if hit is not None and hit[0] >= k:
+                    docs, scores = hit[1][:k], hit[2][:k]
                     if docs.size:
                         all_docs.append(docs)
                         all_scores.append(scores)
                     continue
-            if wand is not None and r.deleted is None:
-                # WAND reads raw blocks below the tombstone filter, so a
-                # segment with deletes takes the (leaf-filtered) full
+            got = None
+            if route is not None and r.deleted is None:
+                # the executors read raw blocks below the tombstone filter, so
+                # a segment with deletes takes the (leaf-filtered) plain
                 # evaluator until a rewrite purges its tombstones
-                parts, weights, min_match = wand
-                docs, scores = wand_top_k(r, ctx, parts, k, min_match)
-                # innermost-first: eval's nested Boost multiply order
-                for w in reversed(weights):
-                    scores = scores * w
-            elif conj is not None and r.deleted is None:
-                parts, negs, weights = conj
-                docs, scores = conj_top_k(r, ctx, parts, k, tuple(negs))
-                for w in reversed(weights):
-                    scores = scores * w
-            elif conjc is not None and r.deleted is None:
-                clauses, negs, weights = conjc
-                got_c = conj_top_k_compound(r, ctx, clauses, k, tuple(negs))
-                if got_c is None:
-                    # this segment left no single-term clause to anchor on
-                    ev = SegmentEval(r, ctx, reqs, query=query)
-                    docs, scores = ev.eval(query)
-                else:
-                    docs, scores = got_c
-                    for w in reversed(weights):
-                        scores = scores * w
-            elif phrase is not None and r.deleted is None:
-                p_field, p_terms, p_gap, weights = phrase
-                docs, scores = phrase_top_k(r, ctx, p_field, p_terms, p_gap, k)
-                # innermost-first: eval's nested Boost multiply order
-                for w in reversed(weights):
-                    scores = scores * w
-            elif term1 is not None and r.deleted is None:
-                t_field, t_term, weights = term1
-                docs, scores = single_term_top_k(r, ctx, t_field, t_term, k)
-                for w in reversed(weights):
-                    scores = scores * w
+                executor, args, weights = route
+                got = executor(r, ctx, k=k, **args)
+            if got is None:
+                docs, scores = SegmentEval(r, ctx, reqs, query=query).eval(query)
             else:
-                ev = SegmentEval(r, ctx, reqs, query=query)
-                docs, scores = ev.eval(query)
+                docs, scores = got
+                # innermost-first: eval's nested Boost multiply order
+                for w in reversed(weights):
+                    scores = scores * w
             if docs.size and k is not None:
                 docs, scores = top_k(docs, scores, k)
             if qkey is not None:
@@ -328,7 +267,7 @@ class SegmentScorer:
         import ray
 
         resolved = ray.get(list(resolved_refs))
-        ctx, df, expanded = _merge_ctx(reqs, resolved, n_docs, avgdl)
+        ctx, df, expanded = _merge_ctx(resolved, n_docs, avgdl)
         docs, scores = self.score(query, reqs, ctx, k)
         meta = self.doc_meta(docs) if with_meta and docs.size else None
         return docs, scores, df, expanded, meta
@@ -394,17 +333,11 @@ class SearchEngine:
         parallel: Union[bool, str] = "auto",
         actors: Optional[int] = None,
         replicas: int = 1,
-        result_cache: Optional[bool] = None,
+        result_cache: bool = True,
         placement: Optional[str] = "spread",
     ):
-        # per-reader exact top-k result cache; None defers to LR_RESULTCACHE
-        # (read HERE, in the driver, because env mutations after ray.init do
-        # not reach already-running scorer actors)
-        self._result_cache = (
-            result_cache
-            if result_cache is not None
-            else os.environ.get("LR_RESULTCACHE", "1") != "0"
-        )
+        # per-reader exact top-k result cache, handed to every scorer
+        self._result_cache = result_cache
         self.index_dir = index_dir
         with open(os.path.join(index_dir, INDEX_META_FILE)) as f:
             self.meta = json.load(f)
@@ -638,7 +571,7 @@ class SearchEngine:
     ) -> Tuple[qn.Query, TermRequests, EvalContext]:
         stats = self._global_stats()
         ctx, df, expanded = _merge_ctx(
-            reqs, resolved_list, stats["n_docs"], stats["avgdl"]
+            resolved_list, stats["n_docs"], stats["avgdl"]
         )
         self._fill_plan_caches(reqs, df, expanded)
         return q, reqs, ctx

@@ -276,14 +276,32 @@ def simple_term_of(
     return None
 
 
+#: dictionary-expansion nodes: resolved against the term dictionaries, then
+#: scored as a sum-of-BM25 union over ``EvalContext.expanded[spec]``
+EXPANSION_NODES = (qn.Prefix, qn.WildCard, qn.TermRegex, qn.Fuzzy, qn.TermRange)
+
+
+def _unwrap(
+    q: qn.Query, field: str, also: tuple = ()
+) -> Tuple[qn.Query, str, Tuple[float, ...]]:
+    """Strip the Group/Boost/Field wrappers (plus any node types in ``also``)
+    around ``q``. Returns (inner node, routed field, Boost weights
+    outermost-first); a caller scaling a score by the weights applies them
+    innermost-first — eval's nested-Boost multiply order, bit for bit."""
+    weights: List[float] = []
+    while isinstance(q, (qn.Group, qn.Boost, qn.Field) + also):
+        if isinstance(q, qn.Boost):
+            weights.append(float(q.weight))
+        elif isinstance(q, qn.Field):
+            field = q.field
+        q = q.q
+    return q, field, tuple(weights)
+
+
 def _conjunctive_prune_plan(q: qn.Query, ctx: "EvalContext") -> Set[Tuple[str, str]]:
     """Exact-term keys to EXCLUDE from eager prefetch because the root-level
     conjunction will fetch them lazily with candidate block pruning."""
-    field = DEFAULT_FIELD
-    while isinstance(q, (qn.Group, qn.Field, qn.Boost)):
-        if isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
+    q, field, _weights = _unwrap(q, DEFAULT_FIELD)
     if not isinstance(q, qn.And):
         return set()
     simples = []
@@ -477,7 +495,7 @@ class SegmentEval:
             return self._phrase(field, q.value, 0)
         if isinstance(q, qn.Proximity):
             return self._phrase(field, q.value, max(0, q.num))
-        if isinstance(q, (qn.Prefix, qn.WildCard, qn.TermRegex, qn.Fuzzy, qn.TermRange)):
+        if isinstance(q, EXPANSION_NODES):
             spec = _spec_for(q, field)
             terms = self.ctx.expanded.get(spec, ())
             return self._multi_term(field, terms)

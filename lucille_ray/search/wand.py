@@ -38,6 +38,7 @@ over the full QUERY_SET shapes and randomized corpora.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,8 +49,11 @@ from .eval import (
     B,
     DENSE_MERGE_MAX_SPAN,
     EMPTY,
+    EXPANSION_NODES,
     EvalContext,
     K1,
+    _spec_for,
+    _unwrap,
     simple_term_of,
     top_k,
 )
@@ -74,26 +78,41 @@ SCORE_CACHE_BYTES = 256 << 20
 SUFFIX_MERGE_LAST: Optional[dict] = None
 
 
+def _expansion_terms(q: qn.Query, field: str, ctx: Optional[EvalContext]):
+    """The resolved terms of a dictionary-expansion node (tuple order — the
+    order eval's boolean rewrite sums them in), or None for any other node."""
+    if ctx is None or not isinstance(q, EXPANSION_NODES):
+        return None
+    return ctx.expanded.get(_spec_for(q, field), ())
 
 
 def wand_parts(
-    q: qn.Query, field: str = DEFAULT_FIELD
-) -> Optional[Tuple[List[Tuple[str, str, float]], Tuple[float, ...], int]]:
-    """Match the WAND-eligible shapes: (Group/Boost/Field)* wrapping either an
-    Or or a MinimumMatch whose children are all simple single-token terms.
-    Returns ((field, term, boost) parts, root Boost weights outermost-first,
-    m) or None, where m is the minimum number of matching clauses (1 for Or,
-    ``q.num`` for MinimumMatch — Query.scala:270-277's ``(a b c)@2``). Weights
-    are applied innermost-first by the engine — eval's nested-Boost multiply
-    order, bit for bit. Duplicate terms fall back (eval sums / counts
-    duplicate clauses separately)."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
+    q: qn.Query, ctx: Optional[EvalContext] = None
+) -> Optional[Tuple[dict, Tuple[float, ...]]]:
+    """Match the disjunction shapes :func:`wand_top_k` serves, under any
+    (Group/Boost/Field)* wrapper:
+
+    * an Or or a MinimumMatch whose children are all simple single-token
+      terms — m is 1 for Or, ``q.num`` for MinimumMatch (Query.scala:270-277's
+      ``(a b c)@2``). Duplicate terms fall back (eval sums / counts duplicate
+      clauses separately);
+    * a dictionary expansion (Prefix / WildCard / TermRegex / Fuzzy /
+      TermRange) that resolved to 2 or more terms: eval's boolean rewrite
+      scores it as a sum-of-BM25 union over ``ctx.expanded[spec]`` IN TUPLE
+      ORDER with per-term boost 1 — exactly the m=1 contract, whose merge
+      accumulates in the same parts order (ties break identically).
+
+    Returns ({"parts": (field, term, boost) list, "m": m}, root Boost weights
+    outermost-first) or None. Non-positive boosts flip the bound direction
+    and fall back."""
+    q, field, weights = _unwrap(q, DEFAULT_FIELD)
+    if math.prod(weights) <= 0:
+        return None
+    expanded = _expansion_terms(q, field, ctx)
+    if expanded is not None:
+        if len(expanded) < 2:
+            return None  # empty/singleton expansions: see term_parts
+        return {"parts": [(field, t, 1.0) for t in expanded], "m": 1}, weights
     if isinstance(q, qn.Or):
         clauses, m = q.qs, 1
     elif isinstance(q, qn.MinimumMatch):
@@ -108,136 +127,41 @@ def wand_parts(
     seen = set()
     for c in clauses:
         s = simple_term_of(c, field)
-        if s is None:
+        if s is None or s[2] <= 0 or s[:2] in seen:
             return None
-        f, t, b = s
-        if (f, t) in seen:
-            return None  # duplicate clauses sum per-clause; keep eval's float order
-        seen.add((f, t))
-        parts.append((f, t, b))
-    prod = 1.0
-    for w in weights:
-        prod *= w
-    if prod <= 0 or any(b <= 0 for _f, _t, b in parts):
-        return None  # non-positive boosts flip the bound direction; fall back
-    return parts, tuple(weights), m
-
-
-def expansion_wand_parts(
-    q: qn.Query, ctx: EvalContext, field: str = DEFAULT_FIELD
-) -> Optional[Tuple[List[Tuple[str, str, float]], Tuple[float, ...], int]]:
-    """WAND parts for a TOP-LEVEL dictionary-expansion node (Prefix / WildCard /
-    TermRegex / Fuzzy / TermRange, possibly wrapped in Group/Boost/Field) —
-    VERDICT r03 #6: the widest expansions (``[aa TO dz]``) were paying a full
-    union evaluation over every expanded term's postings; scoring them through
-    block-max WAND prunes the hot terms' blocks against the bootstrap θ.
-
-    Exactness/parity: eval's boolean rewrite scores an expansion as a plain
-    sum-of-BM25 union over ``ctx.expanded[spec]`` IN TUPLE ORDER with per-term
-    boost 1 and the outer Boost weights applied innermost-first after the
-    union — exactly the (parts, weights, m=1) contract of :func:`wand_top_k`,
-    whose merge accumulates in the same parts order (ties break
-    identically)."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
-    if not isinstance(
-        q, (qn.Prefix, qn.WildCard, qn.TermRegex, qn.Fuzzy, qn.TermRange)
-    ):
-        return None
-    prod = 1.0
-    for w in weights:
-        prod *= w
-    if prod <= 0:
-        return None  # non-positive boost flips the bound direction; fall back
-    from .eval import _spec_for
-
-    spec = _spec_for(q, field)
-    terms = ctx.expanded.get(spec, ())
-    if len(terms) < 2:
-        return None  # empty/singleton expansions: plain eval is already minimal
-    return [(field, t, 1.0) for t in terms], tuple(weights), 1
-
-
-def expansion_term_parts(
-    q: qn.Query, ctx: EvalContext, field: str = DEFAULT_FIELD
-) -> Optional[Tuple[str, str, Tuple[float, ...]]]:
-    """(field, term, weights) for a top-level dictionary expansion that
-    resolved to exactly ONE index term — the shape expansion_wand_parts
-    declines (``len(terms) < 2``) and the plain evaluator then pays a full
-    decode + full BM25 union for. On a synthetic-vocabulary corpus this is
-    the COMMON case (``dat*``, ``d?ta``, ``data~1`` all collapse to
-    ``data``): at 10M docs the plain path was ~650 ms warm per 4 segments
-    while single_term_top_k answers the identical query in ~70 ms.
-
-    Exactness: eval scores a 1-term expansion as BM25(term) with per-term
-    boost 1 and outer Boost weights applied innermost-first after the union
-    — exactly single_term_top_k's contract (caller multiplies
-    ``reversed(weights)``), so scores are bit-identical."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
-    if not isinstance(
-        q, (qn.Prefix, qn.WildCard, qn.TermRegex, qn.Fuzzy, qn.TermRange)
-    ):
-        return None
-    prod = 1.0
-    for w in weights:
-        prod *= w
-    if prod <= 0:
-        return None  # non-positive scale flips rank order; fall back
-    from .eval import _spec_for
-
-    spec = _spec_for(q, field)
-    terms = ctx.expanded.get(spec, ())
-    if len(terms) != 1:
-        return None
-    if ctx.idf(field, terms[0]) <= 0.0:
-        return None  # mirror wand_top_k's guard; plain eval handles it
-    return field, terms[0], tuple(weights)
+        seen.add(s[:2])
+        parts.append(s)
+    return {"parts": parts, "m": m}, weights
 
 
 def term_parts(
-    q: qn.Query, ctx: EvalContext, field: str = DEFAULT_FIELD
-) -> Optional[Tuple[str, str, Tuple[float, ...]]]:
-    """(field, token, boost weights outermost-first) for a bare single-token
-    Term wrapped only in Group/Boost/Field — the shape the plain evaluator was
-    fully decoding AND fully BM25-scoring per query (a hot term at 10M is a
-    2.5M-row `_bm25` per segment, ~180 ms warm). Like phrase_parts the weights
-    are returned as a tuple and applied innermost-first by the caller, so the
-    float multiply order matches eval's nested-Boost scoring exactly.
+    q: qn.Query, ctx: EvalContext
+) -> Optional[Tuple[dict, Tuple[float, ...]]]:
+    """Match the single-term shapes :func:`single_term_top_k` serves, under
+    any (Group/Boost/Field)* wrapper: a bare single-token Term, or a
+    dictionary expansion that resolved to exactly ONE index term. The plain
+    evaluator fully decodes AND fully BM25-scores that term per query (a hot
+    term at 10M is a 2.5M-row `_bm25` per segment, ~180 ms warm); on a
+    synthetic vocabulary the one-term expansion is the COMMON case (``dat*``,
+    ``d?ta``, ``data~1`` all collapse to ``data``), and eval scores it as
+    BM25(term) with boost 1 — the same contract.
 
-    Pruning in :func:`single_term_top_k` ranks by UNBOOSTED scores, which
-    matches the final order only under a positive total scale — non-positive
-    products fall back."""
-    weights: List[float] = []
-    while isinstance(q, (qn.Group, qn.Boost, qn.Field)):
-        if isinstance(q, qn.Boost):
-            weights.append(float(q.weight))
-        elif isinstance(q, qn.Field):
-            field = q.field
-        q = q.q
-    if not isinstance(q, qn.Term):
+    Returns ({"field", "term"}, root Boost weights outermost-first) or None.
+    Pruning ranks by UNBOOSTED scores, which matches the final order only
+    under a positive total scale — non-positive products fall back."""
+    q, field, weights = _unwrap(q, DEFAULT_FIELD)
+    expanded = _expansion_terms(q, field, ctx)
+    if expanded is not None:
+        terms = expanded
+    elif isinstance(q, qn.Term):
+        terms = tokenize(q.value)
+    else:
         return None
-    toks = tokenize(q.value)
-    if len(toks) != 1:
+    if len(terms) != 1 or math.prod(weights) <= 0:
         return None
-    prod = 1.0
-    for w in weights:
-        prod *= w
-    if prod <= 0:
-        return None
-    if ctx.idf(field, toks[0]) <= 0.0:
+    if ctx.idf(field, terms[0]) <= 0.0:
         return None  # mirror wand_top_k's guard; plain eval handles it
-    return field, toks[0], tuple(weights)
+    return {"field": field, "term": terms[0]}, weights
 
 
 #: first chunk of bound-ordered blocks decoded by single_term_top_k
@@ -763,6 +687,8 @@ def _suffix_merge(
         maxs = np.asarray(part_ubs, dtype=np.float64)
     else:
         maxs = np.array([float(r[1].max()) for r in live])
+    if (maxs < 0).any():
+        return None  # a negative part breaks the lower-bound argument
     order = np.argsort(-maxs, kind="stable")
     # suffix[c] = Σ maxs of parts still unscattered once parts 0..c are done
     suffix = np.concatenate([np.cumsum(maxs[order][::-1])[::-1][1:], [0.0]])
@@ -841,7 +767,14 @@ def _merge_top_k(
     identically), drop docs matching fewer than m terms, and take the exact
     top-k. ``ubs`` optionally maps a result key to that part's max-score
     upper bound (block-max, free at the wand_top_k call site) so the wide
-    suffix-bound merge skips its own per-part max pass."""
+    suffix-bound merge skips its own per-part max pass.
+
+    Precondition of the suffix-bound merge: every part score is >= 0, so a
+    partial sum is a lower bound on the final sum. It holds for every caller:
+    parts are BM25 term scores (idf > 0, tf >= 1) times a clause boost that
+    wand_parts only admits when positive. A part's scores share its boost's
+    sign, so ``_suffix_merge`` checks it per part (max < 0 -> None) and the
+    classic merge below, which is exact for any sign, answers instead."""
     live_keys = [i for i in sorted(results) if results[i][0].size]
     live = [results[i] for i in live_keys]
     if len(live) < m or not live:
@@ -887,12 +820,12 @@ def _merge_top_k(
             nnz = int(np.count_nonzero(sums))
             if nnz == 0:
                 return EMPTY
-            if nnz > k:
-                # k-th largest over the WHOLE span array: with > k positive
-                # matches the k-th largest is positive, so the zero slots
-                # (non-matches) can never enter the candidate mask — this
-                # avoids materializing all O(nnz) matched docs before top_k
-                kth = np.partition(sums, span - k)[span - k]
+            kth = np.partition(sums, span - k)[span - k] if nnz > k else 0.0
+            if kth > 0:
+                # k-th largest over the WHOLE span array is positive, so the
+                # zero slots (non-matches) can never enter the candidate
+                # mask — this avoids materializing all O(nnz) matched docs
+                # before top_k
                 cand = np.flatnonzero(sums >= kth)
             else:
                 cand = np.flatnonzero(sums)

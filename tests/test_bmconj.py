@@ -10,7 +10,8 @@ import pytest
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index
 from lucille_ray.query.parser import parse
-from lucille_ray.search.bmconj import conj_parts, conj_top_k
+import lucille_ray.search.engine as engine_mod
+from lucille_ray.search.bmconj import conj_parts_compound, conj_top_k_compound
 from lucille_ray.search.engine import SearchEngine
 from lucille_ray.search.eval import SegmentEval, collect_term_requests, top_k
 
@@ -43,35 +44,43 @@ def built(ray_session, tmp_path_factory):
     return index_dir
 
 
+def _one(term, boost=1.0, field="text"):
+    """A single-term clause as conj_parts_compound returns it."""
+    return (((field, term, boost),), ())
+
+
 def test_conj_parts_shapes():
-    assert conj_parts(parse("a AND b")) is not None
-    assert conj_parts(parse("(a AND b)^2")) == (
-        [("text", "a", 1.0), ("text", "b", 1.0)], [], (2.0,),
+    assert conj_parts_compound(parse("a AND b")) is not None
+    assert conj_parts_compound(parse("(a AND b)^2")) == (
+        {"clauses": (_one("a"), _one("b")), "negs": ()}, (2.0,),
     )
-    assert conj_parts(parse("role:(a AND b)"))[0][0][0] == "role"
-    assert conj_parts(parse("a AND b^3"))[0][1] == ("text", "b", 3.0)
-    assert conj_parts(parse("a OR b")) is None
-    assert conj_parts(parse('a AND "b c"')) is None  # phrase clause
-    assert conj_parts(parse("a AND -b")) is None  # 1 positive: no intersection to prune
-    assert conj_parts(parse("a AND b AND -c")) == (
-        [("text", "a", 1.0), ("text", "b", 1.0)], [("text", "c")], (),
+    got = conj_parts_compound(parse("role:(a AND b)"))
+    assert got[0]["clauses"][0] == _one("a", field="role")
+    assert conj_parts_compound(parse("a AND b^3"))[0]["clauses"][1] == _one("b", 3.0)
+    assert conj_parts_compound(parse("a OR b")) is None
+    assert conj_parts_compound(parse('a AND "b c"')) is None  # phrase clause
+    # 1 positive: no intersection to prune
+    assert conj_parts_compound(parse("a AND -b")) is None
+    assert conj_parts_compound(parse("a AND b AND -c")) == (
+        {"clauses": (_one("a"), _one("b")), "negs": (("text", "c"),)}, (),
     )  # negated simple terms are handled by candidate exclusion
-    assert conj_parts(parse("a AND b AND NOT c AND -c")) == (
-        [("text", "a", 1.0), ("text", "b", 1.0)], [("text", "c")], (),
+    assert conj_parts_compound(parse("a AND b AND NOT c AND -c")) == (
+        {"clauses": (_one("a"), _one("b")), "negs": (("text", "c"),)}, (),
     )  # duplicate negatives dedupe
-    assert conj_parts(parse("-a AND -b")) is None  # pure negative: eval's EMPTY
-    assert conj_parts(parse('a AND NOT "b c"')) is None  # non-simple negative
-    assert conj_parts(parse("a AND +b")) is None  # UnaryPlus changes float order
-    assert conj_parts(parse("a AND a")) is None  # duplicate clause
-    assert conj_parts(parse("a AND b.c")) is None  # multi-token term
-    assert conj_parts(parse("a")) is None  # single term: plain path
+    assert conj_parts_compound(parse("-a AND -b")) is None  # pure negative: eval's EMPTY
+    assert conj_parts_compound(parse('a AND NOT "b c"')) is None  # non-simple negative
+    assert conj_parts_compound(parse("a AND +b")) is None  # UnaryPlus changes float order
+    assert conj_parts_compound(parse("a AND a")) is None  # duplicate clause
+    assert conj_parts_compound(parse("a AND b.c")) is None  # multi-token term
+    assert conj_parts_compound(parse("a")) is None  # single term: plain path
     # non-positive boosts flip the bound direction (not parseable; direct node)
     from lucille_ray.query import nodes as qn
 
-    assert conj_parts(qn.And((qn.Term("a"), qn.Boost(qn.Term("b"), -2.0)))) is None
+    neg = qn.And((qn.Term("a"), qn.Boost(qn.Term("b"), -2.0)))
+    assert conj_parts_compound(neg) is None
     # NESTED clause boosts fall back: eval multiplies sequentially while the
     # block-max paths apply the clause boost once — (s*b1)*b2 != s*(b1*b2)
-    assert conj_parts(parse("a AND ((b^2))^3")) is None
+    assert conj_parts_compound(parse("a AND ((b^2))^3")) is None
 
 
 @pytest.mark.parametrize("qs", AND_QUERIES, ids=repr)
@@ -80,14 +89,14 @@ def test_conj_identical_to_eval(built, qs, k):
     """conj top-k == plain SegmentEval top-k, ranks AND scores, per segment."""
     engine = SearchEngine(built, parallel=False)
     q, reqs, ctx = engine.plan(qs)
-    ps = conj_parts(q)
+    ps = conj_parts_compound(q)
     assert ps is not None, f"{qs!r} should be conjunction-eligible"
-    parts, negs, scale = ps
+    args, scale = ps
     scorer = engine._scorers()[0]
     for r in scorer.readers:
         if r.doc_count == 0:
             continue
-        cd, cs = conj_top_k(r, ctx, parts, k, tuple(negs))
+        cd, cs = conj_top_k_compound(r, ctx, k=k, **args)
         fresh = SegmentEval(r, ctx, collect_term_requests(q), query=q)
         ed, es = top_k(*fresh.eval(q), k)
         assert cd.tolist() == ed.tolist(), f"{qs!r} k={k}: rank mismatch"
@@ -141,10 +150,10 @@ def test_conj_random_queries_property(built, ray_session):
             clauses.append(pool[i] if b == 1.0 else f"{pool[i]}^{b}")
         qs = " AND ".join(clauses)
         q, reqs, ctx = engine.plan(qs)
-        ps = conj_parts(q)
+        ps = conj_parts_compound(q)
         assert ps is not None
-        parts, negs, scale = ps
-        cd, cs = conj_top_k(r, ctx, parts, k, tuple(negs))
+        args, scale = ps
+        cd, cs = conj_top_k_compound(r, ctx, k=k, **args)
         ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
         ed, es = top_k(*ev.eval(q), k)
         assert cd.tolist() == ed.tolist(), qs
@@ -195,7 +204,7 @@ def test_conj_actually_skips_decodes(spiked, monkeypatch):
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     q, reqs, ctx = engine.plan("alpha AND beta")
-    parts, negs, scale = conj_parts(q)
+    args, scale = conj_parts_compound(q)
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -212,7 +221,7 @@ def test_conj_actually_skips_decodes(spiked, monkeypatch):
     r._raw_cache.clear()
     getattr(r, "_wand_pruned_cache", {}).clear()
     getattr(r, "_conj_stepfn_cache", {}).clear()
-    cd, cs = conj_top_k(r, ctx, parts, k=10)
+    cd, cs = conj_top_k_compound(r, ctx, k=10, **args)
     conj_decoded = decoded_vals["n"]
     # identity against the plain evaluator on the same segment
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
@@ -249,19 +258,19 @@ def test_conj_after_delete_falls_back_and_matches(spiked, ray_session, tmp_path_
 
 
 def test_lr_bmconj_toggle_identical(built, ray_session, monkeypatch):
-    """LR_BMCONJ=0 pins eligible conjunctions to the plain evaluator; answers
-    (ranks AND scores) must be identical either way through the full engine.
+    """An empty routing table pins eligible conjunctions to the plain
+    evaluator; answers (ranks AND scores) must be identical either way
+    through the full engine.
 
     result_cache=False is load-bearing: with the default per-reader result
     cache ON, the second (toggled-off) pass would be served from the cache and
     the plain evaluator would never run — a vacuous A/B (ADVICE r04)."""
     engine = SearchEngine(built, parallel=False, result_cache=False)
     on = {}
-    monkeypatch.setenv("LR_BMCONJ", "1")
     for qs in AND_QUERIES:
         t = engine.search(qs, k=10, with_meta=False)
         on[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
-    monkeypatch.setenv("LR_BMCONJ", "0")
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
     for qs in AND_QUERIES:
         t = engine.search(qs, k=10, with_meta=False)
         assert t["doc_id"].to_pylist() == on[qs][0], qs
@@ -276,6 +285,7 @@ def test_conj_randomized_full_engine_soak(built, ray_session, monkeypatch):
     import random
 
     engine = SearchEngine(built, parallel=False, result_cache=False)
+    routes = engine_mod.TOP_K_ROUTES
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     terms, dfs = r.term_dict("text")
@@ -307,9 +317,9 @@ def test_conj_randomized_full_engine_soak(built, ray_session, monkeypatch):
         elif wrap == "field":
             qs = f"text:({qs})"
         k = rng.randint(1, 50)
-        monkeypatch.setenv("LR_BMCONJ", "1")
+        monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", routes)
         a = engine.search(qs, k=k, with_meta=False)
-        monkeypatch.setenv("LR_BMCONJ", "0")
+        monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
         b = engine.search(qs, k=k, with_meta=False)
         assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), (qs, k)
         assert a["score"].to_pylist() == b["score"].to_pylist(), (qs, k)
@@ -348,16 +358,15 @@ def test_conj_complete_pass_cached(flat_conj, monkeypatch):
     the complete match set must be cached so warm repeats decode zero varints
     and stay bit-identical at any k (shared match_cache with bmphrase)."""
     from lucille_ray.index import codec
-    from lucille_ray.search.bmconj import conj_parts, conj_top_k
 
     engine = SearchEngine(flat_conj, parallel=False)
     q, reqs, ctx = engine.plan("data AND query")
-    parts, negs, _scale = conj_parts(q)
+    args, _scale = conj_parts_compound(q)
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     getattr(r, "_match_cache", {}).clear()
-    d1, s1 = conj_top_k(r, ctx, parts, 10, tuple(negs))
-    assert (tuple(parts), tuple(negs)) in r._match_cache
+    d1, s1 = conj_top_k_compound(r, ctx, k=10, **args)
+    assert (args["clauses"], args["negs"]) in r._match_cache
 
     decoded = {"n": 0}
     real = codec.decode_varints
@@ -368,11 +377,11 @@ def test_conj_complete_pass_cached(flat_conj, monkeypatch):
         return out
 
     monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    d2, s2 = conj_top_k(r, ctx, parts, 10, tuple(negs))
+    d2, s2 = conj_top_k_compound(r, ctx, k=10, **args)
     assert decoded["n"] == 0, "warm repeat must not decode"
     assert d2.tolist() == d1.tolist()
     np.testing.assert_array_equal(s2, s1)
-    d3, s3 = conj_top_k(r, ctx, parts, 3, tuple(negs))
+    d3, s3 = conj_top_k_compound(r, ctx, k=3, **args)
     assert decoded["n"] == 0
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
     ed, es = top_k(*ev.eval(q), 3)
@@ -397,21 +406,22 @@ COMPOUND_QUERIES = [
 
 
 def test_conj_parts_compound_shapes():
-    from lucille_ray.search.bmconj import conj_parts_compound
-
     got = conj_parts_compound(parse("(deploy OR data)^2 AND query"))
     assert got is not None
-    clauses, negs, weights = got
-    assert negs == [] and weights == ()
+    args, weights = got
+    clauses, negs = args["clauses"], args["negs"]
+    assert negs == () and weights == ()
     assert clauses[0] == (
         (("text", "deploy", 1.0), ("text", "data", 1.0)), (2.0,)
     )
     assert clauses[1] == ((("text", "query", 1.0),), ())
     # member boosts fold; clause Boost stays a cweight
     got = conj_parts_compound(parse("(deploy^3 OR data) AND query"))
-    assert got[0][0][0][0] == ("text", "deploy", 3.0)
-    # all-simple conjunctions belong to conj_parts, not here
-    assert conj_parts_compound(parse("a AND b")) is None
+    assert got[0]["clauses"][0][0][0] == ("text", "deploy", 3.0)
+    # an all-simple conjunction is a compound one with one-term clauses
+    assert conj_parts_compound(parse("a AND b")) == (
+        {"clauses": (_one("a"), _one("b")), "negs": ()}, (),
+    )
     # no single-term clause to anchor on
     assert conj_parts_compound(parse("(a OR b) AND (c OR d)")) is None
     # duplicate term across clauses / inside a clause falls back
@@ -432,19 +442,18 @@ def test_conj_parts_compound_shapes():
 @pytest.mark.parametrize("qs", COMPOUND_QUERIES, ids=repr)
 @pytest.mark.parametrize("k", [3, 10, 50])
 def test_compound_conj_identical_to_eval(built, qs, k):
-    """Compound-clause conj_top_k == plain SegmentEval, ranks AND scores."""
-    from lucille_ray.search.bmconj import conj_parts_compound, conj_top_k_compound
-
+    """Compound-clause conj_top_k_compound == plain SegmentEval, ranks AND
+    scores."""
     engine = SearchEngine(built, parallel=False, result_cache=False)
     q, reqs, ctx = engine.plan(qs)
     got = conj_parts_compound(q)
     assert got is not None, f"{qs!r} should be compound-eligible"
-    clauses, negs, weights = got
+    args, weights = got
     scorer = engine._scorers()[0]
     for r in scorer.readers:
         if r.doc_count == 0:
             continue
-        res = conj_top_k_compound(r, ctx, clauses, k, tuple(negs))
+        res = conj_top_k_compound(r, ctx, k=k, **args)
         assert res is not None  # parse guarantees a single-term anchor clause
         cd, cs = res
         for w in reversed(weights):
@@ -457,11 +466,12 @@ def test_compound_conj_identical_to_eval(built, qs, k):
 
 
 def test_compound_conj_engine_toggle_identical(built, monkeypatch):
-    """LR_BMCONJ=0 pins the plain evaluator; answers must be bit-identical."""
-    monkeypatch.setenv("LR_BMCONJ", "0")
+    """An empty routing table pins the plain evaluator; answers must be
+    bit-identical."""
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
     plain = SearchEngine(built, parallel=False, result_cache=False)
     base = {qs: plain.search(qs, k=10, with_meta=False) for qs in COMPOUND_QUERIES}
-    monkeypatch.setenv("LR_BMCONJ", "1")
+    monkeypatch.undo()
     fast = SearchEngine(built, parallel=False, result_cache=False)
     for qs in COMPOUND_QUERIES:
         assert fast.search(qs, k=10, with_meta=False).equals(base[qs]), qs

@@ -10,6 +10,7 @@ import pytest
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index
 from lucille_ray.query.parser import parse
+import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.bmphrase import phrase_parts, phrase_top_k
 from lucille_ray.search.engine import SearchEngine
 from lucille_ray.search.eval import SegmentEval, collect_term_requests, top_k
@@ -42,8 +43,9 @@ def test_phrase_parts_shapes():
     assert phrase_parts(parse('"a b"')) is not None
     assert phrase_parts(parse('"a b"~3')) is not None
     assert phrase_parts(parse("a.b")) is not None
-    f, terms, gap, w = phrase_parts(parse('(role:"a b"^2)^3'))
-    assert f == "role" and terms == ["a", "b"] and gap == 0 and w == (3.0, 2.0)
+    args, w = phrase_parts(parse('(role:"a b"^2)^3'))
+    assert args == {"field": "role", "terms": ["a", "b"], "gap": 0}
+    assert w == (3.0, 2.0)
     assert phrase_parts(parse('"single"')) is None
     assert phrase_parts(parse("plain")) is None
     assert phrase_parts(parse("a AND b")) is None
@@ -58,12 +60,12 @@ def test_phrase_identical_to_eval(built, qs, k):
     q, reqs, ctx = engine.plan(qs)
     ps = phrase_parts(q)
     assert ps is not None, f"{qs!r} should be phrase-eligible"
-    field, terms, gap, weights = ps
+    args, weights = ps
     scorer = engine._scorers()[0]
     for r in scorer.readers:
         if r.doc_count == 0:
             continue
-        cd, cs = phrase_top_k(r, ctx, field, terms, gap, k)
+        cd, cs = phrase_top_k(r, ctx, k=k, **args)
         for w in reversed(weights):
             cs = cs * w
         fresh = SegmentEval(r, ctx, collect_term_requests(q), query=q)
@@ -105,6 +107,7 @@ def test_phrase_randomized_soak(built, ray_session, monkeypatch):
     rng = random.Random(20260818)
     # result_cache=False so the toggled-off arm really evaluates (ADVICE r04)
     engine = SearchEngine(built, parallel=False, result_cache=False)
+    routes = engine_mod.TOP_K_ROUTES
     for _ in range(120):
         words = texts[rng.randrange(len(texts))].split()
         if len(words) < 3:
@@ -121,9 +124,9 @@ def test_phrase_randomized_soak(built, ray_session, monkeypatch):
             # boost can't suffix a proximity in the grammar -> group-wrap it
             qs = f"({qs})^{rng.choice([0.5, 2.0])}"
         k = rng.randint(1, 30)
-        monkeypatch.setenv("LR_BMPHRASE", "1")
+        monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", routes)
         a = engine.search(qs, k=k, with_meta=False)
-        monkeypatch.setenv("LR_BMPHRASE", "0")
+        monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
         b = engine.search(qs, k=k, with_meta=False)
         assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), (qs, k)
         assert a["score"].to_pylist() == b["score"].to_pylist(), (qs, k)
@@ -171,7 +174,8 @@ def test_phrase_actually_skips_decodes(spiked, monkeypatch):
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     q, reqs, ctx = engine.plan('"alpha beta"')
-    field, terms, gap, _w = phrase_parts(q)
+    args, _w = phrase_parts(q)
+    field, terms, gap = args["field"], args["terms"], args["gap"]
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -260,7 +264,8 @@ def test_flat_match_cache_warm_repeat(flat, monkeypatch):
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     q, reqs, ctx = engine.plan('"data query"~2')
-    field, terms, gap, _w = phrase_parts(q)
+    args, _w = phrase_parts(q)
+    field, terms, gap = args["field"], args["terms"], args["gap"]
 
     # cold pass populates the cache
     getattr(r, "_match_cache", {}).clear()
@@ -364,7 +369,8 @@ def test_theta_branch_complete_pass_is_cached(jittered, monkeypatch):
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     q, reqs, ctx = engine.plan('"data query"')
-    field, terms, gap, _w = phrase_parts(q)
+    args, _w = phrase_parts(q)
+    field, terms, gap = args["field"], args["terms"], args["gap"]
 
     # precondition: this corpus really exercises the theta (prunable) branch
     uniq = list(dict.fromkeys(terms))

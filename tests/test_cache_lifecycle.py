@@ -27,6 +27,7 @@ import pytest
 from lucille_ray import transcripts as T
 from lucille_ray.index import compact_index, delete_conversations
 from lucille_ray.index.build import append_index, build_index
+import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.engine import SearchEngine
 
 # one query per cache-feeding path: single-term memo, bmconj (+negation),
@@ -45,8 +46,6 @@ LIFECYCLE_QUERIES = [
     "(data AND query)^1.5 OR jump^0.5",
 ]
 
-_PLAIN_ENV = {"LR_BMCONJ": "0", "LR_BMPHRASE": "0", "LR_BMEXP": "0", "LR_BMTERM": "0"}
-
 
 def _answers(engine, k=20):
     out = {}
@@ -64,19 +63,16 @@ def _answers(engine, k=20):
 def _assert_step_identity(index_dir, step, monkeypatch):
     """caches-ON engine, warm (pass 2 of 2) vs plain-evaluator caches-OFF
     engine — ranks, scores, and metadata must match bit-for-bit."""
-    for var in _PLAIN_ENV:
-        monkeypatch.delenv(var, raising=False)
     cached = SearchEngine(index_dir, parallel=False, result_cache=True)
     cold = _answers(cached)  # populates result/match/term caches
     warm = _answers(cached)  # served from the caches
     assert warm == cold, f"{step}: cache population changed answers"
 
-    for var, val in _PLAIN_ENV.items():
-        monkeypatch.setenv(var, val)
+    # an empty routing table pins every shape to the plain evaluator
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
     plain = SearchEngine(index_dir, parallel=False, result_cache=False)
     ref = _answers(plain)
-    for var in _PLAIN_ENV:
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.undo()
     for qs in LIFECYCLE_QUERIES:
         assert warm[qs][0] == ref[qs][0], f"{step}: {qs!r} ranks diverged"
         assert warm[qs][1] == ref[qs][1], f"{step}: {qs!r} scores diverged"

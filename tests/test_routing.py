@@ -1,0 +1,180 @@
+"""Routing table: which per-segment top-k executor serves each query shape.
+
+The identity soaks compare every block-max executor against the plain
+evaluator, so a shape that silently stops matching its row of
+``engine.TOP_K_ROUTES`` — and falls back to SegmentEval — keeps passing them:
+the answers stay identical. These tests record which executor ran on each
+segment instead."""
+
+import os
+import shutil
+
+import pyarrow as pa
+import pytest
+
+import lucille_ray.search.engine as engine_mod
+from lucille_ray.index import delete_docs
+from lucille_ray.index.build import build_index
+from lucille_ray.query import nodes as qn
+from lucille_ray.search.engine import SearchEngine
+
+N_DOCS = 3000
+
+# (query, executor expected on every segment)
+ROUTED = [
+    ("alpha", "single_term_top_k"),
+    ("xylo*", "single_term_top_k"),  # expansion resolving to one term
+    ("alpha OR beta", "wand_top_k"),
+    ("(alpha beta gamma)@2", "wand_top_k"),
+    ("deploy*", "wand_top_k"),  # expansion resolving to 3 terms
+    ("alpha AND beta", "conj_top_k_compound"),  # all-simple conjunction
+    ("(beta OR gamma) AND alpha", "conj_top_k_compound"),
+    ('"alpha beta"', "phrase_top_k"),
+    ('"alpha gamma"~2', "phrase_top_k"),
+]
+
+
+@pytest.fixture(scope="module")
+def index_dir(ray_session, tmp_path_factory):
+    import ray
+
+    texts = []
+    for i in range(N_DOCS):
+        words = ["alpha"]
+        if i % 2 == 0:
+            words.append("beta")
+        if i % 3 == 0:
+            words += ["pad", "gamma"]
+        if i % 50 == 0:
+            words.append(("deploy", "deployed", "deploying")[i // 50 % 3])
+        if i % 97 == 0:
+            words.append("xylo")
+        texts.append(" ".join(words))
+    tab = pa.table(
+        {
+            "conv_id": pa.array([f"c{i // 5:05d}" for i in range(N_DOCS)]),
+            "turn_idx": pa.array([i % 5 for i in range(N_DOCS)], pa.int32()),
+            "role": pa.array(["user"] * N_DOCS),
+            "text": pa.array(texts),
+            "tool": pa.array([""] * N_DOCS),
+            "ts": pa.array(
+                [1_700_000_000_000_000 + i for i in range(N_DOCS)],
+                pa.timestamp("us"),
+            ),
+        }
+    )
+    out = os.path.join(str(tmp_path_factory.mktemp("routing")), "index")
+    build_index(ray.data.from_arrow(tab), out, num_segments=2, batch_size=1000)
+    return out
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """Executor names in call order, one per segment the table served."""
+    calls = []
+
+    def recorder(executor):
+        def run(reader, ctx, **kw):
+            calls.append(executor.__name__)
+            return executor(reader, ctx, **kw)
+
+        return run
+
+    monkeypatch.setattr(
+        engine_mod,
+        "TOP_K_ROUTES",
+        tuple((m, recorder(ex)) for m, ex in engine_mod.TOP_K_ROUTES),
+    )
+    return calls
+
+
+def _answer(engine, q):
+    t = engine.search(q, k=10, with_meta=False)
+    return t["doc_id"].to_pylist(), t["score"].to_pylist()
+
+
+@pytest.mark.parametrize("qs,executor", ROUTED, ids=[q for q, _ in ROUTED])
+def test_shape_routes_to_its_executor(index_dir, served, monkeypatch, qs, executor):
+    engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+    segments = sum(r.doc_count > 0 for r in engine._scorers()[0].readers)
+    got = _answer(engine, qs)
+    assert served == [executor] * segments, qs
+    assert got[0], f"{qs!r} should match documents"
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
+    assert _answer(engine, qs) == got, qs
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "alpha AND +beta",  # UnaryPlus: eval accumulates it first
+        qn.Boost(qn.Term("alpha"), -1.0),  # negative boost flips the bounds
+    ],
+    ids=["unary-plus", "negative-boost"],
+)
+def test_unmatched_shape_takes_plain_evaluator(index_dir, served, query):
+    engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+    ids, _scores = _answer(engine, query)
+    assert served == []
+    assert ids
+
+
+def test_match_all_takes_plain_evaluator(index_dir, served):
+    engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+    assert engine.match_all("alpha").num_rows == N_DOCS  # k=None
+    assert served == []
+
+
+def test_tombstoned_segment_takes_plain_evaluator(
+    index_dir, served, tmp_path
+):
+    idx = str(tmp_path / "index")
+    shutil.copytree(index_dir, idx)
+    assert delete_docs(idx, [0]) == 1  # doc 0 lives in the first segment
+    engine = SearchEngine(idx, parallel=False, result_cache=False)
+    deleted = [r.deleted is not None for r in engine._scorers()[0].readers]
+    assert deleted == [True, False]
+    ids, _scores = _answer(engine, "alpha")
+    assert served == ["single_term_top_k"]  # the live segment only
+    assert 0 not in ids
+
+
+def test_declined_segment_takes_plain_evaluator(index_dir, monkeypatch):
+    """An executor returning None declines the segment; the plain evaluator
+    answers it, and the matcher still runs once per query, not per segment."""
+    engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+    ref = _answer(engine, "alpha OR beta")
+    matched = []
+
+    def matcher(q, ctx):
+        matched.append(q)
+        return {}, (2.0,)
+
+    monkeypatch.setattr(
+        engine_mod, "TOP_K_ROUTES", ((matcher, lambda reader, ctx, k: None),)
+    )
+    assert _answer(engine, "alpha OR beta") == ref
+    assert len(matched) == 1
+
+
+def test_search_modules_read_no_environment():
+    """The search layer takes its options from constructor arguments only: no
+    module under lucille_ray/search/ reads the process environment, so no
+    per-call valve can come back."""
+    import ast
+    import glob
+
+    import lucille_ray.search as search_pkg
+
+    pkg_dir = os.path.dirname(search_pkg.__file__)
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if {a.name for a in node.names} & {"environ", "getenv"}:
+                    offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []

@@ -8,6 +8,7 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index
+import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.engine import SearchEngine, SegmentScorer
 from lucille_ray.search.eval import SegmentEval, collect_term_requests, top_k
 from lucille_ray.search.wand import wand_parts, wand_top_k
@@ -51,12 +52,12 @@ def test_wand_identical_to_eval(built, qs, k):
     q, reqs, ctx = engine.plan(qs)
     parts_scale = wand_parts(q)
     assert parts_scale is not None, f"{qs!r} should be WAND-eligible"
-    parts, scale, m = parts_scale
+    args, scale = parts_scale
     scorer = engine._scorers()[0]
     for r in scorer.readers:
         if r.doc_count == 0:
             continue
-        wd, ws = wand_top_k(r, ctx, parts, k, m)
+        wd, ws = wand_top_k(r, ctx, k=k, **args)
         fresh = SegmentEval(r, ctx, collect_term_requests(q), query=q)
         ed, es = fresh.eval(q)
         ed, es = top_k(ed, es, k)
@@ -98,7 +99,7 @@ def test_wand_actually_skips_decodes(built, monkeypatch):
     terms, dfs = r.term_dict("text")
     hot = str(terms[int(np.argmax(dfs))])
     q, reqs, ctx = engine.plan(f"xylophone42 OR {hot}")
-    parts, scale, m = wand_parts(q)
+    args, scale = wand_parts(q)
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -114,7 +115,7 @@ def test_wand_actually_skips_decodes(built, monkeypatch):
     r._post_cache.clear()
     r._raw_cache.clear()
     getattr(r, "_wand_pruned_cache", {}).clear()
-    wand_top_k(r, ctx, parts, k=3)
+    wand_top_k(r, ctx, k=3, **args)
     df_hot = ctx.df.get(("text", hot), 0)
     assert df_hot > r.doc_count // 4  # the premise: the term really is hot
     # full evaluation decodes ~2*df values (docs+tfs) for the hot term alone;
@@ -153,8 +154,8 @@ def test_wand_random_queries_property(built, ray_session):
         q, reqs, ctx = engine.plan(qs)
         parts_scale = wand_parts(q)
         assert parts_scale is not None
-        parts, scale, m = parts_scale
-        wd, ws = wand_top_k(r, ctx, parts, k, m)
+        args, scale = parts_scale
+        wd, ws = wand_top_k(r, ctx, k=k, **args)
         ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
         ed, es = top_k(*ev.eval(q), k)
         assert wd.tolist() == ed.tolist(), qs
@@ -191,8 +192,8 @@ def test_wand_minmatch_random_property(built, ray_session):
         q, reqs, ctx = engine.plan(qs)
         parts_scale = wand_parts(q)
         assert parts_scale is not None
-        parts, scale, m = parts_scale
-        wd, ws = wand_top_k(r, ctx, parts, k, m)
+        args, scale = parts_scale
+        wd, ws = wand_top_k(r, ctx, k=k, **args)
         ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
         ed, es = top_k(*ev.eval(q), k)
         assert wd.tolist() == ed.tolist(), qs
@@ -234,9 +235,9 @@ def test_min_dl_exact_after_build_and_compaction(built, ray_session):
 def test_wand_parts_shapes():
     assert wand_parts(parse("a OR b")) is not None
     assert wand_parts(parse("(a OR b)^2")) == (
-        [("text", "a", 1.0), ("text", "b", 1.0)], (2.0,), 1,
+        {"parts": [("text", "a", 1.0), ("text", "b", 1.0)], "m": 1}, (2.0,),
     )
-    assert wand_parts(parse("role:(a OR b)"))[0][0][0] == "role"
+    assert wand_parts(parse("role:(a OR b)"))[0]["parts"][0][0] == "role"
     assert wand_parts(parse("a AND b")) is None
     assert wand_parts(parse("a OR \"b c\"")) is None  # phrase clause
     assert wand_parts(parse("a OR -b")) is None  # negative clause
@@ -245,10 +246,12 @@ def test_wand_parts_shapes():
     assert wand_parts(parse("a OR ((b^2))^3")) is None  # nested clause boost
     assert wand_parts(parse("a")) is None  # single term: plain path
     # MinimumMatch shapes
-    assert wand_parts(parse("(a b c)@2"))[2] == 2
-    assert wand_parts(parse("(a b c)@0"))[2] == 1  # eval treats num<=0 as 1
+    assert wand_parts(parse("(a b c)@2"))[0]["m"] == 2
+    assert wand_parts(parse("(a b c)@0"))[0]["m"] == 1  # eval treats num<=0 as 1
     assert wand_parts(parse("((a b c)@2)^1.5")) == (
-        [("text", "a", 1.0), ("text", "b", 1.0), ("text", "c", 1.0)], (1.5,), 2,
+        {"parts": [("text", "a", 1.0), ("text", "b", 1.0), ("text", "c", 1.0)],
+         "m": 2},
+        (1.5,),
     )
     assert wand_parts(parse('(a "b c" d)@2')) is None  # phrase clause
     assert wand_parts(parse("(a a b)@2")) is None  # duplicate clauses count twice
@@ -267,8 +270,8 @@ def test_wand_minmatch_coverage_skips_decodes(built, monkeypatch):
     terms, dfs = r.term_dict("text")
     hot = str(terms[int(np.argmax(dfs))])
     q, reqs, ctx = engine.plan(f"(xylophone42 {hot})@2")
-    parts, scale, m = wand_parts(q)
-    assert m == 2
+    args, scale = wand_parts(q)
+    assert args["m"] == 2
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -284,7 +287,7 @@ def test_wand_minmatch_coverage_skips_decodes(built, monkeypatch):
     r._post_cache.clear()
     r._raw_cache.clear()
     getattr(r, "_wand_pruned_cache", {}).clear()
-    wd, ws = wand_top_k(r, ctx, parts, k=3, m=m)
+    wd, ws = wand_top_k(r, ctx, k=3, **args)
     wand_decoded = decoded_vals["n"]  # snapshot before the identity check below
     # identity against the plain evaluator on the same segment
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
@@ -321,22 +324,20 @@ EXPANSION_QUERIES = [
 def test_expansion_wand_identical_to_eval(built, qs, k):
     """WAND over the expanded term set == plain boolean-rewrite union,
     ranks AND scores, per segment."""
-    from lucille_ray.search.wand import expansion_wand_parts
-
     engine = SearchEngine(built, parallel=False)
     q, reqs, ctx = engine.plan(qs)
-    ps = expansion_wand_parts(q, ctx)
+    ps = wand_parts(q, ctx)
     if ps is None:
         n_terms = sum(len(v) for v in ctx.expanded.values())
         assert n_terms < 2, f"{qs!r} expanded to {n_terms} terms but wasn't eligible"
         pytest.skip(f"{qs!r} expands to <2 terms on this corpus")
-    parts, scale, m = ps
-    assert m == 1
+    args, scale = ps
+    assert args["m"] == 1
     scorer = engine._scorers()[0]
     for r in scorer.readers:
         if r.doc_count == 0:
             continue
-        wd, ws = wand_top_k(r, ctx, parts, k, m)
+        wd, ws = wand_top_k(r, ctx, k=k, **args)
         fresh = SegmentEval(r, ctx, collect_term_requests(q), query=q)
         ed, es = fresh.eval(q)
         ed, es = top_k(ed, es, k)
@@ -347,14 +348,15 @@ def test_expansion_wand_identical_to_eval(built, qs, k):
 
 
 def test_expansion_wand_engine_toggle_identical(built, monkeypatch):
-    """LR_BMEXP=0 pins the plain evaluator; answers must be bit-identical."""
+    """An empty routing table pins the plain evaluator; answers must be
+    bit-identical."""
     baseline = {}
-    monkeypatch.setenv("LR_BMEXP", "0")
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
     engine = SearchEngine(built, parallel=False)
     for qs in EXPANSION_QUERIES:
         t = engine.search(qs, k=10, with_meta=False)
         baseline[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
-    monkeypatch.setenv("LR_BMEXP", "1")
+    monkeypatch.undo()
     engine2 = SearchEngine(built, parallel=False)
     for qs in EXPANSION_QUERIES:
         t = engine2.search(qs, k=10, with_meta=False)
@@ -363,27 +365,27 @@ def test_expansion_wand_engine_toggle_identical(built, monkeypatch):
 
 
 def test_expansion_wand_parts_shapes(built):
-    from lucille_ray.search.wand import expansion_wand_parts
-
     engine = SearchEngine(built, parallel=False)
     q, _reqs, ctx = engine.plan("deploy*")
-    ps = expansion_wand_parts(q, ctx)
-    assert ps is not None and ps[1] == () and ps[2] == 1
-    assert all(b == 1.0 for _f, _t, b in ps[0])
+    ps = wand_parts(q, ctx)
+    assert ps is not None and ps[1] == () and ps[0]["m"] == 1
+    assert all(b == 1.0 for _f, _t, b in ps[0]["parts"])
     # parts must follow ctx.expanded tuple order (eval's accumulation order)
     spec = next(iter(ctx.expanded))
-    assert tuple(t for _f, t, _b in ps[0]) == ctx.expanded[spec]
+    assert tuple(t for _f, t, _b in ps[0]["parts"]) == ctx.expanded[spec]
     q2, _r2, ctx2 = engine.plan("(deploy*)^3")
-    assert expansion_wand_parts(q2, ctx2)[1] == (3.0,)
+    assert wand_parts(q2, ctx2)[1] == (3.0,)
     q3, _r3, ctx3 = engine.plan("role:a*")
-    ps3 = expansion_wand_parts(q3, ctx3)
+    ps3 = wand_parts(q3, ctx3)
     if ps3 is not None:
-        assert all(f == "role" for f, _t, _b in ps3[0])
-    # non-expansion shapes are not claimed
+        assert all(f == "role" for f, _t, _b in ps3[0]["parts"])
+    # an Or is claimed as the Or it is, not as an expansion
     q4, _r4, ctx4 = engine.plan("data OR query")
-    assert expansion_wand_parts(q4, ctx4) is None
+    assert wand_parts(q4, ctx4)[0]["parts"] == [
+        ("text", "data", 1.0), ("text", "query", 1.0),
+    ]
     q5, _r5, ctx5 = engine.plan("xylophone42 AND data")
-    assert expansion_wand_parts(q5, ctx5) is None
+    assert wand_parts(q5, ctx5) is None
 
 
 def test_expansion_wand_skips_hot_term_decode(built, monkeypatch):
@@ -391,14 +393,13 @@ def test_expansion_wand_skips_hot_term_decode(built, monkeypatch):
     bootstrap theta, the hot term's low-idf blocks must be pruned, never
     fully decoded."""
     from lucille_ray.index import codec
-    from lucille_ray.search.wand import expansion_wand_parts
 
     engine = SearchEngine(built, parallel=False)
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     q, reqs, ctx = engine.plan("[da TO dz]")
-    parts, scale, m = expansion_wand_parts(q, ctx)
-    assert ("text", "data") in {(f, t) for f, t, _b in parts}
+    args, scale = wand_parts(q, ctx)
+    assert ("text", "data") in {(f, t) for f, t, _b in args["parts"]}
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -414,7 +415,7 @@ def test_expansion_wand_skips_hot_term_decode(built, monkeypatch):
     r._post_cache.clear()
     r._raw_cache.clear()
     getattr(r, "_wand_pruned_cache", {}).clear()
-    wd, ws = wand_top_k(r, ctx, parts, k=3, m=m)
+    wd, ws = wand_top_k(r, ctx, k=3, **args)
     wand_decoded = decoded_vals["n"]
     # identity (exactness is never traded for the skip) — measured with the
     # same counter on a cache-cleared reader, giving the full-eval baseline
@@ -465,12 +466,12 @@ def test_single_term_identical_to_eval(built, qs, k):
     q, reqs, ctx = engine.plan(qs)
     tp = term_parts(q, ctx)
     assert tp is not None, f"{qs!r} should be single-term eligible"
-    field, term, weights = tp
+    args, weights = tp
     scorer = engine._scorers()[0]
     for r in scorer.readers:
         if r.doc_count == 0:
             continue
-        td, ts = single_term_top_k(r, ctx, field, term, k)
+        td, ts = single_term_top_k(r, ctx, k=k, **args)
         for w in reversed(weights):
             ts = ts * w
         fresh = SegmentEval(r, ctx, collect_term_requests(q), query=q)
@@ -480,14 +481,15 @@ def test_single_term_identical_to_eval(built, qs, k):
 
 
 def test_single_term_engine_toggle_identical(built, monkeypatch):
-    """LR_BMTERM=0 pins the plain evaluator; answers must be bit-identical."""
+    """An empty routing table pins the plain evaluator; answers must be
+    bit-identical."""
     baseline = {}
-    monkeypatch.setenv("LR_BMTERM", "0")
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
     engine = SearchEngine(built, parallel=False)
     for qs in TERM_QUERIES:
         t = engine.search(qs, k=10, with_meta=False)
         baseline[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
-    monkeypatch.setenv("LR_BMTERM", "1")
+    monkeypatch.undo()
     engine2 = SearchEngine(built, parallel=False)
     for qs in TERM_QUERIES:
         t = engine2.search(qs, k=10, with_meta=False)
@@ -501,14 +503,15 @@ def test_single_term_parts_shapes(built):
 
     engine = SearchEngine(built, parallel=False)
     _q, _r, ctx = engine.plan("data")
-    assert term_parts(parse("data"), ctx) == ("text", "data", ())
-    assert term_parts(parse("data^2"), ctx) == ("text", "data", (2.0,))
-    f, t, w = term_parts(parse("((data^2))^1.5"), ctx)
-    assert (f, t) == ("text", "data") and w == (1.5, 2.0)
+    data = {"field": "text", "term": "data"}
+    assert term_parts(parse("data"), ctx) == (data, ())
+    assert term_parts(parse("data^2"), ctx) == (data, (2.0,))
+    args, w = term_parts(parse("((data^2))^1.5"), ctx)
+    assert args == data and w == (1.5, 2.0)
     # ctx must carry the query's own resolved df (plan does this)
     _q2, _r2, ctx_role = engine.plan("role:assistant")
     assert term_parts(parse("role:assistant"), ctx_role) == (
-        "role", "assistant", ()
+        {"field": "role", "term": "assistant"}, ()
     )
     from lucille_ray.query import nodes as qn
 
@@ -708,14 +711,45 @@ def test_suffix_merge_unit_early_cut_and_terminal():
     np.testing.assert_array_equal(got[1], ref[1])
 
 
+def test_merge_top_k_negative_part_matches_classic_merge():
+    """A negative-score part breaks the suffix merge's lower-bound argument
+    (a partial sum is no longer a lower bound): _suffix_merge must decline
+    and _merge_top_k answer through the classic clause-order merge. The
+    negative part lands on the rare high scorers, so a suffix cut taken
+    after the rare part would keep only them — or nothing."""
+    import lucille_ray.search.wand as W
+
+    rng = np.random.default_rng(11)
+    span, lo = 20_000, 0
+    rare = np.sort(rng.choice(span, 40, replace=False)).astype(np.int64)
+    parts = [(rare, rng.uniform(8.0, 12.0, rare.size))]
+    for _ in range(W.SUFFIX_MERGE_MIN_PARTS):
+        docs = np.sort(rng.choice(span, 12_000, replace=False)).astype(np.int64)
+        parts.append((docs, rng.uniform(0.05, 0.2, docs.size)))
+    parts.append((rare, np.full(rare.size, -30.0)))  # sinks every rare doc
+    results = dict(enumerate(parts))
+    ubs = {i: float(s.max()) for i, (_d, s) in results.items()}
+    matched = np.unique(np.concatenate([d for d, _s in parts])).size
+    # the last k reaches into the negative docs: the k-th largest sum is
+    # then negative and must not admit the zero (unmatched) slots
+    for k in (1, 10, 100, matched - 20):
+        assert W._suffix_merge(parts, k, lo, span, list(ubs.values())) is None
+        ref = _classic_clause_order_merge(parts, k, lo, span)
+        for got in (W._merge_top_k(results, k), W._merge_top_k(results, k, ubs=ubs)):
+            assert got[0].tolist() == ref[0].tolist(), k
+            np.testing.assert_array_equal(got[1], ref[1])
+    top100 = _classic_clause_order_merge(parts, 100, lo, span)[0]
+    assert not set(top100.tolist()) & set(rare.tolist())  # the premise
+
+
 def test_single_term_expansion_routes_and_matches(built, monkeypatch):
     """An expansion resolving to exactly ONE index term routes through the
-    single-term block-max path (expansion_term_parts) — previously it was
-    declined by expansion_wand_parts (< 2 parts) and paid the plain
-    evaluator's full decode + union. Answers must stay bit-identical to the
-    pinned plain evaluator for every expansion kind, including outer boosts
-    (weights applied in eval's innermost-first order)."""
-    from lucille_ray.search.wand import expansion_term_parts
+    single-term block-max path (term_parts) — the disjunction matcher
+    declines it (< 2 parts), and the plain evaluator would pay a full
+    decode + union. Answers must stay bit-identical to the pinned plain
+    evaluator for every expansion kind, including outer boosts (weights
+    applied in eval's innermost-first order)."""
+    from lucille_ray.search.wand import term_parts
 
     QS = [
         "xylophone4*",
@@ -731,19 +765,17 @@ def test_single_term_expansion_routes_and_matches(built, monkeypatch):
         n_terms = sum(len(v) for v in ctx.expanded.values())
         if n_terms != 1:
             continue  # corpus-dependent; the identity check below still runs
-        pt = expansion_term_parts(q, ctx)
+        pt = term_parts(q, ctx)
         assert pt is not None, qs
-        assert pt[0] == "text" and pt[1] == "xylophone42", qs
+        assert pt[0] == {"field": "text", "term": "xylophone42"}, qs
         routed.append(qs)
     assert routed, "no query expanded to exactly one term on this corpus"
-    assert expansion_term_parts(*engine.plan("deploy*")[::2]) is None  # multi-term
+    assert term_parts(*engine.plan("deploy*")[::2]) is None  # multi-term
 
-    monkeypatch.setenv("LR_BMEXP", "0")
-    monkeypatch.setenv("LR_BMTERM", "0")
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
     plain = SearchEngine(built, parallel=False, result_cache=False)
     base = {qs: plain.search(qs, k=10, with_meta=False) for qs in QS}
-    monkeypatch.setenv("LR_BMEXP", "1")
-    monkeypatch.setenv("LR_BMTERM", "1")
+    monkeypatch.undo()
     fast = SearchEngine(built, parallel=False, result_cache=False)
     for qs in QS:
         assert fast.search(qs, k=10, with_meta=False).equals(base[qs]), qs
