@@ -12,11 +12,13 @@ Phase 0 — docmap (one pass over the input, no shuffle)
   boundaries.
 
 Phase 1 — per segment (the checkpoint/resume unit; a segment with a complete
-MANIFEST.json is skipped on re-run): tokenize with Arrow kernels + polars
-explode/groupby (no per-row Python) and emit block-compressed posting rows, in
+MANIFEST.json is skipped on re-run) and emit block-compressed posting rows, in
 one of two layouts (see :func:`build_index`): the default ``doc_partitioned``
-layout needs NO shuffle at all; ``term_partitioned`` consolidates via a
-``groupby(field, term, bucket)`` exchange.
+layout needs NO shuffle at all — each batch tokenizes with Arrow kernels, groups
+its postings with one numpy lexsort and encodes all of its posting lists per
+field in one ``codec.encode_runs`` call; ``term_partitioned`` tokenizes into
+partial rows (polars group_by) and consolidates via a ``groupby(field, term,
+bucket)`` exchange, encoding once per group.
 
 Skew strategy: the doc-range ``bucket`` key splits hot terms (stopword-like tokens
 in chat data) across many groups/pieces *by construction* — no single task ever
@@ -48,7 +50,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
-from .codec import POSTINGS_SCHEMA, encode_postings, sort_postings
+from .codec import POSTINGS_SCHEMA, RawBlocks, encode_runs, sort_postings
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
 
@@ -415,6 +417,25 @@ def _docmap_ranged(ds, num_segments_hint: int):
 # ---------------------------------------------------------------------------
 
 
+def _posting_rows(
+    field: str, terms: Sequence[str], docs: np.ndarray, tfs: np.ndarray,
+    run_starts: np.ndarray, pos: Optional[np.ndarray], dls: Optional[np.ndarray],
+) -> pa.Table:
+    """Posting rows of one field, one per doc-sorted run of ``docs`` (term
+    ``terms[i]`` starts at ``run_starts[i]``), encoded in one
+    :func:`~.codec.encode_runs` call; ``bucket`` is each run's first doc."""
+    return pa.table(
+        {
+            "field": pa.array([field] * run_starts.size, pa.string()),
+            "term": pa.array(terms, pa.string()),
+            "bucket": pa.array(docs[run_starts], pa.int64()),
+            "df": pa.array(np.diff(np.append(run_starts, docs.size)), pa.int64()),
+            "total_tf": pa.array(np.add.reduceat(tfs, run_starts), pa.int64()),
+            "blocks": encode_runs(docs, tfs, run_starts, pos, dls),
+        }
+    )
+
+
 class _TokenizePartials:
     """Batch -> one partial-postings row per (field, term, bucket).
 
@@ -530,10 +551,9 @@ class _TokenizeEncode(_TokenizePartials):
     def __call__(self, batch: pa.Table) -> pa.Table:
         _limit_worker_threads()
         doc_np = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        out_field, out_term, out_bucket = [], [], []
-        out_df, out_ttf, out_blocks = [], [], []
         if doc_np.size == 0:
             return self._empty_table()
+        parts = []
         for field in self.fields:
             toks = arrow_tokenize(batch[field])
             flat = toks.flatten()
@@ -544,12 +564,12 @@ class _TokenizeEncode(_TokenizePartials):
             # norms ride along as a reserved-term posting row: every doc of the
             # batch (dl=0 included), tfs = field length — no extra tokenize pass
             nd, ndl, _ = sort_postings(doc_np, counts, None)
-            out_field.append(field)
-            out_term.append(NORMS_TERM)
-            out_bucket.append(int(nd[0]) if nd.size else 0)
-            out_df.append(int(nd.size))
-            out_ttf.append(int(ndl.sum()))
-            out_blocks.append(encode_postings(nd, ndl, None))
+            parts.append(
+                _posting_rows(
+                    field, [NORMS_TERM], nd, ndl,
+                    np.zeros(1, np.int64), None, None,
+                )
+            )
             if n_tok == 0:
                 continue
             offsets = np.zeros(counts.size + 1, dtype=np.int64)
@@ -576,8 +596,7 @@ class _TokenizeEncode(_TokenizePartials):
             newrun[1:] = (r_s[1:] != r_s[:-1]) | (d_s[1:] != d_s[:-1])
             run_starts = np.flatnonzero(newrun)
             nruns = run_starts.size
-            run_tok_ends = np.append(run_starts[1:], n_tok)
-            tf = run_tok_ends - run_starts
+            tf = np.diff(np.append(run_starts, n_tok))
             run_docs = d_s[run_starts]
             run_ranks = r_s[run_starts]
             # exact per-posting doc length (for per-block min_dl): one
@@ -590,30 +609,13 @@ class _TokenizeEncode(_TokenizePartials):
                 run_buckets[1:] != run_buckets[:-1]
             )
             grp_starts = np.flatnonzero(newgrp)
-            grp_ends = np.append(grp_starts[1:], nruns)
-            for a, b in zip(grp_starts, grp_ends):
-                d = run_docs[a:b]
-                t = tf[a:b]
-                p = p_s[run_starts[a]: run_tok_ends[b - 1]]
-                out_field.append(field)
-                out_term.append(dict_terms[term_order[run_ranks[a]]])
-                out_bucket.append(int(d[0]))
-                out_df.append(int(d.size))
-                out_ttf.append(int(t.sum()))
-                out_blocks.append(encode_postings(d, t, p, dls=run_dls[a:b]))
-        return pa.table(
-            {
-                "field": pa.array(out_field, pa.string()),
-                "term": pa.array(out_term, pa.string()),
-                "bucket": pa.array(out_bucket, pa.int64()),
-                "df": pa.array(out_df, pa.int64()),
-                "total_tf": pa.array(out_ttf, pa.int64()),
-                "blocks": pa.array(
-                    out_blocks,
-                    pa.list_(POSTINGS_SCHEMA.field("blocks").type.value_type),
-                ),
-            }
-        )
+            parts.append(
+                _posting_rows(
+                    field, dict_terms[term_order[run_ranks[grp_starts]]],
+                    run_docs, tf, grp_starts, p_s, run_dls,
+                )
+            )
+        return pa.concat_tables(parts)
 
     @staticmethod
     def _empty_table() -> pa.Table:
@@ -656,14 +658,11 @@ def _window_norms(batch: pa.Table) -> dict:
     rows. Each tokenize piece carries a norms row covering exactly its docs, so
     a window of whole pieces resolves every doc its term rows reference; docs
     orphaned by a piece split at a window boundary just degrade to min_dl=0."""
-    from .codec import decode_postings
-
     out: dict = {}
     sub = batch.filter(pa.compute.equal(batch["term"], NORMS_TERM))
     for f in set(sub["field"].to_pylist()):
         rows = sub.filter(pa.compute.equal(sub["field"], f))
-        blocks = [b for row in rows["blocks"].to_pylist() for b in row]
-        docs, dls, _ = decode_postings(blocks, want_positions=False)
+        docs, dls, _ = RawBlocks(rows["blocks"].combine_chunks().flatten()).decode()
         docs, dls, _ = sort_postings(docs, dls, None)
         out[f] = _SparseDls(docs, dls)
     return out
@@ -741,7 +740,6 @@ def _encode_group(group: pa.Table) -> pa.Table:
     # no dls here: shipping per-posting doc lengths through the shuffle would
     # inflate the exchange; term_partitioned blocks keep min_dl=0 and readers
     # fall back to the windowed norms bound (still admissible, just looser)
-    blocks = encode_postings(doc_ids, tfs, pos)
     return pa.table(
         {
             "field": pa.array([field], pa.string()),
@@ -749,7 +747,7 @@ def _encode_group(group: pa.Table) -> pa.Table:
             "bucket": pa.array([int(bucket)], pa.int64()),
             "df": pa.array([int(doc_ids.size)], pa.int64()),
             "total_tf": pa.array([int(tfs.sum())], pa.int64()),
-            "blocks": pa.array([blocks], pa.list_(POSTINGS_SCHEMA.field("blocks").type.value_type)),
+            "blocks": encode_runs(doc_ids, tfs, np.zeros(1, np.int64), pos),
         }
     )
 

@@ -1,9 +1,8 @@
 """Posting-list compression: delta-gap + varint blocks with per-block max-tf
 metadata (block-max WAND style; north_star requires exactly this layout).
 
-All encode/decode paths are numpy-vectorized — no Python loop over postings. A
-posting list for one ``(field, term, doc-range-bucket)`` key is stored as fixed-size
-blocks of up to :data:`BLOCK_SIZE` documents:
+A posting list for one ``(field, term, doc-range-bucket)`` key is stored as
+fixed-size blocks of up to :data:`BLOCK_SIZE` documents:
 
 * ``docs``  — doc_id gaps (first absolute within block), varint
 * ``tfs``   — term frequencies, varint
@@ -13,6 +12,14 @@ blocks of up to :data:`BLOCK_SIZE` documents:
   ``first_doc``/``last_doc`` (range pruning without decode), ``min_dl`` (exact
   minimum doc length among the block's posting docs, for tight BM25 block
   upper bounds; 0 = unknown, readers fall back to a windowed norms minimum)
+
+There is one encoder, :func:`encode_runs`: it takes all of a batch's posting
+lists laid end to end and encodes them in one delta pass and one varint pass
+per column, building the Arrow ``list<BLOCK_STRUCT>`` column from buffers.
+The build and compaction call it once per batch (never per term);
+:func:`encode_postings` is its one-list form returning block dicts. Readers
+decode through :class:`RawBlocks`, one varint pass per column over the
+selected blocks.
 """
 
 from __future__ import annotations
@@ -144,14 +151,11 @@ def delta_decode(deltas: np.ndarray, seg_starts: Optional[np.ndarray] = None,
     return c - np.repeat(prior, seg_lengths)
 
 
-def sort_postings(
-    doc_ids: np.ndarray, tfs: np.ndarray, pos: Optional[np.ndarray]
+def take_postings(
+    doc_ids: np.ndarray, tfs: np.ndarray, pos: Optional[np.ndarray], order: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Doc-sort a postings triple, gathering the ragged per-doc position slices
-    along (no-op when already sorted)."""
-    order = np.argsort(doc_ids, kind="stable")
-    if (order == np.arange(order.size)).all():
-        return doc_ids, tfs, pos
+    """Reorder a postings triple by ``order``, gathering the ragged per-doc
+    position slices along."""
     if pos is not None:
         starts = np.zeros(doc_ids.size, dtype=np.int64)
         np.cumsum(tfs[:-1], out=starts[1:])
@@ -165,74 +169,120 @@ def sort_postings(
     return doc_ids[order], tfs[order], pos
 
 
+def sort_postings(
+    doc_ids: np.ndarray, tfs: np.ndarray, pos: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Doc-sort a postings triple, gathering the ragged per-doc position slices
+    along (no-op when already sorted)."""
+    order = np.argsort(doc_ids, kind="stable")
+    if (order == np.arange(order.size)).all():
+        return doc_ids, tfs, pos
+    return take_postings(doc_ids, tfs, pos, order)
+
+
+def chunk_starts(
+    run_starts: np.ndarray, run_len: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cut each run ``[run_starts[i], run_starts[i] + run_len[i])`` into
+    chunks of at most ``size`` -> (chunk start indices, chunks per run)."""
+    nchunks = -(-run_len // size)
+    first = np.cumsum(nchunks) - nchunks
+    within = np.arange(int(nchunks.sum()), dtype=np.int64) - np.repeat(first, nchunks)
+    return np.repeat(run_starts, nchunks) + size * within, nchunks
+
+
+def _binary_column(data: np.ndarray, value_len: np.ndarray, bounds: np.ndarray) -> pa.Array:
+    """Binary array whose i-th element is the byte span of values
+    ``bounds[i]:bounds[i + 1]`` of a varint stream (``data`` with per-value
+    byte lengths ``value_len``), built straight from buffers."""
+    boff = np.zeros(value_len.size + 1, dtype=np.int64)
+    np.cumsum(value_len, out=boff[1:])
+    offsets = boff[bounds]
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError("posting payload exceeds 2 GiB in one encode batch")
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), bounds.size - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)],
+    )
+
+
+def encode_runs(
+    docs: np.ndarray, tfs: np.ndarray, run_starts: np.ndarray,
+    pos: Optional[np.ndarray] = None, dls: Optional[np.ndarray] = None,
+) -> pa.ListArray:
+    """Encode many doc-sorted posting lists laid end to end -> one
+    ``list<BLOCK_STRUCT>`` element per list.
+
+    List ``i`` is ``docs[run_starts[i]:run_starts[i + 1]]`` (the last runs to
+    the end; ``run_starts`` ascending, equal starts give empty lists), with
+    aligned ``tfs``. ``pos`` (optional) is the flat concatenation of every
+    posting's positions, ``tfs[j]`` of them per posting. ``dls`` (optional,
+    aligned with ``docs``) is each posting doc's field length; when given,
+    every block stores the exact min over ITS OWN docs — strictly tighter than
+    any range-window bound a reader could derive — else ``min_dl`` is 0.
+
+    Block boundaries restart at every run start; all heavy work is one delta
+    pass and one varint pass per column over the whole batch, block metadata
+    comes from ``reduceat`` over block starts, and the Arrow column is built
+    from buffers (no per-run or per-block Python)."""
+    docs = np.asarray(docs, dtype=np.int64)
+    tfs = np.asarray(tfs, dtype=np.int64)
+    n = docs.size
+    run_starts = np.asarray(run_starts, dtype=np.int64)
+    run_len = np.diff(np.append(run_starts, n))
+    block_starts, run_nb = chunk_starts(run_starts, run_len, BLOCK_SIZE)
+    block_ends = np.minimum(block_starts + BLOCK_SIZE, np.repeat(run_starts + run_len, run_nb))
+    nblocks = block_starts.size
+    list_offsets = np.zeros(run_nb.size + 1, dtype=np.int64)
+    np.cumsum(run_nb, out=list_offsets[1:])
+    bounds = np.append(block_starts, n)  # blocks tile [0, n) in order
+
+    if nblocks:
+        max_tf = np.maximum.reduceat(tfs, block_starts)
+        if dls is not None:
+            min_dl = np.minimum.reduceat(np.asarray(dls, dtype=np.int64), block_starts)
+        else:
+            min_dl = np.zeros(nblocks, dtype=np.int64)
+    else:
+        max_tf = min_dl = np.zeros(0, dtype=np.int64)
+
+    doc_col = _binary_column(*_encode_varints_np(delta_encode(docs, block_starts)), bounds)
+    tf_col = _binary_column(*_encode_varints_np(tfs), bounds)
+    if pos is not None:
+        pos_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(tfs, out=pos_offsets[1:])
+        pos_deltas = delta_encode(pos, pos_offsets[:-1])
+        pos_col = _binary_column(*_encode_varints_np(pos_deltas), pos_offsets[bounds])
+    else:  # every block's pos payload is empty
+        no_values = np.empty(0, dtype=np.int64)
+        pos_col = _binary_column(no_values.astype(np.uint8), no_values, np.zeros_like(bounds))
+    blocks = pa.StructArray.from_arrays(
+        [
+            pa.array(block_ends - block_starts, pa.int32()),
+            pa.array(max_tf, pa.int32()),
+            pa.array(min_dl, pa.int32()),
+            pa.array(docs[block_starts], pa.int64()),
+            pa.array(docs[block_ends - 1], pa.int64()),
+            doc_col,
+            tf_col,
+            pos_col,
+        ],
+        fields=list(BLOCK_STRUCT),
+    )
+    return pa.ListArray.from_arrays(pa.array(list_offsets, pa.int32()), blocks)
+
+
 def encode_postings(
     doc_ids: np.ndarray, tfs: np.ndarray, positions: Optional[np.ndarray],
     dls: Optional[np.ndarray] = None,
 ) -> List[dict]:
-    """doc-sorted postings -> list of block dicts matching :data:`BLOCK_STRUCT`.
+    """doc-sorted postings -> list of block dicts matching :data:`BLOCK_STRUCT`
+    (one posting list through :func:`encode_runs`).
 
     ``positions`` is the flat concatenation of per-document position lists; the
-    per-document counts are exactly ``tfs``. ``dls`` (optional, aligned with
-    ``doc_ids``) is each posting doc's field length; when given, every block
-    stores the exact min over ITS OWN docs — strictly tighter than any
-    range-window bound a reader could derive. All heavy work is one vectorized
-    varint pass per column over the WHOLE list; blocks are byte-slices of it
-    (no per-block numpy calls — they dominated profile at small block counts).
+    per-document counts are exactly ``tfs``. ``dls`` as in :func:`encode_runs`.
     """
-    n = int(doc_ids.size)
-    if n == 0:
-        return []
-    block_starts = np.arange(0, n, BLOCK_SIZE, dtype=np.int64)
-    nblocks = block_starts.size
-    block_ends = np.minimum(block_starts + BLOCK_SIZE, n)
-    if dls is not None:
-        min_dl = np.minimum.reduceat(np.asarray(dls, dtype=np.int64), block_starts)
-    else:
-        min_dl = np.zeros(nblocks, dtype=np.int64)
-
-    doc_deltas = delta_encode(doc_ids, block_starts)
-    doc_bytes, doc_len = _encode_varints_np(doc_deltas)
-    doc_boff = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(doc_len, out=doc_boff[1:])
-
-    tf_bytes, tf_len = _encode_varints_np(tfs)
-    tf_boff = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(tf_len, out=tf_boff[1:])
-
-    # per-block max_tf without a Python loop
-    max_tf = np.maximum.reduceat(tfs, block_starts)
-
-    pos_bytes = pos_boff = pos_offsets = None
-    if positions is not None:
-        pos_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(tfs, out=pos_offsets[1:])
-        doc_starts = pos_offsets[:-1]
-        pos_deltas = delta_encode(positions, doc_starts)
-        pos_bytes, pos_len = _encode_varints_np(pos_deltas)
-        pos_boff = np.zeros(positions.size + 1, dtype=np.int64)
-        np.cumsum(pos_len, out=pos_boff[1:])
-
-    doc_mem = doc_bytes.tobytes()
-    tf_mem = tf_bytes.tobytes()
-    pos_mem = pos_bytes.tobytes() if pos_bytes is not None else b""
-    blocks: List[dict] = []
-    for bi in range(nblocks):
-        b0, b1 = int(block_starts[bi]), int(block_ends[bi])
-        block = {
-            "n": b1 - b0,
-            "max_tf": int(max_tf[bi]),
-            "min_dl": int(min_dl[bi]),
-            "first_doc": int(doc_ids[b0]),
-            "last_doc": int(doc_ids[b1 - 1]),
-            "docs": doc_mem[doc_boff[b0]: doc_boff[b1]],
-            "tfs": tf_mem[tf_boff[b0]: tf_boff[b1]],
-            "pos": b"",
-        }
-        if positions is not None:
-            p0, p1 = int(pos_offsets[b0]), int(pos_offsets[b1])
-            block["pos"] = pos_mem[pos_boff[p0]: pos_boff[p1]]
-        blocks.append(block)
-    return blocks
+    return encode_runs(doc_ids, tfs, np.zeros(1, np.int64), positions, dls).to_pylist()[0]
 
 
 def _bin_view(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
@@ -315,7 +365,13 @@ class RawBlocks:
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """(doc_ids, tfs, flat positions|None) for all blocks, or only those
         where ``keep`` (a boolean mask over blocks) is True."""
-        sel = None if keep is None else np.flatnonzero(keep)
+        return self.decode_blocks(None if keep is None else np.flatnonzero(keep), want_positions)
+
+    def decode_blocks(
+        self, sel: Optional[np.ndarray], want_positions: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(doc_ids, tfs, flat positions|None) of the blocks ``sel`` (block
+        indices, concatenated in the given order; None = all blocks)."""
         ns = self.ns if sel is None else self.ns[sel]
         if ns.size == 0 or int(ns.sum()) == 0:
             return (

@@ -21,13 +21,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .build import INDEX_META_FILE, MANIFEST_FILE, NORMS_TERM, _limit_worker_threads
-from .codec import (
-    BLOCK_SIZE,
-    POSTINGS_SCHEMA,
-    RawBlocks,
-    encode_postings,
-    sort_postings,
-)
+from .codec import BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings
 
 
 #: max blocks per consolidated posting row (~32k postings, a few hundred KB):
@@ -38,38 +32,49 @@ from .codec import (
 ROW_BLOCK_CAP = 256
 
 
-def _filter_deleted_run(docs, tfs, pos, deleted):
-    """Drop tombstoned docs from one decoded run (positions stay aligned)."""
-    idx = np.clip(np.searchsorted(deleted, docs), 0, deleted.size - 1)
-    keep = deleted[idx] != docs
-    if keep.all():
-        return docs, tfs, pos
-    if pos is not None and pos.size:
-        pos = pos[np.repeat(keep, tfs)]
-    return docs[keep], tfs[keep], pos
-
-
-def _reencode_span(
-    raw: RawBlocks, sel: np.ndarray, field: str, want_pos: bool, norms,
-    doc_base: int, deleted,
+def _reencode_spans(
+    raw: RawBlocks, sel: np.ndarray, span_nb: np.ndarray, span_field: np.ndarray,
+    want_pos: bool, norms, doc_base: int, deleted,
 ) -> tuple:
-    """Decode the ``sel`` blocks of ``raw``, doc-sort (dropping tombstoned
-    docs on the purge path), and re-encode as full blocks with exact min_dl
-    when norms are at hand. Returns (block dicts, total_tf | None)."""
-    keep = np.zeros(len(raw), bool)
-    keep[sel] = True
-    docs, tfs, pos = raw.decode(want_positions=want_pos, keep=keep)
-    docs, tfs, pos = sort_postings(docs, tfs, pos)
+    """Decode the blocks ``sel`` of ``raw`` (span-major: span ``i`` is the next
+    ``span_nb[i]`` of them) in one pass, doc-sort the spans whose docs
+    interleave, drop tombstoned docs (``deleted``, the purge path), and
+    re-encode every span as full blocks in one :func:`encode_runs` call, with
+    exact min_dl when norms are at hand (``span_field`` names each span's
+    field). Returns (one block list per span, total_tf per span)."""
+    nspans = span_nb.size
+    docs, tfs, pos = raw.decode_blocks(sel, want_positions=want_pos)
+    span_len = np.add.reduceat(raw.ns[sel], np.cumsum(span_nb) - span_nb)
+    post_span = np.repeat(np.arange(nspans), span_len)
+    down = np.flatnonzero(docs[1:] < docs[:-1]) + 1
+    down = down[post_span[down] == post_span[down - 1]]
+    if down.size:
+        unsorted = np.zeros(nspans, bool)
+        unsorted[post_span[down]] = True
+        idx = np.flatnonzero(unsorted[post_span])
+        order = np.arange(docs.size)
+        order[idx] = idx[np.lexsort((docs[idx], post_span[idx]))]
+        docs, tfs, pos = take_postings(docs, tfs, pos, order)
     if deleted is not None:
-        docs, tfs, pos = _filter_deleted_run(docs, tfs, pos, deleted)
-        if docs.size == 0:
-            return [], 0  # the term died with its last documents
+        hit = np.clip(np.searchsorted(deleted, docs), 0, deleted.size - 1)
+        keep = deleted[hit] != docs
+        if pos is not None:
+            pos = pos[np.repeat(keep, tfs)]
+        docs, tfs, post_span = docs[keep], tfs[keep], post_span[keep]
+    span_starts = np.searchsorted(post_span, np.arange(nspans))
+    tf_cum = np.zeros(tfs.size + 1, np.int64)
+    np.cumsum(tfs, out=tf_cum[1:])
+    span_ttf = tf_cum[np.append(span_starts[1:], tfs.size)] - tf_cum[span_starts]
     dls = None
-    if norms is not None and want_pos and docs.size:
-        arr = norms.get(field)
-        if arr is not None:
-            dls = arr[docs - doc_base]
-    return encode_postings(docs, tfs, pos, dls=dls), int(tfs.sum())
+    if norms is not None and want_pos:
+        dls = np.zeros(docs.size, np.int64)
+        post_field = span_field[post_span]
+        for field in np.unique(span_field):
+            arr = norms.get(field)
+            at = np.flatnonzero(post_field == field)
+            if arr is not None and at.size:
+                dls[at] = arr[docs[at] - doc_base]
+    return encode_runs(docs, tfs, span_starts, pos, dls), span_ttf
 
 
 def _merge_sorted_batch(
@@ -86,12 +91,14 @@ def _merge_sorted_batch(
     batch's ``blocks`` column is viewed through :class:`RawBlocks` (numpy
     metadata views over the flattened struct children), the output block
     sequence is assembled as an int64 index vector, and ONE Arrow ``take``
-    gathers the surviving blocks in C. Only runs of >=2 ADJACENT undersized
+    gathers the surviving blocks in C. Only spans of >=2 ADJACENT undersized
     piece-tail blocks decode + re-encode (merging splinters into full blocks),
     as does every block of a tombstoned segment (the purge moment, where
     deleted docs physically leave and per-row df/total_tf re-derive from what
     remains; NORMS rows are exempt — the norms array must stay dense over
-    maxDoc). Blocks whose doc RANGES overlap (the few batches Ray assembled
+    maxDoc). All of a batch's spans decode in one pass and re-encode in one
+    :func:`encode_runs` call per payload kind (positional term rows, norms
+    rows). Blocks whose doc RANGES overlap (the few batches Ray assembled
     from tails of different doc-sorted input files) are kept as-is: every
     reader path either doc-sorts on decode or checks block ranges elementwise.
 
@@ -137,125 +144,102 @@ def _merge_sorted_batch(
     ttfs = batch.column("total_tf").to_numpy(zero_copy_only=False).astype(np.int64)
     nrows = batch.num_rows
     change = np.flatnonzero((np.diff(f_idx) != 0) | (np.diff(t_idx) != 0)) + 1
-    run_starts = np.concatenate([[0], change])
-    run_ends = np.concatenate([change, [nrows]])
+    run_starts = np.concatenate([[0], change]).astype(np.int64)
+    run_ends = np.append(change, nrows)
+    nruns = run_starts.size
     run_ttf = np.add.reduceat(ttfs, run_starts)
+    run_field = np.asarray(fcol.take(pa.array(run_starts)).to_pylist(), dtype=object)
+    run_pos = pc.not_equal(tcol.take(pa.array(run_starts)), NORMS_TERM).to_numpy(
+        zero_copy_only=False
+    )
+    # purge path (tombstoned segment): every block of a term run re-encodes
+    run_purge = run_pos & (deleted is not None)
 
-    # per run: output block sequence as indices into [flat | new frag blocks]
-    runs_out: list = []  # (field, term, seq_indices, total_tf)
-    frag_dicts: list = []  # re-encoded replacement blocks (the small minority)
+    # blocks in output order: by run, then (stable) by first doc
+    blk_run = np.repeat(np.arange(nruns), row_off[run_ends] - row_off[run_starts])
+    order = np.lexsort((raw.firsts, blk_run))
+    o_run = blk_run[order]
+    # re-encode spans: maximal stretches of adjacent undersized blocks of one
+    # run, kept when >=2 blocks long, and whole runs on the purge path
+    cand = (raw.ns[order] < BLOCK_SIZE) | run_purge[o_run]
+    stretch_start = cand.copy()
+    stretch_start[1:] &= ~cand[:-1] | (o_run[1:] != o_run[:-1])
+    stretch_of = np.cumsum(stretch_start) - 1
+    stretch_len = np.bincount(stretch_of[cand], minlength=int(stretch_start.sum()))
+    stretch_kept = (stretch_len >= 2) | run_purge[o_run[stretch_start]]
+    member = cand.copy()
+    member[cand] = stretch_kept[stretch_of[cand]]
+    span_of = np.cumsum(stretch_start & member) - 1  # valid where member
+    span_first = np.flatnonzero(stretch_start & member)
+    span_nb = stretch_len[stretch_kept]
+    span_run = o_run[span_first]
+    nspans = span_first.size
 
-    for ri in range(run_starts.size):
-        rs, re_ = int(run_starts[ri]), int(run_ends[ri])
-        b0, b1 = int(row_off[rs]), int(row_off[re_])
-        nb = b1 - b0
-        if nb == 0:
+    # re-encode: one decode + one encode per payload kind; new blocks append
+    # after the batch's own blocks
+    span_new_start = np.zeros(nspans, np.int64)
+    span_new_nb = np.zeros(nspans, np.int64)
+    comb_parts = [flat]
+    ns_parts, firsts_parts = [raw.ns], [raw.firsts]
+    ttf_out = run_ttf.copy()
+    at = nflat
+    for want_pos in (True, False):
+        spans = np.flatnonzero(run_pos[span_run] == want_pos)
+        if not spans.size:
             continue
-        field = fcol[rs].as_py()
-        term = tcol[rs].as_py()
-        want_pos = term != NORMS_TERM
-        ttf_val = int(run_ttf[ri])
-        if deleted is not None and want_pos:
-            # purge path (tombstoned segment): every block re-encodes
-            new, ttf_val = _reencode_span(
-                raw, np.arange(b0, b1), field, True, norms, doc_base, deleted
-            )
-            if not new:
-                continue
-            seq = nflat + np.arange(
-                len(frag_dicts), len(frag_dicts) + len(new), dtype=np.int64
-            )
-            frag_dicts.extend(new)
-            runs_out.append((field, term, seq, ttf_val))
-            continue
-        firsts = raw.firsts[b0:b1]
-        if nb > 1 and (np.diff(firsts) < 0).any():
-            order = np.argsort(firsts, kind="stable")
-        else:
-            order = np.arange(nb, dtype=np.int64)
-        undersized = raw.ns[b0:b1][order] < BLOCK_SIZE
-        if nb == 1 or not undersized.any():
-            runs_out.append((field, term, b0 + order, ttf_val))
-            continue
-        # maximal runs of adjacent undersized blocks (in doc order) of length
-        # >=2 re-encode; everything else copies verbatim
-        d = np.diff(undersized.astype(np.int8))
-        u_starts = np.flatnonzero(d == 1) + 1
-        u_ends = np.flatnonzero(d == -1) + 1
-        if undersized[0]:
-            u_starts = np.concatenate([[0], u_starts])
-        if undersized[-1]:
-            u_ends = np.concatenate([u_ends, [nb]])
-        seq_parts: list = []
-        cursor = 0
-        for a, b in zip(u_starts, u_ends):
-            a, b = int(a), int(b)
-            if a > cursor:
-                seq_parts.append(b0 + order[cursor:a])
-            if b - a >= 2:
-                sel = np.sort(b0 + order[a:b])
-                new, _ = _reencode_span(
-                    raw, sel, field, want_pos, norms, doc_base, None
-                )
-                seq_parts.append(nflat + np.arange(
-                    len(frag_dicts), len(frag_dicts) + len(new), dtype=np.int64
-                ))
-                frag_dicts.extend(new)
-            else:
-                seq_parts.append(b0 + order[a:b])
-            cursor = b
-        if cursor < nb:
-            seq_parts.append(b0 + order[cursor:nb])
-        runs_out.append((field, term, np.concatenate(seq_parts), ttf_val))
+        sel = order[member & (run_pos[o_run] == want_pos)]
+        new, span_ttf = _reencode_spans(
+            raw, sel, span_nb[spans], run_field[span_run[spans]], want_pos,
+            norms, doc_base, deleted if want_pos else None,
+        )
+        offs = new.offsets.to_numpy().astype(np.int64)
+        span_new_start[spans] = at + offs[:-1]
+        span_new_nb[spans] = np.diff(offs)
+        purged = run_purge[span_run[spans]]
+        ttf_out[span_run[spans][purged]] = span_ttf[purged]
+        blocks = new.flatten()
+        at += len(blocks)
+        comb_parts.append(blocks)
+        ns_parts.append(blocks.field("n").to_numpy().astype(np.int64))
+        firsts_parts.append(blocks.field("first_doc").to_numpy())
+    combined = pa.concat_arrays(comb_parts) if len(comb_parts) > 1 else flat
+    ns_comb = np.concatenate(ns_parts)
+    firsts_comb = np.concatenate(firsts_parts)
 
-    # combined metadata for chunk-level df/bucket without decoding anything
-    if frag_dicts:
-        nfrag = len(frag_dicts)
-        ns_comb = np.concatenate([
-            raw.ns,
-            np.fromiter((b["n"] for b in frag_dicts), np.int64, nfrag),
-        ])
-        firsts_comb = np.concatenate([
-            raw.firsts,
-            np.fromiter((b["first_doc"] for b in frag_dicts), np.int64, nfrag),
-        ])
-        frag_arr = pa.array(frag_dicts, type=flat.type)
-        combined = pa.concat_arrays([flat, frag_arr])
-    else:
-        ns_comb, firsts_comb, combined = raw.ns, raw.firsts, flat
-
-    out_field: list = []
-    out_term: list = []
-    out_bucket: list = []
-    out_df: list = []
-    out_ttf: list = []
-    idx_parts: list = []
-    row_lens: list = []
-    for field, term, seq, ttf_val in runs_out:
-        for c0 in range(0, len(seq), ROW_BLOCK_CAP):
-            chunk = seq[c0: c0 + ROW_BLOCK_CAP]
-            out_field.append(field)
-            out_term.append(term)
-            out_bucket.append(int(firsts_comb[chunk[0]]))
-            out_df.append(int(ns_comb[chunk].sum()))
-            out_ttf.append(ttf_val if c0 == 0 else 0)
-            idx_parts.append(chunk)
-            row_lens.append(len(chunk))
-
-    if not idx_parts:
+    # output block sequence: each verbatim block, each span's new blocks
+    unit = np.flatnonzero(~member | (stretch_start & member))
+    u_span = span_of[unit[member[unit]]]
+    u_count = np.ones(unit.size, np.int64)
+    u_count[member[unit]] = span_new_nb[u_span]
+    u_base = order[unit]
+    u_base[member[unit]] = span_new_start[u_span]
+    seq = np.repeat(u_base, u_count) + np.arange(int(u_count.sum())) - np.repeat(
+        np.cumsum(u_count) - u_count, u_count
+    )
+    seq_run = np.repeat(o_run[unit], u_count)
+    if not seq.size:
         return batch.schema.empty_table()
-    taken = combined.take(pa.array(np.concatenate(idx_parts), pa.int64()))
-    offs = np.zeros(len(row_lens) + 1, np.int64)
-    np.cumsum(np.asarray(row_lens, np.int64), out=offs[1:])
-    blocks_arr = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), taken)
+
+    # rows: each run's sequence in chunks of ROW_BLOCK_CAP blocks
+    out_runs = np.flatnonzero(np.diff(np.append(-1, seq_run)) != 0)
+    row_start, row_count = chunk_starts(
+        out_runs, np.diff(np.append(out_runs, seq.size)), ROW_BLOCK_CAP
+    )
+    row_run = np.repeat(seq_run[out_runs], row_count)
+    first_row = np.ones(row_start.size, bool)
+    first_row[1:] = row_run[1:] != row_run[:-1]
+    src_row = pa.array(run_starts[row_run])
+    taken = combined.take(pa.array(seq))
     return pa.table(
         {
-            "field": pa.array(out_field, pa.string()),
-            "term": pa.array(out_term, pa.string()),
-            "bucket": pa.array(out_bucket, pa.int64()),
-            "df": pa.array(out_df, pa.int64()),
-            "total_tf": pa.array(out_ttf, pa.int64()),
-            "blocks": blocks_arr,
+            "field": fcol.take(src_row).cast(pa.string()),
+            "term": tcol.take(src_row).cast(pa.string()),
+            "bucket": pa.array(firsts_comb[seq[row_start]], pa.int64()),
+            "df": pa.array(np.add.reduceat(ns_comb[seq], row_start), pa.int64()),
+            "total_tf": pa.array(np.where(first_row, ttf_out[row_run], 0), pa.int64()),
+            "blocks": pa.ListArray.from_arrays(
+                pa.array(np.append(row_start, seq.size), pa.int32()), taken
+            ),
         }
     )
 
@@ -296,15 +280,28 @@ def _retry_fs_import_race(fn):
     return fn()
 
 
-def _compact_segment(seg_dir: str, manifest: dict, manifest_path: str) -> None:
-    """Sort-merge one segment's postings and atomically publish the result."""
+def _load_segment(seg_dir: str, manifest: dict) -> tuple:
+    """(reader, {field: norms}) of one segment. ``np.load`` (tombstones, norms
+    sidecars) parses its header with ``ast.literal_eval``, which is not
+    thread-safe in CPython, so this runs on the calling thread before any
+    segment's compaction starts on the pool."""
+    from .segment import SegmentReader
+
+    reader = SegmentReader(seg_dir)
+    return reader, {f: reader.norms(f) for f in manifest.get("fields", [])}
+
+
+def _compact_segment(
+    seg_dir: str, manifest: dict, manifest_path: str, reader, norms: dict
+) -> None:
+    """Sort-merge one segment's postings and atomically publish the result
+    (``reader`` and ``norms`` from :func:`_load_segment`)."""
     import functools
 
     import ray
     import ray.data
 
     from .build import POSTINGS_WRITE_ARGS
-    from .segment import SegmentReader
 
     postings_path = os.path.join(seg_dir, "postings.parquet")
     tmp_path = postings_path + ".compact"
@@ -312,8 +309,6 @@ def _compact_segment(seg_dir: str, manifest: dict, manifest_path: str) -> None:
 
     # broadcast the segment's norms once (ray.put, zero-copy reads in every
     # merge task) so re-cut blocks keep an exact min_dl for WAND bounds
-    reader = SegmentReader(seg_dir)
-    norms = {f: reader.norms(f) for f in manifest.get("fields", [])}
     norms_ref = ray.put(norms)
     # tombstoned segment: this merge is the purge — broadcast the deleted set
     deleted_ref = ray.put(reader.deleted) if reader.deleted is not None else None
@@ -436,7 +431,7 @@ def compact_index(index_dir: str, *, resume: bool = True) -> None:
             and not os.path.exists(os.path.join(seg_dir, "deleted.npy"))
         ):
             continue
-        pending.append((seg_dir, manifest, manifest_path))
+        pending.append((seg_dir, manifest, manifest_path, *_load_segment(seg_dir, manifest)))
     if not pending:
         return
     if len(pending) == 1:

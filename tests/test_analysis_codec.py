@@ -1,5 +1,7 @@
 """Analyzer equivalence (scalar vs Arrow-vectorized) and posting codec round trips."""
 
+import hashlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -92,6 +94,103 @@ def test_postings_min_dl_exact_per_block(n):
         assert b["min_dl"] == int(dls[at: at + b["n"]].min())
         at += b["n"]
     assert all(b["min_dl"] == 0 for b in encode_postings(doc_ids, tfs, None))
+
+
+def _golden_cases():
+    """Fixed encoder inputs: 1, 128 and 129 postings, multi-byte doc gaps and
+    positions, a norms-style list (no positions, dl = 0 docs), dls given and
+    absent."""
+    i = np.arange(129, dtype=np.int64)
+    docs = 7 + np.cumsum(1 + (i * 37) % 300)
+    tfs = 1 + i % 4
+    pos = np.concatenate([j * 40 + 130 * np.arange(t) for j, t in enumerate(tfs)])
+    dls = 3 + (i * 11) % 500
+    n128 = int(tfs[:128].sum())
+    k = np.arange(200, dtype=np.int64)
+    one = (np.array([300]), np.array([2]), np.array([5, 1000]))
+    return {
+        "one": (*one, None),
+        "one_dls": (*one, np.array([17])),
+        "128": (docs[:128], tfs[:128], pos[:n128], None),
+        "129_dls": (docs, tfs, pos, dls),
+        "norms": (1000 + k, (k * 7) % 13, None, None),
+    }
+
+
+#: sha256 of ``repr([tuple(block.values()) ...])`` of each case's blocks, as
+#: the per-list encoder wrote them before the columnar encoder replaced it
+GOLDEN_BLOCKS = {
+    "one": "6188040e49ec4e6dfe45b5a2a673edf6dbe5c4d532743aedde27a680e50f4820",
+    "one_dls": "0364074d5444c92e5e87f9bf6e93afe636e706ba71c72f15e0daff46ab3bc4a7",
+    "128": "4c28fd78dfcae1b9eefb15ca92c9ce6c1f439eff30a0029c587f42260d8bec99",
+    "129_dls": "670e71b6136dada284a5487305ec1e5a718db45f7b64c7ad74116008e1cc089b",
+    "norms": "1b28b1e82df348f9c43d88d3b16b85c42cfe3f12dd139f322a80e91328a19ad2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOCKS))
+def test_encode_postings_golden_bytes(name):
+    """The stored block bytes never change (INDEX_FORMAT_VERSION 3 indexes
+    stay readable and re-encoding stays bit-identical)."""
+    doc_ids, tfs, pos, dls = _golden_cases()[name]
+    blocks = encode_postings(doc_ids, tfs, pos, dls=dls)
+    digest = hashlib.sha256(
+        repr([tuple(b.values()) for b in blocks]).encode()
+    ).hexdigest()
+    assert digest == GOLDEN_BLOCKS[name]
+    if name.startswith("one"):
+        assert blocks == [{
+            "n": 1, "max_tf": 2, "min_dl": 17 if dls is not None else 0,
+            "first_doc": 300, "last_doc": 300,
+            "docs": bytes.fromhex("ac02"), "tfs": bytes.fromhex("02"),
+            "pos": bytes.fromhex("05e307"),
+        }]
+
+
+def _synthetic_turns(n_turns: int, vocab: int, seed: int) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    words = np.array([f"w{j}x" for j in range(vocab)])
+    texts = [
+        " ".join(words[rng.integers(0, vocab, int(rng.integers(3, 40)))])
+        for _ in range(n_turns)
+    ]
+    return pa.table({
+        "doc_id": pa.array(np.arange(n_turns, dtype=np.int64)),
+        "role": pa.array(rng.choice(["user", "assistant"], n_turns)),
+        "text": pa.array(texts),
+        "tool": pa.array(["none"] * n_turns),
+    })
+
+
+def test_batch_encode_work_does_not_grow_with_terms(ray_session, monkeypatch):
+    """Guard against per-term encoding coming back: the varint passes one
+    tokenize-encode batch and one purge merge make stay a small constant per
+    field, however many distinct terms the batch holds."""
+    import ray
+
+    from lucille_ray.analysis import INDEXED_FIELDS
+    from lucille_ray.index import codec
+    from lucille_ray.index.build import DEFAULT_RANGE_WIDTH, _TokenizeEncode
+    from lucille_ray.index.compact import _merge_sorted_batch
+
+    calls = []
+    real = codec._encode_varints_np
+    monkeypatch.setattr(
+        codec, "_encode_varints_np", lambda v: calls.append(1) or real(v)
+    )
+    turns = _synthetic_turns(600, 3000, seed=5)
+    out = _TokenizeEncode(INDEXED_FIELDS, DEFAULT_RANGE_WIDTH)(turns)
+    assert out.num_rows >= 1000  # one row per distinct (field, term)
+    # per field: docs/tfs/positions for the term rows, docs/tfs for the norms row
+    assert len(calls) <= 5 * len(INDEXED_FIELDS)
+
+    calls.clear()
+    rows = out.sort_by([("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")])
+    deleted = ray.put(np.arange(0, 600, 7, dtype=np.int64))
+    merged = _merge_sorted_batch(rows, deleted_ref=deleted)
+    assert merged.num_rows >= 1000
+    # every term row re-encodes on the purge path: one call for all of them
+    assert len(calls) <= 5
 
 
 def test_jsonl_and_csv_sources_normalize_to_schema(ray_session, tmp_path):

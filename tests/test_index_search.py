@@ -460,6 +460,49 @@ def test_delete_purge_at_compaction(built, tmp_path):
     assert os.path.getmtime(mfp) == mtime
 
 
+def test_compaction_loads_arrays_on_calling_thread(built, tmp_path, monkeypatch):
+    """``np.load`` parses .npy headers with ``ast.literal_eval``, which is not
+    thread-safe: compacting several tombstoned segments must load every
+    tombstone file and norms sidecar on the calling thread, never on the
+    compaction pool's threads."""
+    import threading
+
+    import ray.data
+
+    from lucille_ray.index import compact_index, delete_docs
+    from lucille_ray.index.segment import load_segments
+
+    data_dir, _, _ = built
+    index_dir = str(tmp_path / "tidx")
+    build_index(
+        ray.data.read_parquet(data_dir), index_dir, num_segments=3,
+        range_width=256, batch_size=400,
+    )
+    readers = load_segments(index_dir)
+    assert len(readers) == 3
+    for r in readers:
+        for f in r.manifest["fields"]:
+            r.norms(f)  # writes the norms sidecars compaction will load
+    delete_docs(index_dir, [r.doc_base for r in readers])
+
+    loads = []
+    real_load = np.load
+
+    def recording_load(path, *args, **kwargs):
+        loads.append((os.path.basename(str(path)), threading.current_thread()))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", recording_load)
+    compact_index(index_dir)
+    names = [name for name, _ in loads]
+    assert names.count("deleted.npy") >= 3
+    assert sum(name.startswith("norms_") for name in names) >= 3
+    assert all(t is threading.main_thread() for _, t in loads)
+    seg_root = os.path.join(index_dir, "segments")
+    for name in os.listdir(seg_root):
+        assert not os.path.exists(os.path.join(seg_root, name, "deleted.npy"))
+
+
 def test_ranged_docid_mode_identical_results(built, oracle, tmp_path):
     """docid_mode='ranged' (distributed sort + hash join, no driver conv map)
     must produce an identical index: same doc ids, same search results."""

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from lucille_ray.analysis import arrow_tokenize, tokenize
 from lucille_ray.index.codec import (
+    RawBlocks,
     decode_postings,
     decode_varints,
     encode_postings,
+    encode_runs,
     encode_varints,
     sort_postings,
 )
@@ -83,6 +85,31 @@ def test_postings_round_trip(data):
     blocks = encode_postings(doc_ids, tfs, pos)
     d, t, p = decode_postings(blocks, want_positions=True)
     assert (d == doc_ids).all() and (t == tfs).all() and (p == pos).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_encode_runs_matches_per_list_encoding(data):
+    """k posting lists encoded in one ``encode_runs`` call equal each list
+    encoded alone, and round-trip through RawBlocks with positions."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    k = data.draw(st.integers(1, 8))
+    lists = []
+    for _ in range(k):
+        n = int(data.draw(st.sampled_from([0, 1, 2, 127, 128, 129, 300])))
+        doc_ids = np.unique(rng.integers(0, 1 << 30, n)).astype(np.int64)
+        tfs = rng.integers(1, 6, doc_ids.size)
+        pos = np.concatenate(
+            [np.sort(rng.choice(5000, int(t), replace=False)) for t in tfs] + [[]]
+        ).astype(np.int64)
+        dls = rng.integers(0, 1000, doc_ids.size)
+        lists.append((doc_ids, tfs, pos, dls))
+    docs, tfs, pos, dls = (np.concatenate([lst[j] for lst in lists]) for j in range(4))
+    starts = np.cumsum([0] + [lst[0].size for lst in lists[:-1]])
+    enc = encode_runs(docs, tfs, starts, pos, dls)
+    assert enc.to_pylist() == [encode_postings(*lst[:3], dls=lst[3]) for lst in lists]
+    d, t, p = RawBlocks(enc.flatten()).decode(want_positions=True)
+    assert (d == docs).all() and (t == tfs).all() and (p == pos).all()
 
 
 @settings(max_examples=60, deadline=None)
