@@ -80,12 +80,6 @@ def _limit_worker_threads() -> None:
         pass
     _THREADS_LIMITED = True
 
-#: postings parquet layout: term lookups prune at ROW GROUP granularity, so
-#: 64-row groups give the selectivity while larger files avoid per-file
-#: open/close overhead (the previous 64-row FILES meant tens of thousands of
-#: files per segment)
-POSTINGS_WRITE_ARGS = {"max_rows_per_file": 16384, "row_group_size": 16}
-
 INDEX_META_FILE = "index_meta.json"
 MANIFEST_FILE = "MANIFEST.json"
 #: bump on storage-layout changes; readers refuse older indexes with a clear error
@@ -1190,6 +1184,8 @@ def _build_segment(
 
     import shutil
 
+    from .writer import BUILD_ROWS_PER_FILE, PostingsSink
+
     seg_dir = _segment_dir(index_dir, seg)
     # idempotent rebuild: a half-written segment (no complete manifest) is wiped so
     # parquet writes never append onto stale part files
@@ -1251,10 +1247,11 @@ def _build_segment(
         postings = partials.groupby(["field", "term", "bucket"]).map_groups(
             _encode_group, batch_format="pyarrow"
         )
-    # small row groups + term-sorted rows within each file => parquet min/max
-    # stats actually prune term lookups (one row group otherwise spans the whole
-    # term range and every lookup decodes the entire blocks column)
-    postings.write_parquet(postings_path, **POSTINGS_WRITE_ARGS)
+    # payload-cut row groups + term-sorted rows within each file => parquet
+    # min/max stats prune term lookups (see index/writer.py)
+    postings.write_datasink(
+        PostingsSink(postings_path, max_rows_per_file=BUILD_ROWS_PER_FILE)
+    )
     try:
         # per-stage execution stats (task counts, wall/cpu per operator) — the
         # corroborating evidence for scaling claims (BASELINE.md)

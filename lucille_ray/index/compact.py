@@ -30,6 +30,8 @@ from .codec import BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postin
 #: predicate pushdown then reads a bounded byte volume per term lookup instead
 #: of a whole segment's postings for one hot term
 ROW_BLOCK_CAP = 256
+#: rows per sorted merge batch (and per read block of a segment's postings)
+MERGE_BATCH_ROWS = 2048
 
 
 def _reencode_spans(
@@ -301,7 +303,7 @@ def _compact_segment(
     import ray
     import ray.data
 
-    from .build import POSTINGS_WRITE_ARGS
+    from .writer import COMPACT_MIN_ROWS_PER_WRITE, PostingsSink
 
     postings_path = os.path.join(seg_dir, "postings.parquet")
     tmp_path = postings_path + ".compact"
@@ -317,7 +319,17 @@ def _compact_segment(
         deleted_ref=deleted_ref,
     )
 
-    ds = _retry_fs_import_race(lambda: ray.data.read_parquet(postings_path))
+    # one read block per merge batch, up to Ray's default read block count.
+    # Left to itself, Ray sizes the read from an in-memory estimate sampled
+    # on each file's FIRST row group only, which the payload-cut layout makes
+    # a few hot rows: a ~30x over-estimate that nearly tripled the sort's task
+    # count on a 2,500-turn segment
+    rows = sum(pf.metadata.num_rows for pf, _ in reader._postings_files())
+    blocks = min(-(-rows // MERGE_BATCH_ROWS),
+                 ray.data.DataContext.get_current().read_op_min_num_blocks)
+    ds = _retry_fs_import_race(lambda: ray.data.read_parquet(
+        postings_path, override_num_blocks=max(1, blocks)
+    ))
     # ONE all-to-all: sort by (field, term, bucket), then merge term runs
     # per sorted batch. The sort is what makes term lookups cheap — it
     # clusters each term into a handful of row groups so parquet min/max
@@ -326,8 +338,8 @@ def _compact_segment(
     # groupby.map_groups would give per-term completeness but costs a
     # second full exchange (Ray's map_groups itself sorts), and the reader
     # doesn't need completeness — it already concatenates a term's rows in
-    # bucket order. min_rows_per_file coalesces the sort's many small
-    # output blocks at write time (no extra pass): a term lookup opens
+    # bucket order. The sink's min_rows_per_write coalesces the sort's many
+    # small output blocks at write time (no extra pass): a term lookup opens
     # every file's footer, so hundreds of tiny files put a ~0.5 s floor
     # under COLD lookups.
     # Zipfian term keys collide the sort's sampled range boundaries, so the
@@ -337,20 +349,15 @@ def _compact_segment(
     from ..ops.joins import drop_empty_blocks
 
     merged = drop_empty_blocks(ds.sort(["field", "term", "bucket"])).map_batches(
-        merge_fn, batch_size=2048, batch_format="pyarrow"
+        merge_fn, batch_size=MERGE_BATCH_ROWS, batch_format="pyarrow"
     )
-    # NOTE: combining min_rows_per_file AND max_rows_per_file makes this Ray
-    # version's parquet sink silently IGNORE row_group_size — the coalesced
-    # file comes out as ONE row group, so a cold term lookup decodes the
-    # segment's ENTIRE postings payload (min/max stats can't prune inside a
-    # row group). min + row_group_size alone is honored; drop the max here
-    # (file size is already bounded by the segment's own row count).
-    write_args = {k: v for k, v in POSTINGS_WRITE_ARGS.items()
-                  if k != "max_rows_per_file"}
+    # one file per write task (no file cap: a file is bounded by the
+    # segment's own row count), row groups cut by index/writer.py
+    sink = PostingsSink(tmp_path, min_rows_per_write=COMPACT_MIN_ROWS_PER_WRITE)
 
     def _write():
         shutil.rmtree(tmp_path, ignore_errors=True)  # clean slate per attempt
-        merged.write_parquet(tmp_path, min_rows_per_file=2048, **write_args)
+        merged.write_datasink(sink)
 
     _retry_fs_import_race(_write)
     # atomic publish: old dir moves aside, tmp takes its place

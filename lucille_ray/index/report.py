@@ -1,7 +1,8 @@
 """Structured build/index report: one JSON-able dict aggregating everything
 the build and compaction record about an index — metadata, per-phase wall
-times, per-segment manifests and live stats, on-disk footprint, lifecycle
-state (tombstones, purges, appends).
+times, per-segment manifests and live stats, on-disk footprint, postings
+layout (row groups, footer bytes), lifecycle state (tombstones, purges,
+appends).
 
 This is the metrics/lineage surface: scaling and health claims should be
 corroborated by these per-stage numbers (plus each segment's Ray Data
@@ -14,6 +15,8 @@ import json
 import os
 import re
 from typing import Optional
+
+import pyarrow.parquet as pq
 
 _TIME_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -121,6 +124,19 @@ def _dir_bytes(path: str) -> int:
     return total
 
 
+def _postings_layout(seg_dir: str) -> tuple[int, int]:
+    """(row groups, footer bytes) of a segment's postings files, from their
+    footers alone (no data page is read)."""
+    root = os.path.join(seg_dir, "postings.parquet")
+    groups = footer = 0
+    for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
+        if name.endswith(".parquet"):
+            md = pq.read_metadata(os.path.join(root, name))
+            groups += md.num_row_groups
+            footer += md.serialized_size
+    return groups, footer
+
+
 def build_report(index_dir: str) -> dict:
     """Aggregate an index directory into one structured report dict."""
     with open(os.path.join(index_dir, "index_meta.json")) as f:
@@ -136,6 +152,7 @@ def build_report(index_dir: str) -> dict:
     seg_root = os.path.join(index_dir, "segments")
     total_posting_rows = 0
     total_purged = 0
+    total_groups = total_footer = 0
     any_tombstones = False
     for name in sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []:
         seg_dir = os.path.join(seg_root, name)
@@ -163,6 +180,9 @@ def build_report(index_dir: str) -> dict:
         total_posting_rows += posting_rows
         purged = int(man.get("purged_docs") or 0)
         total_purged += purged
+        groups, footer = _postings_layout(seg_dir)
+        total_groups += groups
+        total_footer += footer
         seg = {
             "segment": name,
             "status": man.get("status"),
@@ -173,6 +193,8 @@ def build_report(index_dir: str) -> dict:
             "tombstoned": tombstoned,
             "purged_docs": purged,
             "bytes": _dir_bytes(seg_dir),
+            "postings_row_groups": groups,
+            "postings_footer_bytes": footer,
             "input_path": man.get("input_path"),
         }
         if "live_docs" in stats:
@@ -195,6 +217,8 @@ def build_report(index_dir: str) -> dict:
             "docs": sum(s["docs"] for s in segments),
             "posting_rows": total_posting_rows,
             "purged_docs": total_purged,
+            "postings_row_groups": total_groups,
+            "postings_footer_bytes": total_footer,
             "tombstoned_segments": any_tombstones,
             "index_bytes": _dir_bytes(index_dir),
         },

@@ -7,7 +7,9 @@ A segment is a contiguous doc-id range built by ``build.py``::
       postings.parquet/   # rows (field, term, bucket, df, total_tf, blocks)
       stats.json          # doc_base, doc_count, per-field total_dl
       MANIFEST.json       # lineage + completion marker (checkpoint/resume unit)
-    (norms = dl_* columns fused into the docmapped segment input)
+      norms_<field>.npy   # per-doc field lengths, written by the first reader
+    (norms = reserved-term ``NORMS_TERM`` posting rows; the ``.npy`` sidecars
+    cache their decode)
 
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded once —
 designed to be pinned inside long-lived scorer actors) and fetch postings by
@@ -131,7 +133,7 @@ class SegmentReader:
             try:  # atomic publish; best-effort (read-only index dirs are fine)
                 tmp = sidecar + ".tmp"
                 with open(tmp, "wb") as fh:
-                    np.save(fh, self._norms[field])
+                    np.save(fh, _narrowest_uint(self._norms[field]))
                 os.replace(tmp, sidecar)
             except OSError:
                 pass
@@ -141,17 +143,16 @@ class SegmentReader:
     def term_dict(self, field: str) -> Tuple[np.ndarray, np.ndarray]:
         """(terms sorted unique, df per term) for one field (buckets aggregated)."""
         if field not in self._term_dicts:
-            if self.empty:
+            t = None
+            if not self.empty:
+                t = self._read_postings_rows(field, columns=("term", "df"))
+            if t is None:
                 self._term_dicts[field] = (
                     np.empty(0, dtype=object),
                     np.empty(0, dtype=np.int64),
                 )
             else:
-                t = pq.read_table(
-                    os.path.join(self.seg_dir, "postings.parquet"),
-                    columns=["field", "term", "df"],
-                    filters=[("field", "==", field), ("term", "!=", NORMS_TERM)],
-                )
+                t = t.filter(pc.not_equal(t["term"], NORMS_TERM))
                 g = t.group_by("term").aggregate([("df", "sum")])
                 order = pc.sort_indices(g["term"])
                 g = g.take(order)
@@ -325,9 +326,10 @@ class SegmentReader:
         absent terms (the dominant rep-1 cost of sequential serving).
 
         Assumes ``postings.parquet`` is a DIRECTORY of ``*.parquet`` piece
-        files — the layout every writer here produces (Ray ``write_parquet``
+        files — the layout every writer here produces (``writer.PostingsSink``
         in build, append and compaction). A single-file ``postings.parquet``
-        is not handled: ``os.listdir`` raises on it."""
+        is not handled: ``os.listdir`` raises on it. A file without (field,
+        term) statistics gets ``None`` stats and is read whole."""
         cached = getattr(self, "_postings_pf_cache", None)
         if cached is not None:
             return cached
@@ -377,27 +379,35 @@ class SegmentReader:
         self._postings_pf_cache = entries
         return entries
 
-    def _read_postings_rows(self, field: str, missing: Sequence[str]):
-        """Rows of ``postings.parquet`` matching (field, term in missing), read
+    def _read_postings_rows(
+        self,
+        field: str,
+        terms: Optional[Sequence[str]] = None,
+        columns: Sequence[str] = ("term", "bucket", "blocks"),
+    ):
+        """``columns`` of the ``postings.parquet`` rows matching (field, term
+        in terms) — every row of ``field`` when ``terms`` is None — read
         through cached handles with row-group pruning on the writers' (field,
         term) min/max stats. Parquet stat truncation keeps min a prefix (a
         valid lower bound) and increments max's last byte (a valid upper
         bound), so pruning can only over-include — the exact filter below
         decides membership. Row groups spanning a field boundary skip the term
         test (term order restarts per field) and rely on the exact filter."""
-        ms = sorted(set(missing))
-        ms_np = np.array(ms)
-        vs = pa.array(ms)
+        read_cols = list(dict.fromkeys(("field", "term", *columns)))
+        if terms is not None:
+            ms = sorted(set(terms))
+            ms_np = np.array(ms)
+            vs = pa.array(ms, pa.string())
         parts = []
         for pf, stats in self._postings_files():
             if stats is None:
-                t = pf.read(columns=["field", "term", "bucket", "blocks"])
+                t = pf.read(columns=read_cols)
             else:
                 fmin, fmax, tmin, tmax = stats
                 hit = (fmin <= field) & (field <= fmax)
                 pure = hit & (fmin == fmax)  # single-field groups: term-prunable
-                if pure.any():
-                    # first missing term >= tmin must be <= tmax for overlap
+                if terms is not None and pure.any():
+                    # first wanted term >= tmin must be <= tmax for overlap
                     first = np.searchsorted(ms_np, tmin[pure])
                     sub = np.zeros(int(pure.sum()), dtype=bool)
                     inb = first < ms_np.size
@@ -408,14 +418,13 @@ class SegmentReader:
                 gs = np.flatnonzero(hit)
                 if gs.size == 0:
                     continue
-                t = pf.read_row_groups(
-                    gs.tolist(), columns=["field", "term", "bucket", "blocks"]
-                )
-            t = t.filter(
-                pc.and_(pc.equal(t["field"], field), pc.is_in(t["term"], value_set=vs))
-            )
+                t = pf.read_row_groups(gs.tolist(), columns=read_cols)
+            keep = pc.equal(t["field"], field)
+            if terms is not None:
+                keep = pc.and_(keep, pc.is_in(t["term"], value_set=vs))
+            t = t.filter(keep)
             if t.num_rows:
-                parts.append(t.select(["term", "bucket", "blocks"]))
+                parts.append(t.select(list(columns)))
         if not parts:
             return None
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
@@ -547,6 +556,16 @@ class SegmentReader:
 from .codec import POSTINGS_SCHEMA as _PS
 
 _BLOCK_STRUCT_TYPE = _PS.field("blocks").type.value_type
+
+
+def _narrowest_uint(a: np.ndarray) -> np.ndarray:
+    """``a`` (non-negative ints) in the narrowest of uint8/16/32 that holds its
+    max — the norms sidecars' storage dtype; int64 beyond uint32."""
+    mx = int(a.max()) if a.size else 0
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if mx <= np.iinfo(dt).max:
+            return a.astype(dt)
+    return a.astype(np.int64)
 
 
 def _overlap_mask(

@@ -1,0 +1,150 @@
+"""The postings writer: one Parquet layout for build, append and compaction.
+
+Term lookups prune at ROW GROUP granularity on the (field, term) min/max
+statistics (``SegmentReader._read_postings_rows``), so a row group is the unit
+a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
+
+- a group closes at :data:`ROW_GROUP_ROWS` rows, or before a row would push its
+  blob payload (the ``docs`` + ``tfs`` + ``pos`` bytes of its blocks) past
+  :data:`ROW_GROUP_BYTES`, whichever comes first. A hot row therefore sits
+  alone in its group (a lookup of a rare neighbour never decodes it), and rare
+  rows pack ``ROW_GROUP_ROWS`` to a group (Parquet framing stays small next to
+  the data);
+- a group also closes where ``field`` changes, so every group holds one field
+  and is term-prunable (the reader cannot prune a group spanning two fields by
+  term, so every lookup of either field would read it);
+- statistics are written only on ``field`` and ``term`` (the only columns the
+  reader prunes on) and dictionary encoding only on ``field``; compression is
+  snappy.
+
+Invariant (checked by the tests): every row group holds at most
+``ROW_GROUP_ROWS`` rows of one field, and a group whose payload exceeds
+``ROW_GROUP_BYTES`` holds exactly one row. Readers need nothing from the
+layout beyond the (field, term) statistics, so older fixed-size-group indexes
+still open.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Iterable, Optional
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data import Datasink
+from ray.data.block import Block, BlockAccessor
+
+#: row cap of one postings row group
+ROW_GROUP_ROWS = 64
+#: blob payload (docs + tfs + pos bytes) at which a row group closes
+ROW_GROUP_BYTES = 64 << 10
+#: the build's cap on rows per postings file (larger files avoid per-file open
+#: cost; the cap bounds one write task's file)
+BUILD_ROWS_PER_FILE = 16384
+#: compaction coalesces the sort's many small output blocks into files of at
+#: least this many rows (a cold lookup opens every file's footer)
+COMPACT_MIN_ROWS_PER_WRITE = 2048
+
+_PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
+
+
+def _blob_bytes(blocks) -> np.ndarray:
+    """Per-row blob payload (bytes of every block's ``docs``, ``tfs`` and
+    ``pos``) of a ``list<BLOCK_STRUCT>`` column."""
+    if isinstance(blocks, pa.ChunkedArray):
+        blocks = blocks.combine_chunks()
+    offs = np.asarray(blocks.offsets, dtype=np.int64)
+    flat = blocks.flatten()
+    per_block = np.zeros(len(flat), dtype=np.int64)
+    for name in _PAYLOAD_COLUMNS:
+        lens = pc.binary_length(flat.field(name)).fill_null(0)
+        per_block += lens.to_numpy(zero_copy_only=False)
+    cum = np.concatenate(([0], np.cumsum(per_block)))
+    offs = offs - offs[0]
+    return cum[offs[1:]] - cum[offs[:-1]]
+
+
+def _row_group_bounds(payload: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """Row offsets ``[0, ..., n]`` of the row groups for rows with the given
+    blob ``payload``: greedy, each group as long as the row and byte caps allow
+    (and at least one row), and a new group at every offset in ``breaks``
+    (sorted)."""
+    n = int(payload.size)
+    cum = np.concatenate(([0], np.cumsum(payload, dtype=np.int64)))
+    breaks = np.append(np.asarray(breaks, dtype=np.int64), n)
+    bounds = [0]
+    s = 0
+    while s < n:
+        fit = int(np.searchsorted(cum, cum[s] + ROW_GROUP_BYTES, side="right")) - 1
+        brk = int(breaks[np.searchsorted(breaks, s, side="right")])
+        s = min(max(s + 1, min(s + ROW_GROUP_ROWS, fit)), brk)
+        bounds.append(s)
+    return np.asarray(bounds, dtype=np.int64)
+
+
+def _field_starts(field) -> np.ndarray:
+    """Offsets of the rows whose ``field`` differs from the previous row's."""
+    if len(field) < 2:
+        return np.empty(0, dtype=np.int64)
+    ne = pc.not_equal(field.slice(1), field.slice(0, len(field) - 1))
+    return np.flatnonzero(ne.to_numpy(zero_copy_only=False)) + 1
+
+
+def write_postings_file(table: pa.Table, path: str) -> None:
+    """Write postings rows to one Parquet file in the layout above."""
+    bounds = _row_group_bounds(
+        _blob_bytes(table["blocks"]), _field_starts(table["field"])
+    )
+    with pq.ParquetWriter(
+        path,
+        table.schema,
+        compression="snappy",
+        use_dictionary=["field"],
+        write_statistics=["field", "term"],
+    ) as w:
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            w.write_table(table.slice(lo, hi - lo), row_group_size=hi - lo)
+
+
+class PostingsSink(Datasink):
+    """``Dataset.write_datasink`` target for postings rows: every write task
+    writes its rows to ``<path>/part-<task>-<file>.parquet`` through
+    :func:`write_postings_file`, at most ``max_rows_per_file`` rows per file.
+    ``min_rows_per_write`` makes Ray bundle at least that many rows into one
+    write task (one file, when there is no file cap)."""
+
+    def __init__(
+        self,
+        path: str,
+        *,
+        min_rows_per_write: Optional[int] = None,
+        max_rows_per_file: Optional[int] = None,
+    ):
+        self.path = path
+        self._min_rows_per_write = min_rows_per_write
+        self.max_rows_per_file = max_rows_per_file
+
+    @property
+    def min_rows_per_write(self) -> Optional[int]:
+        return self._min_rows_per_write
+
+    def on_write_start(self) -> None:
+        os.makedirs(self.path, exist_ok=True)
+
+    def write(self, blocks: Iterable[Block], ctx) -> None:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return
+        schema = pa.unify_schemas([t.schema for t in tables])
+        table = pa.concat_tables(
+            [t if t.schema.equals(schema) else t.cast(schema) for t in tables]
+        )
+        step = self.max_rows_per_file or table.num_rows
+        for i, lo in enumerate(range(0, table.num_rows, step)):
+            write_postings_file(
+                table.slice(lo, step),
+                os.path.join(self.path, f"part-{ctx.task_idx:06d}-{i:06d}.parquet"),
+            )

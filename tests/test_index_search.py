@@ -1078,33 +1078,321 @@ def test_conv_offsets_tree_reduce_validates(ray_session):
         B._conv_offsets(ds)
 
 
-def test_compacted_postings_keep_small_row_groups(built, tmp_path):
-    """Guard the Ray sink quirk: passing min_rows_per_file AND
-    max_rows_per_file together makes write_parquet silently drop
-    row_group_size, collapsing the compacted postings into ONE row group —
-    which defeats (field, term) min/max pruning and forces every cold term
-    lookup to decode the segment's entire postings payload."""
+def _row_payloads(path: str) -> np.ndarray:
+    """Blob payload (docs + tfs + pos bytes of every block) of each row of a
+    postings file, computed from the stored blocks."""
+    blocks = pq.read_table(path, columns=["blocks"])["blocks"].combine_chunks()
+    flat = pc.list_flatten(blocks)
+    per_block = sum(
+        pc.binary_length(pc.struct_field(flat, c)).fill_null(0).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        for c in ("docs", "tfs", "pos")
+    )
+    parents = pc.list_parent_indices(blocks).to_numpy(zero_copy_only=False)
+    return np.bincount(parents, weights=per_block, minlength=len(blocks)).astype(np.int64)
+
+
+def _assert_payload_cut_groups(path: str) -> list:
+    """The postings writer's layout on one file: every row group holds at most
+    ROW_GROUP_ROWS rows of one field, a group over ROW_GROUP_BYTES of blob
+    payload holds exactly one row, and a group closes early only where the
+    next row would push it past the byte budget or starts another field.
+    Returns (rows, payload) per group."""
+    from lucille_ray.index.writer import ROW_GROUP_BYTES, ROW_GROUP_ROWS
+
+    md = pq.ParquetFile(path).metadata
+    rows = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
+    payload = _row_payloads(path)
+    fields = pq.read_table(path, columns=["field"])["field"].to_pylist()
+    starts = np.concatenate(([0], np.cumsum(rows)))
+    groups = []
+    for g, n in enumerate(rows):
+        lo, hi = int(starts[g]), int(starts[g + 1])
+        p = int(payload[lo:hi].sum())
+        groups.append((n, p))
+        assert n <= ROW_GROUP_ROWS, (path, g, n)
+        assert len(set(fields[lo:hi])) == 1, (path, g)
+        if p > ROW_GROUP_BYTES:
+            assert n == 1, (path, g, n, p)
+        if g + 1 < len(rows) and n < ROW_GROUP_ROWS:
+            assert (p + int(payload[hi]) > ROW_GROUP_BYTES
+                    or fields[hi] != fields[hi - 1]), (path, g, n, p)
+    return groups
+
+
+def _assert_segment_layout(seg_dir: str) -> list:
     import glob
 
+    files = sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*.parquet")))
+    assert files
+    return [grp for f in files for grp in _assert_payload_cut_groups(f)]
+
+
+def test_compacted_postings_keep_small_row_groups(built, tmp_path):
+    """Built and compacted postings keep the writer's payload-cut row groups
+    (at most 64 rows, a group over 64 KiB holds one row) — one giant row
+    group would defeat (field, term) min/max pruning and force every cold
+    term lookup to decode the segment's entire postings payload."""
     from lucille_ray.index import compact_index
-    from lucille_ray.index.build import POSTINGS_WRITE_ARGS
 
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
     index_dir = str(tmp_path / "rgidx")
     build_index(ds, index_dir, num_segments=1, range_width=128, batch_size=300)
-    compact_index(index_dir)
-    rgs = int(POSTINGS_WRITE_ARGS["row_group_size"])
-    files = glob.glob(
-        os.path.join(index_dir, "segments", "seg-00000", "postings.parquet", "*.parquet")
+    seg_dir = os.path.join(index_dir, "segments", "seg-00000")
+    for _ in ("built", "compacted"):
+        groups = _assert_segment_layout(seg_dir)
+        assert len(groups) > 1 and max(n for n, _ in groups) > 1
+        compact_index(index_dir)
+
+
+def test_hot_rows_sit_alone_in_their_row_groups(ray_session, tmp_path):
+    """A term whose row carries more than the 64 KiB payload budget gets a row
+    group to itself, in the build and after compaction; the rare rows around
+    it still pack into shared groups."""
+    import pyarrow as pa2
+    import ray.data
+
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.writer import ROW_GROUP_BYTES
+
+    n = 4000
+    t = pa2.table(
+        {
+            "conv_id": pa2.array([f"c{i // 8:06d}" for i in range(n)]),
+            "turn_idx": pa2.array([i % 8 for i in range(n)], pa2.int32()),
+            "role": pa2.array(["user"] * n),
+            "text": pa2.array([f"{'hot ' * 40}rare{i}" for i in range(n)]),
+            "tool": pa2.array(["none"] * n),
+            "ts": pa2.array([1_700_000_000_000_000 + i for i in range(n)],
+                            pa2.timestamp("us")),
+        }
     )
-    assert files
-    for f in files:
-        md = pq.ParquetFile(f).metadata
-        # every full multiple of row_group_size must have opened a new group
-        assert md.num_row_groups >= md.num_rows // rgs, (
-            f, md.num_rows, md.num_row_groups,
+    data = str(tmp_path / "hot.parquet")
+    pq.write_table(t, data)
+    index_dir = str(tmp_path / "hot_idx")
+    build_index(ray.data.read_parquet(data), index_dir, num_segments=1,
+                batch_size=n)
+    seg_dir = os.path.join(index_dir, "segments", "seg-00000")
+    for _ in ("built", "compacted"):
+        groups = _assert_segment_layout(seg_dir)
+        hot = [(rows, p) for rows, p in groups if p > ROW_GROUP_BYTES]
+        assert hot and all(rows == 1 for rows, _ in hot)
+        assert max(rows for rows, _ in groups) > 1
+        compact_index(index_dir)
+    eng = SearchEngine(index_dir, parallel=False)
+    assert eng.match_all("hot").num_rows == n
+
+
+def test_writer_cuts_groups_by_payload(tmp_path):
+    """write_postings_file on encoded rows: rows over the byte budget are one
+    group each, small rows pack ROW_GROUP_ROWS to a group, and the rows read
+    back unchanged."""
+    from lucille_ray.index.codec import POSTINGS_SCHEMA, encode_runs
+    from lucille_ray.index.writer import ROW_GROUP_ROWS, write_postings_file
+
+    rng = np.random.default_rng(3)
+    sizes = [3] * 100 + [60_000] + [5] * 70 + [60_000, 60_000] + [2] * 10 + [4] * 20
+    docs = np.concatenate([np.sort(rng.choice(10**7, s, replace=False)) for s in sizes])
+    tfs = np.ones(docs.size, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    n = len(sizes)
+    table = pa.table(
+        {
+            "field": pa.array(["text"] * (n - 20) + ["tool"] * 20),
+            "term": pa.array([f"t{i:04d}" for i in range(n)]),
+            "bucket": pa.array(np.zeros(n, dtype=np.int64)),
+            "df": pa.array(np.asarray(sizes, dtype=np.int64)),
+            "total_tf": pa.array(np.asarray(sizes, dtype=np.int64)),
+            "blocks": encode_runs(docs, tfs, starts),
+        },
+        schema=POSTINGS_SCHEMA,
+    )
+    path = str(tmp_path / "part.parquet")
+    write_postings_file(table, path)
+    groups = _assert_payload_cut_groups(path)
+    assert [rows for rows, _ in groups] == [
+        ROW_GROUP_ROWS, 100 - ROW_GROUP_ROWS, 1, ROW_GROUP_ROWS,
+        70 - ROW_GROUP_ROWS, 1, 1, 10, 20,
+    ]
+    assert pq.read_table(path).equals(table)
+    md = pq.ParquetFile(path).metadata
+    stats = {md.row_group(0).column(i).path_in_schema
+             for i in range(md.num_columns)
+             if md.row_group(0).column(i).statistics is not None}
+    assert stats == {"field", "term"}
+
+
+def _stored_rows(index_dir: str) -> pa.Table:
+    """Every segment's stored postings rows, sorted by (segment, field, term,
+    bucket)."""
+    parts = []
+    for seg in sorted(os.listdir(os.path.join(index_dir, "segments"))):
+        t = pq.read_table(
+            os.path.join(index_dir, "segments", seg, "postings.parquet"),
+            columns=["field", "term", "bucket", "df", "total_tf", "blocks"],
         )
+        parts.append(t.append_column("seg", pa.array([seg] * t.num_rows)))
+    keys = [(c, "ascending") for c in ("seg", "field", "term", "bucket")]
+    return pa.concat_tables(parts).sort_by(keys)
+
+
+def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
+    """Postings rewritten in the previous layout (fixed 16-row groups, full
+    statistics, one file without statistics at all) answer bit-identically to
+    the same rows in the writer's layout, and compaction rewrites them into
+    the writer's layout."""
+    import glob
+
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.segment import SegmentReader
+
+    _, index_dir, _ = built
+    new_dir = str(tmp_path / "new")
+    old_dir = str(tmp_path / "old")
+    shutil.copytree(index_dir, new_dir)
+    shutil.copytree(index_dir, old_dir)
+    files = sorted(glob.glob(os.path.join(
+        old_dir, "segments", "*", "postings.parquet", "*.parquet")))
+    for i, f in enumerate(files):
+        t = pq.read_table(f)
+        if i == 0:  # the reader's whole-file fallback
+            pq.write_table(t, f, write_statistics=False)
+        else:
+            pq.write_table(t, f, row_group_size=16)
+    md = pq.ParquetFile(files[-1]).metadata
+    assert md.num_rows > 16 and md.num_row_groups == -(-md.num_rows // 16)
+    assert md.row_group(0).column(3).statistics is not None  # df: full stats
+    seg0 = os.path.join(old_dir, "segments", "seg-00000")
+    assert SegmentReader(seg0)._postings_files()[0][1] is None
+    assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
+
+    def answers(d):
+        eng = SearchEngine(d, parallel=False, result_cache=False)
+        out = []
+        for qs in QUERY_SET:
+            _compare(eng, oracle, qs)
+            got = eng.search(qs, k=10, with_meta=False)
+            out.append((got["doc_id"].to_pylist(), got["score"].to_pylist()))
+        return out
+
+    assert answers(old_dir) == answers(new_dir)
+    for d in (old_dir, new_dir):
+        compact_index(d)
+    for seg in ("seg-00000", "seg-00001"):
+        _assert_segment_layout(os.path.join(old_dir, "segments", seg))
+    assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
+    assert answers(old_dir) == answers(new_dir)
+
+
+def test_term_dict_matches_directory_scan(built, tmp_path):
+    """term_dict (cached handles, field-stat pruning) is identical to the
+    directory scan it replaced, on the built piece layout, the compacted
+    layout and a file without statistics."""
+    import glob
+
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.build import NORMS_TERM
+    from lucille_ray.index.segment import SegmentReader
+
+    _, index_dir, _ = built
+    idx = str(tmp_path / "tdidx")
+    shutil.copytree(index_dir, idx)
+
+    def check():
+        for seg in ("seg-00000", "seg-00001"):
+            seg_dir = os.path.join(idx, "segments", seg)
+            r = SegmentReader(seg_dir)
+            for field in ("text", "role", "tool", "no_such_field"):
+                t = pq.read_table(
+                    os.path.join(seg_dir, "postings.parquet"),
+                    columns=["field", "term", "df"],
+                    filters=[("field", "==", field), ("term", "!=", NORMS_TERM)],
+                )
+                g = t.group_by("term").aggregate([("df", "sum")])
+                g = g.take(pc.sort_indices(g["term"]))
+                terms, dfs = r.term_dict(field)
+                assert terms.dtype == object and dfs.dtype == np.int64
+                assert terms.tolist() == g["term"].to_pylist(), (seg, field)
+                assert dfs.tolist() == g["df_sum"].to_pylist(), (seg, field)
+
+    check()
+    f = sorted(glob.glob(os.path.join(
+        idx, "segments", "seg-00001", "postings.parquet", "*.parquet")))[0]
+    pq.write_table(pq.read_table(f), f, write_statistics=False)
+    check()
+    compact_index(idx)
+    check()
+
+
+def test_norms_sidecar_narrow_dtype_round_trip(built, tmp_path):
+    """Norms sidecars are written in the narrowest unsigned dtype holding the
+    segment's max dl and load back as the same int64 arrays; an int64 sidecar
+    from an older reader still loads."""
+    from lucille_ray.index.segment import SegmentReader, _narrowest_uint
+
+    for mx, dt in [(0, np.uint8), (255, np.uint8), (256, np.uint16),
+                   (65535, np.uint16), (65536, np.uint32),
+                   (2**32 - 1, np.uint32), (2**32, np.int64)]:
+        a = _narrowest_uint(np.array([0, mx], dtype=np.int64))
+        assert a.dtype == dt and a.tolist() == [0, mx]
+    assert _narrowest_uint(np.empty(0, dtype=np.int64)).dtype == np.uint8
+
+    _, index_dir, _ = built
+    idx = str(tmp_path / "nidx")
+    shutil.copytree(index_dir, idx)
+    seg_dir = os.path.join(idx, "segments", "seg-00000")
+    for name in os.listdir(seg_dir):
+        if name.startswith("norms_"):
+            os.remove(os.path.join(seg_dir, name))
+    first = SegmentReader(seg_dir)
+    fields = first.manifest["fields"]
+    decoded = {f: first.norms(f) for f in fields}
+    for f in fields:
+        side = np.load(os.path.join(seg_dir, f"norms_{f}.npy"))
+        assert side.dtype == _narrowest_uint(decoded[f]).dtype
+        assert side.dtype.itemsize < 8
+        assert decoded[f].dtype == np.int64
+    again = SegmentReader(seg_dir)
+    for f in fields:
+        got = again.norms(f)
+        assert got.dtype == np.int64 and np.array_equal(got, decoded[f])
+        np.save(os.path.join(seg_dir, f"norms_{f}.npy"), decoded[f])  # old sidecar
+    old = SegmentReader(seg_dir)
+    for f in fields:
+        assert np.array_equal(old.norms(f), decoded[f])
+
+
+def test_build_report_postings_layout(built, tmp_path):
+    """build_report carries each segment's postings row groups and footer
+    bytes (from the footers) plus their totals, and they follow compaction."""
+    import glob
+
+    from lucille_ray.index import build_report, compact_index
+
+    _, index_dir, _ = built
+    idx = str(tmp_path / "ridx")
+    shutil.copytree(index_dir, idx)
+
+    def check():
+        rep = build_report(idx)
+        for seg in rep["segments"]:
+            files = glob.glob(os.path.join(
+                idx, "segments", seg["segment"], "postings.parquet", "*.parquet"))
+            mds = [pq.ParquetFile(f).metadata for f in files]
+            assert seg["postings_row_groups"] == sum(m.num_row_groups for m in mds)
+            assert seg["postings_footer_bytes"] == sum(m.serialized_size for m in mds)
+            assert seg["postings_footer_bytes"] > 0
+        tot = rep["totals"]
+        assert tot["postings_row_groups"] == sum(
+            s["postings_row_groups"] for s in rep["segments"])
+        assert tot["postings_footer_bytes"] == sum(
+            s["postings_footer_bytes"] for s in rep["segments"])
+        return tot
+
+    check()
+    compact_index(idx)
+    assert check()["postings_row_groups"] >= 2
 
 
 def test_pruned_postings_read_matches_scan(built, tmp_path):
