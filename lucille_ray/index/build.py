@@ -9,7 +9,11 @@ Phase 0 — docmap (one pass over the input, no shuffle)
   columns (``dl_*``) -> hive-partitioned parquet ``docmapped/seg=K/``. Doc ids
   are dense and follow the stable ``(conv_id, turn_idx)`` order (north_rule
   invariant); segments are contiguous doc-id ranges cut on conversation
-  boundaries.
+  boundaries. ``docmapped/seg=K`` is a checkpoint only: it lives until segment
+  K commits, then it is deleted (and ``docmapped/`` with its last partition).
+  Each segment keeps its doc metadata in ``convmap.parquet``, one
+  ``(conv_id, base, cnt)`` row per conversation (doc_id = base + turn_idx),
+  written from the offsets the driver already holds.
 
 Phase 1 — per segment (the checkpoint/resume unit; a segment with a complete
 MANIFEST.json is skipped on re-run) and emit block-compressed posting rows, in
@@ -39,11 +43,12 @@ This build has no counterpart in the reference (a pure parser library — SURVEY
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -82,6 +87,10 @@ def _limit_worker_threads() -> None:
 
 INDEX_META_FILE = "index_meta.json"
 MANIFEST_FILE = "MANIFEST.json"
+#: per-segment doc map: one (conv_id, base, cnt) row per conversation, sorted by
+#: base, covering exactly the segment's doc range (a file, or a directory of
+#: part files in ranged mode)
+CONVMAP_FILE = "convmap.parquet"
 #: bump on storage-layout changes; readers refuse older indexes with a clear error
 INDEX_FORMAT_VERSION = 3  # v2: norms as reserved-term posting rows; v3: blocks
 # carry exact per-block min_dl for tight BM25 upper bounds (WAND)
@@ -404,6 +413,114 @@ def _docmap_ranged(ds, num_segments_hint: int):
     ]
     conv_ds = ray.data.from_arrow_refs(base_refs)
     return conv_ds, base_refs, total_docs, n_convs
+
+
+# ---------------------------------------------------------------------------
+# Per-segment doc maps (CONVMAP_FILE)
+# ---------------------------------------------------------------------------
+
+
+def conv_map_table(conv_id, base, hi: int) -> pa.Table:
+    """A doc map from each conversation's base doc id: rows sorted by base, and
+    since doc ids are dense a conversation runs to the next base, the last one
+    to ``hi``."""
+    base = np.asarray(base, dtype=np.int64)
+    order = np.argsort(base, kind="stable")
+    base = base[order]
+    return pa.table(
+        {
+            "conv_id": pa.compute.cast(conv_id.take(pa.array(order)), pa.string()),
+            "base": pa.array(base),
+            "cnt": pa.array(np.diff(np.append(base, hi))),
+        }
+    )
+
+
+def conv_map_from_docmapped(src: str, hi: int) -> pa.Table:
+    """The doc map of one docmapped partition: each conversation's turn-0 row
+    carries its base (doc_id = base + turn_idx)."""
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(src).to_table(
+        columns=["conv_id", "doc_id"], filter=pads.field("turn_idx") == 0
+    )
+    return conv_map_table(t["conv_id"], t["doc_id"].to_numpy(), hi)
+
+
+def _driver_conv_maps(
+    convs, bases: np.ndarray, counts: np.ndarray, seg_target: int, nseg: int,
+    base0: int = 0,
+) -> Tuple[List[pa.Table], List[List[int]]]:
+    """Per-segment doc maps and ``[lo, hi)`` doc bounds from the driver's
+    conversation offsets (``bases`` relative to ``base0``): a conversation
+    belongs to the ``seg_target``-wide slot its base falls in, so every
+    segment is a contiguous run of conversations (``[0, 0]`` when empty)."""
+    seg_of_conv = np.minimum(bases // seg_target, nseg - 1)
+    cut = np.searchsorted(seg_of_conv, np.arange(nseg + 1))
+    conv_str = pa.compute.cast(convs, pa.string())
+    maps, bounds = [], []
+    for s in range(nseg):
+        a, b = int(cut[s]), int(cut[s + 1])
+        maps.append(
+            pa.table(
+                {
+                    "conv_id": conv_str.slice(a, b - a),
+                    "base": pa.array(bases[a:b] + base0, pa.int64()),
+                    "cnt": pa.array(counts[a:b], pa.int64()),
+                }
+            )
+        )
+        bounds.append(
+            [int(bases[a]) + base0, int(bases[b - 1] + counts[b - 1]) + base0]
+            if b > a else [0, 0]
+        )
+    return maps, bounds
+
+
+def _write_conv_map_part(tbl: pa.Table, path: str, lo: int, hi: int) -> None:
+    """Ranged mode: the rows of one object-store base table whose base lies in
+    ``[lo, hi)`` become one part file of a segment's doc map."""
+    base = tbl["base"]
+    sub = tbl.filter(
+        pa.compute.and_(pa.compute.greater_equal(base, lo), pa.compute.less(base, hi))
+    )
+    if sub.num_rows:  # (conv_id, base, cnt), see _conv_block_bases
+        conv = pa.compute.cast(sub["conv_id"], pa.string())
+        pq.write_table(sub.set_column(0, "conv_id", conv), path)
+
+
+def _ranged_conv_map_writer(base_refs: list, blocks: List[int], lo: int, hi: int):
+    """Writes a segment's doc map as one part file per base table it overlaps
+    (``blocks``), in Ray tasks: the driver never holds the map."""
+
+    def write(path: str) -> None:
+        import ray
+
+        task = ray.remote(num_cpus=0.5)(_write_conv_map_part)
+        os.makedirs(path, exist_ok=True)
+        ray.get([
+            task.remote(base_refs[i], os.path.join(path, f"part-{i:05d}.parquet"), lo, hi)
+            for i in blocks
+        ])
+
+    return write
+
+
+def _drop_checkpoint(index_dir: str, seg: int) -> None:
+    """Delete segment ``seg``'s docmapped partition once the segment holds its
+    own doc map, and ``docmapped/`` itself when no partition is left. Segments
+    written without a doc map (older indexes) still read their partition, so
+    theirs stays."""
+    if not os.path.exists(os.path.join(_segment_dir(index_dir, seg), CONVMAP_FILE)):
+        return
+    import shutil
+
+    root = os.path.join(index_dir, "docmapped")
+    shutil.rmtree(os.path.join(root, f"seg={seg}"), ignore_errors=True)
+    try:
+        os.rmdir(root)
+    except OSError:
+        pass  # absent, or other segments' partitions remain
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +982,9 @@ def build_index(
 
     meta = None
     fused_src = None
+    # seg -> doc map writer; empty on resume, where a pending segment derives
+    # its map from its docmapped partition
+    conv_map_writers: Dict[int, Callable[[str], None]] = {}
     if resume and os.path.exists(meta_path):
         with open(meta_path) as f:
             meta = json.load(f)
@@ -911,6 +1031,12 @@ def build_index(
                     else:
                         seg_bounds[key] = [lo_p, hi_p]
                         seen.add(s)
+            for s in range(num_segments):
+                blocks = [i for i, part in enumerate(partials)
+                          if any(p[0] == s for p in part)]
+                conv_map_writers[s] = _ranged_conv_map_writer(
+                    base_refs, blocks, *seg_bounds[str(s)]
+                )
             mapped = ds.join(
                 conv_ds,
                 join_type="inner",
@@ -937,16 +1063,12 @@ def build_index(
                 batch_format="pyarrow",
                 batch_size=batch_size,
             )
-            seg_bounds = {}
-            seg_of_conv = np.minimum(bases // seg_target, num_segments - 1)
-            for s in range(num_segments):
-                mask = seg_of_conv == s
-                if mask.any():
-                    lo = int(bases[mask][0])
-                    hi = int(bases[mask][-1] + counts[mask][-1])
-                else:
-                    lo = hi = 0
-                seg_bounds[str(s)] = [lo, hi]
+            maps, bounds = _driver_conv_maps(
+                convs, bases, counts, seg_target, num_segments
+            )
+            seg_bounds = {str(s): b for s, b in enumerate(bounds)}
+            for s, cm in enumerate(maps):
+                conv_map_writers[s] = functools.partial(pq.write_table, cm)
         fused = (
             num_segments == 1
             and os.environ.get("LR_FUSE_DOCMAP", "1") != "0"
@@ -956,36 +1078,12 @@ def build_index(
             # single segment: the docmapped parquet checkpoint would be a full
             # corpus write + re-read with zero resume value (one segment means
             # rebuild-on-crash either way) — stream the assigned Dataset
-            # straight into the segment's tokenize pipeline instead. Result
-            # metadata (doc_id -> conv_id, turn_idx) comes from an O(#convs)
-            # convmap (doc_id = base + turn_idx by construction), not an
-            # O(#turns) forward index.
+            # straight into the segment's tokenize pipeline instead
             fused_src = mapped
-            if mode == "driver":
-                # cast to string: the partials arrive via polars large_string,
-                # and doc_meta output must concat with docmapped-backed
-                # segments (plain string) after an append
-                convmap = pa.table(
-                    {
-                        "conv_id": pa.compute.cast(convs, pa.string()),
-                        "base": pa.array(bases),
-                        "cnt": pa.array(counts),
-                    }
-                )
-                pq.write_table(
-                    convmap, os.path.join(index_dir, "convmap.parquet")
-                )
-            else:
-                # ranged mode: the per-block base tables are already in the
-                # object store, sorted by base across blocks
-                ray.data.from_arrow_refs(base_refs).write_parquet(
-                    os.path.join(index_dir, "convmap.parquet")
-                )
-            phase_metrics["docmap_sec"] = round(time.time() - t0, 3)
         else:
             mapped.write_parquet(docmapped_root, partition_cols=["seg"])
-            phase_metrics["docmap_sec"] = round(time.time() - t0, 3)
             _tick("docmap_write", t0)
+        phase_metrics["docmap_sec"] = round(time.time() - t0, 3)
         phase_metrics["docid_mode"] = mode
         meta = {
             "version": INDEX_FORMAT_VERSION,
@@ -1001,11 +1099,13 @@ def build_index(
         with open(meta_path, "w") as f:
             json.dump(meta, f, indent=1)
 
-    pending = [
-        seg
-        for seg in range(meta["num_segments"])
-        if not (resume and segment_complete(index_dir, seg))
-    ]
+    pending = []
+    for seg in range(meta["num_segments"]):
+        if resume and segment_complete(index_dir, seg):
+            # a crash between a segment's commit and its checkpoint delete
+            _drop_checkpoint(index_dir, seg)
+        else:
+            pending.append(seg)
 
     def _run(seg: int) -> None:
         t0 = time.time()
@@ -1020,7 +1120,9 @@ def build_index(
             layout=meta.get("layout", "term_partitioned"),
             piece_merge_rows=piece_merge_rows,
             src_ds=fused_src,
+            write_conv_map=conv_map_writers.get(seg),
         )
+        _drop_checkpoint(index_dir, seg)
         phase_metrics[f"segment_{seg}_sec"] = round(time.time() - t0, 3)
         _tick(f"segment {seg}", t0)
 
@@ -1122,16 +1224,8 @@ def append_index(
         batch_size=batch_size,
     ).write_parquet(docmapped_root, partition_cols=["seg"])
 
-    new_bounds = {}
-    seg_of_conv = np.minimum(bases // seg_target, nseg - 1)
-    for s in range(nseg):
-        mask = seg_of_conv == s
-        if mask.any():
-            lo = int(bases[mask][0]) + base0
-            hi = int(bases[mask][-1] + counts[mask][-1]) + base0
-        else:
-            lo = hi = 0
-        new_bounds[str(seg0 + s)] = [lo, hi]
+    maps, bounds = _driver_conv_maps(convs, bases, counts, seg_target, nseg, base0)
+    new_bounds = {str(seg0 + s): b for s, b in enumerate(bounds)}
 
     def _run(s: int) -> None:
         _build_segment(
@@ -1144,7 +1238,11 @@ def append_index(
             seg_bounds=new_bounds[str(seg0 + s)],
             layout=meta.get("layout", "doc_partitioned"),
             piece_merge_rows=piece_merge_rows,
+            write_conv_map=functools.partial(pq.write_table, maps[s]),
         )
+        # an uncommitted append is wiped and redone from its input, so the
+        # checkpoint can go as soon as the segment manifest is written
+        _drop_checkpoint(index_dir, seg0 + s)
 
     if nseg == 1:
         _run(0)
@@ -1178,7 +1276,11 @@ def _build_segment(
     layout: str = "doc_partitioned",
     piece_merge_rows: Optional[int] = None,
     src_ds=None,
+    write_conv_map: Optional[Callable[[str], None]] = None,
 ) -> None:
+    """Build one segment and commit its manifest. ``write_conv_map(path)``
+    writes the segment's doc map; without it (a resumed segment) the map comes
+    from the segment's docmapped partition."""
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -1286,6 +1388,11 @@ def _build_segment(
     if stage_stats:
         with open(os.path.join(seg_dir, "stage_stats.txt"), "w") as fh:
             fh.write(stage_stats)
+    conv_map_path = os.path.join(seg_dir, CONVMAP_FILE)
+    if write_conv_map is None:
+        pq.write_table(conv_map_from_docmapped(seg_input, hi), conv_map_path)
+    else:
+        write_conv_map(conv_map_path)
     _write_manifest(index_dir, seg, seg_input, n_docs, n_terms, fields)
 
 

@@ -9,11 +9,12 @@ avgdl statistics intentionally keep counting them until a rewrite, exactly
 like Lucene's maxDoc-based stats before a merge: surviving docs' scores are
 bit-identical before and after a delete.
 
-Scale note: resolving conversations to doc ids scans each segment's docmapped
-input with a conv_id predicate pushdown — per-segment, column-pruned reads.
-At very large delete sets, broadcast the conv set (``ray.put``) and collect
-matches with a ``map_batches`` sweep instead; the tombstone write path is
-unchanged.
+Scale note: conversations resolve to doc ids through each segment's doc map
+(``convmap.parquet``, one row per conversation: a conversation's turns are the
+dense range ``[base, base + cnt)``), so the lookup reads O(#conversations)
+rows per segment and never the turns. At very large delete sets or doc maps,
+broadcast the conv set (``ray.put``) and resolve per segment in Ray tasks
+instead; the tombstone write path is unchanged.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import os
 from typing import Iterable, Sequence
 
 import numpy as np
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
+import pyarrow as pa
 
 from .build import INDEX_META_FILE, MANIFEST_FILE, _segment_dir
+from .segment import SegmentReader
 
 
 def _committed_segments(index_dir: str) -> list:
@@ -75,34 +76,11 @@ def delete_docs(index_dir: str, doc_ids: Sequence[int] | np.ndarray) -> int:
 def delete_conversations(index_dir: str, conv_ids: Iterable[str]) -> int:
     """Tombstone every turn of the given conversations. Returns newly deleted
     doc count. Unknown conv_ids are ignored (delete-by-query semantics)."""
-    convs = sorted(set(conv_ids))
-    if not convs:
+    convs = pa.array(sorted(set(conv_ids)), pa.string())
+    if not len(convs):
         return 0
-    doc_ids: list = []
-    for seg_dir, manifest in _committed_segments(index_dir):
-        src = manifest["input_path"]
-        if src.endswith(":fused"):
-            # fused-docmap segment: the O(#convs) convmap resolves each
-            # conversation to its dense doc range [base, base + cnt)
-            import pyarrow.parquet as pq
-
-            cm = pq.read_table(
-                os.path.join(index_dir, "convmap.parquet"),
-                columns=["conv_id", "base", "cnt"],
-            ).filter(pc.field("conv_id").isin(convs))
-            for base, cnt in zip(
-                cm["base"].to_pylist(), cm["cnt"].to_pylist()
-            ):
-                doc_ids.extend(range(int(base), int(base) + int(cnt)))
-            continue
-        if not os.path.exists(src):
-            raise ValueError(
-                f"cannot resolve conversations: docmapped input {src} for "
-                f"{seg_dir} is gone; use delete_docs with explicit doc ids"
-            )
-        t = pads.dataset(src).to_table(
-            columns=["doc_id"],
-            filter=pc.field("conv_id").isin(convs),
-        )
-        doc_ids.extend(t["doc_id"].to_pylist())
-    return delete_docs(index_dir, doc_ids)
+    doc_ids = [
+        SegmentReader(seg_dir).conv_docs(convs)
+        for seg_dir, _manifest in _committed_segments(index_dir)
+    ]
+    return delete_docs(index_dir, np.concatenate(doc_ids) if doc_ids else [])

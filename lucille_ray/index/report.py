@@ -1,8 +1,9 @@
 """Structured build/index report: one JSON-able dict aggregating everything
 the build and compaction record about an index — metadata, per-phase wall
-times, per-segment manifests and live stats, on-disk footprint, postings
-layout (row groups, footer bytes), lifecycle state (tombstones, purges,
-appends).
+times, per-segment manifests and live stats, on-disk footprint by component
+(postings, norms sidecars, doc maps, the ``docmapped/`` build checkpoint,
+everything else), postings layout (row groups, footer bytes), lifecycle
+state (tombstones, purges, appends).
 
 This is the metrics/lineage surface: scaling and health claims should be
 corroborated by these per-stage numbers (plus each segment's Ray Data
@@ -113,15 +114,58 @@ def _aggregate_stages(per_segment: list[list[dict]]) -> list[dict]:
     return [agg[n] for n in order]
 
 
-def _dir_bytes(path: str) -> int:
-    total = 0
-    for root, _dirs, files in os.walk(path):
+#: the components an index's bytes break down into (see :func:`_index_bytes`)
+BYTE_COMPONENTS = (
+    "postings_bytes", "norms_bytes", "docmeta_bytes", "checkpoint_bytes",
+    "other_bytes",
+)
+
+
+def _component(parts: tuple) -> str:
+    """The byte component of one file, from its path parts under the index
+    dir: postings files, norms sidecars, doc maps (a segment's, or the root
+    one of single-segment indexes written before segments had their own),
+    the ``docmapped/`` build checkpoint, and everything else (manifests,
+    stats, tombstones, build reports)."""
+    if parts[0] == "docmapped":
+        return "checkpoint_bytes"
+    if parts[0] == "convmap.parquet":
+        return "docmeta_bytes"
+    if parts[0] == "segments" and len(parts) >= 3:
+        if parts[2] == "postings.parquet":
+            return "postings_bytes"
+        if parts[2] == "convmap.parquet":
+            return "docmeta_bytes"
+        if parts[2].startswith("norms_") and parts[2].endswith(".npy"):
+            return "norms_bytes"
+    return "other_bytes"
+
+
+def _index_bytes(index_dir: str) -> tuple[dict, dict]:
+    """Bytes of every file under ``index_dir`` by component: ({component:
+    bytes} over the whole index, {segment name: {component: bytes}}), where
+    ``docmapped/seg=K`` counts toward segment K. Each file has exactly one
+    component, so the components sum to the bytes on disk."""
+    total = dict.fromkeys(BYTE_COMPONENTS, 0)
+    per_seg: dict = {}
+    for root, _dirs, files in os.walk(index_dir):
+        rel = os.path.relpath(root, index_dir)
         for f in files:
+            parts = tuple(p for p in rel.split(os.sep) if p != ".") + (f,)
             try:
-                total += os.path.getsize(os.path.join(root, f))
+                size = os.path.getsize(os.path.join(root, f))
             except OSError:
-                pass
-    return total
+                continue
+            comp = _component(parts)
+            total[comp] += size
+            seg = None
+            if parts[0] == "segments" and len(parts) >= 3:
+                seg = parts[1]
+            elif comp == "checkpoint_bytes" and parts[1].startswith("seg="):
+                seg = "seg-{:05d}".format(int(parts[1][4:]))
+            if seg is not None:
+                per_seg.setdefault(seg, dict.fromkeys(BYTE_COMPONENTS, 0))[comp] += size
+    return total, per_seg
 
 
 def _postings_layout(seg_dir: str) -> tuple[int, int]:
@@ -149,6 +193,7 @@ def build_report(index_dir: str) -> dict:
             metrics = json.load(f)
 
     segments = []
+    total_bytes, seg_bytes = _index_bytes(index_dir)
     seg_root = os.path.join(index_dir, "segments")
     total_posting_rows = 0
     total_purged = 0
@@ -183,6 +228,7 @@ def build_report(index_dir: str) -> dict:
         groups, footer = _postings_layout(seg_dir)
         total_groups += groups
         total_footer += footer
+        comps = seg_bytes.get(name, dict.fromkeys(BYTE_COMPONENTS, 0))
         seg = {
             "segment": name,
             "status": man.get("status"),
@@ -192,7 +238,9 @@ def build_report(index_dir: str) -> dict:
             "empty": bool(man.get("empty")),
             "tombstoned": tombstoned,
             "purged_docs": purged,
-            "bytes": _dir_bytes(seg_dir),
+            # the segment directory's own files (its checkpoint sits outside)
+            "bytes": sum(comps.values()) - comps["checkpoint_bytes"],
+            **comps,
             "postings_row_groups": groups,
             "postings_footer_bytes": footer,
             "input_path": man.get("input_path"),
@@ -220,7 +268,8 @@ def build_report(index_dir: str) -> dict:
             "postings_row_groups": total_groups,
             "postings_footer_bytes": total_footer,
             "tombstoned_segments": any_tombstones,
-            "index_bytes": _dir_bytes(index_dir),
+            "index_bytes": sum(total_bytes.values()),
+            **total_bytes,
         },
     }
     return report

@@ -6,10 +6,12 @@ A segment is a contiguous doc-id range built by ``build.py``::
     seg-00000/
       postings.parquet/   # rows (field, term, bucket, df, total_tf, blocks)
       stats.json          # doc_base, doc_count, per-field total_dl
+      convmap.parquet     # doc map: one (conv_id, base, cnt) row per conversation
       MANIFEST.json       # lineage + completion marker (checkpoint/resume unit)
       norms_<field>.npy   # per-doc field lengths, written by the first reader
     (norms = reserved-term ``NORMS_TERM`` posting rows; the ``.npy`` sidecars
-    cache their decode)
+    cache their decode; result metadata and conversation deletes resolve
+    through the doc map, doc_id = base + turn_idx)
 
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded once —
 designed to be pinned inside long-lived scorer actors) and fetch postings by
@@ -27,10 +29,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from .build import NORMS_TERM
+from .build import CONVMAP_FILE, NORMS_TERM, conv_map_from_docmapped, conv_map_table
 from .codec import RawBlocks, sort_postings
 
 
@@ -51,6 +52,7 @@ class SegmentReader:
         self.doc_count = int(self.stats["doc_count"])
         self._norms: Optional[Dict[str, np.ndarray]] = None
         self._term_dicts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._conv_map: Optional[Tuple[pa.Array, np.ndarray, np.ndarray]] = None
         # decoded-postings cache shared across queries (readers are pinned in
         # long-lived scorer actors); FIFO-capped by entry count
         self._post_cache: "OrderedDict[Tuple[str, str, bool], tuple]" = OrderedDict()
@@ -438,119 +440,64 @@ class SegmentReader:
 
     # ---- doc metadata (conv_id, turn_idx) for result rows ----
 
-    def doc_meta(self, doc_ids: np.ndarray) -> pa.Table:
-        src = self.manifest["input_path"]
-        if src.endswith(":fused"):
-            return self._doc_meta_from_convmap(doc_ids)
-        cols = ["doc_id", "conv_id", "turn_idx"]
-        rgmap = self._docmap_rowgroups(src)
-        if rgmap is None:  # no usable doc_id stats: full predicate-pushdown scan
-            ds = pads.dataset(src)
-            return ds.to_table(
-                columns=cols, filter=pads.field("doc_id").isin(pa.array(doc_ids))
-            )
-        # k result docs live in O(k) row groups — read ONLY those (a top-k
-        # lookup was decoding the whole O(#turns) docmap per query otherwise:
-        # the ~130 ms/segment warm floor at 10M)
-        ids = np.unique(np.asarray(doc_ids, dtype=np.int64))
-        mins, maxs, files, rgs = rgmap
-        hit = np.flatnonzero(
-            (np.searchsorted(ids, maxs, side="right")
-             - np.searchsorted(ids, mins, side="left")) > 0
-        )
-        parts = []
-        # handles cached for the reader's lifetime (the reader is pinned in a
-        # scorer actor): reopening per query added footer-parse cost and let
-        # unclosed fds pile up until GC (ADVICE r04)
-        opened = getattr(self, "_docmap_pf_cache", None)
-        if opened is None:
-            opened = self._docmap_pf_cache = {}
-        for i in hit:
-            f = opened.get(files[i])
-            if f is None:
-                f = opened[files[i]] = pq.ParquetFile(files[i])
-            t = f.read_row_group(int(rgs[i]), columns=cols)
-            m = np.isin(t["doc_id"].to_numpy(zero_copy_only=False), ids)
-            if m.any():
-                parts.append(t.filter(pa.array(m)))
-        if not parts:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "conv_id": pa.array([], pa.string()),
-                    "turn_idx": pa.array([], pa.int32()),
-                }
-            )
-        return pa.concat_tables(parts)
-
-    def _docmap_rowgroups(self, src: str):
-        """(mins, maxs, files, row_group_idx) doc_id stats per docmap row group,
-        built once from parquet footers (O(#row_groups) memory, no data read)."""
-        cached = getattr(self, "_docmap_rg_cache", False)
-        if cached is not False:
-            return cached
-        mins: List[int] = []
-        maxs: List[int] = []
-        files: List[str] = []
-        rgs: List[int] = []
-        try:
-            paths = (
-                sorted(
-                    os.path.join(r, fn)
-                    for r, _d, fns in os.walk(src)
-                    for fn in fns
-                    if fn.endswith(".parquet")
+    def conv_map(self) -> Tuple[pa.Array, np.ndarray, np.ndarray]:
+        """(conv_id, base, cnt) of this segment's conversations, ascending base:
+        conversation ``i`` holds docs ``[base[i], base[i] + cnt[i])`` (doc_id =
+        base + turn_idx by construction). Read once from the segment's
+        ``convmap.parquet``; segments written before it existed derive the same
+        arrays from the root ``convmap.parquet`` (``:fused`` manifests) or from
+        their docmapped partition."""
+        if self._conv_map is None:
+            hi = self.doc_base + self.doc_count
+            own = os.path.join(self.seg_dir, CONVMAP_FILE)
+            src = self.manifest["input_path"]
+            if os.path.exists(own):
+                t = pq.read_table(own, columns=["conv_id", "base"])
+            elif src.endswith(":fused"):
+                index_dir = os.path.dirname(os.path.dirname(self.seg_dir))
+                t = pq.read_table(
+                    os.path.join(index_dir, CONVMAP_FILE), columns=["conv_id", "base"]
                 )
-                if os.path.isdir(src)
-                else [src]
+            elif os.path.exists(src):
+                t = conv_map_from_docmapped(src, hi)
+            else:
+                raise ValueError(
+                    f"{self.seg_dir} has no {CONVMAP_FILE} and its docmapped "
+                    f"input {src} is gone: conversations cannot be resolved "
+                    "(delete_docs with explicit doc ids still works)"
+                )
+            base = t["base"].to_numpy()
+            keep = (base >= self.doc_base) & (base < hi)
+            t = conv_map_table(t["conv_id"].filter(pa.array(keep)), base[keep], hi)
+            self._conv_map = (
+                t["conv_id"].combine_chunks(),
+                t["base"].to_numpy(),
+                t["cnt"].to_numpy(),
             )
-            for p in paths:
-                md = pq.ParquetFile(p).metadata
-                ci = md.schema.to_arrow_schema().names.index("doc_id")
-                for g in range(md.num_row_groups):
-                    st = md.row_group(g).column(ci).statistics
-                    if st is None or st.min is None or st.max is None:
-                        raise ValueError("missing doc_id stats")
-                    mins.append(int(st.min))
-                    maxs.append(int(st.max))
-                    files.append(p)
-                    rgs.append(g)
-            out = (np.asarray(mins), np.asarray(maxs), files, np.asarray(rgs))
-        except Exception:
-            out = None
-        self._docmap_rg_cache = out
-        return out
+        return self._conv_map
 
-    def _doc_meta_from_convmap(self, doc_ids: np.ndarray) -> pa.Table:
-        """Fused-docmap indexes keep no O(#turns) forward index; the O(#convs)
-        convmap recovers (conv_id, turn_idx) arithmetically:
-        doc_id = base[conv] + turn_idx by construction."""
-        cm = getattr(self, "_convmap", None)
-        if cm is None:
-            index_dir = os.path.dirname(os.path.dirname(self.seg_dir))
-            t = pq.read_table(
-                os.path.join(index_dir, "convmap.parquet"),
-                columns=["conv_id", "base"],
-            )
-            t = t.take(pc.sort_indices(t["base"]))
-            cm = self._convmap = (
-                # plain string: output must concat with docmapped-backed
-                # segments' metadata after an append
-                pc.cast(t["conv_id"].combine_chunks(), pa.string()),
-                t["base"].to_numpy().astype(np.int64),
-            )
-        convs, bases = cm
+    def doc_meta(self, doc_ids: np.ndarray) -> pa.Table:
+        """(doc_id, conv_id, turn_idx) of ``doc_ids`` (all in this segment):
+        one searchsorted over the doc map's bases."""
+        convs, bases, _ = self.conv_map()
         ids = np.asarray(doc_ids, dtype=np.int64)
         idx = np.searchsorted(bases, ids, side="right") - 1
         return pa.table(
             {
                 "doc_id": pa.array(ids),
                 "conv_id": convs.take(pa.array(idx, pa.int64())),
-                "turn_idx": pa.array(
-                    (ids - bases[idx]).astype(np.int32), pa.int32()
-                ),
+                "turn_idx": pa.array((ids - bases[idx]).astype(np.int32), pa.int32()),
             }
         )
+
+    def conv_docs(self, conv_ids: pa.Array) -> np.ndarray:
+        """Doc ids of every turn of the conversations ``conv_ids`` (plain string
+        array) that live in this segment, ascending."""
+        convs, bases, cnts = self.conv_map()
+        hit = pc.is_in(convs, value_set=conv_ids).to_numpy(zero_copy_only=False)
+        b, n = bases[hit], cnts[hit]
+        start = np.cumsum(n) - n
+        return np.repeat(b - start, n) + np.arange(int(n.sum()), dtype=np.int64)
 
 
 from .codec import POSTINGS_SCHEMA as _PS

@@ -415,7 +415,11 @@ class SearchEngine:
         if self._sets is None:
             import ray
 
-            n = self._num_actors or min(len(self.seg_dirs), 8)
+            # each scorer is a 1-CPU actor: more actors than the cluster has
+            # CPUs would leave some PENDING and the first query waiting on
+            # them forever, so a small session puts more segments per actor
+            cpus = int(ray.cluster_resources().get("CPU", 1))
+            n = max(1, min(self._num_actors or min(len(self.seg_dirs), 8), cpus))
             groups: List[List[str]] = [[] for _ in range(n)]
             for i, d in enumerate(self.seg_dirs):
                 groups[i % n].append(d)

@@ -85,6 +85,30 @@ def _compare(engine, oracle, qs, k=10):
         assert abs(gs - es) < 1e-9, f"{qs!r}: score {gs} != {es}"
 
 
+def _source_order(table):
+    return table.take(pc.sort_indices(
+        table, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
+    ))
+
+
+def _assert_doc_meta_in_rank_order(index_dir, table):
+    """doc_meta over every doc id of every committed segment equals the
+    source's (conv_id, turn_idx) rank order, and no committed segment keeps
+    its docmapped checkpoint."""
+    from lucille_ray.index.segment import load_segments
+
+    src = _source_order(table)
+    readers = [r for r in load_segments(index_dir) if r.doc_count]
+    meta = pa.concat_tables([
+        r.doc_meta(np.arange(r.doc_base, r.doc_base + r.doc_count))
+        for r in readers
+    ])
+    assert meta["doc_id"].to_pylist() == list(range(table.num_rows))
+    assert meta["conv_id"].to_pylist() == src["conv_id"].to_pylist()
+    assert meta["turn_idx"].to_pylist() == src["turn_idx"].to_pylist()
+    assert not os.path.exists(os.path.join(index_dir, "docmapped"))
+
+
 @pytest.mark.parametrize("qs", QUERY_SET, ids=repr)
 def test_rank_identical_local(built, oracle, qs):
     engine = SearchEngine(built[1], parallel=False)
@@ -181,43 +205,49 @@ def test_result_metadata_join(built):
 
 
 def test_per_turn_text_equality_invariant(built):
-    """Docmapped output preserves every turn's text under (conv_id, turn_idx)."""
+    """The build preserves every turn's text under (conv_id, turn_idx): doc
+    d's text norm is the token count of the d-th source turn's text, and
+    doc_meta maps d back to that turn."""
+    from lucille_ray.analysis import arrow_tokenize
+    from lucille_ray.index.segment import load_segments
+
     data_dir, index_dir, table = built
-    mapped = pq.read_table(
-        os.path.join(index_dir, "docmapped"),
-        columns=["conv_id", "turn_idx", "text", "doc_id"],
-    )
-    order = pc.sort_indices(
-        mapped, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-    )
-    mapped = mapped.take(order)
-    src_order = pc.sort_indices(
-        table, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-    )
-    src = table.take(src_order)
-    assert mapped.num_rows == src.num_rows == N_TURNS
-    assert mapped["text"].to_pylist() == src["text"].to_pylist()
-    assert mapped["doc_id"].to_pylist() == list(range(N_TURNS))
+    src = _source_order(table)
+    norms = np.concatenate([r.norms("text") for r in load_segments(index_dir)])
+    tokens = pc.list_value_length(arrow_tokenize(src["text"]))
+    assert norms.size == src.num_rows == N_TURNS
+    assert norms.tolist() == tokens.to_numpy(zero_copy_only=False).tolist()
+    _assert_doc_meta_in_rank_order(index_dir, table)
 
 
 def test_resume_after_docmap_crash(built, tmp_path):
     """A half-written docmap (no index_meta yet) must be wiped, not appended to."""
-    data_dir, _, _ = built
+    from lucille_ray.index.segment import load_segments
+
+    data_dir, _, table = built
     ds = T.read_transcripts(data_dir)
     index_dir = str(tmp_path / "crash_idx")
     build_index(ds, index_dir, num_segments=2, batch_size=400)
     ref = SearchEngine(index_dir, parallel=False).search("data", k=5, with_meta=False)
     # simulate a crash BEFORE meta was written: meta gone, docmapped half-present
+    # (a complete build has already dropped its checkpoint, so plant one)
     os.remove(os.path.join(index_dir, "index_meta.json"))
     shutil.rmtree(os.path.join(index_dir, "segments"))
+    half = os.path.join(index_dir, "docmapped", "seg=0")
+    os.makedirs(half)
+    pq.write_table(
+        _source_order(table).append_column("doc_id", pa.array(range(N_TURNS))),
+        os.path.join(half, "stale.parquet"),
+    )
     build_index(ds, index_dir, num_segments=2, batch_size=400)
     again = SearchEngine(index_dir, parallel=False).search("data", k=5, with_meta=False)
     assert ref.to_pydict() == again.to_pydict()
     # doc count must not have doubled (no appended duplicate docmap files)
-    import pyarrow.parquet as pq2
-
-    mapped = pq2.read_table(os.path.join(index_dir, "docmapped"), columns=["doc_id"])
-    assert mapped.num_rows == N_TURNS
+    with open(os.path.join(index_dir, "index_meta.json")) as f:
+        assert json.load(f)["total_docs"] == N_TURNS
+    readers = load_segments(index_dir)
+    assert sum(r.norms("text").size for r in readers) == N_TURNS
+    assert sum(r.doc_count for r in readers) == N_TURNS
 
 
 def test_hot_term_skew_build(ray_session, tmp_path):
@@ -513,17 +543,14 @@ def test_ranged_docid_mode_identical_results(built, oracle, tmp_path):
         ds, index_dir, num_segments=2, range_width=256, batch_size=400,
         docid_mode="ranged",
     )
-    mapped = pq.read_table(
-        os.path.join(index_dir, "docmapped"), columns=["conv_id", "turn_idx", "doc_id"]
-    )
-    order = pc.sort_indices(
-        mapped, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-    )
-    mapped = mapped.take(order)
-    assert mapped["doc_id"].to_pylist() == list(range(N_TURNS))
+    _assert_doc_meta_in_rank_order(index_dir, built[2])
     engine = SearchEngine(index_dir, parallel=False)
     for qs in QUERY_SET[::5]:
         _compare(engine, oracle, qs)
+    # single segment: fused, its doc map written from the ranged base tables
+    fused_dir = str(tmp_path / "ranged_fused_idx")
+    build_index(ds, fused_dir, num_segments=1, batch_size=400, docid_mode="ranged")
+    _assert_doc_meta_in_rank_order(fused_dir, built[2])
 
 
 def test_turn_idx_duplicate_detection(ray_session, tmp_path):
@@ -567,7 +594,10 @@ def test_fused_docmap_rank_identity_and_no_roundtrip(built, oracle, tmp_path):
         build_index(ds, unfused_dir, num_segments=1, batch_size=400)
     finally:
         del os.environ["LR_FUSE_DOCMAP"]
-    assert os.path.isdir(os.path.join(unfused_dir, "docmapped"))
+    with open(os.path.join(unfused_dir, "index_meta.json")) as f:
+        assert json.load(f)["docmap"] == "parquet"
+    # the checkpointed path drops its checkpoint once the segment commits
+    assert not os.path.isdir(os.path.join(unfused_dir, "docmapped"))
 
     ef = SearchEngine(fused_dir, parallel=False)
     eu = SearchEngine(unfused_dir, parallel=False)
@@ -576,12 +606,14 @@ def test_fused_docmap_rank_identity_and_no_roundtrip(built, oracle, tmp_path):
         tu = eu.search(qs, k=10, with_meta=False)
         assert tf_.to_pydict() == tu.to_pydict()
         _compare(ef, oracle, qs)
-    # result metadata comes from the O(#convs) convmap, not a forward index,
-    # and must match the docmapped join bit-for-bit
+    # result metadata comes from the O(#convs) doc map, not a forward index,
+    # on both paths
     mf = ef.search("data", k=10)
     mu = eu.search("data", k=10)
     assert mf.to_pydict() == mu.to_pydict()
     assert mf.column_names == ["doc_id", "conv_id", "turn_idx", "score"]
+    _assert_doc_meta_in_rank_order(fused_dir, built[2])
+    _assert_doc_meta_in_rank_order(unfused_dir, built[2])
 
 
 def test_fused_docmap_resume_recomputes(built, tmp_path):
@@ -609,14 +641,15 @@ def test_fused_docmap_resume_recomputes(built, tmp_path):
 
 def test_fused_docmap_full_lifecycle(built, tmp_path):
     """append -> delete_conversations -> compact on a FUSED-docmap index:
-    appended segments carry their own docmapped metadata (plain string) and
-    must concat with the fused segment's convmap-derived metadata
-    (large_string unless cast); deletes resolve conv -> doc ranges through
-    the convmap; compaction preserves the :fused manifest marker."""
+    appended segments carry their own doc maps (plain string conv ids) and
+    their metadata must concat with the fused segment's; deletes resolve
+    conv -> doc ranges through the doc maps; compaction preserves the :fused
+    manifest marker."""
     import ray.data
 
     from lucille_ray.index import compact_index, delete_conversations
     from lucille_ray.index.build import append_index
+    from lucille_ray.index.segment import load_segments
 
     data_dir, _, table = built
     convs = sorted(set(table["conv_id"].to_pylist()))
@@ -633,9 +666,10 @@ def test_fused_docmap_full_lifecycle(built, tmp_path):
     append_index(ray.data.read_parquet(app_p), idx, num_segments=2,
                  batch_size=400)
     e = SearchEngine(idx, parallel=False)
-    t = e.search("data", k=8)  # metadata join across fused + docmapped segs
+    t = e.search("data", k=8)  # metadata join across fused + appended segs
     assert t.num_rows == 8 and t.column_names == [
         "doc_id", "conv_id", "turn_idx", "score"]
+    _assert_doc_meta_in_rank_order(idx, table)
 
     n = delete_conversations(idx, [convs[0], convs[1]])
     assert n == 2 * T.TURNS_PER_CONV  # convmap-resolved dense doc ranges
@@ -648,6 +682,13 @@ def test_fused_docmap_full_lifecycle(built, tmp_path):
     t3 = e3.search("data", k=8)
     assert convs[0] not in t3["conv_id"].to_pylist()
     assert t3["conv_id"][0].as_py().startswith("conv-")
+    # the purge keeps doc ids, so the doc maps still hold
+    purged = sum(
+        json.load(open(os.path.join(r.seg_dir, "MANIFEST.json"))).get("purged_docs", 0)
+        for r in load_segments(idx)
+    )
+    assert purged == n
+    _assert_doc_meta_in_rank_order(idx, table)
 
 
 def test_missing_seg_input_with_docs_is_an_error(built, tmp_path):
@@ -657,7 +698,8 @@ def test_missing_seg_input_with_docs_is_an_error(built, tmp_path):
     ds = T.read_transcripts(data_dir)
     index_dir = str(tmp_path / "gone_idx")
     build_index(ds, index_dir, num_segments=2, batch_size=400)
-    shutil.rmtree(os.path.join(index_dir, "docmapped"))
+    # a complete build has already dropped its checkpoint
+    shutil.rmtree(os.path.join(index_dir, "docmapped"), ignore_errors=True)
     shutil.rmtree(os.path.join(index_dir, "segments"))
     with pytest.raises(ValueError, match="missing"):
         build_index(ds, index_dir, num_segments=2, batch_size=400)
@@ -851,8 +893,13 @@ def test_term_partitioned_layout_matches(built, oracle, tmp_path):
         _compare(engine, oracle, qs)
 
 
-def test_resume_skips_complete_segments_and_rebuilds_missing(built, oracle):
-    data_dir, index_dir, _ = built
+def test_resume_skips_complete_segments_and_rebuilds_missing(
+    built, oracle, tmp_path, monkeypatch
+):
+    import lucille_ray.index.build as build_mod
+    from lucille_ray.index import build_report
+
+    data_dir, index_dir, table = built
     ds = T.read_transcripts(data_dir)
     # all segments complete -> resume is a no-op (manifests untouched)
     m0 = os.path.join(index_dir, "segments", "seg-00000", "MANIFEST.json")
@@ -860,15 +907,41 @@ def test_resume_skips_complete_segments_and_rebuilds_missing(built, oracle):
     build_index(ds, index_dir, num_segments=2, range_width=256, batch_size=400)
     assert os.path.getmtime(m0) == mtime_before
 
-    # kill segment 1 mid-flight (manifest removed) -> resume rebuilds only it
-    seg1 = os.path.join(index_dir, "segments", "seg-00001")
-    os.remove(os.path.join(seg1, "MANIFEST.json"))
-    shutil.rmtree(os.path.join(seg1, "postings.parquet"))
-    assert not segment_complete(index_dir, 1)
-    build_index(ds, index_dir, num_segments=2, range_width=256, batch_size=400)
-    assert segment_complete(index_dir, 1)
-    assert os.path.getmtime(m0) == mtime_before  # seg 0 untouched
-    engine = SearchEngine(index_dir, parallel=False)
+    # segment 1 crashes mid-flight: segment 0 commits and drops its
+    # checkpoint, segment 1 keeps its docmapped partition
+    crash_dir = str(tmp_path / "seg_crash_idx")
+    real = build_mod._build_segment
+
+    def crash_on_1(index_dir_, seg, *args, **kwargs):
+        if seg == 1:
+            raise RuntimeError("crash in segment 1")
+        return real(index_dir_, seg, *args, **kwargs)
+
+    monkeypatch.setattr(build_mod, "_build_segment", crash_on_1)
+    with pytest.raises(RuntimeError, match="segment 1"):
+        build_index(ds, crash_dir, num_segments=2, range_width=256, batch_size=400)
+    monkeypatch.setattr(build_mod, "_build_segment", real)
+    docmapped = os.path.join(crash_dir, "docmapped")
+    assert segment_complete(crash_dir, 0)
+    assert not segment_complete(crash_dir, 1)
+    assert not os.path.exists(os.path.join(docmapped, "seg=0"))
+    assert os.path.isdir(os.path.join(docmapped, "seg=1"))
+    rep = build_report(crash_dir)
+    assert rep["totals"]["checkpoint_bytes"] > 0
+    # the crashed segment wrote no manifest, so only the total counts it
+    assert [s["checkpoint_bytes"] for s in rep["segments"]] == [0]
+
+    # resume rebuilds only segment 1, from its partition
+    c0 = os.path.join(crash_dir, "segments", "seg-00000", "MANIFEST.json")
+    c0_mtime = os.path.getmtime(c0)
+    build_index(ds, crash_dir, num_segments=2, range_width=256, batch_size=400)
+    assert segment_complete(crash_dir, 1)
+    assert os.path.getmtime(c0) == c0_mtime  # seg 0 untouched
+    _assert_doc_meta_in_rank_order(crash_dir, table)
+    engine = SearchEngine(crash_dir, parallel=False)
+    clean = SearchEngine(index_dir, parallel=False)
+    for qs in QUERY_SET[::3]:
+        assert engine.search(qs, k=10).to_pydict() == clean.search(qs, k=10).to_pydict(), qs
     _compare(engine, oracle, "data AND query")
     _compare(engine, oracle, '"lazy evaluation"')
 
@@ -1388,6 +1461,21 @@ def test_build_report_postings_layout(built, tmp_path):
             s["postings_row_groups"] for s in rep["segments"])
         assert tot["postings_footer_bytes"] == sum(
             s["postings_footer_bytes"] for s in rep["segments"])
+        # bytes by component: they sum to index_bytes, which is every file
+        comps = ("postings_bytes", "norms_bytes", "docmeta_bytes",
+                 "checkpoint_bytes", "other_bytes")
+        on_disk = sum(
+            os.path.getsize(os.path.join(root, f))
+            for root, _, files in os.walk(idx) for f in files
+        )
+        assert sum(tot[c] for c in comps) == tot["index_bytes"] == on_disk
+        for c in comps[:4]:
+            assert tot[c] == sum(s[c] for s in rep["segments"]), c
+        for seg in rep["segments"]:
+            assert seg["postings_bytes"] > 0 and seg["docmeta_bytes"] > 0
+            assert seg["bytes"] == sum(seg[c] for c in comps) - seg["checkpoint_bytes"]
+        # a complete 2-segment build keeps no checkpoint
+        assert tot["checkpoint_bytes"] == 0
         return tot
 
     check()
@@ -1438,3 +1526,103 @@ def test_pruned_postings_read_matches_scan(built, tmp_path):
         check(os.path.join(idx, "segments", "seg-00000"))
     compact_index(cidx)
     check(os.path.join(cidx, "segments", "seg-00000"))
+
+
+def test_pre_convmap_layouts_still_serve(built, tmp_path):
+    """Indexes written before segments had their own doc map (format v3
+    too) still answer with metadata, delete conversations and compact: their
+    doc map comes from the docmapped partition, or from the root
+    convmap.parquet for ``:fused`` manifests. Every answer, metadata table
+    and delete count equals the new layout's, before and after compaction."""
+    from lucille_ray.index import compact_index, delete_conversations
+    from lucille_ray.index.segment import load_segments
+
+    data_dir, index_dir, table = built
+    src = _source_order(table)
+    first = pc.equal(src["turn_idx"], 0).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(first)
+    root_map = pa.table({
+        "conv_id": src["conv_id"].filter(pa.array(first)),
+        "base": pa.array(starts, pa.int64()),
+        "cnt": pa.array(np.diff(np.append(starts, N_TURNS)), pa.int64()),
+    })
+
+    def make(layout):
+        d = str(tmp_path / layout)
+        shutil.copytree(index_dir, d)
+        if layout == "new":
+            return d
+        for k, r in enumerate(load_segments(d)):
+            os.remove(os.path.join(r.seg_dir, "convmap.parquet"))
+            mpath = os.path.join(r.seg_dir, "MANIFEST.json")
+            with open(mpath) as f:
+                man = json.load(f)
+            if layout == "docmapped":
+                part = os.path.join(d, "docmapped", f"seg={k}")
+                os.makedirs(part)
+                ids = pa.array(range(r.doc_base, r.doc_base + r.doc_count), pa.int64())
+                pq.write_table(
+                    src.slice(r.doc_base, r.doc_count).append_column("doc_id", ids),
+                    os.path.join(part, "part-0.parquet"),
+                )
+                man["input_path"] = part
+            else:
+                man["input_path"] = os.path.join(d, "docmapped") + ":fused"
+            with open(mpath, "w") as f:
+                json.dump(man, f)
+        if layout == "fused_root":
+            pq.write_table(root_map, os.path.join(d, "convmap.parquet"))
+        return d
+
+    dirs = {layout: make(layout) for layout in ("new", "docmapped", "fused_root")}
+    # a resume over a complete old index must keep the partitions it reads
+    build_index(T.read_transcripts(data_dir), dirs["docmapped"], num_segments=2,
+                range_width=256, batch_size=400)
+    assert os.path.isdir(os.path.join(dirs["docmapped"], "docmapped", "seg=1"))
+
+    def answers(d):
+        engine = SearchEngine(d, parallel=False)
+        return [engine.search(qs, k=10).to_pydict() for qs in QUERY_SET]
+
+    victims = [src["conv_id"][0].as_py(), src["conv_id"][N_TURNS - 1].as_py()]
+    before = {layout: answers(d) for layout, d in dirs.items()}
+    counts = {layout: delete_conversations(d, victims) for layout, d in dirs.items()}
+    assert counts["new"] > 0
+    for layout, d in dirs.items():
+        compact_index(d)
+    after = {layout: answers(d) for layout, d in dirs.items()}
+    assert os.path.isdir(os.path.join(dirs["docmapped"], "docmapped", "seg=1"))
+    for layout in ("docmapped", "fused_root"):
+        assert before[layout] == before["new"], layout
+        assert counts[layout] == counts["new"], layout
+        assert after[layout] == after["new"], layout
+    assert before["new"] != after["new"]  # the purge moved scores
+
+
+def test_small_session_puts_segments_on_fewer_actors(built, tmp_path, monkeypatch):
+    """With fewer CPUs than segments the engine makes one 1-CPU scorer actor
+    per CPU and puts more segments on each, instead of leaving actors
+    PENDING and the first query waiting forever."""
+    import ray
+
+    data_dir, _, _ = built
+    idx = str(tmp_path / "three_seg")
+    build_index(T.read_transcripts(data_dir), idx, num_segments=3,
+                range_width=256, batch_size=400)
+    ref = SearchEngine(idx, parallel=False)
+    assert len(ref.seg_dirs) == 3
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    engine = SearchEngine(idx, parallel=True)
+    try:
+        sets = engine._scorer_sets()
+        assert len(sets) == 1 and len(sets[0]) == 1 and len(engine._actors) == 1
+        held = ray.get(sets[0][0].__ray_call__.remote(
+            lambda scorer: [r.seg_dir for r in scorer.readers]), timeout=60)
+        assert held == engine.seg_dirs
+        for qs in QUERY_SET[::3]:
+            assert engine.search(qs, k=10).to_pydict() == ref.search(qs, k=10).to_pydict(), qs
+        for (ad, ascr), (bd, bs) in zip(engine.search_many(QUERY_SET[:6], k=5),
+                                        ref.search_many(QUERY_SET[:6], k=5)):
+            assert ad.tolist() == bd.tolist() and ascr.tolist() == bs.tolist()
+    finally:
+        engine.shutdown()

@@ -1,12 +1,17 @@
 """Interleaved A/B of the repository benchmark: a base revision against the
 working tree this script runs from. Usage:
 
-    python tools/ab_perfbench.py [--base REV] [--pairs N] [--workloads W ...]
-                                 [--seed S] [--seconds T] [--trace 0|1] [--out FILE]
+    python tools/ab_perfbench.py [--base REV | --base-dir DIR] [--pairs N]
+                                 [--workloads W ...] [--seed S] [--seconds T]
+                                 [--trace 0|1] [--out FILE]
 
 The base revision (default ``HEAD~1``) is checked out into a git worktree at
 ``<checkout>/.ab`` (kept short: perfbench puts Ray's unix sockets under
-``.perfbench/ray`` only when that path has at most 40 characters). Each pair
+``.perfbench/ray`` only when that path has at most 40 characters). With
+``--base-dir`` the base side runs from an existing checkout instead, such as
+a ``git archive`` of the base revision unpacked elsewhere (the same
+40-character limit applies to ``DIR/.perfbench/ray``), and no worktree is
+made or removed. Each pair
 runs ``perfbench/run.py`` once on each side with the same seed, alternating
 which side runs first; pair ``i`` uses seed ``S + i``. The worktree is removed
 at the end, also after an error or an interrupt.
@@ -35,6 +40,8 @@ RUN_TIMEOUT_S = 600
 def _args() -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", default="HEAD~1")
+    p.add_argument("--base-dir", default=None,
+                   help="run the base side from this checkout, not a worktree of --base")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workloads", nargs="+", default=None,
                    help="default: the workloads BENCHMARK.json lists")
@@ -123,9 +130,14 @@ def main() -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds or int(spec["run_seconds"])
     metrics = spec["end_to_end"] if args.trace == 0 else spec["per_layer"]
-    base_rev = _git("rev-parse", "--verify", args.base + "^{commit}")
-    tree = os.path.join(ROOT, ".ab")
-    _git("worktree", "add", "--detach", "--force", tree, base_rev)
+    if args.base_dir:
+        tree = base_rev = os.path.abspath(args.base_dir)
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+            raise SystemExit(f"--base-dir {tree} has no perfbench/run.py")
+    else:
+        base_rev = _git("rev-parse", "--verify", args.base + "^{commit}")
+        tree = os.path.join(ROOT, ".ab")
+        _git("worktree", "add", "--detach", "--force", tree, base_rev)
     runs: list = []
     try:
         for i in range(args.pairs):
@@ -140,12 +152,14 @@ def main() -> int:
                     print(f"pair {i} {workload} {side}: "
                           f"{res.get('error') or res.get('metrics')}", flush=True)
     finally:
-        _git("worktree", "remove", "--force", tree)
-        _git("worktree", "prune")
+        if not args.base_dir:
+            _git("worktree", "remove", "--force", tree)
+            _git("worktree", "prune")
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump({"base": base_rev, "runs": runs}, fh, indent=1)
-    print(f"\nbase {base_rev[:12]} vs working tree, {args.pairs} pairs, "
+    base_name = base_rev if args.base_dir else base_rev[:12]
+    print(f"\nbase {base_name} vs working tree, {args.pairs} pairs, "
           f"--seconds {seconds} --trace {args.trace}")
     for workload in workloads:
         print(workload)
