@@ -63,8 +63,6 @@ def main(argv=None) -> int:
     b.add_argument("--input", required=True, help="transcripts parquet dir/file")
     b.add_argument("--index", required=True)
     b.add_argument("--segments", type=int, default=4)
-    b.add_argument("--layout", choices=["doc_partitioned", "term_partitioned"],
-                   default="doc_partitioned")
     b.add_argument("--batch-size", type=int, default=16384)
 
     ap = sub.add_parser("append", help="append new conversations to an existing index")
@@ -127,11 +125,10 @@ def main(argv=None) -> int:
 
             meta = build_index(
                 read_transcripts(args.input), args.index,
-                num_segments=args.segments, layout=args.layout,
-                batch_size=args.batch_size,
+                num_segments=args.segments, batch_size=args.batch_size,
             )
             print(json.dumps({k: meta[k] for k in
-                              ("total_docs", "num_segments", "layout", "build_seconds")}))
+                              ("total_docs", "num_segments", "build_seconds")}))
         elif args.cmd == "append":
             from lucille_ray.index import append_index
             from lucille_ray.transcripts import read_transcripts
@@ -141,7 +138,7 @@ def main(argv=None) -> int:
                 num_segments=args.segments, batch_size=args.batch_size,
             )
             print(json.dumps({k: meta[k] for k in
-                              ("total_docs", "num_segments", "layout")}))
+                              ("total_docs", "num_segments")}))
         elif args.cmd == "delete":
             from lucille_ray.index import delete_conversations, delete_docs
 

@@ -16,26 +16,25 @@ Phase 0 — docmap (one pass over the input, no shuffle)
   written from the offsets the driver already holds.
 
 Phase 1 — per segment (the checkpoint/resume unit; a segment with a complete
-MANIFEST.json is skipped on re-run) and emit block-compressed posting rows, in
-one of two layouts (see :func:`build_index`): the default ``doc_partitioned``
-layout needs NO shuffle at all — each batch tokenizes with Arrow kernels, groups
-its postings with one numpy lexsort and encodes all of its posting lists per
-field in one ``codec.encode_runs`` call; ``term_partitioned`` tokenizes into
-partial rows (polars group_by) and consolidates via a ``groupby(field, term,
-bucket)`` exchange, encoding once per group.
+MANIFEST.json is skipped on re-run) tokenize and emit block-compressed posting
+rows with NO shuffle at all: each batch tokenizes with Arrow kernels, groups its
+postings with one numpy lexsort and encodes all of its posting lists per field
+in one ``codec.encode_runs`` call (:class:`_TokenizeEncode`); windows of those
+pieces are merged locally (:func:`_piece_merge_batch`) before they are written.
+``compact_index`` consolidates each term's pieces after the build.
 
-Skew strategy: the doc-range ``bucket`` key splits hot terms (stopword-like tokens
-in chat data) across many groups/pieces *by construction* — no single task ever
-merges a whole hot posting list. Because buckets follow doc-id ranges, a term's
-rows concatenate back into a doc-sorted posting list with (at most) a cheap
-re-sort at decode time. This replaces hash-salting + re-merge with something
-strictly better.
+Skew strategy: a term's postings are split across one piece per tokenize batch
+(doc-id range) *by construction* — no single task ever merges a whole hot
+posting list (stopword-like tokens in chat data). Because pieces follow doc-id
+ranges, a term's rows concatenate back into a doc-sorted posting list with (at
+most) a cheap re-sort at decode time. This replaces hash-salting + re-merge with
+something strictly better.
 
 Scale notes (100 TB / 10^12 turns): the conv-base broadcast dict is
-O(#conversations) — beyond driver memory you'd swap Phase 0 for a range-partitioned
-sort + per-partition offsets pass, everything else unchanged. Input is read once per
-phase; postings volume (compressed) is ~5-10% of input and the groupby shuffle is
-the only all-to-all over it.
+O(#conversations) — beyond driver memory the ``ranged`` doc-id mode swaps Phase 0
+for a range-partitioned sort + per-partition offsets pass, everything else
+unchanged. Input is read once per phase; the driver-mode build has no
+all-to-all exchange.
 
 This build has no counterpart in the reference (a pure parser library — SURVEY.md
 §4); semantics come from Lucene's documented behavior for the parsed AST.
@@ -70,14 +69,13 @@ _THREADS_LIMITED = False
 def _limit_worker_threads() -> None:
     """Pin per-task kernel thread pools to 1 CPU inside Ray workers.
 
-    polars (rayon) and Arrow compute size their pools to the *machine's* cores,
-    not the Ray CPU allocation — N concurrent tasks would otherwise each fan out
-    machine-wide, oversubscribing the node and silently breaking the
-    1-task == 1-CPU accounting that cluster scaling relies on."""
+    Arrow compute sizes its pools to the *machine's* cores, not the Ray CPU
+    allocation — N concurrent tasks would otherwise each fan out machine-wide,
+    oversubscribing the node and silently breaking the 1-task == 1-CPU
+    accounting that cluster scaling relies on."""
     global _THREADS_LIMITED
     if _THREADS_LIMITED:
         return
-    os.environ.setdefault("POLARS_MAX_THREADS", "1")
     try:
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
@@ -524,7 +522,7 @@ def _drop_checkpoint(index_dir: str, seg: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1 — tokenize -> partial postings (vectorized)
+# Phase 1 — tokenize -> encoded posting pieces (vectorized)
 # ---------------------------------------------------------------------------
 
 
@@ -547,117 +545,21 @@ def _posting_rows(
     )
 
 
-class _TokenizePartials:
-    """Batch -> one partial-postings row per (field, term, bucket).
-
-    Vectorized: Arrow lower/split kernels + numpy position arithmetic + polars
-    group_by (Rust) — no Python loop over rows or tokens.
-    """
-
-    def __init__(self, fields: Sequence[str], range_width: int):
-        self.fields = tuple(fields)
-        self.range_width = range_width
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        _limit_worker_threads()
-        import polars as pl
-
-        doc_np = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        outs = []
-        for field in self.fields:
-            toks = arrow_tokenize(batch[field])
-            flat = toks.flatten()
-            if len(flat) == 0:
-                continue
-            counts = pa.compute.list_value_length(toks).to_numpy(zero_copy_only=False)
-            counts = np.nan_to_num(counts, nan=0).astype(np.int64)
-            offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            doc_rep = np.repeat(doc_np, counts)
-            pos = np.arange(offsets[-1], dtype=np.int64) - np.repeat(
-                offsets[:-1], counts
-            )
-            df = pl.DataFrame(
-                {
-                    "doc_id": doc_rep,
-                    "term": pl.from_arrow(flat),
-                    "pos": pos.astype(np.int32),
-                }
-            )
-            per_doc = (
-                df.group_by(["term", "doc_id"], maintain_order=True)
-                .agg(
-                    pl.len().cast(pl.Int32).alias("tf"),
-                    pl.col("pos").alias("positions"),  # already Int32
-                )
-                .sort(["term", "doc_id"])
-                .with_columns((pl.col("doc_id") // self.range_width).alias("bucket"))
-            )
-            partial = per_doc.group_by(["term", "bucket"], maintain_order=True).agg(
-                pl.col("doc_id").alias("doc_ids"),
-                pl.col("tf").alias("tfs"),
-                pl.col("positions").explode().alias("pos"),
-            )
-            tbl = partial.to_arrow()
-            tbl = tbl.append_column(
-                "field", pa.array([field] * len(tbl), pa.string())
-            )
-            outs.append(
-                tbl.select(["field", "term", "bucket", "doc_ids", "tfs", "pos"])
-            )
-            # norms partial rows (reserved term; dl per doc, split per bucket)
-            nd, ndl, _ = sort_postings(doc_np, counts, None)
-            bks = nd // self.range_width
-            starts = np.flatnonzero(
-                np.concatenate([[True], bks[1:] != bks[:-1]])
-            )
-            ends = np.append(starts[1:], nd.size)
-            outs.append(
-                pa.table(
-                    {
-                        "field": pa.array([field] * starts.size, pa.string()),
-                        "term": pa.array([NORMS_TERM] * starts.size, pa.large_string()),
-                        "bucket": pa.array(bks[starts], pa.int64()),
-                        "doc_ids": pa.array(
-                            [nd[a:b].tolist() for a, b in zip(starts, ends)],
-                            pa.large_list(pa.int64()),
-                        ),
-                        "tfs": pa.array(
-                            [ndl[a:b].tolist() for a, b in zip(starts, ends)],
-                            pa.large_list(pa.int32()),
-                        ),
-                        "pos": pa.array(
-                            [[] for _ in range(starts.size)],
-                            pa.large_list(pa.int32()),
-                        ),
-                    }
-                )
-            )
-        if not outs:
-            return pa.table(
-                {
-                    "field": pa.array([], pa.string()),
-                    "term": pa.array([], pa.large_string()),
-                    "bucket": pa.array([], pa.int64()),
-                    "doc_ids": pa.array([], pa.large_list(pa.int64())),
-                    "tfs": pa.array([], pa.large_list(pa.uint32())),
-                    "pos": pa.array([], pa.large_list(pa.int64())),
-                }
-            )
-        return pa.concat_tables(outs, promote_options="permissive")
-
-
-class _TokenizeEncode(_TokenizePartials):
-    """Shuffle-free postings build (doc_partitioned layout): each batch emits its
-    *final* encoded posting rows, with ``bucket = min doc_id of the piece``.
+class _TokenizeEncode:
+    """Shuffle-free postings build: each batch emits its *final* encoded
+    posting rows, with ``bucket = min doc_id of the piece``.
 
     Works because posting rows of one term only need to concatenate back in
     doc-id order at read time — the reader doc-sorts on decode when pieces
     interleave (rare). Hot terms are spread across every batch by construction,
     so there is no skewed merge task and no all-to-all exchange at all; the only
-    cost is one posting row per (term, batch) instead of per (term, bucket).
+    cost is one posting row per (term, batch) instead of one per term.
     ``_piece_merge_batch`` (in-build, window-local) and ``compact_index``
     (post-build, global sort-merge) consolidate the pieces."""
+
+    def __init__(self, fields: Sequence[str], range_width: int):
+        self.fields = tuple(fields)
+        self.range_width = range_width
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         _limit_worker_threads()
@@ -787,6 +689,10 @@ def _window_norms(batch: pa.Table) -> dict:
 #: this threshold and merge every window
 PIECE_MERGE_MIN_FRAG = 0.25
 
+#: default in-build merge window (piece rows), see ``build_index``'s
+#: ``piece_merge_rows``
+PIECE_MERGE_ROWS = 65_536
+
 
 def _piece_merge_batch(batch: pa.Table) -> pa.Table:
     """In-build piece compaction (shuffle-free): locally sort a window of
@@ -823,44 +729,6 @@ def _piece_merge_batch(batch: pa.Table) -> pa.Table:
         [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]
     )
     return _merge_sorted_batch(batch, norms=_window_norms(batch))
-
-
-def _encode_group(group: pa.Table) -> pa.Table:
-    """Merge the partial rows of one (field, term, bucket) group and block-encode."""
-    field = group["field"][0].as_py()
-    term = group["term"][0].as_py()
-    bucket = group["bucket"][0].as_py()
-    # zero-copy-ish: flatten the list columns straight to numpy (row order is
-    # preserved, which keeps the doc->positions alignment)
-    doc_ids = (
-        group["doc_ids"].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    )
-    tfs = (
-        group["tfs"].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    )
-    pos = (
-        group["pos"].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    )
-    # partials are disjoint doc SETS but their ranges can interleave (a read batch
-    # may span non-adjacent blocks) -> full doc sort with position gather
-    if term == NORMS_TERM:
-        doc_ids, tfs, _ = sort_postings(doc_ids, tfs, None)
-        pos = None
-    else:
-        doc_ids, tfs, pos = sort_postings(doc_ids, tfs, pos)
-    # no dls here: shipping per-posting doc lengths through the shuffle would
-    # inflate the exchange; term_partitioned blocks keep min_dl=0 and readers
-    # fall back to the windowed norms bound (still admissible, just looser)
-    return pa.table(
-        {
-            "field": pa.array([field], pa.string()),
-            "term": pa.array([term], pa.string()),
-            "bucket": pa.array([int(bucket)], pa.int64()),
-            "df": pa.array([int(doc_ids.size)], pa.int64()),
-            "total_tf": pa.array([int(tfs.sum())], pa.int64()),
-            "blocks": encode_runs(doc_ids, tfs, np.zeros(1, np.int64), pos),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +785,8 @@ def build_index(
     range_width: int = DEFAULT_RANGE_WIDTH,
     batch_size: Optional[int] = 4096,
     resume: bool = True,
-    layout: str = "doc_partitioned",
     docid_mode: str = "auto",
-    piece_merge_rows: Optional[int] = "auto",
+    piece_merge_rows: Optional[int] = PIECE_MERGE_ROWS,
 ) -> dict:
     """Build (or resume building) an index over a transcripts Dataset.
 
@@ -939,22 +806,16 @@ def build_index(
       ``DOCID_DRIVER_MAX_ROWS`` rows (``ds.count()`` is metadata-cheap for
       parquet reads), else ``driver``.
 
-    ``layout``:
+    Each tokenize task emits final encoded posting pieces for its doc range;
+    there is no all-to-all exchange. Posting lists are piecewise; the reader
+    concatenates (and rarely re-sorts) on decode, and ``compact_index``
+    consolidates them for serving.
 
-    * ``doc_partitioned`` (default) — each tokenize task emits final encoded
-      posting pieces for its doc range; NO all-to-all exchange. Hot terms are
-      spread across every piece by construction, eliminating both the shuffle
-      barrier and skewed merge tasks. Posting lists are piecewise; the reader
-      concatenates (and rarely re-sorts) on decode.
-    * ``term_partitioned`` — the classic groupby(field, term, bucket) shuffle
-      into one consolidated row per key (north_star's architecture); costs an
-      all-to-all over the postings volume but yields maximally compact lists.
-
-    ``piece_merge_rows`` (doc_partitioned only): window size (piece rows) for
-    in-build piece compaction — each window of tokenize outputs is locally
-    (field, term, bucket)-sorted and fragment-merged (``_piece_merge_batch``)
-    before hitting parquet, bounding pieces-per-term without any exchange.
-    ``None``/0 writes raw per-batch pieces (round-1 behavior). Sizing: the
+    ``piece_merge_rows`` (default :data:`PIECE_MERGE_ROWS`): window size
+    (piece rows) for in-build piece compaction — each window of tokenize
+    outputs is locally (field, term, bucket)-sorted and fragment-merged
+    (``_piece_merge_batch``) before hitting parquet, bounding pieces-per-term
+    without any exchange. ``None``/0 writes raw per-batch pieces. Sizing: the
     merge stage's task count is ``total_piece_rows / window``; too large a
     window starves CPUs on small-vocabulary corpora (a 262144 default measured
     2-3 merge tasks per 10M-turn segment and dragged 2→8-cpu build scaling to
@@ -963,20 +824,9 @@ def build_index(
     import ray
     import ray.data
 
-    if piece_merge_rows == "auto":
-        piece_merge_rows = int(os.environ.get("LR_PIECE_MERGE_ROWS", 65_536)) or None
-
     os.makedirs(index_dir, exist_ok=True)
     t_start = time.time()
     phase_metrics: Dict[str, float] = {}
-    timing = os.environ.get("LR_BUILD_TIMING")
-
-    def _tick(label: str, t0: float) -> None:
-        if timing:
-            import sys
-
-            print(f"[build] {label}: {time.time() - t0:.1f}s", file=sys.stderr, flush=True)
-
     docmapped_root = os.path.join(index_dir, "docmapped")
     meta_path = os.path.join(index_dir, INDEX_META_FILE)
 
@@ -1011,7 +861,7 @@ def build_index(
         t0 = time.time()
         if mode == "ranged":
             conv_ds, base_refs, total_docs, n_convs = _docmap_ranged(ds, num_segments)
-            _tick("conv_offsets_ranged", t0)
+            phase_metrics["conv_offsets_sec"] = round(time.time() - t0, 3)
             num_segments = max(1, min(num_segments, n_convs))
             seg_target = -(-total_docs // num_segments) if total_docs else 1  # ceil
             bounds_task = ray.remote(num_cpus=0.5)(_seg_bounds_partial)
@@ -1050,7 +900,7 @@ def build_index(
             )
         else:
             convs, bases, counts = _conv_offsets(ds)
-            _tick("conv_offsets", t0)
+            phase_metrics["conv_offsets_sec"] = round(time.time() - t0, 3)
             total_docs = int(counts.sum())
             num_segments = max(1, min(num_segments, len(convs)))
             seg_target = -(-total_docs // num_segments)  # ceil
@@ -1069,10 +919,7 @@ def build_index(
             seg_bounds = {str(s): b for s, b in enumerate(bounds)}
             for s, cm in enumerate(maps):
                 conv_map_writers[s] = functools.partial(pq.write_table, cm)
-        fused = (
-            num_segments == 1
-            and os.environ.get("LR_FUSE_DOCMAP", "1") != "0"
-        )
+        fused = num_segments == 1
         t0 = time.time()
         if fused:
             # single segment: the docmapped parquet checkpoint would be a full
@@ -1082,7 +929,6 @@ def build_index(
             fused_src = mapped
         else:
             mapped.write_parquet(docmapped_root, partition_cols=["seg"])
-            _tick("docmap_write", t0)
         phase_metrics["docmap_sec"] = round(time.time() - t0, 3)
         phase_metrics["docid_mode"] = mode
         meta = {
@@ -1090,7 +936,6 @@ def build_index(
             "fields": list(fields),
             "num_segments": num_segments,
             "range_width": range_width,
-            "layout": layout,
             "total_docs": total_docs,
             "seg_bounds": seg_bounds,
             "analyzer": "lower+[a-z0-9]",
@@ -1117,14 +962,12 @@ def build_index(
             range_width=meta["range_width"],
             batch_size=batch_size,
             seg_bounds=meta["seg_bounds"][str(seg)],
-            layout=meta.get("layout", "term_partitioned"),
             piece_merge_rows=piece_merge_rows,
             src_ds=fused_src,
             write_conv_map=conv_map_writers.get(seg),
         )
         _drop_checkpoint(index_dir, seg)
         phase_metrics[f"segment_{seg}_sec"] = round(time.time() - t0, 3)
-        _tick(f"segment {seg}", t0)
 
     if len(pending) <= 1:
         for seg in pending:
@@ -1157,7 +1000,7 @@ def append_index(
     *,
     num_segments: int = 1,
     batch_size: Optional[int] = 4096,
-    piece_merge_rows: Optional[int] = "auto",
+    piece_merge_rows: Optional[int] = PIECE_MERGE_ROWS,
 ) -> dict:
     """Incremental ingest: index new conversations into an EXISTING index as
     fresh segments — a Lucene-style commit-point append, no rebuild.
@@ -1182,9 +1025,6 @@ def append_index(
 
     import ray
     import ray.data
-
-    if piece_merge_rows == "auto":
-        piece_merge_rows = int(os.environ.get("LR_PIECE_MERGE_ROWS", 65_536)) or None
 
     meta_path = os.path.join(index_dir, INDEX_META_FILE)
     with open(meta_path) as f:
@@ -1236,7 +1076,6 @@ def append_index(
             range_width=meta["range_width"],
             batch_size=batch_size,
             seg_bounds=new_bounds[str(seg0 + s)],
-            layout=meta.get("layout", "doc_partitioned"),
             piece_merge_rows=piece_merge_rows,
             write_conv_map=functools.partial(pq.write_table, maps[s]),
         )
@@ -1273,7 +1112,6 @@ def _build_segment(
     range_width: int,
     batch_size: Optional[int],
     seg_bounds: List[int],
-    layout: str = "doc_partitioned",
     piece_merge_rows: Optional[int] = None,
     src_ds=None,
     write_conv_map: Optional[Callable[[str], None]] = None,
@@ -1281,10 +1119,9 @@ def _build_segment(
     """Build one segment and commit its manifest. ``write_conv_map(path)``
     writes the segment's doc map; without it (a resumed segment) the map comes
     from the segment's docmapped partition."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     import shutil
+
+    import ray.data
 
     from .writer import BUILD_ROWS_PER_FILE, PostingsSink
 
@@ -1324,30 +1161,18 @@ def _build_segment(
 
         src = ray.data.read_parquet(seg_input, columns=["doc_id", *fields])
 
-    # -- postings: tokenize partials -> groupby shuffle -> encode -> parquet.
-    # No extra sort: the sort-based groupby shuffle already emits key-clustered
-    # blocks, and term lookups use row-group predicate pushdown either way --
+    # -- postings: tokenize-encode pieces -> windowed piece merge -> parquet --
     postings_path = os.path.join(seg_dir, "postings.parquet")
-    if layout == "doc_partitioned":
-        postings = src.map_batches(
-            _TokenizeEncode(fields, range_width),
+    postings = src.map_batches(
+        _TokenizeEncode(fields, range_width),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
+    if piece_merge_rows:
+        postings = postings.map_batches(
+            _piece_merge_batch,
             batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        if piece_merge_rows:
-            postings = postings.map_batches(
-                _piece_merge_batch,
-                batch_format="pyarrow",
-                batch_size=piece_merge_rows,
-            )
-    else:
-        partials = src.map_batches(
-            _TokenizePartials(fields, range_width),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        postings = partials.groupby(["field", "term", "bucket"]).map_groups(
-            _encode_group, batch_format="pyarrow"
+            batch_size=piece_merge_rows,
         )
     # payload-cut row groups + term-sorted rows within each file => parquet
     # min/max stats prune term lookups (see index/writer.py)
@@ -1394,13 +1219,6 @@ def _build_segment(
     else:
         write_conv_map(conv_map_path)
     _write_manifest(index_dir, seg, seg_input, n_docs, n_terms, fields)
-
-
-def _first_parquet(path: str) -> str:
-    for name in sorted(os.listdir(path)):
-        if name.endswith(".parquet"):
-            return os.path.join(path, name)
-    raise FileNotFoundError(path)
 
 
 def _write_manifest(

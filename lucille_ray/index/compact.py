@@ -1,12 +1,11 @@
 """Segment compaction: merge the per-batch posting *pieces* written by the
-shuffle-free ``doc_partitioned`` build into one consolidated row per
-``(field, term)``.
+shuffle-free build into one consolidated row per ``(field, term)``.
 
 This gives the best of both worlds at scale: the build streams with zero
-all-to-all, then compaction — a ``groupby(field, term)`` over the already
-block-compressed postings (a small fraction of input volume) — restores the
-read-optimal layout of the ``term_partitioned`` path. Compaction is optional,
-idempotent (atomic directory swap), and per-segment resumable like the build.
+all-to-all, then compaction — a sort-merge by ``(field, term)`` over the
+already block-compressed postings (a small fraction of input volume) — writes
+the read-optimal serving layout. Compaction is optional, idempotent (atomic
+directory swap), and per-segment resumable like the build.
 """
 
 from __future__ import annotations

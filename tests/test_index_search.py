@@ -579,7 +579,8 @@ def test_turn_idx_duplicate_detection(ray_session, tmp_path):
 def test_fused_docmap_rank_identity_and_no_roundtrip(built, oracle, tmp_path):
     """Single-segment builds fuse the doc-id-assigned Dataset straight into
     the tokenize pipeline (no docmapped parquet round-trip) and stay
-    rank+score-identical to the unfused build."""
+    rank+score-identical to a multi-segment build, which takes the
+    checkpointed docmap path."""
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
     fused_dir = str(tmp_path / "fused_idx")
@@ -589,11 +590,7 @@ def test_fused_docmap_rank_identity_and_no_roundtrip(built, oracle, tmp_path):
         assert json.load(f)["docmap"] == "fused"
 
     unfused_dir = str(tmp_path / "unfused_idx")
-    os.environ["LR_FUSE_DOCMAP"] = "0"
-    try:
-        build_index(ds, unfused_dir, num_segments=1, batch_size=400)
-    finally:
-        del os.environ["LR_FUSE_DOCMAP"]
+    build_index(ds, unfused_dir, num_segments=2, batch_size=400)
     with open(os.path.join(unfused_dir, "index_meta.json")) as f:
         assert json.load(f)["docmap"] == "parquet"
     # the checkpointed path drops its checkpoint once the segment commits
@@ -879,18 +876,141 @@ def test_suggest_search_as_you_type(built, oracle):
     assert len(exp) > 0  # 'depl' alone matches nothing; the prefix expansion must
 
 
-def test_term_partitioned_layout_matches(built, oracle, tmp_path):
-    """The groupby-shuffle layout must produce identical search results."""
-    data_dir, _, _ = built
+def _rewrite_term_partitioned(index_dir: str) -> None:
+    """Rewrite a built index in place into the rows the removed
+    ``term_partitioned`` build layout (a ``groupby(field, term, bucket)``
+    shuffle) wrote: one row per (field, term, doc // range_width) with
+    ``bucket`` set to that bucket index, blocks encoded without doc lengths
+    (``min_dl`` 0), norms rows split the same way, manifests' ``posting_rows``
+    updated and the meta's ``layout`` set to ``term_partitioned``. Segments
+    without a committed manifest are left alone."""
+    import glob
+
+    from lucille_ray.index.build import NORMS_TERM
+    from lucille_ray.index.codec import RawBlocks, encode_runs, sort_postings
+    from lucille_ray.index.writer import write_postings_file
+
+    meta_path = os.path.join(index_dir, "index_meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    width = meta["range_width"]
+    keys = [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]
+    for seg_dir in sorted(glob.glob(os.path.join(index_dir, "segments", "*"))):
+        if not os.path.exists(os.path.join(seg_dir, "MANIFEST.json")):
+            continue
+        post = os.path.join(seg_dir, "postings.parquet")
+        rows = pq.read_table(post).sort_by(keys)
+        field, term = rows["field"].to_pylist(), rows["term"].to_pylist()
+        cut = [0] + [i for i in range(1, rows.num_rows)
+                     if (field[i], term[i]) != (field[i - 1], term[i - 1])]
+        parts = []
+        for a, b in zip(cut, cut[1:] + [rows.num_rows]):
+            norms = term[a] == NORMS_TERM
+            blocks = rows["blocks"].slice(a, b - a).combine_chunks().flatten()
+            docs, tfs, pos = RawBlocks(blocks).decode(want_positions=not norms)
+            docs, tfs, pos = sort_postings(docs, tfs, pos)
+            bucket = docs // width
+            starts = np.flatnonzero(np.append(True, bucket[1:] != bucket[:-1]))
+            parts.append(pa.table({
+                "field": pa.array([field[a]] * starts.size, pa.string()),
+                "term": pa.array([term[a]] * starts.size, pa.string()),
+                "bucket": pa.array(bucket[starts], pa.int64()),
+                "df": pa.array(np.diff(np.append(starts, docs.size)), pa.int64()),
+                "total_tf": pa.array(np.add.reduceat(tfs, starts), pa.int64()),
+                "blocks": encode_runs(docs, tfs, starts, pos),
+            }))
+        old = pa.concat_tables(parts)
+        shutil.rmtree(post)
+        os.makedirs(post)
+        write_postings_file(old, os.path.join(post, "part-0.parquet"))
+        for sidecar in glob.glob(os.path.join(seg_dir, "norms_*.npy")):
+            os.remove(sidecar)  # the reader re-derives norms from the old rows
+        mpath = os.path.join(seg_dir, "MANIFEST.json")
+        with open(mpath) as f:
+            man = json.load(f)
+        man["posting_rows"] = old.num_rows
+        with open(mpath, "w") as f:
+            json.dump(man, f)
+    meta["layout"] = "term_partitioned"
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+
+
+def test_term_partitioned_index_still_serves(
+    built, oracle, tmp_path, monkeypatch, capsys
+):
+    """An index written by the removed ``term_partitioned`` build layout
+    answers every query like the oracle and a fresh index, also after
+    compaction; a crashed build whose meta says ``term_partitioned`` (or has
+    no ``layout`` key) resumes its pending segment on the one build path; and
+    the CLI ``stats`` command reports on it."""
+    import ray
+
+    import lucille_ray.index.build as build_mod
+    from lucille_ray.__main__ import main
+    from lucille_ray.index import compact_index
+
+    data_dir, index_dir, _ = built
     ds = T.read_transcripts(data_dir)
-    index_dir = str(tmp_path / "tp_index")
-    build_index(
-        ds, index_dir, num_segments=2, range_width=256, batch_size=400,
-        layout="term_partitioned",
-    )
-    engine = SearchEngine(index_dir, parallel=False)
-    for qs in QUERY_SET[::5]:
-        _compare(engine, oracle, qs)
+
+    def answers(d):
+        engine = SearchEngine(d, parallel=False, result_cache=False)
+        for qs in QUERY_SET:
+            _compare(engine, oracle, qs)
+        return [engine.search(qs, k=10).to_pydict() for qs in QUERY_SET]
+
+    fresh = answers(index_dir)
+    old_dir = str(tmp_path / "old")
+    shutil.copytree(index_dir, old_dir)
+    _rewrite_term_partitioned(old_dir)
+    rows = _stored_rows(old_dir)
+    assert pc.max(rows["bucket"]).as_py() <= N_TURNS // 256  # bucket indexes
+    assert not rows.equals(_stored_rows(index_dir))
+    assert answers(old_dir) == fresh  # (a)
+
+    monkeypatch.setattr(ray, "shutdown", lambda: None)  # keep the test session
+    capsys.readouterr()
+    assert main(["stats", "--index", old_dir]) == 0  # (d)
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["meta"]["layout"] == "term_partitioned"
+    assert stats["totals"]["docs"] == N_TURNS
+    assert stats["totals"]["posting_rows"] == rows.num_rows
+
+    compact_index(old_dir)  # (b)
+    assert answers(old_dir) == fresh
+
+    # (c) segment 1 crashes; segment 0 is then rewritten into the old layout
+    crashed = str(tmp_path / "crashed")
+    real = build_mod._build_segment
+
+    def crash_on_1(index_dir_, seg, *args, **kwargs):
+        if seg == 1:
+            raise RuntimeError("crash in segment 1")
+        return real(index_dir_, seg, *args, **kwargs)
+
+    monkeypatch.setattr(build_mod, "_build_segment", crash_on_1)
+    with pytest.raises(RuntimeError, match="segment 1"):
+        build_index(ds, crashed, num_segments=2, range_width=256, batch_size=400)
+    monkeypatch.setattr(build_mod, "_build_segment", real)
+    _rewrite_term_partitioned(crashed)
+    seg0_rows = pq.read_table(
+        os.path.join(crashed, "segments", "seg-00000", "postings.parquet"))
+    for variant in ("term_partitioned", None):
+        d = str(tmp_path / f"resumed_{variant}")
+        shutil.copytree(crashed, d)
+        if variant is None:
+            meta_path = os.path.join(d, "index_meta.json")
+            with open(meta_path) as f:
+                meta = json.load(f)
+            del meta["layout"]
+            with open(meta_path, "w") as f:
+                json.dump(meta, f)
+        build_index(ds, d, num_segments=2, range_width=256, batch_size=400)
+        assert segment_complete(d, 1)
+        assert pq.read_table(
+            os.path.join(d, "segments", "seg-00000", "postings.parquet")
+        ).equals(seg0_rows)  # the committed segment is untouched
+        assert answers(d) == fresh, variant
 
 
 def test_resume_skips_complete_segments_and_rebuilds_missing(

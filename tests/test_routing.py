@@ -157,16 +157,17 @@ def test_declined_segment_takes_plain_evaluator(index_dir, monkeypatch):
     assert len(matched) == 1
 
 
-def test_search_modules_read_no_environment():
-    """The search layer takes its options from constructor arguments only: no
-    module under lucille_ray/search/ reads the process environment, so no
-    per-call valve can come back."""
+@pytest.mark.parametrize("package", ["search", "index"])
+def test_search_modules_read_no_environment(package):
+    """The search and index layers take their options from arguments only: no
+    module under lucille_ray/search/ or lucille_ray/index/ reads (or writes)
+    the process environment, so no per-call valve can come back."""
     import ast
     import glob
+    import importlib
 
-    import lucille_ray.search as search_pkg
-
-    pkg_dir = os.path.dirname(search_pkg.__file__)
+    pkg = importlib.import_module(f"lucille_ray.{package}")
+    pkg_dir = os.path.dirname(pkg.__file__)
     offenders = []
     for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
         with open(path) as f:
