@@ -308,7 +308,11 @@ class RawBlocks:
     of Python block dicts (``to_pylist``) and re-joining their payload bytes
     dominated cold hot-term lookups. Here metadata columns are numpy views and
     payload decode slices the shared byte buffers directly (a single slice for
-    a full decode; per-run slices for a selective one)."""
+    a full decode; per-run slices for a selective one).
+
+    ``nbytes`` counts the metadata arrays plus this term's own payload byte
+    ranges. Sibling views from one multi-term read share that read's payload
+    buffers, which stay alive while any of them does."""
 
     __slots__ = (
         "count", "ns", "max_tf", "min_dl", "firsts", "lasts", "_docs", "_tfs", "_pos",
@@ -340,6 +344,15 @@ class RawBlocks:
 
     def __len__(self) -> int:
         return self.count
+
+    @property
+    def nbytes(self) -> int:
+        meta = (self.ns, self.max_tf, self.min_dl, self.firsts, self.lasts)
+        views = (self._docs, self._tfs, self._pos)
+        return sum(a.nbytes for a in meta) + sum(
+            offs.nbytes + (int(offs[-1] - offs[0]) if offs.size else 0)
+            for _vals, offs in views
+        )
 
     @staticmethod
     def _gather(view: Tuple[np.ndarray, np.ndarray], sel: Optional[np.ndarray]) -> np.ndarray:

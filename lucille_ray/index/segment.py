@@ -16,15 +16,17 @@ A segment is a contiguous doc-id range built by ``build.py``::
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded once —
 designed to be pinned inside long-lived scorer actors) and fetch postings by
 ``(field, term)`` through parquet predicate pushdown, so a term lookup touches only
-the row groups whose min/max term stats overlap.
+the row groups whose min/max term stats overlap. Everything a query derives and
+keeps for the next one lives in the reader's one :class:`ReaderCache`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -33,6 +35,101 @@ import pyarrow.parquet as pq
 
 from .build import CONVMAP_FILE, NORMS_TERM, conv_map_from_docmapped, conv_map_table
 from .codec import RawBlocks, sort_postings
+
+#: byte budget of one reader's :class:`ReaderCache`, all pools together
+READER_CACHE_BYTES = 384 << 20
+
+#: bytes charged per entry for its Python objects, on top of its arrays, so
+#: entries without array bytes (empty results, absent terms) stay bounded too
+_ENTRY_BYTES = 512
+
+_STAT_FIELDS = ("entries", "bytes", "hits", "misses", "evictions")
+
+
+def _nbytes(value) -> int:
+    """Bytes one cache entry holds: tuples sum their members; ndarrays, Arrow
+    arrays and anything else with an ``nbytes`` property (``RawBlocks``,
+    ``_StepMax``) count it; scalars and None count 0."""
+    if isinstance(value, tuple):
+        return sum(_nbytes(v) for v in value)
+    return int(getattr(value, "nbytes", 0))
+
+
+class ReaderCache:
+    """Every piece of derived query state one :class:`SegmentReader` keeps
+    across queries: named pools in one LRU bounded by
+    :data:`READER_CACHE_BYTES` (a hit moves its entry to the end; a put past
+    the budget evicts from the front). Entries only skip work — every
+    executor is exact with an empty cache, so eviction never changes a rank
+    or a score. Norms, term dictionaries, the doc map and the postings file
+    handles are loaded once per reader and pinned outside the budget.
+
+    Pools by scope. **Segment** scope depends only on the segment's immutable
+    files: ``raw`` (undecoded blocks), ``wand_meta`` (per-block bounds),
+    ``norms_winmin`` and ``phr_stepfn`` (max_tf step functions). **Commit**
+    scope also depends on tombstones or on global idf/avgdl: ``post`` and
+    ``pruned`` (decoded postings, whole or around a candidate set),
+    ``score``, ``conj_stepfn``, ``match`` (complete match sets), ``term_topk``,
+    ``wand_pruned`` and ``result``.
+
+    Callers use the value they computed, never a re-read after their own
+    ``put``: an entry larger than the whole budget is returned but not kept,
+    and any later put may evict it. Code outside this class keeps no cache
+    attributes on a reader."""
+
+    def __init__(self):
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()  # -> (value, nbytes)
+        self._bytes = 0
+        self._counts: Dict[str, List[int]] = {}  # pool -> _STAT_FIELDS
+
+    def get(self, pool: str, key):
+        """The cached value, or None on a miss."""
+        c = self._counts.setdefault(pool, [0] * 5)
+        item = self._entries.get((pool, key))
+        if item is None:
+            c[3] += 1
+            return None
+        c[2] += 1
+        self._entries.move_to_end((pool, key))
+        return item[0]
+
+    def put(self, pool: str, key, value):
+        """Cache ``value`` (replacing any entry under ``key``) and return it.
+        A value over the whole budget is not kept and counts as an eviction."""
+        self.pop(pool, key)
+        n = _nbytes(value) + _ENTRY_BYTES
+        c = self._counts.setdefault(pool, [0] * 5)
+        if n > READER_CACHE_BYTES:
+            c[4] += 1
+            return value
+        self._entries[(pool, key)] = (value, n)
+        self._bytes += n
+        c[0] += 1
+        c[1] += n
+        while self._bytes > READER_CACHE_BYTES:
+            (old, _k), (_v, m) = self._entries.popitem(last=False)
+            self._drop(old, m)[4] += 1
+        return value
+
+    def pop(self, pool: str, key):
+        """Remove and return the entry under ``key`` (None when absent)."""
+        item = self._entries.pop((pool, key), None)
+        if item is None:
+            return None
+        self._drop(pool, item[1])
+        return item[0]
+
+    def _drop(self, pool: str, n: int) -> List[int]:
+        self._bytes -= n
+        c = self._counts[pool]
+        c[0] -= 1
+        c[1] -= n
+        return c
+
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """{pool: {entries, bytes, hits, misses, evictions}} for every pool
+        touched so far."""
+        return {p: dict(zip(_STAT_FIELDS, c)) for p, c in self._counts.items()}
 
 
 class SegmentReader:
@@ -53,17 +150,8 @@ class SegmentReader:
         self._norms: Optional[Dict[str, np.ndarray]] = None
         self._term_dicts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._conv_map: Optional[Tuple[pa.Array, np.ndarray, np.ndarray]] = None
-        # decoded-postings cache shared across queries (readers are pinned in
-        # long-lived scorer actors); FIFO-capped by entry count
-        self._post_cache: "OrderedDict[Tuple[str, str, bool], tuple]" = OrderedDict()
-        self._post_cache_cap = 512
-        # undecoded raw block rows (WAND path: metadata-guided selective decode)
-        self._raw_cache: "OrderedDict[Tuple[str, str], list]" = OrderedDict()
-        self._raw_cache_cap = 256
-        # candidate-pruned decodes, keyed by the candidate-set digest: repeat
-        # conjunctive queries decode each pruned subset once, not per query
-        self._pruned_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._pruned_cache_cap = 128
+        self._postings_pf_cache: Optional[list] = None
+        self.cache = ReaderCache()
         # tombstones: sorted global doc ids marked deleted (``deleted.npy``,
         # written by index.delete). Loaded once at reader construction —
         # readers opened after a delete see it (Lucene reopen semantics).
@@ -191,20 +279,19 @@ class SegmentReader:
         ``candidates`` (a sorted doc-id array) enables exact conjunctive block
         pruning: blocks whose [first_doc, last_doc] range contains no candidate
         are skipped *before* decode (the block-max metadata's range half).
-        Pruned results are not cached."""
+        Pruned results are cached in the ``pruned`` pool under a digest of
+        ``candidates``."""
         if self.empty or not terms:
             return {}
         out: Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
         cand_key = None
         if candidates is not None:
-            import hashlib as _hl
-
-            cand_key = _hl.md5(np.ascontiguousarray(candidates).tobytes()).hexdigest()[:16]
+            cand_key = hashlib.md5(np.ascontiguousarray(candidates).tobytes()).hexdigest()[:16]
         missing = []
         for term in set(terms):
-            hit = self._post_cache.get((field, term, want_positions))
+            hit = self.cache.get("post", (field, term, want_positions))
             if hit is None and cand_key is not None:
-                hit = self._pruned_cache.get((field, term, want_positions, cand_key))
+                hit = self.cache.get("pruned", (field, term, want_positions, cand_key))
             if hit is not None:
                 out[term] = hit
             else:
@@ -213,14 +300,10 @@ class SegmentReader:
             return out
         fetched = self._postings_read(field, missing, want_positions, candidates)
         for term, val in fetched.items():
-            if candidates is None:
-                self._post_cache[(field, term, want_positions)] = val
-                while len(self._post_cache) > self._post_cache_cap:
-                    self._post_cache.popitem(last=False)
+            if cand_key is None:
+                self.cache.put("post", (field, term, want_positions), val)
             else:
-                self._pruned_cache[(field, term, want_positions, cand_key)] = val
-                while len(self._pruned_cache) > self._pruned_cache_cap:
-                    self._pruned_cache.popitem(last=False)
+                self.cache.put("pruned", (field, term, want_positions, cand_key), val)
         out.update(fetched)
         return out
 
@@ -231,10 +314,10 @@ class SegmentReader:
         want_positions: bool,
         candidates: Optional[np.ndarray] = None,
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-        """Decode via the raw-block cache: the parquet read happens at most once
-        per (field, term) on this reader; candidate-pruned repeats (conjunctive
-        queries in a pinned scorer) prune and decode IN MEMORY — the per-repeat
-        ``pq.read_table`` was 77% of repeat conjunctive latency."""
+        """Decode via the ``raw`` pool: the parquet read happens once per
+        (field, term) while its entry stays cached; candidate-pruned repeats
+        (conjunctive queries in a pinned scorer) prune and decode IN MEMORY —
+        the per-repeat ``pq.read_table`` was 77% of repeat conjunctive latency."""
         raw = self.raw_blocks_many(field, terms)
         out: Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
         for term in set(terms):
@@ -284,7 +367,7 @@ class SegmentReader:
         out: Dict[str, RawBlocks] = {}
         missing = []
         for term in set(terms):
-            hit = self._raw_cache.get((field, term))
+            hit = self.cache.get("raw", (field, term))
             if hit is not None:
                 out[term] = hit
             else:
@@ -314,9 +397,7 @@ class SegmentReader:
                     rb = out[term] = RawBlocks(
                         pa.array([], type=_BLOCK_STRUCT_TYPE)
                     )
-                self._raw_cache[(field, term)] = rb
-                while len(self._raw_cache) > self._raw_cache_cap:
-                    self._raw_cache.popitem(last=False)
+                self.cache.put("raw", (field, term), rb)
         return out
 
     def _postings_files(self) -> list:
@@ -332,9 +413,8 @@ class SegmentReader:
         in build, append and compaction). A single-file ``postings.parquet``
         is not handled: ``os.listdir`` raises on it. A file without (field,
         term) statistics gets ``None`` stats and is read whole."""
-        cached = getattr(self, "_postings_pf_cache", None)
-        if cached is not None:
-            return cached
+        if self._postings_pf_cache is not None:
+            return self._postings_pf_cache
         root = os.path.join(self.seg_dir, "postings.parquet")
         entries = []
         for name in sorted(os.listdir(root)):
@@ -431,13 +511,6 @@ class SegmentReader:
             return None
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
 
-    def cache_decoded(self, field: str, term: str, post: tuple) -> None:
-        """Insert an externally-decoded postings triple into the shared cache
-        (the WAND bootstrap decodes from raw blocks; keep repeat queries warm)."""
-        self._post_cache[(field, term, False)] = post
-        while len(self._post_cache) > self._post_cache_cap:
-            self._post_cache.popitem(last=False)
-
     # ---- doc metadata (conv_id, turn_idx) for result rows ----
 
     def conv_map(self) -> Tuple[pa.Array, np.ndarray, np.ndarray]:
@@ -527,8 +600,6 @@ def _overlap_mask(
 def load_segments(index_dir: str) -> List[SegmentReader]:
     """Readers for the COMMITTED segments (the ones index meta records);
     uncommitted leftovers from a crashed ``append_index`` are ignored."""
-    import json
-
     with open(os.path.join(index_dir, "index_meta.json")) as f:
         n = int(json.load(f)["num_segments"])
     seg_root = os.path.join(index_dir, "segments")

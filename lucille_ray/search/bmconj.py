@@ -20,10 +20,10 @@ when any of its members does):
    Σ_j maxσ_j over [first_b, last_b]`` where σ is wand.py's per-block BM25
    bound and the inner max is an interval query on a piecewise-constant step
    function built from clause j's members' block ranges (a sparse-table RMQ
-   over the event-sweep values, built once per (field, term) and cached on the
-   reader — boost factors out because σ scales linearly in it). Anchor blocks
-   where some clause has NO overlapping block are infeasible (no doc in them
-   can match every clause) and are dropped;
+   over the event-sweep values, built once per (field, term) and kept in the
+   reader's cache — boost factors out because σ scales linearly in it). Anchor
+   blocks where some clause has NO overlapping block are infeasible (no doc in
+   them can match every clause) and are dropped;
 3. process anchor blocks in DESCENDING conj_ub order, in geometrically growing
    chunks: decode the chunk's anchor blocks, selectively decode every other
    clause's members around those candidate docs (wand's `_decode_candidates`
@@ -68,51 +68,6 @@ from .wand import (
 #: no-pruning worst case pays O(log #blocks) rounds of overhead)
 CONJ_CHUNK0 = 4
 
-#: cached step-function RMQ tables per reader (hot terms only; FIFO-evicted)
-STEPFN_CACHE_ENTRIES = 32
-
-#: byte cap for the per-reader complete-match cache shared by the block-max
-#: family (phrase/proximity and conjunction complete passes; keys are
-#: shape-disjoint tuples so the families never collide)
-MATCH_CACHE_BYTES = 128 << 20
-
-
-def match_cache(reader) -> dict:
-    """Per-reader cache of COMPLETE match sets, key -> (docs, scores). Valid
-    for ANY k for the reader's lifetime: a reader serves one commit point and
-    scores depend only on the commit-constant ctx. Populated by evaluations
-    that turn out to process every feasible block (the flat hot x hot shapes
-    where score-skipping cannot prune — exactly the expensive ones)."""
-    cache = getattr(reader, "_match_cache", None)
-    if cache is None:
-        cache = reader._match_cache = {}
-        reader._match_cache_bytes = 0
-    return cache
-
-
-def match_cache_pop(reader, key) -> None:
-    cache = match_cache(reader)
-    old = cache.pop(key, None)
-    if old is not None:
-        reader._match_cache_bytes -= _entry_nbytes(old)
-
-
-def _entry_nbytes(val: tuple) -> int:
-    return sum(getattr(x, "nbytes", 0) for x in val)
-
-
-def match_cache_put(reader, key, *val) -> None:
-    """Insert (docs, scores) — or any tuple of arrays/scalars, e.g. the
-    resumable θ-pass prefix state — byte-capped over the array members."""
-    cache = match_cache(reader)
-    old = cache.pop(key, None)
-    if old is not None:
-        reader._match_cache_bytes -= _entry_nbytes(old)
-    cache[key] = val
-    reader._match_cache_bytes += _entry_nbytes(val)
-    while reader._match_cache_bytes > MATCH_CACHE_BYTES and len(cache) > 1:
-        reader._match_cache_bytes -= _entry_nbytes(cache.pop(next(iter(cache))))
-
 
 class _StepMax:
     """Interval-max queries over a term's piecewise-constant block-bound
@@ -136,6 +91,10 @@ class _StepMax:
             levels.append(np.maximum(prev[:-width], prev[width:]))
             width <<= 1
         self.levels = levels
+
+    @property
+    def nbytes(self) -> int:
+        return self.xs.nbytes + sum(lvl.nbytes for lvl in self.levels)
 
     def interval_max(self, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
         """Max function value over doc range [qlo, qhi] (inclusive), per query.
@@ -165,21 +124,15 @@ class _StepMax:
 
 def _stepfn(reader, ctx: EvalContext, field: str, term: str, rb) -> _StepMax:
     """Per-(field, term) step-function RMQ over UNBOOSTED block bounds, cached
-    on the reader (idf/avgdl are per-index constants, same convention as
-    wand.py's score cache; boost is applied by the caller)."""
-    cache = getattr(reader, "_conj_stepfn_cache", None)
-    if cache is None:
-        cache = reader._conj_stepfn_cache = {}
-    sf = cache.get((field, term))
+    in the ``conj_stepfn`` pool (idf/avgdl are per-index constants, same
+    convention as wand.py's ``score`` pool; boost is applied by the caller)."""
+    sf = reader.cache.get("conj_stepfn", (field, term))
     if sf is None:
         firsts, lasts, max_tf, dl_min = _term_block_meta(reader, field, term, rb)
         avgdl = ctx.avgdl.get(field) or 1.0
         idf = ctx.idf(field, term)
         ub = idf * max_tf * (K1 + 1.0) / (max_tf + K1 * (1.0 - B + B * dl_min / avgdl))
-        sf = _StepMax(firsts, lasts, ub)
-        cache[(field, term)] = sf
-        if len(cache) > STEPFN_CACHE_ENTRIES:
-            cache.pop(next(iter(cache)))
+        sf = reader.cache.put("conj_stepfn", (field, term), _StepMax(firsts, lasts, ub))
     return sf
 
 
@@ -270,9 +223,13 @@ def conj_top_k_compound(
     vs eval's _apply_must_not (which filters after scoring) cannot change
     them. Returns None when this segment leaves no single-member clause to
     anchor on (the caller falls back to the plain evaluator for this
-    reader)."""
+    reader).
+
+    Complete match sets, valid for ANY k (a reader serves one commit point),
+    go to the ``match`` pool, shared with bmphrase (phrase keys are
+    (field, terms, gap) tuples, so the families never collide)."""
     cache_key = (clauses, negs)
-    cached = match_cache(reader).get(cache_key)
+    cached = reader.cache.get("match", cache_key)
     if cached is not None:
         if cached[0].size == 0:
             return EMPTY
@@ -346,7 +303,7 @@ def conj_top_k_compound(
     # (cached-metadata) bounds and the θ test, and a larger k RESUMES the
     # sweep where the last one stopped instead of redoing its chunks
     prefix_key = (clauses, negs, "θ-prefix")
-    state = match_cache(reader).get(prefix_key)
+    state = reader.cache.get("match", prefix_key)
     if state is not None:
         pos, chunk, _pd, _ps = state
         pool_docs = [_pd]
@@ -435,8 +392,8 @@ def conj_top_k_compound(
     if complete:
         docs_all = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
         scores_all = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
-        match_cache_put(reader, cache_key, docs_all, scores_all)
-        match_cache_pop(reader, prefix_key)  # superseded by the full set
+        reader.cache.put("match", cache_key, (docs_all, scores_all))
+        reader.cache.pop("match", prefix_key)  # superseded by the full set
         if docs_all.size == 0:
             return EMPTY
         return top_k(docs_all, scores_all, k)
@@ -445,5 +402,5 @@ def conj_top_k_compound(
     docs_all = np.concatenate(pool_docs)
     scores_all = np.concatenate(pool_scores)
     if pos > start_pos:  # new blocks processed: refresh the resumable prefix
-        match_cache_put(reader, prefix_key, pos, chunk, docs_all, scores_all)
+        reader.cache.put("match", prefix_key, (pos, chunk, docs_all, scores_all))
     return top_k(docs_all, scores_all, k)

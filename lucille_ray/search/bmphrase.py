@@ -54,19 +54,12 @@ import numpy as np
 
 from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
-from .bmconj import STEPFN_CACHE_ENTRIES, _StepMax, match_cache, match_cache_put
+from .bmconj import _StepMax
 from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap, top_k
 from .wand import THETA_EPS, _sorted2, _term_block_meta
 
 #: first chunk of anchor blocks decoded per round (doubles every round)
 PHRASE_CHUNK0 = 4
-
-# complete-match caching (VERDICT r03 #3: the ~1 s warm floor of hot
-# positional queries was re-decoding the same multi-million-posting positions
-# per query) now lives in bmconj.match_cache / match_cache_put, shared with
-# the conjunction family; phrase keys are (field, terms-tuple, gap).
-_match_cache = match_cache
-_match_cache_put = match_cache_put
 
 
 def phrase_parts(
@@ -93,17 +86,12 @@ def phrase_parts(
 
 def _tf_stepfn(reader, field: str, term: str, rb) -> _StepMax:
     """Per-(field, term) interval bound over raw block max_tf (no idf/norms:
-    phrase bounds need the tf itself). Cached on the reader like bmconj's."""
-    cache = getattr(reader, "_phr_stepfn_cache", None)
-    if cache is None:
-        cache = reader._phr_stepfn_cache = {}
-    sf = cache.get((field, term))
+    phrase bounds need the tf itself), cached in the ``phr_stepfn`` pool."""
+    sf = reader.cache.get("phr_stepfn", (field, term))
     if sf is None:
         firsts, lasts, max_tf, _dl_min = _term_block_meta(reader, field, term, rb)
         sf = _StepMax(firsts, lasts, max_tf.astype(np.float64))
-        cache[(field, term)] = sf
-        if len(cache) > STEPFN_CACHE_ENTRIES:
-            cache.pop(next(iter(cache)))
+        reader.cache.put("phr_stepfn", (field, term), sf)
     return sf
 
 
@@ -187,9 +175,10 @@ def phrase_top_k(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact top-k of a phrase/proximity query over one segment, decoding only
     anchor blocks whose phrase upper bound can still beat the running k-th
-    best (and other terms only around those candidates)."""
+    best (and other terms only around those candidates). Complete match sets
+    go to the reader's ``match`` pool, so warm repeats decode nothing."""
     cache_key = (field, tuple(terms), gap)
-    cached = _match_cache(reader).get(cache_key)
+    cached = reader.cache.get("match", cache_key)
     if cached is not None:
         # complete match set known (docs + final scores) — any k, zero decodes
         if cached[0].size == 0:
@@ -319,7 +308,7 @@ def phrase_top_k(
     if complete:
         docs_all = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
         scores_all = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
-        _match_cache_put(reader, cache_key, docs_all, scores_all)
+        reader.cache.put("match", cache_key, (docs_all, scores_all))
         if docs_all.size == 0:
             return EMPTY
         return top_k(docs_all, scores_all, k)

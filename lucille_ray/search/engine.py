@@ -179,7 +179,7 @@ class SegmentScorer:
                 if match is not None:
                     route = (executor, *match)
                     break
-        # per-reader exact top-k result cache: a reader serves one commit point
+        # per-reader exact top-k ``result`` pool: a reader serves one commit point
         # (tombstones load in __init__), so (query AST, k) fully determines the
         # answer; a cached K >= k answers by prefix since top_k output is
         # (score desc, doc_id asc) ordered. Keyed by repr(query), NOT
@@ -193,10 +193,7 @@ class SegmentScorer:
             if r.doc_count == 0:
                 continue
             if qkey is not None:
-                rcache = getattr(r, "_result_topk_cache", None)
-                if rcache is None:
-                    rcache = r._result_topk_cache = {}
-                hit = rcache.get(qkey)
+                hit = r.cache.get("result", qkey)
                 if hit is not None and hit[0] >= k:
                     docs, scores = hit[1][:k], hit[2][:k]
                     if docs.size:
@@ -220,9 +217,7 @@ class SegmentScorer:
             if docs.size and k is not None:
                 docs, scores = top_k(docs, scores, k)
             if qkey is not None:
-                rcache[qkey] = (k, docs, scores)
-                if len(rcache) > 4096:
-                    rcache.pop(next(iter(rcache)))
+                r.cache.put("result", qkey, (k, docs, scores))
             if docs.size:
                 all_docs.append(docs)
                 all_scores.append(scores)
@@ -234,6 +229,10 @@ class SegmentScorer:
             return top_k(docs, scores, k)
         order = np.argsort(docs, kind="stable")
         return docs[order], scores[order]
+
+    def cache_stats(self) -> Dict[str, dict]:
+        """{segment dir: its reader's ``ReaderCache.stats()``}."""
+        return {r.seg_dir: r.cache.stats() for r in self.readers}
 
     def score_many(self, items: List[tuple]) -> List[tuple]:
         """[(query, reqs, ctx, k)] -> [(docs, scores)] — one round-trip per batch."""
@@ -822,6 +821,16 @@ class SearchEngine:
         )
         joined = joined.take(order)
         return joined.select(["doc_id", "conv_id", "turn_idx", "score"])
+
+    def cache_stats(self) -> List[Dict[str, dict]]:
+        """{segment dir: ``ReaderCache.stats()``} per scorer of every replica
+        set, read inside the scorer actors when parallel."""
+        scorers = [a for s in self._scorer_sets() for a in s]
+        if not self.parallel:
+            return [a.cache_stats() for a in scorers]
+        import ray
+
+        return ray.get([a.cache_stats.remote() for a in scorers])
 
     def shutdown(self) -> None:
         if self._actors:

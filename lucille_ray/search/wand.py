@@ -38,6 +38,7 @@ over the full QUERY_SET shapes and randomized corpora.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import List, Optional, Tuple
 
@@ -69,9 +70,6 @@ POINT_EVENT_CAP = 8192
 
 #: norms window size for the per-block dl_min bound
 NORMS_WINDOW = 2048
-
-#: total bytes of memoized base-score arrays per reader (FIFO-evicted)
-SCORE_CACHE_BYTES = 256 << 20
 
 #: diagnostics: outcome of the most recent _suffix_merge in this process
 #: ({"early": bool, "n": parts}) — written for tests/profiling only
@@ -178,12 +176,10 @@ def single_term_top_k(
     bound order until every unprocessed bound is < θ - THETA_EPS; scores are
     unboosted (the caller applies Boost weights innermost-first like eval).
 
-    Results are memoized per reader: a cached (K, docs, scores) answers any
-    k <= K by prefix (top_k output is already (score desc, doc_id asc))."""
-    cache = getattr(reader, "_term_topk_cache", None)
-    if cache is None:
-        cache = reader._term_topk_cache = {}
-    hit = cache.get((field, term))
+    Results are memoized in the reader's ``term_topk`` pool: a cached (K,
+    docs, scores) answers any k <= K by prefix (top_k output is already
+    (score desc, doc_id asc))."""
+    hit = reader.cache.get("term_topk", (field, term))
     if hit is not None and hit[0] >= k:
         return hit[1][:k], hit[2][:k]
     rb = reader.raw_blocks_many(field, [term]).get(term)
@@ -191,11 +187,11 @@ def single_term_top_k(
         return EMPTY
     # full decoded+scored postings already cached (e.g. by an earlier plain
     # eval of the same term): exact top-k with zero decodes
-    post = reader._post_cache.get((field, term, False))
-    base = getattr(reader, "_score_cache", {}).get((field, term))
+    post = reader.cache.get("post", (field, term, False))
+    base = reader.cache.get("score", (field, term))
     if post is not None and base is not None:
         docs, scores = top_k(post[0], base, k)
-        cache[(field, term)] = (k, docs, scores)
+        reader.cache.put("term_topk", (field, term), (k, docs, scores))
         return docs, scores
     firsts, lasts, max_tf, dl_min = _term_block_meta(reader, field, term, rb)
     idf = ctx.idf(field, term)
@@ -241,18 +237,13 @@ def single_term_top_k(
     docs, scores = top_k(
         np.concatenate(pool_docs), np.concatenate(pool_scores), k
     )
-    cache[(field, term)] = (k, docs, scores)
-    if len(cache) > 4096:
-        cache.pop(next(iter(cache)))
+    reader.cache.put("term_topk", (field, term), (k, docs, scores))
     return docs, scores
 
 
 def _norms_window_min(reader, field: str) -> np.ndarray:
-    """Min of norms per NORMS_WINDOW chunk, cached on the reader."""
-    cache = getattr(reader, "_norms_winmin", None)
-    if cache is None:
-        cache = reader._norms_winmin = {}
-    arr = cache.get(field)
+    """Min of norms per NORMS_WINDOW chunk, cached in the ``norms_winmin`` pool."""
+    arr = reader.cache.get("norms_winmin", field)
     if arr is None:
         norms = reader.norms(field)
         n = norms.size
@@ -264,7 +255,7 @@ def _norms_window_min(reader, field: str) -> np.ndarray:
                 [norms, np.full(pad, np.iinfo(np.int64).max, dtype=np.int64)]
             )
             arr = padded.reshape(-1, NORMS_WINDOW).min(axis=1)
-        cache[field] = arr
+        reader.cache.put("norms_winmin", field, arr)
     return arr
 
 
@@ -286,12 +277,10 @@ def _block_dl_min(reader, field: str, firsts: np.ndarray, lasts: np.ndarray) -> 
 
 
 def _term_block_meta(reader, field: str, term: str, rb) -> tuple:
-    """(firsts, lasts, max_tf, dl_min) arrays per block, memoized on the reader
-    (metadata is a zero-copy RawBlocks view; only dl_min needs computing)."""
-    cache = getattr(reader, "_wand_meta_cache", None)
-    if cache is None:
-        cache = reader._wand_meta_cache = {}
-    m = cache.get((field, term))
+    """(firsts, lasts, max_tf, dl_min) arrays per block, memoized in the
+    ``wand_meta`` pool (metadata is a zero-copy RawBlocks view; only dl_min
+    needs computing)."""
+    m = reader.cache.get("wand_meta", (field, term))
     if m is None:
         stored = rb.min_dl
         if stored.size and (stored > 0).all():
@@ -304,9 +293,7 @@ def _term_block_meta(reader, field: str, term: str, rb) -> tuple:
             if known.any():
                 dl_min = np.maximum(dl_min, np.where(known, stored, 0).astype(np.float64))
         m = (rb.firsts, rb.lasts, rb.max_tf.astype(np.float64), dl_min)
-        cache[(field, term)] = m
-        if len(cache) > 512:
-            cache.pop(next(iter(cache)))
+        reader.cache.put("wand_meta", (field, term), m)
     return m
 
 
@@ -316,13 +303,10 @@ def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
     same expression, same operation order, so ties break identically.
 
     ``full=True`` marks docs/tfs as the term's COMPLETE posting list; the
-    unboosted scores are then memoized on the reader (idf/avgdl are global,
-    per-index constants, so cached base scores are exact across queries)."""
-    cache = getattr(reader, "_score_cache", None)
-    if cache is None:
-        cache = reader._score_cache = {}
-        reader._score_cache_bytes = 0
-    base = cache.get((field, term)) if full else None
+    unboosted scores are then memoized in the ``score`` pool (idf/avgdl are
+    global, per-index constants, so cached base scores are exact across
+    queries)."""
+    base = reader.cache.get("score", (field, term)) if full else None
     if base is None:
         dl = reader.norms(field)[docs - reader.doc_base].astype(np.float64)
         avgdl = ctx.avgdl.get(field) or 1.0
@@ -330,13 +314,7 @@ def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
         idf = ctx.idf(field, term)
         base = idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))
         if full:
-            cache[(field, term)] = base
-            reader._score_cache_bytes += base.nbytes
-            # byte-capped, not entry-capped: one hot term's scores at 10^7 docs
-            # is 80 MB — entry counts alone would let the cache eat the heap
-            while reader._score_cache_bytes > SCORE_CACHE_BYTES and len(cache) > 1:
-                oldest = next(iter(cache))
-                reader._score_cache_bytes -= cache.pop(oldest).nbytes
+            reader.cache.put("score", (field, term), base)
     if boost != 1.0:
         return base * boost
     return base
@@ -543,7 +521,7 @@ def _decode_candidates(
     none do), preferring the reader's full-postings cache and memoizing
     selective decodes per surviving block-subset."""
     field, term, boost, rb, firsts, lasts, _ub = tm
-    hit = reader._post_cache.get((field, term, False))
+    hit = reader.cache.get("post", (field, term, False))
     if hit is not None:
         # already decoded by an earlier query: scoring the full cached list
         # is cheaper than selective decode, and stays exact (docs outside
@@ -565,18 +543,12 @@ def _decode_candidates(
         else:
             # selective decode, memoized per block-subset: repeat queries
             # produce the same surviving mask and skip the decode entirely
-            import hashlib as _hl
-
-            pcache = getattr(reader, "_wand_pruned_cache", None)
-            if pcache is None:
-                pcache = reader._wand_pruned_cache = {}
-            key = (field, term, _hl.md5(ok.tobytes()).hexdigest()[:16])
-            cached = pcache.get(key)
+            key = (field, term, hashlib.md5(ok.tobytes()).hexdigest()[:16])
+            cached = reader.cache.get("wand_pruned", key)
             if cached is None:
-                cached = _sorted2(rb.decode(False, keep=ok))
-                pcache[key] = cached
-                if len(pcache) > 64:
-                    pcache.pop(next(iter(pcache)))
+                cached = reader.cache.put(
+                    "wand_pruned", key, _sorted2(rb.decode(False, keep=ok))
+                )
             docs, tfs = cached
     return (
         docs,
@@ -635,13 +607,13 @@ def _sorted2(triple) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _decode_full(reader, field: str, term: str, rb) -> Tuple[np.ndarray, np.ndarray]:
-    """Full decode of a term, going through the reader's shared postings cache
-    so repeat queries (WAND or not) stay warm."""
-    hit = reader._post_cache.get((field, term, False))
+    """Full decode of a term, going through the reader's ``post`` pool so
+    repeat queries (WAND or not) stay warm."""
+    hit = reader.cache.get("post", (field, term, False))
     if hit is not None:
         return hit[0], hit[1]
     docs, tfs = _sorted2(rb.decode(False))
-    reader.cache_decoded(field, term, (docs, tfs, None))
+    reader.cache.put("post", (field, term, False), (docs, tfs, None))
     return docs, tfs
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index
+from lucille_ray.index.segment import ReaderCache
 from lucille_ray.query.parser import parse
 import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.bmconj import conj_parts_compound, conj_top_k_compound
@@ -217,10 +218,7 @@ def test_conj_actually_skips_decodes(spiked, monkeypatch):
     for f in ("text", "role", "tool"):
         r.norms(f)  # pre-warm: norms decode is not what this test measures
     monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r._post_cache.clear()
-    r._raw_cache.clear()
-    getattr(r, "_wand_pruned_cache", {}).clear()
-    getattr(r, "_conj_stepfn_cache", {}).clear()
+    r.cache = ReaderCache()
     cd, cs = conj_top_k_compound(r, ctx, k=10, **args)
     conj_decoded = decoded_vals["n"]
     # identity against the plain evaluator on the same segment
@@ -364,9 +362,9 @@ def test_conj_complete_pass_cached(flat_conj, monkeypatch):
     args, _scale = conj_parts_compound(q)
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    getattr(r, "_match_cache", {}).clear()
+    r.cache = ReaderCache()
     d1, s1 = conj_top_k_compound(r, ctx, k=10, **args)
-    assert (args["clauses"], args["negs"]) in r._match_cache
+    assert r.cache.get("match", (args["clauses"], args["negs"])) is not None
 
     decoded = {"n": 0}
     real = codec.decode_varints

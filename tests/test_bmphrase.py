@@ -9,6 +9,7 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index
+from lucille_ray.index.segment import ReaderCache
 from lucille_ray.query.parser import parse
 import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.bmphrase import phrase_parts, phrase_top_k
@@ -188,10 +189,7 @@ def test_phrase_actually_skips_decodes(spiked, monkeypatch):
     for f in ("text", "role", "tool"):
         r.norms(f)
     monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r._post_cache.clear()
-    r._raw_cache.clear()
-    getattr(r, "_wand_pruned_cache", {}).clear()
-    getattr(r, "_phr_stepfn_cache", {}).clear()
+    r.cache = ReaderCache()
     cd, cs = phrase_top_k(r, ctx, field, terms, gap, k=10)
     phrase_decoded = decoded_vals["n"]
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
@@ -268,9 +266,9 @@ def test_flat_match_cache_warm_repeat(flat, monkeypatch):
     field, terms, gap = args["field"], args["terms"], args["gap"]
 
     # cold pass populates the cache
-    getattr(r, "_match_cache", {}).clear()
+    r.cache = ReaderCache()
     d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    assert (field, tuple(terms), gap) in r._match_cache
+    assert r.cache.get("match", (field, tuple(terms), gap)) is not None
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -294,28 +292,25 @@ def test_flat_match_cache_warm_repeat(flat, monkeypatch):
     np.testing.assert_array_equal(s3, es)
 
 
-def test_flat_match_cache_byte_cap(flat):
-    """The match cache evicts FIFO past its byte cap instead of growing."""
-    import lucille_ray.search.bmphrase as bp
+def test_flat_match_cache_byte_cap(flat, monkeypatch):
+    """The match pool evicts the oldest entries past the reader cache's byte
+    budget instead of growing, and keeps the new entry."""
+    import lucille_ray.index.segment as seg_mod
 
     engine = SearchEngine(flat, parallel=False)
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    import lucille_ray.search.bmconj as bc
 
-    r._match_cache = {}
-    r._match_cache_bytes = 0
+    r.cache = ReaderCache()
     big = np.zeros(1024, np.int64)
     for i in range(3):
-        bp._match_cache_put(r, ("text", (f"t{i}",), 0), big, big.astype(np.float64))
-    assert len(r._match_cache) == 3  # far under the cap: all kept
-    monkey_cap, bc.MATCH_CACHE_BYTES = bc.MATCH_CACHE_BYTES, 3 * big.nbytes
-    try:
-        bp._match_cache_put(r, ("text", ("tx",), 0), big, big.astype(np.float64))
-        assert len(r._match_cache) < 4
-        assert ("text", ("tx",), 0) in r._match_cache
-    finally:
-        bc.MATCH_CACHE_BYTES = monkey_cap
+        r.cache.put("match", ("text", (f"t{i}",), 0), (big, big.astype(np.float64)))
+    assert r.cache.stats()["match"]["entries"] == 3  # far under the cap: all kept
+    monkeypatch.setattr(seg_mod, "READER_CACHE_BYTES", 3 * 2 * big.nbytes)
+    r.cache.put("match", ("text", ("tx",), 0), (big, big.astype(np.float64)))
+    assert r.cache.stats()["match"]["entries"] < 4
+    assert r.cache.get("match", ("text", ("t0",), 0)) is None  # oldest evicted
+    assert r.cache.get("match", ("text", ("tx",), 0)) is not None
 
 
 @pytest.fixture(scope="module")
@@ -379,9 +374,9 @@ def test_theta_branch_complete_pass_is_cached(jittered, monkeypatch):
     firsts, lasts, max_tf, dl_min = bp._term_block_meta(r, field, anchor, raw[anchor])
     assert np.unique(dl_min).size > 1, "fixture must jitter per-block dl_min"
 
-    getattr(r, "_match_cache", {}).clear()
+    r.cache = ReaderCache()
     d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    assert (field, tuple(terms), gap) in r._match_cache
+    assert r.cache.get("match", (field, tuple(terms), gap)) is not None
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints

@@ -12,14 +12,20 @@ serves from cache) must stay bit-identical to a fresh engine with every
 block-max path AND the result cache pinned off (the plain evaluator — the
 strongest independent reference).
 
-Also guards the on-disk side channels: norms .npy sidecars and docmap
-row-group stats are keyed by segment dir, and compaction rewrites segment
-dirs — a stale sidecar surviving a rewrite would show up here as a score or
-metadata mismatch at the post-compact step.
+Also guards the on-disk side channels: norms .npy sidecars and the
+per-segment doc maps (convmap.parquet) are keyed by segment dir, and
+compaction rewrites segment dirs — a stale file surviving a rewrite would show
+up here as a score or metadata mismatch at the post-compact step.
+
+The per-reader caches themselves are one byte-budgeted ReaderCache
+(index/segment.py): a unit test pins its LRU and byte accounting, and a soak
+under a budget a few hot-term decodes wide checks that eviction under pressure
+never changes an answer.
 """
 
 import os
 
+import numpy as np
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
@@ -27,8 +33,11 @@ import pytest
 from lucille_ray import transcripts as T
 from lucille_ray.index import compact_index, delete_conversations
 from lucille_ray.index.build import append_index, build_index
+import lucille_ray.index.segment as seg_mod
+from lucille_ray.index.segment import ReaderCache
 import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.engine import SearchEngine
+from lucille_ray.search.oracle import BruteForceOracle
 
 # one query per cache-feeding path: single-term memo, bmconj (+negation),
 # WAND, m-of-n, phrase/proximity match cache, expansion WAND, fuzzy, field
@@ -133,3 +142,145 @@ def test_cache_identity_through_full_lifecycle(
     comp_ans = _assert_step_identity(index_dir, "compact", monkeypatch)
     for qs, (_d, _s, conv, _t) in comp_ans.items():
         assert not set(conv) & set(victims), f"{qs!r} resurrected a purged conv"
+
+
+def test_reader_cache_lru_bytes_and_stats(monkeypatch):
+    """One LRU over every pool: a hit refreshes an entry, eviction takes the
+    least recently used, replace/pop keep the byte total exact, an entry over
+    the whole budget is returned but not kept, and stats() counts it all."""
+    over = seg_mod._ENTRY_BYTES  # charged per entry on top of its arrays
+    a = np.zeros(100, np.int64)  # 800 B
+    unit = a.nbytes + over
+    monkeypatch.setattr(seg_mod, "READER_CACHE_BYTES", 3 * unit + 200)
+    c = ReaderCache()
+    c.put("p", 1, a)
+    c.put("p", 2, (a, 7))  # scalars count 0
+    c.put("q", 3, a)
+    assert c.get("p", 1) is a  # hit: LRU order is now 2, 3, 1
+    c.put("q", 4, a)  # a fourth unit is over budget: evicts 2, not the older-but-hit 1
+    assert c.get("p", 2) is None
+    assert c.get("p", 1) is a
+    small = np.zeros(10, np.int64)
+    c.put("q", 3, small)  # replace: 800 array bytes out, 80 in
+    assert c.pop("q", 4) is a
+    assert c.pop("q", 4) is None
+    big = np.zeros(1000, np.int64)
+    assert c.put("p", 9, big) is big  # over the budget: returned, not kept
+    assert c.get("p", 9) is None
+    assert c.get("q", 3) is small
+    assert c.stats() == {
+        "p": {"entries": 1, "bytes": unit, "hits": 2, "misses": 2, "evictions": 2},
+        "q": {"entries": 1, "bytes": 80 + over, "hits": 1, "misses": 0, "evictions": 0},
+    }
+    # zero-byte values (empty results, absent terms) are bounded too
+    for i in range(100):
+        c.put("r", i, (np.empty(0), np.empty(0)))
+    assert sum(p["bytes"] for p in c.stats().values()) <= seg_mod.READER_CACHE_BYTES
+    assert c.stats()["r"]["evictions"] > 0
+
+
+@pytest.fixture(scope="module")
+def soak_index(lifecycle_corpus, ray_session):
+    import ray.data
+
+    root, base_p, _app_p = lifecycle_corpus
+    index_dir = os.path.join(root, "soak_idx")
+    build_index(
+        ray.data.read_parquet(base_p), index_dir, num_segments=2,
+        range_width=256, batch_size=400,
+    )
+    return index_dir, pq.read_table(base_p)
+
+
+def _soak_queries(engine):
+    """Every routed shape over the corpus's hottest terms, plus expansions."""
+    r = max(engine._scorers()[0].readers, key=lambda rr: rr.doc_count)
+    terms, dfs = r.term_dict("text")
+    hot = [str(t) for t in terms[np.argsort(-dfs, kind="stable")[:12]]]
+    qs = []
+    for i, a in enumerate(hot):
+        b, c = hot[(i + 1) % len(hot)], hot[(i + 2) % len(hot)]
+        qs += [
+            a,  # single term
+            f"{a} OR {b}",  # disjunction
+            f"({a} {b} {c})@2",  # m-of-n
+            f"{a} AND {b}",  # conjunction
+            f"{a} AND NOT {c}",
+            f"({a} OR {b}) AND {c}",
+            f'"{a} {b}"',  # phrase
+            f'"{a} {c}"~2',  # proximity
+            f"{a[:2]}*",  # expansion
+        ]
+    return list(dict.fromkeys(qs)), r
+
+
+def _rows(engine, qs, k=10):
+    t = engine.search(qs, k=k, with_meta=False)
+    return list(zip(t["doc_id"].to_pylist(), t["score"].to_pylist()))
+
+
+def test_small_budget_soak_stays_bounded_and_exact(soak_index, monkeypatch):
+    """With READER_CACHE_BYTES a few hot-term decodes wide, every query of
+    every routed shape, cold and then cached (an immediate repeat, and again
+    a full pass later), answers bit-identically to the plain evaluator and
+    rank-identically to the brute-force oracle — with the result pool on and
+    off — while each reader's cache stays inside the budget and evicts."""
+    index_dir, table = soak_index
+    engines = [
+        SearchEngine(index_dir, parallel=False, result_cache=rc) for rc in (True, False)
+    ]
+    queries, hot_reader = _soak_queries(engines[0])
+    docs, tfs, _ = hot_reader.postings("text", queries[0])
+    budget = 4 * (docs.nbytes + tfs.nbytes)
+    monkeypatch.setattr(seg_mod, "READER_CACHE_BYTES", budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "TOP_K_ROUTES", ())
+        plain = SearchEngine(index_dir, parallel=False, result_cache=False)
+        ref = {qs: _rows(plain, qs) for qs in queries}
+    oracle = BruteForceOracle(table)
+    for qs in queries:
+        exp = oracle.search(qs, k=10)
+        assert [d for d, _ in ref[qs]] == [d for d, _ in exp], qs
+        assert all(abs(g - e) < 1e-9 for (_, g), (_, e) in zip(ref[qs], exp)), qs
+
+    readers = [r for e in engines for r in e._scorers()[0].readers]
+    for r in readers:
+        r.cache = ReaderCache()  # drop what the warm-up lookups left
+    for pass_no in range(2):
+        for qs in queries:
+            for engine in engines:
+                for _repeat in range(2):
+                    assert _rows(engine, qs) == ref[qs], (pass_no, qs)
+                    for r in readers:
+                        used = sum(p["bytes"] for p in r.cache.stats().values())
+                        assert used <= budget, (qs, used, budget)
+    hits = {}
+    for r in readers:
+        st = r.cache.stats()
+        assert sum(p["evictions"] for p in st.values()) > 0
+        for pool, c in st.items():
+            hits[pool] = hits.get(pool, 0) + c["hits"]
+    for pool in ("result", "match", "term_topk", "post", "raw", "score"):
+        assert hits[pool] > 0, (pool, hits)
+
+
+def test_engine_cache_stats_from_scorer_actors(soak_index, ray_session):
+    """SearchEngine.cache_stats() reads each segment's ReaderCache inside the
+    Ray scorer actors: after a repeated burst every reader holds entries,
+    has hits, and stays inside the default budget."""
+    index_dir, _table = soak_index
+    engine = SearchEngine(index_dir, parallel=True)
+    try:
+        for _ in range(2):
+            for qs in ("data", "data OR query", "data AND query", '"data query"~2'):
+                engine.search(qs, k=10)
+        per_scorer = engine.cache_stats()
+        segs = {d: st for got in per_scorer for d, st in got.items()}
+        assert sorted(segs) == sorted(engine.seg_dirs)
+        for st in segs.values():
+            used = sum(p["bytes"] for p in st.values())
+            assert 0 < used <= seg_mod.READER_CACHE_BYTES
+            assert st["result"]["hits"] > 0
+    finally:
+        engine.shutdown()

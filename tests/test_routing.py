@@ -179,3 +179,41 @@ def test_search_modules_read_no_environment(package):
                 if {a.name for a in node.names} & {"environ", "getenv"}:
                     offenders.append(f"{os.path.basename(path)}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("package", ["search", "index"])
+def test_modules_keep_no_cache_attributes_on_readers(package):
+    """Per-reader state lives in ``reader.cache`` (index/segment.py's
+    ReaderCache): no module under lucille_ray/search/ or lucille_ray/index/
+    reaches for a ``_…cache`` attribute on another object, by name or through
+    getattr/setattr/hasattr. An object's own private attributes (``self._…``)
+    are its business."""
+    import ast
+    import glob
+    import importlib
+    import re
+
+    cache_attr = re.compile(r"^_\w*cache")
+    pkg = importlib.import_module(f"lucille_ray.{package}")
+    pkg_dir = os.path.dirname(pkg.__file__)
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            bad = False
+            if isinstance(node, ast.Attribute) and cache_attr.match(node.attr):
+                recv = node.value
+                bad = not (isinstance(recv, ast.Name) and recv.id == "self")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "setattr", "hasattr", "delattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                bad = bool(cache_attr.match(node.args[1].value))
+            if bad:
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []

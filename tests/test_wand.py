@@ -8,6 +8,7 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index
+from lucille_ray.index.segment import ReaderCache
 import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.engine import SearchEngine, SegmentScorer
 from lucille_ray.search.eval import SegmentEval, collect_term_requests, top_k
@@ -112,9 +113,7 @@ def test_wand_actually_skips_decodes(built, monkeypatch):
     for f in ("text", "role", "tool"):
         r.norms(f)  # pre-warm: norms decode is not what this test measures
     monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r._post_cache.clear()
-    r._raw_cache.clear()
-    getattr(r, "_wand_pruned_cache", {}).clear()
+    r.cache = ReaderCache()
     wand_top_k(r, ctx, k=3, **args)
     df_hot = ctx.df.get(("text", hot), 0)
     assert df_hot > r.doc_count // 4  # the premise: the term really is hot
@@ -284,9 +283,7 @@ def test_wand_minmatch_coverage_skips_decodes(built, monkeypatch):
     for f in ("text", "role", "tool"):
         r.norms(f)
     monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r._post_cache.clear()
-    r._raw_cache.clear()
-    getattr(r, "_wand_pruned_cache", {}).clear()
+    r.cache = ReaderCache()
     wd, ws = wand_top_k(r, ctx, k=3, **args)
     wand_decoded = decoded_vals["n"]  # snapshot before the identity check below
     # identity against the plain evaluator on the same segment
@@ -412,19 +409,13 @@ def test_expansion_wand_skips_hot_term_decode(built, monkeypatch):
     for f in ("text", "role", "tool"):
         r.norms(f)
     monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r._post_cache.clear()
-    r._raw_cache.clear()
-    getattr(r, "_wand_pruned_cache", {}).clear()
+    r.cache = ReaderCache()
     wd, ws = wand_top_k(r, ctx, k=3, **args)
     wand_decoded = decoded_vals["n"]
     # identity (exactness is never traded for the skip) — measured with the
     # same counter on a cache-cleared reader, giving the full-eval baseline
     decoded_vals["n"] = 0
-    r._post_cache.clear()
-    r._raw_cache.clear()
-    getattr(r, "_wand_pruned_cache", {}).clear()
-    r._score_cache = {}
-    r._score_cache_bytes = 0
+    r.cache = ReaderCache()
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
     ed, es = top_k(*ev.eval(q), 3)
     full_decoded = decoded_vals["n"]
@@ -533,9 +524,7 @@ def test_single_term_skips_decodes_and_caches(built, monkeypatch):
     q, reqs, ctx = engine.plan("data")
     scorer = engine._scorers()[0]
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    getattr(r, "_term_topk_cache", {}).clear()
-    r._post_cache.clear()
-    getattr(r, "_score_cache", {}).clear()
+    r.cache = ReaderCache()
     d1, s1 = single_term_top_k(r, ctx, "text", "data", 10)
     assert d1.size == 10
 
