@@ -3,8 +3,8 @@
 * :func:`knn_brute` — exact cosine top-k: the (small) query matrix is normalized
   once, ``ray.put`` into the object store, and every ``map_batches`` task does one
   float64 numpy matmul per batch, emitting only its batch-local top-k rows. The
-  final global top-k reduces ``queries x k x num_batches`` rows — tiny — via a
-  plain sort/limit per query on the driver. Nothing ever gathers the full
+  final global top-k reduces ``queries x k x num_batches`` rows — tiny — via one
+  sort by (query, sim desc, neighbor) on the driver. Nothing ever gathers the full
   embedding table.
 * :func:`embedding_near_dups` — EXACT all-pairs cosine threshold sweep as a
   distributed block self-join: normalized blocks live in the object store, one
@@ -109,20 +109,20 @@ def knn_brute(
     qs = allt["query_id"].to_numpy()
     ns = allt["neighbor_id"].to_numpy()
     ss = allt["sim"].to_numpy()
-    out_q, out_n, out_s, out_r = [], [], [], []
-    for q in np.unique(qs):
-        m = qs == q
-        order = np.lexsort((ns[m], -ss[m]))[:k]
-        out_q.append(np.full(order.size, q))
-        out_n.append(ns[m][order])
-        out_s.append(ss[m][order])
-        out_r.append(np.arange(1, order.size + 1))
+    # one stable sort by (query_id, sim desc, neighbor_id); a row's rank is its
+    # offset from the start of its query's run
+    order = np.lexsort((ns, -ss, qs))
+    qs, ns, ss = qs[order], ns[order], ss[order]
+    pos = np.arange(qs.size)
+    run_start = np.maximum.accumulate(np.where(np.r_[True, qs[1:] != qs[:-1]], pos, 0))
+    rank = pos - run_start + 1
+    keep = rank <= k
     return pa.table(
         {
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "sim": pa.array(np.concatenate(out_s)),
-            "rank": pa.array(np.concatenate(out_r).astype(np.int64)),
+            "query_id": pa.array(qs[keep]),
+            "neighbor_id": pa.array(ns[keep]),
+            "sim": pa.array(ss[keep]),
+            "rank": pa.array(rank[keep].astype(np.int64)),
         }
     )
 

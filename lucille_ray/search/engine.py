@@ -5,7 +5,10 @@ Execution model (north_star): segment shards are *pinned* — each scorer actor 
 its segments' norms/stats once in ``__init__`` and keeps posting reads warm across
 queries, which is why this is one of the few places the engine drops below the
 Dataset API to raw Ray actors (a ``map_batches`` actor pool is rebuilt per Dataset
-execution, exactly what a query path must avoid; see SURVEY.md §2.E).
+execution, exactly what a query path must avoid; see SURVEY.md §2.E). Segments are
+packed onto actors by :func:`slice_groups` (Lucene's ``IndexSearcher.slices``):
+small segments share one actor, so a tiny append does not pay a whole scorer
+process.
 
 Per query:
   1. driver parses/compiles the AST and collects term requests (tiny, broadcast);
@@ -61,6 +64,43 @@ TOP_K_ROUTES = (
     (phrase_parts, phrase_top_k),  # Phrase, Proximity, analyzer-split Term
     (term_parts, single_term_top_k),  # Term, expansions of 1 term
 )
+
+#: Slice packing: a scorer actor takes segments, in doc order, until it holds
+#: SLICE_DOCS docs or SLICE_SEGMENTS segments. A scorer process costs ~180 MB
+#: before it serves anything, and a 32k-doc segment is ~10 MB on disk, so a
+#: smaller segment on its own actor is almost all process overhead; 5 is
+#: Lucene's ``MAX_SEGMENTS_PER_SLICE``, bounding how many tiny segments one
+#: actor scores in sequence.
+SLICE_DOCS = 32_768
+SLICE_SEGMENTS = 5
+
+
+def slice_groups(
+    seg_dirs: Sequence[str], doc_counts: Sequence[int], max_groups: int
+) -> List[List[str]]:
+    """Pack segments into at most ``max_groups`` scorer groups.
+
+    Walk the segments in doc order; start a new group when the current one
+    holds :data:`SLICE_DOCS` docs or more, or :data:`SLICE_SEGMENTS`
+    segments. More groups than ``max_groups`` fold round-robin (group i goes
+    to actor i % max_groups), so every actor's segments stay in doc order;
+    when every segment holds SLICE_DOCS docs or more, this is one segment per
+    group, dealt round-robin under the same cap. Answers do not depend on
+    the grouping: each actor returns its local top-k and the driver merges by
+    (score desc, doc_id asc)."""
+    groups: List[List[str]] = []
+    docs = 0
+    for d, n in zip(seg_dirs, doc_counts):
+        if not groups or docs >= SLICE_DOCS or len(groups[-1]) >= SLICE_SEGMENTS:
+            groups.append([])
+            docs = 0
+        groups[-1].append(d)
+        docs += n
+    n_groups = min(len(groups), max(1, max_groups))
+    folded: List[List[str]] = [[] for _ in range(n_groups)]
+    for i, g in enumerate(groups):
+        folded[i % n_groups].extend(g)
+    return folded
 
 
 def _merge_ctx(
@@ -322,7 +362,10 @@ class SearchEngine:
     """Query entry point over an index directory.
 
     ``parallel="auto"`` uses one Ray actor per segment group when Ray is
-    initialized; ``parallel=False`` scores in-process (tests / tiny indexes).
+    initialized and the index has more than one segment; ``parallel=False``
+    scores in-process (tests / tiny indexes). Groups come from
+    :func:`slice_groups`: small segments share an actor, at most
+    ``min(8, CPUs)`` actors per replica set.
     """
 
     def __init__(
@@ -330,7 +373,6 @@ class SearchEngine:
         index_dir: str,
         *,
         parallel: Union[bool, str] = "auto",
-        actors: Optional[int] = None,
         replicas: int = 1,
         result_cache: bool = True,
         placement: Optional[str] = "spread",
@@ -365,7 +407,6 @@ class SearchEngine:
         self.parallel = bool(parallel)
         self._actors = None
         self._local: Optional[SegmentScorer] = None
-        self._num_actors = actors
         # replica sets: each set holds EVERY segment, so any set answers any
         # query — batch serving round-robins across sets (shard replication,
         # the standard QPS-scaling lever; on a cluster each set lands on
@@ -418,12 +459,12 @@ class SearchEngine:
             # CPUs would leave some PENDING and the first query waiting on
             # them forever, so a small session puts more segments per actor
             cpus = int(ray.cluster_resources().get("CPU", 1))
-            n = max(1, min(self._num_actors or min(len(self.seg_dirs), 8), cpus))
-            groups: List[List[str]] = [[] for _ in range(n)]
-            for i, d in enumerate(self.seg_dirs):
-                groups[i % n].append(d)
+            # doc counts from the committed meta: the driver opens no segment
+            bounds = self.meta["seg_bounds"]
+            counts = [hi - lo for lo, hi in
+                      (bounds[str(s)] for s in range(len(self.seg_dirs)))]
+            live = slice_groups(self.seg_dirs, counts, min(8, cpus))
             Actor = ray.remote(SegmentScorer)
-            live = [g for g in groups if g]
             # each scorer is a 1-CPU actor; more replica sets than the cluster
             # can schedule would leave actors PENDING and deadlock the first
             # query (same failure shape as oversubscribed join aggregators) —

@@ -1120,10 +1120,15 @@ def test_match_all_stream_matches_gathered(built, ray_session):
             engine.shutdown()
 
 
-def test_replicated_engine_identical(built, ray_session):
+def test_replicated_engine_identical(built, ray_session, monkeypatch):
     """replicas>1 stripes work across duplicate scorer sets; every API answer
     must be identical to the single-set engine (same docs AND scores). Engines
-    run sequentially — the 4-CPU test session can't host both actor pools."""
+    run sequentially — the 4-CPU test session can't host both actor pools.
+    SLICE_DOCS=1 keeps the fixture's two small segments on two actors per set,
+    so the replica cap still has two groups to divide the CPUs by."""
+    from lucille_ray.search import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "SLICE_DOCS", 1)
     base = SearchEngine(built[1], parallel=True)
     try:
         singles = {qs: base.search(qs, k=7, with_meta=False) for qs in QUERY_SET[:8]}
@@ -1746,3 +1751,138 @@ def test_small_session_puts_segments_on_fewer_actors(built, tmp_path, monkeypatc
             assert ad.tolist() == bd.tolist() and ascr.tolist() == bs.tolist()
     finally:
         engine.shutdown()
+
+
+def _actor_segments(engine) -> list:
+    import ray
+
+    return ray.get([
+        a.__ray_call__.remote(lambda scorer: [r.seg_dir for r in scorer.readers])
+        for a in engine._actors
+    ], timeout=60)
+
+
+@pytest.fixture(scope="module")
+def churned(built, tmp_path_factory):
+    """A churn-style index over the fixture corpus: one segment, two appends
+    of later conversations, then tombstones in every segment. Conversations
+    are split in sorted order, so doc ids equal the fixture oracle's."""
+    import ray.data
+
+    from lucille_ray.index import delete_conversations
+    from lucille_ray.index.build import append_index
+
+    _, _, table = built
+    root = tmp_path_factory.mktemp("churned")
+    convs = sorted(set(table["conv_id"].to_pylist()))
+    cuts = [convs[int(len(convs) * f)] for f in (0.8, 0.9)]
+    parts = [
+        pc.less(table["conv_id"], cuts[0]),
+        pc.and_(pc.greater_equal(table["conv_id"], cuts[0]),
+                pc.less(table["conv_id"], cuts[1])),
+        pc.greater_equal(table["conv_id"], cuts[1]),
+    ]
+    paths = []
+    for i, mask in enumerate(parts):
+        paths.append(str(root / f"part{i}.parquet"))
+        pq.write_table(table.filter(mask), paths[-1])
+    idx = str(root / "index")
+    build_index(ray.data.read_parquet(paths[0]), idx, num_segments=1, batch_size=400)
+    for p in paths[1:]:
+        append_index(ray.data.read_parquet(p), idx, num_segments=1, batch_size=400)
+    victims = [convs[3], convs[int(len(convs) * 0.85)], convs[-2]]
+    assert delete_conversations(idx, victims) > 0
+    src = _source_order(table)
+    dead = {d for d, c in enumerate(src["conv_id"].to_pylist()) if c in victims}
+    return idx, dead
+
+
+def _oracle_hits(oracle, query, dead) -> list:
+    """Every live hit, (score desc, doc_id asc); scores keep maxDoc stats."""
+    return [(d, s) for d, s in oracle.search(query, k=oracle.n) if d not in dead]
+
+
+def _assert_rows_match_oracle(t, hits, oracle, what):
+    assert t["doc_id"].to_pylist() == [d for d, _ in hits], what
+    for got, (_, s) in zip(t["score"].to_pylist(), hits):
+        assert abs(got - s) < 1e-9, what
+    if "conv_id" in t.column_names:
+        assert t["conv_id"].to_pylist() == [oracle.conv_id[d] for d, _ in hits], what
+        assert t["turn_idx"].to_pylist() == [oracle.turn_idx[d] for d, _ in hits], what
+
+
+def test_small_segments_share_one_scorer_actor(built, churned, oracle, monkeypatch):
+    """Segments under SLICE_DOCS docs pack onto one scorer actor, in doc order,
+    and every answer equals the in-process engine's and the oracle's; with
+    SLICE_DOCS=1 each segment gets its own actor again."""
+    from lucille_ray.search import engine as engine_mod
+    from lucille_ray.search.engine import SLICE_SEGMENTS, slice_groups
+    from lucille_ray.query import nodes as qn
+    from lucille_ray.query.parser import parse
+
+    for idx, dead in ((built[1], set()), churned):
+        ref = SearchEngine(idx, parallel=False)
+        engine = SearchEngine(idx)
+        try:
+            assert len(engine.seg_dirs) in (2, 3)
+            engine._scorer_sets()
+            assert len(engine._actors) == 1
+            assert _actor_segments(engine) == [engine.seg_dirs]
+            for qs in QUERY_SET:
+                hits = _oracle_hits(oracle, qs, dead)
+                got = engine.search(qs, k=10)
+                assert got.equals(ref.search(qs, k=10)), qs
+                _assert_rows_match_oracle(got, hits[:10], oracle, qs)
+                sug = engine.suggest(qs, k=10)
+                assert sug.equals(ref.suggest(qs, k=10)), qs
+                typed = parse(qs).map_last_term(
+                    lambda t: qn.Or(qn.Term(t.value), qn.Prefix(t.value)))
+                _assert_rows_match_oracle(
+                    sug, _oracle_hits(oracle, typed, dead)[:10], oracle, qs)
+                ma = engine.match_all(qs)
+                assert ma.equals(ref.match_all(qs)), qs
+                _assert_rows_match_oracle(ma, sorted(hits), oracle, qs)
+            for (ad, ascr), (bd, bs) in zip(engine.search_many(QUERY_SET, k=5),
+                                            ref.search_many(QUERY_SET, k=5)):
+                assert ad.tolist() == bd.tolist() and ascr.tolist() == bs.tolist()
+        finally:
+            engine.shutdown()
+
+    # one actor per segment, as before packing, when no segment is "small"
+    monkeypatch.setattr(engine_mod, "SLICE_DOCS", 1)
+    for idx in (built[1], churned[0]):
+        engine = SearchEngine(idx)
+        try:
+            engine._scorer_sets()
+            assert _actor_segments(engine) == [[d] for d in engine.seg_dirs]
+        finally:
+            engine.shutdown()
+
+    # the CPU cap folds groups round-robin, each actor keeping doc order
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 2.0})
+    engine = SearchEngine(churned[0])
+    try:
+        engine._scorer_sets()
+        segs = engine.seg_dirs
+        assert _actor_segments(engine) == [[segs[0], segs[2]], [segs[1]]]
+    finally:
+        engine.shutdown()
+    monkeypatch.undo()
+
+    dirs = [f"seg-{i:05d}" for i in range(20)]
+    tiny = slice_groups(dirs[:7], [100] * 7, 8)
+    assert tiny == [dirs[:SLICE_SEGMENTS], dirs[SLICE_SEGMENTS:7]]
+    big = engine_mod.SLICE_DOCS
+    assert slice_groups(dirs[:3], [big, 10, 10], 8) == [dirs[:1], dirs[1:3]]
+    assert slice_groups(dirs[:3], [10, big, 10], 8) == [dirs[:2], dirs[2:3]]
+    for cap in (1, 2, 4, 8):
+        for counts in ([big] * 20, [1] * 20, [big, 1] * 10):
+            groups = slice_groups(dirs, counts, cap)
+            assert 1 <= len(groups) <= cap
+            assert sorted(d for g in groups for d in g) == dirs
+            assert all(g == sorted(g) for g in groups)
+    # every segment at or above SLICE_DOCS: one per actor, dealt round-robin
+    assert slice_groups(dirs[:10], [big] * 10, 8) == [
+        [dirs[i]] + ([dirs[i + 8]] if i + 8 < 10 else []) for i in range(8)]

@@ -122,6 +122,42 @@ def test_knn_brute_matches_numpy(ray_session):
         got = t.filter(pa.compute.equal(t["query_id"], qi))["neighbor_id"].to_pylist()
         assert got == expect.tolist()
 
+    # many queries over duplicated vectors, spread over several batches: every
+    # entry is 0 or +-1 with four nonzeros, so norms are exactly 2 and every
+    # sim is an exact multiple of 1/4 — ties are real, not rounding accidents
+    import ray.data
+
+    rng = np.random.default_rng(11)
+    base = np.zeros((120, 8))
+    for row in base:
+        row[rng.choice(8, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    m2 = np.concatenate([base, base[:60], base[:20]])
+    ids = rng.permutation(len(m2)).astype(np.int64)
+    ds2 = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(ids),
+        "embedding": pa.array(m2.tolist(), pa.list_(pa.float32())),
+    })).repartition(4)
+    qids = rng.permutation(40).astype(np.int64) * 3 + 5
+    q2 = base[rng.choice(len(base), len(qids))]
+    k = 7
+    t2 = knn_brute(ds2, qids, q2, k=k)
+    sims2 = (q2 / 2.0) @ (m2 / 2.0).T
+    rows = {"query_id": [], "neighbor_id": [], "sim": [], "rank": []}
+    for qi in np.argsort(qids):
+        top = np.lexsort((ids, -sims2[qi]))[:k]
+        assert np.unique(sims2[qi][top]).size < k  # ties inside the top-k
+        rows["query_id"] += [int(qids[qi])] * len(top)
+        rows["neighbor_id"] += ids[top].tolist()
+        rows["sim"] += sims2[qi][top].tolist()
+        rows["rank"] += list(range(1, len(top) + 1))
+    expect2 = pa.table({
+        "query_id": pa.array(rows["query_id"], pa.int64()),
+        "neighbor_id": pa.array(rows["neighbor_id"], pa.int64()),
+        "sim": pa.array(rows["sim"], pa.float64()),
+        "rank": pa.array(rows["rank"], pa.int64()),
+    })
+    assert t2.equals(expect2)
+
 
 def test_ivf_recall_top1(ray_session, tmp_path):
     ds, m = _emb_ds(n=200)
