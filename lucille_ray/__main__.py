@@ -127,8 +127,9 @@ def main(argv=None) -> int:
                 read_transcripts(args.input), args.index,
                 num_segments=args.segments, batch_size=args.batch_size,
             )
-            print(json.dumps({k: meta[k] for k in
-                              ("total_docs", "num_segments", "build_seconds")}))
+            print(json.dumps({"total_docs": meta["total_docs"],
+                              "num_segments": len(meta["segments"]),
+                              "build_seconds": meta["build_seconds"]}))
         elif args.cmd == "append":
             from lucille_ray.index import append_index
             from lucille_ray.transcripts import read_transcripts
@@ -137,8 +138,8 @@ def main(argv=None) -> int:
                 read_transcripts(args.input), args.index,
                 num_segments=args.segments, batch_size=args.batch_size,
             )
-            print(json.dumps({k: meta[k] for k in
-                              ("total_docs", "num_segments")}))
+            print(json.dumps({"total_docs": meta["total_docs"],
+                              "num_segments": len(meta["segments"])}))
         elif args.cmd == "delete":
             from lucille_ray.index import delete_conversations, delete_docs
 

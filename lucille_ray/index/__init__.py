@@ -1,3 +1,4 @@
+from . import commit  # noqa: F401
 from .build import append_index, build_index, segment_complete  # noqa: F401
 from .compact import compact_index  # noqa: F401
 from .delete import delete_conversations, delete_docs  # noqa: F401

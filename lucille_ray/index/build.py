@@ -54,6 +54,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
+from . import commit
 from .codec import POSTINGS_SCHEMA, RawBlocks, encode_runs, sort_postings
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
@@ -83,15 +84,11 @@ def _limit_worker_threads() -> None:
         pass
     _THREADS_LIMITED = True
 
-INDEX_META_FILE = "index_meta.json"
 MANIFEST_FILE = "MANIFEST.json"
 #: per-segment doc map: one (conv_id, base, cnt) row per conversation, sorted by
 #: base, covering exactly the segment's doc range (a file, or a directory of
 #: part files in ranged mode)
 CONVMAP_FILE = "convmap.parquet"
-#: bump on storage-layout changes; readers refuse older indexes with a clear error
-INDEX_FORMAT_VERSION = 3  # v2: norms as reserved-term posting rows; v3: blocks
-# carry exact per-block min_dl for tight BM25 upper bounds (WAND)
 
 
 # ---------------------------------------------------------------------------
@@ -762,18 +759,23 @@ def _ensure_threadsafe_fs_imports() -> None:
 
 
 def _segment_dir(index_dir: str, seg: int) -> str:
-    return os.path.join(index_dir, "segments", f"seg-{seg:05d}")
+    """Directory of new segment number ``seg`` (its docmapped partition is
+    ``seg=<seg>``)."""
+    return commit.segment_dir(index_dir, commit.segment_name(seg))
+
+
+def read_manifest(seg_dir: str) -> Optional[dict]:
+    """The segment's manifest when it is complete, else None."""
+    try:
+        with open(os.path.join(seg_dir, MANIFEST_FILE)) as f:
+            manifest = json.load(f)
+    except (json.JSONDecodeError, OSError):
+        return None
+    return manifest if manifest.get("status") == "complete" else None
 
 
 def segment_complete(index_dir: str, seg: int) -> bool:
-    mf = os.path.join(_segment_dir(index_dir, seg), MANIFEST_FILE)
-    if not os.path.exists(mf):
-        return False
-    try:
-        with open(mf) as f:
-            return json.load(f).get("status") == "complete"
-    except (json.JSONDecodeError, OSError):
-        return False
+    return read_manifest(_segment_dir(index_dir, seg)) is not None
 
 
 def build_index(
@@ -828,19 +830,17 @@ def build_index(
     t_start = time.time()
     phase_metrics: Dict[str, float] = {}
     docmapped_root = os.path.join(index_dir, "docmapped")
-    meta_path = os.path.join(index_dir, INDEX_META_FILE)
 
     meta = None
     fused_src = None
     # seg -> doc map writer; empty on resume, where a pending segment derives
     # its map from its docmapped partition
     conv_map_writers: Dict[int, Callable[[str], None]] = {}
-    if resume and os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
+    if resume and commit.exists(index_dir):
+        meta = commit.read(index_dir)
         if meta.get("docmap") == "fused" and not all(
             segment_complete(index_dir, s)
-            for s in range(meta["num_segments"])
+            for s in range(len(meta["segments"]))
         ):
             # fused builds keep no docmap checkpoint — a half-built fused
             # index resumes by recomputing (it is single-segment by
@@ -868,24 +868,20 @@ def build_index(
             partials = ray.get(
                 [bounds_task.remote(r, seg_target, num_segments) for r in base_refs]
             )
-            seg_bounds = {str(s): [0, 0] for s in range(num_segments)}
+            bounds = [[0, 0] for _ in range(num_segments)]
             seen = set()
             for part in partials:
                 for s, lo_p, hi_p in part:
-                    key = str(s)
                     if s in seen:
-                        seg_bounds[key] = [
-                            min(seg_bounds[key][0], lo_p),
-                            max(seg_bounds[key][1], hi_p),
-                        ]
+                        bounds[s] = [min(bounds[s][0], lo_p), max(bounds[s][1], hi_p)]
                     else:
-                        seg_bounds[key] = [lo_p, hi_p]
+                        bounds[s] = [lo_p, hi_p]
                         seen.add(s)
             for s in range(num_segments):
                 blocks = [i for i, part in enumerate(partials)
                           if any(p[0] == s for p in part)]
                 conv_map_writers[s] = _ranged_conv_map_writer(
-                    base_refs, blocks, *seg_bounds[str(s)]
+                    base_refs, blocks, *bounds[s]
                 )
             mapped = ds.join(
                 conv_ds,
@@ -916,7 +912,6 @@ def build_index(
             maps, bounds = _driver_conv_maps(
                 convs, bases, counts, seg_target, num_segments
             )
-            seg_bounds = {str(s): b for s, b in enumerate(bounds)}
             for s, cm in enumerate(maps):
                 conv_map_writers[s] = functools.partial(pq.write_table, cm)
         fused = num_segments == 1
@@ -931,21 +926,26 @@ def build_index(
             mapped.write_parquet(docmapped_root, partition_cols=["seg"])
         phase_metrics["docmap_sec"] = round(time.time() - t0, 3)
         phase_metrics["docid_mode"] = mode
-        meta = {
-            "version": INDEX_FORMAT_VERSION,
+        # the build's commit names its segments up front: each one is a
+        # checkpoint/resume unit that a re-run builds until it is complete
+        meta = commit.publish(index_dir, {
             "fields": list(fields),
-            "num_segments": num_segments,
             "range_width": range_width,
             "total_docs": total_docs,
-            "seg_bounds": seg_bounds,
             "analyzer": "lower+[a-z0-9]",
             "docmap": "fused" if fused else "parquet",
-        }
-        with open(meta_path, "w") as f:
-            json.dump(meta, f, indent=1)
+            "generation": 0,
+            "next_segment": num_segments,
+            "segments": [
+                commit.Segment(commit.segment_name(s), int(lo), int(hi))
+                for s, (lo, hi) in enumerate(bounds)
+            ],
+        })
 
     pending = []
-    for seg in range(meta["num_segments"]):
+    for seg, s in enumerate(meta["segments"]):
+        if s.name != commit.segment_name(seg):
+            continue  # rewritten or appended after the build: complete
         if resume and segment_complete(index_dir, seg):
             # a crash between a segment's commit and its checkpoint delete
             _drop_checkpoint(index_dir, seg)
@@ -961,7 +961,7 @@ def build_index(
             fields=meta["fields"],
             range_width=meta["range_width"],
             batch_size=batch_size,
-            seg_bounds=meta["seg_bounds"][str(seg)],
+            seg_bounds=[meta["segments"][seg].lo, meta["segments"][seg].hi],
             piece_merge_rows=piece_merge_rows,
             src_ds=fused_src,
             write_conv_map=conv_map_writers.get(seg),
@@ -1014,39 +1014,32 @@ def append_index(
       docmap; dedup upstream or compact with a tombstone pass).
     * appended docs get ids starting at the committed ``total_docs``, in sorted
       conv order within the batch. Existing doc ids never change.
-    * the COMMIT is the atomic index-meta rewrite after every new segment's
-      manifest is complete. A crash anywhere before that leaves the index
-      serving exactly the previous commit (readers open only the segments the
-      meta records); a re-run wipes the uncommitted leftovers and redoes the
-      append. BM25 global stats (df, avgdl) pick up the new segments on the
-      next engine plan — scores naturally shift with the corpus, as they must.
+    * the COMMIT (``commit.publish``) comes after every new segment's
+      manifest is complete: one atomic rewrite of the commit that adds the
+      new segment directories, numbered from the commit's ``next_segment``.
+      A failure anywhere before it leaves the index serving exactly the
+      previous commit (readers open only the segments the commit names); a
+      re-run rebuilds the same directories from scratch and the commit's
+      sweep deletes any other leftover. BM25 global stats (df, avgdl) pick
+      up the new segments on the next engine plan — scores naturally shift
+      with the corpus, as they must.
     """
     import shutil
 
     import ray
     import ray.data
 
-    meta_path = os.path.join(index_dir, INDEX_META_FILE)
-    with open(meta_path) as f:
-        meta = json.load(f)
+    meta = commit.read(index_dir)
     base0 = int(meta["total_docs"])
-    seg0 = int(meta["num_segments"])
+    seg0 = int(meta["next_segment"])
     docmapped_root = os.path.join(index_dir, "docmapped")
-    seg_root = os.path.join(index_dir, "segments")
 
-    # wipe uncommitted leftovers from a crashed previous append
+    # the docmapped partitions of a failed append: the checkpoint write below
+    # would add its files to them
     if os.path.isdir(docmapped_root):
         for name in os.listdir(docmapped_root):
             if name.startswith("seg=") and int(name.split("=", 1)[1]) >= seg0:
                 shutil.rmtree(os.path.join(docmapped_root, name))
-    if os.path.isdir(seg_root):
-        for name in os.listdir(seg_root):
-            try:
-                num = int(name.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            if num >= seg0:
-                shutil.rmtree(os.path.join(seg_root, name))
 
     convs, bases, counts = _conv_offsets(ds)
     total_new = int(counts.sum())
@@ -1065,7 +1058,6 @@ def append_index(
     ).write_parquet(docmapped_root, partition_cols=["seg"])
 
     maps, bounds = _driver_conv_maps(convs, bases, counts, seg_target, nseg, base0)
-    new_bounds = {str(seg0 + s): b for s, b in enumerate(bounds)}
 
     def _run(s: int) -> None:
         _build_segment(
@@ -1075,12 +1067,12 @@ def append_index(
             fields=meta["fields"],
             range_width=meta["range_width"],
             batch_size=batch_size,
-            seg_bounds=new_bounds[str(seg0 + s)],
+            seg_bounds=bounds[s],
             piece_merge_rows=piece_merge_rows,
             write_conv_map=functools.partial(pq.write_table, maps[s]),
         )
-        # an uncommitted append is wiped and redone from its input, so the
-        # checkpoint can go as soon as the segment manifest is written
+        # an uncommitted append is redone from its input, so the checkpoint
+        # can go as soon as the segment manifest is written
         _drop_checkpoint(index_dir, seg0 + s)
 
     if nseg == 1:
@@ -1092,15 +1084,15 @@ def append_index(
         with ThreadPoolExecutor(max_workers=min(4, nseg)) as ex:
             list(ex.map(_run, range(nseg)))
 
-    # ---- commit: atomic meta rewrite ----
-    meta["total_docs"] = base0 + total_new
-    meta["num_segments"] = seg0 + nseg
-    meta["seg_bounds"].update(new_bounds)
-    tmp = meta_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=1)
-    os.replace(tmp, meta_path)
-    return meta
+    return commit.publish(index_dir, dict(
+        meta,
+        total_docs=base0 + total_new,
+        next_segment=seg0 + nseg,
+        segments=meta["segments"] + [
+            commit.Segment(commit.segment_name(seg0 + s), lo, hi)
+            for s, (lo, hi) in enumerate(bounds)
+        ],
+    ))
 
 
 def _build_segment(
@@ -1145,13 +1137,13 @@ def _build_segment(
         if not os.path.isdir(seg_input):
             if lo != hi:
                 # the docmap says this segment holds docs [lo, hi) but its input
-                # directory is gone (e.g. docmapped/ deleted while index_meta.json
+                # directory is gone (e.g. docmapped/ deleted while the commit
                 # survived) — committing an empty 'complete' manifest would silently
                 # serve an index missing all of those documents
                 raise ValueError(
-                    f"segment {seg} input {seg_input} is missing but seg_bounds says "
-                    f"docs [{lo}, {hi}) live there; delete {INDEX_META_FILE} (or the "
-                    "whole index dir) to rebuild the docmap"
+                    f"segment {seg} input {seg_input} is missing but the commit "
+                    f"says docs [{lo}, {hi}) live there; build with resume=False "
+                    "(or into an empty dir) to rebuild the docmap"
                 )
             _write_manifest(index_dir, seg, seg_input, 0, 0, fields, empty=True)
             return
@@ -1232,7 +1224,7 @@ def _write_manifest(
 ) -> None:
     seg_dir = _segment_dir(index_dir, seg)
     manifest = {
-        "segment_id": f"seg-{seg:05d}",
+        "segment_id": commit.segment_name(seg),
         "status": "complete",
         "empty": empty,
         "input_path": seg_input,

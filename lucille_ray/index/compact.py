@@ -4,8 +4,9 @@ shuffle-free build into one consolidated row per ``(field, term)``.
 This gives the best of both worlds at scale: the build streams with zero
 all-to-all, then compaction — a sort-merge by ``(field, term)`` over the
 already block-compressed postings (a small fraction of input volume) — writes
-the read-optimal serving layout. Compaction is optional, idempotent (atomic
-directory swap), and per-segment resumable like the build.
+the read-optimal serving layout into a NEW segment directory, published by
+one commit (``commit.py``). Compaction is optional, idempotent, and
+per-segment resumable: a completed directory of a failed run is reused.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .build import INDEX_META_FILE, MANIFEST_FILE, NORMS_TERM, _limit_worker_threads
+from . import commit
+from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM, _limit_worker_threads, read_manifest
 from .codec import BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings
 
 
@@ -245,23 +246,6 @@ def _merge_sorted_batch(
     )
 
 
-def _recover_interrupted_swap(postings_path: str) -> None:
-    """The publish below is two renames; a crash in between leaves ``.bak``
-    present and ``postings.parquet`` missing. Finish or roll back before
-    compacting so a re-run always starts from a readable segment."""
-    bak = postings_path + ".bak"
-    tmp = postings_path + ".compact"
-    if os.path.isdir(postings_path):
-        return
-    if os.path.isdir(tmp):
-        # crashed between the two renames with the new dir complete: finish
-        os.rename(tmp, postings_path)
-        shutil.rmtree(bak, ignore_errors=True)
-    elif os.path.isdir(bak):
-        # crashed after moving the old dir aside but the new one is gone: restore
-        os.rename(bak, postings_path)
-
-
 def _retry_fs_import_race(fn):
     """Ray's path resolution probes ``fsspec.implementations.http`` on EVERY
     read/write; with aiohttp absent the import always fails, is evicted from
@@ -292,11 +276,28 @@ def _load_segment(seg_dir: str, manifest: dict) -> tuple:
     return reader, {f: reader.norms(f) for f in manifest.get("fields", [])}
 
 
+def _kept(name: str) -> bool:
+    """The files a compacted segment takes unchanged (hard-linked) from its
+    source: the doc map, the build's stage stats and the norms sidecars."""
+    return name in (CONVMAP_FILE, "stage_stats.txt") or (
+        name.startswith("norms_") and name.endswith(".npy")
+    )
+
+
+def _link(src: str, dst: str) -> None:
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copy2(src, dst)
+
+
 def _compact_segment(
-    seg_dir: str, manifest: dict, manifest_path: str, reader, norms: dict
+    seg_dir: str, manifest: dict, source: dict, new_dir: str, reader, norms: dict
 ) -> None:
-    """Sort-merge one segment's postings and atomically publish the result
-    (``reader`` and ``norms`` from :func:`_load_segment`)."""
+    """Sort-merge one segment's postings into the new directory ``new_dir``
+    (``reader`` and ``norms`` from :func:`_load_segment`; ``source`` names
+    the segment and tombstone it compacts). A complete ``new_dir`` from a
+    failed earlier run over the same source is kept as it is."""
     import functools
 
     import ray
@@ -304,9 +305,12 @@ def _compact_segment(
 
     from .writer import COMPACT_MIN_ROWS_PER_WRITE, PostingsSink
 
-    postings_path = os.path.join(seg_dir, "postings.parquet")
-    tmp_path = postings_path + ".compact"
-    shutil.rmtree(tmp_path, ignore_errors=True)
+    done = read_manifest(new_dir)
+    if done is not None and done.get("source") == source:
+        return
+    shutil.rmtree(new_dir, ignore_errors=True)
+    os.makedirs(new_dir)
+    postings_path = os.path.join(new_dir, "postings.parquet")
 
     # broadcast the segment's norms once (ray.put, zero-copy reads in every
     # merge task) so re-cut blocks keep an exact min_dl for WAND bounds
@@ -327,7 +331,7 @@ def _compact_segment(
     blocks = min(-(-rows // MERGE_BATCH_ROWS),
                  ray.data.DataContext.get_current().read_op_min_num_blocks)
     ds = _retry_fs_import_race(lambda: ray.data.read_parquet(
-        postings_path, override_num_blocks=max(1, blocks)
+        os.path.join(seg_dir, "postings.parquet"), override_num_blocks=max(1, blocks)
     ))
     # ONE all-to-all: sort by (field, term, bucket), then merge term runs
     # per sorted batch. The sort is what makes term lookups cheap — it
@@ -352,98 +356,92 @@ def _compact_segment(
     )
     # one file per write task (no file cap: a file is bounded by the
     # segment's own row count), row groups cut by index/writer.py
-    sink = PostingsSink(tmp_path, min_rows_per_write=COMPACT_MIN_ROWS_PER_WRITE)
+    sink = PostingsSink(postings_path, min_rows_per_write=COMPACT_MIN_ROWS_PER_WRITE)
 
     def _write():
-        shutil.rmtree(tmp_path, ignore_errors=True)  # clean slate per attempt
+        shutil.rmtree(postings_path, ignore_errors=True)  # clean slate per attempt
         merged.write_datasink(sink)
 
     _retry_fs_import_race(_write)
-    # atomic publish: old dir moves aside, tmp takes its place
-    bak = postings_path + ".bak"
-    shutil.rmtree(bak, ignore_errors=True)
-    os.rename(postings_path, bak)
-    os.rename(tmp_path, postings_path)
-    shutil.rmtree(bak)
+    with open(os.path.join(seg_dir, "stats.json")) as f:
+        stats = json.load(f)
+    manifest = dict(manifest, segment_id=os.path.basename(new_dir), source=source,
+                    compacted=True)
     if reader.deleted is not None:
         # the postings above no longer contain the tombstoned docs: record
         # LIVE stats (numDocs/liveDl) next to the untouched maxDoc ones —
         # engine-level N and avgdl switch to them, like Lucene after a merge —
-        # then drop the tombstone file so WAND re-enables. Crash between any
-        # two steps re-runs this segment's compaction (manifest lands last)
-        # and converges: re-filtering already-purged postings is a no-op.
+        # and the new commit names no tombstone, so WAND re-enables
         dead = reader.deleted
-        stats_path = os.path.join(seg_dir, "stats.json")
-        with open(stats_path) as f:
-            stats = json.load(f)
         stats["live_docs"] = int(stats["doc_count"]) - int(dead.size)
         for f_, st in stats.get("fields", {}).items():
             arr = norms.get(f_)
             removed = int(arr[dead - reader.doc_base].sum()) if arr is not None else 0
             st["live_dl"] = int(st["total_dl"]) - removed
-        tmp_st = stats_path + ".tmp"
-        with open(tmp_st, "w") as f:
-            json.dump(stats, f, indent=1)
-        os.replace(tmp_st, stats_path)
-        os.remove(os.path.join(seg_dir, "deleted.npy"))
-        manifest["purged_docs"] = int(
-            manifest.get("purged_docs", 0)
-        ) + int(dead.size)
-    manifest["compacted"] = True
+        manifest["purged_docs"] = int(manifest.get("purged_docs", 0)) + int(dead.size)
+    with open(os.path.join(new_dir, "stats.json"), "w") as f:
+        json.dump(stats, f, indent=1)
+    for name in os.listdir(seg_dir):
+        if _kept(name):
+            src, dst = os.path.join(seg_dir, name), os.path.join(new_dir, name)
+            if os.path.isdir(src):  # a ranged build's doc map: part files
+                shutil.copytree(src, dst, copy_function=_link)
+            else:
+                _link(src, dst)
     manifest["posting_rows"] = sum(
         pq.read_metadata(os.path.join(postings_path, f)).num_rows
         for f in os.listdir(postings_path)
         if f.endswith(".parquet")
     )
-    tmp_mf = manifest_path + ".tmp"
+    # the manifest lands last: a directory without it is rebuilt on re-run
+    tmp_mf = os.path.join(new_dir, MANIFEST_FILE + ".tmp")
     with open(tmp_mf, "w") as f:
         json.dump(manifest, f, indent=1)
-    os.replace(tmp_mf, manifest_path)
+    os.replace(tmp_mf, os.path.join(new_dir, MANIFEST_FILE))
 
 
 def compact_index(index_dir: str, *, resume: bool = True) -> None:
-    """Compact every segment's postings in place (atomic swap per segment;
-    interrupted swaps from a previous crash are repaired on entry).
+    """Compact the postings of every segment of the current commit that is
+    not compacted yet or holds tombstones (with ``resume=False``: every
+    segment), each into a new segment directory, then publish them all in
+    one commit; its sweep deletes the directories they replace. A failure
+    before the publish leaves the previous commit serving; a re-run keeps
+    the new directories that completed.
 
     Segments compact CONCURRENTLY (a few driver threads, each running one
     independent sort→merge→write Dataset pipeline): one segment's exchange
     rarely saturates the cluster on its own — its sort has a reduce fan-in
     barrier and a bounded task count — so overlapping segments keeps workers
     fed, and at small scale it hides the ~seconds of fixed per-pipeline
-    overhead instead of paying it once per segment. Crash safety is unchanged:
-    each segment still publishes via its own atomic swap, so a failure leaves
-    every segment either compacted or untouched (per-segment resume)."""
+    overhead instead of paying it once per segment."""
     from concurrent.futures import ThreadPoolExecutor
 
-    seg_root = os.path.join(index_dir, "segments")
+    c = commit.read(index_dir)
+    segments = list(c["segments"])
+    number = int(c["next_segment"])
     pending: list = []
-    for name in sorted(os.listdir(seg_root)):
-        seg_dir = os.path.join(seg_root, name)
-        manifest_path = os.path.join(seg_dir, MANIFEST_FILE)
-        if not os.path.isfile(manifest_path):
+    for i, seg in enumerate(segments):
+        seg_dir = commit.segment_dir(index_dir, seg.name)
+        manifest = read_manifest(seg_dir)
+        if manifest is None or manifest.get("empty"):
             continue
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        if manifest.get("empty"):
+        # deletes after a previous compaction re-qualify the segment: this
+        # pass is also the tombstone purge
+        if resume and manifest.get("compacted") and seg.deleted is None:
             continue
-        postings_path = os.path.join(seg_dir, "postings.parquet")
-        _recover_interrupted_swap(postings_path)
-        if (
-            resume
-            and manifest.get("compacted")
-            and os.path.isdir(postings_path)
-            # deletes after a previous compaction re-qualify the segment:
-            # this pass is also the tombstone purge
-            and not os.path.exists(os.path.join(seg_dir, "deleted.npy"))
-        ):
-            continue
-        pending.append((seg_dir, manifest, manifest_path, *_load_segment(seg_dir, manifest)))
+        name = commit.segment_name(number)
+        number += 1
+        segments[i] = commit.Segment(name, seg.lo, seg.hi)
+        source = {"segment": seg.name, "deleted": seg.deleted}
+        pending.append((seg_dir, manifest, source, commit.segment_dir(index_dir, name),
+                        *_load_segment(seg_dir, manifest)))
     if not pending:
         return
     if len(pending) == 1:
         _compact_segment(*pending[0])
-        return
-    with ThreadPoolExecutor(max_workers=min(4, len(pending))) as pool:
-        futs = [pool.submit(_compact_segment, *args) for args in pending]
-        for f in futs:
-            f.result()
+    else:
+        with ThreadPoolExecutor(max_workers=min(4, len(pending))) as pool:
+            futs = [pool.submit(_compact_segment, *args) for args in pending]
+            for f in futs:
+                f.result()
+    commit.publish(index_dir, dict(c, segments=segments, next_segment=number))

@@ -1,13 +1,17 @@
 """Document deletes via per-segment tombstones (Lucene liveDocs semantics).
 
-``delete_docs`` / ``delete_conversations`` mark docs deleted by writing a
-sorted ``deleted.npy`` doc-id array into each affected COMMITTED segment
-(atomic replace, idempotent, accumulative). Readers opened afterwards filter
-tombstoned docs out of every decoded posting list at the segment read layer,
-so they can never appear in results of any query shape — while df / norms /
-avgdl statistics intentionally keep counting them until a rewrite, exactly
-like Lucene's maxDoc-based stats before a merge: surviving docs' scores are
-bit-identical before and after a delete.
+``delete_docs`` / ``delete_conversations`` write, into each affected segment
+of the current commit, a NEW tombstone file (``commit.tombstone_name``): the
+sorted union of the segment's previous tombstones and the new ids. One
+``commit.publish`` then names all of them at once, so a delete across many
+segments is atomic — a failure before the publish leaves the previous
+commit's tombstones serving — and the publish's sweep removes the files it
+replaced. Deletes are idempotent and accumulative. Readers opened afterwards
+filter tombstoned docs out of every decoded posting list at the segment read
+layer, so they can never appear in results of any query shape — while df /
+norms / avgdl statistics intentionally keep counting them until a rewrite,
+exactly like Lucene's maxDoc-based stats before a merge: surviving docs'
+scores are bit-identical before and after a delete.
 
 Scale note: conversations resolve to doc ids through each segment's doc map
 (``convmap.parquet``, one row per conversation: a conversation's turns are the
@@ -19,28 +23,14 @@ instead; the tombstone write path is unchanged.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Sequence
 
 import numpy as np
 import pyarrow as pa
 
-from .build import INDEX_META_FILE, MANIFEST_FILE, _segment_dir
+from . import commit
 from .segment import SegmentReader
-
-
-def _committed_segments(index_dir: str) -> list:
-    with open(os.path.join(index_dir, INDEX_META_FILE)) as f:
-        meta = json.load(f)
-    out = []
-    for s in range(int(meta["num_segments"])):
-        seg_dir = _segment_dir(index_dir, s)
-        with open(os.path.join(seg_dir, MANIFEST_FILE)) as f:
-            manifest = json.load(f)
-        if not manifest.get("empty"):
-            out.append((seg_dir, manifest))
-    return out
 
 
 def delete_docs(index_dir: str, doc_ids: Sequence[int] | np.ndarray) -> int:
@@ -49,27 +39,24 @@ def delete_docs(index_dir: str, doc_ids: Sequence[int] | np.ndarray) -> int:
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
     if ids.size == 0:
         return 0
+    c = commit.read(index_dir)
+    tomb = commit.tombstone_name(c)
+    segments = []
     newly = 0
-    for seg_dir, _manifest in _committed_segments(index_dir):
-        with open(os.path.join(seg_dir, "stats.json")) as f:
-            stats = json.load(f)
-        lo = int(stats["doc_base"])
-        hi = lo + int(stats["doc_count"])
-        local = ids[(ids >= lo) & (ids < hi)]
-        if local.size == 0:
-            continue
-        tomb = os.path.join(seg_dir, "deleted.npy")
-        if os.path.exists(tomb):
-            prev = np.load(tomb).astype(np.int64, copy=False)
-            merged = np.union1d(prev, local)
+    for seg in c["segments"]:
+        local = ids[(ids >= seg.lo) & (ids < seg.hi)]
+        prev_path = commit.tombstone_path(index_dir, seg)
+        prev = np.empty(0, np.int64)
+        if local.size and prev_path is not None:
+            prev = np.load(prev_path).astype(np.int64, copy=False)
+        merged = np.union1d(prev, local)
+        if merged.size > prev.size:
             newly += int(merged.size - prev.size)
-        else:
-            merged = local
-            newly += int(local.size)
-        tmp = tomb + ".tmp"
-        with open(tmp, "wb") as fh:
-            np.save(fh, merged)
-        os.replace(tmp, tomb)
+            np.save(os.path.join(commit.segment_dir(index_dir, seg.name), tomb), merged)
+            seg = seg._replace(deleted=tomb)
+        segments.append(seg)
+    if newly:
+        commit.publish(index_dir, dict(c, segments=segments))
     return newly
 
 
@@ -79,8 +66,10 @@ def delete_conversations(index_dir: str, conv_ids: Iterable[str]) -> int:
     convs = pa.array(sorted(set(conv_ids)), pa.string())
     if not len(convs):
         return 0
+    c = commit.read(index_dir)
     doc_ids = [
         SegmentReader(seg_dir).conv_docs(convs)
-        for seg_dir, _manifest in _committed_segments(index_dir)
+        for seg, seg_dir in zip(c["segments"], commit.segment_dirs(index_dir, c))
+        if seg.hi > seg.lo
     ]
     return delete_docs(index_dir, np.concatenate(doc_ids) if doc_ids else [])

@@ -17,7 +17,10 @@ import os
 import re
 from typing import Optional
 
+import numpy as np
 import pyarrow.parquet as pq
+
+from . import commit
 
 _TIME_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -143,9 +146,9 @@ def _component(parts: tuple) -> str:
 
 def _index_bytes(index_dir: str) -> tuple[dict, dict]:
     """Bytes of every file under ``index_dir`` by component: ({component:
-    bytes} over the whole index, {segment name: {component: bytes}}), where
-    ``docmapped/seg=K`` counts toward segment K. Each file has exactly one
-    component, so the components sum to the bytes on disk."""
+    bytes} over the whole index, {directory: {component: bytes}}) for each
+    segment directory and each ``docmapped/seg=K`` partition. Each file has
+    exactly one component, so the components sum to the bytes on disk."""
     total = dict.fromkeys(BYTE_COMPONENTS, 0)
     per_seg: dict = {}
     for root, _dirs, files in os.walk(index_dir):
@@ -159,10 +162,8 @@ def _index_bytes(index_dir: str) -> tuple[dict, dict]:
             comp = _component(parts)
             total[comp] += size
             seg = None
-            if parts[0] == "segments" and len(parts) >= 3:
+            if parts[0] in ("segments", "docmapped") and len(parts) >= 3:
                 seg = parts[1]
-            elif comp == "checkpoint_bytes" and parts[1].startswith("seg="):
-                seg = "seg-{:05d}".format(int(parts[1][4:]))
             if seg is not None:
                 per_seg.setdefault(seg, dict.fromkeys(BYTE_COMPONENTS, 0))[comp] += size
     return total, per_seg
@@ -182,9 +183,10 @@ def _postings_layout(seg_dir: str) -> tuple[int, int]:
 
 
 def build_report(index_dir: str) -> dict:
-    """Aggregate an index directory into one structured report dict."""
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
+    """Aggregate an index directory into one structured report dict: the
+    segments of its current commit, in commit (doc) order, each with its
+    tombstone file and count; ``index_bytes`` counts every file on disk."""
+    meta = commit.read(index_dir)
 
     metrics: Optional[dict] = None
     mpath = os.path.join(index_dir, "build_metrics.json")
@@ -194,13 +196,13 @@ def build_report(index_dir: str) -> dict:
 
     segments = []
     total_bytes, seg_bytes = _index_bytes(index_dir)
-    seg_root = os.path.join(index_dir, "segments")
     total_posting_rows = 0
     total_purged = 0
     total_groups = total_footer = 0
     any_tombstones = False
-    for name in sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []:
-        seg_dir = os.path.join(seg_root, name)
+    for s in meta["segments"]:
+        name = s.name
+        seg_dir = commit.segment_dir(index_dir, name)
         man_path = os.path.join(seg_dir, "MANIFEST.json")
         if not os.path.isfile(man_path):
             continue
@@ -211,7 +213,8 @@ def build_report(index_dir: str) -> dict:
         if os.path.isfile(st_path):
             with open(st_path) as f:
                 stats = json.load(f)
-        tombstoned = os.path.exists(os.path.join(seg_dir, "deleted.npy"))
+        tomb = commit.tombstone_path(index_dir, s)
+        tombstoned = tomb is not None
         any_tombstones = any_tombstones or tombstoned
         stages: list[dict] = []
         ss_path = os.path.join(seg_dir, "stage_stats.txt")
@@ -228,7 +231,11 @@ def build_report(index_dir: str) -> dict:
         groups, footer = _postings_layout(seg_dir)
         total_groups += groups
         total_footer += footer
-        comps = seg_bytes.get(name, dict.fromkeys(BYTE_COMPONENTS, 0))
+        comps = dict.fromkeys(BYTE_COMPONENTS, 0)
+        # the segment's own files, and its docmapped partition if one is left
+        for d in (name, os.path.basename(man.get("input_path") or "")):
+            for c, n in seg_bytes.get(d, {}).items():
+                comps[c] += n
         seg = {
             "segment": name,
             "status": man.get("status"),
@@ -237,6 +244,10 @@ def build_report(index_dir: str) -> dict:
             "compacted": bool(man.get("compacted")),
             "empty": bool(man.get("empty")),
             "tombstoned": tombstoned,
+            "tombstone": s.deleted,
+            "tombstoned_docs": (
+                int(np.load(tomb, mmap_mode="r").size) if tombstoned else 0
+            ),
             "purged_docs": purged,
             # the segment directory's own files (its checkpoint sits outside)
             "bytes": sum(comps.values()) - comps["checkpoint_bytes"],

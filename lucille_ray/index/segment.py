@@ -1,17 +1,28 @@
 """Immutable segment reader: postings / norms / stats access with lazy loading and
 per-field term-dictionary caching.
 
-A segment is a contiguous doc-id range built by ``build.py``::
+A segment is a contiguous doc-id range in a write-once directory, named by the
+write that created it (``commit.segment_name``: a build's segments are
+``seg-00000``..., every later append or compaction takes the next number)::
 
     seg-00000/
       postings.parquet/   # rows (field, term, bucket, df, total_tf, blocks)
-      stats.json          # doc_base, doc_count, per-field total_dl
+      stats.json          # doc_base, doc_count, per-field total_dl (+ live
+                          # stats after a compaction purged tombstones)
       convmap.parquet     # doc map: one (conv_id, base, cnt) row per conversation
       MANIFEST.json       # lineage + completion marker (checkpoint/resume unit)
+      deleted_<gen>.npy   # tombstones: sorted deleted doc ids, one file per
+                          # delete generation; the commit names the live one
       norms_<field>.npy   # per-doc field lengths, written by the first reader
     (norms = reserved-term ``NORMS_TERM`` posting rows; the ``.npy`` sidecars
-    cache their decode; result metadata and conversation deletes resolve
-    through the doc map, doc_id = base + turn_idx)
+    cache their decode and are the one file a reader adds to a committed
+    directory; result metadata and conversation deletes resolve through the
+    doc map, doc_id = base + turn_idx)
+
+Which directories and tombstones are live is the commit's business
+(``commit.py``); a reader opens one directory and pins every file in it that
+a later write's sweep may unlink (postings handles, the doc map, the
+tombstone), so it keeps answering after that sweep.
 
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded once —
 designed to be pinned inside long-lived scorer actors) and fetch postings by
@@ -33,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import commit
 from .build import CONVMAP_FILE, NORMS_TERM, conv_map_from_docmapped, conv_map_table
 from .codec import RawBlocks, sort_postings
 
@@ -152,21 +164,28 @@ class SegmentReader:
         self._conv_map: Optional[Tuple[pa.Array, np.ndarray, np.ndarray]] = None
         self._postings_pf_cache: Optional[list] = None
         self.cache = ReaderCache()
-        # tombstones: sorted global doc ids marked deleted (``deleted.npy``,
-        # written by index.delete). Loaded once at reader construction —
-        # readers opened after a delete see it (Lucene reopen semantics).
-        # Postings are filtered at the decode choke point below; df/norms/
-        # avgdl stats intentionally keep counting tombstoned docs until a
-        # rewrite, exactly like Lucene's maxDoc-based stats before a merge.
+        # tombstones: sorted global doc ids marked deleted (the file the
+        # commit names, written by index.delete). Loaded once at reader
+        # construction — readers opened after a delete see it (Lucene reopen
+        # semantics). Postings are filtered at the decode choke point below;
+        # df/norms/avgdl stats intentionally keep counting tombstoned docs
+        # until a rewrite, exactly like Lucene's maxDoc-based stats before a
+        # merge.
         self.deleted: Optional[np.ndarray] = None
-        tomb = os.path.join(seg_dir, "deleted.npy")
-        if os.path.exists(tomb):
+        tomb = commit.committed_tombstone(seg_dir)
+        if tomb is not None:
             try:
                 arr = np.load(tomb).astype(np.int64, copy=False)
                 if arr.size:
                     self.deleted = arr
             except (OSError, ValueError):
                 raise ValueError(f"unreadable tombstone file {tomb}")
+        if not self.empty:
+            # pin what a later write's sweep may unlink: open postings
+            # handles survive it, and so does the loaded doc map
+            self._postings_files()
+            if os.path.exists(os.path.join(seg_dir, CONVMAP_FILE)):
+                self.conv_map()
 
     # ---- stats ----
 
@@ -598,11 +617,9 @@ def _overlap_mask(
 
 
 def load_segments(index_dir: str) -> List[SegmentReader]:
-    """Readers for the COMMITTED segments (the ones index meta records);
-    uncommitted leftovers from a crashed ``append_index`` are ignored."""
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        n = int(json.load(f)["num_segments"])
-    seg_root = os.path.join(index_dir, "segments")
+    """Readers for the segments of the current commit; uncommitted leftovers
+    from a failed write are ignored."""
     return [
-        SegmentReader(os.path.join(seg_root, f"seg-{s:05d}")) for s in range(n)
+        SegmentReader(d)
+        for d in commit.segment_dirs(index_dir, commit.read(index_dir))
     ]

@@ -101,7 +101,20 @@ def drop_empty_blocks(ds):
     partition's Arrow block builder and Acero rejects the key field ref
     (the r02 ``tfidf_keywords`` flake at 32 cpus). Call this on any
     groupby-derived input to a join. Consumes/extends the plan, so pass a
-    materialized dataset when the lineage is expensive."""
+    materialized dataset when the lineage is expensive.
+
+    Zero-row TYPED blocks poison a join too (Ray 2.49,
+    ``execution/operators/hash_shuffle.py``): the shuffle sends an input's
+    schema to every join aggregator only with that input's FIRST block, and
+    ``_shuffle_block`` returns before its fan-out when that block has no
+    rows. So when an input's first block is empty, each partition that then
+    gets no rows from that input joins a column-less table
+    (``join.py::JoiningShuffleAggregation.finalize``) and Acero raises the
+    same key-field error — the ``pmi_collocations`` flake, where a support
+    filter leaves most blocks empty. Dropping them here (``num_rows == 0``)
+    covers both faults, provided the input has rows at all: an all-empty
+    input keeps one empty block and still fails, so check ``count()``
+    first."""
     import ray.data
 
     refs = [

@@ -478,10 +478,6 @@ def pmi_collocations(ds, k: int = 20, min_count: int = 5, *,
     counts = drop_empty_blocks(counts)  # ref-backed: no recompute on reuse
     is_uni = lambda t: t.filter(pc.equal(t["w2"], ""))  # noqa: E731
     is_bi = lambda t: t.filter(pc.not_equal(t["w2"], ""))  # noqa: E731
-    uni = counts.map_batches(
-        lambda t: (lambda u: pa.table({"w": u["w1"], "c": u["c"]}))(is_uni(t)),
-        batch_format="pyarrow",
-    )
     total_t = 0
     total_b = 0
     for tb in (counts.map_batches(
@@ -496,21 +492,36 @@ def pmi_collocations(ds, k: int = 20, min_count: int = 5, *,
         tt = ray.get(tb)
         total_t += int(pc.sum(tt["t"]).as_py() or 0)
         total_b += int(pc.sum(tt["b"]).as_py() or 0)
-    bi = counts.map_batches(
+    # the per-block filters below can leave blocks empty, the support filter
+    # most of them, and so can the first join: every join input is
+    # materialized without its zero-row blocks (see joins.drop_empty_blocks),
+    # and no qualifying pair means no join
+    uni = drop_empty_blocks(counts.map_batches(
+        lambda t: (lambda u: pa.table({"w": u["w1"], "c": u["c"]}))(is_uni(t)),
+        batch_format="pyarrow",
+    ).materialize())
+    bi = drop_empty_blocks(counts.map_batches(
         lambda t: (lambda b: pa.table(
             {"w1": b["w1"], "w2": b["w2"], "c12": b["c"]}
         ))(is_bi(t).filter(pc.greater_equal(is_bi(t)["c"], min_count))),
         batch_format="pyarrow",
-    )
+    ).materialize())
+    out_schema = pa.schema([("w1", pa.string()), ("w2", pa.string()),
+                            ("c12", pa.int64()), ("pmi_r", pa.float64())])
+    if bi.count() == 0:
+        import ray.data
+
+        return ray.data.from_arrow(out_schema.empty_table())
     u1 = uni.map_batches(
         lambda t: pa.table({"w1": t["w"], "c1": t["c"]}), batch_format="pyarrow"
     )
     u2 = uni.map_batches(
         lambda t: pa.table({"w2": t["w"], "c2": t["c"]}), batch_format="pyarrow"
     )
-    joined = bi.join(
+    j1 = drop_empty_blocks(bi.join(
         u1, join_type="inner", num_partitions=num_partitions, on=("w1",)
-    ).join(u2, join_type="inner", num_partitions=num_partitions, on=("w2",))
+    ).materialize())
+    joined = j1.join(u2, join_type="inner", num_partitions=num_partitions, on=("w2",))
 
     def score(t: pa.Table) -> pa.Table:
         c12 = t["c12"].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -24,14 +24,12 @@ a whole query batch per round-trip.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pyarrow as pa
 
-from ..index.build import INDEX_META_FILE
+from ..index import commit
 from ..index.segment import SegmentReader
 from ..query import nodes as qn
 from ..query.parser import parse
@@ -380,23 +378,10 @@ class SearchEngine:
         # per-reader exact top-k result cache, handed to every scorer
         self._result_cache = result_cache
         self.index_dir = index_dir
-        with open(os.path.join(index_dir, INDEX_META_FILE)) as f:
-            self.meta = json.load(f)
-        from ..index.build import INDEX_FORMAT_VERSION
-
-        if self.meta.get("version") != INDEX_FORMAT_VERSION:
-            raise ValueError(
-                f"index {index_dir} has format version {self.meta.get('version')}; "
-                f"this engine reads version {INDEX_FORMAT_VERSION} — rebuild the index"
-            )
-        # open exactly the segments the committed meta records: a crashed
-        # append_index may leave extra (uncommitted) segment dirs behind, and
-        # those must be invisible until their commit lands
-        seg_root = os.path.join(index_dir, "segments")
-        self.seg_dirs = [
-            os.path.join(seg_root, f"seg-{s:05d}")
-            for s in range(int(self.meta["num_segments"]))
-        ]
+        # the segments of the current commit, in doc order: a failed write's
+        # uncommitted leftovers are invisible (index/commit.py)
+        self.meta = commit.read(index_dir)
+        self.seg_dirs = commit.segment_dirs(index_dir, self.meta)
         if parallel == "auto":
             try:
                 import ray
@@ -459,10 +444,8 @@ class SearchEngine:
             # CPUs would leave some PENDING and the first query waiting on
             # them forever, so a small session puts more segments per actor
             cpus = int(ray.cluster_resources().get("CPU", 1))
-            # doc counts from the committed meta: the driver opens no segment
-            bounds = self.meta["seg_bounds"]
-            counts = [hi - lo for lo, hi in
-                      (bounds[str(s)] for s in range(len(self.seg_dirs)))]
+            # doc counts from the commit: the driver opens no segment
+            counts = [s.hi - s.lo for s in self.meta["segments"]]
             live = slice_groups(self.seg_dirs, counts, min(8, cpus))
             Actor = ray.remote(SegmentScorer)
             # each scorer is a 1-CPU actor; more replica sets than the cluster

@@ -91,6 +91,13 @@ def _source_order(table):
     ))
 
 
+def _seg_dirs(index_dir):
+    """The directories of the index's committed segments, in doc order."""
+    from lucille_ray.index import commit
+
+    return commit.segment_dirs(index_dir, commit.read(index_dir))
+
+
 def _assert_doc_meta_in_rank_order(index_dir, table):
     """doc_meta over every doc id of every committed segment equals the
     source's (conv_id, turn_idx) rank order, and no committed segment keeps
@@ -336,7 +343,7 @@ def test_append_index_incremental_ingest(built, oracle, tmp_path):
         ray.data.read_parquet(app_p), index_dir, num_segments=2, batch_size=400,
     )
     assert meta1["total_docs"] == table.num_rows
-    assert meta1["num_segments"] == 4
+    assert len(meta1["segments"]) == 4
 
     # union oracle: conv-sorted union table == base convs then appended convs,
     # so oracle rank doc ids equal the engine's (append preserves id order)
@@ -432,8 +439,9 @@ def test_delete_tombstones(built, tmp_path):
 def test_delete_purge_at_compaction(built, tmp_path):
     """Compaction purges tombstones (the Lucene merge moment): deleted docs
     leave the postings physically, live stats (numDocs/avgdl/df) take over, the
-    tombstone file disappears (WAND re-enables), and the purged index is
-    rank+score-equivalent to a brute-force oracle over the live corpus."""
+    new commit names no tombstone and no tombstone file is left (WAND
+    re-enables), and the purged index is rank+score-equivalent to a
+    brute-force oracle over the live corpus."""
     import json
 
     import ray.data
@@ -454,11 +462,14 @@ def test_delete_purge_at_compaction(built, tmp_path):
 
     compact_index(index_dir)
 
-    seg_root = os.path.join(index_dir, "segments")
+    import glob
+
+    from lucille_ray.index import commit
+
+    assert all(s.deleted is None for s in commit.read(index_dir)["segments"])
+    assert not glob.glob(os.path.join(index_dir, "segments", "*", "deleted*.npy"))
     purged = 0
-    for name in sorted(os.listdir(seg_root)):
-        seg_dir = os.path.join(seg_root, name)
-        assert not os.path.exists(os.path.join(seg_dir, "deleted.npy"))
+    for seg_dir in _seg_dirs(index_dir):
         mf = json.load(open(os.path.join(seg_dir, "MANIFEST.json")))
         purged += int(mf.get("purged_docs", 0))
     assert purged == n_deleted
@@ -484,7 +495,7 @@ def test_delete_purge_at_compaction(built, tmp_path):
             assert abs(gs - es) < 1e-9, qs
 
     # re-compaction without new deletes is a resume no-op
-    mfp = os.path.join(seg_root, "seg-00000", "MANIFEST.json")
+    mfp = os.path.join(_seg_dirs(index_dir)[0], "MANIFEST.json")
     mtime = os.path.getmtime(mfp)
     compact_index(index_dir)
     assert os.path.getmtime(mfp) == mtime
@@ -525,12 +536,11 @@ def test_compaction_loads_arrays_on_calling_thread(built, tmp_path, monkeypatch)
     monkeypatch.setattr(np, "load", recording_load)
     compact_index(index_dir)
     names = [name for name, _ in loads]
-    assert names.count("deleted.npy") >= 3
+    assert sum(name.startswith("deleted_") for name in names) >= 3
     assert sum(name.startswith("norms_") for name in names) >= 3
     assert all(t is threading.main_thread() for _, t in loads)
-    seg_root = os.path.join(index_dir, "segments")
-    for name in os.listdir(seg_root):
-        assert not os.path.exists(os.path.join(seg_root, name, "deleted.npy"))
+    for seg_dir in _seg_dirs(index_dir):
+        assert not [f for f in os.listdir(seg_dir) if f.startswith("deleted")]
 
 
 def test_ranged_docid_mode_identical_results(built, oracle, tmp_path):
@@ -769,33 +779,6 @@ def test_expansion_bound_enforced_across_segments(ray_session, tmp_path, monkeyp
         engine.plan("t*")
 
 
-def test_compaction_recovers_interrupted_swap(built, oracle, tmp_path):
-    """A crash between the two publish renames leaves the segment with no
-    postings.parquet; re-running compact_index must repair and still serve
-    identical results."""
-    from lucille_ray.index import compact_index
-
-    data_dir, _, _ = built
-    ds = T.read_transcripts(data_dir)
-    index_dir = str(tmp_path / "swapidx")
-    build_index(ds, index_dir, num_segments=1, range_width=128, batch_size=300)
-    compact_index(index_dir)
-    post = os.path.join(index_dir, "segments", "seg-00000", "postings.parquet")
-    # simulate the mid-swap crash: old moved aside, new never moved in
-    os.rename(post, post + ".bak")
-    compact_index(index_dir)  # must restore from .bak, not crash in read_parquet
-    engine = SearchEngine(index_dir, parallel=False)
-    _compare(engine, oracle, "data AND query")
-    # the complementary crash: new dir complete under .compact, old gone
-    os.rename(post, post + ".compact")
-    compact_index(index_dir)
-    engine = SearchEngine(index_dir, parallel=False)
-    _compare(engine, oracle, '"lazy evaluation"')
-    assert os.path.isdir(post)
-    assert not os.path.exists(post + ".bak")
-    assert not os.path.exists(post + ".compact")
-
-
 def test_compaction_preserves_results(built, oracle, tmp_path):
     """compact_index merges doc-partitioned pieces; results stay rank-identical
     and re-compaction is a resume no-op."""
@@ -811,15 +794,18 @@ def test_compaction_preserves_results(built, oracle, tmp_path):
         ds, index_dir, num_segments=2, range_width=128, batch_size=300,
         piece_merge_rows=None,
     )
-    post0 = os.path.join(index_dir, "segments", "seg-00000", "postings.parquet")
-    rows_before = pq2.read_table(post0, columns=["term"]).num_rows
+    def rows_of_first_segment():
+        post0 = os.path.join(_seg_dirs(index_dir)[0], "postings.parquet")
+        return pq2.read_table(post0, columns=["term"]).num_rows
+
+    rows_before = rows_of_first_segment()
     compact_index(index_dir)
-    rows_after = pq2.read_table(post0, columns=["term"]).num_rows
+    rows_after = rows_of_first_segment()
     assert rows_after < rows_before
     engine = SearchEngine(index_dir, parallel=False)
     for qs in QUERY_SET[::6]:
         _compare(engine, oracle, qs)
-    mf = os.path.join(index_dir, "segments", "seg-00000", "MANIFEST.json")
+    mf = os.path.join(_seg_dirs(index_dir)[0], "MANIFEST.json")
     mtime = os.path.getmtime(mf)
     compact_index(index_dir)  # resume: skip
     assert os.path.getmtime(mf) == mtime
@@ -1337,8 +1323,8 @@ def test_compacted_postings_keep_small_row_groups(built, tmp_path):
     ds = T.read_transcripts(data_dir)
     index_dir = str(tmp_path / "rgidx")
     build_index(ds, index_dir, num_segments=1, range_width=128, batch_size=300)
-    seg_dir = os.path.join(index_dir, "segments", "seg-00000")
     for _ in ("built", "compacted"):
+        (seg_dir,) = _seg_dirs(index_dir)
         groups = _assert_segment_layout(seg_dir)
         assert len(groups) > 1 and max(n for n, _ in groups) > 1
         compact_index(index_dir)
@@ -1371,8 +1357,8 @@ def test_hot_rows_sit_alone_in_their_row_groups(ray_session, tmp_path):
     index_dir = str(tmp_path / "hot_idx")
     build_index(ray.data.read_parquet(data), index_dir, num_segments=1,
                 batch_size=n)
-    seg_dir = os.path.join(index_dir, "segments", "seg-00000")
     for _ in ("built", "compacted"):
+        (seg_dir,) = _seg_dirs(index_dir)
         groups = _assert_segment_layout(seg_dir)
         hot = [(rows, p) for rows, p in groups if p > ROW_GROUP_BYTES]
         assert hot and all(rows == 1 for rows, _ in hot)
@@ -1477,8 +1463,8 @@ def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
     assert answers(old_dir) == answers(new_dir)
     for d in (old_dir, new_dir):
         compact_index(d)
-    for seg in ("seg-00000", "seg-00001"):
-        _assert_segment_layout(os.path.join(old_dir, "segments", seg))
+    for seg_dir in _seg_dirs(old_dir):
+        _assert_segment_layout(seg_dir)
     assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
     assert answers(old_dir) == answers(new_dir)
 
@@ -1498,8 +1484,8 @@ def test_term_dict_matches_directory_scan(built, tmp_path):
     shutil.copytree(index_dir, idx)
 
     def check():
-        for seg in ("seg-00000", "seg-00001"):
-            seg_dir = os.path.join(idx, "segments", seg)
+        for seg_dir in _seg_dirs(idx):
+            seg = os.path.basename(seg_dir)
             r = SegmentReader(seg_dir)
             for field in ("text", "role", "tool", "no_such_field"):
                 t = pq.read_table(
@@ -1650,7 +1636,7 @@ def test_pruned_postings_read_matches_scan(built, tmp_path):
     for idx in (index_dir, cidx):  # built multi-piece layouts
         check(os.path.join(idx, "segments", "seg-00000"))
     compact_index(cidx)
-    check(os.path.join(cidx, "segments", "seg-00000"))
+    check(_seg_dirs(cidx)[0])
 
 
 def test_pre_convmap_layouts_still_serve(built, tmp_path):

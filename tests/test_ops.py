@@ -1206,3 +1206,47 @@ def test_cms_frequencies_overestimates_and_merges(ray_session):
         for c in ("term", "est_count")
     ]))
     assert est == est2
+
+
+def _pmi_corpus():
+    import ray.data
+
+    rng = np.random.default_rng(4)
+    vocab = [f"w{i}" for i in range(30)]
+    texts = [" ".join(rng.choice(vocab, size=12)) for _ in range(60)]
+    return ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(range(60), pa.int64()),
+                  "text": pa.array(texts)})
+    ).repartition(4)
+
+
+def test_pmi_collocations_without_qualifying_pairs(ray_session):
+    """With a support threshold no pair reaches, every block and join
+    partition of the pair side is empty: the answer is an empty table of
+    the usual columns, not an Acero key-field error from the join."""
+    from lucille_ray.ops.textstats import pmi_collocations
+
+    got = pmi_collocations(_pmi_corpus(), k=5, min_count=1000)
+    assert got.count() == 0
+    assert got.schema().names == ["w1", "w2", "c12", "pmi_r"]
+
+
+def test_join_input_with_empty_first_block(ray_session):
+    """A join input whose first block has zero rows and whose rows all hash
+    to one partition: Ray's hash shuffle sends the input's schema only with
+    its first block and skips empty ones, so the other partitions would join
+    a column-less table. Without its zero-row blocks the join is exact."""
+    import ray.data
+
+    from lucille_ray.ops.joins import drop_empty_blocks
+
+    left = ray.data.from_arrow([
+        pa.table({"w1": pa.array([], pa.string()), "c": pa.array([], pa.int64())}),
+        pa.table({"w1": pa.array(["a"] * 3), "c": pa.array([1, 2, 3])}),
+    ])
+    right = ray.data.from_arrow(
+        pa.table({"w1": pa.array(["a", "b"]), "d": pa.array([7, 8])}))
+    got = drop_empty_blocks(left.materialize()).join(
+        right, join_type="inner", num_partitions=4, on=("w1",))
+    rows = sorted((r["w1"], r["c"], r["d"]) for r in got.take_all())
+    assert rows == [("a", 1, 7), ("a", 2, 7), ("a", 3, 7)]

@@ -217,3 +217,54 @@ def test_modules_keep_no_cache_attributes_on_readers(package):
             if bad:
                 offenders.append(f"{os.path.basename(path)}:{node.lineno}")
     assert offenders == []
+
+
+def test_one_module_knows_the_commit():
+    """``index/commit.py`` is the only code that knows the commit: no other
+    module under lucille_ray/ opens ``index_meta.json`` (by name or through
+    ``INDEX_META_FILE``), formats a ``seg-`` segment directory name, or names
+    a tombstone file. Docstrings may describe the layout."""
+    import ast
+    import glob
+    import re
+
+    import lucille_ray
+
+    pkg_dir = os.path.dirname(lucille_ray.__file__)
+    owner = os.path.join(pkg_dir, "index", "commit.py")
+    tombstone = re.compile(r"^deleted[._*]")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "**", "*.py"), recursive=True)):
+        if path == owner:
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        where = os.path.relpath(path, pkg_dir)
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            if "INDEX_META_FILE" in names:
+                offenders.append(f"{where}:{node.lineno} INDEX_META_FILE")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                s = node.value
+                if "index_meta.json" in s:
+                    offenders.append(f"{where}:{node.lineno} {s!r}")
+                elif s.startswith("seg-"):
+                    offenders.append(f"{where}:{node.lineno} {s!r}")
+                elif tombstone.match(s):
+                    offenders.append(f"{where}:{node.lineno} {s!r}")
+    assert offenders == []
