@@ -84,7 +84,7 @@ def _limit_worker_threads() -> None:
         pass
     _THREADS_LIMITED = True
 
-MANIFEST_FILE = "MANIFEST.json"
+MANIFEST_FILE = commit.MANIFEST_FILE
 #: per-segment doc map: one (conv_id, base, cnt) row per conversation, sorted by
 #: base, covering exactly the segment's doc range (a file, or a directory of
 #: part files in ranged mode)
@@ -839,8 +839,8 @@ def build_index(
     if resume and commit.exists(index_dir):
         meta = commit.read(index_dir)
         if meta.get("docmap") == "fused" and not all(
-            segment_complete(index_dir, s)
-            for s in range(len(meta["segments"]))
+            read_manifest(commit.segment_dir(index_dir, s.name))
+            for s in meta["segments"]
         ):
             # fused builds keep no docmap checkpoint — a half-built fused
             # index resumes by recomputing (it is single-segment by

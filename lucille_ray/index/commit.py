@@ -34,10 +34,12 @@ with the next sweep.
 Preconditions and exceptions:
 
 * ONE writer at a time per index. Nothing here locks.
-* A reader pins every file it reads when it opens (``segment.py``), so an
-  open reader keeps answering after a sweep unlinks its files. There is no
-  reference counting: a reader opened on a commit after a later write swept
-  it fails to open.
+* A reader opens with the tombstone its caller's commit names and pins
+  every file it reads (``segment.py``), so an open reader keeps answering
+  after a sweep unlinks its files. There is no reference counting: a reader
+  opened on a commit after a later write swept it fails to open — the sweep
+  removes a directory's ``MANIFEST.json`` first, and a reader checks it is
+  still there once it has pinned the rest.
 * The norms ``.npy`` sidecars are the one file a reader may add to a
   committed segment directory: a derived cache, written atomically.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 INDEX_META_FILE = "index_meta.json"
 #: bump on storage-layout changes; readers refuse other versions with a clear
@@ -61,6 +63,7 @@ INDEX_META_FILE = "index_meta.json"
 INDEX_FORMAT_VERSION = 4
 
 _SEGMENTS = "segments"
+MANIFEST_FILE = "MANIFEST.json"
 _V3_TOMBSTONE = "deleted.npy"
 
 
@@ -144,6 +147,9 @@ def sweep(index_dir: str, c: dict) -> None:
     for name in os.listdir(root) if os.path.isdir(root) else []:
         path = os.path.join(root, name)
         if name not in live:
+            # the completion marker goes first: a reader that finds it
+            # still there after pinning the directory read all of it
+            _remove(os.path.join(path, MANIFEST_FILE))
             _remove(path)
             continue
         for f in os.listdir(path):
@@ -194,15 +200,18 @@ def tombstone_path(index_dir: str, seg: Segment) -> Optional[str]:
     return os.path.join(segment_dir(index_dir, seg.name), seg.deleted)
 
 
-def committed_tombstone(seg_dir: str) -> Optional[str]:
-    """The tombstone file the CURRENT commit names for segment directory
-    ``seg_dir``; None when it names none, or ``seg_dir`` is not a committed
-    segment of an index."""
-    index_dir = os.path.dirname(os.path.dirname(os.path.abspath(seg_dir)))
-    if not exists(index_dir):
-        return None
-    name = os.path.basename(os.path.normpath(seg_dir))
-    for seg in read(index_dir)["segments"]:
-        if seg.name == name:
-            return tombstone_path(index_dir, seg)
-    return None
+def tombstone_paths(seg_dirs: Sequence[str]) -> List[Optional[str]]:
+    """The tombstone paths (:func:`tombstone_path`) the CURRENT commit names
+    for ``seg_dirs``, for a scorer given directories alone; raises when one
+    is not a segment of its index's current commit."""
+    segs: dict = {}
+    out = []
+    for d in map(os.path.abspath, seg_dirs):
+        index_dir = os.path.dirname(os.path.dirname(d))
+        if index_dir not in segs:
+            segs[index_dir] = {s.name: s for s in read(index_dir)["segments"]}
+        seg = segs[index_dir].get(os.path.basename(d))
+        if seg is None:
+            raise ValueError(f"{d} is not a segment of the current commit")
+        out.append(tombstone_path(index_dir, seg))
+    return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -265,14 +266,14 @@ def _retry_fs_import_race(fn):
     return fn()
 
 
-def _load_segment(seg_dir: str, manifest: dict) -> tuple:
+def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tuple:
     """(reader, {field: norms}) of one segment. ``np.load`` (tombstones, norms
     sidecars) parses its header with ``ast.literal_eval``, which is not
     thread-safe in CPython, so this runs on the calling thread before any
     segment's compaction starts on the pool."""
     from .segment import SegmentReader
 
-    reader = SegmentReader(seg_dir)
+    reader = SegmentReader(seg_dir, tombstone)
     return reader, {f: reader.norms(f) for f in manifest.get("fields", [])}
 
 
@@ -434,7 +435,8 @@ def compact_index(index_dir: str, *, resume: bool = True) -> None:
         segments[i] = commit.Segment(name, seg.lo, seg.hi)
         source = {"segment": seg.name, "deleted": seg.deleted}
         pending.append((seg_dir, manifest, source, commit.segment_dir(index_dir, name),
-                        *_load_segment(seg_dir, manifest)))
+                        *_load_segment(seg_dir, manifest,
+                                       commit.tombstone_path(index_dir, seg))))
     if not pending:
         return
     if len(pending) == 1:

@@ -45,7 +45,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import CONVMAP_FILE, NORMS_TERM, conv_map_from_docmapped, conv_map_table
+from .build import (CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM,
+                    conv_map_from_docmapped, conv_map_table)
 from .codec import RawBlocks, sort_postings
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
@@ -145,9 +146,13 @@ class ReaderCache:
 
 
 class SegmentReader:
-    def __init__(self, seg_dir: str):
+    """One segment directory, opened with the tombstone file its commit names
+    (``tombstone``: a path, None without deletes)."""
+
+    def __init__(self, seg_dir: str, tombstone: Optional[str] = None):
         self.seg_dir = seg_dir
-        with open(os.path.join(seg_dir, "MANIFEST.json")) as f:
+        manifest_path = os.path.join(seg_dir, MANIFEST_FILE)
+        with open(manifest_path) as f:
             self.manifest = json.load(f)
         if self.manifest.get("status") != "complete":
             raise ValueError(f"segment {seg_dir} is incomplete")
@@ -165,27 +170,33 @@ class SegmentReader:
         self._postings_pf_cache: Optional[list] = None
         self.cache = ReaderCache()
         # tombstones: sorted global doc ids marked deleted (the file the
-        # commit names, written by index.delete). Loaded once at reader
-        # construction — readers opened after a delete see it (Lucene reopen
-        # semantics). Postings are filtered at the decode choke point below;
+        # caller's commit names, written by index.delete). Loaded once at
+        # reader construction — readers opened after a delete see it (Lucene
+        # reopen semantics). Postings are filtered at the decode choke point;
         # df/norms/avgdl stats intentionally keep counting tombstoned docs
         # until a rewrite, exactly like Lucene's maxDoc-based stats before a
         # merge.
         self.deleted: Optional[np.ndarray] = None
-        tomb = commit.committed_tombstone(seg_dir)
-        if tomb is not None:
+        if tombstone is not None:
             try:
-                arr = np.load(tomb).astype(np.int64, copy=False)
+                arr = np.load(tombstone).astype(np.int64, copy=False)
                 if arr.size:
                     self.deleted = arr
             except (OSError, ValueError):
-                raise ValueError(f"unreadable tombstone file {tomb}")
+                raise ValueError(f"unreadable tombstone file {tombstone}")
         if not self.empty:
             # pin what a later write's sweep may unlink: open postings
             # handles survive it, and so does the loaded doc map
             self._postings_files()
             if os.path.exists(os.path.join(seg_dir, CONVMAP_FILE)):
                 self.conv_map()
+        # a sweep removes the manifest before the rest of a directory: if it
+        # is still here, everything above was read before any of it went
+        if not os.path.exists(manifest_path):
+            raise ValueError(
+                f"segment {seg_dir} was removed by a later write while it "
+                "opened; reopen the index"
+            )
 
     # ---- stats ----
 
@@ -619,7 +630,9 @@ def _overlap_mask(
 def load_segments(index_dir: str) -> List[SegmentReader]:
     """Readers for the segments of the current commit; uncommitted leftovers
     from a failed write are ignored."""
+    c = commit.read(index_dir)
     return [
-        SegmentReader(d)
-        for d in commit.segment_dirs(index_dir, commit.read(index_dir))
+        SegmentReader(commit.segment_dir(index_dir, s.name),
+                      commit.tombstone_path(index_dir, s))
+        for s in c["segments"]
     ]

@@ -140,9 +140,14 @@ class SegmentScorer:
         seg_dirs: Sequence[str],
         warm_norms: bool = True,
         result_cache: bool = True,
+        tombstones: Optional[Sequence[Optional[str]]] = None,
     ):
         self.result_cache = result_cache
-        self.readers = [SegmentReader(d) for d in seg_dirs]
+        # the tombstone paths of the caller's commit; given directories
+        # alone, those the current commit names
+        if tombstones is None:
+            tombstones = commit.tombstone_paths(seg_dirs)
+        self.readers = [SegmentReader(d, t) for d, t in zip(seg_dirs, tombstones)]
         if warm_norms:
             # pay the per-field norms decode AND the postings footer parse at
             # ACTOR STARTUP, not on the first query's tail latency (the footer
@@ -382,6 +387,8 @@ class SearchEngine:
         # uncommitted leftovers are invisible (index/commit.py)
         self.meta = commit.read(index_dir)
         self.seg_dirs = commit.segment_dirs(index_dir, self.meta)
+        self._tombstones = {d: commit.tombstone_path(index_dir, s)
+                            for d, s in zip(self.seg_dirs, self.meta["segments"])}
         if parallel == "auto":
             try:
                 import ray
@@ -435,7 +442,8 @@ class SearchEngine:
         """All replica sets; each set covers every committed segment."""
         if not self.parallel:
             if self._local is None:
-                self._local = SegmentScorer(self.seg_dirs, result_cache=self._result_cache)
+                self._local = SegmentScorer(self.seg_dirs, True, self._result_cache,
+                                            list(self._tombstones.values()))
             return [[self._local]]
         if self._sets is None:
             import ray
@@ -473,7 +481,9 @@ class SearchEngine:
                 # back to co-location when the cluster is a single node
                 opts["scheduling_strategy"] = "SPREAD"
             self._sets = [
-                [Actor.options(**opts).remote(g, True, self._result_cache) for g in live]
+                [Actor.options(**opts).remote(g, True, self._result_cache,
+                                              [self._tombstones[d] for d in g])
+                 for g in live]
                 for _ in range(reps)
             ]
             self._actors = [a for s in self._sets for a in s]

@@ -190,6 +190,70 @@ def test_writes_only_add_files_and_open_engines_keep_answering(
     assert _answers(d) != first
 
 
+def test_scorers_read_the_tombstones_of_the_engines_commit(
+    built, victims, tmp_path, monkeypatch
+):
+    """Scorers that start after a write read the tombstones of the commit
+    their engine opened, not the current one's. A reader whose directory a
+    sweep removes while it opens fails instead of answering from part of
+    it: the sweep removes a directory's manifest first."""
+    from lucille_ray.index.segment import SegmentReader
+
+    d = _copy(built, tmp_path / "idx")
+    first = _answers(d)
+    engine = SearchEngine(d, parallel=False, result_cache=False)
+    delete_docs(d, victims)
+    assert [engine.search(qs, k=10).to_pydict() for qs in QUERY_SET] == first
+    assert all(r.deleted is None for r in engine._scorers()[0].readers)
+    # a scorer given directories alone reads the current commit's
+    local = SegmentScorer(engine.seg_dirs)
+    assert all(r.deleted is not None for r in local.readers)
+
+    stale = SearchEngine(d, parallel=False)
+    removed = []
+    real_remove, real_pin = commit._remove, SegmentReader._postings_files
+
+    def pin_then_sweep(self):
+        out = real_pin(self)
+        commit.sweep(d, dict(commit.read(d), segments=[]))
+        return out
+
+    monkeypatch.setattr(commit, "_remove", lambda p: (removed.append(p), real_remove(p)))
+    monkeypatch.setattr(SegmentReader, "_postings_files", pin_then_sweep)
+    with pytest.raises(ValueError, match="removed by a later write"):
+        stale.search("data")
+    seg0 = commit.segment_dir(d, "seg-00000")
+    assert removed.index(os.path.join(seg0, "MANIFEST.json")) < removed.index(seg0)
+
+
+@pytest.mark.parametrize("num_segments", [1, 2])
+def test_resume_after_writes_changes_nothing(
+    built, corpus, victims, tmp_path, num_segments
+):
+    """Re-running build_index (resume) over a built index that an append, a
+    delete and a purge compaction changed since publishes nothing, removes
+    nothing and answers as before: the build's segments are checked under
+    their committed names, which a compaction changes."""
+    import ray.data
+
+    d = str(tmp_path / "idx")
+    if num_segments == 2:
+        _copy(built, d)
+    else:
+        build_index(ray.data.read_parquet(corpus[0]), d, num_segments=1,
+                    batch_size=200)
+    writes = _writes(corpus, victims)
+    for name in ("append", "delete", "compact"):
+        writes[name](d)
+    before, answers = commit.read(d), _answers(d)
+    files = sorted(os.listdir(os.path.join(d, "segments")))
+    build_index(ray.data.read_parquet(corpus[0]), d, num_segments=num_segments,
+                batch_size=200)
+    assert commit.read(d) == before
+    assert sorted(os.listdir(os.path.join(d, "segments"))) == files
+    assert _answers(d) == answers
+
+
 class _Crash(Exception):
     pass
 
