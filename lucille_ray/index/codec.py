@@ -174,10 +174,9 @@ def sort_postings(
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Doc-sort a postings triple, gathering the ragged per-doc position slices
     along (no-op when already sorted)."""
-    order = np.argsort(doc_ids, kind="stable")
-    if (order == np.arange(order.size)).all():
+    if doc_ids.size < 2 or (np.diff(doc_ids) > 0).all():
         return doc_ids, tfs, pos
-    return take_postings(doc_ids, tfs, pos, order)
+    return take_postings(doc_ids, tfs, pos, np.argsort(doc_ids, kind="stable"))
 
 
 def chunk_starts(

@@ -23,6 +23,7 @@ import pyarrow.parquet as pq
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM, _limit_worker_threads, read_manifest
 from .codec import BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings
+from .segment import live_mask
 
 
 #: max blocks per consolidated posting row (~32k postings, a few hundred KB):
@@ -33,6 +34,16 @@ from .codec import BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postin
 ROW_BLOCK_CAP = 256
 #: rows per sorted merge batch (and per read block of a segment's postings)
 MERGE_BATCH_ROWS = 2048
+#: sorted doc ids every purge in a segment's lineage removed, written into
+#: the new directory of each compaction that carries any
+PURGED_FILE = "purged.npy"
+
+
+def purged_ids(seg_dir: str) -> np.ndarray:
+    """Doc ids earlier compactions purged from ``seg_dir``: not live, and no
+    later delete or purge may count them again."""
+    path = os.path.join(seg_dir, PURGED_FILE)
+    return np.load(path) if os.path.exists(path) else np.empty(0, np.int64)
 
 
 def _reencode_spans(
@@ -59,8 +70,7 @@ def _reencode_spans(
         order[idx] = idx[np.lexsort((docs[idx], post_span[idx]))]
         docs, tfs, pos = take_postings(docs, tfs, pos, order)
     if deleted is not None:
-        hit = np.clip(np.searchsorted(deleted, docs), 0, deleted.size - 1)
-        keep = deleted[hit] != docs
+        keep = live_mask(deleted, docs)
         if pos is not None:
             pos = pos[np.repeat(keep, tfs)]
         docs, tfs, post_span = docs[keep], tfs[keep], post_span[keep]
@@ -267,14 +277,15 @@ def _retry_fs_import_race(fn):
 
 
 def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tuple:
-    """(reader, {field: norms}) of one segment. ``np.load`` (tombstones, norms
-    sidecars) parses its header with ``ast.literal_eval``, which is not
-    thread-safe in CPython, so this runs on the calling thread before any
-    segment's compaction starts on the pool."""
+    """(reader, {field: norms}, purged ids) of one segment. ``np.load`` parses
+    its header with ``ast.literal_eval``, which is not thread-safe in CPython,
+    so this runs on the calling thread before any segment's compaction starts
+    on the pool."""
     from .segment import SegmentReader
 
     reader = SegmentReader(seg_dir, tombstone)
-    return reader, {f: reader.norms(f) for f in manifest.get("fields", [])}
+    norms = {f: reader.norms(f) for f in manifest.get("fields", [])}
+    return reader, norms, purged_ids(seg_dir)
 
 
 def _kept(name: str) -> bool:
@@ -293,12 +304,13 @@ def _link(src: str, dst: str) -> None:
 
 
 def _compact_segment(
-    seg_dir: str, manifest: dict, source: dict, new_dir: str, reader, norms: dict
+    seg_dir: str, manifest: dict, source: dict, new_dir: str, reader, norms: dict,
+    purged: np.ndarray,
 ) -> None:
     """Sort-merge one segment's postings into the new directory ``new_dir``
-    (``reader`` and ``norms`` from :func:`_load_segment`; ``source`` names
-    the segment and tombstone it compacts). A complete ``new_dir`` from a
-    failed earlier run over the same source is kept as it is."""
+    (``reader``, ``norms``, ``purged``: :func:`_load_segment`; ``source``
+    names the segment and tombstone it compacts). A complete ``new_dir`` from
+    a failed earlier run over the same source is kept as it is."""
     import functools
 
     import ray
@@ -371,15 +383,18 @@ def _compact_segment(
     if reader.deleted is not None:
         # the postings above no longer contain the tombstoned docs: record
         # LIVE stats (numDocs/liveDl) next to the untouched maxDoc ones —
-        # engine-level N and avgdl switch to them, like Lucene after a merge —
-        # and the new commit names no tombstone, so WAND re-enables
-        dead = reader.deleted
-        stats["live_docs"] = int(stats["doc_count"]) - int(dead.size)
+        # engine-level N and avgdl switch to them, like Lucene after a merge.
+        # They already leave out earlier purges: only newly dead docs count
+        dead = np.setdiff1d(reader.deleted, purged)
+        stats["live_docs"] = reader.live_docs - int(dead.size)
         for f_, st in stats.get("fields", {}).items():
             arr = norms.get(f_)
             removed = int(arr[dead - reader.doc_base].sum()) if arr is not None else 0
-            st["live_dl"] = int(st["total_dl"]) - removed
+            st["live_dl"] = reader.live_total_dl(f_) - removed
         manifest["purged_docs"] = int(manifest.get("purged_docs", 0)) + int(dead.size)
+        purged = np.union1d(purged, dead)
+    if purged.size:
+        np.save(os.path.join(new_dir, PURGED_FILE), purged)
     with open(os.path.join(new_dir, "stats.json"), "w") as f:
         json.dump(stats, f, indent=1)
     for name in os.listdir(seg_dir):

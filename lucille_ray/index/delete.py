@@ -7,11 +7,11 @@ sorted union of the segment's previous tombstones and the new ids. One
 segments is atomic — a failure before the publish leaves the previous
 commit's tombstones serving — and the publish's sweep removes the files it
 replaced. Deletes are idempotent and accumulative. Readers opened afterwards
-filter tombstoned docs out of every decoded posting list at the segment read
-layer, so they can never appear in results of any query shape — while df /
-norms / avgdl statistics intentionally keep counting them until a rewrite,
-exactly like Lucene's maxDoc-based stats before a merge: surviving docs'
-scores are bit-identical before and after a delete.
+drop tombstoned docs at the one decode point, ``SegmentReader.decode``, that
+every query shape and executor goes through, so they never appear in results
+— while df / norms / avgdl statistics intentionally keep counting them until
+a rewrite, exactly like Lucene's maxDoc-based stats before a merge:
+surviving docs' scores are bit-identical before and after a delete.
 
 Scale note: conversations resolve to doc ids through each segment's doc map
 (``convmap.parquet``, one row per conversation: a conversation's turns are the
@@ -30,12 +30,14 @@ import numpy as np
 import pyarrow as pa
 
 from . import commit
+from .compact import purged_ids
 from .segment import SegmentReader
 
 
 def delete_docs(index_dir: str, doc_ids: Sequence[int] | np.ndarray) -> int:
     """Tombstone the given global doc ids. Returns the number of NEWLY
-    deleted docs (ids already tombstoned or out of range count zero)."""
+    deleted docs (ids already tombstoned, already purged by a compaction or
+    out of range count zero)."""
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
     if ids.size == 0:
         return 0
@@ -44,15 +46,18 @@ def delete_docs(index_dir: str, doc_ids: Sequence[int] | np.ndarray) -> int:
     segments = []
     newly = 0
     for seg in c["segments"]:
+        seg_dir = commit.segment_dir(index_dir, seg.name)
         local = ids[(ids >= seg.lo) & (ids < seg.hi)]
         prev_path = commit.tombstone_path(index_dir, seg)
         prev = np.empty(0, np.int64)
-        if local.size and prev_path is not None:
-            prev = np.load(prev_path).astype(np.int64, copy=False)
+        if local.size:
+            local = np.setdiff1d(local, purged_ids(seg_dir))
+            if prev_path is not None:
+                prev = np.load(prev_path).astype(np.int64, copy=False)
         merged = np.union1d(prev, local)
         if merged.size > prev.size:
             newly += int(merged.size - prev.size)
-            np.save(os.path.join(commit.segment_dir(index_dir, seg.name), tomb), merged)
+            np.save(os.path.join(seg_dir, tomb), merged)
             seg = seg._replace(deleted=tomb)
         segments.append(seg)
     if newly:

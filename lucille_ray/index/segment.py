@@ -13,6 +13,7 @@ write that created it (``commit.segment_name``: a build's segments are
       MANIFEST.json       # lineage + completion marker (checkpoint/resume unit)
       deleted_<gen>.npy   # tombstones: sorted deleted doc ids, one file per
                           # delete generation; the commit names the live one
+      purged.npy          # doc ids earlier compactions purged (compact.py)
       norms_<field>.npy   # per-doc field lengths, written by the first reader
     (norms = reserved-term ``NORMS_TERM`` posting rows; the ``.npy`` sidecars
     cache their decode and are the one file a reader adds to a committed
@@ -27,8 +28,11 @@ tombstone), so it keeps answering after that sweep.
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded once —
 designed to be pinned inside long-lived scorer actors) and fetch postings by
 ``(field, term)`` through parquet predicate pushdown, so a term lookup touches only
-the row groups whose min/max term stats overlap. Everything a query derives and
-keeps for the next one lives in the reader's one :class:`ReaderCache`.
+the row groups whose min/max term stats overlap. :meth:`SegmentReader.decode`
+is the one place raw blocks become postings, and the one place tombstoned
+docs are dropped: the plain evaluator and every block-max executor decode
+through it. Everything a query derives and keeps for the next one lives in
+the reader's one :class:`ReaderCache`.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ class SegmentReader:
         # tombstones: sorted global doc ids marked deleted (the file the
         # caller's commit names, written by index.delete). Loaded once at
         # reader construction — readers opened after a delete see it (Lucene
-        # reopen semantics). Postings are filtered at the decode choke point;
+        # reopen semantics). Postings are filtered in ``decode``;
         # df/norms/avgdl stats intentionally keep counting tombstoned docs
         # until a rewrite, exactly like Lucene's maxDoc-based stats before a
         # merge.
@@ -240,10 +244,13 @@ class SegmentReader:
                         continue
                 except (OSError, ValueError):
                     pass  # unreadable sidecar: fall through to decode
-            got = self.postings_many(field, [NORMS_TERM])
-            if NORMS_TERM not in got:
+            # norms rows stay dense over maxDoc: decoded here, outside the
+            # tombstone filter and the caches
+            rb = self.raw_blocks_many(field, [NORMS_TERM])[NORMS_TERM]
+            self.cache.pop("raw", (field, NORMS_TERM))
+            if not len(rb):
                 raise ValueError(f"{self.seg_dir}: norms rows missing for {field}")
-            docs, dls, _ = got[NORMS_TERM]
+            docs, dls, _ = sort_postings(*rb.decode())
             expected = np.arange(self.doc_base, self.doc_base + self.doc_count)
             if docs.size != expected.size or not (docs == expected).all():
                 raise ValueError(
@@ -303,14 +310,16 @@ class SegmentReader:
         want_positions: bool = False,
         candidates: Optional[np.ndarray] = None,
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-        """Decode postings for many terms in one predicate-pushdown read; decoded
-        lists are cached across queries (the readers live in pinned actors).
+        """:meth:`decode` of many terms' blocks from the ``raw`` pool (one
+        predicate-pushdown read for the terms it misses); decoded lists are
+        cached across queries (the readers live in pinned actors).
 
         ``candidates`` (a sorted doc-id array) enables exact conjunctive block
         pruning: blocks whose [first_doc, last_doc] range contains no candidate
-        are skipped *before* decode (the block-max metadata's range half).
-        Pruned results are cached in the ``pruned`` pool under a digest of
-        ``candidates``."""
+        are skipped *before* decode (the block-max metadata's range half), in
+        memory — a parquet read per pruned repeat was 77% of repeat
+        conjunctive latency. Pruned results are cached in the ``pruned`` pool
+        under a digest of ``candidates``."""
         if self.empty or not terms:
             return {}
         out: Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
@@ -326,61 +335,46 @@ class SegmentReader:
                 out[term] = hit
             else:
                 missing.append(term)
-        if not missing:
-            return out
-        fetched = self._postings_read(field, missing, want_positions, candidates)
-        for term, val in fetched.items():
-            if cand_key is None:
-                self.cache.put("post", (field, term, want_positions), val)
-            else:
-                self.cache.put("pruned", (field, term, want_positions, cand_key), val)
-        out.update(fetched)
-        return out
-
-    def _postings_read(
-        self,
-        field: str,
-        terms: Sequence[str],
-        want_positions: bool,
-        candidates: Optional[np.ndarray] = None,
-    ) -> Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-        """Decode via the ``raw`` pool: the parquet read happens once per
-        (field, term) while its entry stays cached; candidate-pruned repeats
-        (conjunctive queries in a pinned scorer) prune and decode IN MEMORY —
-        the per-repeat ``pq.read_table`` was 77% of repeat conjunctive latency."""
-        raw = self.raw_blocks_many(field, terms)
-        out: Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
-        for term in set(terms):
-            rb = raw.get(term)
-            if rb is None or not len(rb):
-                continue
+        for term, rb in self.raw_blocks_many(field, missing).items():
             keep = None
-            if candidates is not None:
+            if cand_key is not None:
                 keep = _overlap_mask(rb.firsts, rb.lasts, candidates)
-                if not keep.any():
-                    continue
-            docs, tfs, pos = rb.decode(want_positions, keep=keep)
-            if docs.size > 1 and (np.diff(docs) <= 0).any():
-                # doc_partitioned pieces can interleave ranges; restore doc order
-                docs, tfs, pos = sort_postings(docs, tfs, pos)
-            if self.deleted is not None and term != NORMS_TERM:
-                docs, tfs, pos = self._drop_deleted(docs, tfs, pos)
-            out[term] = (docs, tfs, pos)
+            if not len(rb) or (keep is not None and not keep.any()):
+                continue
+            out[term] = self.decode(rb, keep, want_positions)
+            if cand_key is None:
+                self.cache.put("post", (field, term, want_positions), out[term])
+            else:
+                self.cache.put("pruned", (field, term, want_positions, cand_key), out[term])
         return out
 
-    def _drop_deleted(
-        self, docs: np.ndarray, tfs: np.ndarray, pos: Optional[np.ndarray]
+    def decode(
+        self, rb: RawBlocks, keep: Optional[np.ndarray] = None,
+        want_positions: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Filter tombstoned docs out of one decoded posting list (positions
-        stay aligned: each doc owns ``tf`` consecutive position entries)."""
-        idx = np.searchsorted(self.deleted, docs)
-        idx = np.clip(idx, 0, self.deleted.size - 1)
-        keep = self.deleted[idx] != docs
-        if keep.all():
+        """The one place raw blocks become postings: (doc_ids, tfs, flat
+        positions|None) of all blocks of ``rb`` or the ``keep`` mask's, in doc
+        order (uncompacted pieces can interleave), without this reader's
+        tombstoned docs (Lucene's liveDocs: executors never special-case
+        deletes). The block-max executors rely on these preconditions:
+
+        * block ``n``, ``first_doc``, ``last_doc``, ``max_tf`` and ``min_dl``
+          cover deleted docs too, so every bound stays an upper bound;
+        * ``rb.ns`` sums are cost estimates, not live counts;
+        * θ comes only from decoded, live docs (so the WAND bootstrap's
+          ``seen_docs`` counts live docs);
+        * df, N and avgdl keep maxDoc semantics until a purge;
+        * commit-scope pool entries hold live docs only, exact because a
+          reader's tombstone is fixed when it opens."""
+        docs, tfs, pos = sort_postings(*rb.decode(want_positions, keep=keep))
+        if self.deleted is None:
+            return docs, tfs, pos
+        live = live_mask(self.deleted, docs)
+        if live.all():
             return docs, tfs, pos
         if pos is not None and pos.size:
-            pos = pos[np.repeat(keep, tfs)]
-        return docs[keep], tfs[keep], pos
+            pos = pos[np.repeat(live, tfs)]
+        return docs[live], tfs[live], pos
 
     def postings(
         self, field: str, term: str, want_positions: bool = False
@@ -616,6 +610,14 @@ def _narrowest_uint(a: np.ndarray) -> np.ndarray:
         if mx <= np.iinfo(dt).max:
             return a.astype(dt)
     return a.astype(np.int64)
+
+
+def live_mask(deleted: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """True for each doc of ``docs`` that the sorted tombstone array
+    ``deleted`` (non-empty) does not name: the one tombstone filter, used by
+    :meth:`SegmentReader.decode` and by compaction's purge."""
+    hit = np.clip(np.searchsorted(deleted, docs), 0, deleted.size - 1)
+    return deleted[hit] != docs
 
 
 def _overlap_mask(

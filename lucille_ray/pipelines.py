@@ -1192,7 +1192,7 @@ def _tc(term: str, boost: float = 1.0) -> str:
 #   search_expansions      Prefix + WildCard + TermRegex + Fuzzy + TermRange
 #                          under one Or (round 5: absorbed search_fuzzy_range,
 #                          freeing a driver row for a rotated-in op)
-#   search_not             Not + And
+#   search_not             UnaryPlus + Not + And
 #   search_minmatch        MinimumMatch (WAND m-of-n)
 #   search_field_role      Field (role + text fields)
 #   search_nested          Group + UnaryMinus + Or + And + Boost (round 5:
@@ -1236,7 +1236,7 @@ SEARCH_QUERIES: Dict[str, tuple] = {
         ),
     ),
     "search_not": (
-        "join AND NOT hash",
+        "+join AND NOT hash",
         osql.search_sql([_tc("join")], mode="and", exclude=[_tc("hash")]),
     ),
     "search_minmatch": (

@@ -60,7 +60,6 @@ from .wand import (
     THETA_EPS,
     _bm25_exact,
     _decode_candidates,
-    _sorted2,
     _term_block_meta,
 )
 
@@ -331,7 +330,7 @@ def conj_top_k_compound(
         chunk *= 2
         mask = np.zeros(len(a_rb), dtype=bool)
         mask[take] = True
-        docs_a, tfs_a = _sorted2(a_rb.decode(False, keep=mask))
+        docs_a, tfs_a, _ = reader.decode(a_rb, mask)
         cand = docs_a
         got: dict = {}  # (clause idx, member idx) -> (docs, scores)
         for j in others_by_size:

@@ -56,7 +56,7 @@ from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
 from .bmconj import _StepMax
 from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap, top_k
-from .wand import THETA_EPS, _sorted2, _term_block_meta
+from .wand import THETA_EPS, _term_block_meta
 
 #: first chunk of anchor blocks decoded per round (doubles every round)
 PHRASE_CHUNK0 = 4
@@ -240,7 +240,7 @@ def phrase_top_k(
         over the whole anchor range."""
         mask = np.zeros(len(a_rb), dtype=bool)
         mask[take] = True
-        docs_a, _tfs_a = _sorted2(a_rb.decode(False, keep=mask))
+        docs_a = reader.decode(a_rb, mask)[0]
         if docs_a.size == 0:
             return 0
         cand = docs_a

@@ -54,7 +54,9 @@ QueryLike = Union[str, qn.Query]
 #: k=k, **args)`` returns the segment's exact top-k with unboosted root scores,
 #: or None to decline the segment. Every executor is top-k selection under
 #: per-block score upper bounds, rank+score-identical to SegmentEval, which
-#: answers everything no row takes (k=None, tombstoned segments, declines).
+#: answers everything no row takes (k=None, declines). Tombstoned segments
+#: take their row too: ``SegmentReader.decode`` drops deleted docs wherever
+#: an executor decodes.
 #: Tests pin the plain evaluator by substituting ``()`` for this table.
 TOP_K_ROUTES = (
     (wand_parts, wand_top_k),  # Or, MinimumMatch, expansions of >= 2 terms
@@ -212,8 +214,8 @@ class SegmentScorer:
         """Evaluate across this scorer's segments; local top-k unless ``k`` is
         None (match-all / corpus-filtering mode). A finite-k query whose shape
         matches a :data:`TOP_K_ROUTES` row takes that row's block-max executor
-        (exact by construction) on every segment without tombstones; anything
-        else — and any segment the executor declines — takes the plain
+        (exact by construction) on every segment, deleted docs or not;
+        ``k=None`` and any segment the executor declines take the plain
         evaluator."""
         route = None
         if k is not None:
@@ -244,10 +246,7 @@ class SegmentScorer:
                         all_scores.append(scores)
                     continue
             got = None
-            if route is not None and r.deleted is None:
-                # the executors read raw blocks below the tombstone filter, so
-                # a segment with deletes takes the (leaf-filtered) plain
-                # evaluator until a rewrite purges its tombstones
+            if route is not None:
                 executor, args, weights = route
                 got = executor(r, ctx, k=k, **args)
             if got is None:

@@ -208,7 +208,7 @@ def single_term_top_k(
         nonlocal pooled
         mask = np.zeros(len(rb), dtype=bool)
         mask[take] = True
-        docs, tfs = _sorted2(rb.decode(False, keep=mask))
+        docs, tfs, _ = reader.decode(rb, mask)
         if docs.size == 0:
             return
         pool_docs.append(docs)
@@ -385,8 +385,8 @@ def wand_top_k(
     for i in impact_order:
         if seen_docs >= k and sizes[i] > cheap_cap:
             continue
-        field, term, boost, rb, *_ = terms_meta[i]
-        docs, tfs = _decode_full(reader, field, term, rb)
+        field, term, boost, *_ = terms_meta[i]
+        docs, tfs, _ = reader.postings(field, term)
         scores = _bm25_exact(reader, ctx, field, term, boost, docs, tfs, full=True)
         decoded[i] = (docs, scores)
         seen_docs += docs.size
@@ -410,8 +410,8 @@ def wand_top_k(
     if not undecoded or not np.isfinite(theta):
         # nothing to prune against (or with): decode everything
         for i in undecoded:
-            field, term, boost, rb, *_ = terms_meta[i]
-            docs, tfs = _decode_full(reader, field, term, rb)
+            field, term, boost, *_ = terms_meta[i]
+            docs, tfs, _ = reader.postings(field, term)
             results[i] = (
                 docs,
                 _bm25_exact(reader, ctx, field, term, boost, docs, tfs, full=True),
@@ -539,16 +539,14 @@ def _decode_candidates(
         if full:
             # most blocks survive: decode fully and CACHE so repeat queries
             # in this pinned scorer become cache hits (the skip saves little)
-            docs, tfs = _decode_full(reader, field, term, rb)
+            docs, tfs, _ = reader.postings(field, term)
         else:
             # selective decode, memoized per block-subset: repeat queries
             # produce the same surviving mask and skip the decode entirely
             key = (field, term, hashlib.md5(ok.tobytes()).hexdigest()[:16])
             cached = reader.cache.get("wand_pruned", key)
             if cached is None:
-                cached = reader.cache.put(
-                    "wand_pruned", key, _sorted2(rb.decode(False, keep=ok))
-                )
+                cached = reader.cache.put("wand_pruned", key, reader.decode(rb, ok)[:2])
             docs, tfs = cached
     return (
         docs,
@@ -575,8 +573,8 @@ def _minmatch_top_k(
     results: dict = {}
     cand_parts = []
     for i in small:
-        field, term, boost, rb, *_ = terms_meta[i]
-        docs, tfs = _decode_full(reader, field, term, rb)
+        field, term, boost, *_ = terms_meta[i]
+        docs, tfs, _ = reader.postings(field, term)
         results[i] = (
             docs,
             _bm25_exact(reader, ctx, field, term, boost, docs, tfs, full=True),
@@ -595,26 +593,6 @@ def _minmatch_top_k(
         if got is not None:
             results[i] = got
     return _merge_top_k(results, k, m)
-
-
-def _sorted2(triple) -> Tuple[np.ndarray, np.ndarray]:
-    from ..index.codec import sort_postings
-
-    docs, tfs, _ = triple
-    if docs.size > 1 and (np.diff(docs) <= 0).any():
-        docs, tfs, _ = sort_postings(docs, tfs, None)
-    return docs, tfs
-
-
-def _decode_full(reader, field: str, term: str, rb) -> Tuple[np.ndarray, np.ndarray]:
-    """Full decode of a term, going through the reader's ``post`` pool so
-    repeat queries (WAND or not) stay warm."""
-    hit = reader.cache.get("post", (field, term, False))
-    if hit is not None:
-        return hit[0], hit[1]
-    docs, tfs = _sorted2(rb.decode(False))
-    reader.cache.put("post", (field, term, False), (docs, tfs, None))
-    return docs, tfs
 
 
 #: suffix-bound merge engages only for unions at least this wide (2-3 clause

@@ -28,3 +28,33 @@ def ray_session():
         pass
     yield
     ray.shutdown()
+
+
+@pytest.fixture(scope="session")
+def tombstoned(tmp_path_factory):
+    """``tombstoned(index_dir)`` -> (copy, deleted): a copy of a built index
+    with a seeded 5% of every segment's docs deleted (at least one each), and
+    the sorted deleted doc ids. One copy per index, shared by its callers."""
+    import shutil
+
+    import numpy as np
+
+    from lucille_ray.index import commit, delete_docs
+
+    made = {}
+
+    def make(index_dir):
+        if index_dir not in made:
+            dest = str(tmp_path_factory.mktemp("tombstoned") / "index")
+            shutil.copytree(index_dir, dest)
+            rng = np.random.default_rng(20261018)
+            ids = np.sort(np.concatenate([
+                rng.choice(np.arange(s.lo, s.hi), max(1, (s.hi - s.lo) // 20),
+                           replace=False)
+                for s in commit.read(dest)["segments"] if s.hi > s.lo
+            ]))
+            assert delete_docs(dest, ids) == ids.size
+            made[index_dir] = (dest, ids)
+        return made[index_dir]
+
+    return make

@@ -196,16 +196,11 @@ def spiked(ray_session, tmp_path_factory):
     return index_dir
 
 
-def test_conj_actually_skips_decodes(spiked, monkeypatch):
+def test_conj_actually_skips_decodes(spiked, tombstoned, monkeypatch):
     """hot-AND-hot with small k: θ from the spike blocks must prune the rest —
-    the anchor term is never fully decoded."""
+    the anchor term is never fully decoded, also on a copy with deletes (the
+    block bounds still hold, so the same bound applies)."""
     from lucille_ray.index import codec
-
-    engine = SearchEngine(spiked, parallel=False)
-    scorer = engine._scorers()[0]
-    r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    q, reqs, ctx = engine.plan("alpha AND beta")
-    args, scale = conj_parts_compound(q)
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -215,32 +210,44 @@ def test_conj_actually_skips_decodes(spiked, monkeypatch):
         decoded_vals["n"] += out.size
         return out
 
-    for f in ("text", "role", "tool"):
-        r.norms(f)  # pre-warm: norms decode is not what this test measures
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r.cache = ReaderCache()
-    cd, cs = conj_top_k_compound(r, ctx, k=10, **args)
-    conj_decoded = decoded_vals["n"]
-    # identity against the plain evaluator on the same segment
-    ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
-    ed, es = top_k(*ev.eval(q), 10)
-    assert cd.tolist() == ed.tolist()
-    np.testing.assert_array_equal(cs, es)
-    df = ctx.df.get(("text", "alpha"), 0)
-    assert df == r.doc_count  # the premise: both terms are everywhere
-    # the plain conjunctive path decodes >= 2*df values (anchor docs+tfs alone);
-    # θ-pruning must touch far less
-    assert conj_decoded < df // 2, (
-        f"decoded {conj_decoded} values; plain eval decodes >= {2 * df}"
-    )
+    for index_dir in (spiked, tombstoned(spiked)[0]):
+        engine = SearchEngine(index_dir, parallel=False)
+        scorer = engine._scorers()[0]
+        r = max(scorer.readers, key=lambda rr: rr.doc_count)
+        q, reqs, ctx = engine.plan("alpha AND beta")
+        args, scale = conj_parts_compound(q)
+        for f in ("text", "role", "tool"):
+            r.norms(f)  # pre-warm: norms decode is not what this test measures
+        decoded_vals["n"] = 0
+        with monkeypatch.context() as m:
+            m.setattr("lucille_ray.index.codec.decode_varints", counting)
+            r.cache = ReaderCache()
+            cd, cs = conj_top_k_compound(r, ctx, k=10, **args)
+        conj_decoded = decoded_vals["n"]
+        # identity against the plain evaluator on the same segment
+        ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
+        ed, es = top_k(*ev.eval(q), 10)
+        assert cd.tolist() == ed.tolist()
+        np.testing.assert_array_equal(cs, es)
+        df = ctx.df.get(("text", "alpha"), 0)
+        assert df == r.doc_count  # the premise: both terms are everywhere
+        # the plain conjunctive path decodes >= 2*df values (anchor docs+tfs
+        # alone); θ-pruning must touch far less
+        assert conj_decoded < df // 2, (
+            f"decoded {conj_decoded} values; plain eval decodes >= {2 * df}"
+        )
 
 
-def test_conj_after_delete_falls_back_and_matches(spiked, ray_session, tmp_path_factory):
-    """Segments with tombstones take the full evaluator; the engine answer must
-    still match the brute-force oracle."""
+def test_conj_after_delete_routes_and_matches(
+    spiked, ray_session, tmp_path_factory, monkeypatch
+):
+    """A segment with tombstones takes the block-max conjunction like any
+    other; its answer holds no deleted doc and equals the plain
+    evaluator's, ranks and scores."""
     import shutil
 
     from lucille_ray.index import delete_conversations
+    from lucille_ray.search import bmconj
 
     idx = os.path.join(str(tmp_path_factory.mktemp("bmconj_del")), "index")
     shutil.copytree(spiked, idx)
@@ -250,29 +257,46 @@ def test_conj_after_delete_falls_back_and_matches(spiked, ray_session, tmp_path_
     engine0.shutdown()
     assert delete_conversations(idx, victims) > 0
 
-    engine = SearchEngine(idx, parallel=False)
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return bmconj.conj_top_k_compound(*a, **kw)
+
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", tuple(
+        (m, counted if ex is bmconj.conj_top_k_compound else ex)
+        for m, ex in engine_mod.TOP_K_ROUTES))
+    engine = SearchEngine(idx, parallel=False, result_cache=False)
+    assert all(r.deleted is not None for r in engine._scorers()[0].readers)
     got = engine.search("alpha AND beta", k=10, with_meta=True)
+    assert calls == [1]
+    assert got.num_rows == 10
     assert not set(got["conv_id"].to_pylist()) & set(victims)
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
+    assert engine.search("alpha AND beta", k=10, with_meta=True).equals(got)
 
 
-def test_lr_bmconj_toggle_identical(built, ray_session, monkeypatch):
+def test_lr_bmconj_toggle_identical(built, tombstoned, ray_session, monkeypatch):
     """An empty routing table pins eligible conjunctions to the plain
     evaluator; answers (ranks AND scores) must be identical either way
-    through the full engine.
+    through the full engine, on the index and on a copy with deletes in
+    every segment.
 
     result_cache=False is load-bearing: with the default per-reader result
     cache ON, the second (toggled-off) pass would be served from the cache and
     the plain evaluator would never run — a vacuous A/B (ADVICE r04)."""
-    engine = SearchEngine(built, parallel=False, result_cache=False)
-    on = {}
-    for qs in AND_QUERIES:
-        t = engine.search(qs, k=10, with_meta=False)
-        on[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
-    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
-    for qs in AND_QUERIES:
-        t = engine.search(qs, k=10, with_meta=False)
-        assert t["doc_id"].to_pylist() == on[qs][0], qs
-        np.testing.assert_array_equal(t["score"].to_pylist(), on[qs][1])
+    for index_dir in (built, tombstoned(built)[0]):
+        engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+        on = {}
+        for qs in AND_QUERIES:
+            t = engine.search(qs, k=10, with_meta=False)
+            on[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
+        with monkeypatch.context() as m:
+            m.setattr(engine_mod, "TOP_K_ROUTES", ())
+            for qs in AND_QUERIES:
+                t = engine.search(qs, k=10, with_meta=False)
+                assert t["doc_id"].to_pylist() == on[qs][0], qs
+                np.testing.assert_array_equal(t["score"].to_pylist(), on[qs][1])
 
 
 def test_conj_randomized_full_engine_soak(built, ray_session, monkeypatch):
@@ -463,13 +487,16 @@ def test_compound_conj_identical_to_eval(built, qs, k):
         np.testing.assert_array_equal(cs, es)
 
 
-def test_compound_conj_engine_toggle_identical(built, monkeypatch):
+def test_compound_conj_engine_toggle_identical(built, tombstoned, monkeypatch):
     """An empty routing table pins the plain evaluator; answers must be
-    bit-identical."""
-    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
-    plain = SearchEngine(built, parallel=False, result_cache=False)
-    base = {qs: plain.search(qs, k=10, with_meta=False) for qs in COMPOUND_QUERIES}
-    monkeypatch.undo()
-    fast = SearchEngine(built, parallel=False, result_cache=False)
-    for qs in COMPOUND_QUERIES:
-        assert fast.search(qs, k=10, with_meta=False).equals(base[qs]), qs
+    bit-identical, on the index and on a copy with deletes in every
+    segment."""
+    for index_dir in (built, tombstoned(built)[0]):
+        with monkeypatch.context() as m:
+            m.setattr(engine_mod, "TOP_K_ROUTES", ())
+            plain = SearchEngine(index_dir, parallel=False, result_cache=False)
+            base = {qs: plain.search(qs, k=10, with_meta=False)
+                    for qs in COMPOUND_QUERIES}
+        fast = SearchEngine(index_dir, parallel=False, result_cache=False)
+        for qs in COMPOUND_QUERIES:
+            assert fast.search(qs, k=10, with_meta=False).equals(base[qs]), qs

@@ -205,12 +205,16 @@ def test_phrase_actually_skips_decodes(spiked, monkeypatch):
     )
 
 
-def test_phrase_after_delete_falls_back_and_matches(spiked, ray_session, tmp_path_factory):
-    """Segments with tombstones take the full evaluator; the engine answer must
-    still match the oracle's semantics (no deleted docs, correct ranks)."""
+def test_phrase_after_delete_routes_and_matches(
+    spiked, ray_session, tmp_path_factory, monkeypatch
+):
+    """A segment with tombstones takes the block-max phrase executor like any
+    other; its answer holds no deleted doc and equals the plain evaluator's,
+    ranks and scores."""
     import shutil
 
     from lucille_ray.index import delete_conversations
+    from lucille_ray.search import bmphrase
 
     idx = os.path.join(str(tmp_path_factory.mktemp("bmphrase_del")), "index")
     shutil.copytree(spiked, idx)
@@ -219,10 +223,23 @@ def test_phrase_after_delete_falls_back_and_matches(spiked, ray_session, tmp_pat
     victims = list(dict.fromkeys(before["conv_id"].to_pylist()))[:3]
     assert delete_conversations(idx, victims) > 0
 
-    engine = SearchEngine(idx, parallel=False)
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return bmphrase.phrase_top_k(*a, **kw)
+
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", tuple(
+        (m, counted if ex is bmphrase.phrase_top_k else ex)
+        for m, ex in engine_mod.TOP_K_ROUTES))
+    engine = SearchEngine(idx, parallel=False, result_cache=False)
+    assert all(r.deleted is not None for r in engine._scorers()[0].readers)
     got = engine.search('"alpha beta"', k=10, with_meta=True)
+    assert calls == [1]
     assert got.num_rows > 0
     assert not set(got["conv_id"].to_pylist()) & set(victims)
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
+    assert engine.search('"alpha beta"', k=10, with_meta=True).equals(got)
 
 
 @pytest.fixture(scope="module")

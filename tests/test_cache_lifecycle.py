@@ -127,8 +127,8 @@ def test_cache_identity_through_full_lifecycle(
     app_ans = _assert_step_identity(index_dir, "append", monkeypatch)
     assert app_ans != built_ans, "append changed the corpus; answers must move"
 
-    # -- delete: tombstones pin eligible segments to the plain evaluator,
-    # but cached answers must still match (cache key = commit point) --
+    # -- delete: tombstoned segments keep their executors, and cached
+    # answers must still match (cache key = commit point) --
     eng = SearchEngine(index_dir, parallel=False)
     victims = list(dict.fromkeys(eng.search("data", k=5)["conv_id"].to_pylist()))[:2]
     assert delete_conversations(index_dir, victims) > 0

@@ -78,25 +78,31 @@ def _gen(rng, vocab, depth=0):
     return f"({a} OR {b})^{rng.choice([0.5, 1.5])}"
 
 
-def test_engine_random_grammar_vs_oracle(corpus, ray_session):
+def test_engine_random_grammar_vs_oracle(corpus, tombstoned, ray_session):
+    """On the index, and on a copy with deletes in every segment: there the
+    expected answer is the oracle's over the whole corpus with the deleted
+    docs left out, since df, N and avgdl keep counting deleted docs until a
+    compaction purges them."""
     index_dir, table = corpus
     oracle = BruteForceOracle(table)
-    engine = SearchEngine(index_dir, parallel=False)
     vocab = _vocab(table)
-    rng = random.Random(20260818)
-    checked = 0
-    for _ in range(100):
-        qs = _gen(rng, vocab)
-        k = rng.randint(1, 25)
-        try:
-            got = engine.search(qs, k=k, with_meta=False)
-        except ValueError:
-            continue  # MAX_EXPANSIONS guard: oracle enforces no cap
-        exp = oracle.search(qs, k=k)
-        gp = list(zip(got["doc_id"].to_pylist(), got["score"].to_pylist()))
-        assert len(gp) == len(exp), (qs, k)
-        for (gd, gs), (ed, es) in zip(gp, exp):
-            assert gd == ed, f"{qs!r} k={k}: rank differs"
-            assert abs(gs - es) < 1e-9, (qs, k)
-        checked += 1
-    assert checked >= 80  # the generator must mostly produce valid queries
+    tomb_dir, deleted = tombstoned(index_dir)
+    for index_dir, dead in ((index_dir, set()), (tomb_dir, set(deleted.tolist()))):
+        engine = SearchEngine(index_dir, parallel=False)
+        rng = random.Random(20260818)
+        checked = 0
+        for _ in range(100):
+            qs = _gen(rng, vocab)
+            k = rng.randint(1, 25)
+            try:
+                got = engine.search(qs, k=k, with_meta=False)
+            except ValueError:
+                continue  # MAX_EXPANSIONS guard: oracle enforces no cap
+            exp = [h for h in oracle.search(qs, k=oracle.n) if h[0] not in dead][:k]
+            gp = list(zip(got["doc_id"].to_pylist(), got["score"].to_pylist()))
+            assert len(gp) == len(exp), (qs, k)
+            for (gd, gs), (ed, es) in zip(gp, exp):
+                assert gd == ed, f"{qs!r} k={k}: rank differs"
+                assert abs(gs - es) < 1e-9, (qs, k)
+            checked += 1
+        assert checked >= 80  # the generator must mostly produce valid queries

@@ -439,9 +439,10 @@ def test_delete_tombstones(built, tmp_path):
 def test_delete_purge_at_compaction(built, tmp_path):
     """Compaction purges tombstones (the Lucene merge moment): deleted docs
     leave the postings physically, live stats (numDocs/avgdl/df) take over, the
-    new commit names no tombstone and no tombstone file is left (WAND
-    re-enables), and the purged index is rank+score-equivalent to a
-    brute-force oracle over the live corpus."""
+    new commit names no tombstone and no tombstone file is left, and the
+    purged index is rank+score-equivalent to a brute-force oracle over the
+    live corpus. (The block-max executors served the tombstoned segments
+    too: readers drop deleted docs wherever anything decodes.)"""
     import json
 
     import ray.data
@@ -476,7 +477,7 @@ def test_delete_purge_at_compaction(built, tmp_path):
 
     engine = SearchEngine(index_dir, parallel=False)
     for s in engine._scorers():
-        assert all(r.deleted is None for r in s.readers)  # WAND path restored
+        assert all(r.deleted is None for r in s.readers)  # tombstones purged
 
     # equivalence with an index built from the live corpus: compare by
     # (conv_id, turn_idx) since engine doc ids keep their (gappy) values
@@ -499,6 +500,47 @@ def test_delete_purge_at_compaction(built, tmp_path):
     mtime = os.path.getmtime(mfp)
     compact_index(index_dir)
     assert os.path.getmtime(mfp) == mtime
+
+
+def test_second_purge_counts_only_new_deletes(ray_session, tmp_path):
+    """A second purge subtracts only the docs no earlier purge removed, and a
+    delete of an already purged doc is no new delete. On a 400-doc,
+    1-segment index: delete 3 and compact, then delete 2 new ids plus 1
+    purged id (2 newly deleted) and compact. 395 docs stay live, the live
+    field lengths are the live corpus's, and every QUERY_SET top-10 equals
+    the brute-force oracle over the live corpus."""
+    from lucille_ray.index import compact_index, delete_docs
+    from lucille_ray.index.segment import load_segments
+
+    data_dir = str(tmp_path / "data")
+    index_dir = str(tmp_path / "idx")
+    T.generate(400, data_dir, num_files=1)
+    build_index(T.read_transcripts(data_dir), index_dir, num_segments=1,
+                batch_size=200)
+    assert delete_docs(index_dir, [5, 77, 300]) == 3
+    compact_index(index_dir)
+    assert delete_docs(index_dir, [12, 250, 77]) == 2
+    compact_index(index_dir)
+
+    (reader,) = load_segments(index_dir)
+    assert reader.doc_count == 400 and reader.live_docs == 395
+    dead = {5, 12, 77, 250, 300}
+    src = _source_order(pq.read_table(data_dir))
+    live = src.filter(pa.array([d not in dead for d in range(src.num_rows)]))
+    live_oracle = BruteForceOracle(live)
+    for f in reader.stats["fields"]:
+        assert reader.live_total_dl(f) == sum(map(len, live_oracle.tokens[f])), f
+    engine = SearchEngine(index_dir, parallel=False)
+    for qs in QUERY_SET:
+        got = engine.search(qs, k=10)
+        exp = live_oracle.search(qs, k=10)
+        exp_keys = [
+            (live_oracle.conv_id[d], live_oracle.turn_idx[d]) for d, _ in exp
+        ]
+        got_keys = list(zip(got["conv_id"].to_pylist(), got["turn_idx"].to_pylist()))
+        assert got_keys == exp_keys, qs
+        for gs, (_, es) in zip(got["score"].to_pylist(), exp):
+            assert abs(gs - es) < 1e-9, qs
 
 
 def test_compaction_loads_arrays_on_calling_thread(built, tmp_path, monkeypatch):

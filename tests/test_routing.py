@@ -125,18 +125,22 @@ def test_match_all_takes_plain_evaluator(index_dir, served):
     assert served == []
 
 
-def test_tombstoned_segment_takes_plain_evaluator(
-    index_dir, served, tmp_path
+def test_tombstoned_segment_takes_its_executor(
+    index_dir, served, monkeypatch, tmp_path
 ):
+    """A segment with deleted docs takes its routing row like any other:
+    the reader drops deleted docs wherever an executor decodes."""
     idx = str(tmp_path / "index")
     shutil.copytree(index_dir, idx)
     assert delete_docs(idx, [0]) == 1  # doc 0 lives in the first segment
     engine = SearchEngine(idx, parallel=False, result_cache=False)
     deleted = [r.deleted is not None for r in engine._scorers()[0].readers]
     assert deleted == [True, False]
-    ids, _scores = _answer(engine, "alpha")
-    assert served == ["single_term_top_k"]  # the live segment only
-    assert 0 not in ids
+    got = _answer(engine, "alpha")
+    assert served == ["single_term_top_k"] * 2  # both segments
+    assert 0 not in got[0]
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
+    assert _answer(engine, "alpha") == got
 
 
 def test_declined_segment_takes_plain_evaluator(index_dir, monkeypatch):
@@ -216,6 +220,38 @@ def test_modules_keep_no_cache_attributes_on_readers(package):
                 bad = bool(cache_attr.match(node.args[1].value))
             if bad:
                 offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_one_decode_owner():
+    """``SegmentReader.decode`` is the only code on the search side that turns
+    raw blocks into postings, so deleted docs are dropped in one place: no
+    module under lucille_ray/search/ calls ``.decode(`` or
+    ``.decode_blocks(`` on anything but a reader, or imports
+    ``sort_postings``."""
+    import ast
+    import glob
+
+    import lucille_ray.search as search_pkg
+
+    pkg_dir = os.path.dirname(search_pkg.__file__)
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        where = os.path.basename(path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("decode", "decode_blocks")
+                and not ast.unparse(node.func.value).endswith("reader")
+            ):
+                offenders.append(f"{where}:{node.lineno} {ast.unparse(node.func)}")
+            elif isinstance(node, ast.ImportFrom) and "sort_postings" in {
+                a.name for a in node.names
+            }:
+                offenders.append(f"{where}:{node.lineno} sort_postings")
     assert offenders == []
 
 

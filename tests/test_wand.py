@@ -87,20 +87,12 @@ def test_wand_engine_end_to_end_matches_oracle(built, ray_session):
             assert abs(gscore - escore) < 1e-9, qs
 
 
-def test_wand_actually_skips_decodes(built, monkeypatch):
+def test_wand_actually_skips_decodes(built, tombstoned, monkeypatch):
     """For a rare-OR-hot query with small k, the hot term must NOT be fully
-    decoded: count docs decoded via the codec."""
-    import lucille_ray.search.wand as wand_mod
+    decoded: count docs decoded via the codec. Deleted docs change nothing:
+    the block bounds still hold, so a copy with deletes in every segment
+    keeps the same bound."""
     from lucille_ray.index import codec
-
-    engine = SearchEngine(built, parallel=False)
-    scorer = engine._scorers()[0]
-    r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    # hottest text term in the corpus vs the rare high-idf 'xylophone42'
-    terms, dfs = r.term_dict("text")
-    hot = str(terms[int(np.argmax(dfs))])
-    q, reqs, ctx = engine.plan(f"xylophone42 OR {hot}")
-    args, scale = wand_parts(q)
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -110,18 +102,29 @@ def test_wand_actually_skips_decodes(built, monkeypatch):
         decoded_vals["n"] += out.size
         return out
 
-    for f in ("text", "role", "tool"):
-        r.norms(f)  # pre-warm: norms decode is not what this test measures
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    r.cache = ReaderCache()
-    wand_top_k(r, ctx, k=3, **args)
-    df_hot = ctx.df.get(("text", hot), 0)
-    assert df_hot > r.doc_count // 4  # the premise: the term really is hot
-    # full evaluation decodes ~2*df values (docs+tfs) for the hot term alone;
-    # score-skipping must touch far less
-    assert decoded_vals["n"] < df_hot, (
-        f"decoded {decoded_vals['n']} values; full eval would decode ~{2 * df_hot}"
-    )
+    for index_dir in (built, tombstoned(built)[0]):
+        engine = SearchEngine(index_dir, parallel=False)
+        scorer = engine._scorers()[0]
+        r = max(scorer.readers, key=lambda rr: rr.doc_count)
+        # hottest text term in the corpus vs the rare high-idf 'xylophone42'
+        terms, dfs = r.term_dict("text")
+        hot = str(terms[int(np.argmax(dfs))])
+        q, reqs, ctx = engine.plan(f"xylophone42 OR {hot}")
+        args, scale = wand_parts(q)
+        for f in ("text", "role", "tool"):
+            r.norms(f)  # pre-warm: norms decode is not what this test measures
+        decoded_vals["n"] = 0
+        with monkeypatch.context() as m:
+            m.setattr("lucille_ray.index.codec.decode_varints", counting)
+            r.cache = ReaderCache()
+            wand_top_k(r, ctx, k=3, **args)
+        df_hot = ctx.df.get(("text", hot), 0)
+        assert df_hot > r.doc_count // 4  # the premise: the term really is hot
+        # full evaluation decodes ~2*df values (docs+tfs) for the hot term
+        # alone; score-skipping must touch far less
+        assert decoded_vals["n"] < df_hot, (
+            f"decoded {decoded_vals['n']} values; full eval would decode ~{2 * df_hot}"
+        )
 
 
 def test_wand_random_queries_property(built, ray_session):
@@ -344,21 +347,29 @@ def test_expansion_wand_identical_to_eval(built, qs, k):
         np.testing.assert_array_equal(ws, es)
 
 
-def test_expansion_wand_engine_toggle_identical(built, monkeypatch):
-    """An empty routing table pins the plain evaluator; answers must be
-    bit-identical."""
+def _toggle_identical(index_dir, queries, monkeypatch):
+    """Every query answers bit-identically with the routing table and with
+    an empty one (which pins the plain evaluator)."""
     baseline = {}
-    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
-    engine = SearchEngine(built, parallel=False)
-    for qs in EXPANSION_QUERIES:
-        t = engine.search(qs, k=10, with_meta=False)
-        baseline[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
-    monkeypatch.undo()
-    engine2 = SearchEngine(built, parallel=False)
-    for qs in EXPANSION_QUERIES:
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "TOP_K_ROUTES", ())
+        engine = SearchEngine(index_dir, parallel=False)
+        for qs in queries:
+            t = engine.search(qs, k=10, with_meta=False)
+            baseline[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
+    engine2 = SearchEngine(index_dir, parallel=False)
+    for qs in queries:
         t = engine2.search(qs, k=10, with_meta=False)
         assert t["doc_id"].to_pylist() == baseline[qs][0], qs
         assert t["score"].to_pylist() == baseline[qs][1], qs
+
+
+def test_expansion_wand_engine_toggle_identical(built, tombstoned, monkeypatch):
+    """An empty routing table pins the plain evaluator; answers must be
+    bit-identical, on the index and on a copy with deletes in every
+    segment."""
+    for index_dir in (built, tombstoned(built)[0]):
+        _toggle_identical(index_dir, EXPANSION_QUERIES, monkeypatch)
 
 
 def test_expansion_wand_parts_shapes(built):
@@ -471,21 +482,12 @@ def test_single_term_identical_to_eval(built, qs, k):
         np.testing.assert_array_equal(ts, es)
 
 
-def test_single_term_engine_toggle_identical(built, monkeypatch):
+def test_single_term_engine_toggle_identical(built, tombstoned, monkeypatch):
     """An empty routing table pins the plain evaluator; answers must be
-    bit-identical."""
-    baseline = {}
-    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
-    engine = SearchEngine(built, parallel=False)
-    for qs in TERM_QUERIES:
-        t = engine.search(qs, k=10, with_meta=False)
-        baseline[qs] = (t["doc_id"].to_pylist(), t["score"].to_pylist())
-    monkeypatch.undo()
-    engine2 = SearchEngine(built, parallel=False)
-    for qs in TERM_QUERIES:
-        t = engine2.search(qs, k=10, with_meta=False)
-        assert t["doc_id"].to_pylist() == baseline[qs][0], qs
-        assert t["score"].to_pylist() == baseline[qs][1], qs
+    bit-identical, on the index and on a copy with deletes in every
+    segment."""
+    for index_dir in (built, tombstoned(built)[0]):
+        _toggle_identical(index_dir, TERM_QUERIES, monkeypatch)
 
 
 def test_single_term_parts_shapes(built):
