@@ -152,8 +152,9 @@ def main(argv=None) -> int:
         elif args.cmd == "compact":
             from lucille_ray.index import compact_index
 
-            compact_index(args.index)
+            done = compact_index(args.index)
             print("compacted")
+            print(json.dumps(done))
         elif args.cmd in ("search", "suggest"):
             from lucille_ray.search import SearchEngine
 

@@ -306,21 +306,31 @@ def _link(src: str, dst: str) -> None:
 def _compact_segment(
     seg_dir: str, manifest: dict, source: dict, new_dir: str, reader, norms: dict,
     purged: np.ndarray,
-) -> None:
+) -> dict:
     """Sort-merge one segment's postings into the new directory ``new_dir``
     (``reader``, ``norms``, ``purged``: :func:`_load_segment`; ``source``
     names the segment and tombstone it compacts). A complete ``new_dir`` from
-    a failed earlier run over the same source is kept as it is."""
+    a failed earlier run over the same source is kept as it is. Returns what
+    it did: source and new segment names, wall seconds, posting rows in and
+    out, and the merge pipeline's Ray Data stage stats
+    (:func:`report.parse_stage_stats`; none when ``new_dir`` was kept)."""
     import functools
+    import time
 
     import ray
     import ray.data
 
+    from .report import parse_stage_stats
     from .writer import COMPACT_MIN_ROWS_PER_WRITE, PostingsSink
 
+    t0 = time.perf_counter()
+    rows = sum(pf.metadata.num_rows for pf, _ in reader._postings_files())
+    result = {"source": source["segment"], "segment": os.path.basename(new_dir),
+              "posting_rows_in": rows}
     done = read_manifest(new_dir)
     if done is not None and done.get("source") == source:
-        return
+        return dict(result, wall_s=round(time.perf_counter() - t0, 6),
+                    posting_rows_out=int(done.get("posting_rows") or 0), stages=[])
     shutil.rmtree(new_dir, ignore_errors=True)
     os.makedirs(new_dir)
     postings_path = os.path.join(new_dir, "postings.parquet")
@@ -340,7 +350,6 @@ def _compact_segment(
     # on each file's FIRST row group only, which the payload-cut layout makes
     # a few hot rows: a ~30x over-estimate that nearly tripled the sort's task
     # count on a 2,500-turn segment
-    rows = sum(pf.metadata.num_rows for pf, _ in reader._postings_files())
     blocks = min(-(-rows // MERGE_BATCH_ROWS),
                  ray.data.DataContext.get_current().read_op_min_num_blocks)
     ds = _retry_fs_import_race(lambda: ray.data.read_parquet(
@@ -364,7 +373,8 @@ def _compact_segment(
     # otherwise every downstream stage sees mixed-schema RefBundles
     from ..ops.joins import drop_empty_blocks
 
-    merged = drop_empty_blocks(ds.sort(["field", "term", "bucket"])).map_batches(
+    sorted_ds = ds.sort(["field", "term", "bucket"])
+    merged = drop_empty_blocks(sorted_ds).map_batches(
         merge_fn, batch_size=MERGE_BATCH_ROWS, batch_format="pyarrow"
     )
     # one file per write task (no file cap: a file is bounded by the
@@ -376,6 +386,9 @@ def _compact_segment(
         merged.write_datasink(sink)
 
     _retry_fs_import_race(_write)
+    # dropping the empty blocks executes the read and the sort on their own,
+    # so their stages are in the sorted dataset's stats, not in merged's
+    stages = parse_stage_stats(sorted_ds.stats()) + parse_stage_stats(merged.stats())
     with open(os.path.join(seg_dir, "stats.json")) as f:
         stats = json.load(f)
     manifest = dict(manifest, segment_id=os.path.basename(new_dir), source=source,
@@ -414,15 +427,24 @@ def _compact_segment(
     with open(tmp_mf, "w") as f:
         json.dump(manifest, f, indent=1)
     os.replace(tmp_mf, os.path.join(new_dir, MANIFEST_FILE))
+    return dict(result, wall_s=round(time.perf_counter() - t0, 6),
+                posting_rows_out=manifest["posting_rows"], stages=stages)
 
 
-def compact_index(index_dir: str, *, resume: bool = True) -> None:
+def compact_index(index_dir: str, *, resume: bool = True) -> list[dict]:
     """Compact the postings of every segment of the current commit that is
     not compacted yet or holds tombstones (with ``resume=False``: every
     segment), each into a new segment directory, then publish them all in
     one commit; its sweep deletes the directories they replace. A failure
     before the publish leaves the previous commit serving; a re-run keeps
     the new directories that completed.
+
+    Returns one entry per compacted segment, in commit order (empty when
+    nothing needed compacting): ``source`` and new ``segment`` name,
+    ``wall_s``, ``posting_rows_in``/``posting_rows_out`` and ``stages``, the
+    merge pipeline's parsed Ray Data stage stats (empty where a complete
+    directory of a failed earlier run was kept). Nothing of it is written to
+    the index.
 
     Segments compact CONCURRENTLY (a few driver threads, each running one
     independent sort→merge→write Dataset pipeline): one segment's exchange
@@ -453,12 +475,12 @@ def compact_index(index_dir: str, *, resume: bool = True) -> None:
                         *_load_segment(seg_dir, manifest,
                                        commit.tombstone_path(index_dir, seg))))
     if not pending:
-        return
+        return []
     if len(pending) == 1:
-        _compact_segment(*pending[0])
+        done = [_compact_segment(*pending[0])]
     else:
         with ThreadPoolExecutor(max_workers=min(4, len(pending))) as pool:
             futs = [pool.submit(_compact_segment, *args) for args in pending]
-            for f in futs:
-                f.result()
+            done = [f.result() for f in futs]
     commit.publish(index_dir, dict(c, segments=segments, next_segment=number))
+    return done

@@ -2,7 +2,8 @@
 the build and compaction record about an index — metadata, per-phase wall
 times, per-segment manifests and live stats, on-disk footprint by component
 (postings, norms sidecars, doc maps, the ``docmapped/`` build checkpoint,
-everything else), postings layout (row groups, footer bytes), lifecycle
+everything else), postings layout (row groups, footer bytes, compressed
+bytes per Parquet leaf column), lifecycle
 state (tombstones, purges, appends).
 
 This is the metrics/lineage surface: scaling and health claims should be
@@ -28,6 +29,15 @@ _OP_RE = re.compile(
     r"^Operator \d+ (?P<name>.+?): (?P<tasks>\d+) tasks executed, "
     r"(?P<blocks>\d+) blocks produced in (?P<wall>[\d.]+)(?P<unit>us|ms|s)$"
 )
+#: an all-to-all operator (sort, shuffle): its wall clock on this line, its
+#: tasks on the Suboperator lines below it
+_ALL_TO_ALL_RE = re.compile(
+    r"^Operator \d+ (?P<name>.+?): executed in (?P<wall>[\d.]+)(?P<unit>us|ms|s)$"
+)
+_SUBOP_RE = re.compile(
+    r"^Suboperator \d+ .+?: (?P<tasks>\d+) tasks executed, "
+    r"(?P<blocks>\d+) blocks produced$"
+)
 _TOTAL_RE = re.compile(
     r"^\* (?P<what>Remote wall time|Remote cpu time|UDF time): .*?"
     r"(?P<total>[\d.]+)(?P<unit>us|ms|s) total$"
@@ -48,7 +58,9 @@ def parse_stage_stats(text: str) -> list[dict]:
     operator: task/block counts, operator wall clock, total remote wall/cpu/
     UDF seconds, output rows/bytes, throughput, and the derived
     ``effective_parallelism`` (total remote wall / operator wall — the
-    per-stage number scaling claims should cite)."""
+    per-stage number scaling claims should cite). An all-to-all operator
+    (a sort) is one dict: its sub-operators' tasks and remote times add up,
+    its blocks and output are the last sub-operator's."""
     ops: list[dict] = []
     cur: Optional[dict] = None
     for raw in text.splitlines():
@@ -63,15 +75,31 @@ def parse_stage_stats(text: str) -> list[dict]:
             }
             ops.append(cur)
             continue
+        m = _ALL_TO_ALL_RE.match(line)
+        if m:
+            cur = {
+                "operator": m["name"],
+                "tasks": 0,
+                "blocks": 0,
+                "wall_sec": round(float(m["wall"]) * _TIME_UNIT[m["unit"]], 6),
+            }
+            ops.append(cur)
+            continue
         if cur is None:
             continue
         if line.startswith("Dataset throughput"):
             cur = None
             continue
+        m = _SUBOP_RE.match(line)
+        if m:
+            cur["tasks"] += int(m["tasks"])
+            cur["blocks"] = int(m["blocks"])
+            continue
         m = _TOTAL_RE.match(line)
         if m:
-            cur[_TOTAL_KEY[m["what"]]] = round(
-                float(m["total"]) * _TIME_UNIT[m["unit"]], 6
+            key = _TOTAL_KEY[m["what"]]
+            cur[key] = round(
+                cur.get(key, 0.0) + float(m["total"]) * _TIME_UNIT[m["unit"]], 6
             )
             continue
         m = _ROWS_RE.match(line)
@@ -169,17 +197,27 @@ def _index_bytes(index_dir: str) -> tuple[dict, dict]:
     return total, per_seg
 
 
-def _postings_layout(seg_dir: str) -> tuple[int, int]:
-    """(row groups, footer bytes) of a segment's postings files, from their
-    footers alone (no data page is read)."""
+def _postings_layout(seg_dir: str) -> tuple[int, int, dict]:
+    """(row groups, footer bytes, {leaf column: compressed bytes}) of a
+    segment's postings files, from their footers alone (no data page is
+    read). Column keys are Parquet leaf paths (``blocks.list.element.n``)."""
     root = os.path.join(seg_dir, "postings.parquet")
     groups = footer = 0
+    columns: dict = {}
     for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
         if name.endswith(".parquet"):
             md = pq.read_metadata(os.path.join(root, name))
             groups += md.num_row_groups
             footer += md.serialized_size
-    return groups, footer
+            for g in range(md.num_row_groups):
+                rg = md.row_group(g)
+                for i in range(rg.num_columns):
+                    col = rg.column(i)
+                    columns[col.path_in_schema] = (
+                        columns.get(col.path_in_schema, 0)
+                        + col.total_compressed_size
+                    )
+    return groups, footer, columns
 
 
 def build_report(index_dir: str) -> dict:
@@ -199,6 +237,7 @@ def build_report(index_dir: str) -> dict:
     total_posting_rows = 0
     total_purged = 0
     total_groups = total_footer = 0
+    total_columns: dict = {}
     any_tombstones = False
     for s in meta["segments"]:
         name = s.name
@@ -228,9 +267,11 @@ def build_report(index_dir: str) -> dict:
         total_posting_rows += posting_rows
         purged = int(man.get("purged_docs") or 0)
         total_purged += purged
-        groups, footer = _postings_layout(seg_dir)
+        groups, footer, columns = _postings_layout(seg_dir)
         total_groups += groups
         total_footer += footer
+        for c, n in columns.items():
+            total_columns[c] = total_columns.get(c, 0) + n
         comps = dict.fromkeys(BYTE_COMPONENTS, 0)
         # the segment's own files, and its docmapped partition if one is left
         for d in (name, os.path.basename(man.get("input_path") or "")):
@@ -254,6 +295,7 @@ def build_report(index_dir: str) -> dict:
             **comps,
             "postings_row_groups": groups,
             "postings_footer_bytes": footer,
+            "postings_column_bytes": columns,
             "input_path": man.get("input_path"),
         }
         if "live_docs" in stats:
@@ -278,6 +320,7 @@ def build_report(index_dir: str) -> dict:
             "purged_docs": total_purged,
             "postings_row_groups": total_groups,
             "postings_footer_bytes": total_footer,
+            "postings_column_bytes": total_columns,
             "tombstoned_segments": any_tombstones,
             "index_bytes": sum(total_bytes.values()),
             **total_bytes,

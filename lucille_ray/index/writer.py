@@ -15,13 +15,21 @@ a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
   term, so every lookup of either field would read it);
 - statistics are written only on ``field`` and ``term`` (the only columns the
   reader prunes on) and dictionary encoding only on ``field``; compression is
-  snappy.
+  snappy;
+- the block metadata is delta-encoded (:data:`COLUMN_ENCODING`): Parquet's
+  DELTA_BINARY_PACKED on the eight integer columns (``bucket``, ``df``,
+  ``total_tf`` and each block's ``n``, ``max_tf``, ``min_dl``, ``first_doc``,
+  ``last_doc`` -- small or sorted values that bit-pack to a few bits each) and
+  DELTA_BYTE_ARRAY on the sorted ``term`` column (shared prefixes stored
+  once). PLAIN-encoded metadata outweighed the ``docs``/``tfs``/``pos``
+  payload itself; the payload blobs stay PLAIN.
 
 Invariant (checked by the tests): every row group holds at most
 ``ROW_GROUP_ROWS`` rows of one field, and a group whose payload exceeds
 ``ROW_GROUP_BYTES`` holds exactly one row. Readers need nothing from the
-layout beyond the (field, term) statistics, so older fixed-size-group indexes
-still open.
+layout beyond the (field, term) statistics, and Parquet encodings are
+self-describing, so older fixed-size-group and PLAIN-encoded indexes still
+open; compaction rewrites them in this layout.
 """
 
 from __future__ import annotations
@@ -48,6 +56,17 @@ BUILD_ROWS_PER_FILE = 16384
 COMPACT_MIN_ROWS_PER_WRITE = 2048
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
+
+#: Parquet encoding of each postings leaf column that is neither dictionary-
+#: encoded (``field``) nor a payload blob
+COLUMN_ENCODING = {
+    "term": "DELTA_BYTE_ARRAY",
+    **{c: "DELTA_BINARY_PACKED" for c in (
+        "bucket", "df", "total_tf",
+        *(f"blocks.list.element.{f}"
+          for f in ("n", "max_tf", "min_dl", "first_doc", "last_doc")),
+    )},
+}
 
 
 def _blob_bytes(blocks) -> np.ndarray:
@@ -103,6 +122,7 @@ def write_postings_file(table: pa.Table, path: str) -> None:
         compression="snappy",
         use_dictionary=["field"],
         write_statistics=["field", "term"],
+        column_encoding=COLUMN_ENCODING,
     ) as w:
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             w.write_table(table.slice(lo, hi - lo), row_group_size=hi - lo)

@@ -486,7 +486,7 @@ def pmi_collocations(ds, k: int = 20, min_count: int = 5, *,
              "b": pa.array([int(pc.sum(b["c"]).as_py() or 0)], pa.int64())}
         ))(is_uni(t), is_bi(t)),
         batch_format="pyarrow",
-    ).to_arrow_refs()):
+    ).materialize().to_arrow_refs()):  # materialized: no Limit[1] schema probe
         import ray
 
         tt = ray.get(tb)

@@ -36,3 +36,11 @@ def test_cli_generate_build_append_search_stats(tmp_path):
     assert set(hits[0]) == {"doc_id", "conv_id", "turn_idx", "score"}
     stats = json.loads(_cli("stats", "--index", idx))
     assert stats["totals"]["docs"] == 700 and stats["totals"]["segments"] == 3
+
+    out = _cli("compact", "--index", idx).splitlines()
+    assert out[0] == "compacted"
+    done = json.loads(out[1])
+    assert [d["source"] for d in done] == [s["segment"] for s in stats["segments"]]
+    stats = json.loads(_cli("stats", "--index", idx))
+    assert [d["segment"] for d in done] == [s["segment"] for s in stats["segments"]]
+    assert sum(d["posting_rows_out"] for d in done) == stats["totals"]["posting_rows"]

@@ -380,6 +380,9 @@ def test_append_index_incremental_ingest(built, oracle, tmp_path):
     engine3 = SearchEngine(index_dir, parallel=False)
     for qs in QUERY_SET[::5]:
         _compare(engine3, oracle, qs)
+    # built and appended segments alike are in the postings writer's layout
+    for seg_dir in _seg_dirs(index_dir):
+        _assert_segment_layout(seg_dir)
 
 
 def test_delete_tombstones(built, tmp_path):
@@ -840,17 +843,45 @@ def test_compaction_preserves_results(built, oracle, tmp_path):
         post0 = os.path.join(_seg_dirs(index_dir)[0], "postings.parquet")
         return pq2.read_table(post0, columns=["term"]).num_rows
 
+    from lucille_ray.index import commit
+
     rows_before = rows_of_first_segment()
-    compact_index(index_dir)
+    sources = [s.name for s in commit.read(index_dir)["segments"]]
+    files_before = _index_files(index_dir)
+    done = compact_index(index_dir)
     rows_after = rows_of_first_segment()
     assert rows_after < rows_before
+    # one entry per compacted segment, in commit order; nothing of it is
+    # written: the index holds the new directories' files and nothing else
+    assert [d["source"] for d in done] == sources
+    assert [d["segment"] for d in done] == [
+        s.name for s in commit.read(index_dir)["segments"]]
+    assert done[0]["posting_rows_in"] == rows_before
+    for d in done:
+        man = json.load(open(os.path.join(
+            commit.segment_dir(index_dir, d["segment"]), "MANIFEST.json")))
+        assert d["posting_rows_out"] == man["posting_rows"] < d["posting_rows_in"]
+        assert d["wall_s"] > 0
+        assert d["stages"] and all(op["tasks"] >= 1 for op in d["stages"])
+        names = [op["operator"] for op in d["stages"]]
+        assert "Sort" in names and any("ReadParquet" in n for n in names), names
+        assert any("_merge_sorted_batch" in n for n in names), names
+    assert json.loads(json.dumps(done)) == done
+    assert {f for f in _index_files(index_dir) if not f.startswith("segments/")} == {
+        f for f in files_before if not f.startswith("segments/")}
     engine = SearchEngine(index_dir, parallel=False)
     for qs in QUERY_SET[::6]:
         _compare(engine, oracle, qs)
     mf = os.path.join(_seg_dirs(index_dir)[0], "MANIFEST.json")
     mtime = os.path.getmtime(mf)
-    compact_index(index_dir)  # resume: skip
+    assert compact_index(index_dir) == []  # resume: skip
     assert os.path.getmtime(mf) == mtime
+
+
+def _index_files(index_dir: str) -> set:
+    """Every file under ``index_dir``, as a relative path."""
+    return {os.path.relpath(os.path.join(root, f), index_dir)
+            for root, _, files in os.walk(index_dir) for f in files}
 
 
 def test_piece_merge_rank_identity(built, oracle, tmp_path):
@@ -1094,6 +1125,42 @@ def test_resume_skips_complete_segments_and_rebuilds_missing(
     _compare(engine, oracle, '"lazy evaluation"')
 
 
+def test_parse_stage_stats_all_to_all_operator():
+    """A sort's stats (Ray 2.49 text) parse into one operator whose tasks and
+    remote times sum its map and reduce sub-operators, next to the ordinary
+    operator before it."""
+    from lucille_ray.index.report import parse_stage_stats
+
+    text = """Operator 1 ReadRange: 4 tasks executed, 4 blocks produced in 0.06s
+* Remote wall time: 951.04us min, 7.57ms max, 2.75ms mean, 11.0ms total
+* Remote cpu time: 1.04ms min, 8.14ms max, 2.95ms mean, 11.79ms total
+* Output num rows per block: 250 min, 250 max, 250 mean, 1000 total
+
+Operator 2 Sort: executed in 0.95s
+
+\tSuboperator 0 SortMap: 1 tasks executed, 4 blocks produced
+\t* Remote wall time: 355.02us min, 1.15ms max, 623.09us mean, 2.49ms total
+\t* Remote cpu time: 354.26us min, 1.03ms max, 592.24us mean, 2.37ms total
+\t* Output num rows per block: 250 min, 250 max, 250 mean, 1000 total
+
+\tSuboperator 1 SortReduce: 2 tasks executed, 3 blocks produced
+\t* Remote wall time: 294.01us min, 408.88us max, 339.74us mean, 1.36ms total
+\t* Remote cpu time: 292.75us min, 408.03us max, 338.7us mean, 1.35ms total
+\t* Output num rows per block: 213 min, 298 max, 250 mean, 999 total
+
+Dataset throughput:
+\t* Ray Data throughput: 6299.67768333297 rows/s
+"""
+    read, sort = parse_stage_stats(text)
+    assert read["operator"] == "ReadRange" and read["tasks"] == 4
+    assert read["remote_wall_sec"] == 0.011 and read["output_rows"] == 1000
+    assert sort["operator"] == "Sort"
+    assert (sort["tasks"], sort["blocks"], sort["wall_sec"]) == (3, 3, 0.95)
+    assert sort["remote_wall_sec"] == round(0.00249 + 0.00136, 6)
+    assert sort["remote_cpu_sec"] == round(0.00237 + 0.00135, 6)
+    assert sort["output_rows"] == 999
+
+
 def test_build_report_structure(ray_session, tmp_path):
     from lucille_ray import transcripts as T
     from lucille_ray.index import build_index, compact_index, build_report
@@ -1141,8 +1208,9 @@ def test_match_all_stream_matches_gathered(built, ray_session):
                 assert [r["doc_id"] for r in st] == got["doc_id"].to_pylist(), (
                     parallel, qs)
                 assert [r["score"] for r in st] == got["score"].to_pylist()
-            meta = engine.match_all_stream("xylophone42", with_meta=True)
-            row = meta.take(1)[0]
+            # materialized once: take(1) would run a Limit[1] execution
+            meta = engine.match_all_stream("xylophone42", with_meta=True).materialize()
+            row = meta.take_all()[0]
             assert set(row) == {"doc_id", "conv_id", "turn_idx", "score"}
         finally:
             engine.shutdown()
@@ -1318,15 +1386,51 @@ def _row_payloads(path: str) -> np.ndarray:
     return np.bincount(parents, weights=per_block, minlength=len(blocks)).astype(np.int64)
 
 
+#: the postings leaf columns the writer delta-encodes as integers
+_DELTA_INT_COLUMNS = (
+    "bucket", "df", "total_tf",
+    *(f"blocks.list.element.{c}"
+      for c in ("n", "max_tf", "min_dl", "first_doc", "last_doc")),
+)
+
+
+def _assert_writer_encodings(md) -> None:
+    """Every column chunk of a postings file's metadata ``md`` in the writer's
+    encodings (DELTA_BINARY_PACKED integers, DELTA_BYTE_ARRAY ``term``,
+    dictionary ``field``, PLAIN payload blobs), snappy-compressed, and every
+    row group with ``field``/``term`` min/max: without them the reader falls
+    back to whole-file reads, correct but a perf cliff."""
+    for g in range(md.num_row_groups):
+        rg = md.row_group(g)
+        cols = {rg.column(i).path_in_schema: rg.column(i)
+                for i in range(rg.num_columns)}
+        for name, col in cols.items():
+            enc = set(col.encodings)
+            assert col.compression == "SNAPPY", (name, g)
+            if name in _DELTA_INT_COLUMNS:
+                assert "DELTA_BINARY_PACKED" in enc and "PLAIN" not in enc, (name, enc)
+            elif name == "term":
+                assert "DELTA_BYTE_ARRAY" in enc and "PLAIN" not in enc, (name, enc)
+            elif name == "field":
+                assert "RLE_DICTIONARY" in enc, (name, enc)
+            else:
+                assert enc <= {"PLAIN", "RLE"}, (name, enc)
+        for name in ("field", "term"):
+            st = cols[name].statistics
+            assert st is not None and st.has_min_max, (name, g)
+
+
 def _assert_payload_cut_groups(path: str) -> list:
     """The postings writer's layout on one file: every row group holds at most
     ROW_GROUP_ROWS rows of one field, a group over ROW_GROUP_BYTES of blob
     payload holds exactly one row, and a group closes early only where the
-    next row would push it past the byte budget or starts another field.
-    Returns (rows, payload) per group."""
+    next row would push it past the byte budget or starts another field;
+    every column chunk is in the writer's encodings
+    (:func:`_assert_writer_encodings`). Returns (rows, payload) per group."""
     from lucille_ray.index.writer import ROW_GROUP_BYTES, ROW_GROUP_ROWS
 
     md = pq.ParquetFile(path).metadata
+    _assert_writer_encodings(md)
     rows = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
     payload = _row_payloads(path)
     fields = pq.read_table(path, columns=["field"])["field"].to_pylist()
@@ -1493,22 +1597,79 @@ def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
     assert SegmentReader(seg0)._postings_files()[0][1] is None
     assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
 
-    def answers(d):
-        eng = SearchEngine(d, parallel=False, result_cache=False)
-        out = []
-        for qs in QUERY_SET:
-            _compare(eng, oracle, qs)
-            got = eng.search(qs, k=10, with_meta=False)
-            out.append((got["doc_id"].to_pylist(), got["score"].to_pylist()))
-        return out
-
-    assert answers(old_dir) == answers(new_dir)
+    assert _answers(old_dir, oracle) == _answers(new_dir, oracle)
     for d in (old_dir, new_dir):
         compact_index(d)
     for seg_dir in _seg_dirs(old_dir):
         _assert_segment_layout(seg_dir)
     assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
-    assert answers(old_dir) == answers(new_dir)
+    assert _answers(old_dir, oracle) == _answers(new_dir, oracle)
+
+
+def _answers(index_dir: str, oracle) -> list:
+    """Every QUERY_SET answer of an in-process engine (checked against the
+    oracle): search and suggest top-10 ids and scores, then one search_many
+    batch."""
+    eng = SearchEngine(index_dir, parallel=False, result_cache=False)
+    out = []
+    for qs in QUERY_SET:
+        _compare(eng, oracle, qs)
+        for fn in (eng.search, eng.suggest):
+            got = fn(qs, k=10, with_meta=False)
+            out.append((got["doc_id"].to_pylist(), got["score"].to_pylist()))
+    out.extend((d.tolist(), s.tolist()) for d, s in eng.search_many(QUERY_SET, k=10))
+    return out
+
+
+def _rewrite_plain_encoded(seg_dir: str) -> None:
+    """Rewrite a segment's postings files row group for row group with the
+    writer settings that predate the delta encodings: snappy, dictionary on
+    ``field``, statistics on ``field`` and ``term``, PLAIN elsewhere."""
+    import glob
+
+    for f in sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*.parquet"))):
+        pf = pq.ParquetFile(f)
+        groups = [pf.read_row_group(g) for g in range(pf.num_row_groups)]
+        with pq.ParquetWriter(f, pf.schema_arrow, compression="snappy",
+                              use_dictionary=["field"],
+                              write_statistics=["field", "term"]) as w:
+            for t in groups:
+                w.write_table(t, row_group_size=t.num_rows)
+
+
+def test_plain_encoded_segment_serves_and_compacts_to_delta(built, oracle, tmp_path):
+    """An index whose first segment is still PLAIN-encoded (written before
+    the postings writer delta-encoded its metadata) answers bit-identically
+    to the all-delta index, and compaction rewrites that segment in the
+    writer's encodings. The same rows take fewer bytes in the integer and
+    ``term`` columns delta-encoded."""
+    from lucille_ray.index import build_report, compact_index
+
+    _, index_dir, _ = built
+    new_dir = str(tmp_path / "new")
+    mixed_dir = str(tmp_path / "mixed")
+    shutil.copytree(index_dir, new_dir)
+    shutil.copytree(index_dir, mixed_dir)
+    plain_seg = _seg_dirs(mixed_dir)[0]
+    _rewrite_plain_encoded(plain_seg)
+    for f in os.listdir(os.path.join(plain_seg, "postings.parquet")):
+        md = pq.ParquetFile(os.path.join(plain_seg, "postings.parquet", f)).metadata
+        with pytest.raises(AssertionError):
+            _assert_writer_encodings(md)
+    assert _stored_rows(mixed_dir).equals(_stored_rows(new_dir))
+
+    def meta_bytes(d):
+        cols = build_report(d)["segments"][0]["postings_column_bytes"]
+        return sum(cols[c] for c in (*_DELTA_INT_COLUMNS, "term"))
+
+    assert meta_bytes(new_dir) < meta_bytes(mixed_dir)
+    assert _answers(mixed_dir, oracle) == _answers(new_dir, oracle)
+    for d in (mixed_dir, new_dir):
+        compact_index(d)
+    for seg_dir in _seg_dirs(mixed_dir):
+        _assert_segment_layout(seg_dir)
+    assert _stored_rows(mixed_dir).equals(_stored_rows(new_dir))
+    assert _answers(mixed_dir, oracle) == _answers(new_dir, oracle)
 
 
 def test_term_dict_matches_directory_scan(built, tmp_path):
@@ -1590,8 +1751,9 @@ def test_norms_sidecar_narrow_dtype_round_trip(built, tmp_path):
 
 
 def test_build_report_postings_layout(built, tmp_path):
-    """build_report carries each segment's postings row groups and footer
-    bytes (from the footers) plus their totals, and they follow compaction."""
+    """build_report carries each segment's postings row groups, footer bytes
+    and compressed bytes per leaf column (from the footers) plus their
+    totals, and they follow compaction."""
     import glob
 
     from lucille_ray.index import build_report, compact_index
@@ -1609,11 +1771,27 @@ def test_build_report_postings_layout(built, tmp_path):
             assert seg["postings_row_groups"] == sum(m.num_row_groups for m in mds)
             assert seg["postings_footer_bytes"] == sum(m.serialized_size for m in mds)
             assert seg["postings_footer_bytes"] > 0
+            # compressed bytes per leaf column: every leaf, summed over the
+            # column chunks; with the footers they fit inside the files
+            cols = seg["postings_column_bytes"]
+            assert set(cols) == {"field", "term", *_DELTA_INT_COLUMNS, *(
+                f"blocks.list.element.{c}" for c in ("docs", "tfs", "pos"))}
+            assert sum(cols.values()) == sum(
+                m.row_group(g).column(i).total_compressed_size for m in mds
+                for g in range(m.num_row_groups) for i in range(m.num_columns))
+            assert all(n > 0 for n in cols.values())
+            assert (sum(cols.values()) + seg["postings_footer_bytes"]
+                    <= seg["postings_bytes"])
         tot = rep["totals"]
         assert tot["postings_row_groups"] == sum(
             s["postings_row_groups"] for s in rep["segments"])
         assert tot["postings_footer_bytes"] == sum(
             s["postings_footer_bytes"] for s in rep["segments"])
+        assert tot["postings_column_bytes"] == {
+            c: sum(s["postings_column_bytes"][c] for s in rep["segments"])
+            for c in tot["postings_column_bytes"]}
+        assert (sum(tot["postings_column_bytes"].values())
+                + tot["postings_footer_bytes"] <= tot["postings_bytes"])
         # bytes by component: they sum to index_bytes, which is every file
         comps = ("postings_bytes", "norms_bytes", "docmeta_bytes",
                  "checkpoint_bytes", "other_bytes")

@@ -654,7 +654,9 @@ def test_dedup_components_empty_pairs(ray_session):
     from lucille_ray.ops import dedup_components
 
     pairs = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    ds = dedup_components(ray.data.from_arrow(pairs))
+    # materialized once: schema() after count() would run a Limit[1]
+    # execution, as count() caches no schema
+    ds = dedup_components(ray.data.from_arrow(pairs)).materialize()
     assert ds.count() == 0
     assert ds.schema().names == ["doc_id", "component"]
 
@@ -1226,7 +1228,9 @@ def test_pmi_collocations_without_qualifying_pairs(ray_session):
     the usual columns, not an Acero key-field error from the join."""
     from lucille_ray.ops.textstats import pmi_collocations
 
-    got = pmi_collocations(_pmi_corpus(), k=5, min_count=1000)
+    # materialized once: schema() after count() would run a Limit[1]
+    # execution, as count() caches no schema
+    got = pmi_collocations(_pmi_corpus(), k=5, min_count=1000).materialize()
     assert got.count() == 0
     assert got.schema().names == ["w1", "w2", "c12", "pmi_r"]
 
