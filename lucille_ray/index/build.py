@@ -242,7 +242,7 @@ def _conv_offsets(ds) -> Tuple[List[str], np.ndarray, np.ndarray]:
         narrow = ds.select_columns(["conv_id", "turn_idx"])
     refs = narrow.map_batches(
         _conv_partial_counts, batch_format="pyarrow", batch_size=65536
-    ).to_arrow_refs()
+    ).materialize().to_arrow_refs()  # no Limit[1] schema probe
     if len(refs) > CONV_MERGE_FANOUT:
         global _MERGE_TASK
         if _MERGE_TASK is None:

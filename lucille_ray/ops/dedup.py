@@ -572,7 +572,7 @@ def minhash_dedup_verified(
             t for t in ray.get(
                 shingles.map_batches(
                     keep_needed, batch_format="pyarrow"
-                ).to_arrow_refs()
+                ).materialize().to_arrow_refs()  # no Limit[1] schema probe
             )
             if t.num_rows
         ]

@@ -338,7 +338,7 @@ def group_quantiles_distributed(ds, qs=(0.5, 0.95), *,
 
     sorted_ds = ds.select_columns([group_col, val_col]).sort(
         [group_col, val_col]
-    )
+    ).materialize()  # no Limit[1] schema probe here or in _schema_of
     refs = sorted_ds.to_arrow_refs()
     summarize = ray.remote(_gq_block_summary)
     summaries = ray.get([summarize.remote(r, group_col) for r in refs])

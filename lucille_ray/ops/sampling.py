@@ -261,7 +261,9 @@ def cms_frequencies(ds, query_terms, *, width: int = 1024, depth: int = 4,
 
     cells_tbl = pa.concat_tables(
         [tb for tb in ray.get(
-            sketch.map_batches(prune, batch_format="pyarrow").to_arrow_refs()
+            # materialized: no Limit[1] schema probe
+            sketch.map_batches(prune, batch_format="pyarrow").materialize()
+            .to_arrow_refs()
         ) if tb.num_rows]
     )
     lookup = {

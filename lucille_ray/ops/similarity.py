@@ -94,7 +94,7 @@ def knn_brute(
         batch_format="pyarrow",
         concurrency=(1, 4),
     )
-    t = partial.to_arrow_refs()
+    t = partial.materialize().to_arrow_refs()  # no Limit[1] schema probe
     tables = [tb for tb in (ray.get(r) for r in t) if tb.num_rows]
     if not tables:
         return pa.table(
@@ -290,7 +290,9 @@ def embedding_near_dups_ann(
         per_cluster, batch_format="pyarrow"
     )
     t = pa.concat_tables(
-        [tb for tb in (ray.get(r) for r in pairs.to_arrow_refs()) if tb.num_rows]
+        # materialized: no Limit[1] schema probe
+        [tb for tb in (ray.get(r) for r in pairs.materialize().to_arrow_refs())
+         if tb.num_rows]
         or [
             pa.table(
                 {

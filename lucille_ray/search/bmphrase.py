@@ -39,9 +39,10 @@ analyzer-split Term, gap=0):
   anchor-pruned pass over all feasible blocks, which still beats the plain
   evaluator whenever the anchor is rarer than its companions.
 
-``idf_sum <= 0`` (degenerate: every term in more than ~half the corpus under
-a raw-idf variant) flips the bound direction, so that case runs the unpruned
-path (`_full`, the exact `_phrase` recipe). tests/test_bmphrase.py proves
+``idf_sum <= 0`` (degenerate: no constituent has a positive global df, or
+every term is in more than ~half the corpus under a raw-idf variant) flips
+the bound direction, so ``phrase_top_k`` declines the segment and the plain
+evaluator answers it. tests/test_bmphrase.py proves
 rank+score identity vs SegmentEval over fixed and randomized corpora plus a
 decode-skip proof.
 """
@@ -145,38 +146,14 @@ def _positional_posts(reader, field: str, terms: List[str], cand: np.ndarray):
     return posts
 
 
-def _full(
-    reader, ctx: EvalContext, field: str, terms: List[str], gap: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unpruned evaluation — the exact `_phrase` recipe (fallback when the
-    upper bound is unusable)."""
-    got0 = reader.postings_many(field, terms, want_positions=False)
-    plain = [got0.get(t, (EMPTY[0], EMPTY[0], None)) for t in terms]
-    if any(p[0].size == 0 for p in plain):
-        return EMPTY
-    cand = plain[0][0]
-    for p in plain[1:]:
-        cand = _intersect_sorted(cand, p[0])
-        if cand.size == 0:
-            return EMPTY
-    posts = _positional_posts(reader, field, terms, cand)
-    if posts is None:
-        return EMPTY
-    freqs = _match_freqs(posts, cand, gap)
-    hit = freqs > 0
-    if not hit.any():
-        return EMPTY
-    idf_sum = sum(ctx.idf(field, t) for t in terms)
-    return cand[hit], _score(reader, ctx, field, cand[hit], freqs[hit], idf_sum)
-
-
 def phrase_top_k(
     reader, ctx: EvalContext, field: str, terms: List[str], gap: int, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Exact top-k of a phrase/proximity query over one segment, decoding only
     anchor blocks whose phrase upper bound can still beat the running k-th
     best (and other terms only around those candidates). Complete match sets
-    go to the reader's ``match`` pool, so warm repeats decode nothing."""
+    go to the reader's ``match`` pool, so warm repeats decode nothing. None
+    (decline) when the idf sum is not positive."""
     cache_key = (field, tuple(terms), gap)
     cached = reader.cache.get("match", cache_key)
     if cached is not None:
@@ -192,7 +169,7 @@ def phrase_top_k(
             return EMPTY  # a constituent term absent from the segment
     idf_sum = sum(ctx.idf(field, t) for t in terms)
     if idf_sum <= 0.0:
-        return _full(reader, ctx, field, terms, gap)
+        return None  # the bound direction flips: decline to SegmentEval
     avgdl = ctx.avgdl.get(field) or 1.0
 
     sizes = {t: int(raw[t].ns.sum()) for t in uniq}
@@ -235,8 +212,8 @@ def phrase_top_k(
     def process(take: np.ndarray) -> int:
         """Decode + match + score one set of anchor blocks into the pool.
         Docs-only intersection FIRST (pruned to the shrinking candidate set),
-        positions only for the survivors — `_full`'s step structure, so the
-        no-pruning worst case costs ~one plain pass, not a positional decode
+        positions only for the survivors — the plain evaluator's step
+        structure, so the no-pruning worst case costs ~one plain pass, not a positional decode
         over the whole anchor range."""
         mask = np.zeros(len(a_rb), dtype=bool)
         mask[take] = True

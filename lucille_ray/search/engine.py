@@ -13,13 +13,21 @@ process.
 Per query:
   1. driver parses/compiles the AST and collects term requests (tiny, broadcast);
   2. each scorer resolves dictionary expansions + local dfs on its segments;
-  3. driver merges to *global* df / N / avgdl (BM25 is then rank-identical to a
-     single-node build — the cross-segment idf contract);
+  3. the local dfs merge to *global* df / N / avgdl (BM25 is then rank-identical
+     to a single-node build — the cross-segment idf contract): on the driver
+     in :meth:`SearchEngine.plan_many`, or on every scorer itself in the folded
+     :meth:`SegmentScorer.resolve_score` trip;
   4. each scorer evaluates vectorized posting algebra -> local top-k;
   5. driver merges k*segments rows -> global top-k (score desc, doc_id asc).
 
-For bulk query workloads, :meth:`SearchEngine.search_many` amortizes steps 2/4 over
-a whole query batch per round-trip.
+The in-process scorer and the Ray actors run this protocol through the same
+code: every fan-out goes through one submit/gather pair
+(:meth:`SearchEngine._submit` / :meth:`SearchEngine._gather`). The driver
+caches global dfs and expansions per commit point, so :meth:`SearchEngine.search`
+takes one round-trip either way: a plan-cache hit runs steps 4-5, a miss runs
+steps 2-5 in one folded ``resolve_score`` trip. For bulk query workloads,
+:meth:`SearchEngine.search_many` amortizes steps 2/4 over a whole query batch
+per round-trip.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ def _merge_ctx(
 ) -> Tuple[EvalContext, Dict[Tuple[str, str], int], Dict[ExpansionSpec, tuple]]:
     """Merge per-scorer resolve outputs into a global EvalContext.
 
-    Shared by the driver's :meth:`SearchEngine._merge_resolved` and the
+    Shared by the driver's :meth:`SearchEngine.plan_many` and the
     scorer-side :meth:`SegmentScorer.resolve_score` fold so both paths build
     BIT-IDENTICAL plans: df values are integer sums (order-free), expansions
     merge to ``tuple(sorted(...))``, and the cross-segment MAX_EXPANSIONS
@@ -140,7 +148,6 @@ class SegmentScorer:
     def __init__(
         self,
         seg_dirs: Sequence[str],
-        warm_norms: bool = True,
         result_cache: bool = True,
         tombstones: Optional[Sequence[Optional[str]]] = None,
     ):
@@ -150,24 +157,13 @@ class SegmentScorer:
         if tombstones is None:
             tombstones = commit.tombstone_paths(seg_dirs)
         self.readers = [SegmentReader(d, t) for d, t in zip(seg_dirs, tombstones)]
-        if warm_norms:
-            # pay the per-field norms decode AND the postings footer parse at
-            # ACTOR STARTUP, not on the first query's tail latency (the footer
-            # pass is ~4 ms on a compacted segment but ~300 ms on a many-piece
-            # uncompacted one; norms write the .npy sidecar for later readers)
-            for r in self.readers:
-                try:
-                    for f in r.manifest.get("fields", []):
-                        r.norms(f)
-                except ValueError:
-                    raise
-                except Exception:
-                    pass
-                try:
-                    if not r.empty:
-                        r._postings_files()
-                except Exception:
-                    pass
+        # pay the per-field norms decode at ACTOR STARTUP, not on the first
+        # query's tail latency (it also writes the .npy sidecar for later
+        # readers); the reader pinned its postings handles when it opened
+        for r in self.readers:
+            if not r.empty:
+                for f in r.manifest.get("fields", []):
+                    r.norms(f)
 
     def local_stats(self) -> dict:
         # live (post-purge) counts when a compaction recorded them; identical
@@ -284,30 +280,31 @@ class SegmentScorer:
         self,
         query: qn.Query,
         reqs: TermRequests,
-        resolved_refs: list,
+        resolved: list,
         k: Optional[int],
         n_docs: int,
         avgdl: Dict[str, float],
         with_meta: bool = False,
     ):
-        """Folded resolve+score: ONE driver round-trip per sequential query
-        (VERDICT r04 #4 — sequential ``search()`` paid a resolve round-trip
-        then a score round-trip; batch serving already amortized both).
+        """Folded resolve+score: ONE driver round-trip for a query the
+        driver cannot plan from its caches.
 
-        ``resolved_refs`` holds ObjectRefs to every set member's ``resolve``
-        output (submitted by the driver immediately before this call, WITHOUT
-        blocking on them). Each scorer merges the global df/expansions itself
-        via :func:`_merge_ctx` — integer sums and sorted tuples, so every
-        scorer derives the identical EvalContext the driver would have.
-        Deadlock-free by actor FIFO: the resolve tasks were enqueued ahead of
-        this call on every actor in the set, so the refs this call blocks on
-        can only be pending on actors that will run them before their own
-        ``resolve_score``. Returns (docs, scores, df, expanded[, meta]) — df/
-        expanded let the driver refill its plan caches without another trip;
-        ``with_meta`` piggybacks this scorer's local top-k metadata rows."""
-        import ray
+        ``resolved`` holds every set member's ``resolve`` output: the values
+        themselves in-process, ObjectRefs on actors (submitted by the driver
+        immediately before this call, WITHOUT blocking on them). Each scorer
+        merges the global df/expansions itself via :func:`_merge_ctx` —
+        integer sums and sorted tuples, so every scorer derives the identical
+        EvalContext. Deadlock-free by actor FIFO: the resolve tasks were
+        enqueued ahead of this call on every actor in the set, so the refs
+        this call blocks on can only be pending on actors that will run them
+        before their own ``resolve_score``. Returns (docs, scores, df,
+        expanded, meta) — df/expanded let the driver refill its plan caches
+        without another trip; ``with_meta`` piggybacks this scorer's local
+        top-k metadata rows (else meta is None)."""
+        if resolved and not isinstance(resolved[0], tuple):  # ObjectRefs
+            import ray
 
-        resolved = ray.get(list(resolved_refs))
+            resolved = ray.get(list(resolved))
         ctx, df, expanded = _merge_ctx(resolved, n_docs, avgdl)
         docs, scores = self.score(query, reqs, ctx, k)
         meta = self.doc_meta(docs) if with_meta and docs.size else None
@@ -368,6 +365,12 @@ class SearchEngine:
     scores in-process (tests / tiny indexes). Groups come from
     :func:`slice_groups`: small segments share an actor, at most
     ``min(8, CPUs)`` actors per replica set.
+
+    Both engines run the same plan, search and batch code: every fan-out to
+    the scorers goes through :meth:`_submit` and :meth:`_gather`, the only
+    code (with :meth:`_scorer_sets`, which builds the scorers, and
+    :meth:`match_all_stream`, which hands Ray Data either tables or refs)
+    that tells an in-process scorer from an actor.
     """
 
     def __init__(
@@ -397,11 +400,11 @@ class SearchEngine:
                 parallel = False
         self.parallel = bool(parallel)
         self._actors = None
-        self._local: Optional[SegmentScorer] = None
         # replica sets: each set holds EVERY segment, so any set answers any
         # query — batch serving round-robins across sets (shard replication,
         # the standard QPS-scaling lever; on a cluster each set lands on
         # different nodes). replicas=1 is exactly the old single-set engine.
+        # In-process there is one set of one scorer.
         self._replicas = max(1, int(replicas))
         self._sets: Optional[List[list]] = None
         self._rr = 0
@@ -439,11 +442,9 @@ class SearchEngine:
 
     def _scorer_sets(self) -> List[list]:
         """All replica sets; each set covers every committed segment."""
-        if not self.parallel:
-            if self._local is None:
-                self._local = SegmentScorer(self.seg_dirs, True, self._result_cache,
-                                            list(self._tombstones.values()))
-            return [[self._local]]
+        if self._sets is None and not self.parallel:
+            self._sets = [[SegmentScorer(self.seg_dirs, self._result_cache,
+                                         list(self._tombstones.values()))]]
         if self._sets is None:
             import ray
 
@@ -480,7 +481,7 @@ class SearchEngine:
                 # back to co-location when the cluster is a single node
                 opts["scheduling_strategy"] = "SPREAD"
             self._sets = [
-                [Actor.options(**opts).remote(g, True, self._result_cache,
+                [Actor.options(**opts).remote(g, self._result_cache,
                                               [self._tombstones[d] for d in g])
                  for g in live]
                 for _ in range(reps)
@@ -488,30 +489,42 @@ class SearchEngine:
             self._actors = [a for s in self._sets for a in s]
         return self._sets
 
-    def _scorers(self):
-        """One replica set, round-robined per call (any set answers fully)."""
+    def _scorers(self) -> list:
+        """One replica set, round-robined per call (any set answers fully).
+        In-process, ``[scorer]``: the one ``SegmentScorer`` over every
+        segment."""
         sets = self._scorer_sets()
         s = sets[self._rr % len(sets)]
         self._rr += 1
         return s
 
-    def _call(self, method: str, per_scorer_args) -> list:
-        scorers = self._scorers()
+    def _submit(self, scorers: list, method: str, *args) -> list:
+        """Start ``method(*args)`` on every scorer of ``scorers``: the results
+        themselves in-process, ObjectRefs (without waiting) on actors."""
+        if self.parallel:
+            return [getattr(s, method).remote(*args) for s in scorers]
+        return [getattr(s, method)(*args) for s in scorers]
+
+    def _gather(self, fanouts: List[list]) -> List[list]:
+        """The results of several :meth:`_submit` fan-outs, nested the same
+        way; on actors ONE ``ray.get`` over all of them, so a batch of
+        fan-outs costs one driver round-trip."""
         if not self.parallel:
-            return [getattr(scorers[0], method)(*per_scorer_args[0])]
+            return fanouts
         import ray
 
-        return ray.get(
-            [getattr(a, method).remote(*args) for a, args in zip(scorers, per_scorer_args)]
-        )
+        flat = iter(ray.get([f for fan in fanouts for f in fan]))
+        return [[next(flat) for _ in fan] for fan in fanouts]
+
+    def _call(self, method: str, *args) -> list:
+        """``method(*args)`` on every scorer of one replica set, picked once."""
+        return self._gather([self._submit(self._scorers(), method, *args)])[0]
 
     # ---- stats ----
 
     def _global_stats(self) -> dict:
         if self._stats_cache is None:
-            results = self._call(
-                "local_stats", [() for _ in self._scorers()]
-            )
+            results = self._call("local_stats")
             n = sum(r["n_docs"] for r in results)
             total_dl: Dict[str, int] = {}
             for r in results:
@@ -526,13 +539,7 @@ class SearchEngine:
     # ---- public API ----
 
     def plan(self, query: QueryLike) -> Tuple[qn.Query, TermRequests, EvalContext]:
-        q = parse(query) if isinstance(query, str) else query
-        reqs = collect_term_requests(q)
-        hit = self._plan_from_cache(q, reqs)
-        if hit is not None:
-            return hit
-        resolved_list = self._call("resolve", [(reqs,) for _ in self._scorers()])
-        return self._merge_resolved(q, reqs, resolved_list)
+        return self.plan_many([query])[0]
 
     def _plan_from_cache(
         self, q: qn.Query, reqs: TermRequests
@@ -573,8 +580,9 @@ class SearchEngine:
     def plan_many(
         self, queries: Sequence[QueryLike]
     ) -> List[Tuple[qn.Query, TermRequests, EvalContext]]:
-        """Plan a batch with ONE driver round-trip: all (query, scorer) resolve
-        futures in flight at once instead of a blocking ray.get per query."""
+        """Plan a batch with ONE driver round-trip: every query the caches
+        cannot plan sends its resolve fan-out to replica set i % R, all in
+        flight at once, then the driver merges each to global stats."""
         parsed = [parse(q) if isinstance(q, str) else q for q in queries]
         reqs_list = [collect_term_requests(q) for q in parsed]
         out: List[Optional[tuple]] = [
@@ -584,33 +592,18 @@ class SearchEngine:
         if not need:
             return out  # type: ignore[return-value]
         sets = self._scorer_sets()
-        if not self.parallel:
-            per_query = [[sets[0][0].resolve(reqs_list[i])] for i in need]
-        else:
-            import ray
-
-            # spread query i's resolve fan-out over replica set i % R
-            futs = [
-                a.resolve.remote(reqs_list[i])
-                for j, i in enumerate(need)
-                for a in sets[j % len(sets)]
-            ]
-            flat = ray.get(futs)
-            ns = len(sets[0])
-            per_query = [flat[j * ns:(j + 1) * ns] for j in range(len(need))]
-        for j, i in enumerate(need):
-            out[i] = self._merge_resolved(parsed[i], reqs_list[i], per_query[j])
-        return out  # type: ignore[return-value]
-
-    def _merge_resolved(
-        self, q: qn.Query, reqs: TermRequests, resolved_list: list
-    ) -> Tuple[qn.Query, TermRequests, EvalContext]:
+        per_query = self._gather([
+            self._submit(sets[j % len(sets)], "resolve", reqs_list[i])
+            for j, i in enumerate(need)
+        ])
         stats = self._global_stats()
-        ctx, df, expanded = _merge_ctx(
-            resolved_list, stats["n_docs"], stats["avgdl"]
-        )
-        self._fill_plan_caches(reqs, df, expanded)
-        return q, reqs, ctx
+        for i, resolved in zip(need, per_query):
+            ctx, df, expanded = _merge_ctx(
+                resolved, stats["n_docs"], stats["avgdl"]
+            )
+            self._fill_plan_caches(reqs_list[i], df, expanded)
+            out[i] = (parsed[i], reqs_list[i], ctx)
+        return out  # type: ignore[return-value]
 
     def _fill_plan_caches(
         self,
@@ -630,67 +623,39 @@ class SearchEngine:
     ) -> pa.Table:
         """Top-k as an Arrow table (doc_id, conv_id, turn_idx, score).
 
-        Driver round-trips per query (VERDICT r04 #4): plan-from-cache hits
-        take ONE (score_meta / score); cache misses on a warm parallel engine
-        take ONE folded resolve_score trip (resolve futures submitted without
-        blocking, each scorer merges global stats itself); only the very
-        first query on a cold engine pays the classic stats+resolve+score
-        sequence."""
+        One driver round-trip per query on one replica set: a plan-cache hit
+        scores (``score`` / ``score_meta``); a miss submits every scorer's
+        ``resolve`` without waiting, then one folded ``resolve_score`` trip
+        in which each scorer merges the global stats itself. Only the first
+        query on a cold engine pays one more trip, for the corpus stats."""
         q = parse(query) if isinstance(query, str) else query
         reqs = collect_term_requests(q)
         hit = self._plan_from_cache(q, reqs)
-        if hit is None and self.parallel and self._stats_cache is not None:
-            return self._search_folded(q, reqs, k, with_meta)
         if hit is not None:
-            q, reqs, ctx = hit
+            outs = self._call("score_meta" if with_meta else "score", *hit, k)
         else:
-            q, reqs, ctx = self.plan(q)
-        if with_meta:
-            results = self._call(
-                "score_meta", [(q, reqs, ctx, k) for _ in self._scorers()]
-            )
-            metas = [r[2] for r in results if r[2] is not None]
-        else:
-            results = self._call(
-                "score", [(q, reqs, ctx, k) for _ in self._scorers()]
-            )
-            metas = None
-        docs = np.concatenate([r[0] for r in results])
-        scores = np.concatenate([r[1] for r in results])
-        docs, scores = top_k(docs, scores, k)
-        return self._to_table(docs, scores, with_meta, metas=metas)
-
-    def _search_folded(
-        self, q: qn.Query, reqs: TermRequests, k: int, with_meta: bool
-    ) -> pa.Table:
-        """One-round-trip resolve+score (+meta) over one replica set."""
-        import ray
-
-        scorers = self._scorers()
-        stats = self._global_stats()
-        rfuts = [a.resolve.remote(reqs) for a in scorers]
-        outs = ray.get(
-            [
-                a.resolve_score.remote(
-                    q, reqs, rfuts, k, stats["n_docs"], stats["avgdl"], with_meta
-                )
-                for a in scorers
-            ]
-        )
-        # every scorer merged the same integer sums; refill the driver's plan
-        # caches from the first so the NEXT repeat plans resolve-free
-        self._fill_plan_caches(reqs, outs[0][2], outs[0][3])
+            stats = self._global_stats()
+            scorers = self._scorers()
+            resolved = self._submit(scorers, "resolve", reqs)
+            outs = self._gather([self._submit(
+                scorers, "resolve_score", q, reqs, resolved, k,
+                stats["n_docs"], stats["avgdl"], with_meta,
+            )])[0]
+            # every scorer merged the same integer sums; refill the driver's
+            # plan caches from the first so the NEXT repeat plans resolve-free
+            self._fill_plan_caches(reqs, outs[0][2], outs[0][3])
         docs = np.concatenate([o[0] for o in outs])
         scores = np.concatenate([o[1] for o in outs])
         docs, scores = top_k(docs, scores, k)
-        metas = [o[4] for o in outs if o[4] is not None] if with_meta else None
+        # the metadata rows come last in score_meta's and resolve_score's output
+        metas = [o[-1] for o in outs if o[-1] is not None] if with_meta else None
         return self._to_table(docs, scores, with_meta, metas=metas)
 
     def match_all(self, query: QueryLike, *, with_meta: bool = False) -> pa.Table:
         """Corpus filtering: EVERY matching doc with its BM25 score, sorted by
         doc_id — the 'keep all turns matching X' curation primitive (no top-k)."""
         q, reqs, ctx = self.plan(query)
-        results = self._call("score", [(q, reqs, ctx, None) for _ in self._scorers()])
+        results = self._call("score", q, reqs, ctx, None)
         docs = np.concatenate([r[0] for r in results])
         scores = np.concatenate([r[1] for r in results])
         order = np.argsort(docs, kind="stable")
@@ -702,17 +667,11 @@ class SearchEngine:
         return self._to_table(docs, scores, True)
 
     def warm(self, query: QueryLike = "the", k: int = 10) -> None:
-        """Fan one cheap query to EVERY scorer across ALL replica sets so
-        segment metadata, norms and caches load before serving traffic — a
-        plain ``search()`` warms only the one set the round-robin picks."""
-        q, reqs, ctx = self.plan(query)
-        sets = self._scorer_sets()
-        if not self.parallel:
-            sets[0][0].score(q, reqs, ctx, k)
-            return
-        import ray
-
-        ray.get([a.score.remote(q, reqs, ctx, k) for s in sets for a in s])
+        """:meth:`warm_many` on one cheap query: segment metadata, norms and
+        caches load on EVERY scorer of every replica set before serving
+        traffic — a plain ``search()`` warms only the one set the round-robin
+        picks."""
+        self.warm_many([query], k)
 
     def warm_many(self, queries: Sequence[QueryLike], k: int = 10) -> None:
         """Warm EVERY replica set on a whole batch's vocabulary: plan the batch
@@ -720,15 +679,10 @@ class SearchEngine:
         ``warm()`` with one term leaves the other sets' postings cold on the
         batch's actual terms — the first striped pass then pays R-1 sets of
         cold decodes (VERDICT r03 #1)."""
-        plans = self.plan_many(queries)
-        items = [(q, reqs, ctx, k) for (q, reqs, ctx) in plans]
-        sets = self._scorer_sets()
-        if not self.parallel:
-            sets[0][0].score_many(items)
-            return
-        import ray
-
-        ray.get([a.score_many.remote(items) for s in sets for a in s])
+        items = [(q, reqs, ctx, k) for (q, reqs, ctx) in self.plan_many(queries)]
+        self._gather(
+            [self._submit(s, "score_many", items) for s in self._scorer_sets()]
+        )
 
     def calibrate(self, queries: Sequence[QueryLike], k: int = 10,
                   passes: int = 2) -> str:
@@ -736,11 +690,11 @@ class SearchEngine:
         replica sets vs served by a single set (best-of-``passes`` each,
         interleaved) and keep the winner for subsequent ``search_many`` calls.
         Call after :meth:`warm_many`; answers are bit-identical either way
-        (both modes score every segment), only the fan-out differs."""
+        (both modes score every segment), only the fan-out differs. One set
+        (in-process, or ``replicas=1``) is "single" without timing."""
         import time as _time
 
-        sets = self._scorer_sets()
-        if not self.parallel or len(sets) == 1:
+        if len(self._scorer_sets()) == 1:
             self._mode = "single"
             return self._mode
         best = {"striped": float("inf"), "single": float("inf")}
@@ -763,15 +717,12 @@ class SearchEngine:
         import ray.data as rd
 
         q, reqs, ctx = self.plan(query)
-        if not self.parallel:
-            return rd.from_arrow(
-                self._scorers()[0].match_all_table(q, reqs, ctx, with_meta)
-            )
-        refs = [
-            a.match_all_table.remote(q, reqs, ctx, with_meta)
-            for a in self._scorers()
-        ]
-        return rd.from_arrow_refs(refs)
+        tables = self._submit(
+            self._scorers(), "match_all_table", q, reqs, ctx, with_meta
+        )
+        if self.parallel:
+            return rd.from_arrow_refs(tables)
+        return rd.from_arrow(tables)
 
     def suggest(self, query: QueryLike, k: int = 10, *, with_meta: bool = True) -> pa.Table:
         """Search-as-you-type: rewrite the last positional Term into
@@ -787,44 +738,27 @@ class SearchEngine:
         self, queries: Sequence[QueryLike], k: int = 10
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Batch scoring: one batched resolve round-trip + one score round-trip
-        for the whole query set (not a driver round-trip per query); with
-        ``replicas>1`` the batch is striped across replica sets so the whole
-        pool scores concurrently."""
+        for the whole query set (not a driver round-trip per query). The
+        batch is striped across the replica sets ("striped" mode: query i
+        goes to set i % R, so the whole pool scores concurrently) or across
+        the one set the round-robin picks ("single" mode, see
+        :meth:`calibrate`)."""
         plans = self.plan_many(queries)
-        sets = self._scorer_sets()
-        if not self.parallel or len(sets) == 1 or self._mode == "single":
-            scorers = sets[0]
-            items = [(q, reqs, ctx, k) for (q, reqs, ctx) in plans]
-            results = self._call("score_many", [(items,) for _ in scorers])
-            out = []
-            for qi in range(len(plans)):
-                docs = np.concatenate([r[qi][0] for r in results])
-                scores = np.concatenate([r[qi][1] for r in results])
-                out.append(top_k(docs, scores, k))
-            return out
-        import ray
-
+        sets = self._scorer_sets() if self._mode == "striped" else [self._scorers()]
         nr = len(sets)
-        futs, owners = [], []
-        for r, s in enumerate(sets):
-            sub = plans[r::nr]  # stripe r
-            if not sub:
-                continue
-            items = [(q, reqs, ctx, k) for (q, reqs, ctx) in sub]
-            for a in s:
-                futs.append(a.score_many.remote(items))
-                owners.append(r)
-        flat = ray.get(futs)
-        by_set: Dict[int, list] = {}
-        for r, res in zip(owners, flat):
-            by_set.setdefault(r, []).append(res)
+        # stripe r is plans[r::nr]; only trailing stripes can be empty
+        results = self._gather([
+            self._submit(s, "score_many",
+                         [(q, reqs, ctx, k) for (q, reqs, ctx) in plans[r::nr]])
+            for r, s in enumerate(sets) if r < len(plans)
+        ])
         out: List[Optional[tuple]] = [None] * len(plans)
-        for r, per_actor in by_set.items():
-            for li in range(len(per_actor[0])):
-                docs = np.concatenate([res[li][0] for res in per_actor])
-                scores = np.concatenate([res[li][1] for res in per_actor])
+        for r, per_scorer in enumerate(results):
+            for li in range(len(per_scorer[0])):
+                docs = np.concatenate([res[li][0] for res in per_scorer])
+                scores = np.concatenate([res[li][1] for res in per_scorer])
                 out[r + li * nr] = top_k(docs, scores, k)
-        return out
+        return out  # type: ignore[return-value]
 
     def _to_table(
         self, docs: np.ndarray, scores: np.ndarray, with_meta: bool,
@@ -845,7 +779,7 @@ class SearchEngine:
                 }
             )
         if metas is None:
-            metas = self._call("doc_meta", [(docs,) for _ in self._scorers()])
+            metas = self._call("doc_meta", docs)
         meta = pa.concat_tables(metas)
         joined = base.join(meta, keys="doc_id", join_type="left outer")
         order = pa.compute.sort_indices(
@@ -857,13 +791,9 @@ class SearchEngine:
 
     def cache_stats(self) -> List[Dict[str, dict]]:
         """{segment dir: ``ReaderCache.stats()``} per scorer of every replica
-        set, read inside the scorer actors when parallel."""
-        scorers = [a for s in self._scorer_sets() for a in s]
-        if not self.parallel:
-            return [a.cache_stats() for a in scorers]
-        import ray
-
-        return ray.get([a.cache_stats.remote() for a in scorers])
+        set, in set order, read inside the scorer actors when parallel."""
+        fanouts = [self._submit(s, "cache_stats") for s in self._scorer_sets()]
+        return [st for fan in self._gather(fanouts) for st in fan]
 
     def shutdown(self) -> None:
         if self._actors:

@@ -14,7 +14,7 @@ from lucille_ray.query.parser import parse
 import lucille_ray.search.engine as engine_mod
 from lucille_ray.search.bmphrase import phrase_parts, phrase_top_k
 from lucille_ray.search.engine import SearchEngine
-from lucille_ray.search.eval import SegmentEval, collect_term_requests, top_k
+from lucille_ray.search.eval import EvalContext, SegmentEval, collect_term_requests, top_k
 
 PHRASE_QUERIES = [
     '"data query"',
@@ -73,6 +73,29 @@ def test_phrase_identical_to_eval(built, qs, k):
         ed, es = top_k(*fresh.eval(q), k)
         assert cd.tolist() == ed.tolist(), f"{qs!r} k={k}: rank mismatch"
         np.testing.assert_array_equal(cs, es)
+
+
+@pytest.mark.parametrize("df_of", [lambda n: 4 * n, lambda n: 0],
+                         ids=["negative-idf", "zero-idf"])
+def test_nonpositive_idf_sum_declines_to_plain_evaluator(built, monkeypatch, df_of):
+    """Global dfs that leave the phrase's idf sum <= 0 flip the block bounds:
+    phrase_top_k declines every segment and the scorer's answer is the plain
+    evaluator's (the ``TOP_K_ROUTES = ()`` answer)."""
+    engine = SearchEngine(built, parallel=False, result_cache=False)
+    q, reqs, ctx = engine.plan('"data query"~2')
+    bad = EvalContext(n_docs=ctx.n_docs, avgdl=ctx.avgdl,
+                      df={key: df_of(ctx.n_docs) for key in ctx.df},
+                      expanded=ctx.expanded)
+    args, _weights = phrase_parts(q)
+    assert sum(bad.idf(args["field"], t) for t in args["terms"]) <= 0.0
+    scorer = engine._scorers()[0]
+    live = [r for r in scorer.readers if r.doc_count]
+    assert live and all(phrase_top_k(r, bad, k=10, **args) is None for r in live)
+    got = scorer.score(q, reqs, bad, 10)
+    monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
+    ref = scorer.score(q, reqs, bad, 10)
+    assert got[0].size and got[0].tolist() == ref[0].tolist()
+    np.testing.assert_array_equal(got[1], ref[1])
 
 
 def test_phrase_engine_end_to_end_matches_oracle(built, ray_session):

@@ -140,20 +140,86 @@ def test_search_many_matches_search(built):
 
 
 def test_folded_search_single_round_trip_identity(built, oracle):
-    """The folded sequential path (resolve futures + resolve_score in ONE
-    driver round-trip, VERDICT r04 #4) must answer bit-identically to the
-    classic plan-then-score path, with and without metadata, including on
+    """The folded sequential path on actors (resolve futures + resolve_score
+    in ONE driver round-trip, VERDICT r04 #4) must answer bit-identically to
+    the in-process engine, with and without metadata, including on
     plan-cache repeats."""
     engine = SearchEngine(built[1], parallel=True)
     ref = SearchEngine(built[1], parallel=False)
     try:
-        engine.search("data", k=3, with_meta=False)  # warm stats (classic path)
+        engine.search("data", k=3, with_meta=False)  # warm stats (cold engine)
         for qs in QUERY_SET[::3]:
             for _rep in range(2):  # rep 2 plans from the df/expansion memo
                 a = engine.search(qs, k=10, with_meta=True)
                 b = ref.search(qs, k=10, with_meta=True)
                 assert a.to_pydict() == b.to_pydict(), (qs, _rep)
             _compare(engine, oracle, qs)
+    finally:
+        engine.shutdown()
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["in-process", "actors"])
+def test_search_round_trips(built, monkeypatch, parallel):
+    """Both engines run search() through the same fan-out, counted at the one
+    submit/gather pair: the first query on a cold engine takes two driver
+    round-trips (corpus stats, then one folded resolve_score trip with its
+    resolve submits unblocked), a plan-cache miss on a warm engine one, a
+    plan-cache hit one scoring trip."""
+    engine = SearchEngine(built[1], parallel=parallel)
+    events = []
+    submit, gather = engine._submit, engine._gather
+
+    def counting_submit(scorers, method, *args):
+        events.append(method)
+        return submit(scorers, method, *args)
+
+    def counting_gather(fanouts):
+        events.append("gather")
+        return gather(fanouts)
+
+    monkeypatch.setattr(engine, "_submit", counting_submit)
+    monkeypatch.setattr(engine, "_gather", counting_gather)
+    try:
+        for qs, with_meta, expected in [
+            ("data", True,
+             ["local_stats", "gather", "resolve", "resolve_score", "gather"]),
+            ("query OR deploy*", False, ["resolve", "resolve_score", "gather"]),
+            ("data", True, ["score_meta", "gather"]),
+            ("query OR deploy*", False, ["score", "gather"]),
+        ]:
+            events.clear()
+            engine.search(qs, k=5, with_meta=with_meta)
+            assert events == expected, qs
+    finally:
+        engine.shutdown()
+
+
+def test_replica_sets_alternate_per_search(built):
+    """With replicas=2 every search() takes one replica set and the next call
+    the other, plan-cache hits included: each set's readers see the same
+    number of ``result``-pool gets."""
+    engine = SearchEngine(built[1], parallel=True, replicas=2)
+    try:
+        sets = engine._scorer_sets()
+        assert len(sets) == 2
+        per_set = len(sets[0])
+
+        def result_gets():
+            stats = engine.cache_stats()
+            return [
+                sum(p.get("hits", 0) + p.get("misses", 0)
+                    for st in stats[i * per_set:(i + 1) * per_set]
+                    for pools in st.values()
+                    for name, p in pools.items() if name == "result")
+                for i in range(2)
+            ]
+
+        engine.search("data", k=5)  # fills the plan caches
+        before = result_gets()
+        for i in range(6):
+            engine.search("data", k=5, with_meta=i < 3)
+        delta = [a - b for a, b in zip(result_gets(), before)]
+        assert delta[0] == delta[1] > 0, delta
     finally:
         engine.shutdown()
 

@@ -773,7 +773,7 @@ def test_top_terms_candidate_cap_bounds_shuffle(ray_session):
     total = sum(
         partial_rows(t)
         for t in ds.map_batches(lambda t: t, batch_size=50,
-                                batch_format="pyarrow").to_arrow_refs()
+                                batch_format="pyarrow").materialize().to_arrow_refs()
         for t in [__import__("ray").get(t)]
     )
     n_batches = -(-400 // 50)

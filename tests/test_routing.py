@@ -304,3 +304,37 @@ def test_one_module_knows_the_commit():
                 elif tombstone.match(s):
                     offenders.append(f"{where}:{node.lineno} {s!r}")
     assert offenders == []
+
+
+def test_one_scorer_fan_out():
+    """In search/engine.py the in-process/actor choice lives in one
+    submit/gather pair: only ``_submit`` and ``_gather`` read ``.parallel``,
+    besides ``_scorer_sets`` (which builds the scorers) and
+    ``match_all_stream`` (which hands Ray Data tables or refs); only
+    ``_gather`` and ``SegmentScorer.resolve_score`` (which waits on the
+    resolve refs) call ``ray.get``."""
+    import ast
+
+    path = engine_mod.__file__
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    owner = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        owner[id(node)] = f"{cls.name}.{fn.name}"
+    reads, gets = set(), set()
+    for node in ast.walk(tree):
+        where = owner.get(id(node), "<module>")
+        if (isinstance(node, ast.Attribute) and node.attr == "parallel"
+                and isinstance(node.ctx, ast.Load)):
+            reads.add(where)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "ray.get":
+            gets.add(where)
+    assert "SearchEngine._gather" in gets  # the lint sees the pair
+    assert reads - {"SearchEngine._submit", "SearchEngine._gather",
+                    "SearchEngine._scorer_sets",
+                    "SearchEngine.match_all_stream"} == set()
+    assert gets - {"SearchEngine._gather", "SegmentScorer.resolve_score"} == set()
