@@ -299,6 +299,22 @@ def _bin_view(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
     return vals, offs
 
 
+def int64_column(arr: pa.Array) -> np.ndarray:
+    """int64 copy of a null-free signed-integer Array, read from its data
+    buffer (slice offset respected). ``to_numpy`` goes through pyarrow's
+    conversion layer, which retries its lazy pandas import on every call in
+    a process that refuses pandas — a scorer actor (search/engine.py)."""
+    if arr.null_count or not pa.types.is_signed_integer(arr.type):
+        raise ValueError(
+            f"expected a null-free signed integer column, got {arr.type} "
+            f"with {arr.null_count} nulls"
+        )
+    if not len(arr):
+        return np.empty(0, np.int64)
+    vals = np.frombuffer(arr.buffers()[1], dtype=f"<i{arr.type.bit_width // 8}")
+    return vals[arr.offset: arr.offset + len(arr)].astype(np.int64)
+
+
 class RawBlocks:
     """Zero-copy view over one term's UNDECODED posting blocks (the flattened
     ``blocks`` struct children of its rows, in bucket order).
@@ -321,22 +337,14 @@ class RawBlocks:
         if isinstance(struct_arr, pa.ChunkedArray):
             struct_arr = struct_arr.combine_chunks()
         self.count = len(struct_arr)
-        self.ns = struct_arr.field("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        self.max_tf = struct_arr.field("max_tf").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        self.ns = int64_column(struct_arr.field("n"))
+        self.max_tf = int64_column(struct_arr.field("max_tf"))
         if struct_arr.type.get_field_index("min_dl") >= 0:
-            self.min_dl = (
-                struct_arr.field("min_dl").to_numpy(zero_copy_only=False).astype(np.int64)
-            )
+            self.min_dl = int64_column(struct_arr.field("min_dl"))
         else:  # pre-v3 segment: unknown — readers fall back to windowed norms
             self.min_dl = np.zeros(self.count, dtype=np.int64)
-        self.firsts = struct_arr.field("first_doc").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        self.lasts = struct_arr.field("last_doc").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        self.firsts = int64_column(struct_arr.field("first_doc"))
+        self.lasts = int64_column(struct_arr.field("last_doc"))
         self._docs = _bin_view(struct_arr.field("docs"))
         self._tfs = _bin_view(struct_arr.field("tfs"))
         self._pos = _bin_view(struct_arr.field("pos"))

@@ -51,7 +51,7 @@ import pyarrow.parquet as pq
 from . import commit
 from .build import (CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM,
                     conv_map_from_docmapped, conv_map_table)
-from .codec import RawBlocks, sort_postings
+from .codec import RawBlocks, int64_column, sort_postings
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
 READER_CACHE_BYTES = 384 << 20
@@ -404,7 +404,7 @@ class SegmentReader:
                 )
                 t = t.take(order)
                 lists = t["blocks"].combine_chunks()
-                loff = np.asarray(lists.offsets)
+                loff = int64_column(lists.offsets)
                 flat = lists.values
                 terms_np = t["term"].to_pylist()
                 i = 0
@@ -525,7 +525,7 @@ class SegmentReader:
                 if gs.size == 0:
                     continue
                 t = pf.read_row_groups(gs.tolist(), columns=read_cols)
-            keep = pc.equal(t["field"], field)
+            keep = pc.equal(t["field"], pa.scalar(field, pa.string()))
             if terms is not None:
                 keep = pc.and_(keep, pc.is_in(t["term"], value_set=vs))
             t = t.filter(keep)

@@ -28,10 +28,17 @@ takes one round-trip either way: a plan-cache hit runs steps 4-5, a miss runs
 steps 2-5 in one folded ``resolve_score`` trip. For bulk query workloads,
 :meth:`SearchEngine.search_many` amortizes steps 2/4 over a whole query batch
 per round-trip.
+
+Scorer actors are :class:`_ScorerActor` processes, which refuse to import
+pandas: no scorer code uses it, yet pyarrow would load it lazily on its first
+numpy conversion, and it was the largest single part of a scorer process.
+The driver, in-process scorers and Ray Data workers keep pandas.
 """
 
 from __future__ import annotations
 
+import importlib.abc
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -74,7 +81,7 @@ TOP_K_ROUTES = (
 )
 
 #: Slice packing: a scorer actor takes segments, in doc order, until it holds
-#: SLICE_DOCS docs or SLICE_SEGMENTS segments. A scorer process costs ~180 MB
+#: SLICE_DOCS docs or SLICE_SEGMENTS segments. A scorer process costs ~135 MB
 #: before it serves anything, and a 32k-doc segment is ~10 MB on disk, so a
 #: smaller segment on its own actor is almost all process overhead; 5 is
 #: Lucene's ``MAX_SEGMENTS_PER_SLICE``, bounding how many tiny segments one
@@ -142,8 +149,8 @@ def _merge_ctx(
 
 
 class SegmentScorer:
-    """Scores queries over a group of pinned segments (usable in-process or as a
-    Ray actor via ``ray.remote(SegmentScorer)``)."""
+    """Scores queries over a group of pinned segments, in-process or, through
+    :class:`_ScorerActor`, as a Ray actor."""
 
     def __init__(
         self,
@@ -357,6 +364,57 @@ class SegmentScorer:
         return pa.concat_tables(tables)
 
 
+class _RefusePandas(importlib.abc.MetaPathFinder):
+    """Import finder that fails every import of ``pandas`` and ``pandas.*``."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "pandas" or name.startswith("pandas."):
+            raise ImportError(
+                f"{name}: scorer actors do not load pandas, search/engine.py "
+                "(_ScorerActor)",
+                name=name,
+            )
+        return None
+
+
+class _ScorerActor(SegmentScorer):
+    """The Ray actor form of :class:`SegmentScorer`: the same scorer in a
+    process that never loads pandas.
+
+    No scorer code uses pandas, but pyarrow imports it lazily on its first
+    Python/numpy conversion (``pa.scalar`` of a str, ``to_numpy``), and that
+    import was the largest single part of a scorer process (194 MB on the
+    serve benchmark, 157 MB without it). Before any Arrow work, ``__init__``
+    puts :class:`_RefusePandas` first on ``sys.meta_path``:
+
+    * a finder, not ``sys.modules["pandas"] = None``: pyarrow's Cython import
+      fast path hands that ``None`` entry back to its pandas shim, which
+      then fails with ``AttributeError`` on the first ``pa.array``; an
+      ``ImportError`` is what the shim expects, and it records that pandas
+      is absent;
+    * only when pandas is not loaded yet: a worker that Ray hands over with
+      pandas already imported keeps it and gains nothing;
+    * scorer code that needs pandas fails loudly with the finder's named
+      ``ImportError``; the driver, in-process scorers and Ray Data workers
+      keep pandas.
+
+    pyarrow's C++ side retries the refused import (about 10 us each) on
+    every Arrow-to-numpy conversion until one succeeds, so scorer code reads
+    integer Arrow columns through ``codec.int64_column`` instead."""
+
+    def __init__(self, *args, **kwargs):
+        if "pandas" not in sys.modules:
+            sys.meta_path.insert(0, _RefusePandas())
+            import ray.util
+
+            # Ray's reducer for Arrow tables imports ray.air, and with it
+            # pandas: return tables through pyarrow's own pickling instead
+            # (it sends a sliced array's whole buffers; the tables scorers
+            # return are built fresh, never slices of larger arrays)
+            ray.util.deregister_serializer(pa.Table)
+        super().__init__(*args, **kwargs)
+
+
 class SearchEngine:
     """Query entry point over an index directory.
 
@@ -370,7 +428,9 @@ class SearchEngine:
     the scorers goes through :meth:`_submit` and :meth:`_gather`, the only
     code (with :meth:`_scorer_sets`, which builds the scorers, and
     :meth:`match_all_stream`, which hands Ray Data either tables or refs)
-    that tells an in-process scorer from an actor.
+    that tells an in-process scorer from an actor. Actors are
+    :class:`_ScorerActor` processes, which run without pandas; a ``to_pandas``
+    on the driver or in Ray Data (``match_all_stream``) still works.
     """
 
     def __init__(
@@ -455,7 +515,7 @@ class SearchEngine:
             # doc counts from the commit: the driver opens no segment
             counts = [s.hi - s.lo for s in self.meta["segments"]]
             live = slice_groups(self.seg_dirs, counts, min(8, cpus))
-            Actor = ray.remote(SegmentScorer)
+            Actor = ray.remote(_ScorerActor)
             # each scorer is a 1-CPU actor; more replica sets than the cluster
             # can schedule would leave actors PENDING and deadlock the first
             # query (same failure shape as oversubscribed join aggregators) —

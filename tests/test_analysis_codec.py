@@ -14,6 +14,7 @@ from lucille_ray.index.codec import (
     delta_encode,
     encode_postings,
     encode_varints,
+    int64_column,
 )
 
 TEXTS = [
@@ -78,6 +79,28 @@ def test_postings_round_trip(n):
     assert (p2 == pos).all()
     d3, t3, p3 = decode_postings(blocks, want_positions=False)
     assert (d3 == doc_ids).all() and p3 is None
+
+
+def test_int64_column_reads_sliced_children_like_to_numpy():
+    """``int64_column`` (the scorer's integer read, which skips pyarrow's
+    numpy conversion layer) equals ``to_numpy`` on sliced struct children of
+    both block-metadata widths, empty arrays included, and refuses nulls."""
+    structs = pa.StructArray.from_arrays(
+        [pa.array(np.arange(50, dtype=np.int32) - 7),
+         pa.array(np.arange(50, dtype=np.int64) * 3_000_000_000)],
+        names=["n", "first_doc"],
+    )
+    for lo, n in [(0, 50), (11, 23), (49, 1), (20, 0)]:
+        part = structs.slice(lo, n)
+        for name in ("n", "first_doc"):
+            child = part.field(name)
+            got = int64_column(child)
+            assert got.dtype == np.int64
+            assert got.tolist() == child.to_numpy(zero_copy_only=False).tolist()
+    offsets = pa.array([[1, 2], [], [3]], pa.list_(pa.int32())).slice(1).offsets
+    assert int64_column(offsets).tolist() == [2, 2, 3]
+    with pytest.raises(ValueError):
+        int64_column(pa.array([1, None], pa.int32()))
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])

@@ -1282,6 +1282,104 @@ def test_match_all_stream_matches_gathered(built, ray_session):
             engine.shutdown()
 
 
+def test_scorer_actors_run_without_pandas(built, ray_session, monkeypatch):
+    """Scorer actors refuse pandas (search/engine.py::_ScorerActor) and still
+    answer exactly like the in-process engine: every query shape through
+    ``search``, plus ``search_many``, ``suggest`` and ``match_all_stream``
+    (whose tables the actors return). The driver and Ray Data workers keep
+    pandas, and the driver's import path holds no refusal."""
+    import sys
+
+    import ray
+
+    import lucille_ray.search.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "SLICE_DOCS", 1)  # one actor per segment
+    ref = SearchEngine(built[1], parallel=False)
+    engine = SearchEngine(built[1], parallel=True)
+    try:
+        engine.warm()
+        assert len(engine._actors) == 2
+        for qs in QUERY_SET:
+            got = engine.search(qs, k=10).to_pydict()
+            assert got == ref.search(qs, k=10).to_pydict(), qs
+        for (ad, ascr), (bd, bs) in zip(engine.search_many(QUERY_SET, k=10),
+                                        ref.search_many(QUERY_SET, k=10)):
+            assert ad.tolist() == bd.tolist() and ascr.tolist() == bs.tolist()
+        for qs in ("dat", "role:user AND que"):
+            assert engine.suggest(qs).to_pydict() == ref.suggest(qs).to_pydict(), qs
+        want = ref.match_all("data AND query", with_meta=True).sort_by("doc_id")
+        want = want.to_pydict()
+        ds = engine.match_all_stream("data AND query", with_meta=True)
+        df = ds.sort("doc_id").to_pandas()
+        assert {c: df[c].tolist() for c in want} == want
+        ids = ds.map_batches(lambda b: b[["doc_id"]], batch_format="pandas")
+        assert sorted(ids.to_pandas()["doc_id"]) == want["doc_id"]
+        in_actors = ray.get([
+            a.__ray_call__.remote(lambda scorer: (
+                "pandas" in sys.modules, type(sys.meta_path[0]).__name__))
+            for a in engine._actors
+        ], timeout=60)
+        assert in_actors == [(False, "_RefusePandas")] * 2
+    finally:
+        engine.shutdown()
+    assert not any(isinstance(f, engine_mod._RefusePandas) for f in sys.meta_path)
+
+
+def test_warm_queries_convert_no_arrow_to_numpy(built):
+    """In a scorer actor every pyarrow-to-numpy conversion retries the refused
+    pandas import (about 10 us each), so a warm query must make none: in a
+    fresh interpreter that refuses and counts pandas imports, a repeat pass
+    of every query shape over an in-process engine refuses none."""
+    import json
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import json, sys
+
+        class Refuse:
+            n = 0
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "pandas" or name.startswith("pandas."):
+                    Refuse.n += 1
+                    raise ImportError(name)
+                return None
+
+        sys.meta_path.insert(0, Refuse())
+        import pyarrow as pa
+        from lucille_ray.search.engine import SearchEngine
+
+        n = Refuse.n
+        pa.array([1]).to_numpy()
+        assert Refuse.n > n, "the counter sees a conversion"
+        index_dir, queries = sys.argv[1], json.loads(sys.argv[2])
+        engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+        counts = []
+        for _ in range(2):
+            n = Refuse.n
+            for q in queries:
+                engine.search(q, k=10)
+            engine.suggest("dat", k=10)
+            engine.search_many(queries, k=10)
+            counts.append(Refuse.n - n)
+        assert "pandas" not in sys.modules
+        print(json.dumps(counts))
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", script, built[1], json.dumps(QUERY_SET)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    cold, warm = json.loads(out.stdout.strip().splitlines()[-1])
+    assert warm == 0, (cold, warm)
+
+
 def test_replicated_engine_identical(built, ray_session, monkeypatch):
     """replicas>1 stripes work across duplicate scorer sets; every API answer
     must be identical to the single-set engine (same docs AND scores). Engines

@@ -338,3 +338,62 @@ def test_one_scorer_fan_out():
                     "SearchEngine._scorer_sets",
                     "SearchEngine.match_all_stream"} == set()
     assert gets - {"SearchEngine._gather", "SegmentScorer.resolve_score"} == set()
+
+
+#: what a scorer actor runs: search/engine.py::_ScorerActor refuses pandas
+#: there, so these modules must not reach for it
+SCORER_MODULES = (
+    "search/engine.py", "search/eval.py", "search/wand.py", "search/bmconj.py",
+    "search/bmphrase.py", "index/segment.py", "index/codec.py", "index/commit.py",
+    "query/*.py",
+)
+
+
+def _pandas_uses(source: str, where: str) -> list:
+    """``import pandas`` (or ``from pandas``), ``.to_pandas``,
+    ``.from_pandas`` and ``batch_format="pandas"`` in ``source``."""
+    import ast
+
+    offenders = []
+    for node in ast.walk(ast.parse(source, where)):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] == "pandas" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").split(".")[0] == "pandas"
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr in ("to_pandas", "from_pandas")
+        elif isinstance(node, ast.keyword):
+            bad = (node.arg == "batch_format" and isinstance(node.value, ast.Constant)
+                   and node.value.value == "pandas")
+        else:
+            continue
+        if bad:
+            offenders.append(f"{where}:{node.lineno}")
+    return offenders
+
+
+def test_scorer_modules_use_no_pandas():
+    """Scorer actors run without pandas, so the modules they run neither
+    import it nor convert to or from it; the lint flags each planted form."""
+    import glob
+
+    import lucille_ray
+
+    planted = (
+        "import pandas as pd\n"
+        "from pandas.api import types\n"
+        "df = table.to_pandas()\n"
+        "t = pa.Table.from_pandas(df)\n"
+        "ds.map_batches(f, batch_format='pandas')\n"
+        "ok = (arr.type.to_pandas_dtype(), 'pandas', ds.map_batches(f, batch_format='numpy'))\n"
+    )
+    assert _pandas_uses(planted, "planted") == [f"planted:{i}" for i in range(1, 6)]
+    root = os.path.dirname(lucille_ray.__file__)
+    paths = sorted(p for pattern in SCORER_MODULES
+                   for p in glob.glob(os.path.join(root, pattern)))
+    assert len(paths) >= len(SCORER_MODULES)
+    offenders = []
+    for path in paths:
+        with open(path) as f:
+            offenders += _pandas_uses(f.read(), os.path.relpath(path, root))
+    assert offenders == []
