@@ -324,7 +324,7 @@ def _compact_segment(
     from .writer import COMPACT_MIN_ROWS_PER_WRITE, PostingsSink
 
     t0 = time.perf_counter()
-    rows = sum(pf.metadata.num_rows for pf, _ in reader._postings_files())
+    rows = sum(pf.metadata.num_rows for pf, *_ in reader._postings_files())
     result = {"source": source["segment"], "segment": os.path.basename(new_dir),
               "posting_rows_in": rows}
     done = read_manifest(new_dir)

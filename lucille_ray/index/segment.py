@@ -173,6 +173,10 @@ class SegmentReader:
         self._conv_map: Optional[Tuple[pa.Array, np.ndarray, np.ndarray]] = None
         self._postings_pf_cache: Optional[list] = None
         self.cache = ReaderCache()
+        #: what :meth:`_read_postings_rows` has read from the postings files:
+        #: calls, row groups and their compressed bytes (column chunks,
+        #: page headers included); cache hits read nothing
+        self.postings_read = {"calls": 0, "row_groups": 0, "compressed_bytes": 0}
         # tombstones: sorted global doc ids marked deleted (the file the
         # caller's commit names, written by index.delete). Loaded once at
         # reader construction — readers opened after a delete see it (Lucene
@@ -279,13 +283,20 @@ class SegmentReader:
                     np.empty(0, dtype=np.int64),
                 )
             else:
-                t = t.filter(pc.not_equal(t["term"], NORMS_TERM))
-                g = t.group_by("term").aggregate([("df", "sum")])
-                order = pc.sort_indices(g["term"])
-                g = g.take(order)
+                # sort and sum runs in numpy: Table.group_by imports
+                # pyarrow.acero, whose first import tries pandas three times
+                t = t.filter(
+                    pc.not_equal(t["term"], pa.scalar(NORMS_TERM, pa.string()))
+                )
+                t = t.take(pc.sort_indices(t["term"]))
+                terms = np.asarray(t["term"].to_pylist(), dtype=object)
+                first = np.ones(terms.size, dtype=bool)
+                first[1:] = terms[1:] != terms[:-1]
+                starts = np.flatnonzero(first)
+                dfs = int64_column(t["df"].combine_chunks())
                 self._term_dicts[field] = (
-                    np.asarray(g["term"].to_pylist(), dtype=object),
-                    g["df_sum"].to_numpy().astype(np.int64),
+                    terms[starts],
+                    np.add.reduceat(dfs, starts) if starts.size else dfs,
                 )
         return self._term_dicts[field]
 
@@ -425,12 +436,13 @@ class SegmentReader:
         return out
 
     def _postings_files(self) -> list:
-        """Parquet handles + per-row-group (field, term) min/max stats for every
-        postings piece file, parsed ONCE per reader (readers are pinned in
-        long-lived scorer actors). The per-query ``pq.read_table(dir,
-        filters=...)`` was paying dataset discovery + open + footer parse on
-        EVERY cold (field, terms) miss — a ~12 ms floor per call even for
-        absent terms (the dominant rep-1 cost of sequential serving).
+        """Parquet handles + per-row-group (field, term) min/max stats and
+        compressed bytes for every postings piece file, parsed ONCE per
+        reader (readers are pinned in long-lived scorer actors). The
+        per-query ``pq.read_table(dir, filters=...)`` was paying dataset
+        discovery + open + footer parse on EVERY cold (field, terms) miss — a
+        ~12 ms floor per call even for absent terms (the dominant rep-1 cost
+        of sequential serving).
 
         Assumes ``postings.parquet`` is a DIRECTORY of ``*.parquet`` piece
         files — the layout every writer here produces (``writer.PostingsSink``
@@ -459,6 +471,11 @@ class SegmentReader:
             fmax: list = []
             tmin: list = []
             tmax: list = []
+            group_bytes = np.array([
+                sum(rg.column(i).total_compressed_size
+                    for i in range(rg.num_columns))
+                for rg in map(md.row_group, range(md.num_row_groups))
+            ], dtype=np.int64)
             ok = fidx is not None and tidx is not None
             if ok:
                 for g in range(md.num_row_groups):
@@ -481,7 +498,7 @@ class SegmentReader:
                 stats = (
                     np.array(fmin), np.array(fmax), np.array(tmin), np.array(tmax)
                 )
-            entries.append((pf, stats))
+            entries.append((pf, stats, group_bytes))
         self._postings_pf_cache = entries
         return entries
 
@@ -498,15 +515,19 @@ class SegmentReader:
         valid lower bound) and increments max's last byte (a valid upper
         bound), so pruning can only over-include — the exact filter below
         decides membership. Row groups spanning a field boundary skip the term
-        test (term order restarts per field) and rely on the exact filter."""
+        test (term order restarts per field) and rely on the exact filter.
+        Every call and the row groups it reads count in
+        :attr:`postings_read`."""
         read_cols = list(dict.fromkeys(("field", "term", *columns)))
         if terms is not None:
             ms = sorted(set(terms))
             ms_np = np.array(ms)
             vs = pa.array(ms, pa.string())
         parts = []
-        for pf, stats in self._postings_files():
+        self.postings_read["calls"] += 1
+        for pf, stats, group_bytes in self._postings_files():
             if stats is None:
+                gs = np.arange(group_bytes.size)
                 t = pf.read(columns=read_cols)
             else:
                 fmin, fmax, tmin, tmax = stats
@@ -525,6 +546,8 @@ class SegmentReader:
                 if gs.size == 0:
                     continue
                 t = pf.read_row_groups(gs.tolist(), columns=read_cols)
+            self.postings_read["row_groups"] += int(gs.size)
+            self.postings_read["compressed_bytes"] += int(group_bytes[gs].sum())
             keep = pc.equal(t["field"], pa.scalar(field, pa.string()))
             if terms is not None:
                 keep = pc.and_(keep, pc.is_in(t["term"], value_set=vs))
@@ -549,11 +572,11 @@ class SegmentReader:
             own = os.path.join(self.seg_dir, CONVMAP_FILE)
             src = self.manifest["input_path"]
             if os.path.exists(own):
-                t = pq.read_table(own, columns=["conv_id", "base"])
+                t = _read_parquet(own, ["conv_id", "base"])
             elif src.endswith(":fused"):
                 index_dir = os.path.dirname(os.path.dirname(self.seg_dir))
-                t = pq.read_table(
-                    os.path.join(index_dir, CONVMAP_FILE), columns=["conv_id", "base"]
+                t = _read_parquet(
+                    os.path.join(index_dir, CONVMAP_FILE), ["conv_id", "base"]
                 )
             elif os.path.exists(src):
                 t = conv_map_from_docmapped(src, hi)
@@ -563,13 +586,13 @@ class SegmentReader:
                     f"input {src} is gone: conversations cannot be resolved "
                     "(delete_docs with explicit doc ids still works)"
                 )
-            base = t["base"].to_numpy()
+            base = int64_column(t["base"].combine_chunks())
             keep = (base >= self.doc_base) & (base < hi)
             t = conv_map_table(t["conv_id"].filter(pa.array(keep)), base[keep], hi)
             self._conv_map = (
                 t["conv_id"].combine_chunks(),
-                t["base"].to_numpy(),
-                t["cnt"].to_numpy(),
+                int64_column(t["base"].combine_chunks()),
+                int64_column(t["cnt"].combine_chunks()),
             )
         return self._conv_map
 
@@ -600,6 +623,19 @@ class SegmentReader:
 from .codec import POSTINGS_SCHEMA as _PS
 
 _BLOCK_STRUCT_TYPE = _PS.field("blocks").type.value_type
+
+
+def _read_parquet(path: str, columns: List[str]) -> pa.Table:
+    """``columns`` of one Parquet file, or of a directory of ``*.parquet``
+    pieces in name order, read through ``ParquetFile``: ``pq.read_table``
+    imports ``pyarrow.dataset``, whose first import tries pandas three times
+    (refused in a scorer actor, search/engine.py)."""
+    if not os.path.isdir(path):
+        return pq.ParquetFile(path).read(columns=columns)
+    return pa.concat_tables([
+        pq.ParquetFile(os.path.join(path, name)).read(columns=columns)
+        for name in sorted(os.listdir(path)) if name.endswith(".parquet")
+    ])
 
 
 def _narrowest_uint(a: np.ndarray) -> np.ndarray:

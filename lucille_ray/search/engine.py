@@ -276,8 +276,13 @@ class SegmentScorer:
         return docs[order], scores[order]
 
     def cache_stats(self) -> Dict[str, dict]:
-        """{segment dir: its reader's ``ReaderCache.stats()``}."""
-        return {r.seg_dir: r.cache.stats() for r in self.readers}
+        """{segment dir: its reader's ``ReaderCache.stats()`` pools, plus
+        ``postings_read``: what its cold lookups read from the postings files
+        (``SegmentReader.postings_read``)}."""
+        return {
+            r.seg_dir: {**r.cache.stats(), "postings_read": dict(r.postings_read)}
+            for r in self.readers
+        }
 
     def score_many(self, items: List[tuple]) -> List[tuple]:
         """[(query, reqs, ctx, k)] -> [(docs, scores)] — one round-trip per batch."""
@@ -850,8 +855,9 @@ class SearchEngine:
         return joined.select(["doc_id", "conv_id", "turn_idx", "score"])
 
     def cache_stats(self) -> List[Dict[str, dict]]:
-        """{segment dir: ``ReaderCache.stats()``} per scorer of every replica
-        set, in set order, read inside the scorer actors when parallel."""
+        """{segment dir: ``ReaderCache.stats()`` pools and ``postings_read``}
+        per scorer of every replica set, in set order, read inside the scorer
+        actors when parallel."""
         fanouts = [self._submit(s, "cache_stats") for s in self._scorer_sets()]
         return [st for fan in self._gather(fanouts) for st in fan]
 

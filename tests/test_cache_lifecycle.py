@@ -268,7 +268,8 @@ def test_small_budget_soak_stays_bounded_and_exact(soak_index, monkeypatch):
 def test_engine_cache_stats_from_scorer_actors(soak_index, ray_session):
     """SearchEngine.cache_stats() reads each segment's ReaderCache inside the
     Ray scorer actors: after a repeated burst every reader holds entries,
-    has hits, and stays inside the default budget."""
+    has hits, and stays inside the default budget; next to the pools, its
+    ``postings_read`` counts the cold lookups' postings reads."""
     index_dir, _table = soak_index
     engine = SearchEngine(index_dir, parallel=True)
     try:
@@ -279,6 +280,9 @@ def test_engine_cache_stats_from_scorer_actors(soak_index, ray_session):
         segs = {d: st for got in per_scorer for d, st in got.items()}
         assert sorted(segs) == sorted(engine.seg_dirs)
         for st in segs.values():
+            read = st.pop("postings_read")
+            assert read["calls"] > 0 and read["row_groups"] > 0, read
+            assert read["compressed_bytes"] > 0, read
             used = sum(p["bytes"] for p in st.values())
             assert 0 < used <= seg_mod.READER_CACHE_BYTES
             assert st["result"]["hits"] > 0

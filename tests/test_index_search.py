@@ -1328,9 +1328,12 @@ def test_scorer_actors_run_without_pandas(built, ray_session, monkeypatch):
 
 def test_warm_queries_convert_no_arrow_to_numpy(built):
     """In a scorer actor every pyarrow-to-numpy conversion retries the refused
-    pandas import (about 10 us each), so a warm query must make none: in a
-    fresh interpreter that refuses and counts pandas imports, a repeat pass
-    of every query shape over an in-process engine refuses none."""
+    pandas import (about 10 us each), so opening and warming a scorer and a
+    warm query must make none: in a fresh interpreter that refuses and counts
+    pandas imports, opening an in-process engine and ``warm()`` (readers,
+    doc maps, term dictionaries) refuse none, and neither does a repeat pass
+    of every query shape. pyarrow's one-time pandas probe, made by the first
+    conversion of any process, is taken before counting."""
     import json
     import subprocess
     import sys
@@ -1356,8 +1359,10 @@ def test_warm_queries_convert_no_arrow_to_numpy(built):
         pa.array([1]).to_numpy()
         assert Refuse.n > n, "the counter sees a conversion"
         index_dir, queries = sys.argv[1], json.loads(sys.argv[2])
+        n = Refuse.n
         engine = SearchEngine(index_dir, parallel=False, result_cache=False)
-        counts = []
+        engine.warm()
+        counts = [Refuse.n - n]
         for _ in range(2):
             n = Refuse.n
             for q in queries:
@@ -1376,8 +1381,8 @@ def test_warm_queries_convert_no_arrow_to_numpy(built):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    cold, warm = json.loads(out.stdout.strip().splitlines()[-1])
-    assert warm == 0, (cold, warm)
+    opened, cold, warm = json.loads(out.stdout.strip().splitlines()[-1])
+    assert opened == 0 and warm == 0, (opened, cold, warm)
 
 
 def test_replicated_engine_identical(built, ray_session, monkeypatch):
@@ -1624,9 +1629,10 @@ def _assert_segment_layout(seg_dir: str) -> list:
 
 def test_compacted_postings_keep_small_row_groups(built, tmp_path):
     """Built and compacted postings keep the writer's payload-cut row groups
-    (at most 64 rows, a group over 64 KiB holds one row) — one giant row
-    group would defeat (field, term) min/max pruning and force every cold
-    term lookup to decode the segment's entire postings payload."""
+    (at most ROW_GROUP_ROWS rows, a group over ROW_GROUP_BYTES holds one
+    row) — one giant row group would defeat (field, term) min/max pruning and
+    force every cold term lookup to decode the segment's entire postings
+    payload."""
     from lucille_ray.index import compact_index
 
     data_dir, _, _ = built
@@ -1686,7 +1692,8 @@ def test_writer_cuts_groups_by_payload(tmp_path):
     from lucille_ray.index.writer import ROW_GROUP_ROWS, write_postings_file
 
     rng = np.random.default_rng(3)
-    sizes = [3] * 100 + [60_000] + [5] * 70 + [60_000, 60_000] + [2] * 10 + [4] * 20
+    sizes = ([3] * (ROW_GROUP_ROWS + 36) + [60_000] + [5] * (ROW_GROUP_ROWS + 6)
+             + [60_000, 60_000] + [2] * 10 + [4] * 20)
     docs = np.concatenate([np.sort(rng.choice(10**7, s, replace=False)) for s in sizes])
     tfs = np.ones(docs.size, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -1706,8 +1713,7 @@ def test_writer_cuts_groups_by_payload(tmp_path):
     write_postings_file(table, path)
     groups = _assert_payload_cut_groups(path)
     assert [rows for rows, _ in groups] == [
-        ROW_GROUP_ROWS, 100 - ROW_GROUP_ROWS, 1, ROW_GROUP_ROWS,
-        70 - ROW_GROUP_ROWS, 1, 1, 10, 20,
+        ROW_GROUP_ROWS, 36, 1, ROW_GROUP_ROWS, 6, 1, 1, 10, 20,
     ]
     assert pq.read_table(path).equals(table)
     md = pq.ParquetFile(path).metadata
@@ -1768,6 +1774,91 @@ def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
         _assert_segment_layout(seg_dir)
     assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
     assert _answers(old_dir, oracle) == _answers(new_dir, oracle)
+
+
+def test_compaction_rewrites_64_row_groups(built, oracle, tmp_path, monkeypatch):
+    """Postings written at the previous 64-row cap answer every QUERY_SET
+    query like the same rows at ROW_GROUP_ROWS, and compaction rewrites them
+    into the current cut: the same row groups and stored rows as compacting
+    the index written at ROW_GROUP_ROWS (a build's rows can split their
+    blocks at piece boundaries that compaction merges, so both sides are
+    compacted)."""
+    import glob
+
+    from lucille_ray.index import compact_index, writer
+
+    _, index_dir, _ = built
+    new_dir = str(tmp_path / "new")
+    old_dir = str(tmp_path / "old")
+    shutil.copytree(index_dir, new_dir)
+    shutil.copytree(index_dir, old_dir)
+    with monkeypatch.context() as m:
+        m.setattr(writer, "ROW_GROUP_ROWS", 64)
+        for f in glob.glob(os.path.join(
+                old_dir, "segments", "*", "postings.parquet", "*.parquet")):
+            writer.write_postings_file(pq.read_table(f), f)
+    old_groups, new_groups = _group_rows(old_dir), _group_rows(new_dir)
+    assert max(old_groups) == 64 < max(new_groups) <= writer.ROW_GROUP_ROWS
+    assert len(old_groups) > len(new_groups)
+    assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
+    assert _answers(old_dir, oracle) == _answers(new_dir, oracle)
+
+    for d in (old_dir, new_dir):
+        compact_index(d)
+    for seg_dir in _seg_dirs(old_dir):
+        _assert_segment_layout(seg_dir)
+    assert _group_rows(old_dir) == _group_rows(new_dir)
+    assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
+
+
+def _group_rows(index_dir: str) -> list:
+    """Rows per postings row group of the index, in segment and file order."""
+    import glob
+
+    out = []
+    for seg_dir in _seg_dirs(index_dir):
+        for f in sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*.parquet"))):
+            md = pq.ParquetFile(f).metadata
+            out.extend(md.row_group(g).num_rows for g in range(md.num_row_groups))
+    return out
+
+
+def test_postings_read_counts_cold_lookups(built):
+    """SegmentReader.postings_read counts what a cold lookup reads: one rare
+    term's lookup on a fresh reader reads exactly the row groups whose
+    (field, term) statistics overlap it (at most one per file) and their
+    compressed bytes; the repeat lookup is a cache hit and reads nothing."""
+    import glob
+
+    from lucille_ray.index.segment import SegmentReader
+
+    seg_dir = _seg_dirs(built[1])[0]
+    t = pq.read_table(os.path.join(seg_dir, "postings.parquet"),
+                      columns=["field", "term", "df"])
+    text = t.filter(pc.equal(t["field"], "text")).sort_by("df")
+    term = text["term"][0].as_py()
+    files = sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*.parquet")))
+    groups = nbytes = 0
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            st = {rg.column(i).path_in_schema: rg.column(i).statistics
+                  for i in range(rg.num_columns)}
+            fs, ts = st["field"], st["term"]
+            if fs.min == fs.max == "text" and ts.min <= term <= ts.max:
+                groups += 1
+                nbytes += sum(rg.column(i).total_compressed_size
+                              for i in range(rg.num_columns))
+    assert 1 <= groups <= len(files)
+
+    reader = SegmentReader(seg_dir)
+    assert reader.postings_read == {"calls": 0, "row_groups": 0, "compressed_bytes": 0}
+    assert len(reader.raw_blocks_many("text", [term])[term]) > 0
+    want = {"calls": 1, "row_groups": groups, "compressed_bytes": nbytes}
+    assert reader.postings_read == want
+    reader.raw_blocks_many("text", [term])
+    assert reader.postings_read == want
 
 
 def _answers(index_dir: str, oracle) -> list:
