@@ -1115,7 +1115,7 @@ def _build_segment(
 
     import ray.data
 
-    from .writer import BUILD_ROWS_PER_FILE, PostingsSink
+    from .writer import PostingsSink
 
     seg_dir = _segment_dir(index_dir, seg)
     # idempotent rebuild: a half-written segment (no complete manifest) is wiped so
@@ -1168,9 +1168,7 @@ def _build_segment(
         )
     # payload-cut row groups + term-sorted rows within each file => parquet
     # min/max stats prune term lookups (see index/writer.py)
-    postings.write_datasink(
-        PostingsSink(postings_path, max_rows_per_file=BUILD_ROWS_PER_FILE)
-    )
+    postings.write_datasink(PostingsSink(postings_path))
     try:
         # per-stage execution stats (task counts, wall/cpu per operator) — the
         # corroborating evidence for scaling claims (BASELINE.md)

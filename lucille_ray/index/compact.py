@@ -1,23 +1,32 @@
 """Segment compaction: merge the per-batch posting *pieces* written by the
 shuffle-free build into one consolidated row per ``(field, term)``.
 
-This gives the best of both worlds at scale: the build streams with zero
-all-to-all, then compaction — a sort-merge by ``(field, term)`` over the
-already block-compressed postings (a small fraction of input volume) — writes
-the read-optimal serving layout into a NEW segment directory, published by
-one commit (``commit.py``). Compaction is optional, idempotent, and
-per-segment resumable: a completed directory of a failed run is reused.
+A build file holds a few ``(field, term)``-sorted runs, one per window the
+build merged (per tokenize batch and field where it skipped the merge), and
+its row groups carry ``(field, term)`` min/max statistics. So compaction
+runs no global sort (as Lucene's ``SegmentMerger`` streams sorted term
+dictionaries): the driver plans term ranges from the footers
+(:func:`_plan_ranges`), and one Ray task per range reads the row groups that
+may overlap it, merges the rows inside it and writes one file. No term
+straddles two ranges, so the output is a pure function of the input. New
+segment directories are published by one commit (``commit.py``);
+compaction is optional, idempotent and per-segment resumable: a segment
+whose ranges all succeeded gets its manifest even when a range of another
+fails, and a re-run reuses that directory.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import shutil
+import time
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
@@ -32,8 +41,6 @@ from .segment import live_mask
 #: predicate pushdown then reads a bounded byte volume per term lookup instead
 #: of a whole segment's postings for one hot term
 ROW_BLOCK_CAP = 256
-#: rows per sorted merge batch (and per read block of a segment's postings)
-MERGE_BATCH_ROWS = 2048
 #: sorted doc ids every purge in a segment's lineage removed, written into
 #: the new directory of each compaction that carries any
 PURGED_FILE = "purged.npy"
@@ -91,12 +98,11 @@ def _reencode_spans(
 
 
 def _merge_sorted_batch(
-    batch: pa.Table, *, norms_ref=None, norms=None, doc_base: int = 0,
-    deleted_ref=None,
+    batch: pa.Table, *, norms=None, doc_base: int = 0, deleted=None,
 ) -> pa.Table:
-    """One batch of the (field, term, bucket)-sorted piece stream -> merged
-    rows, one (or a few, for hot terms past ROW_BLOCK_CAP) per (field, term)
-    run present in the batch.
+    """One batch of (field, term, bucket)-sorted piece rows -> merged rows,
+    one (or a few, for hot terms past ROW_BLOCK_CAP) per (field, term) run
+    present in the batch.
 
     Blocks are self-contained (each starts with an absolute doc id), so almost
     every block is copied VERBATIM — an LSM-style block-preserving merge.
@@ -111,36 +117,26 @@ def _merge_sorted_batch(
     remains; NORMS rows are exempt — the norms array must stay dense over
     maxDoc). All of a batch's spans decode in one pass and re-encode in one
     :func:`encode_runs` call per payload kind (positional term rows, norms
-    rows). Blocks whose doc RANGES overlap (the few batches Ray assembled
-    from tails of different doc-sorted input files) are kept as-is: every
-    reader path either doc-sorts on decode or checks block ranges elementwise.
+    rows). Blocks whose doc RANGES overlap (pieces of one term from input
+    batches whose docs interleave) are kept as-is: every reader path either
+    doc-sorts on decode or checks block ranges elementwise.
 
-    Runs that straddle a batch boundary simply merge into one row per side —
-    the reader concatenates a term's rows in bucket order (doc-sorting on the
-    rare interleave), so partial merges are exactly as correct as full ones
-    and compaction needs only ONE all-to-all (the sort) instead of the
-    groupby-shuffle + re-sort pair. Each run's summed piece ``total_tf`` lands
-    on its first output row (per-row total_tf is consumed nowhere; this keeps
-    the per-(field, term) aggregate exact without decoding any tf stream).
+    Compaction hands it whole term runs (:func:`_merge_range`), but the
+    build's window merge (``build._piece_merge_batch``) cuts its windows
+    anywhere. A run that straddles a batch boundary simply merges into one
+    row per side — the reader concatenates a term's rows in bucket order
+    (doc-sorting on the rare interleave), so partial merges are exactly as
+    correct as full ones. Each run's summed piece ``total_tf`` lands on its
+    first output row (per-row total_tf is consumed nowhere; this keeps the
+    per-(field, term) aggregate exact without decoding any tf stream).
 
-    ``norms_ref`` (an ObjectRef to {field: per-doc dl array}) lets re-encoded
+    ``norms`` ({field: per-doc dl array, from ``doc_base``}) lets re-encoded
     blocks carry an exact per-block ``min_dl`` even though the merged block
-    boundaries differ from the build-time pieces'; it is fetched zero-copy
-    from the object store once per task."""
-    import pyarrow.compute as pc
-
+    boundaries differ from the build-time pieces'; ``deleted`` (sorted doc
+    ids) is a tombstoned segment's delete set."""
     _limit_worker_threads()
     if batch.num_rows == 0:
         return batch
-    if norms is None and norms_ref is not None:
-        import ray
-
-        norms = ray.get(norms_ref)
-    deleted = None
-    if deleted_ref is not None:
-        import ray
-
-        deleted = ray.get(deleted_ref)
 
     lists = batch.column("blocks").combine_chunks()
     flat = lists.flatten()
@@ -257,30 +253,98 @@ def _merge_sorted_batch(
     )
 
 
-def _retry_fs_import_race(fn):
-    """Ray's path resolution probes ``fsspec.implementations.http`` on EVERY
-    read/write; with aiohttp absent the import always fails, is evicted from
-    ``sys.modules``, and is re-attempted next call — so two threads resolving
-    paths at once can race the half-initialized module and surface a transient
-    ``ImportError`` (Ray only catches ``ModuleNotFoundError``). Resolution runs
-    before any execution or filesystem mutation, so retrying is safe."""
-    import time
+def _at_or_after(t: pa.Table, key: tuple):
+    """Mask of the rows of ``t`` whose (field, term) is at or after ``key``."""
+    field, term = key
+    return pc.or_(pc.greater(t["field"], field), pc.and_(
+        pc.equal(t["field"], field), pc.greater_equal(t["term"], term)))
 
-    for attempt in range(8):
-        try:
-            return fn()
-        except ImportError as e:
-            if "fsspec" not in str(e) and "HTTPFileSystem" not in str(e):
-                raise
-            time.sleep(0.05 * (attempt + 1))
-    return fn()
+
+def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: str,
+                 norms: dict, doc_base: int, deleted: Optional[np.ndarray]) -> dict:
+    """One term range of a segment's compaction, run as a Ray task: read the
+    row groups ``groups`` (``[(file, [row group, ...]), ...]``), keep the rows
+    with ``lo <= (field, term) < hi`` (``None``: unbounded), stable-sort them
+    by (field, term, bucket), merge them in one :func:`_merge_sorted_batch`
+    call (``norms``, ``doc_base``, ``deleted``: its arguments) and write the
+    merged rows to ``path`` (nothing when none are left). Returns the row
+    groups read, the rows read, kept and written, and the wall seconds."""
+    from .writer import write_postings_file
+
+    t0 = time.perf_counter()
+    _limit_worker_threads()
+    t = pa.concat_tables([pq.ParquetFile(f).read_row_groups(gs) for f, gs in groups])
+    rows_read = t.num_rows
+    if lo is not None:
+        t = t.filter(_at_or_after(t, lo))
+    if hi is not None:
+        t = t.filter(pc.invert(_at_or_after(t, hi)))
+    out = _merge_sorted_batch(t.sort_by(
+        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]),
+        norms=norms, doc_base=doc_base, deleted=deleted)
+    if out.num_rows:
+        write_postings_file(out, path)
+    return {"row_groups": sum(len(gs) for _, gs in groups), "rows_read": rows_read,
+            "rows_kept": t.num_rows, "rows_written": out.num_rows,
+            "wall_s": round(time.perf_counter() - t0, 6)}
+
+
+def _plan_ranges(files: list) -> list:
+    """The term ranges of one segment's compaction, planned from its postings
+    footers (``files``: :meth:`SegmentReader._postings_files`), as ``(lo, hi,
+    groups)`` for :func:`_merge_range`. A range's ``groups`` are the row
+    groups whose (field, term) statistics may overlap it; a group without
+    statistics may overlap every range. Ranges no row group may overlap are
+    left out.
+
+    The plan aims at one range per ``ROWS_PER_FILE`` rows, cut at the
+    row-weighted quantiles of the group minima and maxima (half a group's
+    rows count at its minimum, half at its maximum). Each sorted run of the
+    input has a row group across most cuts, which both ranges beside the cut
+    read: where the ranges would read the rows with statistics more than
+    twice over (many runs, or groups spanning a whole field), the plan cuts
+    fewer ranges until they do not."""
+    from .writer import ROWS_PER_FILE
+
+    spans = []  # per row group: (file, group, rows, min key, max key)
+    for pf, stats, _, path in files:
+        md = pf.metadata
+        keys = [(None, None)] * md.num_row_groups
+        if stats is not None:
+            fmin, fmax, tmin, tmax = (a.tolist() for a in stats)
+            keys = list(zip(zip(fmin, tmin), zip(fmax, tmax)))
+        spans += [(path, g, md.row_group(g).num_rows, *keys[g])
+                  for g in range(md.num_row_groups)]
+    keyed = [s for s in spans if s[3] is not None]
+    cands = sorted({k for s in keyed for k in s[3:]})
+    rank = {k: i for i, k in enumerate(cands)}
+    lo_i, hi_i = (np.array([rank[s[c]] for s in keyed], np.int64) for c in (3, 4))
+    n, m = np.array([s[2] for s in keyed], np.int64), len(cands)
+    w = np.bincount(lo_i, n / 2, m) + np.bincount(hi_i, n / 2, m)
+    before = np.cumsum(w) - w  # rows before each candidate
+    nranges = max(1, -(-int(n.sum()) // ROWS_PER_FILE))
+    while True:
+        at = np.searchsorted(before, np.arange(1, nranges) * n.sum() / nranges)
+        bounds = sorted({cands[i] for i in at.tolist() if 0 < i < m})
+        ranges = [(lo, hi, {}) for lo, hi in zip([None, *bounds], [*bounds, None])]
+        read = 0
+        for path, g, rows_g, lo, hi in spans:
+            first = 0 if lo is None else bisect.bisect_right(bounds, lo)
+            last = len(bounds) if hi is None else bisect.bisect_right(bounds, hi)
+            for _, _, by_file in ranges[first:last + 1]:
+                by_file.setdefault(path, []).append(g)
+            read += rows_g * (last - first) if lo is not None else 0
+        if nranges <= 1 or read <= n.sum():
+            return [(lo, hi, list(by_file.items())) for lo, hi, by_file in ranges if by_file]
+        # fewer cuts, in proportion to their cost, but at least half as many:
+        # what a cut costs depends on where it lands
+        nranges = max(nranges // 2, min(nranges - 1, 1 + (nranges - 1) * int(n.sum()) // read))
 
 
 def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tuple:
-    """(reader, {field: norms}, purged ids) of one segment. ``np.load`` parses
-    its header with ``ast.literal_eval``, which is not thread-safe in CPython,
-    so this runs on the calling thread before any segment's compaction starts
-    on the pool."""
+    """(reader, {field: norms}, purged ids) of one segment. Every pending
+    segment loads here, on the calling thread, before any range task starts;
+    the tasks get the norms and tombstones through the object store."""
     from .segment import SegmentReader
 
     reader = SegmentReader(seg_dir, tombstone)
@@ -306,95 +370,44 @@ def _link(src: str, dst: str) -> None:
 def _compact_segment(
     seg_dir: str, manifest: dict, source: dict, new_dir: str, reader, norms: dict,
     purged: np.ndarray,
-) -> dict:
-    """Sort-merge one segment's postings into the new directory ``new_dir``
+) -> tuple:
+    """Prepare compacting one segment into the new directory ``new_dir``
     (``reader``, ``norms``, ``purged``: :func:`_load_segment`; ``source``
-    names the segment and tombstone it compacts). A complete ``new_dir`` from
-    a failed earlier run over the same source is kept as it is. Returns what
-    it did: source and new segment names, wall seconds, posting rows in and
-    out, and the merge pipeline's Ray Data stage stats
-    (:func:`report.parse_stage_stats`; none when ``new_dir`` was kept)."""
-    import functools
-    import time
-
+    names the segment and tombstone it compacts): write all of it but the
+    postings and manifest, and plan the term ranges. Returns ``(tasks,
+    finish)``: each range's :func:`_merge_range` arguments, and the function
+    that takes the tasks' results, writes the manifest and returns the
+    compaction's :func:`compact_index` entry. A complete ``new_dir`` of a
+    failed earlier run over the same source is kept as it is: no tasks."""
     import ray
-    import ray.data
-
-    from .report import parse_stage_stats
-    from .writer import COMPACT_MIN_ROWS_PER_WRITE, PostingsSink
 
     t0 = time.perf_counter()
-    rows = sum(pf.metadata.num_rows for pf, *_ in reader._postings_files())
+    files = reader._postings_files()
+    rows = sum(pf.metadata.num_rows for pf, *_ in files)
     result = {"source": source["segment"], "segment": os.path.basename(new_dir),
               "posting_rows_in": rows}
     done = read_manifest(new_dir)
     if done is not None and done.get("source") == source:
-        return dict(result, wall_s=round(time.perf_counter() - t0, 6),
-                    posting_rows_out=int(done.get("posting_rows") or 0), stages=[])
+        return [], lambda ranges: dict(
+            result, wall_s=round(time.perf_counter() - t0, 6),
+            posting_rows_out=int(done.get("posting_rows") or 0), ranges=[])
     shutil.rmtree(new_dir, ignore_errors=True)
-    os.makedirs(new_dir)
     postings_path = os.path.join(new_dir, "postings.parquet")
+    os.makedirs(postings_path)
 
     # broadcast the segment's norms once (ray.put, zero-copy reads in every
-    # merge task) so re-cut blocks keep an exact min_dl for WAND bounds
-    norms_ref = ray.put(norms)
-    # tombstoned segment: this merge is the purge — broadcast the deleted set
-    deleted_ref = ray.put(reader.deleted) if reader.deleted is not None else None
-    merge_fn = functools.partial(
-        _merge_sorted_batch, norms_ref=norms_ref, doc_base=reader.doc_base,
-        deleted_ref=deleted_ref,
-    )
-
-    # one read block per merge batch, up to Ray's default read block count.
-    # Left to itself, Ray sizes the read from an in-memory estimate sampled
-    # on each file's FIRST row group only, which the payload-cut layout makes
-    # a few hot rows: a ~30x over-estimate that nearly tripled the sort's task
-    # count on a 2,500-turn segment
-    blocks = min(-(-rows // MERGE_BATCH_ROWS),
-                 ray.data.DataContext.get_current().read_op_min_num_blocks)
-    ds = _retry_fs_import_race(lambda: ray.data.read_parquet(
-        os.path.join(seg_dir, "postings.parquet"), override_num_blocks=max(1, blocks)
-    ))
-    # ONE all-to-all: sort by (field, term, bucket), then merge term runs
-    # per sorted batch. The sort is what makes term lookups cheap — it
-    # clusters each term into a handful of row groups so parquet min/max
-    # stats prune the rest (hash-partitioned output would spread every row
-    # group across the whole vocabulary and nothing could prune). A
-    # groupby.map_groups would give per-term completeness but costs a
-    # second full exchange (Ray's map_groups itself sorts), and the reader
-    # doesn't need completeness — it already concatenates a term's rows in
-    # bucket order. The sink's min_rows_per_write coalesces the sort's many
-    # small output blocks at write time (no extra pass): a term lookup opens
-    # every file's footer, so hundreds of tiny files put a ~0.5 s floor
-    # under COLD lookups.
-    # Zipfian term keys collide the sort's sampled range boundaries, so the
-    # sort emits some partitions as UNTYPED empty blocks; drop them by block
-    # ref (the sort is a full barrier anyway, so this adds no extra pass) —
-    # otherwise every downstream stage sees mixed-schema RefBundles
-    from ..ops.joins import drop_empty_blocks
-
-    sorted_ds = ds.sort(["field", "term", "bucket"])
-    merged = drop_empty_blocks(sorted_ds).map_batches(
-        merge_fn, batch_size=MERGE_BATCH_ROWS, batch_format="pyarrow"
-    )
-    # one file per write task (no file cap: a file is bounded by the
-    # segment's own row count), row groups cut by index/writer.py
-    sink = PostingsSink(postings_path, min_rows_per_write=COMPACT_MIN_ROWS_PER_WRITE)
-
-    def _write():
-        shutil.rmtree(postings_path, ignore_errors=True)  # clean slate per attempt
-        merged.write_datasink(sink)
-
-    _retry_fs_import_race(_write)
-    # dropping the empty blocks executes the read and the sort on their own,
-    # so their stages are in the sorted dataset's stats, not in merged's
-    stages = parse_stage_stats(sorted_ds.stats()) + parse_stage_stats(merged.stats())
+    # merge task) so re-cut blocks keep an exact min_dl for WAND bounds; a
+    # tombstoned segment's merge is the purge, so its deleted set goes too
+    shared = (ray.put(norms), reader.doc_base,
+              None if reader.deleted is None else ray.put(reader.deleted))
+    tasks = [(groups, lo, hi, os.path.join(postings_path, f"part-{i:06d}.parquet"), *shared)
+             for i, (lo, hi, groups) in enumerate(_plan_ranges(files))]
     with open(os.path.join(seg_dir, "stats.json")) as f:
         stats = json.load(f)
     manifest = dict(manifest, segment_id=os.path.basename(new_dir), source=source,
                     compacted=True)
     if reader.deleted is not None:
-        # the postings above no longer contain the tombstoned docs: record
+        # the merged postings no longer contain the tombstoned docs: record
         # LIVE stats (numDocs/liveDl) next to the untouched maxDoc ones —
         # engine-level N and avgdl switch to them, like Lucene after a merge.
         # They already leave out earlier purges: only newly dead docs count
@@ -417,18 +430,18 @@ def _compact_segment(
                 shutil.copytree(src, dst, copy_function=_link)
             else:
                 _link(src, dst)
-    manifest["posting_rows"] = sum(
-        pq.read_metadata(os.path.join(postings_path, f)).num_rows
-        for f in os.listdir(postings_path)
-        if f.endswith(".parquet")
-    )
-    # the manifest lands last: a directory without it is rebuilt on re-run
-    tmp_mf = os.path.join(new_dir, MANIFEST_FILE + ".tmp")
-    with open(tmp_mf, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp_mf, os.path.join(new_dir, MANIFEST_FILE))
-    return dict(result, wall_s=round(time.perf_counter() - t0, 6),
-                posting_rows_out=manifest["posting_rows"], stages=stages)
+
+    def finish(ranges: list) -> dict:
+        manifest["posting_rows"] = sum(r["rows_written"] for r in ranges)
+        # the manifest lands last: a directory without it is rebuilt on re-run
+        tmp_mf = os.path.join(new_dir, MANIFEST_FILE + ".tmp")
+        with open(tmp_mf, "w") as f:
+            json.dump(manifest, f, indent=1)
+        os.replace(tmp_mf, os.path.join(new_dir, MANIFEST_FILE))
+        return dict(result, wall_s=round(time.perf_counter() - t0, 6),
+                    posting_rows_out=manifest["posting_rows"], ranges=ranges)
+
+    return tasks, finish
 
 
 def compact_index(index_dir: str, *, resume: bool = True) -> list[dict]:
@@ -441,18 +454,15 @@ def compact_index(index_dir: str, *, resume: bool = True) -> list[dict]:
 
     Returns one entry per compacted segment, in commit order (empty when
     nothing needed compacting): ``source`` and new ``segment`` name,
-    ``wall_s``, ``posting_rows_in``/``posting_rows_out`` and ``stages``, the
-    merge pipeline's parsed Ray Data stage stats (empty where a complete
-    directory of a failed earlier run was kept). Nothing of it is written to
-    the index.
+    ``wall_s``, ``posting_rows_in``/``posting_rows_out`` and ``ranges``, one
+    entry per term-range task with the row groups it read, the rows it read,
+    kept and wrote, and its ``wall_s`` (empty where a complete directory of
+    a failed earlier run was kept). Nothing of it is written to the index.
 
-    Segments compact CONCURRENTLY (a few driver threads, each running one
-    independent sort→merge→write Dataset pipeline): one segment's exchange
-    rarely saturates the cluster on its own — its sort has a reduce fan-in
-    barrier and a bounded task count — so overlapping segments keeps workers
-    fed, and at small scale it hides the ~seconds of fixed per-pipeline
-    overhead instead of paying it once per segment."""
-    from concurrent.futures import ThreadPoolExecutor
+    Every pending segment's range tasks are submitted at once, so the
+    segments' merges overlap; each segment whose ranges all succeed gets its
+    manifest, also when a range of another fails."""
+    import ray
 
     c = commit.read(index_dir)
     segments = list(c["segments"])
@@ -476,11 +486,16 @@ def compact_index(index_dir: str, *, resume: bool = True) -> list[dict]:
                                        commit.tombstone_path(index_dir, seg))))
     if not pending:
         return []
-    if len(pending) == 1:
-        done = [_compact_segment(*pending[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(pending))) as pool:
-            futs = [pool.submit(_compact_segment, *args) for args in pending]
-            done = [f.result() for f in futs]
+    task = ray.remote(_merge_range)
+    started = [([task.remote(*a) for a in tasks], finish)
+               for tasks, finish in (_compact_segment(*args) for args in pending)]
+    done, failed = [], None
+    for refs, finish in started:
+        try:
+            done.append(finish(ray.get(refs)))
+        except Exception as e:
+            failed = failed or e
+    if failed is not None:
+        raise failed
     commit.publish(index_dir, dict(c, segments=segments, next_segment=number))
     return done

@@ -436,9 +436,10 @@ class SegmentReader:
         return out
 
     def _postings_files(self) -> list:
-        """Parquet handles + per-row-group (field, term) min/max stats and
-        compressed bytes for every postings piece file, parsed ONCE per
-        reader (readers are pinned in long-lived scorer actors). The
+        """(Parquet handle, per-row-group (field, term) min/max stats,
+        per-row-group compressed bytes, path) of every postings piece file,
+        parsed ONCE per reader (readers are pinned in long-lived scorer
+        actors) and shared with compaction's range planning. The
         per-query ``pq.read_table(dir, filters=...)`` was paying dataset
         discovery + open + footer parse on EVERY cold (field, terms) miss — a
         ~12 ms floor per call even for absent terms (the dominant rep-1 cost
@@ -446,9 +447,10 @@ class SegmentReader:
 
         Assumes ``postings.parquet`` is a DIRECTORY of ``*.parquet`` piece
         files — the layout every writer here produces (``writer.PostingsSink``
-        in build, append and compaction). A single-file ``postings.parquet``
-        is not handled: ``os.listdir`` raises on it. A file without (field,
-        term) statistics gets ``None`` stats and is read whole."""
+        in build and append, ``compact._merge_range`` in compaction). A
+        single-file ``postings.parquet`` is not handled: ``os.listdir`` raises
+        on it. A file without (field, term) statistics gets ``None`` stats and
+        is read whole."""
         if self._postings_pf_cache is not None:
             return self._postings_pf_cache
         root = os.path.join(self.seg_dir, "postings.parquet")
@@ -456,7 +458,8 @@ class SegmentReader:
         for name in sorted(os.listdir(root)):
             if not name.endswith(".parquet"):
                 continue
-            pf = pq.ParquetFile(os.path.join(root, name))
+            path = os.path.join(root, name)
+            pf = pq.ParquetFile(path)
             md = pf.metadata
             fidx = tidx = None
             if md.num_row_groups:
@@ -498,7 +501,7 @@ class SegmentReader:
                 stats = (
                     np.array(fmin), np.array(fmax), np.array(tmin), np.array(tmax)
                 )
-            entries.append((pf, stats, group_bytes))
+            entries.append((pf, stats, group_bytes, path))
         self._postings_pf_cache = entries
         return entries
 
@@ -525,7 +528,7 @@ class SegmentReader:
             vs = pa.array(ms, pa.string())
         parts = []
         self.postings_read["calls"] += 1
-        for pf, stats, group_bytes in self._postings_files():
+        for pf, stats, group_bytes, _ in self._postings_files():
             if stats is None:
                 gs = np.arange(group_bytes.size)
                 t = pf.read(columns=read_cols)

@@ -57,7 +57,7 @@ open; compaction rewrites them in this layout.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -70,12 +70,10 @@ from ray.data.block import Block, BlockAccessor
 ROW_GROUP_ROWS = 256
 #: blob payload (docs + tfs + pos bytes) at which a row group closes
 ROW_GROUP_BYTES = 64 << 10
-#: the build's cap on rows per postings file (larger files avoid per-file open
-#: cost; the cap bounds one write task's file)
-BUILD_ROWS_PER_FILE = 16384
-#: compaction coalesces the sort's many small output blocks into files of at
-#: least this many rows (a cold lookup opens every file's footer)
-COMPACT_MIN_ROWS_PER_WRITE = 2048
+#: rows per postings file: the build's cap per file and compaction's target
+#: per term range (a cold lookup opens every file's footer, so fewer, larger
+#: files avoid per-file open cost; the cap bounds one task's file)
+ROWS_PER_FILE = 16384
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
 
@@ -153,24 +151,10 @@ def write_postings_file(table: pa.Table, path: str) -> None:
 class PostingsSink(Datasink):
     """``Dataset.write_datasink`` target for postings rows: every write task
     writes its rows to ``<path>/part-<task>-<file>.parquet`` through
-    :func:`write_postings_file`, at most ``max_rows_per_file`` rows per file.
-    ``min_rows_per_write`` makes Ray bundle at least that many rows into one
-    write task (one file, when there is no file cap)."""
+    :func:`write_postings_file`, at most :data:`ROWS_PER_FILE` rows per file."""
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        min_rows_per_write: Optional[int] = None,
-        max_rows_per_file: Optional[int] = None,
-    ):
+    def __init__(self, path: str):
         self.path = path
-        self._min_rows_per_write = min_rows_per_write
-        self.max_rows_per_file = max_rows_per_file
-
-    @property
-    def min_rows_per_write(self) -> Optional[int]:
-        return self._min_rows_per_write
 
     def on_write_start(self) -> None:
         os.makedirs(self.path, exist_ok=True)
@@ -184,9 +168,8 @@ class PostingsSink(Datasink):
         table = pa.concat_tables(
             [t if t.schema.equals(schema) else t.cast(schema) for t in tables]
         )
-        step = self.max_rows_per_file or table.num_rows
-        for i, lo in enumerate(range(0, table.num_rows, step)):
+        for i, lo in enumerate(range(0, table.num_rows, ROWS_PER_FILE)):
             write_postings_file(
-                table.slice(lo, step),
+                table.slice(lo, ROWS_PER_FILE),
                 os.path.join(self.path, f"part-{ctx.task_idx:06d}-{i:06d}.parquet"),
             )

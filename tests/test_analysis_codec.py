@@ -189,8 +189,6 @@ def test_batch_encode_work_does_not_grow_with_terms(ray_session, monkeypatch):
     """Guard against per-term encoding coming back: the varint passes one
     tokenize-encode batch and one purge merge make stay a small constant per
     field, however many distinct terms the batch holds."""
-    import ray
-
     from lucille_ray.analysis import INDEXED_FIELDS
     from lucille_ray.index import codec
     from lucille_ray.index.build import DEFAULT_RANGE_WIDTH, _TokenizeEncode
@@ -209,8 +207,7 @@ def test_batch_encode_work_does_not_grow_with_terms(ray_session, monkeypatch):
 
     calls.clear()
     rows = out.sort_by([("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")])
-    deleted = ray.put(np.arange(0, 600, 7, dtype=np.int64))
-    merged = _merge_sorted_batch(rows, deleted_ref=deleted)
+    merged = _merge_sorted_batch(rows, deleted=np.arange(0, 600, 7, dtype=np.int64))
     assert merged.num_rows >= 1000
     # every term row re-encodes on the purge path: one call for all of them
     assert len(calls) <= 5

@@ -427,6 +427,74 @@ def test_compaction_visits_only_committed_segments(built, tmp_path, monkeypatch)
     assert _answers(d) == before
 
 
+def test_compaction_rebuilds_a_crashed_range_write(built, victims, tmp_path):
+    """Compaction's range tasks write their files outside this process, where
+    the crash matrix cannot inject a failure: a compaction that died while
+    they wrote (part files in the new directory, one of them cut short, no
+    manifest) is redone whole by the next one, to the files and answers of a
+    clean compaction."""
+    base = _copy(built, tmp_path / "base")
+    delete_docs(base, victims)
+    clean = _copy(base, tmp_path / "clean")
+    compact_index(clean)
+    d = _copy(base, tmp_path / "crashed")
+    c = commit.read(d)
+    src = os.path.join(commit.segment_dir(d, c["segments"][0].name), "postings.parquet")
+    dst = os.path.join(commit.segment_dir(d, commit.segment_name(c["next_segment"])),
+                       "postings.parquet")
+    os.makedirs(dst)
+    part = os.path.join(src, sorted(os.listdir(src))[0])
+    shutil.copy2(part, os.path.join(dst, "part-000001.parquet"))
+    with open(part, "rb") as f, open(os.path.join(dst, "part-000000.parquet"), "wb") as out:
+        out.write(f.read()[: os.path.getsize(part) // 2])
+    compact_index(d)
+    got, want = ({p: (size, digest) for p, (size, _, digest) in _files(x).items()}
+                 for x in (d, clean))
+    assert got == want
+    assert _answers(d) == _answers(clean)
+
+
+def test_compaction_keeps_segments_whose_ranges_finished(built, victims, tmp_path):
+    """A range task that fails in the first segment still lets every other
+    segment's new directory finish (manifest written) and publishes nothing;
+    the next compaction reuses those directories, redoes only the failed
+    segment, and ends at a clean compaction's files and answers."""
+    from lucille_ray.index.build import read_manifest
+
+    base = _copy(built, tmp_path / "base")
+    delete_docs(base, victims)
+    clean = _copy(base, tmp_path / "clean")
+    compact_index(clean)
+    d = _copy(base, tmp_path / "failed")
+    c = commit.read(d)
+    assert len(c["segments"]) == 2
+    src = os.path.join(commit.segment_dir(d, c["segments"][0].name), "postings.parquet")
+    part = os.path.join(src, sorted(os.listdir(src))[0])
+    with open(part, "rb") as f:
+        good = f.read()
+    # garble the data pages, keep the footer: the driver plans from the
+    # footer, the range task that reads the pages fails
+    data_end = len(good) - 8 - int.from_bytes(good[-8:-4], "little")
+    with open(part, "wb") as f:
+        f.write(good[:4] + b"\xff" * (data_end - 4) + good[data_end:])
+    pq.ParquetFile(part).metadata  # the footer still parses
+    with pytest.raises(Exception):
+        compact_index(d)
+    assert commit.read(d) == c
+    new = [commit.segment_dir(d, commit.segment_name(c["next_segment"] + i)) for i in (0, 1)]
+    assert read_manifest(new[0]) is None
+    assert read_manifest(new[1])["source"]["segment"] == c["segments"][1].name
+
+    with open(part, "wb") as f:
+        f.write(good)
+    done = compact_index(d)
+    assert [bool(e["ranges"]) for e in done] == [True, False]
+    got, want = ({p: (size, digest) for p, (size, _, digest) in _files(x).items()}
+                 for x in (d, clean))
+    assert got == want
+    assert _answers(d) == _answers(clean)
+
+
 def test_build_report_reads_the_commit(built, tmp_path):
     """build_report lists the commit's segments in commit order with their
     tombstone file and count; an uncommitted leftover counts only toward the

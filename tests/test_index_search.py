@@ -928,10 +928,10 @@ def test_compaction_preserves_results(built, oracle, tmp_path):
             commit.segment_dir(index_dir, d["segment"]), "MANIFEST.json")))
         assert d["posting_rows_out"] == man["posting_rows"] < d["posting_rows_in"]
         assert d["wall_s"] > 0
-        assert d["stages"] and all(op["tasks"] >= 1 for op in d["stages"])
-        names = [op["operator"] for op in d["stages"]]
-        assert "Sort" in names and any("ReadParquet" in n for n in names), names
-        assert any("_merge_sorted_batch" in n for n in names), names
+        # every row lands in exactly one term range
+        assert d["ranges"] and all(r["wall_s"] > 0 for r in d["ranges"])
+        assert sum(r["rows_kept"] for r in d["ranges"]) == d["posting_rows_in"]
+        assert sum(r["rows_written"] for r in d["ranges"]) == d["posting_rows_out"]
     assert json.loads(json.dumps(done)) == done
     assert {f for f in _index_files(index_dir) if not f.startswith("segments/")} == {
         f for f in files_before if not f.startswith("segments/")}
@@ -1737,13 +1737,28 @@ def _stored_rows(index_dir: str) -> pa.Table:
     return pa.concat_tables(parts).sort_by(keys)
 
 
+def _rewrite_old_layout(index_dir: str) -> list:
+    """Rewrite every postings file of the index in the previous layout: the
+    first file without statistics (the reader's whole-file fallback), the
+    others in fixed 16-row groups with full statistics. Returns the files."""
+    import glob
+
+    files = sorted(glob.glob(os.path.join(
+        index_dir, "segments", "*", "postings.parquet", "*.parquet")))
+    for i, f in enumerate(files):
+        t = pq.read_table(f)
+        if i == 0:
+            pq.write_table(t, f, write_statistics=False)
+        else:
+            pq.write_table(t, f, row_group_size=16)
+    return files
+
+
 def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
     """Postings rewritten in the previous layout (fixed 16-row groups, full
     statistics, one file without statistics at all) answer bit-identically to
     the same rows in the writer's layout, and compaction rewrites them into
     the writer's layout."""
-    import glob
-
     from lucille_ray.index import compact_index
     from lucille_ray.index.segment import SegmentReader
 
@@ -1752,14 +1767,7 @@ def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
     old_dir = str(tmp_path / "old")
     shutil.copytree(index_dir, new_dir)
     shutil.copytree(index_dir, old_dir)
-    files = sorted(glob.glob(os.path.join(
-        old_dir, "segments", "*", "postings.parquet", "*.parquet")))
-    for i, f in enumerate(files):
-        t = pq.read_table(f)
-        if i == 0:  # the reader's whole-file fallback
-            pq.write_table(t, f, write_statistics=False)
-        else:
-            pq.write_table(t, f, row_group_size=16)
+    files = _rewrite_old_layout(old_dir)
     md = pq.ParquetFile(files[-1]).metadata
     assert md.num_rows > 16 and md.num_row_groups == -(-md.num_rows // 16)
     assert md.row_group(0).column(3).statistics is not None  # df: full stats
@@ -1774,6 +1782,144 @@ def test_old_fixed_row_group_layout_still_serves(built, oracle, tmp_path):
         _assert_segment_layout(seg_dir)
     assert _stored_rows(old_dir).equals(_stored_rows(new_dir))
     assert _answers(old_dir, oracle) == _answers(new_dir, oracle)
+
+
+def _postings_bytes(index_dir: str) -> dict:
+    """{path relative to index_dir: bytes} of every postings file."""
+    import glob
+
+    return {os.path.relpath(f, index_dir): open(f, "rb").read()
+            for f in glob.glob(os.path.join(
+                index_dir, "segments", "*", "postings.parquet", "*.parquet"))}
+
+
+@pytest.fixture(scope="module")
+def pieces(built, tmp_path_factory):
+    """A 2-segment index of raw tokenize-encode pieces (no in-build merge):
+    several postings files per segment, whose term ranges overlap."""
+    index_dir = str(tmp_path_factory.mktemp("pieces") / "index")
+    build_index(T.read_transcripts(built[0]), index_dir, num_segments=2,
+                range_width=256, batch_size=100, piece_merge_rows=None)
+    return index_dir
+
+
+@pytest.mark.parametrize("rows_per_file", [None, 100])
+def test_compaction_is_deterministic(pieces, tmp_path, monkeypatch, rows_per_file):
+    """Two compactions of copies of one index write the same postings files,
+    byte for byte, in one term range per segment and in several: the ranges
+    come from the input's footers, not from how a run schedules its tasks."""
+    from lucille_ray.index import compact_index, writer
+
+    copies = [str(tmp_path / name) for name in ("a", "b")]
+    if rows_per_file:
+        monkeypatch.setattr(writer, "ROWS_PER_FILE", rows_per_file)
+    for d in copies:
+        shutil.copytree(pieces, d)
+        for e in compact_index(d):
+            assert len(e["ranges"]) > 1 if rows_per_file else len(e["ranges"]) == 1
+    a, b = map(_postings_bytes, copies)
+    assert a and sorted(a) == sorted(b)
+    assert all(a[f] == b[f] for f in a)
+
+
+@pytest.mark.parametrize("rows_per_file", [100, 30])
+def test_compaction_reads_at_most_twice_the_input(pieces, tmp_path, monkeypatch,
+                                                 rows_per_file):
+    """Over raw pieces (several (field, term)-sorted runs per file, one per
+    tokenize batch and field, each row group spanning most of its field, so
+    a cut inside a field is straddled by a group of nearly every run), the
+    ranges of every segment together read at most twice its input rows,
+    keep each row once, and still cut the segment in more than one range."""
+    from lucille_ray.index import compact_index, writer
+    from lucille_ray.index.segment import SegmentReader
+
+    for seg in _seg_dirs(pieces):
+        files = SegmentReader(seg)._postings_files()
+        runs = 0
+        for pf, *_ in files:
+            t = pf.read(columns=["field", "term"])
+            keys = list(zip(t["field"].to_pylist(), t["term"].to_pylist()))
+            runs += 1 + sum(b < a for a, b in zip(keys, keys[1:]))
+        assert runs >= 2 * len(files) >= 4
+    d = str(tmp_path / "index")
+    shutil.copytree(pieces, d)
+    monkeypatch.setattr(writer, "ROWS_PER_FILE", rows_per_file)
+    for e in compact_index(d):
+        assert len(e["ranges"]) > 1
+        assert sum(r["rows_kept"] for r in e["ranges"]) == e["posting_rows_in"]
+        assert sum(r["rows_read"] for r in e["ranges"]) <= 2 * e["posting_rows_in"]
+
+
+def _live_answers_match(index_dir: str, table: pa.Table, deleted) -> None:
+    """Every QUERY_SET top-10 of the purged index equals the brute-force
+    oracle's over the live corpus, by (conv_id, turn_idx) and score."""
+    src = _source_order(table)
+    dead = set(np.asarray(deleted).tolist())
+    live = BruteForceOracle(src.filter(pa.array([d not in dead for d in range(src.num_rows)])))
+    engine = SearchEngine(index_dir, parallel=False, result_cache=False)
+    for qs in QUERY_SET:
+        got = engine.search(qs, k=10)
+        exp = live.search(qs, k=10)
+        assert list(zip(got["conv_id"].to_pylist(), got["turn_idx"].to_pylist())) == [
+            (live.conv_id[d], live.turn_idx[d]) for d, _ in exp], qs
+        for gs, (_, es) in zip(got["score"].to_pylist(), exp):
+            assert abs(gs - es) < 1e-9, qs
+
+
+def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp_path,
+                                                 monkeypatch):
+    """A purge compaction cut into several term ranges per segment stores the
+    rows of a one-range compaction, also over input files in the previous
+    layout: one without statistics (it may overlap every range) and fixed
+    16-row groups, some spanning two fields. Each file is first sorted into
+    one run, as a build that merges its windows writes it (over raw pieces'
+    many runs per file, four ranges would read the input more than twice:
+    test_compaction_reads_at_most_twice_the_input). Each range file is
+    (field, term, bucket)-sorted, the files' key ranges ascend without
+    overlap, every row is kept by exactly one range, and the answers equal
+    the oracle's."""
+    import glob
+
+    from lucille_ray.index import compact_index, writer
+    from lucille_ray.index.segment import SegmentReader
+
+    tomb, deleted = tombstoned(pieces)
+    many, one = str(tmp_path / "many"), str(tmp_path / "one")
+    keys = ["field", "term", "bucket"]
+    for d in (many, one):
+        shutil.copytree(tomb, d)
+        for f in glob.glob(os.path.join(d, "segments", "*", "postings.parquet", "*")):
+            pq.write_table(pq.read_table(f).sort_by([(k, "ascending") for k in keys]), f)
+        _rewrite_old_layout(d)
+    readers = [SegmentReader(s) for s in _seg_dirs(many)]
+    assert len(readers) == 2 and readers[0]._postings_files()[0][1] is None
+    spanning = [g for r in readers for _, stats, _, _ in r._postings_files()
+                if stats is not None for g in np.flatnonzero(stats[0] != stats[1])]
+    assert spanning, "no row group spans two fields"
+    rows = [sum(pf.metadata.num_rows for pf, *_ in r._postings_files()) for r in readers]
+
+    with monkeypatch.context() as m:
+        m.setattr(writer, "ROWS_PER_FILE", min(rows) // 5)
+        done = compact_index(many)
+    assert [d["posting_rows_in"] for d in done] == rows
+    for d in done:
+        assert len(d["ranges"]) >= 4
+        assert sum(r["rows_kept"] for r in d["ranges"]) == d["posting_rows_in"]
+        assert sum(r["rows_read"] for r in d["ranges"]) >= d["posting_rows_in"]
+    assert all(len(d["ranges"]) == 1 for d in compact_index(one))
+
+    for seg_many, seg_one in zip(_seg_dirs(many), _seg_dirs(one)):
+        files = [pq.read_table(os.path.join(seg_many, "postings.parquet", f))
+                 for f in sorted(os.listdir(os.path.join(seg_many, "postings.parquet")))]
+        assert len(files) >= 4
+        for t in files:
+            assert t.equals(t.sort_by([(k, "ascending") for k in keys]))
+        for a, b in zip(files, files[1:]):
+            assert (a["field"][-1].as_py(), a["term"][-1].as_py()) < (
+                b["field"][0].as_py(), b["term"][0].as_py())
+        assert pa.concat_tables(files).equals(
+            pq.read_table(os.path.join(seg_one, "postings.parquet")))
+    _live_answers_match(many, built[2], deleted)
 
 
 def test_compaction_rewrites_64_row_groups(built, oracle, tmp_path, monkeypatch):
