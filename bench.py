@@ -133,9 +133,10 @@ def run_bench(num_cpus: int, turns: int, sf_dir: str) -> dict:
     # batch size: long enough tasks to amortize dispatch, short enough to keep
     # every CPU fed at the given corpus size
     bs = max(8192, min(65536, turns // (num_cpus * 3) or 8192))
-    # scaling children build one segment: per-segment fixed pipeline cost is a
-    # single-node artifact (on a cluster, segments go wide across nodes); the
-    # default bench keeps 4 segments to exercise the checkpoint/resume shape
+    # scaling children build one segment; the default bench keeps 4 to
+    # exercise the checkpoint/resume shape. All segments of a build are
+    # written by one Ray Data execution, which sorts the rows by doc id
+    # first when there is more than one segment
     nseg = int(os.environ.get("GRAFT_BENCH_SEGMENTS", "4"))
     build_s = float("inf")
     t_stage = time.perf_counter()

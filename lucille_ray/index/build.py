@@ -1,27 +1,46 @@
 """Ray-Data-native inverted-index build over transcript turns.
 
-Pipeline (all stages stream with backpressure; no full materialization):
+``build_index`` and ``append_index`` write new segments the same way, in two
+Ray Data executions (both stream with backpressure; no full materialization,
+no copy of the corpus):
 
-Phase 0 — docmap (one pass over the input, no shuffle)
-  batch-level partial conversation counts -> driver prefix-sums conversation base
-  offsets (broadcast via ``ray.put``) -> ``map_batches`` attaches ``doc_id =
-  conv_base + turn_idx``, a contiguous ``seg`` id, and fused per-field norms
-  columns (``dl_*``) -> hive-partitioned parquet ``docmapped/seg=K/``. Doc ids
-  are dense and follow the stable ``(conv_id, turn_idx)`` order (north_rule
-  invariant); segments are contiguous doc-id ranges cut on conversation
-  boundaries. ``docmapped/seg=K`` is a checkpoint only: it lives until segment
-  K commits, then it is deleted (and ``docmapped/`` with its last partition).
-  Each segment keeps its doc metadata in ``convmap.parquet``, one
-  ``(conv_id, base, cnt)`` row per conversation (doc_id = base + turn_idx),
-  written from the offsets the driver already holds.
+Phase 0 — doc ids (one narrow pass over the input, no shuffle)
+  batch-level partial conversation counts -> driver prefix-sums conversation
+  base offsets (:func:`_conv_offsets`). Doc ids are dense and follow the stable
+  ``(conv_id, turn_idx)`` order (north_rule invariant); segments are contiguous
+  doc-id ranges cut on conversation boundaries, and their ``[lo, hi)`` bounds
+  are fixed here, before any segment is written: a build publishes them in its
+  commit up front, an append in its own publish afterwards. Each segment keeps
+  its doc metadata in ``convmap.parquet``, one ``(conv_id, base, cnt)`` row per
+  conversation (doc_id = base + turn_idx), written from the offsets the driver
+  already holds.
 
-Phase 1 — per segment (the checkpoint/resume unit; a segment with a complete
-MANIFEST.json is skipped on re-run) tokenize and emit block-compressed posting
-rows with NO shuffle at all: each batch tokenizes with Arrow kernels, groups its
-postings with one numpy lexsort and encodes all of its posting lists per field
-in one ``codec.encode_runs`` call (:class:`_TokenizeEncode`); windows of those
-pieces are merged locally (:func:`_piece_merge_batch`) before they are written.
-``compact_index`` consolidates each term's pieces after the build.
+Phase 1 — postings, ONE execution for every segment of the write
+  (:func:`_write_segments`): ``map_batches`` attaches ``doc_id = conv_base +
+  turn_idx`` (conv->base broadcast via ``ray.put``) and ``seg``, the segment
+  whose committed ``lo`` is the last at or below the doc id -> when the write
+  has more than one segment, a sort by doc id (Ray samples its boundaries,
+  one partition per input block), so that a batch holds consecutive docs,
+  of one segment but at a segment boundary, whatever the input order -> each
+  batch tokenizes with Arrow kernels, groups its postings with one numpy
+  lexsort and encodes all of its posting lists per field in one
+  ``codec.encode_runs`` call (:class:`_TokenizeEncode`, per segment part of
+  the batch) -> windows of those pieces are merged locally, per segment
+  (:func:`_piece_merge_batch`) ->
+  :class:`~.writer.PostingsSink` routes each segment's rows to its directory.
+  After the execution each segment is finished in order: ``stats.json`` from
+  its norms rows, its doc map, its manifest. ``compact_index`` consolidates
+  each term's pieces after the build.
+
+Resume: the checkpoint unit is the segment, and a segment with a complete
+MANIFEST.json is never rebuilt. A re-run over a commit whose segments are all
+complete returns at once, with no pass over the input. Otherwise it re-runs
+Phase 0, raises ``ValueError`` ("input changed since the build's commit") when
+the doc count or any segment's bounds differ from the commit, wipes the
+pending segments' directories and runs Phase 1 over the rows of the pending
+segments only. Segments of one execution finish together: every segment of a
+write is in flight at once, so a driver crash before their manifests loses
+all of them.
 
 Skew strategy: a term's postings are split across one piece per tokenize batch
 (doc-id range) *by construction* — no single task ever merges a whole hot
@@ -30,11 +49,13 @@ ranges, a term's rows concatenate back into a doc-sorted posting list with (at
 most) a cheap re-sort at decode time. This replaces hash-salting + re-merge with
 something strictly better.
 
-Scale notes (100 TB / 10^12 turns): the conv-base broadcast dict is
+Scale notes (100 TB / 10^12 turns): the conv-base broadcast is
 O(#conversations) — beyond driver memory the ``ranged`` doc-id mode swaps Phase 0
-for a range-partitioned sort + per-partition offsets pass, everything else
-unchanged. Input is read once per phase; the driver-mode build has no
-all-to-all exchange.
+for a range-partitioned sort + per-partition offsets pass and attaches bases by
+a distributed join, everything else unchanged. The input is read twice (a
+two-column scan, then the postings pass) and never copied to disk; a write of
+one segment has no all-to-all exchange in driver mode, and a write of several
+has one, the doc-id sort (one partition per input block).
 
 This build has no counterpart in the reference (a pure parser library — SURVEY.md
 §4); semantics come from Lucene's documented behavior for the parsed AST.
@@ -55,7 +76,8 @@ import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
 from . import commit
-from .codec import POSTINGS_SCHEMA, RawBlocks, encode_runs, sort_postings
+from .codec import (POSTINGS_SCHEMA, RawBlocks, encode_runs, numeric_array,
+                    seg_parts, sort_postings, with_seg)
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
 
@@ -271,16 +293,27 @@ def _conv_offsets(ds) -> Tuple[List[str], np.ndarray, np.ndarray]:
 _CONV_MAP_CACHE: Dict[str, dict] = {}
 
 
-def _assign_doc_ids(
-    batch: pa.Table, conv_map_ref, seg_target: int, num_segments: int,
-    seg_base: int = 0, base_lo: int = 0,
-) -> pa.Table:
-    """Attach doc_id/seg. The conv->base table is broadcast as an Arrow table
-    (``ray.get`` of it is zero-copy from local plasma); per WORKER PROCESS it is
-    converted ONCE into a sorted numpy unicode array + base vector, so the
-    per-batch lookup is a vectorized ``np.searchsorted`` (the previous per-row
-    Python dict loop was the docmap hot path; a pickled dict per task before
-    that measured 123us/row)."""
+def _attach_seg(batch: pa.Table, doc_id: np.ndarray, segments) -> pa.Table:
+    """``batch`` with ``doc_id`` and ``seg`` columns, only the rows whose doc
+    lies in one of ``segments`` (non-empty ``(number, lo, hi)``, ascending):
+    a row's segment is the one whose committed ``lo`` is the last at or below
+    its doc id, and the rows of segments not written are dropped."""
+    num, lo, hi = (np.array(c, dtype=np.int64) for c in zip(*segments))
+    i = np.maximum(np.searchsorted(lo, doc_id, side="right") - 1, 0)
+    out = batch.append_column("doc_id", pa.array(doc_id)).append_column(
+        "seg", pa.array(num[i].astype(np.int32))
+    )
+    keep = (doc_id >= lo[i]) & (doc_id < hi[i])
+    return out if keep.all() else out.filter(pa.array(keep))
+
+
+def _assign_doc_ids(batch: pa.Table, conv_map_ref, segments) -> pa.Table:
+    """Attach doc_id/seg (:func:`_attach_seg`). The conv->base table is
+    broadcast as an Arrow table (``ray.get`` of it is zero-copy from local
+    plasma); per WORKER PROCESS it is converted ONCE into a sorted numpy
+    unicode array + base vector, so the per-batch lookup is a vectorized
+    ``np.searchsorted`` (the previous per-row Python dict loop was the docmap
+    hot path; a pickled dict per task before that measured 123us/row)."""
     _limit_worker_threads()
     import ray
 
@@ -302,20 +335,12 @@ def _assign_doc_ids(
     if not (conv_sorted[idx] == convs).all():
         missing = convs[conv_sorted[idx] != convs][0]
         raise ValueError(f"conv_id {missing!r} not present in the offsets map")
-    bases = base_sorted[idx]
-    doc_id = bases + turn
-    # seg_base/base_lo support append_index: appended conversations' bases are
-    # global (>= the committed index's total_docs) but segment numbering within
-    # the append batch is relative
-    seg = seg_base + np.minimum((bases - base_lo) // seg_target, num_segments - 1)
-    return batch.append_column("doc_id", pa.array(doc_id)).append_column(
-        "seg", pa.array(seg.astype(np.int32))
-    )
+    return _attach_seg(batch, base_sorted[idx] + turn, segments)
 
 
-#: past this many input rows, build_index's docid_mode="auto" switches from the
-#: driver conv-map merge (O(#conversations) driver memory) to the fully
-#: distributed range-partitioned path
+#: past this many input rows, build_index switches from the driver conv-map
+#: merge (O(#conversations) driver memory) to the fully distributed
+#: range-partitioned path
 DOCID_DRIVER_MAX_ROWS = 50_000_000
 
 
@@ -357,21 +382,17 @@ def _seg_bounds_partial(
     return out
 
 
-def _assign_from_base(batch: pa.Table, seg_target: int, num_segments: int) -> pa.Table:
-    """Post-join doc-id assignment: rows already carry the conversation base."""
+def _assign_from_base(batch: pa.Table, segments) -> pa.Table:
+    """Post-join doc-id assignment (:func:`_attach_seg`): rows already carry
+    the conversation base."""
     _limit_worker_threads()
     base = batch["base"].to_numpy(zero_copy_only=False).astype(np.int64)
     turn = batch["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-    doc_id = base + turn
-    seg = np.minimum(base // seg_target, num_segments - 1)
     keep = [c for c in batch.column_names if c not in ("base", "cnt")]
-    out = batch.select(keep)
-    return out.append_column("doc_id", pa.array(doc_id)).append_column(
-        "seg", pa.array(seg.astype(np.int32))
-    )
+    return _attach_seg(batch.select(keep), base + turn, segments)
 
 
-def _docmap_ranged(ds, num_segments_hint: int):
+def _docmap_ranged(ds):
     """Fully distributed conversation-offset assignment (no O(#convs) driver
     state): per-batch partial counts -> distributed groupby(conv_id) sum ->
     range-partitioned sort(conv_id) -> per-block totals (driver holds only
@@ -424,16 +445,17 @@ def conv_map_table(conv_id, base, hi: int) -> pa.Table:
     base = base[order]
     return pa.table(
         {
-            "conv_id": pa.compute.cast(conv_id.take(pa.array(order)), pa.string()),
-            "base": pa.array(base),
-            "cnt": pa.array(np.diff(np.append(base, hi))),
+            "conv_id": pa.compute.cast(conv_id.take(numeric_array(order)), pa.string()),
+            "base": numeric_array(base),
+            "cnt": numeric_array(np.diff(np.append(base, hi))),
         }
     )
 
 
 def conv_map_from_docmapped(src: str, hi: int) -> pa.Table:
-    """The doc map of one docmapped partition: each conversation's turn-0 row
-    carries its base (doc_id = base + turn_idx)."""
+    """The doc map of one ``docmapped/seg=K`` partition, the corpus checkpoint
+    of builds that predate per-segment doc maps: each conversation's turn-0
+    row carries its base (doc_id = base + turn_idx)."""
     import pyarrow.dataset as pads
 
     t = pads.dataset(src).to_table(
@@ -501,23 +523,6 @@ def _ranged_conv_map_writer(base_refs: list, blocks: List[int], lo: int, hi: int
     return write
 
 
-def _drop_checkpoint(index_dir: str, seg: int) -> None:
-    """Delete segment ``seg``'s docmapped partition once the segment holds its
-    own doc map, and ``docmapped/`` itself when no partition is left. Segments
-    written without a doc map (older indexes) still read their partition, so
-    theirs stays."""
-    if not os.path.exists(os.path.join(_segment_dir(index_dir, seg), CONVMAP_FILE)):
-        return
-    import shutil
-
-    root = os.path.join(index_dir, "docmapped")
-    shutil.rmtree(os.path.join(root, f"seg={seg}"), ignore_errors=True)
-    try:
-        os.rmdir(root)
-    except OSError:
-        pass  # absent, or other segments' partitions remain
-
-
 # ---------------------------------------------------------------------------
 # Phase 1 — tokenize -> encoded posting pieces (vectorized)
 # ---------------------------------------------------------------------------
@@ -544,7 +549,9 @@ def _posting_rows(
 
 class _TokenizeEncode:
     """Shuffle-free postings build: each batch emits its *final* encoded
-    posting rows, with ``bucket = min doc_id of the piece``.
+    posting rows, with ``bucket = min doc_id of the piece``, for each segment
+    part of the batch separately (every row, the norms row included, holds
+    the docs of one segment, named by its ``seg`` column).
 
     Works because posting rows of one term only need to concatenate back in
     doc-id order at read time — the reader doc-sorts on decode when pieces
@@ -560,9 +567,13 @@ class _TokenizeEncode:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         _limit_worker_threads()
+        parts = [with_seg(self._encode(rows), s) for s, rows in seg_parts(batch)]
+        if not parts:
+            return with_seg(self._empty_table(), 0)
+        return pa.concat_tables(parts)
+
+    def _encode(self, batch: pa.Table) -> pa.Table:
         doc_np = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if doc_np.size == 0:
-            return self._empty_table()
         parts = []
         for field in self.fields:
             toks = arrow_tokenize(batch[field])
@@ -686,16 +697,21 @@ def _window_norms(batch: pa.Table) -> dict:
 #: this threshold and merge every window
 PIECE_MERGE_MIN_FRAG = 0.25
 
-#: default in-build merge window (piece rows), see ``build_index``'s
-#: ``piece_merge_rows``
+#: in-build merge window (piece rows); 0 writes raw per-batch pieces. The
+#: merge stage's task count is ``total_piece_rows / window``: too large a
+#: window starves CPUs on small-vocabulary corpora (a 262144 window measured
+#: 2-3 merge tasks per 10M-turn segment and dragged 2→8-cpu build scaling to
+#: 0.63), while a window below one tokenize batch's row count merges nothing
 PIECE_MERGE_ROWS = 65_536
 
 
 def _piece_merge_batch(batch: pa.Table) -> pa.Table:
-    """In-build piece compaction (shuffle-free): locally sort a window of
-    tokenize-encode piece rows by (field, term, bucket) and merge each term's
-    adjacent undersized fragments with the same LSM-style block-preserving
-    merge full compaction uses (``compact._merge_sorted_batch``).
+    """In-build piece compaction (shuffle-free): locally sort each segment's
+    part of a window of tokenize-encode piece rows by (field, term, bucket)
+    and merge each term's adjacent undersized fragments with the same
+    LSM-style block-preserving merge full compaction uses
+    (``compact._merge_sorted_batch``). Segments merge apart, so no row ever
+    mixes two segments' docs.
 
     Bounds pieces-per-term by ``ceil(segment_rows / window_rows)`` instead of
     ``ceil(segment_docs / batch_docs)`` — at a 2.5M-doc segment with 4k-doc
@@ -709,6 +725,14 @@ def _piece_merge_batch(batch: pa.Table) -> pa.Table:
     posting counts decides whether merging pays; barely-fragmented windows
     pass through untouched."""
     _limit_worker_threads()
+    parts = [
+        with_seg(_merge_pieces(rows.drop_columns(["seg"])), s)
+        for s, rows in seg_parts(batch)
+    ]
+    return pa.concat_tables(parts) if parts else batch
+
+
+def _merge_pieces(batch: pa.Table) -> pa.Table:
     if batch.num_rows <= 1:
         return batch
     from .codec import BLOCK_SIZE
@@ -733,34 +757,8 @@ def _piece_merge_batch(batch: pa.Table) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def _ensure_threadsafe_fs_imports() -> None:
-    """Ray's path resolution does ``from fsspec.implementations.http import
-    HTTPFileSystem`` on every read. Without aiohttp installed that import always
-    raises ModuleNotFoundError (which Ray catches) — but when two threads race
-    it, Python can surface a bare ImportError instead, which Ray does NOT catch.
-    Pre-install a stub module so the import resolves deterministically; the stub
-    class never matches any isinstance check."""
-    import sys
-
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-        return
-    except ImportError:
-        pass
-    import types
-
-    stub = types.ModuleType("fsspec.implementations.http")
-
-    class HTTPFileSystem:  # noqa: N801 - mirrors the real class name
-        pass
-
-    stub.HTTPFileSystem = HTTPFileSystem
-    sys.modules.setdefault("fsspec.implementations.http", stub)
-
-
 def _segment_dir(index_dir: str, seg: int) -> str:
-    """Directory of new segment number ``seg`` (its docmapped partition is
-    ``seg=<seg>``)."""
+    """Directory of new segment number ``seg``."""
     return commit.segment_dir(index_dir, commit.segment_name(seg))
 
 
@@ -778,6 +776,76 @@ def segment_complete(index_dir: str, seg: int) -> bool:
     return read_manifest(_segment_dir(index_dir, seg)) is not None
 
 
+def _driver_doc_ids(ds, num_segments: int, batch_size: Optional[int],
+                    base0: int = 0) -> tuple:
+    """The doc-id pass over ``ds``, doc ids starting at ``base0``: (doc count,
+    per-segment ``[lo, hi)`` bounds, per-segment doc map writers
+    ``write(path)``, ``assign``). ``assign(segments)`` is ``ds`` with
+    ``doc_id`` and ``seg`` attached, only the rows of ``segments`` (see
+    :func:`_attach_seg`). Offsets come from the driver; the conv->base table
+    is broadcast to :func:`_assign_doc_ids`."""
+    import ray
+
+    convs, bases, counts = _conv_offsets(ds)
+    total = int(counts.sum())
+    nseg = max(1, min(num_segments, len(convs)))
+    maps, bounds = _driver_conv_maps(
+        convs, bases, counts, -(-total // nseg), nseg, base0
+    )
+    conv_map_ref = ray.put(
+        pa.table({"conv_id": convs, "base": pa.array(bases + base0)})
+    )
+
+    def assign(segments):
+        return ds.map_batches(
+            _assign_doc_ids, fn_args=(conv_map_ref, segments),
+            batch_format="pyarrow", batch_size=batch_size,
+        )
+
+    return total, bounds, [functools.partial(pq.write_table, m) for m in maps], assign
+
+
+def _ranged_doc_ids(ds, num_segments: int, batch_size: Optional[int]) -> tuple:
+    """:func:`_driver_doc_ids` from the range-partitioned offsets
+    (:func:`_docmap_ranged`): the bounds come from per-block partials and the
+    bases reach the rows by a distributed hash join; the driver never holds
+    the conversation map."""
+    import ray
+
+    conv_ds, base_refs, total, n_convs = _docmap_ranged(ds)
+    nseg = max(1, min(num_segments, n_convs))
+    seg_target = -(-total // nseg) if total else 1  # ceil
+    bounds_task = ray.remote(num_cpus=0.5)(_seg_bounds_partial)
+    partials = ray.get([bounds_task.remote(r, seg_target, nseg) for r in base_refs])
+    spans: Dict[int, List[Tuple[int, int]]] = {}
+    for part in partials:
+        for s, lo, hi in part:
+            spans.setdefault(s, []).append((lo, hi))
+    bounds = [
+        [min(lo for lo, _ in spans[s]), max(hi for _, hi in spans[s])]
+        if s in spans else [0, 0]
+        for s in range(nseg)
+    ]
+    writers = [
+        _ranged_conv_map_writer(
+            base_refs, [i for i, part in enumerate(partials)
+                        if any(p[0] == s for p in part)], *bounds[s],
+        )
+        for s in range(nseg)
+    ]
+
+    def assign(segments):
+        return ds.join(
+            conv_ds, join_type="inner", num_partitions=max(8, nseg * 2),
+            on=("conv_id",),
+        ).map_batches(
+            _assign_from_base, fn_args=(segments,),
+            batch_format="pyarrow", batch_size=batch_size,
+        )
+
+    return total, bounds, writers, assign
+
+
 def build_index(
     ds,
     index_dir: str,
@@ -787,208 +855,89 @@ def build_index(
     range_width: int = DEFAULT_RANGE_WIDTH,
     batch_size: Optional[int] = 4096,
     resume: bool = True,
-    docid_mode: str = "auto",
-    piece_merge_rows: Optional[int] = PIECE_MERGE_ROWS,
 ) -> dict:
     """Build (or resume building) an index over a transcripts Dataset.
 
     Returns the index meta dict. Re-running with ``resume=True`` skips segments
-    whose manifest is complete — the checkpoint/resume contract of north_rule.
+    whose manifest is complete — the checkpoint/resume contract of north_rule
+    (see the module docstring); a resume keeps the commit's fields, range
+    width and segment count.
 
-    ``docid_mode``: how conversation base offsets are assigned.
-
-    * ``driver`` — per-batch partial counts merged on the driver, conv->base
-      broadcast via ``ray.put`` (fast at small/medium scale; O(#conversations)
-      driver memory).
-    * ``ranged`` — fully distributed: groupby(conv_id) -> sort(conv_id) ->
-      per-block prefix offsets in the object store -> distributed hash join of
-      the input against the base table. Driver holds O(#blocks) integers only;
-      the 10^12-turn path.
-    * ``auto`` (default) — ``ranged`` when the input exceeds
-      ``DOCID_DRIVER_MAX_ROWS`` rows (``ds.count()`` is metadata-cheap for
-      parquet reads), else ``driver``.
+    Conversation base offsets come from per-batch partial counts merged on the
+    driver and broadcast via ``ray.put`` (O(#conversations) driver memory) or,
+    past ``DOCID_DRIVER_MAX_ROWS`` input rows (``ds.count()`` is metadata-cheap
+    for parquet reads), from the fully distributed ``ranged`` path:
+    groupby(conv_id) -> sort(conv_id) -> per-block prefix offsets in the object
+    store -> distributed hash join of the input against the base table; the
+    driver holds O(#blocks) integers only — the 10^12-turn path.
 
     Each tokenize task emits final encoded posting pieces for its doc range;
     there is no all-to-all exchange. Posting lists are piecewise; the reader
     concatenates (and rarely re-sorts) on decode, and ``compact_index``
     consolidates them for serving.
-
-    ``piece_merge_rows`` (default :data:`PIECE_MERGE_ROWS`): window size
-    (piece rows) for in-build piece compaction — each window of tokenize
-    outputs is locally (field, term, bucket)-sorted and fragment-merged
-    (``_piece_merge_batch``) before hitting parquet, bounding pieces-per-term
-    without any exchange. ``None``/0 writes raw per-batch pieces. Sizing: the
-    merge stage's task count is ``total_piece_rows / window``; too large a
-    window starves CPUs on small-vocabulary corpora (a 262144 default measured
-    2-3 merge tasks per 10M-turn segment and dragged 2→8-cpu build scaling to
-    0.63), while a window below one tokenize batch's row count merges nothing.
     """
-    import ray
-    import ray.data
-
     os.makedirs(index_dir, exist_ok=True)
     t_start = time.time()
-    phase_metrics: Dict[str, float] = {}
-    docmapped_root = os.path.join(index_dir, "docmapped")
-
-    meta = None
-    fused_src = None
-    # seg -> doc map writer; empty on resume, where a pending segment derives
-    # its map from its docmapped partition
-    conv_map_writers: Dict[int, Callable[[str], None]] = {}
-    if resume and commit.exists(index_dir):
-        meta = commit.read(index_dir)
-        if meta.get("docmap") == "fused" and not all(
-            read_manifest(commit.segment_dir(index_dir, s.name))
-            for s in meta["segments"]
-        ):
-            # fused builds keep no docmap checkpoint — a half-built fused
-            # index resumes by recomputing (it is single-segment by
-            # construction, so the segment WAS the checkpoint granularity)
-            meta = None
-    if meta is None:
-        if os.path.isdir(docmapped_root):
-            # a half-written docmap (no meta yet) must not be appended to
-            import shutil
-
-            shutil.rmtree(docmapped_root)
-        mode = docid_mode
-        if mode == "auto":
-            try:
-                mode = "ranged" if ds.count() > DOCID_DRIVER_MAX_ROWS else "driver"
-            except Exception:
-                mode = "driver"
+    metrics: Dict[str, object] = {}
+    meta = commit.read(index_dir) if resume and commit.exists(index_dir) else None
+    pending = None if meta is None else [
+        k for k, s in enumerate(meta["segments"])
+        # a segment no longer under its build name was compacted: complete
+        if s.name == commit.segment_name(k) and not segment_complete(index_dir, k)
+    ]
+    if pending != []:
+        if meta is not None:
+            fields, range_width = meta["fields"], meta["range_width"]
+            num_segments = len(meta["segments"])
+        try:
+            ranged = ds.count() > DOCID_DRIVER_MAX_ROWS
+        except Exception:
+            ranged = False
         t0 = time.time()
-        if mode == "ranged":
-            conv_ds, base_refs, total_docs, n_convs = _docmap_ranged(ds, num_segments)
-            phase_metrics["conv_offsets_sec"] = round(time.time() - t0, 3)
-            num_segments = max(1, min(num_segments, n_convs))
-            seg_target = -(-total_docs // num_segments) if total_docs else 1  # ceil
-            bounds_task = ray.remote(num_cpus=0.5)(_seg_bounds_partial)
-            partials = ray.get(
-                [bounds_task.remote(r, seg_target, num_segments) for r in base_refs]
+        total_docs, bounds, conv_maps, assign = (
+            _ranged_doc_ids if ranged else _driver_doc_ids
+        )(ds, num_segments, batch_size)
+        metrics["conv_offsets_sec"] = round(time.time() - t0, 3)
+        metrics["docid_mode"] = "ranged" if ranged else "driver"
+        if meta is None:
+            # the build's commit names its segments up front: each one is a
+            # checkpoint/resume unit that a re-run builds until it is complete
+            meta = commit.publish(index_dir, {
+                "fields": list(fields),
+                "range_width": range_width,
+                "total_docs": total_docs,
+                "analyzer": "lower+[a-z0-9]",
+                "generation": 0,
+                "next_segment": len(bounds),
+                "segments": [
+                    commit.Segment(commit.segment_name(k), lo, hi)
+                    for k, (lo, hi) in enumerate(bounds)
+                ],
+            })
+            pending = list(range(len(bounds)))
+        elif total_docs != meta["total_docs"] or bounds != [
+            [s.lo, s.hi] for s in meta["segments"]
+        ]:
+            raise ValueError(
+                f"input changed since the build's commit: {index_dir} holds "
+                f"{meta['total_docs']} docs in segments "
+                f"{[[s.lo, s.hi] for s in meta['segments']]}, the input now "
+                f"gives {total_docs} in {bounds}; rebuild with resume=False"
             )
-            bounds = [[0, 0] for _ in range(num_segments)]
-            seen = set()
-            for part in partials:
-                for s, lo_p, hi_p in part:
-                    if s in seen:
-                        bounds[s] = [min(bounds[s][0], lo_p), max(bounds[s][1], hi_p)]
-                    else:
-                        bounds[s] = [lo_p, hi_p]
-                        seen.add(s)
-            for s in range(num_segments):
-                blocks = [i for i, part in enumerate(partials)
-                          if any(p[0] == s for p in part)]
-                conv_map_writers[s] = _ranged_conv_map_writer(
-                    base_refs, blocks, *bounds[s]
-                )
-            mapped = ds.join(
-                conv_ds,
-                join_type="inner",
-                num_partitions=max(8, num_segments * 2),
-                on=("conv_id",),
-            ).map_batches(
-                _assign_from_base,
-                fn_args=(seg_target, num_segments),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
-        else:
-            convs, bases, counts = _conv_offsets(ds)
-            phase_metrics["conv_offsets_sec"] = round(time.time() - t0, 3)
-            total_docs = int(counts.sum())
-            num_segments = max(1, min(num_segments, len(convs)))
-            seg_target = -(-total_docs // num_segments)  # ceil
-            conv_map_ref = ray.put(
-                pa.table({"conv_id": convs, "base": pa.array(bases)})
-            )
-            mapped = ds.map_batches(
-                _assign_doc_ids,
-                fn_args=(conv_map_ref, seg_target, num_segments),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
-            maps, bounds = _driver_conv_maps(
-                convs, bases, counts, seg_target, num_segments
-            )
-            for s, cm in enumerate(maps):
-                conv_map_writers[s] = functools.partial(pq.write_table, cm)
-        fused = num_segments == 1
-        t0 = time.time()
-        if fused:
-            # single segment: the docmapped parquet checkpoint would be a full
-            # corpus write + re-read with zero resume value (one segment means
-            # rebuild-on-crash either way) — stream the assigned Dataset
-            # straight into the segment's tokenize pipeline instead
-            fused_src = mapped
-        else:
-            mapped.write_parquet(docmapped_root, partition_cols=["seg"])
-        phase_metrics["docmap_sec"] = round(time.time() - t0, 3)
-        phase_metrics["docid_mode"] = mode
-        # the build's commit names its segments up front: each one is a
-        # checkpoint/resume unit that a re-run builds until it is complete
-        meta = commit.publish(index_dir, {
-            "fields": list(fields),
-            "range_width": range_width,
-            "total_docs": total_docs,
-            "analyzer": "lower+[a-z0-9]",
-            "docmap": "fused" if fused else "parquet",
-            "generation": 0,
-            "next_segment": num_segments,
-            "segments": [
-                commit.Segment(commit.segment_name(s), int(lo), int(hi))
-                for s, (lo, hi) in enumerate(bounds)
-            ],
-        })
-
-    pending = []
-    for seg, s in enumerate(meta["segments"]):
-        if s.name != commit.segment_name(seg):
-            continue  # rewritten or appended after the build: complete
-        if resume and segment_complete(index_dir, seg):
-            # a crash between a segment's commit and its checkpoint delete
-            _drop_checkpoint(index_dir, seg)
-        else:
-            pending.append(seg)
-
-    def _run(seg: int) -> None:
-        t0 = time.time()
-        _build_segment(
-            index_dir,
-            seg,
-            docmapped_root,
-            fields=meta["fields"],
-            range_width=meta["range_width"],
-            batch_size=batch_size,
-            seg_bounds=[meta["segments"][seg].lo, meta["segments"][seg].hi],
-            piece_merge_rows=piece_merge_rows,
-            src_ds=fused_src,
-            write_conv_map=conv_map_writers.get(seg),
-        )
-        _drop_checkpoint(index_dir, seg)
-        phase_metrics[f"segment_{seg}_sec"] = round(time.time() - t0, 3)
-
-    if len(pending) <= 1:
-        for seg in pending:
-            _run(seg)
-    else:
-        # overlap segment pipelines (separate Ray Data executions) so fixed
-        # per-execution latency hides behind other segments' compute; each
-        # segment still commits its own manifest -> checkpoint granularity kept
-        _ensure_threadsafe_fs_imports()
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(pending))) as ex:
-            list(ex.map(_run, pending))
+        metrics.update(_write_segments(
+            index_dir, assign,
+            [(k, *bounds[k], conv_maps[k]) for k in pending],
+            fields=fields, range_width=range_width, batch_size=batch_size,
+            source=getattr(ds, "_lucille_parquet_src", None),
+        ))
 
     meta["build_seconds"] = round(time.time() - t_start, 3)
-    # structured per-phase metrics report (docmap + per-segment wall; the
-    # per-operator Ray Data stats live in each segment's stage_stats.txt)
-    phase_metrics["total_sec"] = meta["build_seconds"]
+    # per-phase wall (doc ids, each segment's finish); the per-operator Ray
+    # Data stats live in the first segment's stage_stats.txt
+    metrics["total_sec"] = meta["build_seconds"]
     try:
         with open(os.path.join(index_dir, "build_metrics.json"), "w") as fh:
-            json.dump(phase_metrics, fh, indent=1)
+            json.dump(metrics, fh, indent=1)
     except OSError:
         pass
     return meta
@@ -1000,7 +949,6 @@ def append_index(
     *,
     num_segments: int = 1,
     batch_size: Optional[int] = 4096,
-    piece_merge_rows: Optional[int] = PIECE_MERGE_ROWS,
 ) -> dict:
     """Incremental ingest: index new conversations into an EXISTING index as
     fresh segments — a Lucene-style commit-point append, no rebuild.
@@ -1024,70 +972,24 @@ def append_index(
       up the new segments on the next engine plan — scores naturally shift
       with the corpus, as they must.
     """
-    import shutil
-
-    import ray
-    import ray.data
-
     meta = commit.read(index_dir)
     base0 = int(meta["total_docs"])
     seg0 = int(meta["next_segment"])
-    docmapped_root = os.path.join(index_dir, "docmapped")
-
-    # the docmapped partitions of a failed append: the checkpoint write below
-    # would add its files to them
-    if os.path.isdir(docmapped_root):
-        for name in os.listdir(docmapped_root):
-            if name.startswith("seg=") and int(name.split("=", 1)[1]) >= seg0:
-                shutil.rmtree(os.path.join(docmapped_root, name))
-
-    convs, bases, counts = _conv_offsets(ds)
-    total_new = int(counts.sum())
+    total_new, bounds, conv_maps, assign = _driver_doc_ids(
+        ds, num_segments, batch_size, base0
+    )
     if total_new == 0:
         return meta
-    nseg = max(1, min(num_segments, len(convs)))
-    seg_target = -(-total_new // nseg)  # ceil
-    conv_map_ref = ray.put(
-        pa.table({"conv_id": convs, "base": pa.array(bases + base0)})
+    _write_segments(
+        index_dir, assign,
+        [(seg0 + s, lo, hi, conv_maps[s]) for s, (lo, hi) in enumerate(bounds)],
+        fields=meta["fields"], range_width=meta["range_width"],
+        batch_size=batch_size, source=getattr(ds, "_lucille_parquet_src", None),
     )
-    ds.map_batches(
-        _assign_doc_ids,
-        fn_args=(conv_map_ref, seg_target, nseg, seg0, base0),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    ).write_parquet(docmapped_root, partition_cols=["seg"])
-
-    maps, bounds = _driver_conv_maps(convs, bases, counts, seg_target, nseg, base0)
-
-    def _run(s: int) -> None:
-        _build_segment(
-            index_dir,
-            seg0 + s,
-            docmapped_root,
-            fields=meta["fields"],
-            range_width=meta["range_width"],
-            batch_size=batch_size,
-            seg_bounds=bounds[s],
-            piece_merge_rows=piece_merge_rows,
-            write_conv_map=functools.partial(pq.write_table, maps[s]),
-        )
-        # an uncommitted append is redone from its input, so the checkpoint
-        # can go as soon as the segment manifest is written
-        _drop_checkpoint(index_dir, seg0 + s)
-
-    if nseg == 1:
-        _run(0)
-    else:
-        _ensure_threadsafe_fs_imports()
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, nseg)) as ex:
-            list(ex.map(_run, range(nseg)))
-
     return commit.publish(index_dir, dict(
         meta,
         total_docs=base0 + total_new,
-        next_segment=seg0 + nseg,
+        next_segment=seg0 + len(bounds),
         segments=meta["segments"] + [
             commit.Segment(commit.segment_name(seg0 + s), lo, hi)
             for s, (lo, hi) in enumerate(bounds)
@@ -1095,126 +997,133 @@ def append_index(
     ))
 
 
-def _build_segment(
+def _write_segments(
     index_dir: str,
-    seg: int,
-    docmapped_root: str,
+    assign: Callable,
+    segments: Sequence[Tuple[int, int, int, Callable[[str], None]]],
     *,
     fields: Sequence[str],
     range_width: int,
     batch_size: Optional[int],
-    seg_bounds: List[int],
-    piece_merge_rows: Optional[int] = None,
-    src_ds=None,
-    write_conv_map: Optional[Callable[[str], None]] = None,
-) -> None:
-    """Build one segment and commit its manifest. ``write_conv_map(path)``
-    writes the segment's doc map; without it (a resumed segment) the map comes
-    from the segment's docmapped partition."""
+    source: Optional[str],
+) -> Dict[str, float]:
+    """Write new segments ``(number, lo, hi, write_conv_map)`` in ONE Ray Data
+    execution — ``assign`` (doc ids) -> for several segments, a sort by doc
+    id -> :class:`_TokenizeEncode` ->
+    :func:`_piece_merge_batch` -> :class:`~.writer.PostingsSink` — then
+    finish each in order (:func:`_finish_segment`). Returns
+    ``{"segment_<number>_sec": seconds from the execution's start to the
+    segment's manifest}``."""
     import shutil
-
-    import ray.data
 
     from .writer import PostingsSink
 
-    seg_dir = _segment_dir(index_dir, seg)
-    # idempotent rebuild: a half-written segment (no complete manifest) is wiped so
-    # parquet writes never append onto stale part files
-    if os.path.isdir(seg_dir):
-        shutil.rmtree(seg_dir)
-    os.makedirs(seg_dir, exist_ok=True)
-    lo, hi = seg_bounds
-    if src_ds is not None:
-        # fused docmap: the doc-id-assigned Dataset streams straight into the
-        # tokenize pipeline (no corpus round-trip through docmapped parquet)
-        seg_input = f"{docmapped_root}:fused"
-        if lo == hi:
-            _write_manifest(index_dir, seg, seg_input, 0, 0, fields, empty=True)
-            return
-        src = src_ds.select_columns(["doc_id", *fields])
-    else:
-        seg_input = os.path.join(docmapped_root, f"seg={seg}")
-        if not os.path.isdir(seg_input):
-            if lo != hi:
-                # the docmap says this segment holds docs [lo, hi) but its input
-                # directory is gone (e.g. docmapped/ deleted while the commit
-                # survived) — committing an empty 'complete' manifest would silently
-                # serve an index missing all of those documents
-                raise ValueError(
-                    f"segment {seg} input {seg_input} is missing but the commit "
-                    f"says docs [{lo}, {hi}) live there; build with resume=False "
-                    "(or into an empty dir) to rebuild the docmap"
-                )
-            _write_manifest(index_dir, seg, seg_input, 0, 0, fields, empty=True)
-            return
-        if lo == hi:
-            _write_manifest(index_dir, seg, seg_input, 0, 0, fields, empty=True)
-            return
-
-        src = ray.data.read_parquet(seg_input, columns=["doc_id", *fields])
-
-    # -- postings: tokenize-encode pieces -> windowed piece merge -> parquet --
-    postings_path = os.path.join(seg_dir, "postings.parquet")
-    postings = src.map_batches(
-        _TokenizeEncode(fields, range_width),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if piece_merge_rows:
-        postings = postings.map_batches(
-            _piece_merge_batch,
+    t0 = time.time()
+    postings = {}
+    for seg, lo, hi, _ in segments:
+        seg_dir = _segment_dir(index_dir, seg)
+        # a half-written segment is wiped so the writes never add to stale
+        # part files
+        if os.path.isdir(seg_dir):
+            shutil.rmtree(seg_dir)
+        os.makedirs(seg_dir)
+        if lo < hi:
+            postings[seg] = os.path.join(seg_dir, "postings.parquet")
+    stage_stats = ""
+    if postings:
+        written = [(seg, lo, hi) for seg, lo, hi, _ in segments if lo < hi]
+        rows = assign(written).select_columns(["doc_id", "seg", *fields])
+        if len(written) > 1:
+            # without it, a batch of an input out of doc-id order (a ranged
+            # build's hash join, interleaved conversations) holds rows of
+            # every segment, and each piece and each write task's file is
+            # cut that many ways
+            rows = rows.sort("doc_id")
+        rows = rows.map_batches(
+            _TokenizeEncode(fields, range_width),
             batch_format="pyarrow",
-            batch_size=piece_merge_rows,
+            batch_size=batch_size,
         )
-    # payload-cut row groups + term-sorted rows within each file => parquet
-    # min/max stats prune term lookups (see index/writer.py)
-    postings.write_datasink(PostingsSink(postings_path))
-    try:
-        # per-stage execution stats (task counts, wall/cpu per operator) — the
-        # corroborating evidence for scaling claims (BASELINE.md)
-        stage_stats = postings.stats()
-    except Exception:
-        stage_stats = ""
+        if PIECE_MERGE_ROWS:
+            rows = rows.map_batches(
+                _piece_merge_batch, batch_format="pyarrow",
+                batch_size=PIECE_MERGE_ROWS,
+            )
+        rows.write_datasink(PostingsSink(postings))
+        try:
+            # per-stage execution stats (task counts, wall/cpu per operator) —
+            # the corroborating evidence for scaling claims (BASELINE.md)
+            stage_stats = rows.stats()
+        except Exception:
+            pass
+    # the execution's stats go to the first segment it wrote, and only there,
+    # so a report sums each operator once
+    first = next(iter(postings), None)
+    seconds = {}
+    for seg, lo, hi, write_conv_map in segments:
+        _finish_segment(index_dir, seg, lo, hi, fields, source, write_conv_map,
+                        stage_stats if seg == first else "")
+        seconds[f"segment_{seg}_sec"] = round(time.time() - t0, 3)
+    return seconds
 
-    # -- stats from the norms pseudo-term rows (no extra pass over the input) --
-    norm_rows = pq.read_table(
-        postings_path,
-        columns=["field", "df", "total_tf"],
-        filters=[("term", "==", NORMS_TERM)],
-    )
+
+def _finish_segment(
+    index_dir: str,
+    seg: int,
+    lo: int,
+    hi: int,
+    fields: Sequence[str],
+    source: Optional[str],
+    write_conv_map: Callable[[str], None],
+    stage_stats: str,
+) -> None:
+    """Commit segment ``seg``'s manifest once its postings are written: its
+    ``stats.json`` from the norms pseudo-term rows (no extra pass over the
+    input), its doc map and ``stage_stats``. Raises when the postings do not
+    hold exactly the ``hi - lo`` docs its bounds say."""
+    seg_dir = _segment_dir(index_dir, seg)
+    if lo == hi:
+        _write_manifest(index_dir, seg, source, 0, 0, fields, empty=True)
+        return
+    postings_path = os.path.join(seg_dir, "postings.parquet")
+    files = [f for f in os.listdir(postings_path) if f.endswith(".parquet")]
     stats = {"segment": seg, "doc_base": lo, "doc_count": 0, "fields": {}}
-    for f in fields:
-        mask = pa.compute.equal(norm_rows["field"], f)
-        sub = norm_rows.filter(mask)
-        n_docs_f = int(pa.compute.sum(sub["df"]).as_py() or 0)
-        stats["fields"][f] = {
-            "total_dl": int(pa.compute.sum(sub["total_tf"]).as_py() or 0)
-        }
-        stats["doc_count"] = max(stats["doc_count"], n_docs_f)
+    if files:
+        norm_rows = pq.read_table(
+            postings_path,
+            columns=["field", "df", "total_tf"],
+            filters=[("term", "==", NORMS_TERM)],
+        )
+        for f in fields:
+            sub = norm_rows.filter(pa.compute.equal(norm_rows["field"], f))
+            n_docs_f = int(pa.compute.sum(sub["df"]).as_py() or 0)
+            stats["fields"][f] = {
+                "total_dl": int(pa.compute.sum(sub["total_tf"]).as_py() or 0)
+            }
+            stats["doc_count"] = max(stats["doc_count"], n_docs_f)
     n_docs = stats["doc_count"]
+    if n_docs != hi - lo:
+        raise ValueError(
+            f"segment {seg} holds {n_docs} docs, but its bounds [{lo}, {hi}) "
+            "say otherwise: the input changed while it was indexed"
+        )
     with open(os.path.join(seg_dir, "stats.json"), "w") as fh:
         json.dump(stats, fh, indent=1)
 
     n_terms = sum(
-        pq.read_metadata(os.path.join(postings_path, f)).num_rows
-        for f in os.listdir(postings_path)
-        if f.endswith(".parquet")
+        pq.read_metadata(os.path.join(postings_path, f)).num_rows for f in files
     )
     if stage_stats:
         with open(os.path.join(seg_dir, "stage_stats.txt"), "w") as fh:
             fh.write(stage_stats)
-    conv_map_path = os.path.join(seg_dir, CONVMAP_FILE)
-    if write_conv_map is None:
-        pq.write_table(conv_map_from_docmapped(seg_input, hi), conv_map_path)
-    else:
-        write_conv_map(conv_map_path)
-    _write_manifest(index_dir, seg, seg_input, n_docs, n_terms, fields)
+    write_conv_map(os.path.join(seg_dir, CONVMAP_FILE))
+    _write_manifest(index_dir, seg, source, n_docs, n_terms, fields)
 
 
 def _write_manifest(
     index_dir: str,
     seg: int,
-    seg_input: str,
+    source: Optional[str],
     n_docs: int,
     n_posting_rows: int,
     fields: Sequence[str],
@@ -1225,7 +1134,7 @@ def _write_manifest(
         "segment_id": commit.segment_name(seg),
         "status": "complete",
         "empty": empty,
-        "input_path": seg_input,
+        "input_path": source,
         "doc_count": int(n_docs),
         "posting_rows": int(n_posting_rows),
         "fields": list(fields),

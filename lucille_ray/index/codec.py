@@ -315,6 +315,37 @@ def int64_column(arr: pa.Array) -> np.ndarray:
     return vals[arr.offset: arr.offset + len(arr)].astype(np.int64)
 
 
+def numeric_array(values: np.ndarray) -> pa.Array:
+    """Arrow array over a 1-d numeric numpy array's data buffer, the inverse
+    of :func:`int64_column`. ``pa.array`` (and ``pa.scalar``) first try
+    pyarrow's lazy pandas import, which loads pandas into a process that
+    never needed it."""
+    values = np.ascontiguousarray(values)
+    return pa.Array.from_buffers(
+        pa.from_numpy_dtype(values.dtype), values.size,
+        [None, pa.py_buffer(values)],
+    )
+
+
+def seg_parts(rows: pa.Table):
+    """``(segment, rows)`` for each segment of ``rows``' ``seg`` column (the
+    new segment a build row belongs to), in ascending segment order; rows
+    keep their order."""
+    seg = rows["seg"].to_numpy(zero_copy_only=False)
+    if seg.size and (seg == seg[0]).all():
+        yield int(seg[0]), rows
+        return
+    for s in np.unique(seg):
+        yield int(s), rows.filter(pa.array(seg == s))
+
+
+def with_seg(rows: pa.Table, seg: int) -> pa.Table:
+    """``rows`` with a ``seg`` column holding ``seg``."""
+    return rows.append_column(
+        "seg", numeric_array(np.full(rows.num_rows, seg, np.int32))
+    )
+
+
 class RawBlocks:
     """Zero-copy view over one term's UNDECODED posting blocks (the flattened
     ``blocks`` struct children of its rows, in bucket order).

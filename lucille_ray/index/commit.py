@@ -6,10 +6,15 @@ An index directory holds::
     index_meta.json         # the commit: the one file a write rewrites
     segments/<name>/        # write-once segment directories (segment.py)
         deleted_<gen>.npy   # write-once tombstones: sorted deleted doc ids
-    docmapped/seg=K/        # build checkpoint (build.py); never swept here
+
+Indexes built by older versions may also hold ``docmapped/seg=K/``, a corpus
+checkpoint whose partitions hold the doc maps of segments written before
+segments had their own; nothing writes it any more, and the sweep leaves it
+alone.
 
 The commit (format version 4) is one JSON object: the build settings
-(``fields``, ``range_width``, ``analyzer``, ``docmap``), three counters —
+(``fields``, ``range_width``, ``analyzer``; older commits may carry a
+``docmap`` field, which nothing reads), three counters —
 ``total_docs`` (the next doc id), ``next_segment`` (the number of the next
 new segment directory) and ``generation`` (bumped by every publish) — and
 ``segments``, the live segments in doc order, each ``{"name", "docs": [lo,

@@ -1,14 +1,16 @@
 """Structured build/index report: one JSON-able dict aggregating everything
 the build and compaction record about an index — metadata, per-phase wall
 times, per-segment manifests and live stats, on-disk footprint by component
-(postings, norms sidecars, doc maps, the ``docmapped/`` build checkpoint,
-everything else), postings layout (row groups, footer bytes, compressed
-bytes per Parquet leaf column), lifecycle
-state (tombstones, purges, appends).
+(postings, norms sidecars, doc maps, the ``docmapped/`` corpus checkpoint
+older builds left, everything else), postings layout (row groups, footer
+bytes, compressed bytes per Parquet leaf column), lifecycle state
+(tombstones, purges, appends).
 
 This is the metrics/lineage surface: scaling and health claims should be
 corroborated by these per-stage numbers (plus each segment's Ray Data
-``stage_stats.txt``), not only end-to-end wall clock.
+``stage_stats.txt``, written into the first segment each Ray Data execution
+wrote, so that execution's operators count once), not only end-to-end wall
+clock.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ def _component(parts: tuple) -> str:
     """The byte component of one file, from its path parts under the index
     dir: postings files, norms sidecars, doc maps (a segment's, or the root
     one of single-segment indexes written before segments had their own),
-    the ``docmapped/`` build checkpoint, and everything else (manifests,
-    stats, tombstones, build reports)."""
+    the ``docmapped/`` corpus checkpoint of older builds, and everything
+    else (manifests, stats, tombstones, build reports)."""
     if parts[0] == "docmapped":
         return "checkpoint_bytes"
     if parts[0] == "convmap.parquet":
@@ -273,7 +275,8 @@ def build_report(index_dir: str) -> dict:
         for c, n in columns.items():
             total_columns[c] = total_columns.get(c, 0) + n
         comps = dict.fromkeys(BYTE_COMPONENTS, 0)
-        # the segment's own files, and its docmapped partition if one is left
+        # the segment's own files, and the docmapped partition an older
+        # build's manifest names, if one is left
         for d in (name, os.path.basename(man.get("input_path") or "")):
             for c, n in seg_bytes.get(d, {}).items():
                 comps[c] += n

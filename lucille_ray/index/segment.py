@@ -51,7 +51,7 @@ import pyarrow.parquet as pq
 from . import commit
 from .build import (CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM,
                     conv_map_from_docmapped, conv_map_table)
-from .codec import RawBlocks, int64_column, sort_postings
+from .codec import RawBlocks, int64_column, numeric_array, sort_postings
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
 READER_CACHE_BYTES = 384 << 20
@@ -573,7 +573,7 @@ class SegmentReader:
         if self._conv_map is None:
             hi = self.doc_base + self.doc_count
             own = os.path.join(self.seg_dir, CONVMAP_FILE)
-            src = self.manifest["input_path"]
+            src = self.manifest.get("input_path") or ""
             if os.path.exists(own):
                 t = _read_parquet(own, ["conv_id", "base"])
             elif src.endswith(":fused"):
@@ -590,8 +590,10 @@ class SegmentReader:
                     "(delete_docs with explicit doc ids still works)"
                 )
             base = int64_column(t["base"].combine_chunks())
-            keep = (base >= self.doc_base) & (base < hi)
-            t = conv_map_table(t["conv_id"].filter(pa.array(keep)), base[keep], hi)
+            keep = np.flatnonzero((base >= self.doc_base) & (base < hi))
+            t = conv_map_table(
+                t["conv_id"].take(numeric_array(keep)), base[keep], hi
+            )
             self._conv_map = (
                 t["conv_id"].combine_chunks(),
                 int64_column(t["base"].combine_chunks()),
@@ -607,9 +609,9 @@ class SegmentReader:
         idx = np.searchsorted(bases, ids, side="right") - 1
         return pa.table(
             {
-                "doc_id": pa.array(ids),
-                "conv_id": convs.take(pa.array(idx, pa.int64())),
-                "turn_idx": pa.array((ids - bases[idx]).astype(np.int32), pa.int32()),
+                "doc_id": numeric_array(ids),
+                "conv_id": convs.take(numeric_array(idx)),
+                "turn_idx": numeric_array((ids - bases[idx]).astype(np.int32)),
             }
         )
 

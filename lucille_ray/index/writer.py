@@ -57,7 +57,7 @@ open; compaction rewrites them in this layout.
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Dict, Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -65,6 +65,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from ray.data import Datasink
 from ray.data.block import Block, BlockAccessor
+
+from .codec import seg_parts
 
 #: row cap of one postings row group
 ROW_GROUP_ROWS = 256
@@ -149,15 +151,18 @@ def write_postings_file(table: pa.Table, path: str) -> None:
 
 
 class PostingsSink(Datasink):
-    """``Dataset.write_datasink`` target for postings rows: every write task
-    writes its rows to ``<path>/part-<task>-<file>.parquet`` through
+    """``Dataset.write_datasink`` target for the postings rows of several
+    segments, ``{segment: postings directory}``: every write task writes each
+    segment's rows (its ``seg`` column, dropped on write) to
+    ``<directory>/part-<task>-<file>.parquet`` through
     :func:`write_postings_file`, at most :data:`ROWS_PER_FILE` rows per file."""
 
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self, paths: Dict[int, str]):
+        self.paths = paths
 
     def on_write_start(self) -> None:
-        os.makedirs(self.path, exist_ok=True)
+        for path in self.paths.values():
+            os.makedirs(path, exist_ok=True)
 
     def write(self, blocks: Iterable[Block], ctx) -> None:
         tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
@@ -168,8 +173,11 @@ class PostingsSink(Datasink):
         table = pa.concat_tables(
             [t if t.schema.equals(schema) else t.cast(schema) for t in tables]
         )
-        for i, lo in enumerate(range(0, table.num_rows, ROWS_PER_FILE)):
-            write_postings_file(
-                table.slice(lo, ROWS_PER_FILE),
-                os.path.join(self.path, f"part-{ctx.task_idx:06d}-{i:06d}.parquet"),
-            )
+        for seg, rows in seg_parts(table):
+            rows = rows.drop_columns(["seg"])
+            for i, lo in enumerate(range(0, rows.num_rows, ROWS_PER_FILE)):
+                write_postings_file(
+                    rows.slice(lo, ROWS_PER_FILE),
+                    os.path.join(self.paths[seg],
+                                 f"part-{ctx.task_idx:06d}-{i:06d}.parquet"),
+                )

@@ -200,13 +200,15 @@ def test_batch_encode_work_does_not_grow_with_terms(ray_session, monkeypatch):
         codec, "_encode_varints_np", lambda v: calls.append(1) or real(v)
     )
     turns = _synthetic_turns(600, 3000, seed=5)
+    turns = turns.append_column("seg", pa.array(np.zeros(turns.num_rows, np.int32)))
     out = _TokenizeEncode(INDEXED_FIELDS, DEFAULT_RANGE_WIDTH)(turns)
     assert out.num_rows >= 1000  # one row per distinct (field, term)
     # per field: docs/tfs/positions for the term rows, docs/tfs for the norms row
     assert len(calls) <= 5 * len(INDEXED_FIELDS)
 
     calls.clear()
-    rows = out.sort_by([("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")])
+    rows = out.drop_columns(["seg"]).sort_by(
+        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")])
     merged = _merge_sorted_batch(rows, deleted=np.arange(0, 600, 7, dtype=np.int64))
     assert merged.num_rows >= 1000
     # every term row re-encodes on the purge path: one call for all of them

@@ -100,8 +100,8 @@ def _seg_dirs(index_dir):
 
 def _assert_doc_meta_in_rank_order(index_dir, table):
     """doc_meta over every doc id of every committed segment equals the
-    source's (conv_id, turn_idx) rank order, and no committed segment keeps
-    its docmapped checkpoint."""
+    source's (conv_id, turn_idx) rank order, and the index holds no
+    ``docmapped/`` corpus copy."""
     from lucille_ray.index.segment import load_segments
 
     src = _source_order(table)
@@ -294,7 +294,9 @@ def test_per_turn_text_equality_invariant(built):
 
 
 def test_resume_after_docmap_crash(built, tmp_path):
-    """A half-written docmap (no index_meta yet) must be wiped, not appended to."""
+    """A build whose commit is gone (a crash before its first publish) starts
+    over: a half-written ``docmapped/`` checkpoint an older build left behind
+    is never read, and no doc is doubled."""
     from lucille_ray.index.segment import load_segments
 
     data_dir, _, table = built
@@ -302,8 +304,8 @@ def test_resume_after_docmap_crash(built, tmp_path):
     index_dir = str(tmp_path / "crash_idx")
     build_index(ds, index_dir, num_segments=2, batch_size=400)
     ref = SearchEngine(index_dir, parallel=False).search("data", k=5, with_meta=False)
-    # simulate a crash BEFORE meta was written: meta gone, docmapped half-present
-    # (a complete build has already dropped its checkpoint, so plant one)
+    # simulate a crash BEFORE meta was written: meta gone, and an older
+    # build's half-written docmapped checkpoint planted
     os.remove(os.path.join(index_dir, "index_meta.json"))
     shutil.rmtree(os.path.join(index_dir, "segments"))
     half = os.path.join(index_dir, "docmapped", "seg=0")
@@ -323,11 +325,13 @@ def test_resume_after_docmap_crash(built, tmp_path):
     assert sum(r.doc_count for r in readers) == N_TURNS
 
 
-def test_hot_term_skew_build(ray_session, tmp_path):
+def test_hot_term_skew_build(ray_session, tmp_path, monkeypatch):
     """A term present in EVERY doc must spread across pieces (no monolithic merge)."""
     import pyarrow as pa2
     import pyarrow.parquet as pq2
     import ray.data
+
+    import lucille_ray.index.build as build_mod
 
     n = 4000
     t = pa2.table(
@@ -353,10 +357,12 @@ def test_hot_term_skew_build(ray_session, tmp_path):
     # raw piece layout: the 100%-df term spreads across per-batch pieces —
     # no monolithic merge task ever exists
     raw_dir = str(tmp_path / "skew_idx_raw")
-    build_index(
-        ray.data.read_parquet(data), raw_dir, num_segments=1,
-        range_width=256, batch_size=500, piece_merge_rows=None,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(build_mod, "PIECE_MERGE_ROWS", 0)
+        build_index(
+            ray.data.read_parquet(data), raw_dir, num_segments=1,
+            range_width=256, batch_size=500,
+        )
     raw = hot_rows(raw_dir)
     assert raw.num_rows > 1
     assert sum(raw["df"].to_pylist()) == n
@@ -654,23 +660,44 @@ def test_compaction_loads_arrays_on_calling_thread(built, tmp_path, monkeypatch)
         assert not [f for f in os.listdir(seg_dir) if f.startswith("deleted")]
 
 
-def test_ranged_docid_mode_identical_results(built, oracle, tmp_path):
-    """docid_mode='ranged' (distributed sort + hash join, no driver conv map)
-    must produce an identical index: same doc ids, same search results."""
+def test_ranged_docid_mode_identical_results(built, oracle, tmp_path, monkeypatch):
+    """The ranged doc-id mode (distributed sort + hash join, no driver conv
+    map; chosen past DOCID_DRIVER_MAX_ROWS input rows) must produce an
+    identical index: same doc ids, same search results, and the same stored
+    posting rows as the driver mode although its hash join scrambles the
+    input order (a write of several segments sorts its rows by doc id, so
+    its tokenize batches hold consecutive docs whatever the input order)."""
+    import lucille_ray.index.build as build_mod
+    from lucille_ray.index import commit
+
+    def stored_postings(index_dir):
+        return [
+            pq.read_table(os.path.join(d, "postings.parquet")).sort_by(
+                [("field", "ascending"), ("term", "ascending"),
+                 ("bucket", "ascending")]
+            )
+            for d in commit.segment_dirs(index_dir, commit.read(index_dir))
+        ]
+
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
+    driver_dir = str(tmp_path / "driver_idx")
+    build_index(ds, driver_dir, num_segments=2, range_width=256, batch_size=400)
+    monkeypatch.setattr(build_mod, "DOCID_DRIVER_MAX_ROWS", 0)
     index_dir = str(tmp_path / "ranged_idx")
-    build_index(
-        ds, index_dir, num_segments=2, range_width=256, batch_size=400,
-        docid_mode="ranged",
-    )
+    build_index(ds, index_dir, num_segments=2, range_width=256, batch_size=400)
+    with open(os.path.join(index_dir, "build_metrics.json")) as f:
+        assert json.load(f)["docid_mode"] == "ranged"
+    ranged, driver = stored_postings(index_dir), stored_postings(driver_dir)
+    assert len(ranged) == len(driver) == 2
+    assert all(r.equals(d) for r, d in zip(ranged, driver))
     _assert_doc_meta_in_rank_order(index_dir, built[2])
     engine = SearchEngine(index_dir, parallel=False)
     for qs in QUERY_SET[::5]:
         _compare(engine, oracle, qs)
-    # single segment: fused, its doc map written from the ranged base tables
+    # single segment: its doc map written from the ranged base tables
     fused_dir = str(tmp_path / "ranged_fused_idx")
-    build_index(ds, fused_dir, num_segments=1, batch_size=400, docid_mode="ranged")
+    build_index(ds, fused_dir, num_segments=1, batch_size=400)
     _assert_doc_meta_in_rank_order(fused_dir, built[2])
 
 
@@ -698,24 +725,19 @@ def test_turn_idx_duplicate_detection(ray_session, tmp_path):
 
 
 def test_fused_docmap_rank_identity_and_no_roundtrip(built, oracle, tmp_path):
-    """Single-segment builds fuse the doc-id-assigned Dataset straight into
-    the tokenize pipeline (no docmapped parquet round-trip) and stay
-    rank+score-identical to a multi-segment build, which takes the
-    checkpointed docmap path."""
+    """Builds of one and of two segments both stream the doc-id-assigned
+    Dataset straight into the tokenize pipeline (no docmapped parquet
+    round-trip) and answer rank+score-identically."""
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
     fused_dir = str(tmp_path / "fused_idx")
     build_index(ds, fused_dir, num_segments=1, batch_size=400)
-    assert not os.path.isdir(os.path.join(fused_dir, "docmapped"))
-    with open(os.path.join(fused_dir, "index_meta.json")) as f:
-        assert json.load(f)["docmap"] == "fused"
-
     unfused_dir = str(tmp_path / "unfused_idx")
     build_index(ds, unfused_dir, num_segments=2, batch_size=400)
-    with open(os.path.join(unfused_dir, "index_meta.json")) as f:
-        assert json.load(f)["docmap"] == "parquet"
-    # the checkpointed path drops its checkpoint once the segment commits
-    assert not os.path.isdir(os.path.join(unfused_dir, "docmapped"))
+    for d in (fused_dir, unfused_dir):
+        assert not os.path.isdir(os.path.join(d, "docmapped"))
+        with open(os.path.join(d, "index_meta.json")) as f:
+            assert "docmap" not in json.load(f)
 
     ef = SearchEngine(fused_dir, parallel=False)
     eu = SearchEngine(unfused_dir, parallel=False)
@@ -758,11 +780,10 @@ def test_fused_docmap_resume_recomputes(built, tmp_path):
 
 
 def test_fused_docmap_full_lifecycle(built, tmp_path):
-    """append -> delete_conversations -> compact on a FUSED-docmap index:
+    """append -> delete_conversations -> compact on a one-segment index:
     appended segments carry their own doc maps (plain string conv ids) and
-    their metadata must concat with the fused segment's; deletes resolve
-    conv -> doc ranges through the doc maps; compaction preserves the :fused
-    manifest marker."""
+    their metadata must concat with the built segment's; deletes resolve
+    conv -> doc ranges through the doc maps, which compaction keeps."""
     import ray.data
 
     from lucille_ray.index import compact_index, delete_conversations
@@ -809,18 +830,38 @@ def test_fused_docmap_full_lifecycle(built, tmp_path):
     _assert_doc_meta_in_rank_order(idx, table)
 
 
-def test_missing_seg_input_with_docs_is_an_error(built, tmp_path):
-    """docmapped/ deleted while index_meta.json survives must raise, not write
-    an empty 'complete' manifest that silently drops the segment's docs."""
-    data_dir, _, _ = built
+def test_resume_over_changed_input_raises(built, tmp_path):
+    """A resume whose input no longer gives the commit's doc ids raises and
+    writes nothing; so does a build whose postings pass sees fewer rows than
+    its doc-id pass counted, instead of committing a segment without them."""
+    import ray.data
+
+    from lucille_ray.index import commit
+
+    data_dir, _, table = built
     ds = T.read_transcripts(data_dir)
-    index_dir = str(tmp_path / "gone_idx")
+    index_dir = str(tmp_path / "changed_idx")
     build_index(ds, index_dir, num_segments=2, batch_size=400)
-    # a complete build has already dropped its checkpoint
-    shutil.rmtree(os.path.join(index_dir, "docmapped"), ignore_errors=True)
-    shutil.rmtree(os.path.join(index_dir, "segments"))
-    with pytest.raises(ValueError, match="missing"):
-        build_index(ds, index_dir, num_segments=2, batch_size=400)
+    seg1 = _seg_dirs(index_dir)[1]
+    os.remove(os.path.join(seg1, "MANIFEST.json"))  # a crash before its finish
+    before = commit.read(index_dir)
+    files = _index_files(index_dir)
+    convs = sorted(set(table["conv_id"].to_pylist()))
+    fewer = str(tmp_path / "fewer.parquet")
+    pq.write_table(table.filter(pc.less(table["conv_id"], convs[-1])), fewer)
+    with pytest.raises(ValueError, match="input changed since the build's commit"):
+        build_index(ray.data.read_parquet(fewer), index_dir, num_segments=2,
+                    batch_size=400)
+    assert commit.read(index_dir) == before
+    assert _index_files(index_dir) == files
+
+    # the doc-id pass counts the whole corpus, the postings pass reads less
+    torn = ray.data.read_parquet(fewer)
+    torn._lucille_parquet_src = data_dir
+    torn_dir = str(tmp_path / "torn_idx")
+    with pytest.raises(ValueError, match="docs, but its bounds"):
+        build_index(torn, torn_dir, num_segments=2, batch_size=400)
+    assert not segment_complete(torn_dir, 1)
 
 
 def test_expansion_resolve_against_matches_scan():
@@ -890,21 +931,23 @@ def test_expansion_bound_enforced_across_segments(ray_session, tmp_path, monkeyp
         engine.plan("t*")
 
 
-def test_compaction_preserves_results(built, oracle, tmp_path):
+def test_compaction_preserves_results(built, oracle, tmp_path, monkeypatch):
     """compact_index merges doc-partitioned pieces; results stay rank-identical
     and re-compaction is a resume no-op."""
     import pyarrow.parquet as pq2
 
+    import lucille_ray.index.build as build_mod
     from lucille_ray.index import compact_index
 
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
     index_dir = str(tmp_path / "cidx")
     # raw pieces (no in-build merge) so compaction's row consolidation is visible
-    build_index(
-        ds, index_dir, num_segments=2, range_width=128, batch_size=300,
-        piece_merge_rows=None,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(build_mod, "PIECE_MERGE_ROWS", 0)
+        build_index(
+            ds, index_dir, num_segments=2, range_width=128, batch_size=300,
+        )
     def rows_of_first_segment():
         post0 = os.path.join(_seg_dirs(index_dir)[0], "postings.parquet")
         return pq2.read_table(post0, columns=["term"]).num_rows
@@ -950,24 +993,23 @@ def _index_files(index_dir: str) -> set:
             for root, _, files in os.walk(index_dir) for f in files}
 
 
-def test_piece_merge_rank_identity(built, oracle, tmp_path):
+def test_piece_merge_rank_identity(built, oracle, tmp_path, monkeypatch):
     """In-build piece compaction is layout-only: a build with the merge forced
     into many small windows stays rank+score-identical to the oracle and emits
     fewer posting rows than the raw piece build."""
     import pyarrow.parquet as pq2
-    import ray.data
+
+    import lucille_ray.index.build as build_mod
 
     data_dir, _, _ = built
     raw_dir = str(tmp_path / "pm_raw")
     merged_dir = str(tmp_path / "pm_merged")
-    build_index(
-        T.read_transcripts(data_dir), raw_dir, num_segments=2,
-        range_width=128, batch_size=150, piece_merge_rows=None,
-    )
-    build_index(
-        T.read_transcripts(data_dir), merged_dir, num_segments=2,
-        range_width=128, batch_size=150, piece_merge_rows=2048,
-    )
+    for d, window in ((raw_dir, 0), (merged_dir, 2048)):
+        monkeypatch.setattr(build_mod, "PIECE_MERGE_ROWS", window)
+        build_index(
+            T.read_transcripts(data_dir), d, num_segments=2,
+            range_width=128, batch_size=150,
+        )
 
     def total_rows(index_dir):
         n = 0
@@ -1106,17 +1148,17 @@ def test_term_partitioned_index_still_serves(
 
     # (c) segment 1 crashes; segment 0 is then rewritten into the old layout
     crashed = str(tmp_path / "crashed")
-    real = build_mod._build_segment
+    real = build_mod._finish_segment
 
     def crash_on_1(index_dir_, seg, *args, **kwargs):
         if seg == 1:
             raise RuntimeError("crash in segment 1")
         return real(index_dir_, seg, *args, **kwargs)
 
-    monkeypatch.setattr(build_mod, "_build_segment", crash_on_1)
+    monkeypatch.setattr(build_mod, "_finish_segment", crash_on_1)
     with pytest.raises(RuntimeError, match="segment 1"):
         build_index(ds, crashed, num_segments=2, range_width=256, batch_size=400)
-    monkeypatch.setattr(build_mod, "_build_segment", real)
+    monkeypatch.setattr(build_mod, "_finish_segment", real)
     _rewrite_term_partitioned(crashed)
     seg0_rows = pq.read_table(
         os.path.join(crashed, "segments", "seg-00000", "postings.parquet"))
@@ -1142,7 +1184,9 @@ def test_resume_skips_complete_segments_and_rebuilds_missing(
     built, oracle, tmp_path, monkeypatch
 ):
     import lucille_ray.index.build as build_mod
-    from lucille_ray.index import build_report
+    from lucille_ray.index import build_report, commit
+    from lucille_ray.index.report import parse_stage_stats
+    from lucille_ray.index.segment import SegmentReader
 
     data_dir, index_dir, table = built
     ds = T.read_transcripts(data_dir)
@@ -1152,36 +1196,43 @@ def test_resume_skips_complete_segments_and_rebuilds_missing(
     build_index(ds, index_dir, num_segments=2, range_width=256, batch_size=400)
     assert os.path.getmtime(m0) == mtime_before
 
-    # segment 1 crashes mid-flight: segment 0 commits and drops its
-    # checkpoint, segment 1 keeps its docmapped partition
+    # segment 1 crashes in its finish, after the one postings execution:
+    # segment 0 has committed its manifest, segment 1 has postings but none
     crash_dir = str(tmp_path / "seg_crash_idx")
-    real = build_mod._build_segment
+    real = build_mod._finish_segment
 
     def crash_on_1(index_dir_, seg, *args, **kwargs):
         if seg == 1:
             raise RuntimeError("crash in segment 1")
         return real(index_dir_, seg, *args, **kwargs)
 
-    monkeypatch.setattr(build_mod, "_build_segment", crash_on_1)
+    monkeypatch.setattr(build_mod, "_finish_segment", crash_on_1)
     with pytest.raises(RuntimeError, match="segment 1"):
         build_index(ds, crash_dir, num_segments=2, range_width=256, batch_size=400)
-    monkeypatch.setattr(build_mod, "_build_segment", real)
-    docmapped = os.path.join(crash_dir, "docmapped")
+    monkeypatch.setattr(build_mod, "_finish_segment", real)
     assert segment_complete(crash_dir, 0)
     assert not segment_complete(crash_dir, 1)
-    assert not os.path.exists(os.path.join(docmapped, "seg=0"))
-    assert os.path.isdir(os.path.join(docmapped, "seg=1"))
+    assert not os.path.exists(os.path.join(crash_dir, "docmapped"))
     rep = build_report(crash_dir)
-    assert rep["totals"]["checkpoint_bytes"] > 0
-    # the crashed segment wrote no manifest, so only the total counts it
-    assert [s["checkpoint_bytes"] for s in rep["segments"]] == [0]
+    assert rep["totals"]["checkpoint_bytes"] == 0
+    assert [s["segment"] for s in rep["segments"]] == ["seg-00000"]
 
-    # resume rebuilds only segment 1, from its partition
+    # resume rebuilds only segment 1: the doc-id pass drops segment 0's rows
     c0 = os.path.join(crash_dir, "segments", "seg-00000", "MANIFEST.json")
     c0_mtime = os.path.getmtime(c0)
     build_index(ds, crash_dir, num_segments=2, range_width=256, batch_size=400)
     assert segment_complete(crash_dir, 1)
     assert os.path.getmtime(c0) == c0_mtime  # seg 0 untouched
+    with open(os.path.join(crash_dir, "build_metrics.json")) as f:
+        assert [k for k in json.load(f) if k.startswith("segment_")] == [
+            "segment_1_sec"]
+    stats = open(os.path.join(crash_dir, "segments", "seg-00001",
+                              "stage_stats.txt")).read()
+    tokenized = [op for op in parse_stage_stats(stats)
+                 if "_TokenizeEncode" in op["operator"]]
+    assert tokenized and tokenized[0]["output_rows"] > 0
+    n1 = commit.read(crash_dir)["segments"][1]
+    assert SegmentReader(_seg_dirs(crash_dir)[1]).doc_count == n1.hi - n1.lo
     _assert_doc_meta_in_rank_order(crash_dir, table)
     engine = SearchEngine(crash_dir, parallel=False)
     clean = SearchEngine(index_dir, parallel=False)
@@ -1383,6 +1434,85 @@ def test_warm_queries_convert_no_arrow_to_numpy(built):
     assert out.returncode == 0, out.stderr[-2000:]
     opened, cold, warm = json.loads(out.stdout.strip().splitlines()[-1])
     assert opened == 0 and warm == 0, (opened, cold, warm)
+
+
+def test_first_reader_open_loads_no_pandas(built):
+    """Opening a built index's readers and resolving doc metadata in a fresh
+    interpreter leaves pandas unloaded: ``pa.array`` and ``pa.scalar`` import
+    it lazily on first use, which cost the first segment open of a process
+    about a quarter second."""
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import sys
+
+        import numpy as np
+        from lucille_ray.index.segment import load_segments
+
+        for r in load_segments(sys.argv[1]):
+            meta = r.doc_meta(np.arange(r.doc_base, r.doc_base + r.doc_count))
+            assert meta.num_rows == r.doc_count
+        assert "pandas" not in sys.modules, "pandas was imported"
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, built[1]],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+
+
+def test_each_write_runs_one_postings_execution(built, tmp_path, monkeypatch):
+    """A 2-segment build and an append each run one doc-id count
+    (``materialize``) and ONE postings execution for all their segments
+    (``write_datasink``), and copy no corpus (``write_parquet``). Only
+    outermost calls count: Ray's writes materialize internally."""
+    import ray.data
+
+    from lucille_ray.index.build import append_index
+
+    calls = {"materialize": 0, "write_datasink": 0, "write_parquet": 0}
+    depth = [0]
+
+    def counting(name, real):
+        def call(self, *args, **kwargs):
+            calls[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(ray.data.Dataset, name,
+                            counting(name, getattr(ray.data.Dataset, name)))
+
+    def counted(write):
+        for name in calls:
+            calls[name] = 0
+        write()
+        return [calls[n] for n in ("materialize", "write_datasink", "write_parquet")]
+
+    _, _, table = built
+    convs = sorted(set(table["conv_id"].to_pylist()))
+    mask = pc.less(table["conv_id"], convs[int(len(convs) * 0.8)])
+    base_p, app_p = str(tmp_path / "base.parquet"), str(tmp_path / "app.parquet")
+    pq.write_table(table.filter(mask), base_p)
+    pq.write_table(table.filter(pc.invert(mask)), app_p)
+    idx = str(tmp_path / "count_idx")
+    assert counted(lambda: build_index(
+        ray.data.read_parquet(base_p), idx, num_segments=2, batch_size=200,
+    )) == [1, 1, 0]
+    assert counted(lambda: append_index(
+        ray.data.read_parquet(app_p), idx, num_segments=2, batch_size=200,
+    )) == [1, 1, 0]
+    from lucille_ray.index import commit
+
+    assert len(commit.read(idx)["segments"]) == 4
+    _assert_doc_meta_in_rank_order(idx, table)
 
 
 def test_replicated_engine_identical(built, ray_session, monkeypatch):
@@ -1797,9 +1927,13 @@ def _postings_bytes(index_dir: str) -> dict:
 def pieces(built, tmp_path_factory):
     """A 2-segment index of raw tokenize-encode pieces (no in-build merge):
     several postings files per segment, whose term ranges overlap."""
+    import lucille_ray.index.build as build_mod
+
     index_dir = str(tmp_path_factory.mktemp("pieces") / "index")
-    build_index(T.read_transcripts(built[0]), index_dir, num_segments=2,
-                range_width=256, batch_size=100, piece_merge_rows=None)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(build_mod, "PIECE_MERGE_ROWS", 0)
+        build_index(T.read_transcripts(built[0]), index_dir, num_segments=2,
+                    range_width=256, batch_size=100)
     return index_dir
 
 
@@ -2215,11 +2349,12 @@ def test_build_report_postings_layout(built, tmp_path):
     assert check()["postings_row_groups"] >= 2
 
 
-def test_pruned_postings_read_matches_scan(built, tmp_path):
+def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
     """_read_postings_rows (cached handles + row-group stat pruning) returns
     exactly what the predicate-pushdown directory scan returns, on both the
     multi-piece built layout and the compacted layout, for present / absent /
     mixed term sets and the norms pseudo-term."""
+    import lucille_ray.index.build as build_mod
     from lucille_ray.index import compact_index
     from lucille_ray.index.build import NORMS_TERM
     from lucille_ray.index.segment import SegmentReader
@@ -2227,8 +2362,9 @@ def test_pruned_postings_read_matches_scan(built, tmp_path):
     data_dir, index_dir, _ = built
     ds = T.read_transcripts(data_dir)
     cidx = str(tmp_path / "pruneidx")
-    build_index(ds, cidx, num_segments=1, range_width=128, batch_size=300,
-                piece_merge_rows=None)
+    with monkeypatch.context() as m:
+        m.setattr(build_mod, "PIECE_MERGE_ROWS", 0)
+        build_index(ds, cidx, num_segments=1, range_width=128, batch_size=300)
 
     cases = [
         ("text", ["data", "query", "join"]),

@@ -397,3 +397,48 @@ def test_scorer_modules_use_no_pandas():
         with open(path) as f:
             offenders += _pandas_uses(f.read(), os.path.relpath(path, root))
     assert offenders == []
+
+
+def test_one_segment_writer():
+    """Every new segment is written by one streaming pipeline
+    (``build._write_segments``): no module under lucille_ray/index/ imports
+    ``concurrent.futures``, ``write_datasink`` has one call site there, and
+    no module writes under ``docmapped/`` (only segment.py's reader of older
+    indexes and report.py's byte counts name it). Docstrings may."""
+    import ast
+    import glob
+
+    import lucille_ray.index as index_pkg
+
+    pkg_dir = os.path.dirname(index_pkg.__file__)
+    threads, sinks, docmapped = [], [], []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        where = os.path.basename(path)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                mods = []
+            if any(m.split(".")[0] == "concurrent" for m in mods):
+                threads.append(f"{where}:{node.lineno}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write_datasink"):
+                sinks.append(f"{where}:{node.lineno}")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "docmapped" in node.value and id(node) not in docstrings
+                    and where not in ("segment.py", "report.py")):
+                docmapped.append(f"{where}:{node.lineno}")
+    assert threads == []
+    assert len(sinks) == 1 and sinks[0].startswith("build.py:"), sinks
+    assert docmapped == []
