@@ -154,6 +154,11 @@ BYTE_COMPONENTS = (
 )
 
 
+#: bytes of a Parquet file outside its chunks and footer: the leading
+#: ``PAR1``, the footer's 4-byte length and the trailing ``PAR1``
+PARQUET_MAGIC_BYTES = 12
+
+
 def _component(parts: tuple) -> str:
     """The byte component of one file, from its path parts under the index
     dir: postings files, norms sidecars, doc maps (a segment's, or the root
@@ -199,18 +204,24 @@ def _index_bytes(index_dir: str) -> tuple[dict, dict]:
     return total, per_seg
 
 
-def _postings_layout(seg_dir: str) -> tuple[int, int, dict]:
-    """(row groups, footer bytes, {leaf column: compressed bytes}) of a
-    segment's postings files, from their footers alone (no data page is
-    read). Column keys are Parquet leaf paths (``blocks.list.element.n``)."""
+def _postings_layout(seg_dir: str) -> tuple[int, int, int, dict]:
+    """(row groups, footer bytes, inline metadata bytes, {leaf column:
+    compressed bytes}) of a segment's postings files, from their footers and
+    sizes alone (no data page is read). Column keys are Parquet leaf paths
+    (``blocks.list.element.n``). The inline metadata is the copy of each
+    chunk's ``ColumnMetaData`` the writer puts after the chunk's pages, outside
+    both the chunk's compressed size and the footer: a file's bytes less its
+    footer, its chunks and its :data:`PARQUET_MAGIC_BYTES`."""
     root = os.path.join(seg_dir, "postings.parquet")
-    groups = footer = 0
+    groups = footer = inline = 0
     columns: dict = {}
     for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
         if name.endswith(".parquet"):
-            md = pq.read_metadata(os.path.join(root, name))
+            path = os.path.join(root, name)
+            md = pq.read_metadata(path)
             groups += md.num_row_groups
             footer += md.serialized_size
+            inline += os.path.getsize(path) - md.serialized_size - PARQUET_MAGIC_BYTES
             for g in range(md.num_row_groups):
                 rg = md.row_group(g)
                 for i in range(rg.num_columns):
@@ -219,7 +230,8 @@ def _postings_layout(seg_dir: str) -> tuple[int, int, dict]:
                         columns.get(col.path_in_schema, 0)
                         + col.total_compressed_size
                     )
-    return groups, footer, columns
+                    inline -= col.total_compressed_size
+    return groups, footer, inline, columns
 
 
 def build_report(index_dir: str) -> dict:
@@ -238,7 +250,7 @@ def build_report(index_dir: str) -> dict:
     total_bytes, seg_bytes = _index_bytes(index_dir)
     total_posting_rows = 0
     total_purged = 0
-    total_groups = total_footer = 0
+    total_groups = total_footer = total_inline = 0
     total_columns: dict = {}
     any_tombstones = False
     for s in meta["segments"]:
@@ -269,9 +281,10 @@ def build_report(index_dir: str) -> dict:
         total_posting_rows += posting_rows
         purged = int(man.get("purged_docs") or 0)
         total_purged += purged
-        groups, footer, columns = _postings_layout(seg_dir)
+        groups, footer, inline, columns = _postings_layout(seg_dir)
         total_groups += groups
         total_footer += footer
+        total_inline += inline
         for c, n in columns.items():
             total_columns[c] = total_columns.get(c, 0) + n
         comps = dict.fromkeys(BYTE_COMPONENTS, 0)
@@ -298,6 +311,7 @@ def build_report(index_dir: str) -> dict:
             **comps,
             "postings_row_groups": groups,
             "postings_footer_bytes": footer,
+            "postings_inline_meta_bytes": inline,
             "postings_column_bytes": columns,
             "input_path": man.get("input_path"),
         }
@@ -323,6 +337,7 @@ def build_report(index_dir: str) -> dict:
             "purged_docs": total_purged,
             "postings_row_groups": total_groups,
             "postings_footer_bytes": total_footer,
+            "postings_inline_meta_bytes": total_inline,
             "postings_column_bytes": total_columns,
             "tombstoned_segments": any_tombstones,
             "index_bytes": sum(total_bytes.values()),

@@ -175,8 +175,11 @@ class SegmentReader:
         self.cache = ReaderCache()
         #: what :meth:`_read_postings_rows` has read from the postings files:
         #: calls, row groups and their compressed bytes (column chunks,
-        #: page headers included); cache hits read nothing
-        self.postings_read = {"calls": 0, "row_groups": 0, "compressed_bytes": 0}
+        #: page headers included); cache hits read nothing, and neither do
+        #: ``absent_terms``, the lookups :meth:`raw_blocks_many` answered
+        #: empty from the term dictionary
+        self.postings_read = {"calls": 0, "row_groups": 0,
+                              "compressed_bytes": 0, "absent_terms": 0}
         # tombstones: sorted global doc ids marked deleted (the file the
         # caller's commit names, written by index.delete). Loaded once at
         # reader construction — readers opened after a delete see it (Lucene
@@ -396,7 +399,15 @@ class SegmentReader:
         """UNDECODED blocks per term (bucket order) as zero-copy
         :class:`RawBlocks` views, for metadata-guided selective decode
         (block-max WAND / conjunctive pruning). One predicate-pushdown read for
-        all missing terms; cached like decoded postings."""
+        all missing terms; cached like decoded postings.
+
+        Missing terms are first looked up in ``field``'s term dictionary
+        (loaded on first use; ``resolve`` usually has loaded it at plan time):
+        a term it lacks gets the empty blocks with no Parquet read, counted in
+        ``postings_read["absent_terms"]``; the statistics alone would select
+        the row group whose (field, term) range covers it and decode it only
+        to filter every row out. ``NORMS_TERM`` is never in the dictionary,
+        always reads its rows and loads no dictionary."""
         if self.empty or not terms:
             return {}
         out: Dict[str, RawBlocks] = {}
@@ -407,6 +418,14 @@ class SegmentReader:
                 out[term] = hit
             else:
                 missing.append(term)
+        lookup = [t for t in missing if t != NORMS_TERM]
+        if lookup:
+            dfs = self.dfs(field, lookup)
+            absent = [t for t in lookup if not dfs[t]]
+            for term in absent:
+                out[term] = self._empty_raw(field, term)
+            self.postings_read["absent_terms"] += len(absent)
+            missing = [t for t in missing if t == NORMS_TERM or dfs[t]]
         if missing:
             t = self._read_postings_rows(field, missing)
             if t is not None and t.num_rows:
@@ -427,13 +446,17 @@ class SegmentReader:
                     out[terms_np[i]] = RawBlocks(flat.slice(lo, hi - lo))
                     i = j
             for term in missing:
-                rb = out.get(term)
-                if rb is None:
-                    rb = out[term] = RawBlocks(
-                        pa.array([], type=_BLOCK_STRUCT_TYPE)
-                    )
-                self.cache.put("raw", (field, term), rb)
+                if term in out:
+                    self.cache.put("raw", (field, term), out[term])
+                else:
+                    out[term] = self._empty_raw(field, term)
         return out
+
+    def _empty_raw(self, field: str, term: str) -> RawBlocks:
+        """The cached empty blocks of a term this segment does not hold."""
+        rb = RawBlocks(pa.array([], type=_BLOCK_STRUCT_TYPE))
+        self.cache.put("raw", (field, term), rb)
+        return rb
 
     def _postings_files(self) -> list:
         """(Parquet handle, per-row-group (field, term) min/max stats,

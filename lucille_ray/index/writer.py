@@ -14,8 +14,9 @@ a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
   and is term-prunable (the reader cannot prune a group spanning two fields by
   term, so every lookup of either field would read it);
 - statistics are written only on ``field`` and ``term`` (the only columns the
-  reader prunes on) and dictionary encoding only on ``field``; compression is
-  snappy;
+  reader prunes on) and dictionary encoding only on ``field``;
+- each leaf column has its own codec (:data:`COLUMN_COMPRESSION`; see "Why
+  ZSTD on four columns" below);
 - the block metadata is delta-encoded (:data:`COLUMN_ENCODING`): Parquet's
   DELTA_BINARY_PACKED on the eight integer columns (``bucket``, ``df``,
   ``total_tf`` and each block's ``n``, ``max_tf``, ``min_dl``, ``first_doc``,
@@ -46,12 +47,38 @@ difference. 512 saves another 10% of bytes but doubles the bytes touched
 again. The byte cap, not the row cap, bounds a group of medium rows, so the
 worst-case group is the same at any row cap.
 
+Why ZSTD on four columns: snappy barely shrinks the varint payload blobs,
+which are half of the postings bytes, while the delta-bit-packed integers are
+already near their entropy. Compressed bytes per column of the compacted
+seed-1 serve index of the benchmark (3,536 turns, 2 segments), snappy against
+ZSTD at Arrow's default level:
+
+    column            snappy     ZSTD
+    ----------------  -------  -------
+    docs              123,197   97,223
+    pos               117,187   74,408
+    term               59,198   44,736
+    tfs                42,524   29,235
+
+ZSTD on these four took the index from 168.6 to 141.3 B/turn (-16.2%); ZSTD on
+every column gave 141.7, because the eight delta-bit-packed integer columns and
+``field`` grow 0-20% under ZSTD, and leaving those uncompressed gave 142.9.
+ZSTD decodes slower: 300 random ``text`` lookups over both segments of that
+index, row groups picked by the statistics alone, took p50 1.04 ms against
+0.96 ms all-snappy (8 alternating processes, one vCPU). The reader reads no
+group for a term the segment's dictionary lacks
+(``SegmentReader.raw_blocks_many``), which is 39% of the cold lookups of the
+benchmark's serve traffic and 49% of its churn traffic. There cold lookups
+read 30-32% fewer row groups and 44-45% fewer compressed bytes than
+all-snappy without the check, and the p50 of first answers moved +0.5%
+(serve) and -1.3% (churn), within run-to-run spread (10 traced pairs each).
+
 Invariant (checked by the tests): every row group holds at most
 ``ROW_GROUP_ROWS`` rows of one field, and a group whose payload exceeds
 ``ROW_GROUP_BYTES`` holds exactly one row. Readers need nothing from the
-layout beyond the (field, term) statistics, and Parquet encodings are
-self-describing, so older fixed-size-group and PLAIN-encoded indexes still
-open; compaction rewrites them in this layout.
+layout beyond the (field, term) statistics, and Parquet encodings and codecs
+are self-describing, so older fixed-size-group, PLAIN-encoded and all-snappy
+indexes still open; compaction rewrites them in this layout.
 """
 
 from __future__ import annotations
@@ -79,15 +106,28 @@ ROWS_PER_FILE = 16384
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
 
+#: the postings leaf columns that hold delta-encoded integers
+_DELTA_INT_COLUMNS = (
+    "bucket", "df", "total_tf",
+    *(f"blocks.list.element.{f}"
+      for f in ("n", "max_tf", "min_dl", "first_doc", "last_doc")),
+)
+
 #: Parquet encoding of each postings leaf column that is neither dictionary-
 #: encoded (``field``) nor a payload blob
 COLUMN_ENCODING = {
     "term": "DELTA_BYTE_ARRAY",
-    **{c: "DELTA_BINARY_PACKED" for c in (
-        "bucket", "df", "total_tf",
-        *(f"blocks.list.element.{f}"
-          for f in ("n", "max_tf", "min_dl", "first_doc", "last_doc")),
-    )},
+    **{c: "DELTA_BINARY_PACKED" for c in _DELTA_INT_COLUMNS},
+}
+
+#: compression codec of every postings leaf column (a leaf missing here would
+#: be written uncompressed): ZSTD on the columns it still shrinks, snappy on
+#: the bit-packed integers and the dictionary-encoded ``field``
+COLUMN_COMPRESSION = {
+    "field": "SNAPPY",
+    "term": "ZSTD",
+    **{c: "SNAPPY" for c in _DELTA_INT_COLUMNS},
+    **{f"blocks.list.element.{c}": "ZSTD" for c in _PAYLOAD_COLUMNS},
 }
 
 
@@ -141,7 +181,7 @@ def write_postings_file(table: pa.Table, path: str) -> None:
     with pq.ParquetWriter(
         path,
         table.schema,
-        compression="snappy",
+        compression=COLUMN_COMPRESSION,
         use_dictionary=["field"],
         write_statistics=["field", "term"],
         column_encoding=COLUMN_ENCODING,

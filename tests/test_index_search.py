@@ -1696,16 +1696,20 @@ _DELTA_INT_COLUMNS = (
 def _assert_writer_encodings(md) -> None:
     """Every column chunk of a postings file's metadata ``md`` in the writer's
     encodings (DELTA_BINARY_PACKED integers, DELTA_BYTE_ARRAY ``term``,
-    dictionary ``field``, PLAIN payload blobs), snappy-compressed, and every
-    row group with ``field``/``term`` min/max: without them the reader falls
-    back to whole-file reads, correct but a perf cliff."""
+    dictionary ``field``, PLAIN payload blobs) and compressed with its leaf's
+    codec in ``writer.COLUMN_COMPRESSION``, and every row group with
+    ``field``/``term`` min/max: without them the reader falls back to
+    whole-file reads, correct but a perf cliff."""
+    from lucille_ray.index.writer import COLUMN_COMPRESSION
+
     for g in range(md.num_row_groups):
         rg = md.row_group(g)
         cols = {rg.column(i).path_in_schema: rg.column(i)
                 for i in range(rg.num_columns)}
+        assert set(cols) == set(COLUMN_COMPRESSION), (sorted(cols), g)
         for name, col in cols.items():
             enc = set(col.encodings)
-            assert col.compression == "SNAPPY", (name, g)
+            assert col.compression == COLUMN_COMPRESSION[name], (name, g)
             if name in _DELTA_INT_COLUMNS:
                 assert "DELTA_BINARY_PACKED" in enc and "PLAIN" not in enc, (name, enc)
             elif name == "term":
@@ -2104,10 +2108,12 @@ def _group_rows(index_dir: str) -> list:
 
 
 def test_postings_read_counts_cold_lookups(built):
-    """SegmentReader.postings_read counts what a cold lookup reads: one rare
-    term's lookup on a fresh reader reads exactly the row groups whose
-    (field, term) statistics overlap it (at most one per file) and their
-    compressed bytes; the repeat lookup is a cache hit and reads nothing."""
+    """SegmentReader.postings_read counts what a cold lookup reads: with the
+    term dictionary loaded, one rare term's lookup reads exactly the row
+    groups whose (field, term) statistics overlap it (at most one per file)
+    and their compressed bytes; the repeat lookup is a cache hit and reads
+    nothing. A fresh reader's first lookup loads the dictionary itself and
+    reads the same."""
     import glob
 
     from lucille_ray.index.segment import SegmentReader
@@ -2133,12 +2139,141 @@ def test_postings_read_counts_cold_lookups(built):
     assert 1 <= groups <= len(files)
 
     reader = SegmentReader(seg_dir)
-    assert reader.postings_read == {"calls": 0, "row_groups": 0, "compressed_bytes": 0}
+    assert reader.postings_read == {"calls": 0, "row_groups": 0,
+                                    "compressed_bytes": 0, "absent_terms": 0}
+    reader.term_dict("text")
+    loaded = dict(reader.postings_read)
+    assert loaded["calls"] == 1 and loaded["absent_terms"] == 0
     assert len(reader.raw_blocks_many("text", [term])[term]) > 0
-    want = {"calls": 1, "row_groups": groups, "compressed_bytes": nbytes}
+    want = {"calls": 2, "row_groups": loaded["row_groups"] + groups,
+            "compressed_bytes": loaded["compressed_bytes"] + nbytes,
+            "absent_terms": 0}
     assert reader.postings_read == want
     reader.raw_blocks_many("text", [term])
     assert reader.postings_read == want
+    fresh = SegmentReader(seg_dir)
+    assert len(fresh.raw_blocks_many("text", [term])[term]) > 0
+    assert fresh.postings_read == want
+
+
+def test_dictionary_skips_absent_terms(ray_session, tmp_path, monkeypatch):
+    """A term a segment's term dictionary lacks is answered empty with no
+    Parquet read, counted in ``absent_terms``, even where the (field, term)
+    statistics select a row group for it, whether or not the dictionary was
+    loaded before the lookup; the segment that holds the term still reads it.
+    An in-process engine answers every QUERY_SET query exactly as it does
+    when the statistics alone pick the row groups, and its cold lookups read
+    fewer of them."""
+    from lucille_ray.index.segment import SegmentReader
+
+    data_dir = str(tmp_path / "data")
+    index_dir = str(tmp_path / "index")
+    T.generate(N_TURNS, data_dir, num_files=3)
+    table = pq.read_table(data_dir).sort_by([("conv_id", "ascending"),
+                                             ("turn_idx", "ascending")])
+    # the first conversations' turns gain words no other turn has
+    marks = [f" qzonly{i % 7}" if i < 60 else "" for i in range(table.num_rows)]
+    text = pc.binary_join_element_wise(table["text"], pa.array(marks), "")
+    table = table.set_column(table.schema.get_field_index("text"), "text", text)
+    shutil.rmtree(data_dir)
+    os.makedirs(data_dir)
+    pq.write_table(table, os.path.join(data_dir, "part-0.parquet"))
+    build_index(T.read_transcripts(data_dir), index_dir, num_segments=2)
+    oracle = BruteForceOracle(table)
+
+    seg_dirs = _seg_dirs(index_dir)
+    assert len(seg_dirs) == 2
+    dicts = [set(SegmentReader(d).term_dict("text")[0].tolist()) for d in seg_dirs]
+    only_first = sorted(dicts[0] - dicts[1])
+    assert only_first
+
+    orig = SegmentReader.raw_blocks_many
+
+    def statistics_only(self, field, terms):
+        """``raw_blocks_many`` as if the dictionary held every term: the
+        row groups are picked by the (field, term) statistics alone."""
+        self.dfs = lambda f, ts: dict.fromkeys(ts, 1)
+        try:
+            return orig(self, field, terms)
+        finally:
+            del self.dfs
+
+    def stats_select(term):
+        """Row groups a statistics-only lookup of ``term`` reads on the
+        second segment."""
+        r = SegmentReader(seg_dirs[1])
+        assert not len(statistics_only(r, "text", [term])[term])
+        return r.postings_read["row_groups"]
+
+    term = next((t for t in only_first if stats_select(t)), None)
+    assert term is not None, "no absent term inside a row group's range"
+
+    holder, lacker = (SegmentReader(d) for d in seg_dirs)
+    loaded = []
+    for r in (holder, lacker):
+        r.term_dict("text")
+        loaded.append(dict(r.postings_read))
+    assert not len(lacker.raw_blocks_many("text", [term])[term])
+    assert lacker.postings_read == {**loaded[1], "absent_terms": 1}
+    assert len(holder.raw_blocks_many("text", [term])[term]) > 0
+    assert holder.postings_read["row_groups"] > loaded[0]["row_groups"]
+    assert holder.postings_read["absent_terms"] == 0
+    fresh = SegmentReader(seg_dirs[1])
+    assert not len(fresh.raw_blocks_many("text", [term])[term])
+    assert fresh.postings_read == lacker.postings_read
+
+    def run():
+        eng = SearchEngine(index_dir, parallel=False, result_cache=False)
+        out = []
+        for qs in [*QUERY_SET, *(f"qzonly{i} OR data" for i in range(7))]:
+            _compare(eng, oracle, qs)
+            got = eng.search(qs, k=10, with_meta=False)
+            out.append((got["doc_id"].to_pylist(), got["score"].to_pylist()))
+        reads = [st["postings_read"] for fan in eng.cache_stats()
+                 for st in fan.values()]
+        return out, {k: sum(r[k] for r in reads) for k in reads[0]}
+
+    skip, skip_read = run()
+    monkeypatch.setattr(SegmentReader, "raw_blocks_many", statistics_only)
+    plain, plain_read = run()
+    assert skip == plain
+    assert plain_read["absent_terms"] == 0 < skip_read["absent_terms"]
+    assert skip_read["row_groups"] < plain_read["row_groups"]
+
+
+def test_norms_decode_with_term_dict_loaded(built, tmp_path):
+    """A segment without its ``norms_*.npy`` sidecars decodes its norms rows
+    after its term dictionaries are loaded: ``NORMS_TERM`` is never in a
+    dictionary, and its lookup still reads the postings files. Without
+    them loaded, decoding the norms loads no dictionary."""
+    from lucille_ray.index.segment import SegmentReader
+
+    idx = str(tmp_path / "nodict_norms")
+    shutil.copytree(built[1], idx)
+    for seg_dir in _seg_dirs(idx):
+        want = SegmentReader(seg_dir)
+        fields = want.manifest["fields"]
+        want = {f: want.norms(f) for f in fields}
+
+        def drop_sidecars():
+            for name in os.listdir(seg_dir):
+                if name.startswith("norms_"):
+                    os.remove(os.path.join(seg_dir, name))
+
+        drop_sidecars()
+        r = SegmentReader(seg_dir)
+        for f in fields:
+            r.term_dict(f)
+        for f in fields:
+            assert np.array_equal(r.norms(f), want[f]), (seg_dir, f)
+        assert r.postings_read["absent_terms"] == 0
+        assert r.postings_read["calls"] == 2 * len(fields)
+        drop_sidecars()  # the decode above wrote them back
+        r = SegmentReader(seg_dir)
+        for f in fields:
+            assert np.array_equal(r.norms(f), want[f]), (seg_dir, f)
+        assert r.postings_read["calls"] == len(fields)
+        assert not r._term_dicts
 
 
 def _answers(index_dir: str, oracle) -> list:
@@ -2172,12 +2307,27 @@ def _rewrite_plain_encoded(seg_dir: str) -> None:
                 w.write_table(t, row_group_size=t.num_rows)
 
 
+def _codecs(seg_dir: str) -> set:
+    """The compression codecs of every postings column chunk of a segment."""
+    import glob
+
+    out = set()
+    for f in glob.glob(os.path.join(seg_dir, "postings.parquet", "*.parquet")):
+        md = pq.ParquetFile(f).metadata
+        out.update(md.row_group(g).column(i).compression
+                   for g in range(md.num_row_groups) for i in range(md.num_columns))
+    return out
+
+
 def test_plain_encoded_segment_serves_and_compacts_to_delta(built, oracle, tmp_path):
-    """An index whose first segment is still PLAIN-encoded (written before
-    the postings writer delta-encoded its metadata) answers bit-identically
-    to the all-delta index, and compaction rewrites that segment in the
-    writer's encodings. The same rows take fewer bytes in the integer and
-    ``term`` columns delta-encoded."""
+    """An index whose first segment is still snappy-compressed and
+    PLAIN-encoded throughout (written before the postings writer
+    delta-encoded its metadata and ZSTD-compressed its payload and ``term``)
+    answers bit-identically to the index in the writer's layout, and
+    compaction rewrites that segment in the writer's encodings and codecs
+    with no branch on the old format. The same rows take fewer bytes in the
+    integer and ``term`` columns delta-encoded, and in the payload columns
+    under ZSTD."""
     from lucille_ray.index import build_report, compact_index
 
     _, index_dir, _ = built
@@ -2191,18 +2341,24 @@ def test_plain_encoded_segment_serves_and_compacts_to_delta(built, oracle, tmp_p
         md = pq.ParquetFile(os.path.join(plain_seg, "postings.parquet", f)).metadata
         with pytest.raises(AssertionError):
             _assert_writer_encodings(md)
+    assert _codecs(plain_seg) == {"SNAPPY"}
+    assert _codecs(_seg_dirs(new_dir)[0]) == {"SNAPPY", "ZSTD"}
     assert _stored_rows(mixed_dir).equals(_stored_rows(new_dir))
 
-    def meta_bytes(d):
+    def col_bytes(d, names):
         cols = build_report(d)["segments"][0]["postings_column_bytes"]
-        return sum(cols[c] for c in (*_DELTA_INT_COLUMNS, "term"))
+        return sum(cols[c] for c in names)
 
-    assert meta_bytes(new_dir) < meta_bytes(mixed_dir)
+    meta = (*_DELTA_INT_COLUMNS, "term")
+    payload = tuple(f"blocks.list.element.{c}" for c in ("docs", "tfs", "pos"))
+    assert col_bytes(new_dir, meta) < col_bytes(mixed_dir, meta)
+    assert col_bytes(new_dir, payload) < col_bytes(mixed_dir, payload)
     assert _answers(mixed_dir, oracle) == _answers(new_dir, oracle)
     for d in (mixed_dir, new_dir):
         compact_index(d)
     for seg_dir in _seg_dirs(mixed_dir):
         _assert_segment_layout(seg_dir)
+        assert _codecs(seg_dir) == {"SNAPPY", "ZSTD"}
     assert _stored_rows(mixed_dir).equals(_stored_rows(new_dir))
     assert _answers(mixed_dir, oracle) == _answers(new_dir, oracle)
 
@@ -2286,12 +2442,14 @@ def test_norms_sidecar_narrow_dtype_round_trip(built, tmp_path):
 
 
 def test_build_report_postings_layout(built, tmp_path):
-    """build_report carries each segment's postings row groups, footer bytes
-    and compressed bytes per leaf column (from the footers) plus their
-    totals, and they follow compaction."""
+    """build_report carries each segment's postings row groups, footer bytes,
+    inline chunk metadata bytes and compressed bytes per leaf column plus
+    their totals; with the magic bytes they sum to the postings files' sizes,
+    and they follow compaction."""
     import glob
 
     from lucille_ray.index import build_report, compact_index
+    from lucille_ray.index.report import PARQUET_MAGIC_BYTES
 
     _, index_dir, _ = built
     idx = str(tmp_path / "ridx")
@@ -2315,8 +2473,14 @@ def test_build_report_postings_layout(built, tmp_path):
                 m.row_group(g).column(i).total_compressed_size for m in mds
                 for g in range(m.num_row_groups) for i in range(m.num_columns))
             assert all(n > 0 for n in cols.values())
+            # the files split into chunks, footers, the chunks' inline
+            # metadata copies and the magic bytes
+            assert seg["postings_inline_meta_bytes"] > 0
             assert (sum(cols.values()) + seg["postings_footer_bytes"]
-                    <= seg["postings_bytes"])
+                    + seg["postings_inline_meta_bytes"]
+                    + PARQUET_MAGIC_BYTES * len(files)
+                    == seg["postings_bytes"]
+                    == sum(os.path.getsize(f) for f in files))
         tot = rep["totals"]
         assert tot["postings_row_groups"] == sum(
             s["postings_row_groups"] for s in rep["segments"])
@@ -2325,8 +2489,11 @@ def test_build_report_postings_layout(built, tmp_path):
         assert tot["postings_column_bytes"] == {
             c: sum(s["postings_column_bytes"][c] for s in rep["segments"])
             for c in tot["postings_column_bytes"]}
+        assert tot["postings_inline_meta_bytes"] == sum(
+            s["postings_inline_meta_bytes"] for s in rep["segments"])
         assert (sum(tot["postings_column_bytes"].values())
-                + tot["postings_footer_bytes"] <= tot["postings_bytes"])
+                + tot["postings_footer_bytes"] + tot["postings_inline_meta_bytes"]
+                <= tot["postings_bytes"])
         # bytes by component: they sum to index_bytes, which is every file
         comps = ("postings_bytes", "norms_bytes", "docmeta_bytes",
                  "checkpoint_bytes", "other_bytes")
