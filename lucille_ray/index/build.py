@@ -76,7 +76,7 @@ import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
 from . import commit
-from .codec import (POSTINGS_SCHEMA, RawBlocks, encode_runs, numeric_array,
+from .codec import (POSTINGS_SCHEMA, RawBlocks, encode_runs,
                     seg_parts, sort_postings, with_seg)
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
@@ -107,9 +107,8 @@ def _limit_worker_threads() -> None:
     _THREADS_LIMITED = True
 
 MANIFEST_FILE = commit.MANIFEST_FILE
-#: per-segment doc map: one (conv_id, base, cnt) row per conversation, sorted by
-#: base, covering exactly the segment's doc range (a file, or a directory of
-#: part files in ranged mode)
+#: per-segment doc map, one file: one (conv_id, base, cnt) row per
+#: conversation, sorted by base, covering exactly the segment's doc range
 CONVMAP_FILE = "convmap.parquet"
 
 
@@ -436,34 +435,6 @@ def _docmap_ranged(ds):
 # ---------------------------------------------------------------------------
 
 
-def conv_map_table(conv_id, base, hi: int) -> pa.Table:
-    """A doc map from each conversation's base doc id: rows sorted by base, and
-    since doc ids are dense a conversation runs to the next base, the last one
-    to ``hi``."""
-    base = np.asarray(base, dtype=np.int64)
-    order = np.argsort(base, kind="stable")
-    base = base[order]
-    return pa.table(
-        {
-            "conv_id": pa.compute.cast(conv_id.take(numeric_array(order)), pa.string()),
-            "base": numeric_array(base),
-            "cnt": numeric_array(np.diff(np.append(base, hi))),
-        }
-    )
-
-
-def conv_map_from_docmapped(src: str, hi: int) -> pa.Table:
-    """The doc map of one ``docmapped/seg=K`` partition, the corpus checkpoint
-    of builds that predate per-segment doc maps: each conversation's turn-0
-    row carries its base (doc_id = base + turn_idx)."""
-    import pyarrow.dataset as pads
-
-    t = pads.dataset(src).to_table(
-        columns=["conv_id", "doc_id"], filter=pads.field("turn_idx") == 0
-    )
-    return conv_map_table(t["conv_id"], t["doc_id"].to_numpy(), hi)
-
-
 def _driver_conv_maps(
     convs, bases: np.ndarray, counts: np.ndarray, seg_target: int, nseg: int,
     base0: int = 0,
@@ -494,33 +465,28 @@ def _driver_conv_maps(
     return maps, bounds
 
 
-def _write_conv_map_part(tbl: pa.Table, path: str, lo: int, hi: int) -> None:
-    """Ranged mode: the rows of one object-store base table whose base lies in
-    ``[lo, hi)`` become one part file of a segment's doc map."""
-    base = tbl["base"]
-    sub = tbl.filter(
-        pa.compute.and_(pa.compute.greater_equal(base, lo), pa.compute.less(base, hi))
-    )
-    if sub.num_rows:  # (conv_id, base, cnt), see _conv_block_bases
-        conv = pa.compute.cast(sub["conv_id"], pa.string())
-        pq.write_table(sub.set_column(0, "conv_id", conv), path)
+def _write_ranged_conv_map(base_refs: list, path: str, lo: int, hi: int) -> None:
+    """Ranged mode, one Ray task per segment: the rows of each object-store
+    base table in ``base_refs`` (those the segment overlaps, in order) whose
+    base lies in ``[lo, hi)``, streamed into the segment's one doc-map file,
+    one base table in memory at a time. The tables are sorted by conv_id with
+    increasing bases (:func:`_docmap_ranged`), so the file is sorted by base."""
+    import ray
 
-
-def _ranged_conv_map_writer(base_refs: list, blocks: List[int], lo: int, hi: int):
-    """Writes a segment's doc map as one part file per base table it overlaps
-    (``blocks``), in Ray tasks: the driver never holds the map."""
-
-    def write(path: str) -> None:
-        import ray
-
-        task = ray.remote(num_cpus=0.5)(_write_conv_map_part)
-        os.makedirs(path, exist_ok=True)
-        ray.get([
-            task.remote(base_refs[i], os.path.join(path, f"part-{i:05d}.parquet"), lo, hi)
-            for i in blocks
-        ])
-
-    return write
+    schema = pa.schema([("conv_id", pa.string()), ("base", pa.int64()),
+                        ("cnt", pa.int64())])
+    with pq.ParquetWriter(path, schema) as writer:
+        for ref in base_refs:  # (conv_id, base, cnt), see _conv_block_bases
+            tbl = ray.get(ref)
+            base = tbl["base"]
+            sub = tbl.filter(pa.compute.and_(pa.compute.greater_equal(base, lo),
+                                             pa.compute.less(base, hi)))
+            del tbl
+            if sub.num_rows:
+                writer.write_table(pa.table(
+                    [pa.compute.cast(sub["conv_id"], pa.string()),
+                     sub["base"], sub["cnt"]], schema=schema,
+                ))
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +792,12 @@ def _ranged_doc_ids(ds, num_segments: int, batch_size: Optional[int]) -> tuple:
         if s in spans else [0, 0]
         for s in range(nseg)
     ]
+    task = ray.remote(num_cpus=0.5)(_write_ranged_conv_map)
     writers = [
-        _ranged_conv_map_writer(
-            base_refs, [i for i, part in enumerate(partials)
-                        if any(p[0] == s for p in part)], *bounds[s],
-        )
+        lambda path, s=s: ray.get(task.remote(
+            [base_refs[i] for i, part in enumerate(partials)
+             if any(p[0] == s for p in part)], path, *bounds[s],
+        ))
         for s in range(nseg)
     ]
 

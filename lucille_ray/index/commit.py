@@ -7,14 +7,8 @@ An index directory holds::
     segments/<name>/        # write-once segment directories (segment.py)
         deleted_<gen>.npy   # write-once tombstones: sorted deleted doc ids
 
-Indexes built by older versions may also hold ``docmapped/seg=K/``, a corpus
-checkpoint whose partitions hold the doc maps of segments written before
-segments had their own; nothing writes it any more, and the sweep leaves it
-alone.
-
 The commit (format version 4) is one JSON object: the build settings
-(``fields``, ``range_width``, ``analyzer``; older commits may carry a
-``docmap`` field, which nothing reads), three counters —
+(``fields``, ``range_width``, ``analyzer``), three counters —
 ``total_docs`` (the next doc id), ``next_segment`` (the number of the next
 new segment directory) and ``generation`` (bumped by every publish) — and
 ``segments``, the live segments in doc order, each ``{"name", "docs": [lo,
@@ -48,15 +42,19 @@ Preconditions and exceptions:
 * The norms ``.npy`` sidecars are the one file a reader may add to a
   committed segment directory: a derived cache, written atomically.
 
-Version 3 indexes (``num_segments`` + ``seg_bounds``, tombstones rewritten in
-place as ``deleted.npy``) are read through :func:`_from_v3`; the first write
-on one publishes a version 4 commit.
+Today's layout is the only one any reader accepts. An index is derived data
+that ``build_index`` rebuilds from its input, so an older form — a commit of
+another version, a tombstone not named ``deleted_<gen>.npy``, a segment
+without its one-file doc map or with a one-file ``postings.parquet``
+(``segment.check_layout``) — is refused at open with :func:`rebuild_error`
+rather than read through a fallback (Lucene's ``IndexFormatTooOldException``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -69,7 +67,7 @@ INDEX_FORMAT_VERSION = 4
 
 _SEGMENTS = "segments"
 MANIFEST_FILE = "MANIFEST.json"
-_V3_TOMBSTONE = "deleted.npy"
+_TOMBSTONE = re.compile(r"deleted_\d+\.npy")
 
 
 class Segment(NamedTuple):
@@ -92,36 +90,28 @@ def read(index_dir: str) -> dict:
     with open(os.path.join(index_dir, INDEX_META_FILE)) as f:
         c = json.load(f)
     version = c.get("version")
-    if version == 3:
-        return _from_v3(index_dir, c)
     if version != INDEX_FORMAT_VERSION:
-        raise ValueError(
-            f"index {index_dir} has format version {version}; this engine "
-            f"reads versions 3 and {INDEX_FORMAT_VERSION} — rebuild the index"
-        )
+        raise rebuild_error(index_dir, f"its commit has format version {version}")
     c["segments"] = [
         Segment(s["name"], int(s["docs"][0]), int(s["docs"][1]), s["deleted"])
         for s in c["segments"]
     ]
+    for s in c["segments"]:
+        if s.deleted is not None and not _is_tombstone(s.deleted):
+            raise rebuild_error(
+                index_dir, f"its commit names tombstone {s.deleted} of {s.name}"
+            )
     return c
 
 
-def _from_v3(index_dir: str, meta: dict) -> dict:
-    """A version 3 meta as a commit: segment ``s`` is directory ``seg-s`` with
-    bounds ``seg_bounds[s]`` and tombstone ``deleted.npy`` when that file
-    exists."""
-    c = dict(meta)
-    n = int(c.pop("num_segments"))
-    bounds = c.pop("seg_bounds")
-    segs = []
-    for s in range(n):
-        name = segment_name(s)
-        tomb = os.path.join(segment_dir(index_dir, name), _V3_TOMBSTONE)
-        lo, hi = bounds[str(s)]
-        segs.append(Segment(name, int(lo), int(hi),
-                            _V3_TOMBSTONE if os.path.exists(tomb) else None))
-    c.update(generation=0, next_segment=n, segments=segs)
-    return c
+def rebuild_error(path: str, what: str) -> ValueError:
+    """The one error for an index (or segment) at ``path`` in a form older
+    than today's writers produce; ``what`` says which part is old."""
+    return ValueError(
+        f"{path} is in an older index layout ({what}); this engine reads only "
+        f"format version {INDEX_FORMAT_VERSION} as written today: rebuild it "
+        "with build_index into an empty directory"
+    )
 
 
 def publish(index_dir: str, c: dict) -> dict:
@@ -145,7 +135,7 @@ def publish(index_dir: str, c: dict) -> dict:
 def sweep(index_dir: str, c: dict) -> None:
     """Delete what commit ``c`` does not reference: entries under
     ``segments/`` it does not name, tombstones in its segments other than
-    theirs, and stray ``*.tmp`` files. ``docmapped/`` is left alone."""
+    theirs, and stray ``*.tmp`` files."""
     root = os.path.join(index_dir, _SEGMENTS)
     live = {s.name: s.deleted for s in c["segments"]}
     _remove(os.path.join(index_dir, INDEX_META_FILE + ".tmp"))
@@ -163,9 +153,7 @@ def sweep(index_dir: str, c: dict) -> None:
 
 
 def _is_tombstone(name: str) -> bool:
-    return name == _V3_TOMBSTONE or (
-        name.startswith("deleted_") and name.endswith(".npy")
-    )
+    return _TOMBSTONE.fullmatch(name) is not None
 
 
 def _remove(path: str) -> None:

@@ -425,11 +425,7 @@ def _compact_segment(
         json.dump(stats, f, indent=1)
     for name in os.listdir(seg_dir):
         if _kept(name):
-            src, dst = os.path.join(seg_dir, name), os.path.join(new_dir, name)
-            if os.path.isdir(src):  # a ranged build's doc map: part files
-                shutil.copytree(src, dst, copy_function=_link)
-            else:
-                _link(src, dst)
+            _link(os.path.join(seg_dir, name), os.path.join(new_dir, name))
 
     def finish(ranges: list) -> dict:
         manifest["posting_rows"] = sum(r["rows_written"] for r in ranges)

@@ -1,9 +1,8 @@
 """Structured build/index report: one JSON-able dict aggregating everything
 the build and compaction record about an index — metadata, per-phase wall
 times, per-segment manifests and live stats, on-disk footprint by component
-(postings, norms sidecars, doc maps, the ``docmapped/`` corpus checkpoint
-older builds left, everything else), postings layout (row groups, footer
-bytes, compressed bytes per Parquet leaf column), lifecycle state
+(postings, norms sidecars, doc maps, everything else), postings layout (row
+groups, footer bytes, compressed bytes per Parquet leaf column), lifecycle state
 (tombstones, purges, appends).
 
 This is the metrics/lineage surface: scaling and health claims should be
@@ -149,8 +148,7 @@ def _aggregate_stages(per_segment: list[list[dict]]) -> list[dict]:
 
 #: the components an index's bytes break down into (see :func:`_index_bytes`)
 BYTE_COMPONENTS = (
-    "postings_bytes", "norms_bytes", "docmeta_bytes", "checkpoint_bytes",
-    "other_bytes",
+    "postings_bytes", "norms_bytes", "docmeta_bytes", "other_bytes",
 )
 
 
@@ -161,14 +159,8 @@ PARQUET_MAGIC_BYTES = 12
 
 def _component(parts: tuple) -> str:
     """The byte component of one file, from its path parts under the index
-    dir: postings files, norms sidecars, doc maps (a segment's, or the root
-    one of single-segment indexes written before segments had their own),
-    the ``docmapped/`` corpus checkpoint of older builds, and everything
-    else (manifests, stats, tombstones, build reports)."""
-    if parts[0] == "docmapped":
-        return "checkpoint_bytes"
-    if parts[0] == "convmap.parquet":
-        return "docmeta_bytes"
+    dir: a segment's postings files, norms sidecars and doc map, and
+    everything else (manifests, stats, tombstones, build reports)."""
     if parts[0] == "segments" and len(parts) >= 3:
         if parts[2] == "postings.parquet":
             return "postings_bytes"
@@ -181,9 +173,9 @@ def _component(parts: tuple) -> str:
 
 def _index_bytes(index_dir: str) -> tuple[dict, dict]:
     """Bytes of every file under ``index_dir`` by component: ({component:
-    bytes} over the whole index, {directory: {component: bytes}}) for each
-    segment directory and each ``docmapped/seg=K`` partition. Each file has
-    exactly one component, so the components sum to the bytes on disk."""
+    bytes} over the whole index, {segment directory: {component: bytes}}).
+    Each file has exactly one component, so the components sum to the bytes
+    on disk."""
     total = dict.fromkeys(BYTE_COMPONENTS, 0)
     per_seg: dict = {}
     for root, _dirs, files in os.walk(index_dir):
@@ -196,11 +188,8 @@ def _index_bytes(index_dir: str) -> tuple[dict, dict]:
                 continue
             comp = _component(parts)
             total[comp] += size
-            seg = None
-            if parts[0] in ("segments", "docmapped") and len(parts) >= 3:
-                seg = parts[1]
-            if seg is not None:
-                per_seg.setdefault(seg, dict.fromkeys(BYTE_COMPONENTS, 0))[comp] += size
+            if parts[0] == "segments" and len(parts) >= 3:
+                per_seg.setdefault(parts[1], dict.fromkeys(BYTE_COMPONENTS, 0))[comp] += size
     return total, per_seg
 
 
@@ -287,12 +276,7 @@ def build_report(index_dir: str) -> dict:
         total_inline += inline
         for c, n in columns.items():
             total_columns[c] = total_columns.get(c, 0) + n
-        comps = dict.fromkeys(BYTE_COMPONENTS, 0)
-        # the segment's own files, and the docmapped partition an older
-        # build's manifest names, if one is left
-        for d in (name, os.path.basename(man.get("input_path") or "")):
-            for c, n in seg_bytes.get(d, {}).items():
-                comps[c] += n
+        comps = seg_bytes.get(name, dict.fromkeys(BYTE_COMPONENTS, 0))
         seg = {
             "segment": name,
             "status": man.get("status"),
@@ -306,8 +290,7 @@ def build_report(index_dir: str) -> dict:
                 int(np.load(tomb, mmap_mode="r").size) if tombstoned else 0
             ),
             "purged_docs": purged,
-            # the segment directory's own files (its checkpoint sits outside)
-            "bytes": sum(comps.values()) - comps["checkpoint_bytes"],
+            "bytes": sum(comps.values()),
             **comps,
             "postings_row_groups": groups,
             "postings_footer_bytes": footer,

@@ -6,10 +6,12 @@ write that created it (``commit.segment_name``: a build's segments are
 ``seg-00000``..., every later append or compaction takes the next number)::
 
     seg-00000/
-      postings.parquet/   # rows (field, term, bucket, df, total_tf, blocks)
+      postings.parquet/   # a directory of piece files, rows (field, term,
+                          # bucket, df, total_tf, blocks)
       stats.json          # doc_base, doc_count, per-field total_dl (+ live
                           # stats after a compaction purged tombstones)
-      convmap.parquet     # doc map: one (conv_id, base, cnt) row per conversation
+      convmap.parquet     # doc map, one file: one (conv_id, base, cnt) row
+                          # per conversation, sorted by base
       MANIFEST.json       # lineage + completion marker (checkpoint/resume unit)
       deleted_<gen>.npy   # tombstones: sorted deleted doc ids, one file per
                           # delete generation; the commit names the live one
@@ -18,7 +20,11 @@ write that created it (``commit.segment_name``: a build's segments are
     (norms = reserved-term ``NORMS_TERM`` posting rows; the ``.npy`` sidecars
     cache their decode and are the one file a reader adds to a committed
     directory; result metadata and conversation deletes resolve through the
-    doc map, doc_id = base + turn_idx)
+    doc map, doc_id = base + turn_idx; an empty segment holds its manifest
+    alone)
+
+A non-empty segment in any other layout is refused at open
+(:func:`check_layout`): rebuild the index.
 
 Which directories and tombstones are live is the commit's business
 (``commit.py``); a reader opens one directory and pins every file in it that
@@ -49,8 +55,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import (CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM,
-                    conv_map_from_docmapped, conv_map_table)
+from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM
 from .codec import RawBlocks, int64_column, numeric_array, sort_postings
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
@@ -196,11 +201,15 @@ class SegmentReader:
             except (OSError, ValueError):
                 raise ValueError(f"unreadable tombstone file {tombstone}")
         if not self.empty:
+            check_layout(seg_dir)
             # pin what a later write's sweep may unlink: open postings
             # handles survive it, and so does the loaded doc map
-            self._postings_files()
-            if os.path.exists(os.path.join(seg_dir, CONVMAP_FILE)):
+            try:
+                self._postings_files()
                 self.conv_map()
+            except FileNotFoundError:
+                if os.path.exists(manifest_path):
+                    raise  # not a sweep: that removes the manifest first
         # a sweep removes the manifest before the rest of a directory: if it
         # is still here, everything above was read before any of it went
         if not os.path.exists(manifest_path):
@@ -468,12 +477,11 @@ class SegmentReader:
         ~12 ms floor per call even for absent terms (the dominant rep-1 cost
         of sequential serving).
 
-        Assumes ``postings.parquet`` is a DIRECTORY of ``*.parquet`` piece
-        files — the layout every writer here produces (``writer.PostingsSink``
-        in build and append, ``compact._merge_range`` in compaction). A
-        single-file ``postings.parquet`` is not handled: ``os.listdir`` raises
-        on it. A file without (field, term) statistics gets ``None`` stats and
-        is read whole."""
+        ``postings.parquet`` is a DIRECTORY of ``*.parquet`` piece files —
+        the layout every writer here produces (``writer.PostingsSink`` in
+        build and append, ``compact._merge_range`` in compaction); the reader
+        refuses a single file at open (:func:`check_layout`). A file without
+        (field, term) statistics gets ``None`` stats and is read whole."""
         if self._postings_pf_cache is not None:
             return self._postings_pf_cache
         root = os.path.join(self.seg_dir, "postings.parquet")
@@ -590,32 +598,13 @@ class SegmentReader:
         """(conv_id, base, cnt) of this segment's conversations, ascending base:
         conversation ``i`` holds docs ``[base[i], base[i] + cnt[i])`` (doc_id =
         base + turn_idx by construction). Read once from the segment's
-        ``convmap.parquet``; segments written before it existed derive the same
-        arrays from the root ``convmap.parquet`` (``:fused`` manifests) or from
-        their docmapped partition."""
+        ``convmap.parquet`` as its writer left it: sorted by base and covering
+        exactly the segment. ``ParquetFile``, not ``pq.read_table``, which
+        imports ``pyarrow.dataset``, whose first import tries pandas three
+        times (refused in a scorer actor, search/engine.py)."""
         if self._conv_map is None:
-            hi = self.doc_base + self.doc_count
-            own = os.path.join(self.seg_dir, CONVMAP_FILE)
-            src = self.manifest.get("input_path") or ""
-            if os.path.exists(own):
-                t = _read_parquet(own, ["conv_id", "base"])
-            elif src.endswith(":fused"):
-                index_dir = os.path.dirname(os.path.dirname(self.seg_dir))
-                t = _read_parquet(
-                    os.path.join(index_dir, CONVMAP_FILE), ["conv_id", "base"]
-                )
-            elif os.path.exists(src):
-                t = conv_map_from_docmapped(src, hi)
-            else:
-                raise ValueError(
-                    f"{self.seg_dir} has no {CONVMAP_FILE} and its docmapped "
-                    f"input {src} is gone: conversations cannot be resolved "
-                    "(delete_docs with explicit doc ids still works)"
-                )
-            base = int64_column(t["base"].combine_chunks())
-            keep = np.flatnonzero((base >= self.doc_base) & (base < hi))
-            t = conv_map_table(
-                t["conv_id"].take(numeric_array(keep)), base[keep], hi
+            t = pq.ParquetFile(os.path.join(self.seg_dir, CONVMAP_FILE)).read(
+                columns=["conv_id", "base", "cnt"]
             )
             self._conv_map = (
                 t["conv_id"].combine_chunks(),
@@ -653,19 +642,6 @@ from .codec import POSTINGS_SCHEMA as _PS
 _BLOCK_STRUCT_TYPE = _PS.field("blocks").type.value_type
 
 
-def _read_parquet(path: str, columns: List[str]) -> pa.Table:
-    """``columns`` of one Parquet file, or of a directory of ``*.parquet``
-    pieces in name order, read through ``ParquetFile``: ``pq.read_table``
-    imports ``pyarrow.dataset``, whose first import tries pandas three times
-    (refused in a scorer actor, search/engine.py)."""
-    if not os.path.isdir(path):
-        return pq.ParquetFile(path).read(columns=columns)
-    return pa.concat_tables([
-        pq.ParquetFile(os.path.join(path, name)).read(columns=columns)
-        for name in sorted(os.listdir(path)) if name.endswith(".parquet")
-    ])
-
-
 def _narrowest_uint(a: np.ndarray) -> np.ndarray:
     """``a`` (non-negative ints) in the narrowest of uint8/16/32 that holds its
     max — the norms sidecars' storage dtype; int64 beyond uint32."""
@@ -674,6 +650,17 @@ def _narrowest_uint(a: np.ndarray) -> np.ndarray:
         if mx <= np.iinfo(dt).max:
             return a.astype(dt)
     return a.astype(np.int64)
+
+
+def check_layout(seg_dir: str) -> None:
+    """Raise the rebuild error (``commit.rebuild_error``) unless the non-empty
+    segment ``seg_dir`` has today's layout: ``postings.parquet`` a directory
+    of piece files and ``convmap.parquet`` one file. Stats only, so the
+    engine checks every committed segment before any scorer opens one."""
+    if not os.path.isdir(os.path.join(seg_dir, "postings.parquet")):
+        raise commit.rebuild_error(seg_dir, "postings.parquet is not a directory")
+    if not os.path.isfile(os.path.join(seg_dir, CONVMAP_FILE)):
+        raise commit.rebuild_error(seg_dir, f"{CONVMAP_FILE} is not one file")
 
 
 def live_mask(deleted: np.ndarray, docs: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..index import commit
-from ..index.segment import SegmentReader
+from ..index.segment import SegmentReader, check_layout
 from ..query import nodes as qn
 from ..query.parser import parse
 from .bmconj import conj_parts_compound, conj_top_k_compound
@@ -445,7 +445,6 @@ class SearchEngine:
         parallel: Union[bool, str] = "auto",
         replicas: int = 1,
         result_cache: bool = True,
-        placement: Optional[str] = "spread",
     ):
         # per-reader exact top-k result cache, handed to every scorer
         self._result_cache = result_cache
@@ -456,6 +455,10 @@ class SearchEngine:
         self.seg_dirs = commit.segment_dirs(index_dir, self.meta)
         self._tombstones = {d: commit.tombstone_path(index_dir, s)
                             for d, s in zip(self.seg_dirs, self.meta["segments"])}
+        # an older layout fails here, not in the first query's scorers
+        for d, s in zip(self.seg_dirs, self.meta["segments"]):
+            if s.hi > s.lo:
+                check_layout(d)
         if parallel == "auto":
             try:
                 import ray
@@ -491,17 +494,6 @@ class SearchEngine:
         # lets repeat dictionary-expansion queries (prefix/fuzzy/range/…)
         # plan resolve-free like exact-term queries do (round 5).
         self._exp_cache: Dict[ExpansionSpec, tuple] = {}
-        # multi-node placement (VERDICT r04 #7): "spread" asks Ray to place
-        # scorer actors across nodes (SPREAD soft-spreads, so a single-node
-        # cluster still schedules everything locally — same behavior in the
-        # tests' 4-CPU fixture), which on a real cluster puts each replica
-        # set's segment shards on different hosts for fault isolation and
-        # aggregate IO bandwidth. None/"default" keeps Ray's default packing.
-        if placement not in (None, "default", "spread"):
-            raise ValueError(
-                f"placement must be 'spread', 'default' or None, got {placement!r}"
-            )
-        self._placement = placement
 
     # ---- scorer management ----
 
@@ -538,13 +530,11 @@ class SearchEngine:
                 # exactly when everything is busy — the PENDING deadlock)
                 avail = int(res.get("CPU", 0))
                 reps = max(1, min(reps, avail // len(live)))
-            opts = {"num_cpus": 1}
-            if self._placement == "spread":
-                # soft spread: prefer one scorer per node (segment shards read
-                # independent data, so spreading buys aggregate disk/page-cache
-                # bandwidth and keeps a node loss to one shard per set); falls
-                # back to co-location when the cluster is a single node
-                opts["scheduling_strategy"] = "SPREAD"
+            # soft spread: prefer one scorer per node (segment shards read
+            # independent data, so spreading buys aggregate disk/page-cache
+            # bandwidth and keeps a node loss to one shard per set); falls
+            # back to co-location when the cluster is a single node
+            opts = {"num_cpus": 1, "scheduling_strategy": "SPREAD"}
             self._sets = [
                 [Actor.options(**opts).remote(g, self._result_cache,
                                               [self._tombstones[d] for d in g])

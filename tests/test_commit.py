@@ -3,9 +3,9 @@ publishes them with one atomic ``index_meta.json`` rewrite, then sweeps what
 the new commit no longer references.
 
 Covers the write-once property of delete, compaction and append, a crash
-injected before every filesystem step of each of them, the version 3 read
-path and its upgrade, an engine that keeps answering after a sweep, and the
-commit-only views of compaction and ``build_report``."""
+injected before every filesystem step of each of them, an engine that keeps
+answering after a sweep, and the commit-only views of compaction and
+``build_report``."""
 
 import builtins
 import hashlib
@@ -344,49 +344,6 @@ def test_write_crash_matrix(built, corpus, victims, tmp_path, monkeypatch, write
         assert _answers(d) == new, k
         assert set(_files(d)) == expected, k
         shutil.rmtree(d)
-
-
-def _to_v3(index_dir):
-    """Rewrite a fresh (never compacted) index into the version 3 form: the
-    meta's ``num_segments`` and ``seg_bounds``, tombstones as ``deleted.npy``."""
-    c = commit.read(index_dir)
-    for i, s in enumerate(c["segments"]):
-        assert s.name == commit.segment_name(i)
-        if s.deleted:
-            seg_dir = commit.segment_dir(index_dir, s.name)
-            os.rename(os.path.join(seg_dir, s.deleted),
-                      os.path.join(seg_dir, "deleted.npy"))
-    with open(os.path.join(index_dir, commit.INDEX_META_FILE)) as f:
-        meta = json.load(f)
-    segments = meta.pop("segments")
-    for key in ("generation", "next_segment"):
-        del meta[key]
-    meta.update(version=3, num_segments=len(segments),
-                seg_bounds={str(i): s["docs"] for i, s in enumerate(segments)})
-    with open(os.path.join(index_dir, commit.INDEX_META_FILE), "w") as f:
-        json.dump(meta, f)
-
-
-def test_version_3_index_opens_and_upgrades(built, corpus, victims, tmp_path):
-    """A version 3 index (tombstoned) opens and answers like its version 4
-    twin; its first write publishes a version 4 commit, and after a delete, a
-    compaction and an append it still answers like the twin."""
-    writes = _writes(corpus, victims)
-    v4 = _copy(built, tmp_path / "v4")
-    delete_docs(v4, victims[:2])
-    v3 = _copy(v4, tmp_path / "v3")
-    _to_v3(v3)
-    assert json.load(open(os.path.join(v3, commit.INDEX_META_FILE)))["version"] == 3
-    assert build_report(v3)["totals"]["tombstoned_segments"]
-    assert _answers(v3) == _answers(v4)
-    for name in ("delete", "compact", "append"):
-        for d in (v3, v4):
-            writes[name](d)
-        meta = json.load(open(os.path.join(v3, commit.INDEX_META_FILE)))
-        assert meta["version"] == commit.INDEX_FORMAT_VERSION
-        assert "num_segments" not in meta and "seg_bounds" not in meta
-        assert _answers(v3) == _answers(v4), name
-    assert not [f for _, _, fs in os.walk(v3) for f in fs if f == "deleted.npy"]
 
 
 def _plant_crashed_append(index_dir):

@@ -224,28 +224,16 @@ def test_replica_sets_alternate_per_search(built):
         engine.shutdown()
 
 
-def test_placement_spread_param(built, oracle):
-    """placement='spread' schedules scorer actors with the SPREAD strategy
-    (multi-node readiness, VERDICT r04 #7); on this single-node fixture it
-    must still schedule everything and answer identically to default packing.
-    An unknown placement value fails fast."""
-    # one pool at a time: two live engines would pin 4 one-CPU actors on the
-    # 4-CPU test fixture and leave no headroom (CLAUDE.md trap)
-    answers = {}
-    for placement in ("spread", None):
-        eng = SearchEngine(built[1], parallel=True, placement=placement)
-        try:
-            for qs in QUERY_SET[::8]:
-                answers.setdefault(qs, []).append(
-                    eng.search(qs, k=10, with_meta=False).to_pydict()
-                )
-                _compare(eng, oracle, qs)
-        finally:
-            eng.shutdown()
-    for qs, (a, b) in answers.items():
-        assert a == b, qs
-    with pytest.raises(ValueError, match="placement"):
-        SearchEngine(built[1], parallel=True, placement="bogus")
+def test_scorer_actors_spread(built, oracle):
+    """Scorer actors are scheduled with the SPREAD strategy (multi-node
+    readiness, VERDICT r04 #7); on this single-node fixture every actor still
+    schedules and the engine answers like the oracle."""
+    eng = SearchEngine(built[1], parallel=True)
+    try:
+        for qs in QUERY_SET[::8]:
+            _compare(eng, oracle, qs)
+    finally:
+        eng.shutdown()
 
 
 def test_expansion_memo_plans_resolve_free(built):
@@ -679,6 +667,13 @@ def test_ranged_docid_mode_identical_results(built, oracle, tmp_path, monkeypatc
             for d in commit.segment_dirs(index_dir, commit.read(index_dir))
         ]
 
+    def doc_maps(index_dir):
+        """Every segment's doc map, which must be one file."""
+        paths = [os.path.join(d, "convmap.parquet")
+                 for d in commit.segment_dirs(index_dir, commit.read(index_dir))]
+        assert all(os.path.isfile(p) for p in paths), paths
+        return [pq.ParquetFile(p).read() for p in paths]
+
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
     driver_dir = str(tmp_path / "driver_idx")
@@ -691,13 +686,18 @@ def test_ranged_docid_mode_identical_results(built, oracle, tmp_path, monkeypatc
     ranged, driver = stored_postings(index_dir), stored_postings(driver_dir)
     assert len(ranged) == len(driver) == 2
     assert all(r.equals(d) for r, d in zip(ranged, driver))
+    driver_maps = doc_maps(driver_dir)
+    assert all(r.equals(d) for r, d in zip(doc_maps(index_dir), driver_maps))
     _assert_doc_meta_in_rank_order(index_dir, built[2])
     engine = SearchEngine(index_dir, parallel=False)
     for qs in QUERY_SET[::5]:
         _compare(engine, oracle, qs)
-    # single segment: its doc map written from the ranged base tables
+    # single segment: its doc map written from the ranged base tables is
+    # the driver mode's two maps end to end
     fused_dir = str(tmp_path / "ranged_fused_idx")
     build_index(ds, fused_dir, num_segments=1, batch_size=400)
+    [one] = doc_maps(fused_dir)
+    assert one.equals(pa.concat_tables(driver_maps))
     _assert_doc_meta_in_rank_order(fused_dir, built[2])
 
 
@@ -1214,7 +1214,6 @@ def test_resume_skips_complete_segments_and_rebuilds_missing(
     assert not segment_complete(crash_dir, 1)
     assert not os.path.exists(os.path.join(crash_dir, "docmapped"))
     rep = build_report(crash_dir)
-    assert rep["totals"]["checkpoint_bytes"] == 0
     assert [s["segment"] for s in rep["segments"]] == ["seg-00000"]
 
     # resume rebuilds only segment 1: the doc-id pass drops segment 0's rows
@@ -2449,7 +2448,7 @@ def test_build_report_postings_layout(built, tmp_path):
     import glob
 
     from lucille_ray.index import build_report, compact_index
-    from lucille_ray.index.report import PARQUET_MAGIC_BYTES
+    from lucille_ray.index.report import BYTE_COMPONENTS, PARQUET_MAGIC_BYTES
 
     _, index_dir, _ = built
     idx = str(tmp_path / "ridx")
@@ -2495,20 +2494,18 @@ def test_build_report_postings_layout(built, tmp_path):
                 + tot["postings_footer_bytes"] + tot["postings_inline_meta_bytes"]
                 <= tot["postings_bytes"])
         # bytes by component: they sum to index_bytes, which is every file
-        comps = ("postings_bytes", "norms_bytes", "docmeta_bytes",
-                 "checkpoint_bytes", "other_bytes")
+        comps = ("postings_bytes", "norms_bytes", "docmeta_bytes", "other_bytes")
+        assert comps == BYTE_COMPONENTS
         on_disk = sum(
             os.path.getsize(os.path.join(root, f))
             for root, _, files in os.walk(idx) for f in files
         )
         assert sum(tot[c] for c in comps) == tot["index_bytes"] == on_disk
-        for c in comps[:4]:
+        for c in comps[:3]:
             assert tot[c] == sum(s[c] for s in rep["segments"]), c
         for seg in rep["segments"]:
             assert seg["postings_bytes"] > 0 and seg["docmeta_bytes"] > 0
-            assert seg["bytes"] == sum(seg[c] for c in comps) - seg["checkpoint_bytes"]
-        # a complete 2-segment build keeps no checkpoint
-        assert tot["checkpoint_bytes"] == 0
+            assert seg["bytes"] == sum(seg[c] for c in comps)
         return tot
 
     check()
@@ -2563,75 +2560,95 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
     check(_seg_dirs(cidx)[0])
 
 
-def test_pre_convmap_layouts_still_serve(built, tmp_path):
-    """Indexes written before segments had their own doc map (format v3
-    too) still answer with metadata, delete conversations and compact: their
-    doc map comes from the docmapped partition, or from the root
-    convmap.parquet for ``:fused`` manifests. Every answer, metadata table
-    and delete count equals the new layout's, before and after compaction."""
+def _plant_old_form(index_dir, form, src):
+    """Turn a copy of the fixture index into one of the layouts older
+    writers left: a version 3 commit, a v4 commit naming the version 3
+    tombstone ``deleted.npy``, segments without their own doc map (whose
+    manifest points at the root map, ``:fused``, or at a ``docmapped/seg=K``
+    partition), a doc map as a directory of part files, or a one-file
+    ``postings.parquet``."""
+    from lucille_ray.index import commit
+
+    c = commit.read(index_dir)
+    meta_path = os.path.join(index_dir, commit.INDEX_META_FILE)
+    with open(meta_path) as f:
+        meta = json.load(f)
+    seg_dirs = commit.segment_dirs(index_dir, c)
+    if form == "v3_commit":
+        segments = meta.pop("segments")
+        for key in ("generation", "next_segment"):
+            del meta[key]
+        meta.update(version=3, num_segments=len(segments),
+                    seg_bounds={str(i): s["docs"] for i, s in enumerate(segments)})
+    elif form == "v3_tombstone":
+        np.save(os.path.join(seg_dirs[0], "deleted.npy"), np.array([0, 1]))
+        meta["segments"][0]["deleted"] = "deleted.npy"
+    for k, (seg, d) in enumerate(zip(c["segments"], seg_dirs)):
+        convmap = os.path.join(d, "convmap.parquet")
+        if form in ("fused_root", "docmapped"):
+            os.remove(convmap)
+            with open(os.path.join(d, "MANIFEST.json")) as f:
+                man = json.load(f)
+            part = os.path.join(index_dir, "docmapped", f"seg={k}")
+            if form == "docmapped":
+                os.makedirs(part)
+                ids = pa.array(range(seg.lo, seg.hi), pa.int64())
+                pq.write_table(src.slice(seg.lo, seg.hi - seg.lo)
+                               .append_column("doc_id", ids),
+                               os.path.join(part, "part-0.parquet"))
+                man["input_path"] = part
+            else:
+                man["input_path"] = os.path.join(index_dir, "docmapped") + ":fused"
+            with open(os.path.join(d, "MANIFEST.json"), "w") as f:
+                json.dump(man, f)
+        elif form == "convmap_parts":
+            t = pq.read_table(convmap)
+            os.remove(convmap)
+            os.makedirs(convmap)
+            pq.write_table(t, os.path.join(convmap, "part-00000.parquet"))
+        elif form == "postings_file":
+            path = os.path.join(d, "postings.parquet")
+            t = pq.read_table(path)
+            shutil.rmtree(path)
+            pq.write_table(t, path)
+    if form == "fused_root":
+        first = pc.equal(src["turn_idx"], 0).to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(first)
+        pq.write_table(pa.table({
+            "conv_id": src["conv_id"].filter(pa.array(first)),
+            "base": pa.array(starts, pa.int64()),
+            "cnt": pa.array(np.diff(np.append(starts, N_TURNS)), pa.int64()),
+        }), os.path.join(index_dir, "convmap.parquet"))
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+
+
+@pytest.mark.parametrize("form", ["v3_commit", "v3_tombstone", "fused_root",
+                                  "docmapped", "convmap_parts", "postings_file"])
+def test_old_index_forms_refused(built, oracle, tmp_path, form):
+    """An index in a layout older than today's writers produce is refused at
+    open with the one rebuild error, by the engine, compaction and a delete
+    alike; rebuilding into an empty directory serves it again."""
     from lucille_ray.index import compact_index, delete_conversations
-    from lucille_ray.index.segment import load_segments
 
     data_dir, index_dir, table = built
     src = _source_order(table)
-    first = pc.equal(src["turn_idx"], 0).to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(first)
-    root_map = pa.table({
-        "conv_id": src["conv_id"].filter(pa.array(first)),
-        "base": pa.array(starts, pa.int64()),
-        "cnt": pa.array(np.diff(np.append(starts, N_TURNS)), pa.int64()),
-    })
-
-    def make(layout):
-        d = str(tmp_path / layout)
-        shutil.copytree(index_dir, d)
-        if layout == "new":
-            return d
-        for k, r in enumerate(load_segments(d)):
-            os.remove(os.path.join(r.seg_dir, "convmap.parquet"))
-            mpath = os.path.join(r.seg_dir, "MANIFEST.json")
-            with open(mpath) as f:
-                man = json.load(f)
-            if layout == "docmapped":
-                part = os.path.join(d, "docmapped", f"seg={k}")
-                os.makedirs(part)
-                ids = pa.array(range(r.doc_base, r.doc_base + r.doc_count), pa.int64())
-                pq.write_table(
-                    src.slice(r.doc_base, r.doc_count).append_column("doc_id", ids),
-                    os.path.join(part, "part-0.parquet"),
-                )
-                man["input_path"] = part
-            else:
-                man["input_path"] = os.path.join(d, "docmapped") + ":fused"
-            with open(mpath, "w") as f:
-                json.dump(man, f)
-        if layout == "fused_root":
-            pq.write_table(root_map, os.path.join(d, "convmap.parquet"))
-        return d
-
-    dirs = {layout: make(layout) for layout in ("new", "docmapped", "fused_root")}
-    # a resume over a complete old index must keep the partitions it reads
-    build_index(T.read_transcripts(data_dir), dirs["docmapped"], num_segments=2,
-                range_width=256, batch_size=400)
-    assert os.path.isdir(os.path.join(dirs["docmapped"], "docmapped", "seg=1"))
-
-    def answers(d):
-        engine = SearchEngine(d, parallel=False)
-        return [engine.search(qs, k=10).to_pydict() for qs in QUERY_SET]
-
-    victims = [src["conv_id"][0].as_py(), src["conv_id"][N_TURNS - 1].as_py()]
-    before = {layout: answers(d) for layout, d in dirs.items()}
-    counts = {layout: delete_conversations(d, victims) for layout, d in dirs.items()}
-    assert counts["new"] > 0
-    for layout, d in dirs.items():
-        compact_index(d)
-    after = {layout: answers(d) for layout, d in dirs.items()}
-    assert os.path.isdir(os.path.join(dirs["docmapped"], "docmapped", "seg=1"))
-    for layout in ("docmapped", "fused_root"):
-        assert before[layout] == before["new"], layout
-        assert counts[layout] == counts["new"], layout
-        assert after[layout] == after["new"], layout
-    assert before["new"] != after["new"]  # the purge moved scores
+    d = str(tmp_path / form)
+    shutil.copytree(index_dir, d)
+    _plant_old_form(d, form, src)
+    victims = [src["conv_id"][0].as_py()]
+    for open_ in (SearchEngine, compact_index,
+                  lambda d_: delete_conversations(d_, victims)):
+        with pytest.raises(ValueError, match="older index layout.*rebuild"):
+            open_(d)
+    shutil.rmtree(d)
+    build_index(T.read_transcripts(data_dir), d, num_segments=2,
+                range_width=256, batch_size=400, resume=False)
+    fresh, fixture = SearchEngine(d, parallel=False), SearchEngine(index_dir, parallel=False)
+    for qs in QUERY_SET:
+        assert (fresh.search(qs, k=10).to_pydict()
+                == fixture.search(qs, k=10).to_pydict()), qs
+        _compare(fresh, oracle, qs)
 
 
 def test_small_session_puts_segments_on_fewer_actors(built, tmp_path, monkeypatch):
