@@ -10,6 +10,7 @@ imports this module).
     python -m lucille_ray search --index /tmp/idx 'role:assistant AND deploy*' -k 5
     python -m lucille_ray suggest --index /tmp/idx 'role:assistant AND depl'
     python -m lucille_ray stats --index /tmp/idx
+    python -m lucille_ray verify /tmp/idx
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ def main(argv=None) -> int:
     st_ = sub.add_parser("stats", help="index metadata + per-segment summary")
     st_.add_argument("--index", required=True)
 
+    v = sub.add_parser("verify", help="check every postings block against its "
+                       "stored metadata (no Ray); exit 1 on any finding")
+    v.add_argument("index")
+
     pp = sub.add_parser("parse", help="parse a query and print its AST (no Ray)")
     pp.add_argument("query")
 
@@ -105,6 +110,19 @@ def main(argv=None) -> int:
         print(repr(q))
         print("printed:", print_query(q))
         return 0
+
+    if args.cmd == "verify":
+        from lucille_ray.index.verify import verify_index
+
+        try:
+            findings = verify_index(args.index)
+        except (FileNotFoundError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        for line in findings:
+            print(line)
+        print(f"{len(findings)} finding(s) in {args.index}")
+        return 1 if findings else 0
 
     if args.cmd == "generate":
         from lucille_ray import transcripts as T

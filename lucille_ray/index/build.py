@@ -535,7 +535,7 @@ class _TokenizeEncode:
         _limit_worker_threads()
         parts = [with_seg(self._encode(rows), s) for s, rows in seg_parts(batch)]
         if not parts:
-            return with_seg(self._empty_table(), 0)
+            return with_seg(POSTINGS_SCHEMA.empty_table(), 0)
         return pa.concat_tables(parts)
 
     def _encode(self, batch: pa.Table) -> pa.Table:
@@ -603,21 +603,6 @@ class _TokenizeEncode:
                 )
             )
         return pa.concat_tables(parts)
-
-    @staticmethod
-    def _empty_table() -> pa.Table:
-        return pa.table(
-            {
-                "field": pa.array([], pa.string()),
-                "term": pa.array([], pa.string()),
-                "bucket": pa.array([], pa.int64()),
-                "df": pa.array([], pa.int64()),
-                "total_tf": pa.array([], pa.int64()),
-                "blocks": pa.array(
-                    [], pa.list_(POSTINGS_SCHEMA.field("blocks").type.value_type)
-                ),
-            }
-        )
 
 
 class _SparseDls:
@@ -895,7 +880,6 @@ def build_index(
             index_dir, assign,
             [(k, *bounds[k], conv_maps[k]) for k in pending],
             fields=fields, range_width=range_width, batch_size=batch_size,
-            source=getattr(ds, "_lucille_parquet_src", None),
         ))
 
     meta["build_seconds"] = round(time.time() - t_start, 3)
@@ -951,7 +935,7 @@ def append_index(
         index_dir, assign,
         [(seg0 + s, lo, hi, conv_maps[s]) for s, (lo, hi) in enumerate(bounds)],
         fields=meta["fields"], range_width=meta["range_width"],
-        batch_size=batch_size, source=getattr(ds, "_lucille_parquet_src", None),
+        batch_size=batch_size,
     )
     return commit.publish(index_dir, dict(
         meta,
@@ -972,7 +956,6 @@ def _write_segments(
     fields: Sequence[str],
     range_width: int,
     batch_size: Optional[int],
-    source: Optional[str],
 ) -> Dict[str, float]:
     """Write new segments ``(number, lo, hi, write_conv_map)`` in ONE Ray Data
     execution — ``assign`` (doc ids) -> for several segments, a sort by doc
@@ -1028,7 +1011,7 @@ def _write_segments(
     first = next(iter(postings), None)
     seconds = {}
     for seg, lo, hi, write_conv_map in segments:
-        _finish_segment(index_dir, seg, lo, hi, fields, source, write_conv_map,
+        _finish_segment(index_dir, seg, lo, hi, fields, write_conv_map,
                         stage_stats if seg == first else "")
         seconds[f"segment_{seg}_sec"] = round(time.time() - t0, 3)
     return seconds
@@ -1040,7 +1023,6 @@ def _finish_segment(
     lo: int,
     hi: int,
     fields: Sequence[str],
-    source: Optional[str],
     write_conv_map: Callable[[str], None],
     stage_stats: str,
 ) -> None:
@@ -1050,7 +1032,7 @@ def _finish_segment(
     hold exactly the ``hi - lo`` docs its bounds say."""
     seg_dir = _segment_dir(index_dir, seg)
     if lo == hi:
-        _write_manifest(index_dir, seg, source, 0, 0, fields, empty=True)
+        _write_manifest(index_dir, seg, 0, 0, fields, empty=True)
         return
     postings_path = os.path.join(seg_dir, "postings.parquet")
     files = [f for f in os.listdir(postings_path) if f.endswith(".parquet")]
@@ -1084,13 +1066,12 @@ def _finish_segment(
         with open(os.path.join(seg_dir, "stage_stats.txt"), "w") as fh:
             fh.write(stage_stats)
     write_conv_map(os.path.join(seg_dir, CONVMAP_FILE))
-    _write_manifest(index_dir, seg, source, n_docs, n_terms, fields)
+    _write_manifest(index_dir, seg, n_docs, n_terms, fields)
 
 
 def _write_manifest(
     index_dir: str,
     seg: int,
-    source: Optional[str],
     n_docs: int,
     n_posting_rows: int,
     fields: Sequence[str],
@@ -1101,7 +1082,6 @@ def _write_manifest(
         "segment_id": commit.segment_name(seg),
         "status": "complete",
         "empty": empty,
-        "input_path": source,
         "doc_count": int(n_docs),
         "posting_rows": int(n_posting_rows),
         "fields": list(fields),

@@ -13,6 +13,28 @@ fixed-size blocks of up to :data:`BLOCK_SIZE` documents:
   minimum doc length among the block's posting docs, for tight BM25 block
   upper bounds; 0 = unknown, readers fall back to a windowed norms minimum)
 
+Rows are written from their in-memory form, where a row's blocks are one
+``list<BLOCK_STRUCT>`` cell (:data:`POSTINGS_SCHEMA`): the build, the window
+merge and compaction's output work on that form. Readers take the blocks of
+the rows they read as one :class:`RawBlocks` (numpy metadata, payload views)
+instead. On disk a row keeps ``field``, ``term``,
+``bucket``, ``df`` and ``total_tf`` and packs its blocks into four binaries
+(as Lucene's postings format keeps each block's impacts inline with the
+block):
+
+* ``hdr``  — one varint stream: ``nb`` (blocks in the row); per block
+  ``max_tf``, ``min_dl``, the zigzag of ``first_doc`` minus the previous
+  block's (the first block's minus ``bucket``: 0 as the writers cut rows) and
+  ``last_doc - first_doc``; then, only when ``nb > 1``, per block ``n`` and
+  its ``docs``/``tfs``/``pos`` byte lengths. A one-block row takes ``n`` from
+  ``df`` and its payload lengths from the row's;
+* ``docs``, ``tfs``, ``pos`` — the row's blocks' payloads end to end.
+
+:func:`pack_rows` (the writer's, from the in-memory form) and
+:func:`unpack_rows` (every reader's, to :class:`RawBlocks`) each make one
+varint pass over a whole column; the unpacked blocks' payloads are offsets
+over the stored row buffers, not copies.
+
 There is one encoder, :func:`encode_runs`: it takes all of a batch's posting
 lists laid end to end and encodes them in one delta pass and one varint pass
 per column, building the Arrow ``list<BLOCK_STRUCT>`` column from buffers.
@@ -54,6 +76,11 @@ POSTINGS_SCHEMA = pa.schema(
         ("blocks", pa.list_(BLOCK_STRUCT)),
     ]
 )
+
+_META = ("n", "max_tf", "min_dl", "first_doc", "last_doc")
+_PAYLOADS = ("docs", "tfs", "pos")
+#: the stored columns :func:`unpack_rows` reads the blocks from
+_BLOCK_SOURCES = ("bucket", "df", "hdr", *_PAYLOADS)
 
 
 def _encode_varints_np(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -346,6 +373,134 @@ def with_seg(rows: pa.Table, seg: int) -> pa.Table:
     )
 
 
+def stored_columns(columns) -> List[str]:
+    """The stored columns to read for the in-memory ``columns``, in order
+    and without repeats: ``blocks`` needs ``bucket``, ``df``, ``hdr`` and
+    the three payloads."""
+    return list(dict.fromkeys(
+        c for name in columns
+        for c in (_BLOCK_SOURCES if name == "blocks" else (name,))
+    ))
+
+
+def varint_counts(arr: pa.Array) -> np.ndarray:
+    """Number of varints in each element of a binary array of varint
+    streams (the bytes below 128 end a varint)."""
+    vals, offs = _bin_view(arr)
+    ends = np.zeros(offs[-1] - offs[0] + 1, np.int64)
+    np.cumsum(vals[offs[0]: offs[-1]] < 128, out=ends[1:])
+    return np.diff(ends[offs - offs[0]])
+
+
+def _one_array(col: pa.ChunkedArray) -> pa.Array:
+    """A table column as one Array (a one-chunk column without a copy)."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _binary_over(vals: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    """Binary array over the bytes ``vals`` with element boundaries
+    ``offsets`` (absolute in ``vals``): no byte moves."""
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), offsets.size - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(vals)],
+    )
+
+
+def pack_rows(rows: pa.Table) -> pa.Table:
+    """In-memory postings rows (a ``blocks`` column beside ``bucket`` and
+    ``df``) -> the stored rows: ``blocks`` replaced by ``hdr``, ``docs``,
+    ``tfs`` and ``pos`` (module docstring). One varint pass builds every
+    header; the payload columns reuse the blocks' byte buffers. Raises on a
+    block whose ``last_doc`` is below its ``first_doc`` and on a one-block
+    row whose ``n`` is not its ``df`` (a reader could not recover either)."""
+    lists = _one_array(rows["blocks"])
+    loff = int64_column(lists.offsets)
+    loff -= loff[0]
+    nb = np.diff(loff)
+    rb = RawBlocks(lists.flatten())
+    rows_of = np.repeat(np.arange(nb.size), nb)
+    in_row = np.arange(rb.count) - loff[:-1][rows_of]
+    bucket = int64_column(_one_array(rows["bucket"]))
+    df = int64_column(_one_array(rows["df"]))
+    prev = np.empty(rb.count, np.int64)
+    prev[1:] = rb.firsts[:-1]
+    prev[in_row == 0] = bucket[nb > 0]
+    span = rb.lasts - rb.firsts
+    multi = nb > 1
+    if (span < 0).any():
+        raise ValueError("a postings block's last_doc is below its first_doc")
+    if (rb.ns[in_row == 0][~multi[nb > 0]] != df[nb == 1]).any():
+        raise ValueError("a one-block postings row's n is not its df")
+
+    nvals = 1 + 4 * nb + 4 * nb * multi
+    vstart = np.cumsum(nvals) - nvals
+    vals = np.empty(int(nvals.sum()), np.int64)
+    vals[vstart] = nb
+    at = vstart[rows_of] + 1 + 4 * in_row
+    # zigzag: a span compaction re-cuts can end past the next block's first doc
+    gap = rb.firsts - prev
+    zigzag = (gap << 1) ^ (gap >> 63)
+    for k, v in enumerate((rb.max_tf, rb.min_dl, zigzag, span)):
+        vals[at + k] = v
+    m = multi[rows_of]
+    at = (at + 4 * nb[rows_of])[m]
+    vals[at] = rb.ns[m]
+    payload = []
+    for k, (data, offs) in enumerate((rb._docs, rb._tfs, rb._pos), 1):
+        vals[at + k] = np.diff(offs)[m]
+        payload.append(_binary_over(data, offs[loff]))
+    hdr = _binary_column(*_encode_varints_np(vals), np.append(vstart, vals.size))
+    out = rows.drop_columns(["blocks"])
+    for name, arr in zip(("hdr", *_PAYLOADS), (hdr, *payload)):
+        out = out.append_column(name, arr)
+    return out
+
+
+def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
+    """Stored postings rows -> ``(rows, blocks, offsets)``: the rows without
+    ``hdr`` and the payload columns; every row's blocks, in row order, as one
+    :class:`RawBlocks` whose payloads are views over the stored row buffers;
+    and the block offsets of the rows (row ``i`` holds blocks ``offsets[i]``
+    to ``offsets[i + 1]``; :meth:`RawBlocks.list_array` makes them the
+    in-memory ``blocks`` column). One varint pass decodes every header;
+    raises when a row's header disagrees with its payload bytes."""
+    hdr = _one_array(rows["hdr"])
+    hdr_bytes, hoff = _bin_view(hdr)
+    vals = decode_varints(hdr_bytes[hoff[0]: hoff[-1]])
+    nvals = varint_counts(hdr)
+    vstart = np.cumsum(nvals) - nvals
+    nb = vals[vstart]
+    bucket = int64_column(_one_array(rows["bucket"]))
+    ns = int64_column(_one_array(rows["df"]))
+    views = [_bin_view(_one_array(rows[name])) for name in _PAYLOADS]
+    loff = np.zeros(nb.size + 1, np.int64)
+    np.cumsum(nb, out=loff[1:])
+    rows_of = np.repeat(np.arange(nb.size), nb)
+    at = vstart[rows_of] + 1 + 4 * (np.arange(int(loff[-1])) - loff[:-1][rows_of])
+    max_tf, min_dl, zz, span = vals[at[:, None] + np.arange(4)].T
+    has = nb > 0
+    firsts = (zz >> 1) ^ -(zz & 1)  # zigzag
+    firsts[loff[:-1][has]] += bucket[has]
+    firsts = delta_decode(firsts, loff[:-1][has], nb[has])
+    # n and payload lengths: a one-block row's are its df and row lengths
+    m = nb[rows_of] > 1
+    extra = vals[(at + 4 * nb[rows_of])[m][:, None] + np.arange(4)].T
+    ns = np.repeat(ns, nb)
+    ns[m] = extra[0]
+    offs = np.stack([o for _, o in views])
+    lens = np.repeat(np.diff(offs, axis=1), nb, axis=1)
+    lens[:, m] = extra[1:]
+    boffs = np.zeros((len(views), lens.shape[1] + 1), np.int64)
+    np.cumsum(lens, axis=1, out=boffs[:, 1:])
+    boffs += offs[:, :1]
+    if not np.array_equal(boffs[:, loff], offs):
+        raise ValueError("postings row headers disagree with their payload bytes")
+    blocks = RawBlocks.from_arrays(
+        ns, max_tf, min_dl, firsts, firsts + span,
+        *((v, b) for (v, _), b in zip(views, boffs)))
+    return rows.drop_columns(["hdr", *_PAYLOADS]), blocks, loff
+
+
 class RawBlocks:
     """Zero-copy view over one term's UNDECODED posting blocks (the flattened
     ``blocks`` struct children of its rows, in bucket order).
@@ -367,18 +522,42 @@ class RawBlocks:
     def __init__(self, struct_arr: pa.Array):
         if isinstance(struct_arr, pa.ChunkedArray):
             struct_arr = struct_arr.combine_chunks()
-        self.count = len(struct_arr)
-        self.ns = int64_column(struct_arr.field("n"))
-        self.max_tf = int64_column(struct_arr.field("max_tf"))
-        if struct_arr.type.get_field_index("min_dl") >= 0:
-            self.min_dl = int64_column(struct_arr.field("min_dl"))
-        else:  # pre-v3 segment: unknown — readers fall back to windowed norms
-            self.min_dl = np.zeros(self.count, dtype=np.int64)
-        self.firsts = int64_column(struct_arr.field("first_doc"))
-        self.lasts = int64_column(struct_arr.field("last_doc"))
-        self._docs = _bin_view(struct_arr.field("docs"))
-        self._tfs = _bin_view(struct_arr.field("tfs"))
-        self._pos = _bin_view(struct_arr.field("pos"))
+        self._set(*(int64_column(struct_arr.field(f)) for f in _META),
+                  *(_bin_view(struct_arr.field(f)) for f in _PAYLOADS))
+
+    def _set(self, ns, max_tf, min_dl, firsts, lasts, docs, tfs, pos) -> None:
+        self.count = ns.size
+        self.ns, self.max_tf, self.min_dl = ns, max_tf, min_dl
+        self.firsts, self.lasts = firsts, lasts
+        self._docs, self._tfs, self._pos = docs, tfs, pos
+
+    @classmethod
+    def from_arrays(cls, *arrays) -> "RawBlocks":
+        """Blocks from their int64 ``n``, ``max_tf``, ``min_dl``,
+        ``first_doc`` and ``last_doc`` arrays and their ``docs``, ``tfs``
+        and ``pos`` (bytes, absolute offsets) payload views."""
+        rb = cls.__new__(cls)
+        rb._set(*arrays)
+        return rb
+
+    def slice(self, lo: int, hi: int) -> "RawBlocks":
+        """Blocks ``lo`` to ``hi``: metadata copied, payloads still views."""
+        return RawBlocks.from_arrays(
+            *(a[lo:hi].copy() for a in (self.ns, self.max_tf, self.min_dl,
+                                        self.firsts, self.lasts)),
+            *((v, o[lo: hi + 1].copy()) for v, o in (self._docs, self._tfs, self._pos)))
+
+    def list_array(self, offsets: np.ndarray) -> pa.ListArray:
+        """These blocks as a ``list<BLOCK_STRUCT>`` array whose list ``i``
+        holds blocks ``offsets[i]`` to ``offsets[i + 1]``; the payloads stay
+        views over the same bytes."""
+        blocks = pa.StructArray.from_arrays(
+            [*(numeric_array(a.astype(np.int32)) for a in (self.ns, self.max_tf, self.min_dl)),
+             numeric_array(self.firsts), numeric_array(self.lasts),
+             *(_binary_over(*v) for v in (self._docs, self._tfs, self._pos))],
+            fields=list(BLOCK_STRUCT),
+        )
+        return pa.ListArray.from_arrays(numeric_array(offsets.astype(np.int32)), blocks)
 
     def __len__(self) -> int:
         return self.count
@@ -447,26 +626,7 @@ class RawBlocks:
 def decode_postings(
     blocks, want_positions: bool = False
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """blocks (sequence of dict-likes) -> (doc_ids, tfs, flat_positions|None).
-
-    One vectorized varint pass per column over the concatenated block payloads
-    (the per-block loop only joins bytes)."""
-    if not blocks:
-        return (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, np.int64) if want_positions else None,
-        )
-    ns = np.fromiter((blk["n"] for blk in blocks), dtype=np.int64, count=len(blocks))
-    block_starts = np.zeros(ns.size, dtype=np.int64)
-    np.cumsum(ns[:-1], out=block_starts[1:])
-    doc_deltas = decode_varints(b"".join(blk["docs"] for blk in blocks))
-    doc_ids = delta_decode(doc_deltas, block_starts, ns)
-    tfs = decode_varints(b"".join(blk["tfs"] for blk in blocks))
-    pos = None
-    if want_positions:
-        doc_pos_starts = np.zeros(tfs.size, dtype=np.int64)
-        np.cumsum(tfs[:-1], out=doc_pos_starts[1:])
-        pos_deltas = decode_varints(b"".join(blk["pos"] for blk in blocks))
-        pos = delta_decode(pos_deltas, doc_pos_starts, tfs.astype(np.int64))
-    return doc_ids, tfs, pos
+    """blocks (a sequence of dicts matching :data:`BLOCK_STRUCT`, as
+    :func:`encode_postings` returns) -> (doc_ids, tfs, flat_positions|None),
+    decoded through :class:`RawBlocks`."""
+    return RawBlocks(pa.array(list(blocks), BLOCK_STRUCT)).decode(want_positions)

@@ -7,7 +7,7 @@ An index directory holds::
     segments/<name>/        # write-once segment directories (segment.py)
         deleted_<gen>.npy   # write-once tombstones: sorted deleted doc ids
 
-The commit (format version 4) is one JSON object: the build settings
+The commit (format version 5) is one JSON object: the build settings
 (``fields``, ``range_width``, ``analyzer``), three counters —
 ``total_docs`` (the next doc id), ``next_segment`` (the number of the next
 new segment directory) and ``generation`` (bumped by every publish) — and
@@ -59,11 +59,13 @@ import shutil
 from typing import List, NamedTuple, Optional, Sequence
 
 INDEX_META_FILE = "index_meta.json"
-#: bump on storage-layout changes; readers refuse other versions with a clear
-#: error. v2: norms as reserved-term posting rows; v3: blocks carry exact
-#: per-block min_dl for tight BM25 upper bounds (WAND); v4: the commit lists
-#: its segments and their tombstone generations
-INDEX_FORMAT_VERSION = 4
+#: bump on storage-layout changes; readers refuse other versions with the
+#: rebuild error. v2: norms as reserved-term posting rows; v3: blocks carry
+#: exact per-block min_dl for tight BM25 upper bounds (WAND); v4: the commit
+#: lists its segments and their tombstone generations; v5: postings rows are
+#: stored packed, one varint header and one docs/tfs/pos binary per row
+#: instead of a list of block structs (``codec.pack_rows``)
+INDEX_FORMAT_VERSION = 5
 
 _SEGMENTS = "segments"
 MANIFEST_FILE = "MANIFEST.json"

@@ -31,7 +31,8 @@ import pyarrow.parquet as pq
 
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM, _limit_worker_threads, read_manifest
-from .codec import BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings
+from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings,
+                    unpack_rows)
 from .segment import live_mask
 
 
@@ -265,10 +266,11 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
     """One term range of a segment's compaction, run as a Ray task: read the
     row groups ``groups`` (``[(file, [row group, ...]), ...]``), keep the rows
     with ``lo <= (field, term) < hi`` (``None``: unbounded), stable-sort them
-    by (field, term, bucket), merge them in one :func:`_merge_sorted_batch`
-    call (``norms``, ``doc_base``, ``deleted``: its arguments) and write the
-    merged rows to ``path`` (nothing when none are left). Returns the row
-    groups read, the rows read, kept and written, and the wall seconds."""
+    by (field, term, bucket), unpack them, merge them in one
+    :func:`_merge_sorted_batch` call (``norms``, ``doc_base``, ``deleted``:
+    its arguments) and write the merged rows to ``path`` (nothing when none
+    are left). Returns the row groups read, the rows read, kept and written,
+    and the wall seconds."""
     from .writer import write_postings_file
 
     t0 = time.perf_counter()
@@ -279,9 +281,10 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
         t = t.filter(_at_or_after(t, lo))
     if hi is not None:
         t = t.filter(pc.invert(_at_or_after(t, hi)))
-    out = _merge_sorted_batch(t.sort_by(
-        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]),
-        norms=norms, doc_base=doc_base, deleted=deleted)
+    rows, blocks, loff = unpack_rows(t.sort_by(
+        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]))
+    out = _merge_sorted_batch(rows.append_column("blocks", blocks.list_array(loff)),
+                              norms=norms, doc_base=doc_base, deleted=deleted)
     if out.num_rows:
         write_postings_file(out, path)
     return {"row_groups": sum(len(gs) for _, gs in groups), "rows_read": rows_read,

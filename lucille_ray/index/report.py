@@ -197,7 +197,7 @@ def _postings_layout(seg_dir: str) -> tuple[int, int, int, dict]:
     """(row groups, footer bytes, inline metadata bytes, {leaf column:
     compressed bytes}) of a segment's postings files, from their footers and
     sizes alone (no data page is read). Column keys are Parquet leaf paths
-    (``blocks.list.element.n``). The inline metadata is the copy of each
+    (``hdr``, ``docs``, ...). The inline metadata is the copy of each
     chunk's ``ColumnMetaData`` the writer puts after the chunk's pages, outside
     both the chunk's compressed size and the footer: a file's bytes less its
     footer, its chunks and its :data:`PARQUET_MAGIC_BYTES`."""
@@ -296,7 +296,6 @@ def build_report(index_dir: str) -> dict:
             "postings_footer_bytes": footer,
             "postings_inline_meta_bytes": inline,
             "postings_column_bytes": columns,
-            "input_path": man.get("input_path"),
         }
         if "live_docs" in stats:
             seg["live_docs"] = int(stats["live_docs"])

@@ -7,7 +7,8 @@ write that created it (``commit.segment_name``: a build's segments are
 
     seg-00000/
       postings.parquet/   # a directory of piece files, rows (field, term,
-                          # bucket, df, total_tf, blocks)
+                          # bucket, df, total_tf, blocks) stored packed
+                          # (codec.pack_rows)
       stats.json          # doc_base, doc_count, per-field total_dl (+ live
                           # stats after a compaction purged tombstones)
       convmap.parquet     # doc map, one file: one (conv_id, base, cnt) row
@@ -56,7 +57,8 @@ import pyarrow.parquet as pq
 
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM
-from .codec import RawBlocks, int64_column, numeric_array, sort_postings
+from .codec import (BLOCK_STRUCT, RawBlocks, int64_column, numeric_array,
+                    sort_postings, stored_columns, unpack_rows)
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
 READER_CACHE_BYTES = 384 << 20
@@ -441,18 +443,14 @@ class SegmentReader:
                 order = pc.sort_indices(
                     t, sort_keys=[("term", "ascending"), ("bucket", "ascending")]
                 )
-                t = t.take(order)
-                lists = t["blocks"].combine_chunks()
-                loff = int64_column(lists.offsets)
-                flat = lists.values
+                t, blocks, loff = unpack_rows(t.take(order))
                 terms_np = t["term"].to_pylist()
                 i = 0
                 while i < len(terms_np):
                     j = i
                     while j < len(terms_np) and terms_np[j] == terms_np[i]:
                         j += 1
-                    lo, hi = int(loff[i]), int(loff[j])
-                    out[terms_np[i]] = RawBlocks(flat.slice(lo, hi - lo))
+                    out[terms_np[i]] = blocks.slice(int(loff[i]), int(loff[j]))
                     i = j
             for term in missing:
                 if term in out:
@@ -463,7 +461,7 @@ class SegmentReader:
 
     def _empty_raw(self, field: str, term: str) -> RawBlocks:
         """The cached empty blocks of a term this segment does not hold."""
-        rb = RawBlocks(pa.array([], type=_BLOCK_STRUCT_TYPE))
+        rb = RawBlocks(pa.array([], type=BLOCK_STRUCT))
         self.cache.put("raw", (field, term), rb)
         return rb
 
@@ -542,7 +540,7 @@ class SegmentReader:
         terms: Optional[Sequence[str]] = None,
         columns: Sequence[str] = ("term", "bucket", "blocks"),
     ):
-        """``columns`` of the ``postings.parquet`` rows matching (field, term
+        """Stored ``columns`` of the ``postings.parquet`` rows matching (field, term
         in terms) — every row of ``field`` when ``terms`` is None — read
         through cached handles with row-group pruning on the writers' (field,
         term) min/max stats. Parquet stat truncation keeps min a prefix (a
@@ -550,9 +548,9 @@ class SegmentReader:
         bound), so pruning can only over-include — the exact filter below
         decides membership. Row groups spanning a field boundary skip the term
         test (term order restarts per field) and rely on the exact filter.
-        Every call and the row groups it reads count in
-        :attr:`postings_read`."""
-        read_cols = list(dict.fromkeys(("field", "term", *columns)))
+        ``blocks`` reads the stored columns ``codec.unpack_rows`` takes. Every
+        call and the row groups it reads count in :attr:`postings_read`."""
+        read_cols = stored_columns(("field", "term", *columns))
         if terms is not None:
             ms = sorted(set(terms))
             ms_np = np.array(ms)
@@ -587,10 +585,11 @@ class SegmentReader:
                 keep = pc.and_(keep, pc.is_in(t["term"], value_set=vs))
             t = t.filter(keep)
             if t.num_rows:
-                parts.append(t.select(list(columns)))
+                parts.append(t)
         if not parts:
             return None
-        return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+        t = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+        return t.select(stored_columns(columns))
 
     # ---- doc metadata (conv_id, turn_idx) for result rows ----
 
@@ -635,11 +634,6 @@ class SegmentReader:
         b, n = bases[hit], cnts[hit]
         start = np.cumsum(n) - n
         return np.repeat(b - start, n) + np.arange(int(n.sum()), dtype=np.int64)
-
-
-from .codec import POSTINGS_SCHEMA as _PS
-
-_BLOCK_STRUCT_TYPE = _PS.field("blocks").type.value_type
 
 
 def _narrowest_uint(a: np.ndarray) -> np.ndarray:

@@ -15,19 +15,22 @@ a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
   term, so every lookup of either field would read it);
 - statistics are written only on ``field`` and ``term`` (the only columns the
   reader prunes on) and dictionary encoding only on ``field``;
-- each leaf column has its own codec (:data:`COLUMN_COMPRESSION`; see "Why
-  ZSTD on four columns" below);
-- the block metadata is delta-encoded (:data:`COLUMN_ENCODING`): Parquet's
-  DELTA_BINARY_PACKED on the eight integer columns (``bucket``, ``df``,
-  ``total_tf`` and each block's ``n``, ``max_tf``, ``min_dl``, ``first_doc``,
-  ``last_doc`` -- small or sorted values that bit-pack to a few bits each) and
-  DELTA_BYTE_ARRAY on the sorted ``term`` column (shared prefixes stored
-  once). PLAIN-encoded metadata outweighed the ``docs``/``tfs``/``pos``
-  payload itself; the payload blobs stay PLAIN.
+- each column has its own codec (:data:`COLUMN_COMPRESSION`; see "Why ZSTD
+  on five columns" below);
+- rows are stored packed (``codec.pack_rows``): a row's block list becomes
+  one varint header ``hdr`` and its ``docs``/``tfs``/``pos`` payloads end to
+  end, so the block metadata costs a few bytes per row, not a column chunk
+  per leaf;
+- ``bucket``, ``df`` and ``total_tf`` are delta-encoded
+  (:data:`COLUMN_ENCODING`: Parquet's DELTA_BINARY_PACKED, small or sorted
+  values that bit-pack to a few bits each) and the sorted ``term`` column is
+  DELTA_BYTE_ARRAY (shared prefixes stored once); the four binaries stay
+  PLAIN.
 
 Why 256 rows: a row group costs about 2.3 KB of fixed Parquet framing --
 about 0.8 KB of footer metadata plus about 1.5 KB of page, delta and
-dictionary headers over its 13 column chunks -- while 64 rare rows carry only
+dictionary headers over its column chunks (13 when this was measured, 9
+since the block metadata is packed) -- while 64 rare rows carry only
 about 1.5 KB of ``docs``/``tfs``/``pos`` payload. Rewriting the compacted
 seed-1 serve index of the benchmark (3,536 turns) at each cap:
 
@@ -47,11 +50,12 @@ difference. 512 saves another 10% of bytes but doubles the bytes touched
 again. The byte cap, not the row cap, bounds a group of medium rows, so the
 worst-case group is the same at any row cap.
 
-Why ZSTD on four columns: snappy barely shrinks the varint payload blobs,
-which are half of the postings bytes, while the delta-bit-packed integers are
+Why ZSTD on five columns: snappy barely shrinks the varint payloads, which
+are most of the postings bytes, while the delta-bit-packed integers are
 already near their entropy. Compressed bytes per column of the compacted
 seed-1 serve index of the benchmark (3,536 turns, 2 segments), snappy against
-ZSTD at Arrow's default level:
+ZSTD at Arrow's default level, when each block still stored its metadata in
+five integer columns of its own:
 
     column            snappy     ZSTD
     ----------------  -------  -------
@@ -61,24 +65,27 @@ ZSTD at Arrow's default level:
     tfs                42,524   29,235
 
 ZSTD on these four took the index from 168.6 to 141.3 B/turn (-16.2%); ZSTD on
-every column gave 141.7, because the eight delta-bit-packed integer columns and
-``field`` grow 0-20% under ZSTD, and leaving those uncompressed gave 142.9.
-ZSTD decodes slower: 300 random ``text`` lookups over both segments of that
-index, row groups picked by the statistics alone, took p50 1.04 ms against
-0.96 ms all-snappy (8 alternating processes, one vCPU). The reader reads no
-group for a term the segment's dictionary lacks
-(``SegmentReader.raw_blocks_many``), which is 39% of the cold lookups of the
-benchmark's serve traffic and 49% of its churn traffic. There cold lookups
-read 30-32% fewer row groups and 44-45% fewer compressed bytes than
-all-snappy without the check, and the p50 of first answers moved +0.5%
-(serve) and -1.3% (churn), within run-to-run spread (10 traced pairs each).
+every column gave 141.7, because the delta-bit-packed integer columns and
+``field`` grow 0-20% under ZSTD. Packing the five block-metadata columns into
+``hdr`` then cut the postings another 16.9% (477,726 to 396,950 B at the same
+row groups; 141.3 to 118.4 B/turn); with ``hdr`` under snappy the cut was
+13.9%, so ``hdr`` is ZSTD too. ZSTD decodes slower: 300 random ``text``
+lookups over both segments of that index, row groups picked by the
+statistics alone, took p50 1.04 ms against 0.96 ms all-snappy (8 alternating
+processes, one vCPU). The reader reads no group for a term the segment's
+dictionary lacks (``SegmentReader.raw_blocks_many``), which is 39% of the
+cold lookups of the benchmark's serve traffic and 49% of its churn traffic.
+There cold lookups read 30-32% fewer row groups and 44-45% fewer compressed
+bytes than all-snappy without the check, and the p50 of first answers moved
++0.5% (serve) and -1.3% (churn), within run-to-run spread (10 traced pairs
+each).
 
-Invariant (checked by the tests): every row group holds at most
-``ROW_GROUP_ROWS`` rows of one field, and a group whose payload exceeds
-``ROW_GROUP_BYTES`` holds exactly one row. Readers need nothing from the
-layout beyond the (field, term) statistics, and Parquet encodings and codecs
-are self-describing, so older fixed-size-group, PLAIN-encoded and all-snappy
-indexes still open; compaction rewrites them in this layout.
+Invariant (checked by the tests and by ``verify.verify_index``): every row
+group holds at most ``ROW_GROUP_ROWS`` rows of one field, and a group whose
+payload exceeds ``ROW_GROUP_BYTES`` holds exactly one row. Readers need the
+(field, term) statistics and ``codec.unpack_rows``; an index written in any
+earlier layout is refused at open (``commit.INDEX_FORMAT_VERSION``) and
+rebuilt, not read.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ import pyarrow.parquet as pq
 from ray.data import Datasink
 from ray.data.block import Block, BlockAccessor
 
-from .codec import seg_parts
+from .codec import pack_rows, seg_parts
 
 #: row cap of one postings row group
 ROW_GROUP_ROWS = 256
@@ -106,45 +113,34 @@ ROWS_PER_FILE = 16384
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
 
-#: the postings leaf columns that hold delta-encoded integers
-_DELTA_INT_COLUMNS = (
-    "bucket", "df", "total_tf",
-    *(f"blocks.list.element.{f}"
-      for f in ("n", "max_tf", "min_dl", "first_doc", "last_doc")),
-)
+#: the postings columns that hold delta-encoded integers
+_DELTA_INT_COLUMNS = ("bucket", "df", "total_tf")
 
-#: Parquet encoding of each postings leaf column that is neither dictionary-
-#: encoded (``field``) nor a payload blob
+#: Parquet encoding of each postings column that is neither dictionary-
+#: encoded (``field``) nor binary (``hdr`` and the payloads: PLAIN)
 COLUMN_ENCODING = {
     "term": "DELTA_BYTE_ARRAY",
     **{c: "DELTA_BINARY_PACKED" for c in _DELTA_INT_COLUMNS},
 }
 
-#: compression codec of every postings leaf column (a leaf missing here would
+#: compression codec of every postings column (a column missing here would
 #: be written uncompressed): ZSTD on the columns it still shrinks, snappy on
 #: the bit-packed integers and the dictionary-encoded ``field``
 COLUMN_COMPRESSION = {
     "field": "SNAPPY",
     "term": "ZSTD",
     **{c: "SNAPPY" for c in _DELTA_INT_COLUMNS},
-    **{f"blocks.list.element.{c}": "ZSTD" for c in _PAYLOAD_COLUMNS},
+    **{c: "ZSTD" for c in ("hdr", *_PAYLOAD_COLUMNS)},
 }
 
 
-def _blob_bytes(blocks) -> np.ndarray:
-    """Per-row blob payload (bytes of every block's ``docs``, ``tfs`` and
-    ``pos``) of a ``list<BLOCK_STRUCT>`` column."""
-    if isinstance(blocks, pa.ChunkedArray):
-        blocks = blocks.combine_chunks()
-    offs = np.asarray(blocks.offsets, dtype=np.int64)
-    flat = blocks.flatten()
-    per_block = np.zeros(len(flat), dtype=np.int64)
-    for name in _PAYLOAD_COLUMNS:
-        lens = pc.binary_length(flat.field(name)).fill_null(0)
-        per_block += lens.to_numpy(zero_copy_only=False)
-    cum = np.concatenate(([0], np.cumsum(per_block)))
-    offs = offs - offs[0]
-    return cum[offs[1:]] - cum[offs[:-1]]
+def _blob_bytes(rows: pa.Table) -> np.ndarray:
+    """Per-row blob payload (``docs`` + ``tfs`` + ``pos`` bytes) of packed
+    postings rows."""
+    return sum(
+        pc.binary_length(rows[name]).to_numpy(zero_copy_only=False).astype(np.int64)
+        for name in _PAYLOAD_COLUMNS
+    )
 
 
 def _row_group_bounds(payload: np.ndarray, breaks: np.ndarray) -> np.ndarray:
@@ -174,10 +170,10 @@ def _field_starts(field) -> np.ndarray:
 
 
 def write_postings_file(table: pa.Table, path: str) -> None:
-    """Write postings rows to one Parquet file in the layout above."""
-    bounds = _row_group_bounds(
-        _blob_bytes(table["blocks"]), _field_starts(table["field"])
-    )
+    """Write in-memory postings rows (``codec.POSTINGS_SCHEMA``) to one
+    Parquet file in the layout above."""
+    table = pack_rows(table)
+    bounds = _row_group_bounds(_blob_bytes(table), _field_starts(table["field"]))
     with pq.ParquetWriter(
         path,
         table.schema,

@@ -201,17 +201,19 @@ def test_phrase_actually_skips_decodes(spiked, monkeypatch):
     args, _w = phrase_parts(q)
     field, terms, gap = args["field"], args["terms"], args["gap"]
 
+    # postings values decoded: docs, tfs and positions of the blocks read
+    # (the packed row headers a read unpacks are block metadata, not counted)
     decoded_vals = {"n": 0}
-    real = codec.decode_varints
+    real = codec.RawBlocks.decode_blocks
 
-    def counting(buf):
-        out = real(buf)
-        decoded_vals["n"] += out.size
+    def counting(self, sel, want_positions=False):
+        out = real(self, sel, want_positions)
+        decoded_vals["n"] += sum(a.size for a in out if a is not None)
         return out
 
     for f in ("text", "role", "tool"):
         r.norms(f)
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
+    monkeypatch.setattr(codec.RawBlocks, "decode_blocks", counting)
     r.cache = ReaderCache()
     cd, cs = phrase_top_k(r, ctx, field, terms, gap, k=10)
     phrase_decoded = decoded_vals["n"]

@@ -14,6 +14,7 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index, segment_complete
+from lucille_ray.index.codec import stored_columns, unpack_rows
 from lucille_ray.search.engine import SearchEngine
 from lucille_ray.search.oracle import BruteForceOracle
 
@@ -56,6 +57,12 @@ QUERY_SET = [
     "a b AND c",  # associativity corpus reused as retrieval
     "the cat AND data AND query OR jump",
 ]
+
+
+def _unpacked(stored: pa.Table) -> pa.Table:
+    """Stored postings rows in their in-memory form (a ``blocks`` column)."""
+    rows, blocks, offsets = unpack_rows(stored)
+    return rows.append_column("blocks", blocks.list_array(offsets))
 
 
 @pytest.fixture(scope="module")
@@ -1066,7 +1073,7 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
         if not os.path.exists(os.path.join(seg_dir, "MANIFEST.json")):
             continue
         post = os.path.join(seg_dir, "postings.parquet")
-        rows = pq.read_table(post).sort_by(keys)
+        rows = _unpacked(pq.read_table(post)).sort_by(keys)
         field, term = rows["field"].to_pylist(), rows["term"].to_pylist()
         cut = [0] + [i for i in range(1, rows.num_rows)
                      if (field[i], term[i]) != (field[i - 1], term[i - 1])]
@@ -1672,8 +1679,8 @@ def test_conv_offsets_tree_reduce_validates(ray_session):
 
 def _row_payloads(path: str) -> np.ndarray:
     """Blob payload (docs + tfs + pos bytes of every block) of each row of a
-    postings file, computed from the stored blocks."""
-    blocks = pq.read_table(path, columns=["blocks"])["blocks"].combine_chunks()
+    postings file, computed from its unpacked blocks."""
+    blocks = _unpacked(pq.read_table(path))["blocks"].combine_chunks()
     flat = pc.list_flatten(blocks)
     per_block = sum(
         pc.binary_length(pc.struct_field(flat, c)).fill_null(0).to_numpy(
@@ -1684,28 +1691,27 @@ def _row_payloads(path: str) -> np.ndarray:
     return np.bincount(parents, weights=per_block, minlength=len(blocks)).astype(np.int64)
 
 
-#: the postings leaf columns the writer delta-encodes as integers
-_DELTA_INT_COLUMNS = (
-    "bucket", "df", "total_tf",
-    *(f"blocks.list.element.{c}"
-      for c in ("n", "max_tf", "min_dl", "first_doc", "last_doc")),
-)
+#: the postings columns the writer delta-encodes as integers
+_DELTA_INT_COLUMNS = ("bucket", "df", "total_tf")
+#: the packed header and payload columns the writer stores PLAIN
+_PACKED_COLUMNS = ("hdr", "docs", "tfs", "pos")
 
 
 def _assert_writer_encodings(md) -> None:
     """Every column chunk of a postings file's metadata ``md`` in the writer's
     encodings (DELTA_BINARY_PACKED integers, DELTA_BYTE_ARRAY ``term``,
-    dictionary ``field``, PLAIN payload blobs) and compressed with its leaf's
-    codec in ``writer.COLUMN_COMPRESSION``, and every row group with
-    ``field``/``term`` min/max: without them the reader falls back to
-    whole-file reads, correct but a perf cliff."""
+    dictionary ``field``, PLAIN header and payload blobs) and compressed
+    with its column's codec in ``writer.COLUMN_COMPRESSION``, and every row
+    group with ``field``/``term`` min/max: without them the reader falls
+    back to whole-file reads, correct but a perf cliff."""
     from lucille_ray.index.writer import COLUMN_COMPRESSION
 
     for g in range(md.num_row_groups):
         rg = md.row_group(g)
         cols = {rg.column(i).path_in_schema: rg.column(i)
                 for i in range(rg.num_columns)}
-        assert set(cols) == set(COLUMN_COMPRESSION), (sorted(cols), g)
+        assert set(cols) == set(COLUMN_COMPRESSION) == {
+            "field", "term", *_DELTA_INT_COLUMNS, *_PACKED_COLUMNS}, (sorted(cols), g)
         for name, col in cols.items():
             enc = set(col.encodings)
             assert col.compression == COLUMN_COMPRESSION[name], (name, g)
@@ -1716,7 +1722,7 @@ def _assert_writer_encodings(md) -> None:
             elif name == "field":
                 assert "RLE_DICTIONARY" in enc, (name, enc)
             else:
-                assert enc <= {"PLAIN", "RLE"}, (name, enc)
+                assert name in _PACKED_COLUMNS and enc <= {"PLAIN", "RLE"}, (name, enc)
         for name in ("field", "term"):
             st = cols[name].statistics
             assert st is not None and st.has_min_max, (name, g)
@@ -1848,7 +1854,7 @@ def test_writer_cuts_groups_by_payload(tmp_path):
     assert [rows for rows, _ in groups] == [
         ROW_GROUP_ROWS, 36, 1, ROW_GROUP_ROWS, 6, 1, 1, 10, 20,
     ]
-    assert pq.read_table(path).equals(table)
+    assert _unpacked(pq.read_table(path)).equals(table)
     md = pq.ParquetFile(path).metadata
     stats = {md.row_group(0).column(i).path_in_schema
              for i in range(md.num_columns)
@@ -1861,10 +1867,10 @@ def _stored_rows(index_dir: str) -> pa.Table:
     bucket)."""
     parts = []
     for seg in sorted(os.listdir(os.path.join(index_dir, "segments"))):
-        t = pq.read_table(
+        t = _unpacked(pq.read_table(
             os.path.join(index_dir, "segments", seg, "postings.parquet"),
-            columns=["field", "term", "bucket", "df", "total_tf", "blocks"],
-        )
+            columns=stored_columns(["field", "term", "bucket", "df", "total_tf", "blocks"]),
+        ))
         parts.append(t.append_column("seg", pa.array([seg] * t.num_rows)))
     keys = [(c, "ascending") for c in ("seg", "field", "term", "bucket")]
     return pa.concat_tables(parts).sort_by(keys)
@@ -2079,7 +2085,7 @@ def test_compaction_rewrites_64_row_groups(built, oracle, tmp_path, monkeypatch)
         m.setattr(writer, "ROW_GROUP_ROWS", 64)
         for f in glob.glob(os.path.join(
                 old_dir, "segments", "*", "postings.parquet", "*.parquet")):
-            writer.write_postings_file(pq.read_table(f), f)
+            writer.write_postings_file(_unpacked(pq.read_table(f)), f)
     old_groups, new_groups = _group_rows(old_dir), _group_rows(new_dir)
     assert max(old_groups) == 64 < max(new_groups) <= writer.ROW_GROUP_ROWS
     assert len(old_groups) > len(new_groups)
@@ -2349,7 +2355,7 @@ def test_plain_encoded_segment_serves_and_compacts_to_delta(built, oracle, tmp_p
         return sum(cols[c] for c in names)
 
     meta = (*_DELTA_INT_COLUMNS, "term")
-    payload = tuple(f"blocks.list.element.{c}" for c in ("docs", "tfs", "pos"))
+    payload = ("docs", "tfs", "pos")
     assert col_bytes(new_dir, meta) < col_bytes(mixed_dir, meta)
     assert col_bytes(new_dir, payload) < col_bytes(mixed_dir, payload)
     assert _answers(mixed_dir, oracle) == _answers(new_dir, oracle)
@@ -2466,8 +2472,7 @@ def test_build_report_postings_layout(built, tmp_path):
             # compressed bytes per leaf column: every leaf, summed over the
             # column chunks; with the footers they fit inside the files
             cols = seg["postings_column_bytes"]
-            assert set(cols) == {"field", "term", *_DELTA_INT_COLUMNS, *(
-                f"blocks.list.element.{c}" for c in ("docs", "tfs", "pos"))}
+            assert set(cols) == {"field", "term", *_DELTA_INT_COLUMNS, *_PACKED_COLUMNS}
             assert sum(cols.values()) == sum(
                 m.row_group(g).column(i).total_compressed_size for m in mds
                 for g in range(m.num_row_groups) for i in range(m.num_columns))
@@ -2545,7 +2550,7 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
             new = r._read_postings_rows(field, terms)
             old = pq.read_table(
                 os.path.join(seg_dir, "postings.parquet"),
-                columns=["term", "bucket", "blocks"],
+                columns=stored_columns(["term", "bucket", "blocks"]),
                 filters=[("field", "==", field), ("term", "in", terms)],
             )
             if new is None:
@@ -2562,11 +2567,11 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
 
 def _plant_old_form(index_dir, form, src):
     """Turn a copy of the fixture index into one of the layouts older
-    writers left: a version 3 commit, a v4 commit naming the version 3
-    tombstone ``deleted.npy``, segments without their own doc map (whose
-    manifest points at the root map, ``:fused``, or at a ``docmapped/seg=K``
-    partition), a doc map as a directory of part files, or a one-file
-    ``postings.parquet``."""
+    writers left: a version 3 commit, a commit naming the version 3
+    tombstone ``deleted.npy``, segments without their own doc map (beside a
+    root map or ``docmapped/seg=K`` partitions), a doc map as a directory of
+    part files, a one-file ``postings.parquet``, or a version 4 index (its
+    postings rows hold a ``list<BLOCK_STRUCT>`` column, not packed)."""
     from lucille_ray.index import commit
 
     c = commit.read(index_dir)
@@ -2583,24 +2588,23 @@ def _plant_old_form(index_dir, form, src):
     elif form == "v3_tombstone":
         np.save(os.path.join(seg_dirs[0], "deleted.npy"), np.array([0, 1]))
         meta["segments"][0]["deleted"] = "deleted.npy"
+    elif form == "v4_index":
+        meta["version"] = 4
+        for d in seg_dirs:
+            for f in os.listdir(os.path.join(d, "postings.parquet")):
+                path = os.path.join(d, "postings.parquet", f)
+                pq.write_table(_unpacked(pq.read_table(path)), path)
     for k, (seg, d) in enumerate(zip(c["segments"], seg_dirs)):
         convmap = os.path.join(d, "convmap.parquet")
         if form in ("fused_root", "docmapped"):
             os.remove(convmap)
-            with open(os.path.join(d, "MANIFEST.json")) as f:
-                man = json.load(f)
-            part = os.path.join(index_dir, "docmapped", f"seg={k}")
             if form == "docmapped":
+                part = os.path.join(index_dir, "docmapped", f"seg={k}")
                 os.makedirs(part)
                 ids = pa.array(range(seg.lo, seg.hi), pa.int64())
                 pq.write_table(src.slice(seg.lo, seg.hi - seg.lo)
                                .append_column("doc_id", ids),
                                os.path.join(part, "part-0.parquet"))
-                man["input_path"] = part
-            else:
-                man["input_path"] = os.path.join(index_dir, "docmapped") + ":fused"
-            with open(os.path.join(d, "MANIFEST.json"), "w") as f:
-                json.dump(man, f)
         elif form == "convmap_parts":
             t = pq.read_table(convmap)
             os.remove(convmap)
@@ -2624,7 +2628,8 @@ def _plant_old_form(index_dir, form, src):
 
 
 @pytest.mark.parametrize("form", ["v3_commit", "v3_tombstone", "fused_root",
-                                  "docmapped", "convmap_parts", "postings_file"])
+                                  "docmapped", "convmap_parts", "postings_file",
+                                  "v4_index"])
 def test_old_index_forms_refused(built, oracle, tmp_path, form):
     """An index in a layout older than today's writers produce is refused at
     open with the one rebuild error, by the engine, compaction and a delete
@@ -2649,6 +2654,88 @@ def test_old_index_forms_refused(built, oracle, tmp_path, form):
         assert (fresh.search(qs, k=10).to_pydict()
                 == fixture.search(qs, k=10).to_pydict()), qs
         _compare(fresh, oracle, qs)
+
+
+def test_verify_index_finds_nothing_after_build_append_delete_compact(
+        built, churned, tmp_path):
+    """The verifier finds nothing on a built index, on an index with appended
+    segments and tombstones, and on that index compacted (the purge re-cuts
+    blocks)."""
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.verify import verify_index
+
+    assert verify_index(built[1]) == []
+    idx = str(tmp_path / "churned")
+    shutil.copytree(churned[0], idx)
+    assert verify_index(idx) == []
+    compact_index(idx)
+    assert verify_index(idx) == []
+
+
+def _rewrite_row_blocks(path: str, pick, change) -> str:
+    """Rewrite one postings file with the block list of its first row that
+    ``pick(blocks, term)`` accepts replaced by ``change(blocks)``; returns
+    that row's term."""
+    from lucille_ray.index.writer import write_postings_file
+
+    t = _unpacked(pq.read_table(path))
+    rows = t["blocks"].to_pylist()
+    terms = t["term"].to_pylist()
+    r = next(i for i, b in enumerate(rows) if pick(b, terms[i]))
+    rows[r] = change(rows[r])
+    col = t.schema.get_field_index("blocks")
+    write_postings_file(
+        t.set_column(col, "blocks", pa.array(rows, t.schema.field(col).type)), path)
+    return terms[r]
+
+
+@pytest.mark.parametrize("fault", ["max_tf", "dropped_block", "row_group_and_max_tf"])
+def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
+    """A block whose packed header stores max_tf - 1, and a row that lost a
+    block, are each reported, by ``verify_index`` and by the ``verify``
+    command, which exits 1 on findings and 0 on the sound fixture. A file
+    whose row groups break the writer's invariant still has its blocks
+    checked: both faults in one file are both reported."""
+    import glob
+
+    from lucille_ray.__main__ import main
+    from lucille_ray.index.build import NORMS_TERM
+    from lucille_ray.index.verify import verify_index
+
+    _, index_dir, _ = built
+    assert main(["verify", index_dir]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"0 finding(s) in {index_dir}"]
+    d = str(tmp_path / fault)
+    shutil.copytree(index_dir, d)
+    path = sorted(glob.glob(os.path.join(_seg_dirs(d)[0], "postings.parquet", "*")))[0]
+    if fault != "dropped_block":
+        def pick(b, term):
+            return term != NORMS_TERM
+
+        def change(b):
+            return [dict(b[0], max_tf=b[0]["max_tf"] - 1), *b[1:]]
+        expect = "max_tf is not the largest tf"
+    else:
+        def pick(b, term):  # a 2-block row would keep one block whose n is
+            return len(b) != 2  # not its df, which the writer refuses
+
+        def change(b):
+            return b[:-1]
+        expect = "df is not the sum of their blocks' n"
+    term = _rewrite_row_blocks(path, pick, change)
+    if fault == "row_group_and_max_tf":
+        stored = pq.read_table(path)  # one row group across the file's fields
+        assert len(set(stored["field"].to_pylist())) > 1
+        pq.write_table(stored, path, row_group_size=stored.num_rows)
+        grouping, finding = verify_index(d)
+        assert "breaks the writer's row-group invariant" in grouping, grouping
+        findings = [grouping, finding]
+    else:
+        (finding,) = findings = verify_index(d)
+    assert expect in finding and repr(term) in finding, finding
+    assert main(["verify", d]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *findings, f"{len(findings)} finding(s) in {d}"]
 
 
 def test_small_session_puts_segments_on_fewer_actors(built, tmp_path, monkeypatch):

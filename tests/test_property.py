@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from lucille_ray.analysis import arrow_tokenize, tokenize
 from lucille_ray.index.codec import (
+    POSTINGS_SCHEMA,
     RawBlocks,
     decode_postings,
     decode_varints,
     encode_postings,
     encode_runs,
     encode_varints,
+    pack_rows,
     sort_postings,
+    unpack_rows,
 )
 from lucille_ray.query import Phrase, Term, parse, print_query
 
@@ -110,6 +113,63 @@ def test_encode_runs_matches_per_list_encoding(data):
     assert enc.to_pylist() == [encode_postings(*lst[:3], dls=lst[3]) for lst in lists]
     d, t, p = RawBlocks(enc.flatten()).decode(want_positions=True)
     assert (d == docs).all() and (t == tfs).all() and (p == pos).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pack_unpack_rows_round_trip(data):
+    """``unpack_rows(pack_rows(rows))``, its blocks made the ``blocks``
+    column again, equals ``rows`` (and any slice of them) for postings rows of ``encode_runs`` blocks: one- and multi-block
+    rows, norms rows (no positions), doc gaps up to 2^40, and rows whose
+    blocks overlap in doc range, with first docs ascending or not:
+    compaction keeps pieces of interleaved input as they are, and a span it
+    re-cuts can end after the next block starts."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    sizes = data.draw(st.lists(st.sampled_from([1, 2, 127, 128, 129, 300, 700]),
+                               max_size=6))
+    gap = data.draw(st.sampled_from([1, 1000, 1 << 40]))
+    positional = data.draw(st.booleans())
+    overlap = data.draw(st.booleans())
+    by_first = data.draw(st.booleans())
+    runs = [np.cumsum(rng.integers(1, gap + 1, n)) + int(rng.integers(0, gap))
+            for n in sizes for _ in range(2 if overlap else 1)]
+    docs = np.concatenate([np.zeros(0, np.int64), *runs]).astype(np.int64)
+    tfs = rng.integers(1, 6, docs.size)
+    pos = np.concatenate([np.zeros(0, np.int64)] + [
+        np.sort(rng.choice(5000, int(t), replace=False)) for t in tfs])
+    starts = np.cumsum([0] + [r.size for r in runs[:-1]]).astype(np.int64)
+    enc = encode_runs(docs, tfs, starts, pos if positional else None,
+                      rng.integers(0, 1000, docs.size))
+    flat = enc.flatten()
+    loff = enc.offsets.to_numpy().astype(np.int64)
+    if overlap:  # each row: the blocks of two runs, by first doc or not
+        loff = loff[::2]
+        if by_first:
+            firsts = flat.field("first_doc").to_numpy()
+            flat = flat.take(pa.array(np.concatenate([np.zeros(0, np.int64)] + [
+                loff[i] + np.argsort(firsts[loff[i]: loff[i + 1]], kind="stable")
+                for i in range(loff.size - 1)])))
+    blocks = pa.ListArray.from_arrays(pa.array(loff, pa.int32()), flat)
+    per_block = [(b[0]["first_doc"], sum(x["n"] for x in b)) if b else (0, 0)
+                 for b in blocks.to_pylist()]
+    rows = pa.table({
+        "field": pa.array(["text"] * len(blocks)),
+        "term": pa.array([f"t{i:03d}" for i in range(len(blocks))]),
+        "bucket": pa.array([f for f, _ in per_block], pa.int64()),
+        "df": pa.array([n for _, n in per_block], pa.int64()),
+        "total_tf": pa.array([n for _, n in per_block], pa.int64()),
+        "blocks": blocks,
+    }, schema=POSTINGS_SCHEMA)
+
+    def round_trip(stored):
+        out, blocks, offsets = unpack_rows(stored)
+        return out.append_column("blocks", blocks.list_array(offsets))
+
+    assert round_trip(pack_rows(rows)).equals(rows)
+    lo = data.draw(st.integers(0, rows.num_rows))
+    part = rows.slice(lo, data.draw(st.integers(0, rows.num_rows - lo)))
+    assert round_trip(pack_rows(part)).equals(part)
+    assert round_trip(pack_rows(rows).slice(lo, part.num_rows)).equals(part)
 
 
 @settings(max_examples=60, deadline=None)

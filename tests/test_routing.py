@@ -445,3 +445,38 @@ def test_one_segment_writer():
     assert threads == []
     assert len(sinks) == 1 and sinks[0].startswith("build.py:"), sinks
     assert legacy == []
+
+
+def test_one_postings_layout_owner():
+    """Only ``codec.py`` (``pack_rows``/``unpack_rows``) and ``writer.py``
+    name the stored postings columns: no other module under
+    lucille_ray/index/ names the packed header ``hdr`` or a nested leaf
+    path (``blocks.list.element...``) outside a docstring; readers ask
+    ``codec.stored_columns`` what to read."""
+    import ast
+    import glob
+
+    import lucille_ray.index as index_pkg
+
+    pkg_dir = os.path.dirname(index_pkg.__file__)
+    named = []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
+        where = os.path.basename(path)
+        if where in ("codec.py", "writer.py"):
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        named += [
+            f"{where}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and (node.value == "hdr" or "list.element" in node.value)
+        ]
+    assert named == []
