@@ -609,9 +609,9 @@ class _SparseDls:
     """Doc-length lookup over a sparse (sorted docs, dls) pair.
 
     Quacks like the dense per-segment norms array compaction hands to
-    ``_reencode`` (``arr[doc_ids]``): docs absent from the window map to dl=0,
-    which makes the re-encoded block's ``min_dl`` 0 — readers then fall back to
-    the windowed norms bound (looser but still admissible for WAND)."""
+    ``compact._reencode_spans`` (``arr[doc_ids]``): docs absent from the window
+    map to dl=0, and a posting of such a doc takes its source block's stored
+    ``min_dl`` instead."""
 
     __slots__ = ("docs", "dls")
 
@@ -628,8 +628,9 @@ class _SparseDls:
 def _window_norms(batch: pa.Table) -> dict:
     """field -> :class:`_SparseDls` decoded from the window's NORMS_TERM piece
     rows. Each tokenize piece carries a norms row covering exactly its docs, so
-    a window of whole pieces resolves every doc its term rows reference; docs
-    orphaned by a piece split at a window boundary just degrade to min_dl=0."""
+    a window of whole pieces resolves every doc its term rows reference; a doc
+    whose norms row landed in a neighbouring window counts at its source
+    block's ``min_dl`` when its block is re-cut."""
     out: dict = {}
     sub = batch.filter(pa.compute.equal(batch["term"], NORMS_TERM))
     for f in set(sub["field"].to_pylist()):

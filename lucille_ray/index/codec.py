@@ -9,9 +9,12 @@ fixed-size blocks of up to :data:`BLOCK_SIZE` documents:
 * ``pos``   — within-document token positions, delta-encoded per document then
   varint; document boundaries are implied by ``tfs`` (tf_i positions per doc)
 * metadata — ``n`` (docs in block), ``max_tf`` (block-max for WAND-style pruning),
-  ``first_doc``/``last_doc`` (range pruning without decode), ``min_dl`` (exact
-  minimum doc length among the block's posting docs, for tight BM25 block
-  upper bounds; 0 = unknown, readers fall back to a windowed norms minimum)
+  ``first_doc``/``last_doc`` (range pruning without decode), ``min_dl`` (a
+  lower bound, at least 1, on the lengths of the block's posting docs, for
+  BM25 block upper bounds: their least norm where the writer holds their
+  norms, and where a re-cut block's doc lacks one there, the ``min_dl`` of
+  the block it came from; a 0 written by an older build reads as dl 0,
+  still a valid bound; norms rows store 0)
 
 Rows are written from their in-memory form, where a row's blocks are one
 ``list<BLOCK_STRUCT>`` cell (:data:`POSTINGS_SCHEMA`): the build, the window
@@ -243,9 +246,9 @@ def encode_runs(
     the end; ``run_starts`` ascending, equal starts give empty lists), with
     aligned ``tfs``. ``pos`` (optional) is the flat concatenation of every
     posting's positions, ``tfs[j]`` of them per posting. ``dls`` (optional,
-    aligned with ``docs``) is each posting doc's field length; when given,
-    every block stores the exact min over ITS OWN docs — strictly tighter than
-    any range-window bound a reader could derive — else ``min_dl`` is 0.
+    aligned with ``docs``) is each posting doc's field length, or a lower
+    bound on it; when given, every block stores the min over ITS OWN
+    postings' values as ``min_dl``, else ``min_dl`` is 0.
 
     Block boundaries restart at every run start; all heavy work is one delta
     pass and one varint pass per column over the whole batch, block metadata

@@ -61,11 +61,16 @@ def _reencode_spans(
     """Decode the blocks ``sel`` of ``raw`` (span-major: span ``i`` is the next
     ``span_nb[i]`` of them) in one pass, doc-sort the spans whose docs
     interleave, drop tombstoned docs (``deleted``, the purge path), and
-    re-encode every span as full blocks in one :func:`encode_runs` call, with
-    exact min_dl when norms are at hand (``span_field`` names each span's
-    field). Returns (one block list per span, total_tf per span)."""
+    re-encode every span as full blocks in one :func:`encode_runs` call.
+    Each posting counts at its source block's stored ``min_dl``, a lower
+    bound on its doc's length (0 in norms rows), and a term posting whose
+    doc has a norm in ``norms`` (``span_field`` names each span's field; the
+    build's window merge holds only its window's norms) at that norm; each
+    new block stores the least. Returns (one block list per span, total_tf
+    per span)."""
     nspans = span_nb.size
     docs, tfs, pos = raw.decode_blocks(sel, want_positions=want_pos)
+    dls = np.repeat(raw.min_dl[sel], raw.ns[sel])
     span_len = np.add.reduceat(raw.ns[sel], np.cumsum(span_nb) - span_nb)
     post_span = np.repeat(np.arange(nspans), span_len)
     down = np.flatnonzero(docs[1:] < docs[:-1]) + 1
@@ -77,24 +82,24 @@ def _reencode_spans(
         order = np.arange(docs.size)
         order[idx] = idx[np.lexsort((docs[idx], post_span[idx]))]
         docs, tfs, pos = take_postings(docs, tfs, pos, order)
+        dls = dls[order]
     if deleted is not None:
         keep = live_mask(deleted, docs)
         if pos is not None:
             pos = pos[np.repeat(keep, tfs)]
-        docs, tfs, post_span = docs[keep], tfs[keep], post_span[keep]
+        docs, tfs, post_span, dls = docs[keep], tfs[keep], post_span[keep], dls[keep]
     span_starts = np.searchsorted(post_span, np.arange(nspans))
     tf_cum = np.zeros(tfs.size + 1, np.int64)
     np.cumsum(tfs, out=tf_cum[1:])
     span_ttf = tf_cum[np.append(span_starts[1:], tfs.size)] - tf_cum[span_starts]
-    dls = None
     if norms is not None and want_pos:
-        dls = np.zeros(docs.size, np.int64)
         post_field = span_field[post_span]
         for field in np.unique(span_field):
             arr = norms.get(field)
             at = np.flatnonzero(post_field == field)
             if arr is not None and at.size:
-                dls[at] = arr[docs[at] - doc_base]
+                known = arr[docs[at] - doc_base]
+                dls[at] = np.where(known > 0, known, dls[at])
     return encode_runs(docs, tfs, span_starts, pos, dls), span_ttf
 
 
@@ -131,10 +136,13 @@ def _merge_sorted_batch(
     first output row (per-row total_tf is consumed nowhere; this keeps the
     per-(field, term) aggregate exact without decoding any tf stream).
 
-    ``norms`` ({field: per-doc dl array, from ``doc_base``}) lets re-encoded
-    blocks carry an exact per-block ``min_dl`` even though the merged block
-    boundaries differ from the build-time pieces'; ``deleted`` (sorted doc
-    ids) is a tombstoned segment's delete set."""
+    ``norms`` ({field: per-doc dl array, from ``doc_base``}) gives
+    re-encoded blocks their exact ``min_dl`` even though the merged block
+    boundaries differ from the build-time pieces'; a doc it lacks counts at
+    its source block's ``min_dl`` (:func:`_reencode_spans`), so a term block
+    re-cut from blocks with a positive ``min_dl`` stores one too, a lower
+    bound on its docs' lengths. ``deleted`` (sorted doc ids) is a tombstoned
+    segment's delete set."""
     _limit_worker_threads()
     if batch.num_rows == 0:
         return batch

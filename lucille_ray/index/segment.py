@@ -89,8 +89,9 @@ class ReaderCache:
     handles are loaded once per reader and pinned outside the budget.
 
     Pools by scope. **Segment** scope depends only on the segment's immutable
-    files: ``raw`` (undecoded blocks), ``wand_meta`` (per-block bounds),
-    ``norms_winmin`` and ``phr_stepfn`` (max_tf step functions). **Commit**
+    files: ``raw`` (undecoded blocks) and ``phr_stepfn`` (max_tf step
+    functions); the block-max executors read each block's bound inputs
+    straight from ``raw``. **Commit**
     scope also depends on tombstones or on global idf/avgdl: ``post`` and
     ``pruned`` (decoded postings, whole or around a candidate set),
     ``score``, ``conj_stepfn``, ``match`` (complete match sets), ``term_topk``,

@@ -6,14 +6,19 @@ Per postings file of each segment:
 
 * every row group holds at most ``writer.ROW_GROUP_ROWS`` rows of one field,
   and a group over ``writer.ROW_GROUP_BYTES`` of payload holds one row;
+* in a compacted segment, which compaction writes one term range to a file,
+  the rows and so the row groups of a file are in ``(field, term)`` order (a
+  build file holds one sorted run per window the build merged, so its order
+  is not checked);
 * each row's ``df`` is the sum of its blocks' ``n``;
 * each block's ``docs`` and ``tfs`` hold ``n`` varints, and its ``pos``
   one per occurrence (``tfs`` summed; none in a norms row);
 * decoded with ``RawBlocks.decode_blocks``, each block's docs strictly
   increase, lie in the segment's doc range and start and end at its
-  ``first_doc`` and ``last_doc``; its ``max_tf`` is its largest tf; its
-  ``min_dl`` is the least norm of its docs, or 0 (unknown: a block the
-  build's window merge re-cut without its docs' norms at hand).
+  ``first_doc`` and ``last_doc``; its ``max_tf`` is its largest tf; a term
+  block's ``min_dl`` is at least 1 and at most the least norm of its docs
+  (a lower bound on their lengths, the least norm itself wherever the
+  writer held their norms; norms rows store 0 and are not checked).
 
 Findings are lines of text, one per check that fails in a file, naming the
 first failing row and block; a sound index has none.
@@ -86,15 +91,22 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
                   .astype(np.int64) for c in ("docs", "tfs", "pos"))
     row_payload = np.bincount(row_of, payload, rows.num_rows).astype(np.int64)
     md = pf.metadata
-    lo = 0
-    for g in range(md.num_row_groups):
-        hi = lo + md.row_group(g).num_rows
+    group_ends = np.cumsum([md.row_group(g).num_rows for g in range(md.num_row_groups)])
+    for g, (lo, hi) in enumerate(zip([0, *group_ends[:-1].tolist()], group_ends.tolist())):
         if (hi - lo > ROW_GROUP_ROWS or len(set(fields[lo:hi])) > 1
                 or (hi - lo > 1 and row_payload[lo:hi].sum() > ROW_GROUP_BYTES)):
             out.append(f"{where}: row group {g} ({hi - lo} rows, fields "
                        f"{sorted(set(fields[lo:hi]))}, {row_payload[lo:hi].sum()} "
                        "payload bytes) breaks the writer's row-group invariant")
-        lo = hi
+    if reader.manifest.get("compacted"):
+        keys = list(zip(fields, terms))
+        back = [i for i in range(1, len(keys)) if keys[i] < keys[i - 1]]
+        if back:
+            i = back[0]
+            g = int(np.searchsorted(group_ends, i, side="right"))
+            out.append(f"{where}: row groups out of (field, term) order, {len(back)} "
+                       f"step(s) back; first: row {i} {keys[i]!r} in row group {g} "
+                       f"after {keys[i - 1]!r}")
 
     df = int64_column(rows["df"].combine_chunks())
     n_sum = np.bincount(row_of, rb.ns, rows.num_rows).astype(np.int64)
@@ -142,6 +154,7 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
         at = np.flatnonzero((doc_code == c) & inside)
         dl[at] = reader.norms(field)[docs[at] - reader.doc_base]
     min_dl = np.minimum.reduceat(dl, starts)
-    check("min_dl is neither 0 nor the least norm of its docs",
-          in_range & (rb.min_dl != 0) & (rb.min_dl != min_dl), rb.min_dl, min_dl)
+    check("a term block's min_dl is not between 1 and the least norm of its docs",
+          in_range & ~norms_row[row_of] & ((rb.min_dl < 1) | (rb.min_dl > min_dl)),
+          rb.min_dl, min_dl)
     return out

@@ -56,12 +56,7 @@ import numpy as np
 from ..analysis import DEFAULT_FIELD
 from ..query import nodes as qn
 from .eval import B, EMPTY, EvalContext, K1, _unwrap, simple_term_of, top_k
-from .wand import (
-    THETA_EPS,
-    _bm25_exact,
-    _decode_candidates,
-    _term_block_meta,
-)
+from .wand import THETA_EPS, _bm25_exact, _decode_candidates
 
 #: first chunk of anchor blocks decoded per round (doubles every round, so the
 #: no-pruning worst case pays O(log #blocks) rounds of overhead)
@@ -127,11 +122,11 @@ def _stepfn(reader, ctx: EvalContext, field: str, term: str, rb) -> _StepMax:
     convention as wand.py's ``score`` pool; boost is applied by the caller)."""
     sf = reader.cache.get("conj_stepfn", (field, term))
     if sf is None:
-        firsts, lasts, max_tf, dl_min = _term_block_meta(reader, field, term, rb)
         avgdl = ctx.avgdl.get(field) or 1.0
         idf = ctx.idf(field, term)
-        ub = idf * max_tf * (K1 + 1.0) / (max_tf + K1 * (1.0 - B + B * dl_min / avgdl))
-        sf = reader.cache.put("conj_stepfn", (field, term), _StepMax(firsts, lasts, ub))
+        ub = idf * rb.max_tf * (K1 + 1.0) / (
+            rb.max_tf + K1 * (1.0 - B + B * rb.min_dl / avgdl))
+        sf = reader.cache.put("conj_stepfn", (field, term), _StepMax(rb.firsts, rb.lasts, ub))
     return sf
 
 
@@ -254,12 +249,11 @@ def conj_top_k_compound(
             rb = raw.get((f, t))
             if rb is None or not len(rb):
                 continue  # absent from this segment
-            firsts, lasts, max_tf, dl_min = _term_block_meta(reader, f, t, rb)
             avgdl = ctx.avgdl.get(f) or 1.0
-            ub = b * ctx.idf(f, t) * max_tf * (K1 + 1.0) / (
-                max_tf + K1 * (1.0 - B + B * dl_min / avgdl)
+            ub = b * ctx.idf(f, t) * rb.max_tf * (K1 + 1.0) / (
+                rb.max_tf + K1 * (1.0 - B + B * rb.min_dl / avgdl)
             )
-            metas.append((f, t, b, rb, firsts, lasts, ub))
+            metas.append((f, t, b, rb, rb.firsts, rb.lasts, ub))
             size += int(rb.ns.sum())
         if not metas:
             return EMPTY  # a required clause matches nothing in this segment

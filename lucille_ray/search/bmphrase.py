@@ -57,7 +57,7 @@ from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
 from .bmconj import _StepMax
 from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap, top_k
-from .wand import THETA_EPS, _term_block_meta
+from .wand import THETA_EPS
 
 #: first chunk of anchor blocks decoded per round (doubles every round)
 PHRASE_CHUNK0 = 4
@@ -90,8 +90,7 @@ def _tf_stepfn(reader, field: str, term: str, rb) -> _StepMax:
     phrase bounds need the tf itself), cached in the ``phr_stepfn`` pool."""
     sf = reader.cache.get("phr_stepfn", (field, term))
     if sf is None:
-        firsts, lasts, max_tf, _dl_min = _term_block_meta(reader, field, term, rb)
-        sf = _StepMax(firsts, lasts, max_tf.astype(np.float64))
+        sf = _StepMax(rb.firsts, rb.lasts, rb.max_tf.astype(np.float64))
         reader.cache.put("phr_stepfn", (field, term), sf)
     return sf
 
@@ -175,16 +174,14 @@ def phrase_top_k(
     sizes = {t: int(raw[t].ns.sum()) for t in uniq}
     anchor = min(uniq, key=lambda t: sizes[t])
     a_rb = raw[anchor]
-    a_firsts, a_lasts, a_max_tf, a_dl_min = _term_block_meta(
-        reader, field, anchor, a_rb
-    )
+    a_firsts, a_lasts = a_rb.firsts, a_rb.lasts
 
     # freq upper bound per anchor block: tf bound of the FIRST slot term only
     # (matches start at distinct terms[0] occurrences; later slots can be
     # shared between chains). Other terms gate feasibility, not magnitude.
     first = terms[0]
     if anchor == first:
-        freq_ub = a_max_tf.astype(np.float64, copy=True)
+        freq_ub = a_rb.max_tf.astype(np.float64)
     else:
         freq_ub = _tf_stepfn(reader, field, first, raw[first]).interval_max(
             a_firsts, a_lasts
@@ -197,7 +194,7 @@ def phrase_top_k(
         feasible &= mx > 0.0  # no coverage anywhere in the anchor block
     sigma = (
         idf_sum * freq_ub * (K1 + 1.0)
-        / (freq_ub + K1 * (1.0 - B + B * a_dl_min / avgdl))
+        / (freq_ub + K1 * (1.0 - B + B * a_rb.min_dl / avgdl))
     )
     idx = np.flatnonzero(feasible)
     if idx.size == 0:

@@ -16,9 +16,10 @@ evaluation decodes and scores every posting of every term):
    docs; θ = k-th best partial score (a LOWER bound on the final k-th score,
    since adding more terms only raises scores);
 3. per-block BM25 upper bound σ(block) = boost · idf · (k1+1)·max_tf /
-   (max_tf + k1·(1−b+b·dl_min/avgdl)) with ``dl_min`` a windowed minimum of the
-   segment's norms over the block's doc range (smaller dl ⇒ larger bound ⇒
-   still admissible);
+   (max_tf + k1·(1−b+b·min_dl/avgdl)) with the block's stored ``min_dl``, a
+   lower bound on the lengths of its docs (BM25 decreases with dl, so a
+   smaller dl only loosens the bound; a 0 stored by an older writer reads
+   as dl 0 and stays admissible);
 4. one event sweep over all blocks' doc ranges yields the piecewise-constant
    upper bound Σσ per doc interval; intervals with bound < θ−ε are pruned —
    every block fully inside pruned intervals is never decoded;
@@ -67,9 +68,6 @@ THETA_EPS = 1e-6
 #: exact per-doc point events; larger ones fall back to block-range bounds so
 #: the sweep stays O(#blocks) even when the bootstrap had to decode a hot term
 POINT_EVENT_CAP = 8192
-
-#: norms window size for the per-block dl_min bound
-NORMS_WINDOW = 2048
 
 #: diagnostics: outcome of the most recent _suffix_merge in this process
 #: ({"early": bool, "n": parts}) — written for tests/profiling only
@@ -170,7 +168,7 @@ def single_term_top_k(
     reader, ctx: EvalContext, field: str, term: str, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact top-k of one term over one segment by block-max score skipping:
-    per-block upper bound = BM25 at (max_tf, dl_min) (score is increasing in
+    per-block upper bound = BM25 at (max_tf, min_dl) (score is increasing in
     tf, decreasing in dl — same expression and op order as `_bm25_exact`, so
     `ub >= score(doc)` for every doc in the block). Blocks are processed in
     bound order until every unprocessed bound is < θ - THETA_EPS; scores are
@@ -193,11 +191,10 @@ def single_term_top_k(
         docs, scores = top_k(post[0], base, k)
         reader.cache.put("term_topk", (field, term), (k, docs, scores))
         return docs, scores
-    firsts, lasts, max_tf, dl_min = _term_block_meta(reader, field, term, rb)
     idf = ctx.idf(field, term)
     avgdl = ctx.avgdl.get(field) or 1.0
-    tfm = max_tf  # float64 by _term_block_meta
-    ub = idf * tfm * (K1 + 1.0) / (tfm + K1 * (1.0 - B + B * dl_min / avgdl))
+    tfm = rb.max_tf
+    ub = idf * tfm * (K1 + 1.0) / (tfm + K1 * (1.0 - B + B * rb.min_dl / avgdl))
     order = np.argsort(-ub, kind="stable")
 
     pool_docs: List[np.ndarray] = []
@@ -239,62 +236,6 @@ def single_term_top_k(
     )
     reader.cache.put("term_topk", (field, term), (k, docs, scores))
     return docs, scores
-
-
-def _norms_window_min(reader, field: str) -> np.ndarray:
-    """Min of norms per NORMS_WINDOW chunk, cached in the ``norms_winmin`` pool."""
-    arr = reader.cache.get("norms_winmin", field)
-    if arr is None:
-        norms = reader.norms(field)
-        n = norms.size
-        if n == 0:
-            arr = np.empty(0, dtype=np.int64)
-        else:
-            pad = (-n) % NORMS_WINDOW
-            padded = np.concatenate(
-                [norms, np.full(pad, np.iinfo(np.int64).max, dtype=np.int64)]
-            )
-            arr = padded.reshape(-1, NORMS_WINDOW).min(axis=1)
-        reader.cache.put("norms_winmin", field, arr)
-    return arr
-
-
-def _block_dl_min(reader, field: str, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
-    """Lower bound on the min doc length over each block's doc range (window
-    granularity: covers a superset of the range, so the min can only drop —
-    admissible for an upper-bound score)."""
-    winmin = _norms_window_min(reader, field)
-    if winmin.size == 0:
-        return np.ones(firsts.size, dtype=np.float64)
-    lo_w = np.clip((firsts - reader.doc_base) // NORMS_WINDOW, 0, winmin.size - 1)
-    hi_w = np.clip((lasts - reader.doc_base) // NORMS_WINDOW, 0, winmin.size - 1)
-    # nearly every block spans <= 2 windows -> vectorized endpoint min; the rare
-    # wide blocks fall back to an exact slice min
-    out = np.minimum(winmin[lo_w], winmin[hi_w]).astype(np.float64)
-    for i in np.flatnonzero(hi_w > lo_w + 1):
-        out[i] = winmin[lo_w[i]: hi_w[i] + 1].min()
-    return out
-
-
-def _term_block_meta(reader, field: str, term: str, rb) -> tuple:
-    """(firsts, lasts, max_tf, dl_min) arrays per block, memoized in the
-    ``wand_meta`` pool (metadata is a zero-copy RawBlocks view; only dl_min
-    needs computing)."""
-    m = reader.cache.get("wand_meta", (field, term))
-    if m is None:
-        stored = rb.min_dl
-        if stored.size and (stored > 0).all():
-            # v3 blocks carry the exact min doc length over their own posting
-            # docs — tighter than any doc-range window bound, and free to read
-            dl_min = stored.astype(np.float64)
-        else:
-            dl_min = _block_dl_min(reader, field, rb.firsts, rb.lasts)
-            known = stored > 0
-            if known.any():
-                dl_min = np.maximum(dl_min, np.where(known, stored, 0).astype(np.float64))
-        m = (rb.firsts, rb.lasts, rb.max_tf.astype(np.float64), dl_min)
-        reader.cache.put("wand_meta", (field, term), m)
-    return m
 
 
 def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
@@ -350,12 +291,11 @@ def wand_top_k(
         rb = raw.get((field, term))
         if rb is None or not len(rb):
             continue
-        firsts, lasts, max_tf, dl_min = _term_block_meta(reader, field, term, rb)
         avgdl = ctx.avgdl.get(field) or 1.0
-        ub = boost * idf * max_tf * (K1 + 1.0) / (
-            max_tf + K1 * (1.0 - B + B * dl_min / avgdl)
+        ub = boost * idf * rb.max_tf * (K1 + 1.0) / (
+            rb.max_tf + K1 * (1.0 - B + B * rb.min_dl / avgdl)
         )
-        terms_meta.append((field, term, boost, rb, firsts, lasts, ub))
+        terms_meta.append((field, term, boost, rb, rb.firsts, rb.lasts, ub))
     if len(terms_meta) < m:
         return EMPTY  # terms absent from the index can never supply m matches
 

@@ -400,7 +400,6 @@ def test_theta_branch_complete_pass_is_cached(jittered, monkeypatch):
     match set must be cached exactly like the flat path: warm repeats decode
     zero varints and stay bit-identical at any k."""
     from lucille_ray.index import codec
-    from lucille_ray.search import bmphrase as bp
 
     engine = SearchEngine(jittered, parallel=False)
     scorer = engine._scorers()[0]
@@ -413,8 +412,7 @@ def test_theta_branch_complete_pass_is_cached(jittered, monkeypatch):
     uniq = list(dict.fromkeys(terms))
     raw = r.raw_blocks_many(field, uniq)
     anchor = min(uniq, key=lambda t: int(raw[t].ns.sum()))
-    firsts, lasts, max_tf, dl_min = bp._term_block_meta(r, field, anchor, raw[anchor])
-    assert np.unique(dl_min).size > 1, "fixture must jitter per-block dl_min"
+    assert np.unique(raw[anchor].min_dl).size > 1, "fixture must jitter per-block min_dl"
 
     r.cache = ReaderCache()
     d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)

@@ -1115,9 +1115,11 @@ def test_term_partitioned_index_still_serves(
 ):
     """An index written by the removed ``term_partitioned`` build layout
     answers every query like the oracle and a fresh index, also after
-    compaction; a crashed build whose meta says ``term_partitioned`` (or has
-    no ``layout`` key) resumes its pending segment on the one build path; and
-    the CLI ``stats`` command reports on it."""
+    compaction. Its blocks store ``min_dl`` 0, which the block-max
+    executors read as dl 0: a looser bound, the same answers. A crashed
+    build whose meta says ``term_partitioned`` (or has no ``layout`` key)
+    resumes its pending segment on the one build path; and the CLI
+    ``stats`` command reports on it."""
     import ray
 
     import lucille_ray.index.build as build_mod
@@ -2674,32 +2676,59 @@ def test_verify_index_finds_nothing_after_build_append_delete_compact(
 
 def _rewrite_row_blocks(path: str, pick, change) -> str:
     """Rewrite one postings file with the block list of its first row that
-    ``pick(blocks, term)`` accepts replaced by ``change(blocks)``; returns
-    that row's term."""
+    ``pick(blocks, term)`` accepts replaced by ``change(blocks, field)``;
+    returns that row's term."""
     from lucille_ray.index.writer import write_postings_file
 
     t = _unpacked(pq.read_table(path))
     rows = t["blocks"].to_pylist()
     terms = t["term"].to_pylist()
     r = next(i for i, b in enumerate(rows) if pick(b, terms[i]))
-    rows[r] = change(rows[r])
+    rows[r] = change(rows[r], t["field"][r].as_py())
     col = t.schema.get_field_index("blocks")
     write_postings_file(
         t.set_column(col, "blocks", pa.array(rows, t.schema.field(col).type)), path)
     return terms[r]
 
 
-@pytest.mark.parametrize("fault", ["max_tf", "dropped_block", "row_group_and_max_tf"])
+def _swap_row_groups(path: str) -> str:
+    """Rewrite one postings file with its first two row groups swapped;
+    returns the first term of the group moved back."""
+    pf = pq.ParquetFile(path)
+    groups = [pf.read_row_group(g) for g in range(pf.metadata.num_row_groups)]
+    groups[:2] = groups[1::-1]
+    with pq.ParquetWriter(path, groups[0].schema) as w:
+        for t in groups:
+            w.write_table(t, row_group_size=t.num_rows)
+    return groups[1]["term"][0].as_py()
+
+
+FAULTS = {  # fault -> the finding it must produce
+    "max_tf": "max_tf is not the largest tf",
+    "dropped_block": "df is not the sum of their blocks' n",
+    "row_group_and_max_tf": "max_tf is not the largest tf",
+    "min_dl_0": "min_dl is not between 1 and the least norm",
+    "min_dl_above_least_norm": "min_dl is not between 1 and the least norm",
+    "swapped_row_groups": "row groups out of (field, term) order",
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
 def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
-    """A block whose packed header stores max_tf - 1, and a row that lost a
-    block, are each reported, by ``verify_index`` and by the ``verify``
-    command, which exits 1 on findings and 0 on the sound fixture. A file
-    whose row groups break the writer's invariant still has its blocks
-    checked: both faults in one file are both reported."""
+    """A block whose packed header stores max_tf - 1, a row that lost a
+    block, a term block whose min_dl is 0 or one above the least norm of its
+    docs, and a compacted file with two row groups swapped, are each
+    reported, by ``verify_index`` and by the ``verify`` command, which exits
+    1 on findings and 0 on the sound fixture. A file whose row groups break
+    the writer's invariant still has its blocks checked: both faults in one
+    file are both reported."""
     import glob
 
     from lucille_ray.__main__ import main
+    from lucille_ray.index import compact_index
     from lucille_ray.index.build import NORMS_TERM
+    from lucille_ray.index.codec import decode_postings
+    from lucille_ray.index.segment import SegmentReader
     from lucille_ray.index.verify import verify_index
 
     _, index_dir, _ = built
@@ -2707,22 +2736,33 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     assert capsys.readouterr().out.splitlines() == [f"0 finding(s) in {index_dir}"]
     d = str(tmp_path / fault)
     shutil.copytree(index_dir, d)
-    path = sorted(glob.glob(os.path.join(_seg_dirs(d)[0], "postings.parquet", "*")))[0]
-    if fault != "dropped_block":
-        def pick(b, term):
-            return term != NORMS_TERM
+    if fault == "swapped_row_groups":
+        compact_index(d)  # compaction writes each file as one sorted run
+    seg_dir = _seg_dirs(d)[0]
+    path = sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*")))[0]
 
-        def change(b):
+    def pick(b, term):
+        return term != NORMS_TERM
+
+    if fault in ("max_tf", "row_group_and_max_tf"):
+        def change(b, field):
             return [dict(b[0], max_tf=b[0]["max_tf"] - 1), *b[1:]]
-        expect = "max_tf is not the largest tf"
-    else:
+    elif fault.startswith("min_dl"):
+        def change(b, field):
+            reader = SegmentReader(seg_dir)
+            docs = decode_postings(b[:1])[0]
+            least = int(reader.norms(field)[docs - reader.doc_base].min())
+            return [dict(b[0], min_dl=0 if fault == "min_dl_0" else least + 1), *b[1:]]
+    elif fault == "dropped_block":
         def pick(b, term):  # a 2-block row would keep one block whose n is
             return len(b) != 2  # not its df, which the writer refuses
 
-        def change(b):
+        def change(b, field):
             return b[:-1]
-        expect = "df is not the sum of their blocks' n"
-    term = _rewrite_row_blocks(path, pick, change)
+    if fault == "swapped_row_groups":
+        term = _swap_row_groups(path)
+    else:
+        term = _rewrite_row_blocks(path, pick, change)
     if fault == "row_group_and_max_tf":
         stored = pq.read_table(path)  # one row group across the file's fields
         assert len(set(stored["field"].to_pylist())) > 1
@@ -2732,7 +2772,7 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
         findings = [grouping, finding]
     else:
         (finding,) = findings = verify_index(d)
-    assert expect in finding and repr(term) in finding, finding
+    assert FAULTS[fault] in finding and repr(term) in finding, finding
     assert main(["verify", d]) == 1
     assert capsys.readouterr().out.splitlines() == [
         *findings, f"{len(findings)} finding(s) in {d}"]

@@ -185,6 +185,39 @@ def test_search_modules_read_no_environment(package):
     assert offenders == []
 
 
+def test_reader_cache_docstring_names_every_pool():
+    """The pool names passed to ``.cache.get/put/pop`` under lucille_ray/
+    are exactly the pools ``ReaderCache``'s docstring names in its "Pools by
+    scope" paragraph: the pool count stays checkable, and a removed pool
+    leaves no doc behind. A pool name that is not a literal counts as its
+    source text, so it fails too."""
+    import ast
+    import glob
+    import re
+
+    import lucille_ray
+    from lucille_ray.index.segment import ReaderCache
+
+    root = os.path.dirname(lucille_ray.__file__)
+    used = set()
+    for path in glob.glob(os.path.join(root, "**", "*.py"), recursive=True):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "put", "pop")
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "cache"
+            ):
+                pool = node.args[0]
+                used.add(pool.value if isinstance(pool, ast.Constant) else ast.unparse(pool))
+    doc = ReaderCache.__doc__
+    named = set(re.findall(r"``(\w+)``", doc[doc.index("Pools by scope"): doc.index("Callers use")]))
+    assert used == named
+
+
 @pytest.mark.parametrize("package", ["search", "index"])
 def test_modules_keep_no_cache_attributes_on_readers(package):
     """Per-reader state lives in ``reader.cache`` (index/segment.py's

@@ -204,34 +204,90 @@ def test_wand_minmatch_random_property(built, ray_session):
     check()
 
 
-def test_min_dl_exact_after_build_and_compaction(built, ray_session):
-    """Every block (freshly built AND re-cut by compaction) stores the exact
-    min doc length over its own posting docs — the tight WAND bound input."""
-    import shutil
+def test_min_dl_bounds_every_block_after_build_append_compaction(
+        ray_session, tmp_path, monkeypatch):
+    """Merge windows of 4,096 piece rows over 3,536 perfbench-style turns in
+    400-turn batches cut tokenize pieces from their norms rows, so the window
+    merge re-cuts blocks holding docs whose norms lie in another window.
+    Every term block stores a min_dl of at least 1 and at most the least
+    norm of its docs (``verify_index`` finds nothing, and no term block
+    stores 0) after the build, after an append and after compaction; and the
+    window merge did re-cut such blocks, each with a positive min_dl."""
+    import glob
 
-    from lucille_ray.index.compact import compact_index
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
-    for compacted in (False, True):
-        idx = built
-        if compacted:
-            idx = built + "_compacted"
-            if not os.path.isdir(idx):
-                shutil.copytree(built, idx)
-            compact_index(idx)
-        engine = SearchEngine(idx, parallel=False)
-        r = max(engine._scorers()[0].readers, key=lambda rr: rr.doc_count)
-        norms = r.norms("text")
-        terms, dfs = r.term_dict("text")
-        hot = str(terms[int(np.argmax(dfs))])
-        for term in (hot, "xylophone42"):
-            for rb in [r.raw_blocks_many("text", [term])[term]]:
-                docs, tfs, _ = rb.decode(False)
-                at = 0
-                for bi in range(len(rb)):
-                    n = int(rb.ns[bi])
-                    expect = int(norms[docs[at: at + n] - r.doc_base].min())
-                    assert int(rb.min_dl[bi]) == expect, (compacted, term, bi)
-                    at += n
+    import lucille_ray.index.build as build_mod
+    from lucille_ray.index import commit, compact_index
+    from lucille_ray.index.build import NORMS_TERM
+    from lucille_ray.index.codec import RawBlocks, unpack_rows
+    from lucille_ray.index.verify import verify_index
+    from perfbench.corpus import make_turns, make_vocabulary, write_corpus
+
+    def term_blocks(rows):
+        """(blocks, field per block, (field, term, first, last, n) per
+        block) of the term rows of in-memory postings ``rows``."""
+        rows = rows.filter(pc.not_equal(rows["term"], NORMS_TERM))
+        nb = pc.list_value_length(rows["blocks"]).to_numpy(zero_copy_only=False)
+        rb = RawBlocks(rows["blocks"].combine_chunks().flatten())
+        field = np.repeat(np.asarray(rows["field"].to_pylist(), object), nb)
+        term = np.repeat(np.asarray(rows["term"].to_pylist(), object), nb)
+        return rb, field, list(zip(field.tolist(), term.tolist(), rb.firsts.tolist(),
+                                   rb.lasts.tolist(), rb.ns.tolist()))
+
+    vocab = make_vocabulary(20000, 1)
+    data, more, idx = (str(tmp_path / n) for n in ("data", "more", "index"))
+    write_corpus(make_turns(vocab, 3500, 1), data)
+    write_corpus(make_turns(vocab, 1000, 2, conv_base=10**6), more)
+    record_dir = str(tmp_path / "windows")
+    os.makedirs(record_dir)
+
+    def merge_window(batch):
+        """The window merge (in a Ray worker), recording under
+        ``record_dir`` how many re-cut term blocks hold a doc without a norm
+        in the window, and how many of those store min_dl 0."""
+        import uuid
+
+        from lucille_ray.index import build
+
+        out = build._piece_merge_batch(batch)
+        norms = build._window_norms(batch)
+        before = set(term_blocks(batch)[2])
+        rb, field, keys = term_blocks(out)
+        recut = np.array([k not in before for k in keys], bool)
+        orphaned = zero = 0
+        for f in set(field[recut].tolist()):
+            for i in np.flatnonzero(recut & (field == f)):
+                docs = rb.decode_blocks(np.array([i]))[0]
+                if f not in norms or (norms[f][docs] == 0).any():
+                    orphaned += 1
+                    zero += int(rb.min_dl[i] == 0)
+        with open(os.path.join(record_dir, uuid.uuid4().hex), "w") as fh:
+            fh.write(f"{orphaned} {zero}")
+        return out
+
+    def check():
+        assert verify_index(idx) == []
+        for s in commit.read(idx)["segments"]:
+            for path in glob.glob(os.path.join(commit.segment_dir(idx, s.name),
+                                               "postings.parquet", "*")):
+                rows, blocks, loff = unpack_rows(pq.read_table(path))
+                rows = rows.append_column("blocks", blocks.list_array(loff))
+                assert (term_blocks(rows)[0].min_dl > 0).all(), path
+
+    monkeypatch.setattr(build_mod, "PIECE_MERGE_ROWS", 4096)
+    monkeypatch.setattr(build_mod, "_piece_merge_batch", merge_window)
+    build_index(T.read_transcripts(data), idx, num_segments=2, batch_size=400)
+    check()
+    build_mod.append_index(T.read_transcripts(more), idx, batch_size=400)
+    check()
+    counts = np.array([[int(v) for v in open(p).read().split()]
+                       for p in glob.glob(os.path.join(record_dir, "*"))])
+    assert counts[:, 0].sum() > 0, "no window re-cut a block away from its norms"
+    assert counts[:, 1].sum() == 0
+    compact_index(idx)
+    check()
 
 
 def test_wand_parts_shapes():
