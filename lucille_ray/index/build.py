@@ -27,10 +27,11 @@ Phase 1 — postings, ONE execution for every segment of the write
   ``codec.encode_runs`` call (:class:`_TokenizeEncode`, per segment part of
   the batch) -> windows of those pieces are merged locally, per segment
   (:func:`_piece_merge_batch`) ->
-  :class:`~.writer.PostingsSink` routes each segment's rows to its directory.
-  After the execution each segment is finished in order: ``stats.json`` from
-  its norms rows, its doc map, its manifest. ``compact_index`` consolidates
-  each term's pieces after the build.
+  :class:`~.writer.PostingsSink` routes each segment's term rows to its
+  postings directory and its norms rows to a staging directory beside it.
+  After the execution each segment is finished in order: its norms files and
+  ``stats.json`` from the staged norms rows, its doc map, its manifest.
+  ``compact_index`` consolidates each term's pieces after the build.
 
 Resume: the checkpoint unit is the segment, and a segment with a complete
 MANIFEST.json is never rebuilt. A re-run over a commit whose segments are all
@@ -67,6 +68,7 @@ import functools
 import hashlib
 import json
 import os
+import shutil
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,14 +79,19 @@ import pyarrow.parquet as pq
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
 from . import commit
 from .codec import (POSTINGS_SCHEMA, RawBlocks, encode_runs,
-                    seg_parts, sort_postings, with_seg)
+                    seg_parts, sort_postings, unpack_rows, with_seg)
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
 
-#: reserved pseudo-term whose "postings" carry per-doc field lengths (norms):
-#: doc_ids = every doc of the piece, tfs = dl. The analyzer can never produce it
-#: (it only emits [a-z0-9]+ runs), and term dictionaries filter it out.
+#: reserved pseudo-term whose "postings" carry per-doc field lengths (norms)
+#: through the build's Ray Data stream: doc_ids = every doc of the piece, tfs
+#: = dl. The analyzer can never produce it (it only emits [a-z0-9]+ runs).
+#: :func:`_finish_segment` turns them into the segment's norms files.
 NORMS_TERM = "\x00dl"
+
+#: directory in an uncommitted segment that holds its staged norms rows;
+#: :func:`_finish_segment` removes it before the manifest lands
+_NORMS_STAGING = "norms.staging"
 
 _THREADS_LIMITED = False
 
@@ -110,6 +117,12 @@ MANIFEST_FILE = commit.MANIFEST_FILE
 #: per-segment doc map, one file: one (conv_id, base, cnt) row per
 #: conversation, sorted by base, covering exactly the segment's doc range
 CONVMAP_FILE = "convmap.parquet"
+
+
+def norms_file(field: str) -> str:
+    """A segment's norms of ``field``: per-doc lengths, dense over its doc
+    range, in the narrowest unsigned dtype that holds them."""
+    return f"norms_{field}.npy"
 
 
 # ---------------------------------------------------------------------------
@@ -625,14 +638,20 @@ class _SparseDls:
         return np.where(self.docs[idx] == doc_arr, self.dls[idx], 0)
 
 
-def _window_norms(batch: pa.Table) -> dict:
-    """field -> :class:`_SparseDls` decoded from the window's NORMS_TERM piece
-    rows. Each tokenize piece carries a norms row covering exactly its docs, so
-    a window of whole pieces resolves every doc its term rows reference; a doc
+def _is_norms_row(rows: pa.Table) -> pa.ChunkedArray:
+    """Mask of the norms rows among postings rows ``rows``."""
+    return pa.compute.equal(rows["term"], pa.scalar(NORMS_TERM, pa.string()))
+
+
+def _decode_norms(batch: pa.Table) -> dict:
+    """field -> :class:`_SparseDls` decoded from the NORMS_TERM rows of
+    in-memory postings ``batch``: a merge window's or a segment's staged rows.
+    Each tokenize piece carries a norms row covering exactly its docs, so a
+    window of whole pieces resolves every doc its term rows reference; a doc
     whose norms row landed in a neighbouring window counts at its source
     block's ``min_dl`` when its block is re-cut."""
     out: dict = {}
-    sub = batch.filter(pa.compute.equal(batch["term"], NORMS_TERM))
+    sub = batch.filter(_is_norms_row(batch))
     for f in set(sub["field"].to_pylist()):
         rows = sub.filter(pa.compute.equal(sub["field"], f))
         docs, dls, _ = RawBlocks(rows["blocks"].combine_chunks().flatten()).decode()
@@ -663,7 +682,8 @@ def _piece_merge_batch(batch: pa.Table) -> pa.Table:
     and merge each term's adjacent undersized fragments with the same
     LSM-style block-preserving merge full compaction uses
     (``compact._merge_sorted_batch``). Segments merge apart, so no row ever
-    mixes two segments' docs.
+    mixes two segments' docs. Norms rows pass through unmerged: the sink
+    stages them for :func:`_finish_segment`.
 
     Bounds pieces-per-term by ``ceil(segment_rows / window_rows)`` instead of
     ``ceil(segment_docs / batch_docs)`` — at a 2.5M-doc segment with 4k-doc
@@ -698,10 +718,14 @@ def _merge_pieces(batch: pa.Table) -> pa.Table:
         return batch
     from .compact import _merge_sorted_batch
 
-    batch = batch.sort_by(
+    is_norms = _is_norms_row(batch)
+    norms = batch.filter(is_norms)
+    terms = batch.filter(pa.compute.invert(is_norms)).sort_by(
         [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]
     )
-    return _merge_sorted_batch(batch, norms=_window_norms(batch))
+    return pa.concat_tables(
+        [_merge_sorted_batch(terms, norms=_decode_norms(norms)), norms]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -961,16 +985,15 @@ def _write_segments(
     """Write new segments ``(number, lo, hi, write_conv_map)`` in ONE Ray Data
     execution — ``assign`` (doc ids) -> for several segments, a sort by doc
     id -> :class:`_TokenizeEncode` ->
-    :func:`_piece_merge_batch` -> :class:`~.writer.PostingsSink` — then
-    finish each in order (:func:`_finish_segment`). Returns
+    :func:`_piece_merge_batch` -> :class:`~.writer.PostingsSink` (norms rows
+    to each segment's staging directory) — then finish each in order
+    (:func:`_finish_segment`). Returns
     ``{"segment_<number>_sec": seconds from the execution's start to the
     segment's manifest}``."""
-    import shutil
-
     from .writer import PostingsSink
 
     t0 = time.time()
-    postings = {}
+    postings, staging = {}, {}
     for seg, lo, hi, _ in segments:
         seg_dir = _segment_dir(index_dir, seg)
         # a half-written segment is wiped so the writes never add to stale
@@ -980,6 +1003,7 @@ def _write_segments(
         os.makedirs(seg_dir)
         if lo < hi:
             postings[seg] = os.path.join(seg_dir, "postings.parquet")
+            staging[seg] = os.path.join(seg_dir, _NORMS_STAGING)
     stage_stats = ""
     if postings:
         written = [(seg, lo, hi) for seg, lo, hi, _ in segments if lo < hi]
@@ -1000,7 +1024,7 @@ def _write_segments(
                 _piece_merge_batch, batch_format="pyarrow",
                 batch_size=PIECE_MERGE_ROWS,
             )
-        rows.write_datasink(PostingsSink(postings))
+        rows.write_datasink(PostingsSink(postings, staging, _is_norms_row))
         try:
             # per-stage execution stats (task counts, wall/cpu per operator) —
             # the corroborating evidence for scaling claims (BASELINE.md)
@@ -1027,47 +1051,58 @@ def _finish_segment(
     write_conv_map: Callable[[str], None],
     stage_stats: str,
 ) -> None:
-    """Commit segment ``seg``'s manifest once its postings are written: its
-    ``stats.json`` from the norms pseudo-term rows (no extra pass over the
-    input), its doc map and ``stage_stats``. Raises when the postings do not
-    hold exactly the ``hi - lo`` docs its bounds say."""
+    """Commit segment ``seg``'s manifest once its postings are written: from
+    its staged norms rows (no extra pass over the input), each field's norms
+    file (:func:`norms_file`) and ``stats.json``; then its doc map and
+    ``stage_stats``. The staging directory is gone before the manifest
+    lands. Raises when a field's norms rows do not cover exactly the docs
+    ``[lo, hi)`` its bounds say."""
     seg_dir = _segment_dir(index_dir, seg)
     if lo == hi:
         _write_manifest(index_dir, seg, 0, 0, fields, empty=True)
         return
-    postings_path = os.path.join(seg_dir, "postings.parquet")
-    files = [f for f in os.listdir(postings_path) if f.endswith(".parquet")]
-    stats = {"segment": seg, "doc_base": lo, "doc_count": 0, "fields": {}}
-    if files:
-        norm_rows = pq.read_table(
-            postings_path,
-            columns=["field", "df", "total_tf"],
-            filters=[("term", "==", NORMS_TERM)],
-        )
-        for f in fields:
-            sub = norm_rows.filter(pa.compute.equal(norm_rows["field"], f))
-            n_docs_f = int(pa.compute.sum(sub["df"]).as_py() or 0)
-            stats["fields"][f] = {
-                "total_dl": int(pa.compute.sum(sub["total_tf"]).as_py() or 0)
-            }
-            stats["doc_count"] = max(stats["doc_count"], n_docs_f)
-    n_docs = stats["doc_count"]
-    if n_docs != hi - lo:
-        raise ValueError(
-            f"segment {seg} holds {n_docs} docs, but its bounds [{lo}, {hi}) "
-            "say otherwise: the input changed while it was indexed"
-        )
+    staging = os.path.join(seg_dir, _NORMS_STAGING)
+    staged = [pq.ParquetFile(os.path.join(staging, name)).read()
+              for name in sorted(os.listdir(staging))]
+    norms = {}
+    if staged:
+        rows, rb, loff = unpack_rows(pa.concat_tables(staged))
+        norms = _decode_norms(rows.append_column("blocks", rb.list_array(loff)))
+    stats = {"segment": seg, "doc_base": lo, "doc_count": hi - lo, "fields": {}}
+    for f in fields:
+        docs, dls = (norms[f].docs, norms[f].dls) if f in norms else ([], [])
+        if not np.array_equal(docs, np.arange(lo, hi)):
+            raise ValueError(
+                f"segment {seg} holds {len(docs)} docs, but its bounds [{lo}, "
+                f"{hi}) say otherwise (norms of {f}): the input changed while "
+                "it was indexed"
+            )
+        np.save(os.path.join(seg_dir, norms_file(f)), _narrowest_uint(dls))
+        stats["fields"][f] = {"total_dl": int(dls.sum())}
+    shutil.rmtree(staging)
     with open(os.path.join(seg_dir, "stats.json"), "w") as fh:
         json.dump(stats, fh, indent=1)
 
+    postings_path = os.path.join(seg_dir, "postings.parquet")
     n_terms = sum(
-        pq.read_metadata(os.path.join(postings_path, f)).num_rows for f in files
+        pq.read_metadata(os.path.join(postings_path, f)).num_rows
+        for f in os.listdir(postings_path) if f.endswith(".parquet")
     )
     if stage_stats:
         with open(os.path.join(seg_dir, "stage_stats.txt"), "w") as fh:
             fh.write(stage_stats)
     write_conv_map(os.path.join(seg_dir, CONVMAP_FILE))
-    _write_manifest(index_dir, seg, n_docs, n_terms, fields)
+    _write_manifest(index_dir, seg, hi - lo, n_terms, fields)
+
+
+def _narrowest_uint(a: np.ndarray) -> np.ndarray:
+    """``a`` (non-negative ints) in the narrowest of uint8/16/32 that holds its
+    max — the norms files' storage dtype; int64 beyond uint32."""
+    mx = int(a.max()) if a.size else 0
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if mx <= np.iinfo(dt).max:
+            return a.astype(dt)
+    return a.astype(np.int64)
 
 
 def _write_manifest(

@@ -13,8 +13,8 @@ fixed-size blocks of up to :data:`BLOCK_SIZE` documents:
   lower bound, at least 1, on the lengths of the block's posting docs, for
   BM25 block upper bounds: their least norm where the writer holds their
   norms, and where a re-cut block's doc lacks one there, the ``min_dl`` of
-  the block it came from; a 0 written by an older build reads as dl 0,
-  still a valid bound; norms rows store 0)
+  the block it came from; the build's norms rows, which never reach a
+  committed segment, store 0)
 
 Rows are written from their in-memory form, where a row's blocks are one
 ``list<BLOCK_STRUCT>`` cell (:data:`POSTINGS_SCHEMA`): the build, the window

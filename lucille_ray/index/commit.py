@@ -7,7 +7,7 @@ An index directory holds::
     segments/<name>/        # write-once segment directories (segment.py)
         deleted_<gen>.npy   # write-once tombstones: sorted deleted doc ids
 
-The commit (format version 5) is one JSON object: the build settings
+The commit (format version 6) is one JSON object: the build settings
 (``fields``, ``range_width``, ``analyzer``), three counters —
 ``total_docs`` (the next doc id), ``next_segment`` (the number of the next
 new segment directory) and ``generation`` (bumped by every publish) — and
@@ -30,7 +30,7 @@ A failure before the ``os.replace`` leaves the previous commit serving (its
 files are untouched); after it, the new one. Leftovers of a failed write go
 with the next sweep.
 
-Preconditions and exceptions:
+Preconditions:
 
 * ONE writer at a time per index. Nothing here locks.
 * A reader opens with the tombstone its caller's commit names and pins
@@ -39,14 +39,12 @@ Preconditions and exceptions:
   opened on a commit after a later write swept it fails to open — the sweep
   removes a directory's ``MANIFEST.json`` first, and a reader checks it is
   still there once it has pinned the rest.
-* The norms ``.npy`` sidecars are the one file a reader may add to a
-  committed segment directory: a derived cache, written atomically.
 
 Today's layout is the only one any reader accepts. An index is derived data
 that ``build_index`` rebuilds from its input, so an older form — a commit of
 another version, a tombstone not named ``deleted_<gen>.npy``, a segment
-without its one-file doc map or with a one-file ``postings.parquet``
-(``segment.check_layout``) — is refused at open with :func:`rebuild_error`
+without its one-file doc map or its norms files or with a one-file
+``postings.parquet`` (``segment.check_layout``) — is refused at open with :func:`rebuild_error`
 rather than read through a fallback (Lucene's ``IndexFormatTooOldException``).
 """
 
@@ -64,8 +62,10 @@ INDEX_META_FILE = "index_meta.json"
 #: exact per-block min_dl for tight BM25 upper bounds (WAND); v4: the commit
 #: lists its segments and their tombstone generations; v5: postings rows are
 #: stored packed, one varint header and one docs/tfs/pos binary per row
-#: instead of a list of block structs (``codec.pack_rows``)
-INDEX_FORMAT_VERSION = 5
+#: instead of a list of block structs (``codec.pack_rows``); v6: norms are
+#: stored once, in the ``norms_<field>.npy`` files each segment's writer
+#: makes, and the postings hold term rows only
+INDEX_FORMAT_VERSION = 6
 
 _SEGMENTS = "segments"
 MANIFEST_FILE = "MANIFEST.json"

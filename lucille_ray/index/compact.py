@@ -30,7 +30,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM, _limit_worker_threads, read_manifest
+from .build import CONVMAP_FILE, MANIFEST_FILE, _limit_worker_threads, read_manifest
 from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings,
                     unpack_rows)
 from .segment import live_mask
@@ -56,20 +56,19 @@ def purged_ids(seg_dir: str) -> np.ndarray:
 
 def _reencode_spans(
     raw: RawBlocks, sel: np.ndarray, span_nb: np.ndarray, span_field: np.ndarray,
-    want_pos: bool, norms, doc_base: int, deleted,
+    norms, doc_base: int, deleted,
 ) -> tuple:
     """Decode the blocks ``sel`` of ``raw`` (span-major: span ``i`` is the next
     ``span_nb[i]`` of them) in one pass, doc-sort the spans whose docs
     interleave, drop tombstoned docs (``deleted``, the purge path), and
     re-encode every span as full blocks in one :func:`encode_runs` call.
     Each posting counts at its source block's stored ``min_dl``, a lower
-    bound on its doc's length (0 in norms rows), and a term posting whose
-    doc has a norm in ``norms`` (``span_field`` names each span's field; the
-    build's window merge holds only its window's norms) at that norm; each
-    new block stores the least. Returns (one block list per span, total_tf
-    per span)."""
+    bound on its doc's length, and a posting whose doc has a norm in
+    ``norms`` (``span_field`` names each span's field; the build's window
+    merge holds only its window's norms) at that norm; each new block stores
+    the least. Returns (one block list per span, total_tf per span)."""
     nspans = span_nb.size
-    docs, tfs, pos = raw.decode_blocks(sel, want_positions=want_pos)
+    docs, tfs, pos = raw.decode_blocks(sel, want_positions=True)
     dls = np.repeat(raw.min_dl[sel], raw.ns[sel])
     span_len = np.add.reduceat(raw.ns[sel], np.cumsum(span_nb) - span_nb)
     post_span = np.repeat(np.arange(nspans), span_len)
@@ -85,14 +84,13 @@ def _reencode_spans(
         dls = dls[order]
     if deleted is not None:
         keep = live_mask(deleted, docs)
-        if pos is not None:
-            pos = pos[np.repeat(keep, tfs)]
+        pos = pos[np.repeat(keep, tfs)]
         docs, tfs, post_span, dls = docs[keep], tfs[keep], post_span[keep], dls[keep]
     span_starts = np.searchsorted(post_span, np.arange(nspans))
     tf_cum = np.zeros(tfs.size + 1, np.int64)
     np.cumsum(tfs, out=tf_cum[1:])
     span_ttf = tf_cum[np.append(span_starts[1:], tfs.size)] - tf_cum[span_starts]
-    if norms is not None and want_pos:
+    if norms is not None:
         post_field = span_field[post_span]
         for field in np.unique(span_field):
             arr = norms.get(field)
@@ -120,12 +118,11 @@ def _merge_sorted_batch(
     piece-tail blocks decode + re-encode (merging splinters into full blocks),
     as does every block of a tombstoned segment (the purge moment, where
     deleted docs physically leave and per-row df/total_tf re-derive from what
-    remains; NORMS rows are exempt — the norms array must stay dense over
-    maxDoc). All of a batch's spans decode in one pass and re-encode in one
-    :func:`encode_runs` call per payload kind (positional term rows, norms
-    rows). Blocks whose doc RANGES overlap (pieces of one term from input
-    batches whose docs interleave) are kept as-is: every reader path either
-    doc-sorts on decode or checks block ranges elementwise.
+    remains). All of a batch's spans decode in one pass and re-encode in one
+    :func:`encode_runs` call. Blocks whose doc RANGES overlap (pieces of one
+    term from input batches whose docs interleave) are kept as-is: every
+    reader path either doc-sorts on decode or checks block ranges
+    elementwise.
 
     Compaction hands it whole term runs (:func:`_merge_range`), but the
     build's window merge (``build._piece_merge_batch``) cuts its windows
@@ -167,11 +164,8 @@ def _merge_sorted_batch(
     nruns = run_starts.size
     run_ttf = np.add.reduceat(ttfs, run_starts)
     run_field = np.asarray(fcol.take(pa.array(run_starts)).to_pylist(), dtype=object)
-    run_pos = pc.not_equal(tcol.take(pa.array(run_starts)), NORMS_TERM).to_numpy(
-        zero_copy_only=False
-    )
-    # purge path (tombstoned segment): every block of a term run re-encodes
-    run_purge = run_pos & (deleted is not None)
+    # purge path (tombstoned segment): every block re-encodes
+    purge = deleted is not None
 
     # blocks in output order: by run, then (stable) by first doc
     blk_run = np.repeat(np.arange(nruns), row_off[run_ends] - row_off[run_starts])
@@ -179,12 +173,12 @@ def _merge_sorted_batch(
     o_run = blk_run[order]
     # re-encode spans: maximal stretches of adjacent undersized blocks of one
     # run, kept when >=2 blocks long, and whole runs on the purge path
-    cand = (raw.ns[order] < BLOCK_SIZE) | run_purge[o_run]
+    cand = (raw.ns[order] < BLOCK_SIZE) | purge
     stretch_start = cand.copy()
     stretch_start[1:] &= ~cand[:-1] | (o_run[1:] != o_run[:-1])
     stretch_of = np.cumsum(stretch_start) - 1
     stretch_len = np.bincount(stretch_of[cand], minlength=int(stretch_start.sum()))
-    stretch_kept = (stretch_len >= 2) | run_purge[o_run[stretch_start]]
+    stretch_kept = (stretch_len >= 2) | purge
     member = cand.copy()
     member[cand] = stretch_kept[stretch_of[cand]]
     span_of = np.cumsum(stretch_start & member) - 1  # valid where member
@@ -193,36 +187,25 @@ def _merge_sorted_batch(
     span_run = o_run[span_first]
     nspans = span_first.size
 
-    # re-encode: one decode + one encode per payload kind; new blocks append
-    # after the batch's own blocks
-    span_new_start = np.zeros(nspans, np.int64)
-    span_new_nb = np.zeros(nspans, np.int64)
-    comb_parts = [flat]
-    ns_parts, firsts_parts = [raw.ns], [raw.firsts]
-    ttf_out = run_ttf.copy()
-    at = nflat
-    for want_pos in (True, False):
-        spans = np.flatnonzero(run_pos[span_run] == want_pos)
-        if not spans.size:
-            continue
-        sel = order[member & (run_pos[o_run] == want_pos)]
+    # re-encode: one decode + one encode; new blocks append after the batch's
+    # own blocks
+    combined, ns_comb, firsts_comb = flat, raw.ns, raw.firsts
+    ttf_out = run_ttf
+    span_new_start = span_new_nb = np.zeros(nspans, np.int64)
+    if nspans:
         new, span_ttf = _reencode_spans(
-            raw, sel, span_nb[spans], run_field[span_run[spans]], want_pos,
-            norms, doc_base, deleted if want_pos else None,
+            raw, order[member], span_nb, run_field[span_run], norms, doc_base, deleted,
         )
         offs = new.offsets.to_numpy().astype(np.int64)
-        span_new_start[spans] = at + offs[:-1]
-        span_new_nb[spans] = np.diff(offs)
-        purged = run_purge[span_run[spans]]
-        ttf_out[span_run[spans][purged]] = span_ttf[purged]
+        span_new_start = nflat + offs[:-1]
+        span_new_nb = np.diff(offs)
+        if purge:
+            ttf_out = run_ttf.copy()
+            ttf_out[span_run] = span_ttf
         blocks = new.flatten()
-        at += len(blocks)
-        comb_parts.append(blocks)
-        ns_parts.append(blocks.field("n").to_numpy().astype(np.int64))
-        firsts_parts.append(blocks.field("first_doc").to_numpy())
-    combined = pa.concat_arrays(comb_parts) if len(comb_parts) > 1 else flat
-    ns_comb = np.concatenate(ns_parts)
-    firsts_comb = np.concatenate(firsts_parts)
+        combined = pa.concat_arrays([flat, blocks])
+        ns_comb = np.concatenate([raw.ns, blocks.field("n").to_numpy().astype(np.int64)])
+        firsts_comb = np.concatenate([raw.firsts, blocks.field("first_doc").to_numpy()])
 
     # output block sequence: each verbatim block, each span's new blocks
     unit = np.flatnonzero(~member | (stretch_start & member))
@@ -365,7 +348,7 @@ def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tup
 
 def _kept(name: str) -> bool:
     """The files a compacted segment takes unchanged (hard-linked) from its
-    source: the doc map, the build's stage stats and the norms sidecars."""
+    source: the doc map, the build's stage stats and the norms files."""
     return name in (CONVMAP_FILE, "stage_stats.txt") or (
         name.startswith("norms_") and name.endswith(".npy")
     )

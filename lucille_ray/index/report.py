@@ -1,7 +1,7 @@
 """Structured build/index report: one JSON-able dict aggregating everything
 the build and compaction record about an index — metadata, per-phase wall
 times, per-segment manifests and live stats, on-disk footprint by component
-(postings, norms sidecars, doc maps, everything else), postings layout (row
+(postings, norms files, doc maps, everything else), postings layout (row
 groups, footer bytes, compressed bytes per Parquet leaf column), lifecycle state
 (tombstones, purges, appends).
 
@@ -159,7 +159,7 @@ PARQUET_MAGIC_BYTES = 12
 
 def _component(parts: tuple) -> str:
     """The byte component of one file, from its path parts under the index
-    dir: a segment's postings files, norms sidecars and doc map, and
+    dir: a segment's postings files, norms files and doc map, and
     everything else (manifests, stats, tombstones, build reports)."""
     if parts[0] == "segments" and len(parts) >= 3:
         if parts[2] == "postings.parquet":

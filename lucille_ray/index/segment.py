@@ -17,23 +17,22 @@ write that created it (``commit.segment_name``: a build's segments are
       deleted_<gen>.npy   # tombstones: sorted deleted doc ids, one file per
                           # delete generation; the commit names the live one
       purged.npy          # doc ids earlier compactions purged (compact.py)
-      norms_<field>.npy   # per-doc field lengths, written by the first reader
-    (norms = reserved-term ``NORMS_TERM`` posting rows; the ``.npy`` sidecars
-    cache their decode and are the one file a reader adds to a committed
-    directory; result metadata and conversation deletes resolve through the
-    doc map, doc_id = base + turn_idx; an empty segment holds its manifest
-    alone)
+      norms_<field>.npy   # per-doc field lengths, dense over the doc range,
+                          # one per manifest field, written with the segment
+    (result metadata and conversation deletes resolve through the doc map,
+    doc_id = base + turn_idx; an empty segment holds its manifest alone; a
+    reader adds nothing to a directory)
 
 A non-empty segment in any other layout is refused at open
 (:func:`check_layout`): rebuild the index.
 
 Which directories and tombstones are live is the commit's business
 (``commit.py``); a reader opens one directory and pins every file in it that
-a later write's sweep may unlink (postings handles, the doc map, the
-tombstone), so it keeps answering after that sweep.
+a later write's sweep may unlink (postings handles, the norms, the doc map,
+the tombstone), so it keeps answering after that sweep.
 
-Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded once —
-designed to be pinned inside long-lived scorer actors) and fetch postings by
+Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded at
+open — designed to be pinned inside long-lived scorer actors) and fetch postings by
 ``(field, term)`` through parquet predicate pushdown, so a term lookup touches only
 the row groups whose min/max term stats overlap. :meth:`SegmentReader.decode`
 is the one place raw blocks become postings, and the one place tombstoned
@@ -56,7 +55,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import CONVMAP_FILE, MANIFEST_FILE, NORMS_TERM
+from .build import CONVMAP_FILE, MANIFEST_FILE, norms_file
 from .codec import (BLOCK_STRUCT, RawBlocks, int64_column, numeric_array,
                     sort_postings, stored_columns, unpack_rows)
 
@@ -176,7 +175,7 @@ class SegmentReader:
                 self.stats = json.load(f)
         self.doc_base = int(self.stats["doc_base"])
         self.doc_count = int(self.stats["doc_count"])
-        self._norms: Optional[Dict[str, np.ndarray]] = None
+        self._norms: Dict[str, np.ndarray] = {}
         self._term_dicts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._conv_map: Optional[Tuple[pa.Array, np.ndarray, np.ndarray]] = None
         self._postings_pf_cache: Optional[list] = None
@@ -204,11 +203,12 @@ class SegmentReader:
             except (OSError, ValueError):
                 raise ValueError(f"unreadable tombstone file {tombstone}")
         if not self.empty:
-            check_layout(seg_dir)
+            check_layout(seg_dir, self.manifest.get("fields", []))
             # pin what a later write's sweep may unlink: open postings
-            # handles survive it, and so does the loaded doc map
+            # handles survive it, and so do the loaded norms and doc map
             try:
                 self._postings_files()
+                self._load_norms()
                 self.conv_map()
             except FileNotFoundError:
                 if os.path.exists(manifest_path):
@@ -240,49 +240,20 @@ class SegmentReader:
 
     def norms(self, field: str) -> np.ndarray:
         """Per-doc token count for ``field``, indexed by ``doc_id - doc_base``."""
-        if self._norms is None:
-            self._load_norms()
         return self._norms[field]
 
     def _load_norms(self) -> None:
-        """Norms are stored as reserved-term posting rows (doc_ids=all docs,
-        tfs=field length) — loaded once and pinned. The decoded array is
-        persisted as an ``.npy`` sidecar so every later reader (actor restarts,
-        new engines over the same index) mmap-loads it instead of re-decoding
-        millions of varints per field."""
-        self._norms = {}
-        if self.empty:
-            return
+        """Every manifest field's norms file, as the build wrote it (dense
+        over maxDoc, so tombstoned docs keep their lengths), loaded once and
+        pinned as int64."""
         for field in self.manifest.get("fields", []):
-            sidecar = os.path.join(self.seg_dir, f"norms_{field}.npy")
-            if os.path.exists(sidecar):
-                try:
-                    arr = np.load(sidecar)
-                    if arr.size == self.doc_count:
-                        self._norms[field] = arr.astype(np.int64, copy=False)
-                        continue
-                except (OSError, ValueError):
-                    pass  # unreadable sidecar: fall through to decode
-            # norms rows stay dense over maxDoc: decoded here, outside the
-            # tombstone filter and the caches
-            rb = self.raw_blocks_many(field, [NORMS_TERM])[NORMS_TERM]
-            self.cache.pop("raw", (field, NORMS_TERM))
-            if not len(rb):
-                raise ValueError(f"{self.seg_dir}: norms rows missing for {field}")
-            docs, dls, _ = sort_postings(*rb.decode())
-            expected = np.arange(self.doc_base, self.doc_base + self.doc_count)
-            if docs.size != expected.size or not (docs == expected).all():
+            path = os.path.join(self.seg_dir, norms_file(field))
+            arr = np.load(path).astype(np.int64, copy=False)
+            if arr.size != self.doc_count:
                 raise ValueError(
-                    f"norms of {self.seg_dir}/{field} are not doc-contiguous"
+                    f"{path} holds {arr.size} norms, its segment {self.doc_count} docs"
                 )
-            self._norms[field] = dls.astype(np.int64)
-            try:  # atomic publish; best-effort (read-only index dirs are fine)
-                tmp = sidecar + ".tmp"
-                with open(tmp, "wb") as fh:
-                    np.save(fh, _narrowest_uint(self._norms[field]))
-                os.replace(tmp, sidecar)
-            except OSError:
-                pass
+            self._norms[field] = arr
 
     # ---- term dictionary ----
 
@@ -300,9 +271,6 @@ class SegmentReader:
             else:
                 # sort and sum runs in numpy: Table.group_by imports
                 # pyarrow.acero, whose first import tries pandas three times
-                t = t.filter(
-                    pc.not_equal(t["term"], pa.scalar(NORMS_TERM, pa.string()))
-                )
                 t = t.take(pc.sort_indices(t["term"]))
                 terms = np.asarray(t["term"].to_pylist(), dtype=object)
                 first = np.ones(terms.size, dtype=bool)
@@ -418,8 +386,7 @@ class SegmentReader:
         a term it lacks gets the empty blocks with no Parquet read, counted in
         ``postings_read["absent_terms"]``; the statistics alone would select
         the row group whose (field, term) range covers it and decode it only
-        to filter every row out. ``NORMS_TERM`` is never in the dictionary,
-        always reads its rows and loads no dictionary."""
+        to filter every row out."""
         if self.empty or not terms:
             return {}
         out: Dict[str, RawBlocks] = {}
@@ -430,14 +397,13 @@ class SegmentReader:
                 out[term] = hit
             else:
                 missing.append(term)
-        lookup = [t for t in missing if t != NORMS_TERM]
-        if lookup:
-            dfs = self.dfs(field, lookup)
-            absent = [t for t in lookup if not dfs[t]]
+        if missing:
+            dfs = self.dfs(field, missing)
+            absent = [t for t in missing if not dfs[t]]
             for term in absent:
                 out[term] = self._empty_raw(field, term)
             self.postings_read["absent_terms"] += len(absent)
-            missing = [t for t in missing if t == NORMS_TERM or dfs[t]]
+            missing = [t for t in missing if dfs[t]]
         if missing:
             t = self._read_postings_rows(field, missing)
             if t is not None and t.num_rows:
@@ -637,25 +603,19 @@ class SegmentReader:
         return np.repeat(b - start, n) + np.arange(int(n.sum()), dtype=np.int64)
 
 
-def _narrowest_uint(a: np.ndarray) -> np.ndarray:
-    """``a`` (non-negative ints) in the narrowest of uint8/16/32 that holds its
-    max — the norms sidecars' storage dtype; int64 beyond uint32."""
-    mx = int(a.max()) if a.size else 0
-    for dt in (np.uint8, np.uint16, np.uint32):
-        if mx <= np.iinfo(dt).max:
-            return a.astype(dt)
-    return a.astype(np.int64)
-
-
-def check_layout(seg_dir: str) -> None:
+def check_layout(seg_dir: str, fields: Sequence[str]) -> None:
     """Raise the rebuild error (``commit.rebuild_error``) unless the non-empty
     segment ``seg_dir`` has today's layout: ``postings.parquet`` a directory
-    of piece files and ``convmap.parquet`` one file. Stats only, so the
-    engine checks every committed segment before any scorer opens one."""
+    of piece files, ``convmap.parquet`` one file and a norms file for each of
+    ``fields`` (its manifest's). Stats only, so the engine checks every
+    committed segment before any scorer opens one."""
     if not os.path.isdir(os.path.join(seg_dir, "postings.parquet")):
         raise commit.rebuild_error(seg_dir, "postings.parquet is not a directory")
     if not os.path.isfile(os.path.join(seg_dir, CONVMAP_FILE)):
         raise commit.rebuild_error(seg_dir, f"{CONVMAP_FILE} is not one file")
+    for field in fields:
+        if not os.path.isfile(os.path.join(seg_dir, norms_file(field))):
+            raise commit.rebuild_error(seg_dir, f"{norms_file(field)} is missing")
 
 
 def live_mask(deleted: np.ndarray, docs: np.ndarray) -> np.ndarray:

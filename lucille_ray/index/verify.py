@@ -1,6 +1,12 @@
 """Index verifier: every block of every postings row of an index's committed
 segments checked against the metadata its row stores, from the bytes on
-disk (Lucene's ``CheckIndex``, postings part).
+disk, and each segment's norms and manifest against its stats and files
+(Lucene's ``CheckIndex``, postings and norms parts).
+
+Per segment: it opens (its layout is today's, and each field's norms file
+holds ``doc_count`` entries); each field's norms sum to its ``stats.json``
+``total_dl`` (norms stay dense over maxDoc, so also after a purge); its
+manifest's ``posting_rows`` is the number of rows in its postings files.
 
 Per postings file of each segment:
 
@@ -12,13 +18,13 @@ Per postings file of each segment:
   is not checked);
 * each row's ``df`` is the sum of its blocks' ``n``;
 * each block's ``docs`` and ``tfs`` hold ``n`` varints, and its ``pos``
-  one per occurrence (``tfs`` summed; none in a norms row);
+  one per occurrence (``tfs`` summed);
 * decoded with ``RawBlocks.decode_blocks``, each block's docs strictly
   increase, lie in the segment's doc range and start and end at its
-  ``first_doc`` and ``last_doc``; its ``max_tf`` is its largest tf; a term
-  block's ``min_dl`` is at least 1 and at most the least norm of its docs
-  (a lower bound on their lengths, the least norm itself wherever the
-  writer held their norms; norms rows store 0 and are not checked).
+  ``first_doc`` and ``last_doc``; its ``max_tf`` is its largest tf; its
+  ``min_dl`` is at least 1 and at most the least norm of its docs (a lower
+  bound on their lengths, the least norm itself wherever the writer held
+  their norms).
 
 Findings are lines of text, one per check that fails in a file, naming the
 first failing row and block; a sound index has none.
@@ -33,7 +39,6 @@ import numpy as np
 import pyarrow.compute as pc
 
 from . import commit
-from .build import NORMS_TERM
 from .codec import int64_column, unpack_rows, varint_counts
 from .segment import SegmentReader
 from .writer import ROW_GROUP_BYTES, ROW_GROUP_ROWS
@@ -54,8 +59,19 @@ def verify_index(index_dir: str) -> List[str]:
                     f"{s.name}: holds docs [{reader.doc_base}, "
                     f"{reader.doc_base + reader.doc_count}), its commit says "
                     f"[{s.lo}, {s.hi})")
-            for pf, _stats, _bytes, path in (
-                    [] if reader.empty else reader._postings_files()):
+            files = [] if reader.empty else reader._postings_files()
+            for field in [] if reader.empty else reader.manifest["fields"]:
+                dl = int(reader.norms(field).sum())
+                if dl != reader.total_dl(field):
+                    findings.append(
+                        f"{s.name}: norms of {field} sum to {dl}, its stats.json "
+                        f"total_dl is {reader.total_dl(field)}")
+            rows = sum(pf.metadata.num_rows for pf, *_ in files)
+            if rows != int(reader.manifest.get("posting_rows", 0)):
+                findings.append(
+                    f"{s.name}: postings files hold {rows} rows, its manifest "
+                    f"says posting_rows {reader.manifest.get('posting_rows')}")
+            for pf, _stats, _bytes, path in files:
                 where = f"{s.name}/{os.path.basename(path)}"
                 findings += _verify_file(reader, pf, where)
         except ValueError as e:
@@ -72,7 +88,6 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
     row_of = np.repeat(np.arange(rows.num_rows), nb)
     fields = rows["field"].to_pylist()
     terms = rows["term"].to_pylist()
-    norms_row = np.array([t == NORMS_TERM for t in terms], dtype=bool)
     out: List[str] = []
 
     def check(what: str, bad: np.ndarray, want=None, got=None) -> None:
@@ -130,9 +145,8 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
     ends = starts + rb.ns - 1
     tf_sum = np.add.reduceat(tfs, starts)
     npos = varint_counts(blocks.field("pos"))
-    want_pos = np.where(norms_row[row_of], 0, tf_sum)
-    check("pos does not hold one varint per occurrence", npos != want_pos,
-          want_pos, npos)
+    check("pos does not hold one varint per occurrence", npos != tf_sum,
+          tf_sum, npos)
     check("first_doc is not the first doc", rb.firsts != docs[starts],
           rb.firsts, docs[starts])
     check("last_doc is not the last doc", rb.lasts != docs[ends], rb.lasts, docs[ends])
@@ -155,6 +169,5 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
         dl[at] = reader.norms(field)[docs[at] - reader.doc_base]
     min_dl = np.minimum.reduceat(dl, starts)
     check("a term block's min_dl is not between 1 and the least norm of its docs",
-          in_range & ~norms_row[row_of] & ((rb.min_dl < 1) | (rb.min_dl > min_dl)),
-          rb.min_dl, min_dl)
+          in_range & ((rb.min_dl < 1) | (rb.min_dl > min_dl)), rb.min_dl, min_dl)
     return out

@@ -91,7 +91,7 @@ rebuilt, not read.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable
+from typing import Callable, Dict, Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -191,13 +191,16 @@ class PostingsSink(Datasink):
     segments, ``{segment: postings directory}``: every write task writes each
     segment's rows (its ``seg`` column, dropped on write) to
     ``<directory>/part-<task>-<file>.parquet`` through
-    :func:`write_postings_file`, at most :data:`ROWS_PER_FILE` rows per file."""
+    :func:`write_postings_file`, at most :data:`ROWS_PER_FILE` rows per file.
+    The rows that ``staged`` (rows -> boolean mask) picks go the same way to
+    the segment's directory in ``staging`` instead."""
 
-    def __init__(self, paths: Dict[int, str]):
-        self.paths = paths
+    def __init__(self, paths: Dict[int, str], staging: Dict[int, str],
+                 staged: Callable[[pa.Table], pa.ChunkedArray]):
+        self.paths, self.staging, self.staged = paths, staging, staged
 
     def on_write_start(self) -> None:
-        for path in self.paths.values():
+        for path in (*self.paths.values(), *self.staging.values()):
             os.makedirs(path, exist_ok=True)
 
     def write(self, blocks: Iterable[Block], ctx) -> None:
@@ -211,9 +214,11 @@ class PostingsSink(Datasink):
         )
         for seg, rows in seg_parts(table):
             rows = rows.drop_columns(["seg"])
-            for i, lo in enumerate(range(0, rows.num_rows, ROWS_PER_FILE)):
-                write_postings_file(
-                    rows.slice(lo, ROWS_PER_FILE),
-                    os.path.join(self.paths[seg],
-                                 f"part-{ctx.task_idx:06d}-{i:06d}.parquet"),
-                )
+            staged = self.staged(rows)
+            for part, root in ((rows.filter(staged), self.staging[seg]),
+                               (rows.filter(pc.invert(staged)), self.paths[seg])):
+                for i, lo in enumerate(range(0, part.num_rows, ROWS_PER_FILE)):
+                    write_postings_file(
+                        part.slice(lo, ROWS_PER_FILE),
+                        os.path.join(root, f"part-{ctx.task_idx:06d}-{i:06d}.parquet"),
+                    )

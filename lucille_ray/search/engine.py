@@ -163,14 +163,9 @@ class SegmentScorer:
         # alone, those the current commit names
         if tombstones is None:
             tombstones = commit.tombstone_paths(seg_dirs)
+        # a reader loads its norms and pins its postings handles when it
+        # opens: at actor startup, not in the first query's tail latency
         self.readers = [SegmentReader(d, t) for d, t in zip(seg_dirs, tombstones)]
-        # pay the per-field norms decode at ACTOR STARTUP, not on the first
-        # query's tail latency (it also writes the .npy sidecar for later
-        # readers); the reader pinned its postings handles when it opened
-        for r in self.readers:
-            if not r.empty:
-                for f in r.manifest.get("fields", []):
-                    r.norms(f)
 
     def local_stats(self) -> dict:
         # live (post-purge) counts when a compaction recorded them; identical
@@ -458,7 +453,7 @@ class SearchEngine:
         # an older layout fails here, not in the first query's scorers
         for d, s in zip(self.seg_dirs, self.meta["segments"]):
             if s.hi > s.lo:
-                check_layout(d)
+                check_layout(d, self.meta["fields"])
         if parallel == "auto":
             try:
                 import ray

@@ -12,7 +12,7 @@ serves from cache) must stay bit-identical to a fresh engine with every
 block-max path AND the result cache pinned off (the plain evaluator — the
 strongest independent reference).
 
-Also guards the on-disk side channels: norms .npy sidecars and the
+Also guards the on-disk side channels: the norms .npy files and the
 per-segment doc maps (convmap.parquet) are keyed by segment dir, and
 compaction rewrites segment dirs — a stale file surviving a rewrite would show
 up here as a score or metadata mismatch at the post-compact step.
@@ -137,7 +137,7 @@ def test_cache_identity_through_full_lifecycle(
         assert not set(conv) & set(victims), f"{qs!r} returned a deleted conv"
 
     # -- compact: purges tombstones and REWRITES segment dirs; any stale
-    # on-disk sidecar (norms .npy, docmap row-group stats) would surface here --
+    # on-disk side file (norms .npy, docmap row-group stats) would surface here --
     compact_index(index_dir)
     comp_ans = _assert_step_identity(index_dir, "compact", monkeypatch)
     for qs, (_d, _s, conv, _t) in comp_ans.items():

@@ -616,7 +616,7 @@ def test_second_purge_counts_only_new_deletes(ray_session, tmp_path):
 def test_compaction_loads_arrays_on_calling_thread(built, tmp_path, monkeypatch):
     """``np.load`` parses .npy headers with ``ast.literal_eval``, which is not
     thread-safe: compacting several tombstoned segments must load every
-    tombstone file and norms sidecar on the calling thread, never on the
+    tombstone file and norms file on the calling thread, never on the
     compaction pool's threads."""
     import threading
 
@@ -633,9 +633,6 @@ def test_compaction_loads_arrays_on_calling_thread(built, tmp_path, monkeypatch)
     )
     readers = load_segments(index_dir)
     assert len(readers) == 3
-    for r in readers:
-        for f in r.manifest["fields"]:
-            r.norms(f)  # writes the norms sidecars compaction will load
     delete_docs(index_dir, [r.doc_base for r in readers])
 
     loads = []
@@ -1055,12 +1052,11 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
     ``term_partitioned`` build layout (a ``groupby(field, term, bucket)``
     shuffle) wrote: one row per (field, term, doc // range_width) with
     ``bucket`` set to that bucket index, blocks encoded without doc lengths
-    (``min_dl`` 0), norms rows split the same way, manifests' ``posting_rows``
-    updated and the meta's ``layout`` set to ``term_partitioned``. Segments
-    without a committed manifest are left alone."""
+    (``min_dl`` 0), manifests' ``posting_rows`` updated and the meta's
+    ``layout`` set to ``term_partitioned``. Segments without a committed
+    manifest are left alone."""
     import glob
 
-    from lucille_ray.index.build import NORMS_TERM
     from lucille_ray.index.codec import RawBlocks, encode_runs, sort_postings
     from lucille_ray.index.writer import write_postings_file
 
@@ -1079,9 +1075,8 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
                      if (field[i], term[i]) != (field[i - 1], term[i - 1])]
         parts = []
         for a, b in zip(cut, cut[1:] + [rows.num_rows]):
-            norms = term[a] == NORMS_TERM
             blocks = rows["blocks"].slice(a, b - a).combine_chunks().flatten()
-            docs, tfs, pos = RawBlocks(blocks).decode(want_positions=not norms)
+            docs, tfs, pos = RawBlocks(blocks).decode(want_positions=True)
             docs, tfs, pos = sort_postings(docs, tfs, pos)
             bucket = docs // width
             starts = np.flatnonzero(np.append(True, bucket[1:] != bucket[:-1]))
@@ -1097,8 +1092,6 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
         shutil.rmtree(post)
         os.makedirs(post)
         write_postings_file(old, os.path.join(post, "part-0.parquet"))
-        for sidecar in glob.glob(os.path.join(seg_dir, "norms_*.npy")):
-            os.remove(sidecar)  # the reader re-derives norms from the old rows
         mpath = os.path.join(seg_dir, "MANIFEST.json")
         with open(mpath) as f:
             man = json.load(f)
@@ -2248,41 +2241,6 @@ def test_dictionary_skips_absent_terms(ray_session, tmp_path, monkeypatch):
     assert skip_read["row_groups"] < plain_read["row_groups"]
 
 
-def test_norms_decode_with_term_dict_loaded(built, tmp_path):
-    """A segment without its ``norms_*.npy`` sidecars decodes its norms rows
-    after its term dictionaries are loaded: ``NORMS_TERM`` is never in a
-    dictionary, and its lookup still reads the postings files. Without
-    them loaded, decoding the norms loads no dictionary."""
-    from lucille_ray.index.segment import SegmentReader
-
-    idx = str(tmp_path / "nodict_norms")
-    shutil.copytree(built[1], idx)
-    for seg_dir in _seg_dirs(idx):
-        want = SegmentReader(seg_dir)
-        fields = want.manifest["fields"]
-        want = {f: want.norms(f) for f in fields}
-
-        def drop_sidecars():
-            for name in os.listdir(seg_dir):
-                if name.startswith("norms_"):
-                    os.remove(os.path.join(seg_dir, name))
-
-        drop_sidecars()
-        r = SegmentReader(seg_dir)
-        for f in fields:
-            r.term_dict(f)
-        for f in fields:
-            assert np.array_equal(r.norms(f), want[f]), (seg_dir, f)
-        assert r.postings_read["absent_terms"] == 0
-        assert r.postings_read["calls"] == 2 * len(fields)
-        drop_sidecars()  # the decode above wrote them back
-        r = SegmentReader(seg_dir)
-        for f in fields:
-            assert np.array_equal(r.norms(f), want[f]), (seg_dir, f)
-        assert r.postings_read["calls"] == len(fields)
-        assert not r._term_dicts
-
-
 def _answers(index_dir: str, oracle) -> list:
     """Every QUERY_SET answer of an in-process engine (checked against the
     oracle): search and suggest top-10 ids and scores, then one search_many
@@ -2377,7 +2335,6 @@ def test_term_dict_matches_directory_scan(built, tmp_path):
     import glob
 
     from lucille_ray.index import compact_index
-    from lucille_ray.index.build import NORMS_TERM
     from lucille_ray.index.segment import SegmentReader
 
     _, index_dir, _ = built
@@ -2392,7 +2349,7 @@ def test_term_dict_matches_directory_scan(built, tmp_path):
                 t = pq.read_table(
                     os.path.join(seg_dir, "postings.parquet"),
                     columns=["field", "term", "df"],
-                    filters=[("field", "==", field), ("term", "!=", NORMS_TERM)],
+                    filters=[("field", "==", field)],
                 )
                 g = t.group_by("term").aggregate([("df", "sum")])
                 g = g.take(pc.sort_indices(g["term"]))
@@ -2410,11 +2367,12 @@ def test_term_dict_matches_directory_scan(built, tmp_path):
     check()
 
 
-def test_norms_sidecar_narrow_dtype_round_trip(built, tmp_path):
-    """Norms sidecars are written in the narrowest unsigned dtype holding the
-    segment's max dl and load back as the same int64 arrays; an int64 sidecar
-    from an older reader still loads."""
-    from lucille_ray.index.segment import SegmentReader, _narrowest_uint
+def test_norms_sidecar_narrow_dtype_round_trip(built):
+    """The build writes each segment's norms files in the narrowest unsigned
+    dtype holding the segment's max dl, and they load back as int64 arrays,
+    one entry per doc, that sum to the segment's ``total_dl``."""
+    from lucille_ray.index.build import _narrowest_uint, norms_file
+    from lucille_ray.index.segment import SegmentReader
 
     for mx, dt in [(0, np.uint8), (255, np.uint8), (256, np.uint16),
                    (65535, np.uint16), (65536, np.uint32),
@@ -2424,28 +2382,15 @@ def test_norms_sidecar_narrow_dtype_round_trip(built, tmp_path):
     assert _narrowest_uint(np.empty(0, dtype=np.int64)).dtype == np.uint8
 
     _, index_dir, _ = built
-    idx = str(tmp_path / "nidx")
-    shutil.copytree(index_dir, idx)
-    seg_dir = os.path.join(idx, "segments", "seg-00000")
-    for name in os.listdir(seg_dir):
-        if name.startswith("norms_"):
-            os.remove(os.path.join(seg_dir, name))
-    first = SegmentReader(seg_dir)
-    fields = first.manifest["fields"]
-    decoded = {f: first.norms(f) for f in fields}
-    for f in fields:
-        side = np.load(os.path.join(seg_dir, f"norms_{f}.npy"))
-        assert side.dtype == _narrowest_uint(decoded[f]).dtype
-        assert side.dtype.itemsize < 8
-        assert decoded[f].dtype == np.int64
-    again = SegmentReader(seg_dir)
-    for f in fields:
-        got = again.norms(f)
-        assert got.dtype == np.int64 and np.array_equal(got, decoded[f])
-        np.save(os.path.join(seg_dir, f"norms_{f}.npy"), decoded[f])  # old sidecar
-    old = SegmentReader(seg_dir)
-    for f in fields:
-        assert np.array_equal(old.norms(f), decoded[f])
+    for seg_dir in _seg_dirs(index_dir):
+        r = SegmentReader(seg_dir)
+        for f in r.manifest["fields"]:
+            stored = np.load(os.path.join(seg_dir, norms_file(f)))
+            got = r.norms(f)
+            assert got.dtype == np.int64 and np.array_equal(got, stored)
+            assert stored.dtype == _narrowest_uint(got).dtype
+            assert stored.dtype.itemsize < 8
+            assert got.size == r.doc_count and int(got.sum()) == r.total_dl(f)
 
 
 def test_build_report_postings_layout(built, tmp_path):
@@ -2524,10 +2469,9 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
     """_read_postings_rows (cached handles + row-group stat pruning) returns
     exactly what the predicate-pushdown directory scan returns, on both the
     multi-piece built layout and the compacted layout, for present / absent /
-    mixed term sets and the norms pseudo-term."""
+    mixed term sets."""
     import lucille_ray.index.build as build_mod
     from lucille_ray.index import compact_index
-    from lucille_ray.index.build import NORMS_TERM
     from lucille_ray.index.segment import SegmentReader
 
     data_dir, index_dir, _ = built
@@ -2543,7 +2487,6 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
         ("text", ["data", "zz_absent", "deploy"]),
         ("role", ["assistant"]),
         ("tool", ["bash", "python"]),
-        ("text", [NORMS_TERM]),
     ]
 
     def check(seg_dir):
@@ -2572,9 +2515,12 @@ def _plant_old_form(index_dir, form, src):
     writers left: a version 3 commit, a commit naming the version 3
     tombstone ``deleted.npy``, segments without their own doc map (beside a
     root map or ``docmapped/seg=K`` partitions), a doc map as a directory of
-    part files, a one-file ``postings.parquet``, or a version 4 index (its
-    postings rows hold a ``list<BLOCK_STRUCT>`` column, not packed)."""
+    part files, a one-file ``postings.parquet``, a version 4 index (its
+    postings rows hold a ``list<BLOCK_STRUCT>`` column, not packed), a
+    version 5 index (no norms files: its readers derived them from the
+    postings), or a segment without the norms file of one of its fields."""
     from lucille_ray.index import commit
+    from lucille_ray.index.build import norms_file
 
     c = commit.read(index_dir)
     meta_path = os.path.join(index_dir, commit.INDEX_META_FILE)
@@ -2596,6 +2542,13 @@ def _plant_old_form(index_dir, form, src):
             for f in os.listdir(os.path.join(d, "postings.parquet")):
                 path = os.path.join(d, "postings.parquet", f)
                 pq.write_table(_unpacked(pq.read_table(path)), path)
+    elif form == "v5_index":
+        meta["version"] = 5
+        for d in seg_dirs:
+            for field in meta["fields"]:
+                os.remove(os.path.join(d, norms_file(field)))
+    elif form == "norms_missing":
+        os.remove(os.path.join(seg_dirs[0], norms_file(meta["fields"][-1])))
     for k, (seg, d) in enumerate(zip(c["segments"], seg_dirs)):
         convmap = os.path.join(d, "convmap.parquet")
         if form in ("fused_root", "docmapped"):
@@ -2631,7 +2584,7 @@ def _plant_old_form(index_dir, form, src):
 
 @pytest.mark.parametrize("form", ["v3_commit", "v3_tombstone", "fused_root",
                                   "docmapped", "convmap_parts", "postings_file",
-                                  "v4_index"])
+                                  "v4_index", "v5_index", "norms_missing"])
 def test_old_index_forms_refused(built, oracle, tmp_path, form):
     """An index in a layout older than today's writers produce is refused at
     open with the one rebuild error, by the engine, compaction and a delete
@@ -2710,6 +2663,9 @@ FAULTS = {  # fault -> the finding it must produce
     "min_dl_0": "min_dl is not between 1 and the least norm",
     "min_dl_above_least_norm": "min_dl is not between 1 and the least norm",
     "swapped_row_groups": "row groups out of (field, term) order",
+    "truncated_norms": "norms, its segment",
+    "total_dl_off_by_one": "its stats.json total_dl is",
+    "posting_rows_off_by_one": "its manifest says posting_rows",
 }
 
 
@@ -2717,16 +2673,18 @@ FAULTS = {  # fault -> the finding it must produce
 def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     """A block whose packed header stores max_tf - 1, a row that lost a
     block, a term block whose min_dl is 0 or one above the least norm of its
-    docs, and a compacted file with two row groups swapped, are each
-    reported, by ``verify_index`` and by the ``verify`` command, which exits
-    1 on findings and 0 on the sound fixture. A file whose row groups break
-    the writer's invariant still has its blocks checked: both faults in one
+    docs, a compacted file with two row groups swapped, a norms file one
+    entry short, a ``total_dl`` one above the norms' sum and a manifest's
+    ``posting_rows`` one above its files' rows, are each reported, by
+    ``verify_index`` and by the ``verify`` command, which exits 1 on
+    findings and 0 on the sound fixture. A file whose row groups break the
+    writer's invariant still has its blocks checked: both faults in one
     file are both reported."""
     import glob
 
     from lucille_ray.__main__ import main
     from lucille_ray.index import compact_index
-    from lucille_ray.index.build import NORMS_TERM
+    from lucille_ray.index.build import MANIFEST_FILE, norms_file
     from lucille_ray.index.codec import decode_postings
     from lucille_ray.index.segment import SegmentReader
     from lucille_ray.index.verify import verify_index
@@ -2742,7 +2700,15 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     path = sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*")))[0]
 
     def pick(b, term):
-        return term != NORMS_TERM
+        return True
+
+    def bump(name, key):  # a JSON file of the segment with ``key`` one higher
+        with open(os.path.join(seg_dir, name)) as f:
+            doc = json.load(f)
+        sub = doc["fields"]["text"] if key == "total_dl" else doc
+        sub[key] += 1
+        with open(os.path.join(seg_dir, name), "w") as f:
+            json.dump(doc, f)
 
     if fault in ("max_tf", "row_group_and_max_tf"):
         def change(b, field):
@@ -2759,10 +2725,18 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
 
         def change(b, field):
             return b[:-1]
+    named = os.path.basename(seg_dir) + ": "  # a segment's finding names it
     if fault == "swapped_row_groups":
-        term = _swap_row_groups(path)
+        named = repr(_swap_row_groups(path))
+    elif fault == "truncated_norms":
+        npy = os.path.join(seg_dir, norms_file("text"))
+        np.save(npy, np.load(npy)[:-1])
+    elif fault == "total_dl_off_by_one":
+        bump("stats.json", "total_dl")
+    elif fault == "posting_rows_off_by_one":
+        bump(MANIFEST_FILE, "posting_rows")
     else:
-        term = _rewrite_row_blocks(path, pick, change)
+        named = repr(_rewrite_row_blocks(path, pick, change))
     if fault == "row_group_and_max_tf":
         stored = pq.read_table(path)  # one row group across the file's fields
         assert len(set(stored["field"].to_pylist())) > 1
@@ -2772,7 +2746,7 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
         findings = [grouping, finding]
     else:
         (finding,) = findings = verify_index(d)
-    assert FAULTS[fault] in finding and repr(term) in finding, finding
+    assert FAULTS[fault] in finding and named in finding, finding
     assert main(["verify", d]) == 1
     assert capsys.readouterr().out.splitlines() == [
         *findings, f"{len(findings)} finding(s) in {d}"]

@@ -34,6 +34,24 @@ ROUTED = [
 ]
 
 
+def _turns(texts, conv_prefix="c"):
+    """Transcript turns with ``texts``, five turns per conversation."""
+    n = len(texts)
+    return pa.table(
+        {
+            "conv_id": pa.array([f"{conv_prefix}{i // 5:05d}" for i in range(n)]),
+            "turn_idx": pa.array([i % 5 for i in range(n)], pa.int32()),
+            "role": pa.array(["user"] * n),
+            "text": pa.array(texts),
+            "tool": pa.array([""] * n),
+            "ts": pa.array(
+                [1_700_000_000_000_000 + i for i in range(n)],
+                pa.timestamp("us"),
+            ),
+        }
+    )
+
+
 @pytest.fixture(scope="module")
 def index_dir(ray_session, tmp_path_factory):
     import ray
@@ -50,21 +68,9 @@ def index_dir(ray_session, tmp_path_factory):
         if i % 97 == 0:
             words.append("xylo")
         texts.append(" ".join(words))
-    tab = pa.table(
-        {
-            "conv_id": pa.array([f"c{i // 5:05d}" for i in range(N_DOCS)]),
-            "turn_idx": pa.array([i % 5 for i in range(N_DOCS)], pa.int32()),
-            "role": pa.array(["user"] * N_DOCS),
-            "text": pa.array(texts),
-            "tool": pa.array([""] * N_DOCS),
-            "ts": pa.array(
-                [1_700_000_000_000_000 + i for i in range(N_DOCS)],
-                pa.timestamp("us"),
-            ),
-        }
-    )
     out = os.path.join(str(tmp_path_factory.mktemp("routing")), "index")
-    build_index(ray.data.from_arrow(tab), out, num_segments=2, batch_size=1000)
+    build_index(ray.data.from_arrow(_turns(texts)), out, num_segments=2,
+                batch_size=1000)
     return out
 
 
@@ -337,6 +343,62 @@ def test_one_module_knows_the_commit():
                 elif tombstone.match(s):
                     offenders.append(f"{where}:{node.lineno} {s!r}")
     assert offenders == []
+
+
+def test_one_module_knows_the_norms_rows():
+    """Only ``index/build.py`` knows the reserved term whose rows carry the
+    per-doc field lengths through the build's Ray Data stream: they never
+    reach a committed segment, so no other module under lucille_ray/ names
+    ``NORMS_TERM`` or its value, docstrings and comments included."""
+    import glob
+
+    import lucille_ray
+
+    pkg_dir = os.path.dirname(lucille_ray.__file__)
+    owner = os.path.join(pkg_dir, "index", "build.py")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "**", "*.py"), recursive=True)):
+        if path == owner:
+            continue
+        with open(path) as f:
+            for lineno, line in enumerate(f, 1):
+                if "NORMS_TERM" in line or "\\x00dl" in line:
+                    offenders.append(f"{os.path.relpath(path, pkg_dir)}:{lineno}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["in_process", "actors"])
+def test_serving_writes_nothing_into_the_index(index_dir, tmp_path, parallel):
+    """An engine opened over a copy of an appended, uncompacted index answers
+    the routed queries and shuts down without adding, removing or changing
+    a file of it: every file keeps its name, size and ``mtime_ns``. (A
+    snapshot, not a read-only mode: root ignores file modes.)"""
+    import ray
+
+    from lucille_ray.index import commit
+    from lucille_ray.index.build import append_index
+
+    idx = str(tmp_path / "index")
+    shutil.copytree(index_dir, idx)
+    append_index(ray.data.from_arrow(_turns(["alpha beta"] * 200, "d")), idx,
+                 batch_size=1000)
+
+    def snapshot():
+        out = {}
+        for root, _dirs, files in os.walk(idx):
+            for f in files:
+                st = os.stat(os.path.join(root, f))
+                out[os.path.relpath(os.path.join(root, f), idx)] = (
+                    st.st_size, st.st_mtime_ns)
+        return out
+
+    before = snapshot()
+    assert len(commit.read(idx)["segments"]) == 3
+    engine = SearchEngine(idx, parallel=parallel)
+    for qs, _executor in ROUTED:
+        assert _answer(engine, qs)[0], qs
+    engine.shutdown()
+    assert snapshot() == before
 
 
 def test_one_scorer_fan_out():

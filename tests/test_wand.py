@@ -220,15 +220,14 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
 
     import lucille_ray.index.build as build_mod
     from lucille_ray.index import commit, compact_index
-    from lucille_ray.index.build import NORMS_TERM
     from lucille_ray.index.codec import RawBlocks, unpack_rows
     from lucille_ray.index.verify import verify_index
     from perfbench.corpus import make_turns, make_vocabulary, write_corpus
 
     def term_blocks(rows):
         """(blocks, field per block, (field, term, first, last, n) per
-        block) of the term rows of in-memory postings ``rows``."""
-        rows = rows.filter(pc.not_equal(rows["term"], NORMS_TERM))
+        block) of in-memory postings ``rows`` (a window's norms rows pass
+        through its merge as they are, so they are never re-cut)."""
         nb = pc.list_value_length(rows["blocks"]).to_numpy(zero_copy_only=False)
         rb = RawBlocks(rows["blocks"].combine_chunks().flatten())
         field = np.repeat(np.asarray(rows["field"].to_pylist(), object), nb)
@@ -252,7 +251,7 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
         from lucille_ray.index import build
 
         out = build._piece_merge_batch(batch)
-        norms = build._window_norms(batch)
+        norms = build._decode_norms(batch)
         before = set(term_blocks(batch)[2])
         rb, field, keys = term_blocks(out)
         recut = np.array([k not in before for k in keys], bool)
