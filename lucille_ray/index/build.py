@@ -520,7 +520,6 @@ def _posting_rows(
             "term": pa.array(terms, pa.string()),
             "bucket": pa.array(docs[run_starts], pa.int64()),
             "df": pa.array(np.diff(np.append(run_starts, docs.size)), pa.int64()),
-            "total_tf": pa.array(np.add.reduceat(tfs, run_starts), pa.int64()),
             "blocks": encode_runs(docs, tfs, run_starts, pos, dls),
         }
     )

@@ -17,21 +17,25 @@ fixed-size blocks of up to :data:`BLOCK_SIZE` documents:
   committed segment, store 0)
 
 Rows are written from their in-memory form, where a row's blocks are one
-``list<BLOCK_STRUCT>`` cell (:data:`POSTINGS_SCHEMA`): the build, the window
-merge and compaction's output work on that form. Readers take the blocks of
-the rows they read as one :class:`RawBlocks` (numpy metadata, payload views)
-instead. On disk a row keeps ``field``, ``term``,
-``bucket``, ``df`` and ``total_tf`` and packs its blocks into four binaries
-(as Lucene's postings format keeps each block's impacts inline with the
-block):
+``list<BLOCK_STRUCT>`` cell (:data:`POSTINGS_SCHEMA`) beside its ``bucket``,
+its block 0's ``first_doc`` (the ``(field, term, bucket)`` sort key of the
+build, the window merge and compaction, which work on that form). Readers
+take the blocks of the rows they read as one :class:`RawBlocks` (numpy
+metadata, payload views) instead. On disk a row keeps ``field``, ``term``
+and ``df`` and packs its blocks into four binaries (as Lucene's postings
+format keeps each block's impacts inline with the block, and writes each
+doc id once, in the doc stream):
 
 * ``hdr``  — one varint stream: ``nb`` (blocks in the row); per block
-  ``max_tf``, ``min_dl``, the zigzag of ``first_doc`` minus the previous
-  block's (the first block's minus ``bucket``: 0 as the writers cut rows) and
-  ``last_doc - first_doc``; then, only when ``nb > 1``, per block ``n`` and
-  its ``docs``/``tfs``/``pos`` byte lengths. A one-block row takes ``n`` from
-  ``df`` and its payload lengths from the row's;
+  ``max_tf``, ``min_dl`` and ``last_doc - first_doc``; then, only when
+  ``nb > 1``, per block ``n`` and its ``docs``/``tfs``/``pos`` byte
+  lengths. A one-block row takes ``n`` from ``df`` and its payload lengths
+  from the row's;
 * ``docs``, ``tfs``, ``pos`` — the row's blocks' payloads end to end.
+
+A block's ``first_doc`` is stored once, as the first (absolute) varint of
+its ``docs`` payload: :func:`varints_at` gathers it, and a row's ``bucket``
+with it (:func:`row_order`, the readers' sort before unpacking).
 
 :func:`pack_rows` (the writer's, from the in-memory form) and
 :func:`unpack_rows` (every reader's, to :class:`RawBlocks`) each make one
@@ -49,10 +53,11 @@ selected blocks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 BLOCK_SIZE = 128
 
@@ -75,7 +80,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("term", pa.string()),
         ("bucket", pa.int64()),
         ("df", pa.int64()),
-        ("total_tf", pa.int64()),
         ("blocks", pa.list_(BLOCK_STRUCT)),
     ]
 )
@@ -83,7 +87,7 @@ POSTINGS_SCHEMA = pa.schema(
 _META = ("n", "max_tf", "min_dl", "first_doc", "last_doc")
 _PAYLOADS = ("docs", "tfs", "pos")
 #: the stored columns :func:`unpack_rows` reads the blocks from
-_BLOCK_SOURCES = ("bucket", "df", "hdr", *_PAYLOADS)
+_BLOCK_SOURCES = ("df", "hdr", *_PAYLOADS)
 
 
 def _encode_varints_np(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -133,24 +137,12 @@ def decode_varints(buf) -> np.ndarray:
     starts = np.empty(ends.size, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    out = np.zeros(ends.size, dtype=np.int64)
-    single = lengths == 1
-    out[single] = b[starts[single]]
+    out = b[ends].astype(np.int64)  # right for every single-byte value
     # the multi-byte MINORITY (block-start absolutes, long doc lengths, big
-    # gaps) goes through the per-byte loop; posting streams are dominated by
-    # single-byte deltas, so the 64-bit temporaries stay small
-    multi = np.flatnonzero(~single)
-    if multi.size:
-        m_starts = starts[multi]
-        m_lengths = lengths[multi]
-        acc = np.zeros(multi.size, dtype=np.uint64)
-        for j in range(int(m_lengths.max())):
-            mask = m_lengths > j
-            acc[mask] |= (
-                b[m_starts[mask] + j].astype(np.uint64) & np.uint64(0x7F)
-            ) << np.uint64(7 * j)
-        out[multi] = acc.astype(np.int64)
+    # gaps) goes through the per-byte gather; posting streams are dominated
+    # by single-byte deltas, so its temporaries stay small
+    multi = ends > starts
+    out[multi] = varints_at(b, starts[multi], ends[multi] + 1)
     return out
 
 
@@ -226,13 +218,9 @@ def _binary_column(data: np.ndarray, value_len: np.ndarray, bounds: np.ndarray) 
     byte lengths ``value_len``), built straight from buffers."""
     boff = np.zeros(value_len.size + 1, dtype=np.int64)
     np.cumsum(value_len, out=boff[1:])
-    offsets = boff[bounds]
-    if offsets[-1] > np.iinfo(np.int32).max:
+    if boff[-1] > np.iinfo(np.int32).max:
         raise ValueError("posting payload exceeds 2 GiB in one encode batch")
-    return pa.BinaryArray.from_buffers(
-        pa.binary(), bounds.size - 1,
-        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)],
-    )
+    return _binary_over(data, boff[bounds])
 
 
 def encode_runs(
@@ -378,12 +366,49 @@ def with_seg(rows: pa.Table, seg: int) -> pa.Table:
 
 def stored_columns(columns) -> List[str]:
     """The stored columns to read for the in-memory ``columns``, in order
-    and without repeats: ``blocks`` needs ``bucket``, ``df``, ``hdr`` and
-    the three payloads."""
+    and without repeats: ``blocks`` needs ``df``, ``hdr`` and the three
+    payloads, ``bucket`` the ``docs`` payload it starts."""
+    sources = {"blocks": _BLOCK_SOURCES, "bucket": ("docs",)}
     return list(dict.fromkeys(
-        c for name in columns
-        for c in (_BLOCK_SOURCES if name == "blocks" else (name,))
+        c for name in columns for c in sources.get(name, (name,))
     ))
+
+
+def varints_at(buf: np.ndarray, at: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The varint that starts at each byte offset ``at`` of ``buf``: one
+    gather of every first byte, then one per further byte of the values
+    still going; raises unless each ends before its ``end``."""
+    torn = "a postings payload does not start with a whole varint"
+    at = np.asarray(at, np.int64)
+    if (at >= end).any():
+        raise ValueError(torn)
+    b = buf[at]
+    out = (b & 0x7F).astype(np.int64)
+    live = np.flatnonzero(b >= 128)  # the multi-byte minority
+    pos = at[live]
+    for shift in range(7, 64, 7):
+        if not live.size:
+            return out
+        pos = pos + 1
+        if (pos >= end[live]).any():
+            raise ValueError(torn)
+        b = buf[pos]
+        out[live] |= (b & 0x7F).astype(np.int64) << shift
+        live, pos = live[b >= 128], pos[b >= 128]
+    raise ValueError(torn)
+
+
+def row_order(rows: pa.Table, keys: Sequence[str]) -> pa.Array:
+    """Indices that stably sort stored postings rows by their ``keys``
+    columns and then by ``bucket``, each row's first varint of ``docs`` (its
+    block 0's ``first_doc``): the order readers unpack rows in, found
+    without unpacking."""
+    vals, offs = _bin_view(_one_array(rows["docs"]))
+    bucket = varints_at(vals, offs[:-1], offs[1:])
+    return pc.sort_indices(
+        rows.select(list(keys)).append_column("bucket", numeric_array(bucket)),
+        sort_keys=[(k, "ascending") for k in (*keys, "bucket")],
+    )
 
 
 def varint_counts(arr: pa.Array) -> np.ndarray:
@@ -411,11 +436,14 @@ def _binary_over(vals: np.ndarray, offsets: np.ndarray) -> pa.Array:
 
 def pack_rows(rows: pa.Table) -> pa.Table:
     """In-memory postings rows (a ``blocks`` column beside ``bucket`` and
-    ``df``) -> the stored rows: ``blocks`` replaced by ``hdr``, ``docs``,
-    ``tfs`` and ``pos`` (module docstring). One varint pass builds every
-    header; the payload columns reuse the blocks' byte buffers. Raises on a
-    block whose ``last_doc`` is below its ``first_doc`` and on a one-block
-    row whose ``n`` is not its ``df`` (a reader could not recover either)."""
+    ``df``) -> the stored rows: ``bucket`` dropped and ``blocks`` replaced
+    by ``hdr``, ``docs``, ``tfs`` and ``pos`` (module docstring). One varint
+    pass builds every header; the payload columns reuse the blocks' byte
+    buffers. Raises where a reader could not recover the rows: a row
+    without blocks, a ``bucket`` that is not the row's block 0's
+    ``first_doc``, a ``first_doc`` that is not the first varint of its
+    block's ``docs``, a ``last_doc`` below its ``first_doc`` and a one-block
+    row whose ``n`` is not its ``df``."""
     lists = _one_array(rows["blocks"])
     loff = int64_column(lists.offsets)
     loff -= loff[0]
@@ -423,49 +451,51 @@ def pack_rows(rows: pa.Table) -> pa.Table:
     rb = RawBlocks(lists.flatten())
     rows_of = np.repeat(np.arange(nb.size), nb)
     in_row = np.arange(rb.count) - loff[:-1][rows_of]
-    bucket = int64_column(_one_array(rows["bucket"]))
     df = int64_column(_one_array(rows["df"]))
-    prev = np.empty(rb.count, np.int64)
-    prev[1:] = rb.firsts[:-1]
-    prev[in_row == 0] = bucket[nb > 0]
     span = rb.lasts - rb.firsts
     multi = nb > 1
+    if (nb < 1).any():
+        raise ValueError("a postings row holds no blocks")
+    if (int64_column(_one_array(rows["bucket"])) != rb.firsts[loff[:-1]]).any():
+        raise ValueError("a postings row's bucket is not its first block's first_doc")
+    docs, doffs = rb._docs
+    if (varints_at(docs, doffs[:-1], doffs[1:]) != rb.firsts).any():
+        raise ValueError("a postings block's first_doc is not the first varint of its docs")
     if (span < 0).any():
         raise ValueError("a postings block's last_doc is below its first_doc")
-    if (rb.ns[in_row == 0][~multi[nb > 0]] != df[nb == 1]).any():
+    if (rb.ns[loff[:-1]][~multi] != df[~multi]).any():
         raise ValueError("a one-block postings row's n is not its df")
 
-    nvals = 1 + 4 * nb + 4 * nb * multi
+    nvals = 1 + 3 * nb + 4 * nb * multi
     vstart = np.cumsum(nvals) - nvals
     vals = np.empty(int(nvals.sum()), np.int64)
     vals[vstart] = nb
-    at = vstart[rows_of] + 1 + 4 * in_row
-    # zigzag: a span compaction re-cuts can end past the next block's first doc
-    gap = rb.firsts - prev
-    zigzag = (gap << 1) ^ (gap >> 63)
-    for k, v in enumerate((rb.max_tf, rb.min_dl, zigzag, span)):
+    at = vstart[rows_of] + 1 + 3 * in_row
+    for k, v in enumerate((rb.max_tf, rb.min_dl, span)):
         vals[at + k] = v
     m = multi[rows_of]
-    at = (at + 4 * nb[rows_of])[m]
+    at = (vstart[rows_of] + 1 + 3 * nb[rows_of] + 4 * in_row)[m]
     vals[at] = rb.ns[m]
     payload = []
     for k, (data, offs) in enumerate((rb._docs, rb._tfs, rb._pos), 1):
         vals[at + k] = np.diff(offs)[m]
         payload.append(_binary_over(data, offs[loff]))
     hdr = _binary_column(*_encode_varints_np(vals), np.append(vstart, vals.size))
-    out = rows.drop_columns(["blocks"])
+    out = rows.drop_columns(["bucket", "blocks"])
     for name, arr in zip(("hdr", *_PAYLOADS), (hdr, *payload)):
         out = out.append_column(name, arr)
     return out
 
 
 def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
-    """Stored postings rows -> ``(rows, blocks, offsets)``: the rows without
-    ``hdr`` and the payload columns; every row's blocks, in row order, as one
+    """Stored postings rows -> ``(rows, blocks, offsets)``: the rows with
+    their in-memory ``bucket`` (before ``df``) and without ``hdr`` and the
+    payload columns; every row's blocks, in row order, as one
     :class:`RawBlocks` whose payloads are views over the stored row buffers;
     and the block offsets of the rows (row ``i`` holds blocks ``offsets[i]``
     to ``offsets[i + 1]``; :meth:`RawBlocks.list_array` makes them the
-    in-memory ``blocks`` column). One varint pass decodes every header;
+    in-memory ``blocks`` column). One varint pass decodes every header and
+    one gather (:func:`varints_at`) reads every block's ``first_doc``;
     raises when a row's header disagrees with its payload bytes."""
     hdr = _one_array(rows["hdr"])
     hdr_bytes, hoff = _bin_view(hdr)
@@ -473,21 +503,20 @@ def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     nvals = varint_counts(hdr)
     vstart = np.cumsum(nvals) - nvals
     nb = vals[vstart]
-    bucket = int64_column(_one_array(rows["bucket"]))
+    if (nb < 1).any():
+        raise ValueError("a postings row header holds no blocks")
     ns = int64_column(_one_array(rows["df"]))
     views = [_bin_view(_one_array(rows[name])) for name in _PAYLOADS]
     loff = np.zeros(nb.size + 1, np.int64)
     np.cumsum(nb, out=loff[1:])
     rows_of = np.repeat(np.arange(nb.size), nb)
-    at = vstart[rows_of] + 1 + 4 * (np.arange(int(loff[-1])) - loff[:-1][rows_of])
-    max_tf, min_dl, zz, span = vals[at[:, None] + np.arange(4)].T
-    has = nb > 0
-    firsts = (zz >> 1) ^ -(zz & 1)  # zigzag
-    firsts[loff[:-1][has]] += bucket[has]
-    firsts = delta_decode(firsts, loff[:-1][has], nb[has])
+    in_row = np.arange(int(loff[-1])) - loff[:-1][rows_of]
+    at = vstart[rows_of] + 1 + 3 * in_row
+    max_tf, min_dl, span = vals[at[:, None] + np.arange(3)].T
     # n and payload lengths: a one-block row's are its df and row lengths
     m = nb[rows_of] > 1
-    extra = vals[(at + 4 * nb[rows_of])[m][:, None] + np.arange(4)].T
+    at = vstart[rows_of] + 1 + 3 * nb[rows_of] + 4 * in_row
+    extra = vals[at[m][:, None] + np.arange(4)].T
     ns = np.repeat(ns, nb)
     ns[m] = extra[0]
     offs = np.stack([o for _, o in views])
@@ -498,10 +527,14 @@ def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     boffs += offs[:, :1]
     if not np.array_equal(boffs[:, loff], offs):
         raise ValueError("postings row headers disagree with their payload bytes")
+    firsts = varints_at(views[0][0], boffs[0, :-1], boffs[0, 1:])
     blocks = RawBlocks.from_arrays(
         ns, max_tf, min_dl, firsts, firsts + span,
         *((v, b) for (v, _), b in zip(views, boffs)))
-    return rows.drop_columns(["hdr", *_PAYLOADS]), blocks, loff
+    out = rows.drop_columns(["hdr", *_PAYLOADS])
+    out = out.add_column(out.schema.get_field_index("df"), "bucket",
+                         numeric_array(firsts[loff[:-1]]))
+    return out, blocks, loff
 
 
 class RawBlocks:

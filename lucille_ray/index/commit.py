@@ -64,8 +64,10 @@ INDEX_META_FILE = "index_meta.json"
 #: stored packed, one varint header and one docs/tfs/pos binary per row
 #: instead of a list of block structs (``codec.pack_rows``); v6: norms are
 #: stored once, in the ``norms_<field>.npy`` files each segment's writer
-#: makes, and the postings hold term rows only
-INDEX_FORMAT_VERSION = 6
+#: makes, and the postings hold term rows only; v7: a block's first doc is
+#: stored once, in its ``docs`` payload (no ``bucket`` column, no first-doc
+#: deltas in the row header), and rows keep no per-row sum of their tfs
+INDEX_FORMAT_VERSION = 7
 
 _SEGMENTS = "segments"
 MANIFEST_FILE = "MANIFEST.json"

@@ -31,8 +31,8 @@ import pyarrow.parquet as pq
 
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, _limit_worker_threads, read_manifest
-from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, take_postings,
-                    unpack_rows)
+from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, row_order,
+                    take_postings, unpack_rows)
 from .segment import live_mask
 
 
@@ -66,7 +66,7 @@ def _reencode_spans(
     bound on its doc's length, and a posting whose doc has a norm in
     ``norms`` (``span_field`` names each span's field; the build's window
     merge holds only its window's norms) at that norm; each new block stores
-    the least. Returns (one block list per span, total_tf per span)."""
+    the least. Returns one block list per span."""
     nspans = span_nb.size
     docs, tfs, pos = raw.decode_blocks(sel, want_positions=True)
     dls = np.repeat(raw.min_dl[sel], raw.ns[sel])
@@ -87,9 +87,6 @@ def _reencode_spans(
         pos = pos[np.repeat(keep, tfs)]
         docs, tfs, post_span, dls = docs[keep], tfs[keep], post_span[keep], dls[keep]
     span_starts = np.searchsorted(post_span, np.arange(nspans))
-    tf_cum = np.zeros(tfs.size + 1, np.int64)
-    np.cumsum(tfs, out=tf_cum[1:])
-    span_ttf = tf_cum[np.append(span_starts[1:], tfs.size)] - tf_cum[span_starts]
     if norms is not None:
         post_field = span_field[post_span]
         for field in np.unique(span_field):
@@ -98,7 +95,7 @@ def _reencode_spans(
             if arr is not None and at.size:
                 known = arr[docs[at] - doc_base]
                 dls[at] = np.where(known > 0, known, dls[at])
-    return encode_runs(docs, tfs, span_starts, pos, dls), span_ttf
+    return encode_runs(docs, tfs, span_starts, pos, dls)
 
 
 def _merge_sorted_batch(
@@ -117,7 +114,7 @@ def _merge_sorted_batch(
     gathers the surviving blocks in C. Only spans of >=2 ADJACENT undersized
     piece-tail blocks decode + re-encode (merging splinters into full blocks),
     as does every block of a tombstoned segment (the purge moment, where
-    deleted docs physically leave and per-row df/total_tf re-derive from what
+    deleted docs physically leave and per-row df re-derives from what
     remains). All of a batch's spans decode in one pass and re-encode in one
     :func:`encode_runs` call. Blocks whose doc RANGES overlap (pieces of one
     term from input batches whose docs interleave) are kept as-is: every
@@ -129,9 +126,7 @@ def _merge_sorted_batch(
     anywhere. A run that straddles a batch boundary simply merges into one
     row per side — the reader concatenates a term's rows in bucket order
     (doc-sorting on the rare interleave), so partial merges are exactly as
-    correct as full ones. Each run's summed piece ``total_tf`` lands on its
-    first output row (per-row total_tf is consumed nowhere; this keeps the
-    per-(field, term) aggregate exact without decoding any tf stream).
+    correct as full ones.
 
     ``norms`` ({field: per-doc dl array, from ``doc_base``}) gives
     re-encoded blocks their exact ``min_dl`` even though the merged block
@@ -156,13 +151,11 @@ def _merge_sorted_batch(
     tcol = batch.column("term").combine_chunks()
     f_idx = pc.dictionary_encode(fcol).indices.to_numpy(zero_copy_only=False)
     t_idx = pc.dictionary_encode(tcol).indices.to_numpy(zero_copy_only=False)
-    ttfs = batch.column("total_tf").to_numpy(zero_copy_only=False).astype(np.int64)
     nrows = batch.num_rows
     change = np.flatnonzero((np.diff(f_idx) != 0) | (np.diff(t_idx) != 0)) + 1
     run_starts = np.concatenate([[0], change]).astype(np.int64)
     run_ends = np.append(change, nrows)
     nruns = run_starts.size
-    run_ttf = np.add.reduceat(ttfs, run_starts)
     run_field = np.asarray(fcol.take(pa.array(run_starts)).to_pylist(), dtype=object)
     # purge path (tombstoned segment): every block re-encodes
     purge = deleted is not None
@@ -190,18 +183,14 @@ def _merge_sorted_batch(
     # re-encode: one decode + one encode; new blocks append after the batch's
     # own blocks
     combined, ns_comb, firsts_comb = flat, raw.ns, raw.firsts
-    ttf_out = run_ttf
     span_new_start = span_new_nb = np.zeros(nspans, np.int64)
     if nspans:
-        new, span_ttf = _reencode_spans(
+        new = _reencode_spans(
             raw, order[member], span_nb, run_field[span_run], norms, doc_base, deleted,
         )
         offs = new.offsets.to_numpy().astype(np.int64)
         span_new_start = nflat + offs[:-1]
         span_new_nb = np.diff(offs)
-        if purge:
-            ttf_out = run_ttf.copy()
-            ttf_out[span_run] = span_ttf
         blocks = new.flatten()
         combined = pa.concat_arrays([flat, blocks])
         ns_comb = np.concatenate([raw.ns, blocks.field("n").to_numpy().astype(np.int64)])
@@ -227,8 +216,6 @@ def _merge_sorted_batch(
         out_runs, np.diff(np.append(out_runs, seq.size)), ROW_BLOCK_CAP
     )
     row_run = np.repeat(seq_run[out_runs], row_count)
-    first_row = np.ones(row_start.size, bool)
-    first_row[1:] = row_run[1:] != row_run[:-1]
     src_row = pa.array(run_starts[row_run])
     taken = combined.take(pa.array(seq))
     return pa.table(
@@ -237,7 +224,6 @@ def _merge_sorted_batch(
             "term": tcol.take(src_row).cast(pa.string()),
             "bucket": pa.array(firsts_comb[seq[row_start]], pa.int64()),
             "df": pa.array(np.add.reduceat(ns_comb[seq], row_start), pa.int64()),
-            "total_tf": pa.array(np.where(first_row, ttf_out[row_run], 0), pa.int64()),
             "blocks": pa.ListArray.from_arrays(
                 pa.array(np.append(row_start, seq.size), pa.int32()), taken
             ),
@@ -272,8 +258,7 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
         t = t.filter(_at_or_after(t, lo))
     if hi is not None:
         t = t.filter(pc.invert(_at_or_after(t, hi)))
-    rows, blocks, loff = unpack_rows(t.sort_by(
-        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]))
+    rows, blocks, loff = unpack_rows(t.take(row_order(t, ["field", "term"])))
     out = _merge_sorted_batch(rows.append_column("blocks", blocks.list_array(loff)),
                               norms=norms, doc_base=doc_base, deleted=deleted)
     if out.num_rows:

@@ -7,8 +7,7 @@ write that created it (``commit.segment_name``: a build's segments are
 
     seg-00000/
       postings.parquet/   # a directory of piece files, rows (field, term,
-                          # bucket, df, total_tf, blocks) stored packed
-                          # (codec.pack_rows)
+                          # df, blocks) stored packed (codec.pack_rows)
       stats.json          # doc_base, doc_count, per-field total_dl (+ live
                           # stats after a compaction purged tombstones)
       convmap.parquet     # doc map, one file: one (conv_id, base, cnt) row
@@ -57,7 +56,7 @@ import pyarrow.parquet as pq
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, norms_file
 from .codec import (BLOCK_STRUCT, RawBlocks, int64_column, numeric_array,
-                    sort_postings, stored_columns, unpack_rows)
+                    row_order, sort_postings, stored_columns, unpack_rows)
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
 READER_CACHE_BYTES = 384 << 20
@@ -407,10 +406,10 @@ class SegmentReader:
         if missing:
             t = self._read_postings_rows(field, missing)
             if t is not None and t.num_rows:
-                order = pc.sort_indices(
-                    t, sort_keys=[("term", "ascending"), ("bucket", "ascending")]
-                )
-                t, blocks, loff = unpack_rows(t.take(order))
+                term = t["term"]  # increasing: one row a term, in (term, bucket) order
+                if not pc.all(pc.greater(term[1:], term[:-1]), min_count=0).as_py():
+                    t = t.take(row_order(t, ["term"]))
+                t, blocks, loff = unpack_rows(t)
                 terms_np = t["term"].to_pylist()
                 i = 0
                 while i < len(terms_np):
@@ -457,46 +456,18 @@ class SegmentReader:
             path = os.path.join(root, name)
             pf = pq.ParquetFile(path)
             md = pf.metadata
-            fidx = tidx = None
-            if md.num_row_groups:
-                rg0 = md.row_group(0)
-                for i in range(rg0.num_columns):
-                    p = rg0.column(i).path_in_schema
-                    if p == "field":
-                        fidx = i
-                    elif p == "term":
-                        tidx = i
-            fmin: list = []
-            fmax: list = []
-            tmin: list = []
-            tmax: list = []
+            groups = [md.row_group(g) for g in range(md.num_row_groups)]
             group_bytes = np.array([
-                sum(rg.column(i).total_compressed_size
-                    for i in range(rg.num_columns))
-                for rg in map(md.row_group, range(md.num_row_groups))
+                sum(rg.column(i).total_compressed_size for i in range(rg.num_columns))
+                for rg in groups
             ], dtype=np.int64)
-            ok = fidx is not None and tidx is not None
-            if ok:
-                for g in range(md.num_row_groups):
-                    rg = md.row_group(g)
-                    fs = rg.column(fidx).statistics
-                    ts = rg.column(tidx).statistics
-                    if (
-                        fs is None or ts is None
-                        or fs.min is None or fs.max is None
-                        or ts.min is None or ts.max is None
-                    ):
-                        ok = False  # no stats: read the file whole, filter exactly
-                        break
-                    fmin.append(fs.min)
-                    fmax.append(fs.max)
-                    tmin.append(ts.min)
-                    tmax.append(ts.max)
-            stats = None
-            if ok and fmin:
-                stats = (
-                    np.array(fmin), np.array(fmax), np.array(tmin), np.array(tmax)
-                )
+            names = md.schema.names
+            st = [[rg.column(names.index(c)).statistics for c in ("field", "term")]
+                  for rg in groups] if {"field", "term"} <= set(names) else []
+            stats = None  # no stats: read the file whole, filter exactly
+            if st and all(x is not None and x.has_min_max for pair in st for x in pair):
+                stats = tuple(np.array([getattr(pair[c], m) for pair in st])
+                              for c in (0, 1) for m in ("min", "max"))
             entries.append((pf, stats, group_bytes, path))
         self._postings_pf_cache = entries
         return entries

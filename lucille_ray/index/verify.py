@@ -6,7 +6,9 @@ disk, and each segment's norms and manifest against its stats and files
 Per segment: it opens (its layout is today's, and each field's norms file
 holds ``doc_count`` entries); each field's norms sum to its ``stats.json``
 ``total_dl`` (norms stay dense over maxDoc, so also after a purge); its
-manifest's ``posting_rows`` is the number of rows in its postings files.
+manifest's ``posting_rows`` is the number of rows in its postings files;
+its tombstone ids and its ``purged.npy`` ids are each sorted, unique and
+inside the segment's ``[lo, hi)``, and no purged id is still in a block.
 
 Per postings file of each segment:
 
@@ -20,8 +22,9 @@ Per postings file of each segment:
 * each block's ``docs`` and ``tfs`` hold ``n`` varints, and its ``pos``
   one per occurrence (``tfs`` summed);
 * decoded with ``RawBlocks.decode_blocks``, each block's docs strictly
-  increase, lie in the segment's doc range and start and end at its
-  ``first_doc`` and ``last_doc``; its ``max_tf`` is its largest tf; its
+  increase, lie in the segment's doc range, hold no purged id and end at
+  its ``last_doc`` (its ``first_doc`` is the first of its ``docs``, where
+  the reader takes it from); its ``max_tf`` is its largest tf; its
   ``min_dl`` is at least 1 and at most the least norm of its docs (a lower
   bound on their lengths, the least norm itself wherever the writer held
   their norms).
@@ -40,6 +43,7 @@ import pyarrow.compute as pc
 
 from . import commit
 from .codec import int64_column, unpack_rows, varint_counts
+from .compact import purged_ids
 from .segment import SegmentReader
 from .writer import ROW_GROUP_BYTES, ROW_GROUP_ROWS
 
@@ -71,15 +75,36 @@ def verify_index(index_dir: str) -> List[str]:
                 findings.append(
                     f"{s.name}: postings files hold {rows} rows, its manifest "
                     f"says posting_rows {reader.manifest.get('posting_rows')}")
+            purged = purged_ids(reader.seg_dir)
+            for what, ids in (("tombstone", reader.deleted), ("purged.npy", purged)):
+                findings += _verify_ids(f"{s.name}: {what}", ids, s.lo, s.hi)
             for pf, _stats, _bytes, path in files:
                 where = f"{s.name}/{os.path.basename(path)}"
-                findings += _verify_file(reader, pf, where)
+                findings += _verify_file(reader, pf, where, purged)
         except ValueError as e:
             findings.append(f"{s.name}: {e}")
     return findings
 
 
-def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
+def _verify_ids(what: str, ids, lo: int, hi: int) -> List[str]:
+    """Findings for doc ids ``ids`` (None: none) that are not sorted and
+    unique or lie outside ``[lo, hi)``."""
+    if ids is None or not ids.size:
+        return []
+    out = []
+    back = np.flatnonzero(np.diff(ids) <= 0)
+    if back.size:
+        i = int(back[0]) + 1
+        out.append(f"{what} ids are not sorted and unique, {back.size} step(s) "
+                   f"not up; first: id {ids[i]} at {i} after {ids[i - 1]}")
+    off = np.flatnonzero((ids < lo) | (ids >= hi))
+    if off.size:
+        out.append(f"{what} holds {off.size} id(s) outside the segment's "
+                   f"[{lo}, {hi}); first: {ids[off[0]]}")
+    return out
+
+
+def _verify_file(reader: SegmentReader, pf, where: str, purged: np.ndarray) -> List[str]:
     try:
         rows, rb, loff = unpack_rows(pf.read())
     except ValueError as e:
@@ -147,8 +172,6 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
     npos = varint_counts(blocks.field("pos"))
     check("pos does not hold one varint per occurrence", npos != tf_sum,
           tf_sum, npos)
-    check("first_doc is not the first doc", rb.firsts != docs[starts],
-          rb.firsts, docs[starts])
     check("last_doc is not the last doc", rb.lasts != docs[ends], rb.lasts, docs[ends])
     max_tf = np.maximum.reduceat(tfs, starts)
     check("max_tf is not the largest tf", rb.max_tf != max_tf, rb.max_tf, max_tf)
@@ -160,6 +183,9 @@ def _verify_file(reader: SegmentReader, pf, where: str) -> List[str]:
     inside = (docs >= reader.doc_base) & (docs < reader.doc_base + reader.doc_count)
     in_range = np.logical_and.reduceat(inside, starts).astype(bool)
     check("docs lie outside the segment", ~in_range)
+    if purged.size:
+        check("a purged doc is still posted",
+              np.logical_or.reduceat(np.isin(docs, purged), starts))
 
     dl = np.zeros(docs.size, np.int64)
     names, code = np.unique(np.asarray(fields, dtype=object), return_inverse=True)

@@ -21,11 +21,17 @@ a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
   one varint header ``hdr`` and its ``docs``/``tfs``/``pos`` payloads end to
   end, so the block metadata costs a few bytes per row, not a column chunk
   per leaf;
-- ``bucket``, ``df`` and ``total_tf`` are delta-encoded
-  (:data:`COLUMN_ENCODING`: Parquet's DELTA_BINARY_PACKED, small or sorted
-  values that bit-pack to a few bits each) and the sorted ``term`` column is
-  DELTA_BYTE_ARRAY (shared prefixes stored once); the four binaries stay
-  PLAIN.
+- the stored columns are ``field``, ``term``, ``df``, ``hdr``, ``docs``,
+  ``tfs`` and ``pos``: a block's first doc lives only in its ``docs``
+  payload, so the in-memory ``bucket`` (a row's block 0's first doc) is not
+  stored;
+- ``df`` is delta-encoded (:data:`COLUMN_ENCODING`: Parquet's
+  DELTA_BINARY_PACKED, small values that bit-pack to a few bits each) and
+  the sorted ``term`` column is DELTA_BYTE_ARRAY (shared prefixes stored
+  once); the four binaries stay PLAIN;
+- the footer holds no copy of the Arrow schema (``store_schema=False``):
+  every column reads back as its stored Parquet type, which is the schema
+  (``field`` a dictionary-encoded ``string``).
 
 Why 256 rows: a row group costs about 2.3 KB of fixed Parquet framing --
 about 0.8 KB of footer metadata plus about 1.5 KB of page, delta and
@@ -69,16 +75,21 @@ every column gave 141.7, because the delta-bit-packed integer columns and
 ``field`` grow 0-20% under ZSTD. Packing the five block-metadata columns into
 ``hdr`` then cut the postings another 16.9% (477,726 to 396,950 B at the same
 row groups; 141.3 to 118.4 B/turn); with ``hdr`` under snappy the cut was
-13.9%, so ``hdr`` is ZSTD too. ZSTD decodes slower: 300 random ``text``
-lookups over both segments of that index, row groups picked by the
-statistics alone, took p50 1.04 ms against 0.96 ms all-snappy (8 alternating
-processes, one vCPU). The reader reads no group for a term the segment's
-dictionary lacks (``SegmentReader.raw_blocks_many``), which is 39% of the
-cold lookups of the benchmark's serve traffic and 49% of its churn traffic.
-There cold lookups read 30-32% fewer row groups and 44-45% fewer compressed
-bytes than all-snappy without the check, and the p50 of first answers moved
-+0.5% (serve) and -1.3% (churn), within run-to-run spread (10 traced pairs
-each).
+13.9%, so ``hdr`` is ZSTD too. Storing each block's first doc once, in
+``docs`` (no ``bucket`` column, no first-doc deltas in ``hdr``), dropping
+the unread per-row sum of the tfs and the footer's Arrow schema cut them
+another 13.5% (393,997 to 340,843 B at the same 56 row groups: ``bucket``
+held 22,120 B, the tf sums 16,314 B, and ``hdr`` fell from 43,143 to 40,336
+B; the benchmark's serve index 117.9 to 102.7 B/turn, medians of 10 pairs).
+ZSTD decodes slower: 300 random ``text`` lookups over both segments of that
+index, row groups picked by the statistics alone, took p50 1.04 ms against
+0.96 ms all-snappy (8 alternating processes, one vCPU). The reader reads no
+group for a term the segment's dictionary lacks
+(``SegmentReader.raw_blocks_many``), which is 39% of the cold lookups of the
+benchmark's serve traffic and 49% of its churn traffic. There cold lookups
+read 30-32% fewer row groups and 44-45% fewer compressed bytes than all-snappy
+without the check, and the p50 of first answers moved +0.5% (serve) and -1.3%
+(churn), within run-to-run spread (10 traced pairs each).
 
 Invariant (checked by the tests and by ``verify.verify_index``): every row
 group holds at most ``ROW_GROUP_ROWS`` rows of one field, and a group whose
@@ -113,23 +124,17 @@ ROWS_PER_FILE = 16384
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
 
-#: the postings columns that hold delta-encoded integers
-_DELTA_INT_COLUMNS = ("bucket", "df", "total_tf")
-
 #: Parquet encoding of each postings column that is neither dictionary-
 #: encoded (``field``) nor binary (``hdr`` and the payloads: PLAIN)
-COLUMN_ENCODING = {
-    "term": "DELTA_BYTE_ARRAY",
-    **{c: "DELTA_BINARY_PACKED" for c in _DELTA_INT_COLUMNS},
-}
+COLUMN_ENCODING = {"term": "DELTA_BYTE_ARRAY", "df": "DELTA_BINARY_PACKED"}
 
 #: compression codec of every postings column (a column missing here would
 #: be written uncompressed): ZSTD on the columns it still shrinks, snappy on
-#: the bit-packed integers and the dictionary-encoded ``field``
+#: the bit-packed ``df`` and the dictionary-encoded ``field``
 COLUMN_COMPRESSION = {
     "field": "SNAPPY",
     "term": "ZSTD",
-    **{c: "SNAPPY" for c in _DELTA_INT_COLUMNS},
+    "df": "SNAPPY",
     **{c: "ZSTD" for c in ("hdr", *_PAYLOAD_COLUMNS)},
 }
 
@@ -181,6 +186,7 @@ def write_postings_file(table: pa.Table, path: str) -> None:
         use_dictionary=["field"],
         write_statistics=["field", "term"],
         column_encoding=COLUMN_ENCODING,
+        store_schema=False,
     ) as w:
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             w.write_table(table.slice(lo, hi - lo), row_group_size=hi - lo)

@@ -14,7 +14,7 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index, segment_complete
-from lucille_ray.index.codec import stored_columns, unpack_rows
+from lucille_ray.index.codec import row_order, stored_columns, unpack_rows
 from lucille_ray.search.engine import SearchEngine
 from lucille_ray.search.oracle import BruteForceOracle
 
@@ -663,13 +663,9 @@ def test_ranged_docid_mode_identical_results(built, oracle, tmp_path, monkeypatc
     from lucille_ray.index import commit
 
     def stored_postings(index_dir):
-        return [
-            pq.read_table(os.path.join(d, "postings.parquet")).sort_by(
-                [("field", "ascending"), ("term", "ascending"),
-                 ("bucket", "ascending")]
-            )
-            for d in commit.segment_dirs(index_dir, commit.read(index_dir))
-        ]
+        tables = [pq.read_table(os.path.join(d, "postings.parquet"))
+                  for d in commit.segment_dirs(index_dir, commit.read(index_dir))]
+        return [t.take(row_order(t, ["field", "term"])) for t in tables]
 
     def doc_maps(index_dir):
         """Every segment's doc map, which must be one file."""
@@ -1050,8 +1046,8 @@ def test_suggest_search_as_you_type(built, oracle):
 def _rewrite_term_partitioned(index_dir: str) -> None:
     """Rewrite a built index in place into the rows the removed
     ``term_partitioned`` build layout (a ``groupby(field, term, bucket)``
-    shuffle) wrote: one row per (field, term, doc // range_width) with
-    ``bucket`` set to that bucket index, blocks encoded without doc lengths
+    shuffle) wrote: one row per (field, term, doc // range_width), blocks
+    encoded without doc lengths
     (``min_dl`` 0), manifests' ``posting_rows`` updated and the meta's
     ``layout`` set to ``term_partitioned``. Segments without a committed
     manifest are left alone."""
@@ -1083,9 +1079,8 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
             parts.append(pa.table({
                 "field": pa.array([field[a]] * starts.size, pa.string()),
                 "term": pa.array([term[a]] * starts.size, pa.string()),
-                "bucket": pa.array(bucket[starts], pa.int64()),
+                "bucket": pa.array(docs[starts], pa.int64()),
                 "df": pa.array(np.diff(np.append(starts, docs.size)), pa.int64()),
-                "total_tf": pa.array(np.add.reduceat(tfs, starts), pa.int64()),
                 "blocks": encode_runs(docs, tfs, starts, pos),
             }))
         old = pa.concat_tables(parts)
@@ -1118,6 +1113,7 @@ def test_term_partitioned_index_still_serves(
     import lucille_ray.index.build as build_mod
     from lucille_ray.__main__ import main
     from lucille_ray.index import compact_index
+    from lucille_ray.index.codec import RawBlocks
 
     data_dir, index_dir, _ = built
     ds = T.read_transcripts(data_dir)
@@ -1133,7 +1129,9 @@ def test_term_partitioned_index_still_serves(
     shutil.copytree(index_dir, old_dir)
     _rewrite_term_partitioned(old_dir)
     rows = _stored_rows(old_dir)
-    assert pc.max(rows["bucket"]).as_py() <= N_TURNS // 256  # bucket indexes
+    lists = rows["blocks"].combine_chunks()
+    lasts = RawBlocks(lists.flatten()).lasts[lists.offsets.to_numpy()[1:] - 1]
+    assert (rows["bucket"].to_numpy() // 256 == lasts // 256).all()  # one range per row
     assert not rows.equals(_stored_rows(index_dir))
     assert answers(old_dir) == fresh  # (a)
 
@@ -1687,7 +1685,7 @@ def _row_payloads(path: str) -> np.ndarray:
 
 
 #: the postings columns the writer delta-encodes as integers
-_DELTA_INT_COLUMNS = ("bucket", "df", "total_tf")
+_DELTA_INT_COLUMNS = ("df",)
 #: the packed header and payload columns the writer stores PLAIN
 _PACKED_COLUMNS = ("hdr", "docs", "tfs", "pos")
 
@@ -1836,9 +1834,8 @@ def test_writer_cuts_groups_by_payload(tmp_path):
         {
             "field": pa.array(["text"] * (n - 20) + ["tool"] * 20),
             "term": pa.array([f"t{i:04d}" for i in range(n)]),
-            "bucket": pa.array(np.zeros(n, dtype=np.int64)),
+            "bucket": pa.array(docs[starts]),
             "df": pa.array(np.asarray(sizes, dtype=np.int64)),
-            "total_tf": pa.array(np.asarray(sizes, dtype=np.int64)),
             "blocks": encode_runs(docs, tfs, starts),
         },
         schema=POSTINGS_SCHEMA,
@@ -1857,6 +1854,35 @@ def test_writer_cuts_groups_by_payload(tmp_path):
     assert stats == {"field", "term"}
 
 
+def test_postings_footer_holds_no_arrow_schema(tmp_path):
+    """A postings file's footer carries no copy of the Arrow schema, and
+    every column still reads back as the type it was written with: the
+    dictionary-encoded ``field`` as ``string``, ``df`` as ``int64``, the
+    header and payloads as ``binary``."""
+    from lucille_ray.index.codec import POSTINGS_SCHEMA, encode_runs, pack_rows
+    from lucille_ray.index.writer import write_postings_file
+
+    docs = np.arange(0, 400, 3, dtype=np.int64)
+    starts = np.array([0, 50, 100], np.int64)
+    table = pa.table({
+        "field": pa.array(["role", "text", "text"]),
+        "term": pa.array(["a", "b", "c"]),
+        "bucket": pa.array(docs[starts]),
+        "df": pa.array(np.diff(np.append(starts, docs.size))),
+        "blocks": encode_runs(docs, np.ones(docs.size, np.int64), starts),
+    }, schema=POSTINGS_SCHEMA)
+    path = str(tmp_path / "part.parquet")
+    write_postings_file(table, path)
+    pf = pq.ParquetFile(path)
+    assert pf.metadata.metadata is None or b"ARROW:schema" not in pf.metadata.metadata
+    stored = pack_rows(table).schema
+    assert pf.schema_arrow.equals(stored)
+    assert [f.type for f in pf.schema_arrow] == [
+        pa.string(), pa.string(), pa.int64(), *[pa.binary()] * 4]
+    assert pf.read().schema.field("field").type == pa.string()
+    assert _unpacked(pf.read()).equals(table)
+
+
 def _stored_rows(index_dir: str) -> pa.Table:
     """Every segment's stored postings rows, sorted by (segment, field, term,
     bucket)."""
@@ -1864,7 +1890,7 @@ def _stored_rows(index_dir: str) -> pa.Table:
     for seg in sorted(os.listdir(os.path.join(index_dir, "segments"))):
         t = _unpacked(pq.read_table(
             os.path.join(index_dir, "segments", seg, "postings.parquet"),
-            columns=stored_columns(["field", "term", "bucket", "df", "total_tf", "blocks"]),
+            columns=stored_columns(["field", "term", "bucket", "df", "blocks"]),
         ))
         parts.append(t.append_column("seg", pa.array([seg] * t.num_rows)))
     keys = [(c, "ascending") for c in ("seg", "field", "term", "bucket")]
@@ -2013,7 +2039,7 @@ def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp
     one run, as a build that merges its windows writes it (over raw pieces'
     many runs per file, four ranges would read the input more than twice:
     test_compaction_reads_at_most_twice_the_input). Each range file is
-    (field, term, bucket)-sorted, the files' key ranges ascend without
+    in compaction's (field, term, bucket) order, the files' key ranges ascend without
     overlap, every row is kept by exactly one range, and the answers equal
     the oracle's."""
     import glob
@@ -2023,11 +2049,12 @@ def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp
 
     tomb, deleted = tombstoned(pieces)
     many, one = str(tmp_path / "many"), str(tmp_path / "one")
-    keys = ["field", "term", "bucket"]
+    keys = ["field", "term"]  # then bucket (codec.row_order)
     for d in (many, one):
         shutil.copytree(tomb, d)
         for f in glob.glob(os.path.join(d, "segments", "*", "postings.parquet", "*")):
-            pq.write_table(pq.read_table(f).sort_by([(k, "ascending") for k in keys]), f)
+            t = pq.read_table(f)
+            pq.write_table(t.take(row_order(t, keys)), f)
         _rewrite_old_layout(d)
     readers = [SegmentReader(s) for s in _seg_dirs(many)]
     assert len(readers) == 2 and readers[0]._postings_files()[0][1] is None
@@ -2051,7 +2078,7 @@ def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp
                  for f in sorted(os.listdir(os.path.join(seg_many, "postings.parquet")))]
         assert len(files) >= 4
         for t in files:
-            assert t.equals(t.sort_by([(k, "ascending") for k in keys]))
+            assert t.equals(t.take(row_order(t, keys)))
         for a, b in zip(files, files[1:]):
             assert (a["field"][-1].as_py(), a["term"][-1].as_py()) < (
                 b["field"][0].as_py(), b["term"][0].as_py())
@@ -2501,8 +2528,8 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
             if new is None:
                 assert old.num_rows == 0, (field, terms)
                 continue
-            keys = [("term", "ascending"), ("bucket", "ascending")]
-            assert new.sort_by(keys).equals(old.sort_by(keys)), (field, terms)
+            assert new.take(row_order(new, ["term"])).equals(
+                old.take(row_order(old, ["term"]))), (field, terms)
 
     for idx in (index_dir, cidx):  # built multi-piece layouts
         check(os.path.join(idx, "segments", "seg-00000"))
@@ -2518,7 +2545,9 @@ def _plant_old_form(index_dir, form, src):
     part files, a one-file ``postings.parquet``, a version 4 index (its
     postings rows hold a ``list<BLOCK_STRUCT>`` column, not packed), a
     version 5 index (no norms files: its readers derived them from the
-    postings), or a segment without the norms file of one of its fields."""
+    postings), a segment without the norms file of one of its fields, or a
+    version 6 index (its postings rows also store ``bucket`` and
+    ``total_tf``)."""
     from lucille_ray.index import commit
     from lucille_ray.index.build import norms_file
 
@@ -2549,6 +2578,15 @@ def _plant_old_form(index_dir, form, src):
                 os.remove(os.path.join(d, norms_file(field)))
     elif form == "norms_missing":
         os.remove(os.path.join(seg_dirs[0], norms_file(meta["fields"][-1])))
+    elif form == "v6_index":
+        meta["version"] = 6
+        for d in seg_dirs:
+            for f in os.listdir(os.path.join(d, "postings.parquet")):
+                path = os.path.join(d, "postings.parquet", f)
+                t = pq.read_table(path)
+                bucket = _unpacked(t)["bucket"]
+                pq.write_table(t.add_column(2, "bucket", bucket).add_column(
+                    4, "total_tf", pa.array(np.zeros(t.num_rows, np.int64))), path)
     for k, (seg, d) in enumerate(zip(c["segments"], seg_dirs)):
         convmap = os.path.join(d, "convmap.parquet")
         if form in ("fused_root", "docmapped"):
@@ -2584,7 +2622,8 @@ def _plant_old_form(index_dir, form, src):
 
 @pytest.mark.parametrize("form", ["v3_commit", "v3_tombstone", "fused_root",
                                   "docmapped", "convmap_parts", "postings_file",
-                                  "v4_index", "v5_index", "norms_missing"])
+                                  "v4_index", "v5_index", "norms_missing",
+                                  "v6_index"])
 def test_old_index_forms_refused(built, oracle, tmp_path, form):
     """An index in a layout older than today's writers produce is refused at
     open with the one rebuild error, by the engine, compaction and a delete
@@ -2666,6 +2705,9 @@ FAULTS = {  # fault -> the finding it must produce
     "truncated_norms": "norms, its segment",
     "total_dl_off_by_one": "its stats.json total_dl is",
     "posting_rows_off_by_one": "its manifest says posting_rows",
+    "unsorted_tombstone": "tombstone ids are not sorted and unique",
+    "tombstone_out_of_range": "tombstone holds 1 id(s) outside the segment's",
+    "purged_id_posted": "a purged doc is still posted",
 }
 
 
@@ -2674,8 +2716,10 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     """A block whose packed header stores max_tf - 1, a row that lost a
     block, a term block whose min_dl is 0 or one above the least norm of its
     docs, a compacted file with two row groups swapped, a norms file one
-    entry short, a ``total_dl`` one above the norms' sum and a manifest's
-    ``posting_rows`` one above its files' rows, are each reported, by
+    entry short, a ``total_dl`` one above the norms' sum, a manifest's
+    ``posting_rows`` one above its files' rows, a tombstone out of order or
+    naming a doc past the segment, and a ``purged.npy`` id still in a
+    block, are each reported, by
     ``verify_index`` and by the ``verify`` command, which exits 1 on
     findings and 0 on the sound fixture. A file whose row groups break the
     writer's invariant still has its blocks checked: both faults in one
@@ -2683,9 +2727,10 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     import glob
 
     from lucille_ray.__main__ import main
-    from lucille_ray.index import compact_index
+    from lucille_ray.index import commit, compact_index, delete_docs
     from lucille_ray.index.build import MANIFEST_FILE, norms_file
     from lucille_ray.index.codec import decode_postings
+    from lucille_ray.index.compact import PURGED_FILE
     from lucille_ray.index.segment import SegmentReader
     from lucille_ray.index.verify import verify_index
 
@@ -2735,6 +2780,17 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
         bump("stats.json", "total_dl")
     elif fault == "posting_rows_off_by_one":
         bump(MANIFEST_FILE, "posting_rows")
+    elif "tombstone" in fault:
+        seg = commit.read(d)["segments"][0]
+        delete_docs(d, [seg.lo + 1, seg.lo + 2])
+        bad = [seg.lo + 2, seg.lo + 1] if fault == "unsorted_tombstone" else [
+            seg.lo + 1, seg.hi]
+        seg = commit.read(d)["segments"][0]
+        np.save(commit.tombstone_path(d, seg), np.array(bad, np.int64))
+    elif fault == "purged_id_posted":
+        named = os.path.basename(seg_dir) + "/"
+        np.save(os.path.join(seg_dir, PURGED_FILE),
+                np.array([SegmentReader(seg_dir).doc_base], np.int64))
     else:
         named = repr(_rewrite_row_blocks(path, pick, change))
     if fault == "row_group_and_max_tf":
@@ -2744,6 +2800,10 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
         grouping, finding = verify_index(d)
         assert "breaks the writer's row-group invariant" in grouping, grouping
         findings = [grouping, finding]
+    elif fault == "purged_id_posted":  # one finding per file that posts it
+        findings = verify_index(d)
+        assert findings and all(FAULTS[fault] in f for f in findings), findings
+        finding = findings[0]
     else:
         (finding,) = findings = verify_index(d)
     assert FAULTS[fault] in finding and named in finding, finding

@@ -3,10 +3,12 @@ reference guarantees, codec round trips, analyzer-path equivalence."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucille_ray.analysis import arrow_tokenize, tokenize
 from lucille_ray.index.codec import (
+    BLOCK_STRUCT,
     POSTINGS_SCHEMA,
     RawBlocks,
     decode_postings,
@@ -119,14 +121,16 @@ def test_encode_runs_matches_per_list_encoding(data):
 @given(st.data())
 def test_pack_unpack_rows_round_trip(data):
     """``unpack_rows(pack_rows(rows))``, its blocks made the ``blocks``
-    column again, equals ``rows`` (and any slice of them) for postings rows of ``encode_runs`` blocks: one- and multi-block
-    rows, norms rows (no positions), doc gaps up to 2^40, and rows whose
-    blocks overlap in doc range, with first docs ascending or not:
-    compaction keeps pieces of interleaved input as they are, and a span it
-    re-cuts can end after the next block starts."""
+    column again, equals ``rows`` (and any slice of them) for postings rows
+    of ``encode_runs`` blocks whose ``bucket`` is their block 0's first doc:
+    one- and multi-block rows, norms rows (no positions), doc gaps up to
+    2^40, and rows whose blocks overlap in doc range, with first docs
+    ascending or not: compaction keeps pieces of interleaved input as they
+    are, and a span it re-cuts can end after the next block starts. Every
+    block's first doc comes back from its ``docs`` payload alone."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     sizes = data.draw(st.lists(st.sampled_from([1, 2, 127, 128, 129, 300, 700]),
-                               max_size=6))
+                               min_size=1, max_size=6))
     gap = data.draw(st.sampled_from([1, 1000, 1 << 40]))
     positional = data.draw(st.booleans())
     overlap = data.draw(st.booleans())
@@ -150,14 +154,12 @@ def test_pack_unpack_rows_round_trip(data):
                 loff[i] + np.argsort(firsts[loff[i]: loff[i + 1]], kind="stable")
                 for i in range(loff.size - 1)])))
     blocks = pa.ListArray.from_arrays(pa.array(loff, pa.int32()), flat)
-    per_block = [(b[0]["first_doc"], sum(x["n"] for x in b)) if b else (0, 0)
-                 for b in blocks.to_pylist()]
+    per_block = [(b[0]["first_doc"], sum(x["n"] for x in b)) for b in blocks.to_pylist()]
     rows = pa.table({
         "field": pa.array(["text"] * len(blocks)),
         "term": pa.array([f"t{i:03d}" for i in range(len(blocks))]),
         "bucket": pa.array([f for f, _ in per_block], pa.int64()),
         "df": pa.array([n for _, n in per_block], pa.int64()),
-        "total_tf": pa.array([n for _, n in per_block], pa.int64()),
         "blocks": blocks,
     }, schema=POSTINGS_SCHEMA)
 
@@ -165,11 +167,54 @@ def test_pack_unpack_rows_round_trip(data):
         out, blocks, offsets = unpack_rows(stored)
         return out.append_column("blocks", blocks.list_array(offsets))
 
-    assert round_trip(pack_rows(rows)).equals(rows)
+    stored = pack_rows(rows)
+    assert stored.column_names == ["field", "term", "df", "hdr", "docs", "tfs", "pos"]
+    assert round_trip(stored).equals(rows)
     lo = data.draw(st.integers(0, rows.num_rows))
     part = rows.slice(lo, data.draw(st.integers(0, rows.num_rows - lo)))
     assert round_trip(pack_rows(part)).equals(part)
     assert round_trip(pack_rows(rows).slice(lo, part.num_rows)).equals(part)
+
+
+@pytest.mark.parametrize("fault,error", [
+    ("no_blocks", "row holds no blocks"),
+    ("bucket_not_first_doc", "bucket is not its first block's first_doc"),
+    ("first_doc_not_in_docs", "first_doc is not the first varint of its docs"),
+    ("last_below_first", "last_doc is below its first_doc"),
+])
+def test_pack_rows_refuses_rows_a_reader_could_not_recover(fault, error):
+    """``pack_rows`` raises on a row without blocks, a ``bucket`` that is
+    not the row's block 0's first doc, a block whose ``first_doc`` is not
+    the first varint of its ``docs`` and a ``last_doc`` below ``first_doc``:
+    the stored rows keep none of these, so a reader would read other
+    values back."""
+    docs = np.arange(5, 5 + 300, 2, dtype=np.int64)  # two rows: 1 and 2 blocks
+    starts = np.array([0, 20], np.int64)
+    blocks = encode_runs(docs, np.ones(docs.size, np.int64), starts)
+    flat, loff = blocks.flatten(), blocks.offsets
+    bucket = [int(docs[0]), int(docs[20])]
+    meta = {f: flat.field(f).to_numpy().copy() for f in ("first_doc", "last_doc")}
+    if fault == "no_blocks":
+        loff = pa.array([0, 0, 3], pa.int32())
+        bucket = [0, int(docs[0])]
+    elif fault == "bucket_not_first_doc":
+        bucket[1] += 1
+    elif fault == "first_doc_not_in_docs":
+        meta["first_doc"][2] -= 1  # block 1 of row 1, the bucket unchanged
+    else:
+        meta["last_doc"][1] = meta["first_doc"][1] - 1
+    flat = pa.StructArray.from_arrays(
+        [pa.array(meta[f.name], f.type) if f.name in meta else flat.field(f.name)
+         for f in BLOCK_STRUCT], fields=list(BLOCK_STRUCT))
+    rows = pa.table({
+        "field": pa.array(["text"] * 2),
+        "term": pa.array(["a", "b"]),
+        "bucket": pa.array(bucket, pa.int64()),
+        "df": pa.array([20, docs.size - 20], pa.int64()),
+        "blocks": pa.ListArray.from_arrays(loff, flat),
+    }, schema=POSTINGS_SCHEMA)
+    with pytest.raises(ValueError, match=error):
+        pack_rows(rows)
 
 
 @settings(max_examples=60, deadline=None)
