@@ -29,8 +29,9 @@ Phase 1 — postings, ONE execution for every segment of the write
   (:func:`_piece_merge_batch`) ->
   :class:`~.writer.PostingsSink` routes each segment's term rows to its
   postings directory and its norms rows to a staging directory beside it.
-  After the execution each segment is finished in order: its norms files and
-  ``stats.json`` from the staged norms rows, its doc map, its manifest.
+  After the execution each segment is finished in order: its norms files (or
+  a field's one constant norm) and ``stats.json`` from the staged norms
+  rows, its doc map, its manifest.
   ``compact_index`` consolidates each term's pieces after the build.
 
 Resume: the checkpoint unit is the segment, and a segment with a complete
@@ -121,7 +122,9 @@ CONVMAP_FILE = "convmap.parquet"
 
 def norms_file(field: str) -> str:
     """A segment's norms of ``field``: per-doc lengths, dense over its doc
-    range, in the narrowest unsigned dtype that holds them."""
+    range, in the narrowest unsigned dtype that holds them. A field whose
+    docs all have one length ``c`` has no such file: its ``stats.json``
+    entry holds ``"norm": c`` beside ``total_dl`` (Lucene's constant norms)."""
     return f"norms_{field}.npy"
 
 
@@ -1052,7 +1055,9 @@ def _finish_segment(
 ) -> None:
     """Commit segment ``seg``'s manifest once its postings are written: from
     its staged norms rows (no extra pass over the input), each field's norms
-    file (:func:`norms_file`) and ``stats.json``; then its doc map and
+    file (:func:`norms_file`; none for a field whose docs all have one
+    length, whose ``stats.json`` entry holds it as ``norm``) and
+    ``stats.json``; then its doc map and
     ``stage_stats``. The staging directory is gone before the manifest
     lands. Raises when a field's norms rows do not cover exactly the docs
     ``[lo, hi)`` its bounds say."""
@@ -1076,8 +1081,11 @@ def _finish_segment(
                 f"{hi}) say otherwise (norms of {f}): the input changed while "
                 "it was indexed"
             )
-        np.save(os.path.join(seg_dir, norms_file(f)), _narrowest_uint(dls))
         stats["fields"][f] = {"total_dl": int(dls.sum())}
+        if (dls == dls[0]).all():
+            stats["fields"][f]["norm"] = int(dls[0])
+        else:
+            np.save(os.path.join(seg_dir, norms_file(f)), _narrowest_uint(dls))
     shutil.rmtree(staging)
     with open(os.path.join(seg_dir, "stats.json"), "w") as fh:
         json.dump(stats, fh, indent=1)

@@ -30,7 +30,11 @@ doc id once, in the doc stream):
   ``max_tf``, ``min_dl`` and ``last_doc - first_doc``; then, only when
   ``nb > 1``, per block ``n`` and its ``docs``/``tfs``/``pos`` byte
   lengths. A one-block row takes ``n`` from ``df`` and its payload lengths
-  from the row's;
+  from the row's. A one-posting row (``df`` 1, 60% of the rows of the
+  benchmark's serve index) stores an empty ``hdr``: its one block's
+  ``max_tf`` is its one tf, its span is 0, and its ``min_dl`` is its doc's
+  norm, which the readers that hold the norms fill in
+  (:func:`unpack_rows`), a bound never looser than a stored one;
 * ``docs``, ``tfs``, ``pos`` — the row's blocks' payloads end to end.
 
 A block's ``first_doc`` is stored once, as the first (absolute) varint of
@@ -374,14 +378,23 @@ def stored_columns(columns) -> List[str]:
     ))
 
 
+#: up to this many values :func:`varints_at` reads byte by byte: a read of a
+#: few rows gathers a few varints, and each vectorized pass costs more than
+#: that whole loop (about 1 us a value against 12 us a call, one vCPU)
+_FEW_VARINTS = 16
+
+_TORN = "a postings payload does not start with a whole varint"
+
+
 def varints_at(buf: np.ndarray, at: np.ndarray, end: np.ndarray) -> np.ndarray:
     """The varint that starts at each byte offset ``at`` of ``buf``: one
     gather of every first byte, then one per further byte of the values
     still going; raises unless each ends before its ``end``."""
-    torn = "a postings payload does not start with a whole varint"
     at = np.asarray(at, np.int64)
+    if at.size <= _FEW_VARINTS:
+        return _few_varints_at(buf, at, end)
     if (at >= end).any():
-        raise ValueError(torn)
+        raise ValueError(_TORN)
     b = buf[at]
     out = (b & 0x7F).astype(np.int64)
     live = np.flatnonzero(b >= 128)  # the multi-byte minority
@@ -391,11 +404,30 @@ def varints_at(buf: np.ndarray, at: np.ndarray, end: np.ndarray) -> np.ndarray:
             return out
         pos = pos + 1
         if (pos >= end[live]).any():
-            raise ValueError(torn)
+            raise ValueError(_TORN)
         b = buf[pos]
         out[live] |= (b & 0x7F).astype(np.int64) << shift
         live, pos = live[b >= 128], pos[b >= 128]
-    raise ValueError(torn)
+    raise ValueError(_TORN)
+
+
+def _few_varints_at(buf: np.ndarray, at: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """:func:`varints_at` for a few values, one byte at a time."""
+    out = np.empty(at.size, np.int64)
+    for i, (p, e) in enumerate(zip(at.tolist(), np.asarray(end).tolist())):
+        v = 0
+        for shift in range(0, 64, 7):
+            if p >= e:
+                raise ValueError(_TORN)
+            b = int(buf[p])
+            v |= (b & 0x7F) << shift
+            if b < 128:
+                break
+            p += 1
+        else:
+            raise ValueError(_TORN)
+        out[i] = v
+    return out
 
 
 def row_order(rows: pa.Table, keys: Sequence[str]) -> pa.Array:
@@ -437,13 +469,14 @@ def _binary_over(vals: np.ndarray, offsets: np.ndarray) -> pa.Array:
 def pack_rows(rows: pa.Table) -> pa.Table:
     """In-memory postings rows (a ``blocks`` column beside ``bucket`` and
     ``df``) -> the stored rows: ``bucket`` dropped and ``blocks`` replaced
-    by ``hdr``, ``docs``, ``tfs`` and ``pos`` (module docstring). One varint
-    pass builds every header; the payload columns reuse the blocks' byte
-    buffers. Raises where a reader could not recover the rows: a row
-    without blocks, a ``bucket`` that is not the row's block 0's
-    ``first_doc``, a ``first_doc`` that is not the first varint of its
-    block's ``docs``, a ``last_doc`` below its ``first_doc`` and a one-block
-    row whose ``n`` is not its ``df``."""
+    by ``hdr``, ``docs``, ``tfs`` and ``pos`` (module docstring; a
+    one-posting row's ``hdr`` is empty). One varint pass builds every
+    header; the payload columns reuse the blocks' byte buffers. Raises
+    where a reader could not recover the rows: a row without blocks, a
+    ``bucket`` that is not the row's block 0's ``first_doc``, a
+    ``first_doc`` that is not the first varint of its block's ``docs``, a
+    ``last_doc`` below its ``first_doc`` and a one-block row whose ``n`` is
+    not its ``df``."""
     lists = _one_array(rows["blocks"])
     loff = int64_column(lists.offsets)
     loff -= loff[0]
@@ -466,13 +499,17 @@ def pack_rows(rows: pa.Table) -> pa.Table:
     if (rb.ns[loff[:-1]][~multi] != df[~multi]).any():
         raise ValueError("a one-block postings row's n is not its df")
 
-    nvals = 1 + 3 * nb + 4 * nb * multi
+    # a one-posting row stores no header: its one block's n is its df, its
+    # max_tf its one tf, its span 0, and its min_dl its doc's norm
+    single = ~multi & (df == 1)
+    nvals = np.where(single, 0, 1 + 3 * nb + 4 * nb * multi)
     vstart = np.cumsum(nvals) - nvals
     vals = np.empty(int(nvals.sum()), np.int64)
-    vals[vstart] = nb
-    at = vstart[rows_of] + 1 + 3 * in_row
+    vals[vstart[~single]] = nb[~single]
+    kept = ~single[rows_of]
+    at = (vstart[rows_of] + 1 + 3 * in_row)[kept]
     for k, v in enumerate((rb.max_tf, rb.min_dl, span)):
-        vals[at + k] = v
+        vals[at + k] = v[kept]
     m = multi[rows_of]
     at = (vstart[rows_of] + 1 + 3 * nb[rows_of] + 4 * in_row)[m]
     vals[at] = rb.ns[m]
@@ -487,7 +524,34 @@ def pack_rows(rows: pa.Table) -> pa.Table:
     return out
 
 
-def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
+#: the header values a one-posting row reads: nb 1; max_tf, min_dl and
+#: span 0 (its max_tf and min_dl are filled in from its payload and norms)
+_ONE_POSTING_HDR = np.array([1, 0, 0, 0], np.int64)
+
+
+def headerless(rows: pa.Table) -> np.ndarray:
+    """True for each stored postings row whose header is empty (the writer
+    leaves exactly the one-posting rows' empty)."""
+    _, offs = _bin_view(_one_array(rows["hdr"]))
+    return np.diff(offs) == 0
+
+
+def _varint_streams(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
+    """(every varint of a binary array of varint streams, its elements end
+    to end; the number of varints in each element), from one scan for the
+    bytes that end a varint."""
+    vals, offs = _bin_view(arr)
+    b = vals[offs[0]: offs[-1]]
+    ends = np.flatnonzero(b < 128)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    return (varints_at(b, starts, ends + 1),
+            np.diff(np.searchsorted(ends, offs - offs[0])))
+
+
+def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
+                ) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     """Stored postings rows -> ``(rows, blocks, offsets)``: the rows with
     their in-memory ``bucket`` (before ``df``) and without ``hdr`` and the
     payload columns; every row's blocks, in row order, as one
@@ -495,17 +559,27 @@ def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     and the block offsets of the rows (row ``i`` holds blocks ``offsets[i]``
     to ``offsets[i + 1]``; :meth:`RawBlocks.list_array` makes them the
     in-memory ``blocks`` column). One varint pass decodes every header and
-    one gather (:func:`varints_at`) reads every block's ``first_doc``;
-    raises when a row's header disagrees with its payload bytes."""
-    hdr = _one_array(rows["hdr"])
-    hdr_bytes, hoff = _bin_view(hdr)
-    vals = decode_varints(hdr_bytes[hoff[0]: hoff[-1]])
-    nvals = varint_counts(hdr)
+    one gather (:func:`varints_at`) reads every block's ``first_doc``, and
+    one more each one-posting row's tf, its ``max_tf``.
+
+    A row without a header is a one-posting row (``verify.py`` checks that
+    its ``df`` is 1); it stores no ``min_dl``: given ``norms`` ({field: its
+    norms from ``doc_base``}, as a segment reader holds them, for every
+    field among the rows; with more than one field the rows need their
+    ``field`` column), its block takes its doc's norm, an exact bound;
+    without, 0. Raises when a row's header disagrees with its payload
+    bytes."""
+    vals, nvals = _varint_streams(_one_array(rows["hdr"]))
+    df = int64_column(_one_array(rows["df"]))
+    single = nvals == 0
+    # a one-posting row reads the header appended here, then its max_tf and
+    # min_dl are filled in below
+    vals = np.concatenate((vals, _ONE_POSTING_HDR))
     vstart = np.cumsum(nvals) - nvals
+    vstart[single] = vals.size - _ONE_POSTING_HDR.size
     nb = vals[vstart]
     if (nb < 1).any():
         raise ValueError("a postings row header holds no blocks")
-    ns = int64_column(_one_array(rows["df"]))
     views = [_bin_view(_one_array(rows[name])) for name in _PAYLOADS]
     loff = np.zeros(nb.size + 1, np.int64)
     np.cumsum(nb, out=loff[1:])
@@ -513,11 +587,18 @@ def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     in_row = np.arange(int(loff[-1])) - loff[:-1][rows_of]
     at = vstart[rows_of] + 1 + 3 * in_row
     max_tf, min_dl, span = vals[at[:, None] + np.arange(3)].T
+    one = loff[:-1][single]  # the blocks of the one-posting rows
+    if one.size:  # its tfs payload is its one tf: one byte below 128
+        tfs, toffs = views[1]
+        at, end = toffs[:-1][single], toffs[1:][single]
+        tf = tfs[at]
+        max_tf[one] = tf if (end - at == 1).all() and (tf < 128).all() else (
+            varints_at(tfs, at, end))
     # n and payload lengths: a one-block row's are its df and row lengths
     m = nb[rows_of] > 1
     at = vstart[rows_of] + 1 + 3 * nb[rows_of] + 4 * in_row
     extra = vals[at[m][:, None] + np.arange(4)].T
-    ns = np.repeat(ns, nb)
+    ns = np.repeat(df, nb)
     ns[m] = extra[0]
     offs = np.stack([o for _, o in views])
     lens = np.repeat(np.diff(offs, axis=1), nb, axis=1)
@@ -528,6 +609,16 @@ def unpack_rows(rows: pa.Table) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     if not np.array_equal(boffs[:, loff], offs):
         raise ValueError("postings row headers disagree with their payload bytes")
     firsts = varints_at(views[0][0], boffs[0, :-1], boffs[0, 1:])
+    if norms and one.size:
+        if len(norms) == 1:  # every row is of its one field
+            (arr,) = norms.values()
+            min_dl[one] = arr[firsts[one] - doc_base]
+        else:
+            fields = pc.dictionary_encode(_one_array(rows["field"]))
+            code = int64_column(fields.indices)[single]
+            for c, field in enumerate(fields.dictionary.to_pylist()):
+                at = one[code == c]
+                min_dl[at] = norms[field][firsts[at] - doc_base]
     blocks = RawBlocks.from_arrays(
         ns, max_tf, min_dl, firsts, firsts + span,
         *((v, b) for (v, _), b in zip(views, boffs)))

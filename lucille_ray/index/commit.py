@@ -7,7 +7,7 @@ An index directory holds::
     segments/<name>/        # write-once segment directories (segment.py)
         deleted_<gen>.npy   # write-once tombstones: sorted deleted doc ids
 
-The commit (format version 6) is one JSON object: the build settings
+The commit (format version 8) is one JSON object: the build settings
 (``fields``, ``range_width``, ``analyzer``), three counters —
 ``total_docs`` (the next doc id), ``next_segment`` (the number of the next
 new segment directory) and ``generation`` (bumped by every publish) — and
@@ -43,7 +43,8 @@ Preconditions:
 Today's layout is the only one any reader accepts. An index is derived data
 that ``build_index`` rebuilds from its input, so an older form — a commit of
 another version, a tombstone not named ``deleted_<gen>.npy``, a segment
-without its one-file doc map or its norms files or with a one-file
+without its one-file doc map or a field's norms (a file, or a constant in
+its ``stats.json``) or with a one-file
 ``postings.parquet`` (``segment.check_layout``) — is refused at open with :func:`rebuild_error`
 rather than read through a fallback (Lucene's ``IndexFormatTooOldException``).
 """
@@ -66,8 +67,12 @@ INDEX_META_FILE = "index_meta.json"
 #: stored once, in the ``norms_<field>.npy`` files each segment's writer
 #: makes, and the postings hold term rows only; v7: a block's first doc is
 #: stored once, in its ``docs`` payload (no ``bucket`` column, no first-doc
-#: deltas in the row header), and rows keep no per-row sum of their tfs
-INDEX_FORMAT_VERSION = 7
+#: deltas in the row header), and rows keep no per-row sum of their tfs;
+#: v8: a field whose docs all have one length stores that ``norm`` in
+#: ``stats.json`` instead of a norms file, a one-posting row stores an empty
+#: header (its doc's norm is its block's ``min_dl``), and the ``docs``/
+#: ``tfs``/``pos`` payloads are DELTA_LENGTH_BYTE_ARRAY
+INDEX_FORMAT_VERSION = 8
 
 _SEGMENTS = "segments"
 MANIFEST_FILE = "MANIFEST.json"

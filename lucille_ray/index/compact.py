@@ -243,7 +243,8 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
     """One term range of a segment's compaction, run as a Ray task: read the
     row groups ``groups`` (``[(file, [row group, ...]), ...]``), keep the rows
     with ``lo <= (field, term) < hi`` (``None``: unbounded), stable-sort them
-    by (field, term, bucket), unpack them, merge them in one
+    by (field, term, bucket), unpack them (a one-posting row's block takes
+    its doc's norm as ``min_dl``), merge them in one
     :func:`_merge_sorted_batch` call (``norms``, ``doc_base``, ``deleted``:
     its arguments) and write the merged rows to ``path`` (nothing when none
     are left). Returns the row groups read, the rows read, kept and written,
@@ -258,7 +259,8 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
         t = t.filter(_at_or_after(t, lo))
     if hi is not None:
         t = t.filter(pc.invert(_at_or_after(t, hi)))
-    rows, blocks, loff = unpack_rows(t.take(row_order(t, ["field", "term"])))
+    rows, blocks, loff = unpack_rows(t.take(row_order(t, ["field", "term"])),
+                                     norms, doc_base)
     out = _merge_sorted_batch(rows.append_column("blocks", blocks.list_array(loff)),
                               norms=norms, doc_base=doc_base, deleted=deleted)
     if out.num_rows:
@@ -333,7 +335,8 @@ def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tup
 
 def _kept(name: str) -> bool:
     """The files a compacted segment takes unchanged (hard-linked) from its
-    source: the doc map, the build's stage stats and the norms files."""
+    source: the doc map, the build's stage stats and the norms files (a
+    constant field's norm rides in the ``stats.json`` it rewrites)."""
     return name in (CONVMAP_FILE, "stage_stats.txt") or (
         name.startswith("norms_") and name.endswith(".npy")
     )

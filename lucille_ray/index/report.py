@@ -1,9 +1,10 @@
 """Structured build/index report: one JSON-able dict aggregating everything
 the build and compaction record about an index — metadata, per-phase wall
 times, per-segment manifests and live stats, on-disk footprint by component
-(postings, norms files, doc maps, everything else), postings layout (row
-groups, footer bytes, compressed bytes per Parquet leaf column), lifecycle state
-(tombstones, purges, appends).
+(postings, norms files, doc maps, everything else), each field's norms form
+(a file's bytes, or ``"constant"``), postings layout (row groups, footer
+bytes, compressed bytes per Parquet leaf column, one-posting rows), lifecycle
+state (tombstones, purges, appends).
 
 This is the metrics/lineage surface: scaling and health claims should be
 corroborated by these per-stage numbers (plus each segment's Ray Data
@@ -20,9 +21,11 @@ import re
 from typing import Optional
 
 import numpy as np
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
+from .build import norms_file
 
 _TIME_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -193,21 +196,25 @@ def _index_bytes(index_dir: str) -> tuple[dict, dict]:
     return total, per_seg
 
 
-def _postings_layout(seg_dir: str) -> tuple[int, int, int, dict]:
+def _postings_layout(seg_dir: str) -> tuple[int, int, int, dict, int]:
     """(row groups, footer bytes, inline metadata bytes, {leaf column:
-    compressed bytes}) of a segment's postings files, from their footers and
-    sizes alone (no data page is read). Column keys are Parquet leaf paths
-    (``hdr``, ``docs``, ...). The inline metadata is the copy of each
+    compressed bytes}, one-posting rows) of a segment's postings files, from
+    their footers, their sizes and their ``df`` columns (no other data page
+    is read; a one-posting row, ``df`` 1, stores no header). Column keys
+    are Parquet leaf paths (``hdr``, ``docs``, ...). The inline metadata is the copy of each
     chunk's ``ColumnMetaData`` the writer puts after the chunk's pages, outside
     both the chunk's compressed size and the footer: a file's bytes less its
     footer, its chunks and its :data:`PARQUET_MAGIC_BYTES`."""
     root = os.path.join(seg_dir, "postings.parquet")
-    groups = footer = inline = 0
+    groups = footer = inline = singletons = 0
     columns: dict = {}
     for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
         if name.endswith(".parquet"):
             path = os.path.join(root, name)
-            md = pq.read_metadata(path)
+            pf = pq.ParquetFile(path)
+            md = pf.metadata
+            df = pf.read(columns=["df"])["df"]
+            singletons += pc.sum(pc.equal(df, 1)).as_py() or 0
             groups += md.num_row_groups
             footer += md.serialized_size
             inline += os.path.getsize(path) - md.serialized_size - PARQUET_MAGIC_BYTES
@@ -220,7 +227,18 @@ def _postings_layout(seg_dir: str) -> tuple[int, int, int, dict]:
                         + col.total_compressed_size
                     )
                     inline -= col.total_compressed_size
-    return groups, footer, inline, columns
+    return groups, footer, inline, columns, singletons
+
+
+def _norms_forms(seg_dir: str, stats: dict) -> dict:
+    """{field: ``"constant"`` (its one norm is in ``stats.json``) or its
+    norms file's bytes} of one segment."""
+    out = {}
+    for field, st in stats.get("fields", {}).items():
+        path = os.path.join(seg_dir, norms_file(field))
+        out[field] = ("constant" if "norm" in st else
+                      os.path.getsize(path) if os.path.isfile(path) else 0)
+    return out
 
 
 def build_report(index_dir: str) -> dict:
@@ -239,7 +257,7 @@ def build_report(index_dir: str) -> dict:
     total_bytes, seg_bytes = _index_bytes(index_dir)
     total_posting_rows = 0
     total_purged = 0
-    total_groups = total_footer = total_inline = 0
+    total_groups = total_footer = total_inline = total_singletons = 0
     total_columns: dict = {}
     any_tombstones = False
     for s in meta["segments"]:
@@ -270,7 +288,8 @@ def build_report(index_dir: str) -> dict:
         total_posting_rows += posting_rows
         purged = int(man.get("purged_docs") or 0)
         total_purged += purged
-        groups, footer, inline, columns = _postings_layout(seg_dir)
+        groups, footer, inline, columns, singletons = _postings_layout(seg_dir)
+        total_singletons += singletons
         total_groups += groups
         total_footer += footer
         total_inline += inline
@@ -296,6 +315,8 @@ def build_report(index_dir: str) -> dict:
             "postings_footer_bytes": footer,
             "postings_inline_meta_bytes": inline,
             "postings_column_bytes": columns,
+            "postings_singleton_rows": singletons,
+            "norms": _norms_forms(seg_dir, stats),
         }
         if "live_docs" in stats:
             seg["live_docs"] = int(stats["live_docs"])
@@ -321,6 +342,7 @@ def build_report(index_dir: str) -> dict:
             "postings_footer_bytes": total_footer,
             "postings_inline_meta_bytes": total_inline,
             "postings_column_bytes": total_columns,
+            "postings_singleton_rows": total_singletons,
             "tombstoned_segments": any_tombstones,
             "index_bytes": sum(total_bytes.values()),
             **total_bytes,

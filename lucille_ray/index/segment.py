@@ -17,7 +17,10 @@ write that created it (``commit.segment_name``: a build's segments are
                           # delete generation; the commit names the live one
       purged.npy          # doc ids earlier compactions purged (compact.py)
       norms_<field>.npy   # per-doc field lengths, dense over the doc range,
-                          # one per manifest field, written with the segment
+                          # one per manifest field whose docs differ in
+                          # length (a field of one length c has none: its
+                          # stats.json entry holds "norm": c), written with
+                          # the segment
     (result metadata and conversation deletes resolve through the doc map,
     doc_id = base + turn_idx; an empty segment holds its manifest alone; a
     reader adds nothing to a directory)
@@ -31,7 +34,8 @@ a later write's sweep may unlink (postings handles, the norms, the doc map,
 the tombstone), so it keeps answering after that sweep.
 
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded at
-open — designed to be pinned inside long-lived scorer actors) and fetch postings by
+open at their stored width, a constant field's a zero-memory broadcast of its
+one value — designed to be pinned inside long-lived scorer actors) and fetch postings by
 ``(field, term)`` through parquet predicate pushdown, so a term lookup touches only
 the row groups whose min/max term stats overlap. :meth:`SegmentReader.decode`
 is the one place raw blocks become postings, and the one place tombstoned
@@ -54,7 +58,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import CONVMAP_FILE, MANIFEST_FILE, norms_file
+from .build import CONVMAP_FILE, MANIFEST_FILE, _narrowest_uint, norms_file
 from .codec import (BLOCK_STRUCT, RawBlocks, int64_column, numeric_array,
                     row_order, sort_postings, stored_columns, unpack_rows)
 
@@ -202,7 +206,7 @@ class SegmentReader:
             except (OSError, ValueError):
                 raise ValueError(f"unreadable tombstone file {tombstone}")
         if not self.empty:
-            check_layout(seg_dir, self.manifest.get("fields", []))
+            check_layout(seg_dir, self.manifest.get("fields", []), self.stats)
             # pin what a later write's sweep may unlink: open postings
             # handles survive it, and so do the loaded norms and doc map
             try:
@@ -238,16 +242,26 @@ class SegmentReader:
     # ---- norms ----
 
     def norms(self, field: str) -> np.ndarray:
-        """Per-doc token count for ``field``, indexed by ``doc_id - doc_base``."""
+        """Per-doc token count for ``field``, indexed by ``doc_id - doc_base``,
+        read-only at its stored width (uint8/16/32: gather, then compute in
+        int64 or float64)."""
         return self._norms[field]
 
     def _load_norms(self) -> None:
-        """Every manifest field's norms file, as the build wrote it (dense
-        over maxDoc, so tombstoned docs keep their lengths), loaded once and
-        pinned as int64."""
+        """Every manifest field's norms, as the build wrote them (dense over
+        maxDoc, so tombstoned docs keep their lengths), loaded once and
+        pinned at their stored width: its norms file, or for a field whose
+        ``stats.json`` entry holds one ``norm``, that value broadcast over
+        the segment's docs (no memory per doc)."""
         for field in self.manifest.get("fields", []):
+            st = self.stats["fields"].get(field, {})
+            if "norm" in st:
+                c = _narrowest_uint(np.array([st["norm"]], np.int64))
+                self._norms[field] = np.broadcast_to(c, (self.doc_count,))
+                continue
             path = os.path.join(self.seg_dir, norms_file(field))
-            arr = np.load(path).astype(np.int64, copy=False)
+            arr = np.load(path)
+            arr.flags.writeable = False
             if arr.size != self.doc_count:
                 raise ValueError(
                     f"{path} holds {arr.size} norms, its segment {self.doc_count} docs"
@@ -409,7 +423,8 @@ class SegmentReader:
                 term = t["term"]  # increasing: one row a term, in (term, bucket) order
                 if not pc.all(pc.greater(term[1:], term[:-1]), min_count=0).as_py():
                     t = t.take(row_order(t, ["term"]))
-                t, blocks, loff = unpack_rows(t)
+                t, blocks, loff = unpack_rows(t, {field: self._norms[field]},
+                                              self.doc_base)
                 terms_np = t["term"].to_pylist()
                 i = 0
                 while i < len(terms_np):
@@ -574,19 +589,29 @@ class SegmentReader:
         return np.repeat(b - start, n) + np.arange(int(n.sum()), dtype=np.int64)
 
 
-def check_layout(seg_dir: str, fields: Sequence[str]) -> None:
+def check_layout(seg_dir: str, fields: Sequence[str],
+                 stats: Optional[dict] = None) -> None:
     """Raise the rebuild error (``commit.rebuild_error``) unless the non-empty
     segment ``seg_dir`` has today's layout: ``postings.parquet`` a directory
-    of piece files, ``convmap.parquet`` one file and a norms file for each of
-    ``fields`` (its manifest's). Stats only, so the engine checks every
+    of piece files, ``convmap.parquet`` one file and, for each of ``fields``
+    (its manifest's), a norms file or a constant ``norm`` in ``stats``
+    (its ``stats.json``, read here when not given and a file is missing).
+    File stats and that one small read, so the engine checks every
     committed segment before any scorer opens one."""
     if not os.path.isdir(os.path.join(seg_dir, "postings.parquet")):
         raise commit.rebuild_error(seg_dir, "postings.parquet is not a directory")
     if not os.path.isfile(os.path.join(seg_dir, CONVMAP_FILE)):
         raise commit.rebuild_error(seg_dir, f"{CONVMAP_FILE} is not one file")
     for field in fields:
-        if not os.path.isfile(os.path.join(seg_dir, norms_file(field))):
-            raise commit.rebuild_error(seg_dir, f"{norms_file(field)} is missing")
+        if os.path.isfile(os.path.join(seg_dir, norms_file(field))):
+            continue
+        if stats is None:
+            with open(os.path.join(seg_dir, "stats.json")) as f:
+                stats = json.load(f)
+        if "norm" not in stats["fields"].get(field, {}):
+            raise commit.rebuild_error(
+                seg_dir, f"{norms_file(field)} is missing and stats.json holds "
+                f"no constant norm of {field}")
 
 
 def live_mask(deleted: np.ndarray, docs: np.ndarray) -> np.ndarray:

@@ -3,12 +3,19 @@ segments checked against the metadata its row stores, from the bytes on
 disk, and each segment's norms and manifest against its stats and files
 (Lucene's ``CheckIndex``, postings and norms parts).
 
+The commit: its segments' bounds tile ``[0, total_docs)`` in order; every
+segment it names has a complete manifest whose ``doc_count`` is ``hi -
+lo``; every tombstone it names exists.
+
 Per segment: it opens (its layout is today's, and each field's norms file
-holds ``doc_count`` entries); each field's norms sum to its ``stats.json``
-``total_dl`` (norms stay dense over maxDoc, so also after a purge); its
-manifest's ``posting_rows`` is the number of rows in its postings files;
-its tombstone ids and its ``purged.npy`` ids are each sorted, unique and
-inside the segment's ``[lo, hi)``, and no purged id is still in a block.
+holds ``doc_count`` entries); a field whose norms are a constant ``norm`` in
+``stats.json`` has no norms file and ``norm * doc_count`` is its
+``total_dl``, and a norms file holds at least two values (one value is
+stored as the constant) that sum to its ``total_dl`` (norms stay dense over
+maxDoc, so also after a purge); its manifest's ``posting_rows`` is the
+number of rows in its postings files; its tombstone ids and its
+``purged.npy`` ids are each sorted, unique and inside the segment's ``[lo,
+hi)``, and no purged id is still in a block.
 
 Per postings file of each segment:
 
@@ -18,6 +25,8 @@ Per postings file of each segment:
   the rows and so the row groups of a file are in ``(field, term)`` order (a
   build file holds one sorted run per window the build merged, so its order
   is not checked);
+* a row whose ``df`` is 1 stores an empty ``hdr`` and every other row a
+  non-empty one;
 * each row's ``df`` is the sum of its blocks' ``n``;
 * each block's ``docs`` and ``tfs`` hold ``n`` varints, and its ``pos``
   one per occurrence (``tfs`` summed);
@@ -27,7 +36,7 @@ Per postings file of each segment:
   the reader takes it from); its ``max_tf`` is its largest tf; its
   ``min_dl`` is at least 1 and at most the least norm of its docs (a lower
   bound on their lengths, the least norm itself wherever the writer held
-  their norms).
+  their norms, and a one-posting row's doc's norm, as the readers fill it).
 
 Findings are lines of text, one per check that fails in a file, naming the
 first failing row and block; a sound index has none.
@@ -42,21 +51,36 @@ import numpy as np
 import pyarrow.compute as pc
 
 from . import commit
-from .codec import int64_column, unpack_rows, varint_counts
+from .build import MANIFEST_FILE, norms_file, read_manifest
+from .codec import headerless, int64_column, unpack_rows, varint_counts
 from .compact import purged_ids
 from .segment import SegmentReader
 from .writer import ROW_GROUP_BYTES, ROW_GROUP_ROWS
 
 
 def verify_index(index_dir: str) -> List[str]:
-    """Findings for every committed segment of ``index_dir`` (empty: sound);
-    a segment that fails to open is one finding. Raises the rebuild error
-    for a commit in an older format."""
-    findings: List[str] = []
-    for s in commit.read(index_dir)["segments"]:
+    """Findings for the commit of ``index_dir`` and every segment it names
+    (empty: sound); a segment that fails to open is one finding. Raises the
+    rebuild error for a commit in an older format."""
+    c = commit.read(index_dir)
+    findings = _verify_commit(c)
+    for s in c["segments"]:
+        seg_dir = commit.segment_dir(index_dir, s.name)
+        manifest = read_manifest(seg_dir)
+        if manifest is None:
+            findings.append(f"{s.name}: has no complete {MANIFEST_FILE}")
+            continue
+        if int(manifest.get("doc_count", -1)) != s.hi - s.lo:
+            findings.append(
+                f"{s.name}: its manifest's doc_count is {manifest.get('doc_count')}, "
+                f"its commit's bounds [{s.lo}, {s.hi}) hold {s.hi - s.lo} docs")
+        tombstone = commit.tombstone_path(index_dir, s)
+        if tombstone is not None and not os.path.isfile(tombstone):
+            findings.append(f"{s.name}: its commit names tombstone {s.deleted}, "
+                            "which does not exist")
+            tombstone = None
         try:
-            reader = SegmentReader(commit.segment_dir(index_dir, s.name),
-                                   commit.tombstone_path(index_dir, s))
+            reader = SegmentReader(seg_dir, tombstone)
             if not reader.empty and (reader.doc_base, reader.doc_count) != (
                     s.lo, s.hi - s.lo):
                 findings.append(
@@ -65,11 +89,7 @@ def verify_index(index_dir: str) -> List[str]:
                     f"[{s.lo}, {s.hi})")
             files = [] if reader.empty else reader._postings_files()
             for field in [] if reader.empty else reader.manifest["fields"]:
-                dl = int(reader.norms(field).sum())
-                if dl != reader.total_dl(field):
-                    findings.append(
-                        f"{s.name}: norms of {field} sum to {dl}, its stats.json "
-                        f"total_dl is {reader.total_dl(field)}")
+                findings += _verify_norms(reader, s.name, field)
             rows = sum(pf.metadata.num_rows for pf, *_ in files)
             if rows != int(reader.manifest.get("posting_rows", 0)):
                 findings.append(
@@ -84,6 +104,48 @@ def verify_index(index_dir: str) -> List[str]:
         except ValueError as e:
             findings.append(f"{s.name}: {e}")
     return findings
+
+
+def _verify_commit(c: dict) -> List[str]:
+    """Findings for commit ``c``'s segment bounds that do not tile ``[0,
+    total_docs)`` in order."""
+    out = []
+    end = 0
+    for s in c["segments"]:
+        if s.lo != end or s.hi < s.lo:
+            out.append(f"{s.name}: its commit bounds [{s.lo}, {s.hi}) do not "
+                       f"continue the segments before it, which end at {end}")
+        end = max(end, s.hi)
+    if end != int(c["total_docs"]):
+        out.append(f"the commit's segments end at doc {end}, its total_docs is "
+                   f"{c['total_docs']}")
+    return out
+
+
+def _verify_norms(reader: SegmentReader, name: str, field: str) -> List[str]:
+    """Findings for one field's norms: a constant beside a norms file, a
+    norms file of one value, and norms that do not sum to ``total_dl``."""
+    out = []
+    total = reader.total_dl(field)
+    st = reader.stats["fields"].get(field, {})
+    if "norm" in st:
+        if os.path.exists(os.path.join(reader.seg_dir, norms_file(field))):
+            out.append(f"{name}: norms of {field} are the constant {st['norm']} "
+                       f"in stats.json, but {norms_file(field)} exists")
+        if st["norm"] * reader.doc_count != total:
+            out.append(f"{name}: constant norm {st['norm']} of {field} times "
+                       f"{reader.doc_count} docs is {st['norm'] * reader.doc_count}, "
+                       f"its stats.json total_dl is {total}")
+        return out
+    norms = reader.norms(field)
+    if norms.size and (norms == norms[0]).all():
+        out.append(f"{name}: {norms_file(field)} holds one value, {norms[0]}, "
+                   "which stats.json stores as a constant norm")
+    dl = int(norms.sum())
+    if dl != total:
+        out.append(f"{name}: norms of {field} sum to {dl}, its stats.json "
+                   f"total_dl is {total}")
+    return out
 
 
 def _verify_ids(what: str, ids, lo: int, hi: int) -> List[str]:
@@ -105,15 +167,19 @@ def _verify_ids(what: str, ids, lo: int, hi: int) -> List[str]:
 
 
 def _verify_file(reader: SegmentReader, pf, where: str, purged: np.ndarray) -> List[str]:
+    stored = pf.read()
+    out = _verify_headers(stored, where)
+    if out:
+        return out  # rows the writer would not write: no block is checked
     try:
-        rows, rb, loff = unpack_rows(pf.read())
+        norms = {f: reader.norms(f) for f in reader.manifest["fields"]}
+        rows, rb, loff = unpack_rows(stored, norms, reader.doc_base)
     except ValueError as e:
         return [f"{where}: {e}"]
     nb = np.diff(loff)
     row_of = np.repeat(np.arange(rows.num_rows), nb)
     fields = rows["field"].to_pylist()
     terms = rows["term"].to_pylist()
-    out: List[str] = []
 
     def check(what: str, bad: np.ndarray, want=None, got=None) -> None:
         """One finding for the blocks where ``bad`` holds, naming the first."""
@@ -196,4 +262,20 @@ def _verify_file(reader: SegmentReader, pf, where: str, purged: np.ndarray) -> L
     min_dl = np.minimum.reduceat(dl, starts)
     check("a term block's min_dl is not between 1 and the least norm of its docs",
           in_range & ((rb.min_dl < 1) | (rb.min_dl > min_dl)), rb.min_dl, min_dl)
+    return out
+
+
+def _verify_headers(stored, where: str) -> List[str]:
+    """Findings for stored postings rows that store no header where their
+    ``df`` is not 1, or one where it is."""
+    out = []
+    empty = headerless(stored)
+    single = int64_column(stored["df"].combine_chunks()) == 1
+    for bad, what in ((single & ~empty, "a df of 1 and a header"),
+                      (~single & empty, "a df above 1 and no header")):
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            r = int(hit[0])
+            out.append(f"{where}: {hit.size} row(s) with {what}; first: row {r} "
+                       f"({stored['field'][r].as_py()}, {stored['term'][r].as_py()!r})")
     return out

@@ -26,9 +26,11 @@ a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
   payload, so the in-memory ``bucket`` (a row's block 0's first doc) is not
   stored;
 - ``df`` is delta-encoded (:data:`COLUMN_ENCODING`: Parquet's
-  DELTA_BINARY_PACKED, small values that bit-pack to a few bits each) and
-  the sorted ``term`` column is DELTA_BYTE_ARRAY (shared prefixes stored
-  once); the four binaries stay PLAIN;
+  DELTA_BINARY_PACKED, small values that bit-pack to a few bits each), the
+  sorted ``term`` column is DELTA_BYTE_ARRAY (shared prefixes stored once),
+  and the ``docs``/``tfs``/``pos`` payloads are DELTA_LENGTH_BYTE_ARRAY
+  (their lengths one bit-packed run ahead of the bytes, not a 4-byte length
+  before each value); ``hdr`` stays PLAIN (see "Why ZSTD" below);
 - the footer holds no copy of the Arrow schema (``store_schema=False``):
   every column reads back as its stored Parquet type, which is the schema
   (``field`` a dictionary-encoded ``string``).
@@ -91,6 +93,25 @@ read 30-32% fewer row groups and 44-45% fewer compressed bytes than all-snappy
 without the check, and the p50 of first answers moved +0.5% (serve) and -1.3%
 (churn), within run-to-run spread (10 traced pairs each).
 
+Format v8 then cut that index's postings again (340,843 to 323,843 B).
+One-posting rows (7,776 of its 13,003 rows) store an empty ``hdr``
+(``codec.pack_rows``; ``hdr`` 40,336 to 31,928 B), and the three payloads
+went from PLAIN to DELTA_LENGTH_BYTE_ARRAY, which stores the value lengths
+as one bit-packed delta run ahead of the bytes instead of a 4-byte length
+before each value, so the page ZSTD compresses holds the payloads unbroken
+(``docs`` + ``tfs`` + ``pos`` 195,086 to 186,529 B; at 100k turns, 2
+segments compacted, 3,988,481 to 3,898,489 B). Measured on the v8 files and
+left out:
+
+    variant                          serve postings   100k postings   term+df read
+    -------------------------------  --------------   -------------   ------------
+    DELTA_LENGTH_BYTE_ARRAY on hdr   hdr -3.1%        hdr +9.1%       --
+    df PLAIN under ZSTD              -1.15%           -0.20%          +22-31%
+
+(the term+df read is every ``term``/``df`` of both segments' files, the
+columns a term-dictionary load reads: 2.1 against 2.7 ms on serve, 6.7-7.1
+against 8.7-8.8 ms at 100k, best of 7, one vCPU).
+
 Invariant (checked by the tests and by ``verify.verify_index``): every row
 group holds at most ``ROW_GROUP_ROWS`` rows of one field, and a group whose
 payload exceeds ``ROW_GROUP_BYTES`` holds exactly one row. Readers need the
@@ -124,9 +145,13 @@ ROWS_PER_FILE = 16384
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")
 
-#: Parquet encoding of each postings column that is neither dictionary-
-#: encoded (``field``) nor binary (``hdr`` and the payloads: PLAIN)
-COLUMN_ENCODING = {"term": "DELTA_BYTE_ARRAY", "df": "DELTA_BINARY_PACKED"}
+#: Parquet encoding of each postings column but the dictionary-encoded
+#: ``field`` and the PLAIN ``hdr``
+COLUMN_ENCODING = {
+    "term": "DELTA_BYTE_ARRAY",
+    "df": "DELTA_BINARY_PACKED",
+    **{c: "DELTA_LENGTH_BYTE_ARRAY" for c in _PAYLOAD_COLUMNS},
+}
 
 #: compression codec of every postings column (a column missing here would
 #: be written uncompressed): ZSTD on the columns it still shrinks, snappy on

@@ -477,11 +477,11 @@ def test_build_report_reads_the_commit(built, tmp_path):
 
 
 def test_commit_version_and_segment_list(built):
-    """The commit is version 7 and its segment list is the one source of the
+    """The commit is version 8 and its segment list is the one source of the
     segments, their doc ranges and tombstones."""
     with open(os.path.join(built, commit.INDEX_META_FILE)) as f:
         meta = json.load(f)
-    assert meta["version"] == commit.INDEX_FORMAT_VERSION == 7
+    assert meta["version"] == commit.INDEX_FORMAT_VERSION == 8
     assert "num_segments" not in meta and "seg_bounds" not in meta
     assert [s["name"] for s in meta["segments"]] == ["seg-00000", "seg-00001"]
     assert meta["segments"][0]["docs"][0] == 0

@@ -288,6 +288,41 @@ def test_per_turn_text_equality_invariant(built):
     _assert_doc_meta_in_rank_order(index_dir, table)
 
 
+def test_constant_fields_store_one_norm(built, churned, tmp_path):
+    """``role`` and ``tool`` (one token in every turn) write no norms file
+    after a build, after appends and deletes, and after compaction: each
+    segment's ``stats.json`` holds their one ``norm``, and every field's
+    ``reader.norms``, concatenated over the segments, equals the dense
+    per-turn token counts a norms file held (norms stay dense over maxDoc,
+    so deleted and purged turns keep theirs)."""
+    from lucille_ray.analysis import arrow_tokenize
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.build import norms_file
+    from lucille_ray.index.segment import load_segments
+
+    _, index_dir, table = built
+    src = _source_order(table)
+    dense = {f: pc.list_value_length(arrow_tokenize(src[f])).to_numpy(
+        zero_copy_only=False).tolist() for f in ("text", "role", "tool")}
+    assert set(dense["role"]) == set(dense["tool"]) == {1}
+    idx = str(tmp_path / "churned")
+    shutil.copytree(churned[0], idx)
+
+    def check(d):
+        readers = load_segments(d)
+        for f, want in dense.items():
+            assert np.concatenate([r.norms(f) for r in readers]).tolist() == want, f
+            for r in readers:
+                path = os.path.join(r.seg_dir, norms_file(f))
+                assert os.path.exists(path) == (f == "text"), path
+                assert ("norm" in r.stats["fields"][f]) == (f != "text"), r.stats
+
+    check(index_dir)
+    check(idx)
+    compact_index(idx)
+    check(idx)
+
+
 def test_resume_after_docmap_crash(built, tmp_path):
     """A build whose commit is gone (a crash before its first publish) starts
     over: a half-written ``docmapped/`` checkpoint an older build left behind
@@ -1686,14 +1721,16 @@ def _row_payloads(path: str) -> np.ndarray:
 
 #: the postings columns the writer delta-encodes as integers
 _DELTA_INT_COLUMNS = ("df",)
-#: the packed header and payload columns the writer stores PLAIN
+#: the packed header and payload columns: the header PLAIN, the payloads
+#: DELTA_LENGTH_BYTE_ARRAY
 _PACKED_COLUMNS = ("hdr", "docs", "tfs", "pos")
 
 
 def _assert_writer_encodings(md) -> None:
     """Every column chunk of a postings file's metadata ``md`` in the writer's
     encodings (DELTA_BINARY_PACKED integers, DELTA_BYTE_ARRAY ``term``,
-    dictionary ``field``, PLAIN header and payload blobs) and compressed
+    dictionary ``field``, PLAIN header, DELTA_LENGTH_BYTE_ARRAY payload
+    blobs: no 4-byte length before each value) and compressed
     with its column's codec in ``writer.COLUMN_COMPRESSION``, and every row
     group with ``field``/``term`` min/max: without them the reader falls
     back to whole-file reads, correct but a perf cliff."""
@@ -1714,8 +1751,11 @@ def _assert_writer_encodings(md) -> None:
                 assert "DELTA_BYTE_ARRAY" in enc and "PLAIN" not in enc, (name, enc)
             elif name == "field":
                 assert "RLE_DICTIONARY" in enc, (name, enc)
+            elif name == "hdr":
+                assert enc <= {"PLAIN", "RLE"}, (name, enc)
             else:
-                assert name in _PACKED_COLUMNS and enc <= {"PLAIN", "RLE"}, (name, enc)
+                assert name in _PACKED_COLUMNS, name
+                assert "DELTA_LENGTH_BYTE_ARRAY" in enc and "PLAIN" not in enc, (name, enc)
         for name in ("field", "term"):
             st = cols[name].statistics
             assert st is not None and st.has_min_max, (name, g)
@@ -2396,8 +2436,10 @@ def test_term_dict_matches_directory_scan(built, tmp_path):
 
 def test_norms_sidecar_narrow_dtype_round_trip(built):
     """The build writes each segment's norms files in the narrowest unsigned
-    dtype holding the segment's max dl, and they load back as int64 arrays,
-    one entry per doc, that sum to the segment's ``total_dl``."""
+    dtype holding the segment's max dl, and they load back read-only at that
+    width, one entry per doc, summing to the segment's ``total_dl``; a
+    field of one length has no file, and its norms load as that ``norm``
+    broadcast over the docs."""
     from lucille_ray.index.build import _narrowest_uint, norms_file
     from lucille_ray.index.segment import SegmentReader
 
@@ -2412,19 +2454,25 @@ def test_norms_sidecar_narrow_dtype_round_trip(built):
     for seg_dir in _seg_dirs(index_dir):
         r = SegmentReader(seg_dir)
         for f in r.manifest["fields"]:
-            stored = np.load(os.path.join(seg_dir, norms_file(f)))
             got = r.norms(f)
-            assert got.dtype == np.int64 and np.array_equal(got, stored)
-            assert stored.dtype == _narrowest_uint(got).dtype
-            assert stored.dtype.itemsize < 8
+            assert not got.flags.writeable
             assert got.size == r.doc_count and int(got.sum()) == r.total_dl(f)
+            path = os.path.join(seg_dir, norms_file(f))
+            if "norm" in r.stats["fields"][f]:
+                assert not os.path.exists(path) and got.strides == (0,), f
+                assert (got == r.stats["fields"][f]["norm"]).all()
+                continue
+            stored = np.load(path)
+            assert got.dtype == stored.dtype == _narrowest_uint(stored).dtype
+            assert np.array_equal(got, stored) and stored.dtype.itemsize < 8
 
 
 def test_build_report_postings_layout(built, tmp_path):
     """build_report carries each segment's postings row groups, footer bytes,
-    inline chunk metadata bytes and compressed bytes per leaf column plus
-    their totals; with the magic bytes they sum to the postings files' sizes,
-    and they follow compaction."""
+    inline chunk metadata bytes, compressed bytes per leaf column and
+    one-posting rows plus their totals, and each field's norms form; with
+    the magic bytes the byte counts sum to the postings files' sizes, and
+    they follow compaction."""
     import glob
 
     from lucille_ray.index import build_report, compact_index
@@ -2454,6 +2502,17 @@ def test_build_report_postings_layout(built, tmp_path):
             # the files split into chunks, footers, the chunks' inline
             # metadata copies and the magic bytes
             assert seg["postings_inline_meta_bytes"] > 0
+            # one-posting rows (no header) counted from the df column; each
+            # field's norms as "constant" or its file's bytes
+            singles = sum(pc.sum(pc.equal(pq.read_table(f, columns=["df"])["df"], 1))
+                          .as_py() or 0 for f in files)
+            assert seg["postings_singleton_rows"] == singles > 0
+            seg_dir = os.path.join(idx, "segments", seg["segment"])
+            assert seg["norms"] == {
+                f: "constant" if f != "text" else
+                os.path.getsize(os.path.join(seg_dir, "norms_text.npy"))
+                for f in ("text", "role", "tool")}
+            assert seg["norms_bytes"] == seg["norms"]["text"]
             assert (sum(cols.values()) + seg["postings_footer_bytes"]
                     + seg["postings_inline_meta_bytes"]
                     + PARQUET_MAGIC_BYTES * len(files)
@@ -2469,6 +2528,8 @@ def test_build_report_postings_layout(built, tmp_path):
             for c in tot["postings_column_bytes"]}
         assert tot["postings_inline_meta_bytes"] == sum(
             s["postings_inline_meta_bytes"] for s in rep["segments"])
+        assert tot["postings_singleton_rows"] == sum(
+            s["postings_singleton_rows"] for s in rep["segments"])
         assert (sum(tot["postings_column_bytes"].values())
                 + tot["postings_footer_bytes"] + tot["postings_inline_meta_bytes"]
                 <= tot["postings_bytes"])
@@ -2545,9 +2606,9 @@ def _plant_old_form(index_dir, form, src):
     part files, a one-file ``postings.parquet``, a version 4 index (its
     postings rows hold a ``list<BLOCK_STRUCT>`` column, not packed), a
     version 5 index (no norms files: its readers derived them from the
-    postings), a segment without the norms file of one of its fields, or a
+    postings), a segment without the norms file of one of its fields, a
     version 6 index (its postings rows also store ``bucket`` and
-    ``total_tf``)."""
+    ``total_tf``), or a version 7 index (a norms file for every field)."""
     from lucille_ray.index import commit
     from lucille_ray.index.build import norms_file
 
@@ -2574,10 +2635,20 @@ def _plant_old_form(index_dir, form, src):
     elif form == "v5_index":
         meta["version"] = 5
         for d in seg_dirs:
-            for field in meta["fields"]:
-                os.remove(os.path.join(d, norms_file(field)))
-    elif form == "norms_missing":
-        os.remove(os.path.join(seg_dirs[0], norms_file(meta["fields"][-1])))
+            os.remove(os.path.join(d, norms_file("text")))
+    elif form == "norms_missing":  # the one field whose docs differ in length
+        os.remove(os.path.join(seg_dirs[0], norms_file("text")))
+    elif form == "v7_index":
+        meta["version"] = 7
+        for d in seg_dirs:
+            with open(os.path.join(d, "stats.json")) as f:
+                stats = json.load(f)
+            for field, st in stats["fields"].items():
+                if "norm" in st:
+                    np.save(os.path.join(d, norms_file(field)),
+                            np.full(stats["doc_count"], st.pop("norm"), np.uint8))
+            with open(os.path.join(d, "stats.json"), "w") as f:
+                json.dump(stats, f)
     elif form == "v6_index":
         meta["version"] = 6
         for d in seg_dirs:
@@ -2623,7 +2694,7 @@ def _plant_old_form(index_dir, form, src):
 @pytest.mark.parametrize("form", ["v3_commit", "v3_tombstone", "fused_root",
                                   "docmapped", "convmap_parts", "postings_file",
                                   "v4_index", "v5_index", "norms_missing",
-                                  "v6_index"])
+                                  "v6_index", "v7_index"])
 def test_old_index_forms_refused(built, oracle, tmp_path, form):
     """An index in a layout older than today's writers produce is refused at
     open with the one rebuild error, by the engine, compaction and a delete
@@ -2708,6 +2779,11 @@ FAULTS = {  # fault -> the finding it must produce
     "unsorted_tombstone": "tombstone ids are not sorted and unique",
     "tombstone_out_of_range": "tombstone holds 1 id(s) outside the segment's",
     "purged_id_posted": "a purged doc is still posted",
+    "missing_tombstone": "which does not exist",
+    "bounds_gap": "do not continue the segments before it",
+    "doc_count_mismatch": "its manifest's doc_count is",
+    "wrong_constant_norm": "its stats.json total_dl is",
+    "singleton_with_header": "row(s) with a df of 1 and a header",
 }
 
 
@@ -2718,8 +2794,11 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     docs, a compacted file with two row groups swapped, a norms file one
     entry short, a ``total_dl`` one above the norms' sum, a manifest's
     ``posting_rows`` one above its files' rows, a tombstone out of order or
-    naming a doc past the segment, and a ``purged.npy`` id still in a
-    block, are each reported, by
+    naming a doc past the segment, a ``purged.npy`` id still in a block, a
+    tombstone the commit names but that does not exist, a gap between two
+    segments' commit bounds, a manifest ``doc_count`` one above its bounds',
+    a constant norm one above what ``total_dl`` says and a one-posting row
+    that stores a header, are each reported, by
     ``verify_index`` and by the ``verify`` command, which exits 1 on
     findings and 0 on the sound fixture. A file whose row groups break the
     writer's invariant still has its blocks checked: both faults in one
@@ -2729,7 +2808,7 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     from lucille_ray.__main__ import main
     from lucille_ray.index import commit, compact_index, delete_docs
     from lucille_ray.index.build import MANIFEST_FILE, norms_file
-    from lucille_ray.index.codec import decode_postings
+    from lucille_ray.index.codec import decode_postings, encode_varints
     from lucille_ray.index.compact import PURGED_FILE
     from lucille_ray.index.segment import SegmentReader
     from lucille_ray.index.verify import verify_index
@@ -2744,8 +2823,8 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     seg_dir = _seg_dirs(d)[0]
     path = sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*")))[0]
 
-    def pick(b, term):
-        return True
+    def pick(b, term):  # a one-posting row stores no max_tf or min_dl
+        return len(b) > 1 or b[0]["n"] > 1
 
     def bump(name, key):  # a JSON file of the segment with ``key`` one higher
         with open(os.path.join(seg_dir, name)) as f:
@@ -2780,6 +2859,41 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
         bump("stats.json", "total_dl")
     elif fault == "posting_rows_off_by_one":
         bump(MANIFEST_FILE, "posting_rows")
+    elif fault == "doc_count_mismatch":
+        bump(MANIFEST_FILE, "doc_count")
+    elif fault == "wrong_constant_norm":
+        with open(os.path.join(seg_dir, "stats.json")) as f:
+            doc = json.load(f)
+        doc["fields"]["role"]["norm"] += 1
+        with open(os.path.join(seg_dir, "stats.json"), "w") as f:
+            json.dump(doc, f)
+    elif fault == "missing_tombstone":
+        seg = commit.read(d)["segments"][0]
+        delete_docs(d, [seg.lo + 1])
+        os.remove(commit.tombstone_path(d, commit.read(d)["segments"][0]))
+    elif fault == "bounds_gap":
+        named = commit.read(d)["segments"][1].name + ": "
+        with open(os.path.join(d, commit.INDEX_META_FILE)) as f:
+            meta = json.load(f)
+        meta["segments"][1]["docs"][0] += 1
+        with open(os.path.join(d, commit.INDEX_META_FILE), "w") as f:
+            json.dump(meta, f)
+    elif fault == "singleton_with_header":
+        stored = pq.read_table(path)
+        rows, blocks, loff = unpack_rows(stored)
+        r = int(np.flatnonzero(rows["df"].to_numpy() == 1)[0])
+        named = repr(rows["term"][r].as_py())
+        hdr = stored["hdr"].to_pylist()  # the header format v7 stored
+        hdr[r] = encode_varints(np.array([1, blocks.max_tf[loff[r]], 1, 0]))
+        stored = stored.set_column(stored.schema.get_field_index("hdr"), "hdr",
+                                   pa.array(hdr, pa.binary()))
+        md = pq.ParquetFile(path).metadata
+        with pq.ParquetWriter(path, stored.schema) as w:
+            lo = 0
+            for g in range(md.num_row_groups):
+                n = md.row_group(g).num_rows
+                w.write_table(stored.slice(lo, n), row_group_size=n)
+                lo += n
     elif "tombstone" in fault:
         seg = commit.read(d)["segments"][0]
         delete_docs(d, [seg.lo + 1, seg.lo + 2])
@@ -2804,6 +2918,9 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
         findings = verify_index(d)
         assert findings and all(FAULTS[fault] in f for f in findings), findings
         finding = findings[0]
+    elif fault == "bounds_gap":  # the segment no longer matches its bounds
+        findings = verify_index(d)
+        finding = next((f for f in findings if FAULTS[fault] in f), findings)
     else:
         (finding,) = findings = verify_index(d)
     assert FAULTS[fault] in finding and named in finding, finding

@@ -3,6 +3,7 @@ reference guarantees, codec round trips, analyzer-path equivalence."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,19 +118,29 @@ def test_encode_runs_matches_per_list_encoding(data):
     assert (d == docs).all() and (t == tfs).all() and (p == pos).all()
 
 
+class _DocNorms:
+    """Norms of any doc id, a function of the id: ``norms[docs]``."""
+
+    def __getitem__(self, docs):
+        return 1 + np.asarray(docs) % 997
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pack_unpack_rows_round_trip(data):
-    """``unpack_rows(pack_rows(rows))``, its blocks made the ``blocks``
-    column again, equals ``rows`` (and any slice of them) for postings rows
-    of ``encode_runs`` blocks whose ``bucket`` is their block 0's first doc:
-    one- and multi-block rows, norms rows (no positions), doc gaps up to
-    2^40, and rows whose blocks overlap in doc range, with first docs
-    ascending or not: compaction keeps pieces of interleaved input as they
-    are, and a span it re-cuts can end after the next block starts. Every
-    block's first doc comes back from its ``docs`` payload alone."""
+    """``unpack_rows(pack_rows(rows))`` with the docs' norms, its blocks
+    made the ``blocks`` column again, equals ``rows`` (and any slice of
+    them) for postings rows of ``encode_runs`` blocks whose ``bucket`` is
+    their block 0's first doc and whose ``min_dl`` is the least norm of
+    their docs: one-posting, one-block and multi-block rows, norms rows (no
+    positions), doc gaps up to 2^40, and rows whose blocks overlap in doc
+    range, with first docs ascending or not: compaction keeps pieces of
+    interleaved input as they are, and a span it re-cuts can end after the
+    next block starts. Every block's first doc comes back from its ``docs``
+    payload alone; a one-posting row stores no header, its ``max_tf`` comes
+    back from its one tf and its ``min_dl`` from the norms (0 without)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    sizes = data.draw(st.lists(st.sampled_from([1, 2, 127, 128, 129, 300, 700]),
+    sizes = data.draw(st.lists(st.sampled_from([1, 1, 2, 127, 128, 129, 300, 700]),
                                min_size=1, max_size=6))
     gap = data.draw(st.sampled_from([1, 1000, 1 << 40]))
     positional = data.draw(st.booleans())
@@ -143,7 +154,7 @@ def test_pack_unpack_rows_round_trip(data):
         np.sort(rng.choice(5000, int(t), replace=False)) for t in tfs])
     starts = np.cumsum([0] + [r.size for r in runs[:-1]]).astype(np.int64)
     enc = encode_runs(docs, tfs, starts, pos if positional else None,
-                      rng.integers(0, 1000, docs.size))
+                      _DocNorms()[docs])
     flat = enc.flatten()
     loff = enc.offsets.to_numpy().astype(np.int64)
     if overlap:  # each row: the blocks of two runs, by first doc or not
@@ -163,13 +174,20 @@ def test_pack_unpack_rows_round_trip(data):
         "blocks": blocks,
     }, schema=POSTINGS_SCHEMA)
 
-    def round_trip(stored):
-        out, blocks, offsets = unpack_rows(stored)
+    def round_trip(stored, norms={"text": _DocNorms()}):
+        out, blocks, offsets = unpack_rows(stored, norms)
         return out.append_column("blocks", blocks.list_array(offsets))
 
     stored = pack_rows(rows)
     assert stored.column_names == ["field", "term", "df", "hdr", "docs", "tfs", "pos"]
+    single = stored["df"].to_numpy() == 1
+    assert (pc.binary_length(stored["hdr"]).to_numpy() == 0).tolist() == single.tolist()
     assert round_trip(stored).equals(rows)
+    bare = round_trip(stored, None)["blocks"].combine_chunks()
+    min_dl = bare.flatten().field("min_dl").to_numpy()
+    want = rows["blocks"].combine_chunks().flatten().field("min_dl").to_numpy().copy()
+    want[loff[:-1][single]] = 0
+    assert min_dl.tolist() == want.tolist()
     lo = data.draw(st.integers(0, rows.num_rows))
     part = rows.slice(lo, data.draw(st.integers(0, rows.num_rows - lo)))
     assert round_trip(pack_rows(part)).equals(part)

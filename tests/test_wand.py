@@ -211,7 +211,7 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
     merge re-cuts blocks holding docs whose norms lie in another window.
     Every term block stores a min_dl of at least 1 and at most the least
     norm of its docs (``verify_index`` finds nothing, and no term block
-    stores 0) after the build, after an append and after compaction; and the
+    reads 0: a one-posting row's block reads its doc's norm) after the build, after an append and after compaction; and the
     window merge did re-cut such blocks, each with a positive min_dl."""
     import glob
 
@@ -221,6 +221,7 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
     import lucille_ray.index.build as build_mod
     from lucille_ray.index import commit, compact_index
     from lucille_ray.index.codec import RawBlocks, unpack_rows
+    from lucille_ray.index.segment import SegmentReader
     from lucille_ray.index.verify import verify_index
     from perfbench.corpus import make_turns, make_vocabulary, write_corpus
 
@@ -269,9 +270,11 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
     def check():
         assert verify_index(idx) == []
         for s in commit.read(idx)["segments"]:
-            for path in glob.glob(os.path.join(commit.segment_dir(idx, s.name),
-                                               "postings.parquet", "*")):
-                rows, blocks, loff = unpack_rows(pq.read_table(path))
+            reader = SegmentReader(commit.segment_dir(idx, s.name))
+            norms = {f: reader.norms(f) for f in reader.manifest["fields"]}
+            for path in glob.glob(os.path.join(reader.seg_dir, "postings.parquet", "*")):
+                rows, blocks, loff = unpack_rows(pq.read_table(path), norms,
+                                                 reader.doc_base)
                 rows = rows.append_column("blocks", blocks.list_array(loff))
                 assert (term_blocks(rows)[0].min_dl > 0).all(), path
 
