@@ -170,6 +170,84 @@ def test_encode_postings_golden_bytes(name):
         }]
 
 
+def _merge_pieces_input():
+    """Seeded posting pieces ``(field, term, docs, tfs, positions, dls)`` in
+    (field, term, first doc) order: three adjacent undersized pieces of one
+    term, two undersized pieces whose doc ranges interleave beside a full
+    one, a lone one-posting row, a one-posting row beside an undersized
+    piece of its term, and a term of 300 full blocks and a tail, more than
+    ``ROW_BLOCK_CAP``."""
+    rng = np.random.default_rng(26)
+    spec = [
+        ("role", "user", np.arange(0, 90, 3)),
+        ("role", "user", np.arange(400, 440)),
+        ("text", "alpha", np.arange(0, 50)),
+        ("text", "alpha", np.arange(100, 160)),
+        ("text", "alpha", np.arange(200, 230)),
+        ("text", "beta", np.arange(0, 200, 2)),
+        ("text", "beta", np.arange(1, 201, 2)),
+        ("text", "beta", np.arange(3, 259, 2)),
+        ("text", "delta", np.array([5])),
+        ("text", "delta", np.arange(7, 60, 4)),
+        ("text", "gamma", np.array([33])),
+        ("text", "hot", np.arange(0, 38_400)),
+        ("text", "hot", np.arange(38_400, 38_500)),
+    ]
+    dl = rng.integers(1, 60, 40_000)
+    pieces = []
+    for field, term, docs in spec:
+        docs = docs.astype(np.int64)
+        tfs = rng.integers(1, 5, docs.size).astype(np.int64)
+        pos = np.concatenate([np.sort(rng.choice(200, int(t), replace=False))
+                              for t in tfs]).astype(np.int64)
+        pieces.append((field, term, docs, tfs, pos, dl[docs]))
+    norms = {f: np.where(rng.random(dl.size) < 0.3, 0, dl) for f in ("role", "text")}
+    return pieces, norms
+
+
+#: sha256 of the stored columns the postings writer writes for the merged
+#: rows of ``_merge_pieces_input``: without and with a delete set (the purge)
+GOLDEN_MERGE = {
+    "merge": "d253dd7abc72ae26a4d86ee88db07aca396c09ca929caf8efc54c1cebad4939c",
+    "purge": "6c4e0f42696cb9915acd7224ab48b98a3d29c6abbe69fdf2930d6b758e5dbcdd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MERGE))
+def test_merge_sorted_batch_golden_bytes(name, tmp_path):
+    """The window merge and compaction write the same bytes for one seeded
+    input across changes to their in-memory form: re-cut adjacent
+    undersized pieces (interleaved ones doc-sorted, a one-posting row among
+    them), verbatim full blocks, rows cut at ``ROW_BLOCK_CAP``, and the
+    purge of a delete set."""
+    import pyarrow.parquet as pq
+
+    from lucille_ray.index.codec import encode_runs
+    from lucille_ray.index.compact import _merge_sorted_batch
+    from lucille_ray.index.writer import write_postings_file
+
+    pieces, norms = _merge_pieces_input()
+    cat = [np.concatenate([p[k] for p in pieces]) for k in (2, 3, 4, 5)]
+    sizes = np.array([p[2].size for p in pieces], np.int64)
+    starts = np.cumsum(sizes) - sizes
+    rows = pa.table({
+        "field": pa.array([p[0] for p in pieces], pa.string()),
+        "term": pa.array([p[1] for p in pieces], pa.string()),
+        "bucket": pa.array(cat[0][starts], pa.int64()),
+        "df": pa.array(sizes, pa.int64()),
+        "blocks": encode_runs(cat[0], cat[1], starts, cat[2], cat[3]),
+    })
+    deleted = np.arange(0, 40_000, 5, dtype=np.int64) if name == "purge" else None
+    out = _merge_sorted_batch(rows, norms=norms, deleted=deleted)
+    path = str(tmp_path / "merged.parquet")
+    write_postings_file(out, path)
+    stored = pq.read_table(path)
+    digest = hashlib.sha256()
+    for c in ("field", "term", "df", "hdr", "docs", "tfs", "pos"):
+        digest.update(repr(stored[c].to_pylist()).encode())
+    assert digest.hexdigest() == GOLDEN_MERGE[name]
+
+
 def _synthetic_turns(n_turns: int, vocab: int, seed: int) -> pa.Table:
     rng = np.random.default_rng(seed)
     words = np.array([f"w{j}x" for j in range(vocab)])
