@@ -79,8 +79,8 @@ import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
 from . import commit
-from .codec import (POSTINGS_SCHEMA, RawBlocks, encode_runs,
-                    seg_parts, sort_postings, unpack_rows, with_seg)
+from .codec import (BLOCK_SIZE, RawBlocks, encode_runs, int64_column, pack_rows,
+                    row_order, seg_parts, sort_postings, unpack_rows, with_seg)
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
 
@@ -514,25 +514,19 @@ def _posting_rows(
     field: str, terms: Sequence[str], docs: np.ndarray, tfs: np.ndarray,
     run_starts: np.ndarray, pos: Optional[np.ndarray], dls: Optional[np.ndarray],
 ) -> pa.Table:
-    """Posting rows of one field, one per doc-sorted run of ``docs`` (term
-    ``terms[i]`` starts at ``run_starts[i]``), encoded in one
-    :func:`~.codec.encode_runs` call; ``bucket`` is each run's first doc."""
-    return pa.table(
-        {
-            "field": pa.array([field] * run_starts.size, pa.string()),
-            "term": pa.array(terms, pa.string()),
-            "bucket": pa.array(docs[run_starts], pa.int64()),
-            "df": pa.array(np.diff(np.append(run_starts, docs.size)), pa.int64()),
-            "blocks": encode_runs(docs, tfs, run_starts, pos, dls),
-        }
-    )
+    """Packed posting rows of one field, one per doc-sorted run of ``docs``
+    (term ``terms[i]`` starts at ``run_starts[i]``), encoded in one
+    :func:`~.codec.encode_runs` call."""
+    keys = pa.table({"field": pa.array([field] * run_starts.size, pa.string()),
+                     "term": pa.array(terms, pa.string())})
+    return pack_rows(keys, *encode_runs(docs, tfs, run_starts, pos, dls))
 
 
 class _TokenizeEncode:
     """Shuffle-free postings build: each batch emits its *final* encoded
-    posting rows, with ``bucket = min doc_id of the piece``, for each segment
-    part of the batch separately (every row, the norms row included, holds
-    the docs of one segment, named by its ``seg`` column).
+    posting rows, packed (``codec.pack_rows``), for each segment part of the
+    batch separately (every row, the norms row included, holds the docs of
+    one segment, named by its ``seg`` column).
 
     Works because posting rows of one term only need to concatenate back in
     doc-id order at read time — the reader doc-sorts on decode when pieces
@@ -550,7 +544,8 @@ class _TokenizeEncode:
         _limit_worker_threads()
         parts = [with_seg(self._encode(rows), s) for s, rows in seg_parts(batch)]
         if not parts:
-            return with_seg(POSTINGS_SCHEMA.empty_table(), 0)
+            none = np.empty(0, np.int64)
+            return with_seg(_posting_rows("", [], none, none, none, None, None), 0)
         return pa.concat_tables(parts)
 
     def _encode(self, batch: pa.Table) -> pa.Table:
@@ -645,20 +640,23 @@ def _is_norms_row(rows: pa.Table) -> pa.ChunkedArray:
     return pa.compute.equal(rows["term"], pa.scalar(NORMS_TERM, pa.string()))
 
 
-def _decode_norms(batch: pa.Table) -> dict:
-    """field -> :class:`_SparseDls` decoded from the NORMS_TERM rows of
-    in-memory postings ``batch``: a merge window's or a segment's staged rows.
-    Each tokenize piece carries a norms row covering exactly its docs, so a
-    window of whole pieces resolves every doc its term rows reference; a doc
-    whose norms row landed in a neighbouring window counts at its source
-    block's ``min_dl`` when its block is re-cut."""
+def _decode_norms(rows: pa.Table, blocks: RawBlocks, offsets: np.ndarray) -> dict:
+    """field -> :class:`_SparseDls` decoded from the NORMS_TERM rows among
+    unpacked postings rows (``codec.unpack_rows``): a merge window's or a
+    segment's staged rows. Each tokenize piece carries a norms row covering
+    exactly its docs, so a window of whole pieces resolves every doc its
+    term rows reference; a doc whose norms row landed in a neighbouring
+    window counts at its source block's ``min_dl`` when its block is
+    re-cut."""
+    is_norms = _is_norms_row(rows).to_numpy(zero_copy_only=False)
+    nb = np.diff(offsets)
+    sel = np.flatnonzero(np.repeat(is_norms, nb))
+    docs, dls, _ = blocks.decode_blocks(sel)
+    field = np.repeat(np.asarray(rows["field"].to_pylist(), dtype=object), nb)[sel]
+    field = np.repeat(field, blocks.ns[sel])
     out: dict = {}
-    sub = batch.filter(_is_norms_row(batch))
-    for f in set(sub["field"].to_pylist()):
-        rows = sub.filter(pa.compute.equal(sub["field"], f))
-        docs, dls, _ = RawBlocks(rows["blocks"].combine_chunks().flatten()).decode()
-        docs, dls, _ = sort_postings(docs, dls, None)
-        out[f] = _SparseDls(docs, dls)
+    for f in set(field.tolist()):
+        out[f] = _SparseDls(*sort_postings(docs[field == f], dls[field == f], None)[:2])
     return out
 
 
@@ -695,9 +693,11 @@ def _piece_merge_batch(batch: pa.Table) -> pa.Table:
     worker. Output rows stay (field, term)-clustered, so parquet row-group
     min/max stats prune term lookups even before full compaction.
 
-    Merge POLICY (LSM-style): a zero-copy peek at the window's per-block
-    posting counts decides whether merging pays; barely-fragmented windows
-    pass through untouched."""
+    Merge POLICY (LSM-style): a peek at the window's per-block posting
+    counts (from its rows' ``df``) decides whether merging pays;
+    barely-fragmented windows pass through untouched. Every row of the
+    window, the merged ones too, keeps its header (``codec`` module
+    docstring)."""
     _limit_worker_threads()
     parts = [
         with_seg(_merge_pieces(rows.drop_columns(["seg"])), s)
@@ -709,25 +709,21 @@ def _piece_merge_batch(batch: pa.Table) -> pa.Table:
 def _merge_pieces(batch: pa.Table) -> pa.Table:
     if batch.num_rows <= 1:
         return batch
-    from .codec import BLOCK_SIZE
-
-    ns = (
-        batch["blocks"].combine_chunks().flatten().field("n").to_numpy(
-            zero_copy_only=False
-        )
-    )
-    if ns.size == 0 or (ns < BLOCK_SIZE).mean() < PIECE_MERGE_MIN_FRAG:
+    # every row is a tokenize-encode piece: ceil(df / BLOCK_SIZE) blocks,
+    # each full but its last
+    df = int64_column(batch["df"].combine_chunks())
+    if (df % BLOCK_SIZE > 0).sum() < PIECE_MERGE_MIN_FRAG * (-(-df // BLOCK_SIZE)).sum():
         return batch
     from .compact import _merge_sorted_batch
 
     is_norms = _is_norms_row(batch)
     norms = batch.filter(is_norms)
-    terms = batch.filter(pa.compute.invert(is_norms)).sort_by(
-        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")]
+    terms = batch.filter(pa.compute.invert(is_norms))
+    merged = _merge_sorted_batch(
+        *unpack_rows(terms.take(row_order(terms, ["field", "term"]))),
+        norms=_decode_norms(*unpack_rows(norms)),
     )
-    return pa.concat_tables(
-        [_merge_sorted_batch(terms, norms=_decode_norms(norms)), norms]
-    )
+    return pa.concat_tables([pack_rows(*merged), norms])
 
 
 # ---------------------------------------------------------------------------
@@ -1068,10 +1064,7 @@ def _finish_segment(
     staging = os.path.join(seg_dir, _NORMS_STAGING)
     staged = [pq.ParquetFile(os.path.join(staging, name)).read()
               for name in sorted(os.listdir(staging))]
-    norms = {}
-    if staged:
-        rows, rb, loff = unpack_rows(pa.concat_tables(staged))
-        norms = _decode_norms(rows.append_column("blocks", rb.list_array(loff)))
+    norms = _decode_norms(*unpack_rows(pa.concat_tables(staged))) if staged else {}
     stats = {"segment": seg, "doc_base": lo, "doc_count": hi - lo, "fields": {}}
     for f in fields:
         docs, dls = (norms[f].docs, norms[f].dls) if f in norms else ([], [])

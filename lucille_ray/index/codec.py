@@ -16,43 +16,48 @@ fixed-size blocks of up to :data:`BLOCK_SIZE` documents:
   the block it came from; the build's norms rows, which never reach a
   committed segment, store 0)
 
-Rows are written from their in-memory form, where a row's blocks are one
-``list<BLOCK_STRUCT>`` cell (:data:`POSTINGS_SCHEMA`) beside its ``bucket``,
-its block 0's ``first_doc`` (the ``(field, term, bucket)`` sort key of the
-build, the window merge and compaction, which work on that form). Readers
-take the blocks of the rows they read as one :class:`RawBlocks` (numpy
-metadata, payload views) instead. On disk a row keeps ``field``, ``term``
-and ``df`` and packs its blocks into four binaries (as Lucene's postings
-format keeps each block's impacts inline with the block, and writes each
-doc id once, in the doc stream):
+Postings have one in-memory form and one Arrow form. In memory, the blocks
+of many rows are one :class:`RawBlocks` (numpy metadata, ``(bytes,
+offsets)`` payload views) beside the rows' block offsets: row ``i`` holds
+blocks ``offsets[i]`` to ``offsets[i + 1]``. :func:`encode_runs` makes
+that form, the window merge and compaction (``compact._merge_sorted_batch``)
+take and return it, and every reader unpacks to it. As Arrow, in the build's
+Ray Data stream and on disk, a row is packed (:func:`pack_rows`): it keeps
+``field``, ``term`` and ``df`` and packs its blocks into four binaries (as
+Lucene's postings format keeps each block's impacts inline with the block,
+and writes each doc id once, in the doc stream):
 
 * ``hdr``  — one varint stream: ``nb`` (blocks in the row); per block
   ``max_tf``, ``min_dl`` and ``last_doc - first_doc``; then, only when
   ``nb > 1``, per block ``n`` and its ``docs``/``tfs``/``pos`` byte
   lengths. A one-block row takes ``n`` from ``df`` and its payload lengths
-  from the row's. A one-posting row (``df`` 1, 60% of the rows of the
-  benchmark's serve index) stores an empty ``hdr``: its one block's
-  ``max_tf`` is its one tf, its span is 0, and its ``min_dl`` is its doc's
-  norm, which the readers that hold the norms fill in
-  (:func:`unpack_rows`), a bound never looser than a stored one;
+  from the row's;
 * ``docs``, ``tfs``, ``pos`` — the row's blocks' payloads end to end.
 
-A block's ``first_doc`` is stored once, as the first (absolute) varint of
-its ``docs`` payload: :func:`varints_at` gathers it, and a row's ``bucket``
-with it (:func:`row_order`, the readers' sort before unpacking).
+The writer stores a one-posting row (``df`` 1, 60% of the rows of the
+benchmark's serve index) with an empty ``hdr``
+(:func:`strip_one_posting_headers`): its one block's ``max_tf`` is its one
+tf, its span is 0, and its ``min_dl`` is its doc's norm, which the readers
+that hold the norms fill in (:func:`unpack_rows`), a bound never looser than
+a stored one. Every row of the build's stream keeps its header: a window
+merge may hold a one-posting row without the norms of its doc, and then
+re-cuts its block at the ``min_dl`` the header carries.
 
-:func:`pack_rows` (the writer's, from the in-memory form) and
-:func:`unpack_rows` (every reader's, to :class:`RawBlocks`) each make one
-varint pass over a whole column; the unpacked blocks' payloads are offsets
-over the stored row buffers, not copies.
+A block's ``first_doc`` is stored once, as the first (absolute) varint of
+its ``docs`` payload: :func:`varints_at` gathers it, and a row's block 0's
+``first_doc`` (its bucket) with it (:func:`row_order`, the sort before
+unpacking).
+
+:func:`pack_rows` and :func:`unpack_rows` each make one varint pass over a
+whole header column; the payloads of packed and unpacked rows are views over
+the same bytes, not copies.
 
 There is one encoder, :func:`encode_runs`: it takes all of a batch's posting
 lists laid end to end and encodes them in one delta pass and one varint pass
-per column, building the Arrow ``list<BLOCK_STRUCT>`` column from buffers.
-The build and compaction call it once per batch (never per term);
-:func:`encode_postings` is its one-list form returning block dicts. Readers
-decode through :class:`RawBlocks`, one varint pass per column over the
-selected blocks.
+per column. The build and compaction call it once per batch (never per
+term); :func:`encode_postings` is its one-list form returning block dicts.
+Readers decode through :class:`RawBlocks`, one varint pass per column over
+the selected blocks.
 """
 
 from __future__ import annotations
@@ -65,55 +70,36 @@ import pyarrow.compute as pc
 
 BLOCK_SIZE = 128
 
-BLOCK_STRUCT = pa.struct(
-    [
-        ("n", pa.int32()),
-        ("max_tf", pa.int32()),
-        ("min_dl", pa.int32()),
-        ("first_doc", pa.int64()),
-        ("last_doc", pa.int64()),
-        ("docs", pa.binary()),
-        ("tfs", pa.binary()),
-        ("pos", pa.binary()),
-    ]
-)
-
-POSTINGS_SCHEMA = pa.schema(
-    [
-        ("field", pa.string()),
-        ("term", pa.string()),
-        ("bucket", pa.int64()),
-        ("df", pa.int64()),
-        ("blocks", pa.list_(BLOCK_STRUCT)),
-    ]
-)
-
+#: the names of a block's metadata (:func:`encode_postings`' dict keys)
 _META = ("n", "max_tf", "min_dl", "first_doc", "last_doc")
 _PAYLOADS = ("docs", "tfs", "pos")
-#: the stored columns :func:`unpack_rows` reads the blocks from
-_BLOCK_SOURCES = ("df", "hdr", *_PAYLOADS)
+#: the packed columns of a row's blocks, the ones :func:`unpack_rows` reads
+BLOCK_COLUMNS = ("df", "hdr", *_PAYLOADS)
 
 
 def _encode_varints_np(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized LEB128 varint encode -> (byte array, bytes-per-value)."""
+    """Vectorized LEB128 varint encode -> (byte array, bytes-per-value):
+    one pass writes every value's first byte, and the further bytes go
+    through the multi-byte minority alone (as in :func:`decode_varints`)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
     nbytes = np.ones(v.size, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        nbytes += tmp > 0
-        tmp >>= np.uint64(7)
-    total = int(nbytes.sum())
-    out = np.zeros(total, dtype=np.uint8)
-    starts = np.zeros(v.size, dtype=np.int64)
-    np.cumsum(nbytes[:-1], out=starts[1:])
-    max_b = int(nbytes.max())
-    for j in range(max_b):
-        mask = nbytes > j
-        chunk = ((v[mask] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nbytes[mask] > j + 1).astype(np.uint8) << 7
-        out[starts[mask] + j] = chunk | cont
+    live = np.flatnonzero(v >= 128)
+    rest = v[live] >> np.uint64(7)
+    while live.size:
+        nbytes[live] += 1
+        more = rest >= 128
+        live, rest = live[more], rest[more] >> np.uint64(7)
+    starts = np.cumsum(nbytes) - nbytes
+    out = np.empty(int(starts[-1] + nbytes[-1]), dtype=np.uint8)
+    out[starts] = (v & np.uint64(0x7F)).astype(np.uint8) | (
+        (nbytes > 1).astype(np.uint8) << 7)
+    live = np.flatnonzero(nbytes > 1)
+    for j in range(1, int(nbytes.max())):
+        out[starts[live] + j] = ((v[live] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(
+            np.uint8) | ((nbytes[live] > j + 1).astype(np.uint8) << 7)
+        live = live[nbytes[live] > j + 1]
     return out, nbytes
 
 
@@ -216,23 +202,23 @@ def chunk_starts(
     return np.repeat(run_starts, nchunks) + size * within, nchunks
 
 
-def _binary_column(data: np.ndarray, value_len: np.ndarray, bounds: np.ndarray) -> pa.Array:
-    """Binary array whose i-th element is the byte span of values
-    ``bounds[i]:bounds[i + 1]`` of a varint stream (``data`` with per-value
-    byte lengths ``value_len``), built straight from buffers."""
+def _varint_view(data: np.ndarray, value_len: np.ndarray,
+                 bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bytes, offsets)`` view whose i-th element is the byte span of
+    values ``bounds[i]:bounds[i + 1]`` of a varint stream (``data`` with
+    per-value byte lengths ``value_len``)."""
     boff = np.zeros(value_len.size + 1, dtype=np.int64)
     np.cumsum(value_len, out=boff[1:])
-    if boff[-1] > np.iinfo(np.int32).max:
-        raise ValueError("posting payload exceeds 2 GiB in one encode batch")
-    return _binary_over(data, boff[bounds])
+    return data, boff[bounds]
 
 
 def encode_runs(
     docs: np.ndarray, tfs: np.ndarray, run_starts: np.ndarray,
     pos: Optional[np.ndarray] = None, dls: Optional[np.ndarray] = None,
-) -> pa.ListArray:
-    """Encode many doc-sorted posting lists laid end to end -> one
-    ``list<BLOCK_STRUCT>`` element per list.
+) -> Tuple["RawBlocks", np.ndarray]:
+    """Encode many doc-sorted posting lists laid end to end -> ``(blocks,
+    offsets)``: every list's blocks as one :class:`RawBlocks`, list ``i``
+    holding blocks ``offsets[i]`` to ``offsets[i + 1]``.
 
     List ``i`` is ``docs[run_starts[i]:run_starts[i + 1]]`` (the last runs to
     the end; ``run_starts`` ascending, equal starts give empty lists), with
@@ -243,9 +229,9 @@ def encode_runs(
     postings' values as ``min_dl``, else ``min_dl`` is 0.
 
     Block boundaries restart at every run start; all heavy work is one delta
-    pass and one varint pass per column over the whole batch, block metadata
-    comes from ``reduceat`` over block starts, and the Arrow column is built
-    from buffers (no per-run or per-block Python)."""
+    pass and one varint pass per column over the whole batch, and block
+    metadata comes from ``reduceat`` over block starts (no per-run or
+    per-block Python)."""
     docs = np.asarray(docs, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
     n = docs.size
@@ -267,43 +253,36 @@ def encode_runs(
     else:
         max_tf = min_dl = np.zeros(0, dtype=np.int64)
 
-    doc_col = _binary_column(*_encode_varints_np(delta_encode(docs, block_starts)), bounds)
-    tf_col = _binary_column(*_encode_varints_np(tfs), bounds)
+    doc_view = _varint_view(*_encode_varints_np(delta_encode(docs, block_starts)), bounds)
+    tf_view = _varint_view(*_encode_varints_np(tfs), bounds)
     if pos is not None:
         pos_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(tfs, out=pos_offsets[1:])
         pos_deltas = delta_encode(pos, pos_offsets[:-1])
-        pos_col = _binary_column(*_encode_varints_np(pos_deltas), pos_offsets[bounds])
+        pos_view = _varint_view(*_encode_varints_np(pos_deltas), pos_offsets[bounds])
     else:  # every block's pos payload is empty
-        no_values = np.empty(0, dtype=np.int64)
-        pos_col = _binary_column(no_values.astype(np.uint8), no_values, np.zeros_like(bounds))
-    blocks = pa.StructArray.from_arrays(
-        [
-            pa.array(block_ends - block_starts, pa.int32()),
-            pa.array(max_tf, pa.int32()),
-            pa.array(min_dl, pa.int32()),
-            pa.array(docs[block_starts], pa.int64()),
-            pa.array(docs[block_ends - 1], pa.int64()),
-            doc_col,
-            tf_col,
-            pos_col,
-        ],
-        fields=list(BLOCK_STRUCT),
-    )
-    return pa.ListArray.from_arrays(pa.array(list_offsets, pa.int32()), blocks)
+        pos_view = (np.empty(0, np.uint8), np.zeros(bounds.size, np.int64))
+    blocks = RawBlocks(block_ends - block_starts, max_tf, min_dl, docs[block_starts],
+                       docs[block_ends - 1], doc_view, tf_view, pos_view)
+    return blocks, list_offsets
 
 
 def encode_postings(
     doc_ids: np.ndarray, tfs: np.ndarray, positions: Optional[np.ndarray],
     dls: Optional[np.ndarray] = None,
 ) -> List[dict]:
-    """doc-sorted postings -> list of block dicts matching :data:`BLOCK_STRUCT`
-    (one posting list through :func:`encode_runs`).
+    """doc-sorted postings -> list of block dicts (``n``, ``max_tf``,
+    ``min_dl``, ``first_doc``, ``last_doc``, and the ``docs``, ``tfs`` and
+    ``pos`` payload bytes; one posting list through :func:`encode_runs`).
 
     ``positions`` is the flat concatenation of per-document position lists; the
     per-document counts are exactly ``tfs``. ``dls`` as in :func:`encode_runs`.
     """
-    return encode_runs(doc_ids, tfs, np.zeros(1, np.int64), positions, dls).to_pylist()[0]
+    rb, _ = encode_runs(doc_ids, tfs, np.zeros(1, np.int64), positions, dls)
+    meta = zip(*(a.tolist() for a in (rb.ns, rb.max_tf, rb.min_dl, rb.firsts, rb.lasts)))
+    payloads = zip(*([vals[a:b].tobytes() for a, b in zip(offs[:-1].tolist(), offs[1:].tolist())]
+                     for vals, offs in (rb.docs, rb.tfs, rb.pos)))
+    return [dict(zip((*_META, *_PAYLOADS), (*m, *p))) for m, p in zip(meta, payloads)]
 
 
 def _bin_view(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
@@ -366,16 +345,6 @@ def with_seg(rows: pa.Table, seg: int) -> pa.Table:
     return rows.append_column(
         "seg", numeric_array(np.full(rows.num_rows, seg, np.int32))
     )
-
-
-def stored_columns(columns) -> List[str]:
-    """The stored columns to read for the in-memory ``columns``, in order
-    and without repeats: ``blocks`` needs ``df``, ``hdr`` and the three
-    payloads, ``bucket`` the ``docs`` payload it starts."""
-    sources = {"blocks": _BLOCK_SOURCES, "bucket": ("docs",)}
-    return list(dict.fromkeys(
-        c for name in columns for c in sources.get(name, (name,))
-    ))
 
 
 #: up to this many values :func:`varints_at` reads byte by byte: a read of a
@@ -443,10 +412,10 @@ def row_order(rows: pa.Table, keys: Sequence[str]) -> pa.Array:
     )
 
 
-def varint_counts(arr: pa.Array) -> np.ndarray:
-    """Number of varints in each element of a binary array of varint
-    streams (the bytes below 128 end a varint)."""
-    vals, offs = _bin_view(arr)
+def varint_counts(view: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Number of varints in each element of a ``(bytes, offsets)`` view of
+    varint streams (the bytes below 128 end a varint)."""
+    vals, offs = view
     ends = np.zeros(offs[-1] - offs[0] + 1, np.int64)
     np.cumsum(vals[offs[0]: offs[-1]] < 128, out=ends[1:])
     return np.diff(ends[offs - offs[0]])
@@ -460,68 +429,70 @@ def _one_array(col: pa.ChunkedArray) -> pa.Array:
 def _binary_over(vals: np.ndarray, offsets: np.ndarray) -> pa.Array:
     """Binary array over the bytes ``vals`` with element boundaries
     ``offsets`` (absolute in ``vals``): no byte moves."""
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError("posting payload exceeds 2 GiB in one batch")
     return pa.BinaryArray.from_buffers(
         pa.binary(), offsets.size - 1,
         [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(vals)],
     )
 
 
-def pack_rows(rows: pa.Table) -> pa.Table:
-    """In-memory postings rows (a ``blocks`` column beside ``bucket`` and
-    ``df``) -> the stored rows: ``bucket`` dropped and ``blocks`` replaced
-    by ``hdr``, ``docs``, ``tfs`` and ``pos`` (module docstring; a
-    one-posting row's ``hdr`` is empty). One varint pass builds every
-    header; the payload columns reuse the blocks' byte buffers. Raises
-    where a reader could not recover the rows: a row without blocks, a
-    ``bucket`` that is not the row's block 0's ``first_doc``, a
-    ``first_doc`` that is not the first varint of its block's ``docs``, a
-    ``last_doc`` below its ``first_doc`` and a one-block row whose ``n`` is
-    not its ``df``."""
-    lists = _one_array(rows["blocks"])
-    loff = int64_column(lists.offsets)
-    loff -= loff[0]
+def pack_rows(keys: pa.Table, blocks: "RawBlocks", offsets: np.ndarray) -> pa.Table:
+    """Rows in memory (``keys``, one row per row of postings, and their
+    ``blocks``: row ``i`` holds blocks ``offsets[i]`` to ``offsets[i + 1]``,
+    the offsets running from 0 to ``blocks.count``) -> packed rows: the
+    ``keys`` columns, then ``df``, ``hdr``, ``docs``, ``tfs`` and ``pos``
+    (module docstring; every row keeps its header). One varint pass builds
+    every header; the payload columns are views over the blocks' bytes.
+    Raises where a reader could not recover the rows: a row without blocks,
+    a ``first_doc`` that is not the first varint of its block's ``docs``
+    and a ``last_doc`` below its ``first_doc``."""
+    rb, loff = blocks, np.asarray(offsets, np.int64)
     nb = np.diff(loff)
-    rb = RawBlocks(lists.flatten())
-    rows_of = np.repeat(np.arange(nb.size), nb)
-    in_row = np.arange(rb.count) - loff[:-1][rows_of]
-    df = int64_column(_one_array(rows["df"]))
-    span = rb.lasts - rb.firsts
-    multi = nb > 1
     if (nb < 1).any():
         raise ValueError("a postings row holds no blocks")
-    if (int64_column(_one_array(rows["bucket"])) != rb.firsts[loff[:-1]]).any():
-        raise ValueError("a postings row's bucket is not its first block's first_doc")
-    docs, doffs = rb._docs
+    rows_of = np.repeat(np.arange(nb.size), nb)
+    in_row = np.arange(rb.count) - loff[:-1][rows_of]
+    span = rb.lasts - rb.firsts
+    docs, doffs = rb.docs
     if (varints_at(docs, doffs[:-1], doffs[1:]) != rb.firsts).any():
         raise ValueError("a postings block's first_doc is not the first varint of its docs")
     if (span < 0).any():
         raise ValueError("a postings block's last_doc is below its first_doc")
-    if (rb.ns[loff[:-1]][~multi] != df[~multi]).any():
-        raise ValueError("a one-block postings row's n is not its df")
 
-    # a one-posting row stores no header: its one block's n is its df, its
-    # max_tf its one tf, its span 0, and its min_dl its doc's norm
-    single = ~multi & (df == 1)
-    nvals = np.where(single, 0, 1 + 3 * nb + 4 * nb * multi)
+    multi = nb > 1
+    nvals = 1 + 3 * nb + 4 * nb * multi
     vstart = np.cumsum(nvals) - nvals
     vals = np.empty(int(nvals.sum()), np.int64)
-    vals[vstart[~single]] = nb[~single]
-    kept = ~single[rows_of]
-    at = (vstart[rows_of] + 1 + 3 * in_row)[kept]
+    vals[vstart] = nb
+    at = vstart[rows_of] + 1 + 3 * in_row
     for k, v in enumerate((rb.max_tf, rb.min_dl, span)):
-        vals[at + k] = v[kept]
+        vals[at + k] = v
     m = multi[rows_of]
     at = (vstart[rows_of] + 1 + 3 * nb[rows_of] + 4 * in_row)[m]
     vals[at] = rb.ns[m]
     payload = []
-    for k, (data, offs) in enumerate((rb._docs, rb._tfs, rb._pos), 1):
+    for k, (data, offs) in enumerate((rb.docs, rb.tfs, rb.pos), 1):
         vals[at + k] = np.diff(offs)[m]
         payload.append(_binary_over(data, offs[loff]))
-    hdr = _binary_column(*_encode_varints_np(vals), np.append(vstart, vals.size))
-    out = rows.drop_columns(["bucket", "blocks"])
-    for name, arr in zip(("hdr", *_PAYLOADS), (hdr, *payload)):
+    hdr = _binary_over(*_varint_view(*_encode_varints_np(vals), np.append(vstart, vals.size)))
+    df = np.add.reduceat(rb.ns, loff[:-1]) if nb.size else np.zeros(0, np.int64)
+    out = keys
+    for name, arr in zip(BLOCK_COLUMNS, (numeric_array(df), hdr, *payload)):
         out = out.append_column(name, arr)
     return out
+
+
+def strip_one_posting_headers(rows: pa.Table) -> pa.Table:
+    """Packed rows as the writer stores them: each one-posting row's header
+    emptied (its ``max_tf``, ``min_dl`` and span are its tf, its doc's norm
+    and 0, which the readers fill in)."""
+    vals, offs = _bin_view(_one_array(rows["hdr"]))
+    lens = np.diff(offs)
+    lens[int64_column(_one_array(rows["df"])) == 1] = 0
+    kept = np.repeat(lens > 0, np.diff(offs))  # per header byte
+    hdr = _binary_over(vals[offs[0]: offs[-1]][kept], np.append(0, np.cumsum(lens)))
+    return rows.set_column(rows.schema.get_field_index("hdr"), "hdr", hdr)
 
 
 #: the header values a one-posting row reads: nb 1; max_tf, min_dl and
@@ -552,15 +523,13 @@ def _varint_streams(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
 
 def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
                 ) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
-    """Stored postings rows -> ``(rows, blocks, offsets)``: the rows with
-    their in-memory ``bucket`` (before ``df``) and without ``hdr`` and the
-    payload columns; every row's blocks, in row order, as one
-    :class:`RawBlocks` whose payloads are views over the stored row buffers;
+    """Packed postings rows -> ``(rows, blocks, offsets)``: the rows without
+    ``hdr`` and the payload columns; every row's blocks, in row order, as
+    one :class:`RawBlocks` whose payloads are views over the rows' buffers;
     and the block offsets of the rows (row ``i`` holds blocks ``offsets[i]``
-    to ``offsets[i + 1]``; :meth:`RawBlocks.list_array` makes them the
-    in-memory ``blocks`` column). One varint pass decodes every header and
-    one gather (:func:`varints_at`) reads every block's ``first_doc``, and
-    one more each one-posting row's tf, its ``max_tf``.
+    to ``offsets[i + 1]``). One varint pass decodes every header and one
+    gather (:func:`varints_at`) reads every block's ``first_doc``, and one
+    more each one-posting row's tf, its ``max_tf``.
 
     A row without a header is a one-posting row (``verify.py`` checks that
     its ``df`` is 1); it stores no ``min_dl``: given ``norms`` ({field: its
@@ -619,72 +588,45 @@ def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
             for c, field in enumerate(fields.dictionary.to_pylist()):
                 at = one[code == c]
                 min_dl[at] = norms[field][firsts[at] - doc_base]
-    blocks = RawBlocks.from_arrays(
-        ns, max_tf, min_dl, firsts, firsts + span,
-        *((v, b) for (v, _), b in zip(views, boffs)))
-    out = rows.drop_columns(["hdr", *_PAYLOADS])
-    out = out.add_column(out.schema.get_field_index("df"), "bucket",
-                         numeric_array(firsts[loff[:-1]]))
-    return out, blocks, loff
+    blocks = RawBlocks(ns, max_tf, min_dl, firsts, firsts + span,
+                       *((v, b) for (v, _), b in zip(views, boffs)))
+    return rows.drop_columns(["hdr", *_PAYLOADS]), blocks, loff
 
 
 class RawBlocks:
-    """Zero-copy view over one term's UNDECODED posting blocks (the flattened
-    ``blocks`` struct children of its rows, in bucket order).
+    """Zero-copy view over UNDECODED posting blocks: a term's (the blocks of
+    its rows, in bucket order), or those of many rows laid end to end, the
+    in-memory postings form (module docstring).
 
     Replaces the list-of-dict representation: materializing tens of thousands
     of Python block dicts (``to_pylist``) and re-joining their payload bytes
-    dominated cold hot-term lookups. Here metadata columns are numpy views and
-    payload decode slices the shared byte buffers directly (a single slice for
-    a full decode; per-run slices for a selective one).
+    dominated cold hot-term lookups. Here the metadata are int64 numpy
+    arrays (``ns``, ``max_tf``, ``min_dl``, ``firsts``, ``lasts``) and each
+    payload (``docs``, ``tfs``, ``pos``) a ``(bytes, offsets)`` view, block
+    ``k``'s bytes ``offsets[k]`` to ``offsets[k + 1]`` (absolute, blocks end
+    to end); decode slices the shared byte buffers directly (a single slice
+    for a full decode; per-run slices for a selective one).
 
     ``nbytes`` counts the metadata arrays plus this term's own payload byte
     ranges. Sibling views from one multi-term read share that read's payload
     buffers, which stay alive while any of them does."""
 
     __slots__ = (
-        "count", "ns", "max_tf", "min_dl", "firsts", "lasts", "_docs", "_tfs", "_pos",
+        "count", "ns", "max_tf", "min_dl", "firsts", "lasts", "docs", "tfs", "pos",
     )
 
-    def __init__(self, struct_arr: pa.Array):
-        if isinstance(struct_arr, pa.ChunkedArray):
-            struct_arr = struct_arr.combine_chunks()
-        self._set(*(int64_column(struct_arr.field(f)) for f in _META),
-                  *(_bin_view(struct_arr.field(f)) for f in _PAYLOADS))
-
-    def _set(self, ns, max_tf, min_dl, firsts, lasts, docs, tfs, pos) -> None:
+    def __init__(self, ns, max_tf, min_dl, firsts, lasts, docs, tfs, pos):
         self.count = ns.size
         self.ns, self.max_tf, self.min_dl = ns, max_tf, min_dl
         self.firsts, self.lasts = firsts, lasts
-        self._docs, self._tfs, self._pos = docs, tfs, pos
-
-    @classmethod
-    def from_arrays(cls, *arrays) -> "RawBlocks":
-        """Blocks from their int64 ``n``, ``max_tf``, ``min_dl``,
-        ``first_doc`` and ``last_doc`` arrays and their ``docs``, ``tfs``
-        and ``pos`` (bytes, absolute offsets) payload views."""
-        rb = cls.__new__(cls)
-        rb._set(*arrays)
-        return rb
+        self.docs, self.tfs, self.pos = docs, tfs, pos
 
     def slice(self, lo: int, hi: int) -> "RawBlocks":
         """Blocks ``lo`` to ``hi``: metadata copied, payloads still views."""
-        return RawBlocks.from_arrays(
+        return RawBlocks(
             *(a[lo:hi].copy() for a in (self.ns, self.max_tf, self.min_dl,
                                         self.firsts, self.lasts)),
-            *((v, o[lo: hi + 1].copy()) for v, o in (self._docs, self._tfs, self._pos)))
-
-    def list_array(self, offsets: np.ndarray) -> pa.ListArray:
-        """These blocks as a ``list<BLOCK_STRUCT>`` array whose list ``i``
-        holds blocks ``offsets[i]`` to ``offsets[i + 1]``; the payloads stay
-        views over the same bytes."""
-        blocks = pa.StructArray.from_arrays(
-            [*(numeric_array(a.astype(np.int32)) for a in (self.ns, self.max_tf, self.min_dl)),
-             numeric_array(self.firsts), numeric_array(self.lasts),
-             *(_binary_over(*v) for v in (self._docs, self._tfs, self._pos))],
-            fields=list(BLOCK_STRUCT),
-        )
-        return pa.ListArray.from_arrays(numeric_array(offsets.astype(np.int32)), blocks)
+            *((v, o[lo: hi + 1].copy()) for v, o in (self.docs, self.tfs, self.pos)))
 
     def __len__(self) -> int:
         return self.count
@@ -692,7 +634,7 @@ class RawBlocks:
     @property
     def nbytes(self) -> int:
         meta = (self.ns, self.max_tf, self.min_dl, self.firsts, self.lasts)
-        views = (self._docs, self._tfs, self._pos)
+        views = (self.docs, self.tfs, self.pos)
         return sum(a.nbytes for a in meta) + sum(
             offs.nbytes + (int(offs[-1] - offs[0]) if offs.size else 0)
             for _vals, offs in views
@@ -738,22 +680,45 @@ class RawBlocks:
             )
         block_starts = np.zeros(ns.size, dtype=np.int64)
         np.cumsum(ns[:-1], out=block_starts[1:])
-        doc_deltas = decode_varints(self._gather(self._docs, sel))
+        doc_deltas = decode_varints(self._gather(self.docs, sel))
         doc_ids = delta_decode(doc_deltas, block_starts, ns)
-        tfs = decode_varints(self._gather(self._tfs, sel))
+        tfs = decode_varints(self._gather(self.tfs, sel))
         pos = None
         if want_positions:
             doc_pos_starts = np.zeros(tfs.size, dtype=np.int64)
             np.cumsum(tfs[:-1], out=doc_pos_starts[1:])
-            pos_deltas = decode_varints(self._gather(self._pos, sel))
+            pos_deltas = decode_varints(self._gather(self.pos, sel))
             pos = delta_decode(pos_deltas, doc_pos_starts, tfs.astype(np.int64))
         return doc_ids, tfs, pos
+
+
+def take_blocks(parts: Sequence[RawBlocks], sel: np.ndarray) -> RawBlocks:
+    """Blocks ``sel`` (indices into ``parts``' blocks laid end to end) as
+    one :class:`RawBlocks` whose payloads hold their bytes end to end in
+    that order: the metadata gathered by the numpy index, each payload's
+    bytes by one ``take`` over a binary view of them."""
+    meta = (np.concatenate([getattr(p, a) for p in parts])[sel]
+            for a in ("ns", "max_tf", "min_dl", "firsts", "lasts"))
+    index = numeric_array(np.asarray(sel, np.int64))
+    views = []
+    for name in _PAYLOADS:
+        arrs = [_binary_over(*getattr(p, name)) for p in parts]
+        arr = arrs[0] if len(arrs) == 1 else pa.concat_arrays(arrs)
+        views.append(_bin_view(arr.take(index)))
+    return RawBlocks(*meta, *views)
 
 
 def decode_postings(
     blocks, want_positions: bool = False
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """blocks (a sequence of dicts matching :data:`BLOCK_STRUCT`, as
-    :func:`encode_postings` returns) -> (doc_ids, tfs, flat_positions|None),
-    decoded through :class:`RawBlocks`."""
-    return RawBlocks(pa.array(list(blocks), BLOCK_STRUCT)).decode(want_positions)
+    """blocks (a sequence of dicts, as :func:`encode_postings` returns) ->
+    (doc_ids, tfs, flat_positions|None), decoded through :class:`RawBlocks`."""
+    blocks = list(blocks)
+    meta = (np.array([b[k] for b in blocks], np.int64) for k in _META)
+    views = []
+    for name in _PAYLOADS:
+        lens = np.array([len(b[name]) for b in blocks], np.int64)
+        offs = np.zeros(lens.size + 1, np.int64)
+        np.cumsum(lens, out=offs[1:])
+        views.append((np.frombuffer(b"".join(b[name] for b in blocks), np.uint8), offs))
+    return RawBlocks(*meta, *views).decode(want_positions)

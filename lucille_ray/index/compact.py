@@ -22,7 +22,7 @@ import json
 import os
 import shutil
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -31,8 +31,8 @@ import pyarrow.parquet as pq
 
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, _limit_worker_threads, read_manifest
-from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, row_order,
-                    take_postings, unpack_rows)
+from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, pack_rows,
+                    row_order, take_blocks, take_postings, unpack_rows)
 from .segment import live_mask
 
 
@@ -66,7 +66,7 @@ def _reencode_spans(
     bound on its doc's length, and a posting whose doc has a norm in
     ``norms`` (``span_field`` names each span's field; the build's window
     merge holds only its window's norms) at that norm; each new block stores
-    the least. Returns one block list per span."""
+    the least. Returns the new blocks and each span's block offsets."""
     nspans = span_nb.size
     docs, tfs, pos = raw.decode_blocks(sel, want_positions=True)
     dls = np.repeat(raw.min_dl[sel], raw.ns[sel])
@@ -99,22 +99,24 @@ def _reencode_spans(
 
 
 def _merge_sorted_batch(
-    batch: pa.Table, *, norms=None, doc_base: int = 0, deleted=None,
-) -> pa.Table:
-    """One batch of (field, term, bucket)-sorted piece rows -> merged rows,
-    one (or a few, for hot terms past ROW_BLOCK_CAP) per (field, term) run
-    present in the batch.
+    rows: pa.Table, raw: RawBlocks, row_off: np.ndarray, *, norms=None,
+    doc_base: int = 0, deleted=None,
+) -> Tuple[pa.Table, RawBlocks, np.ndarray]:
+    """One batch of (field, term, bucket)-sorted piece rows (``rows``' field
+    and term, their blocks ``raw``, row ``i`` holding blocks ``row_off[i]``
+    to ``row_off[i + 1]``) -> the merged rows in the same form ``(rows,
+    blocks, offsets)``: one row (or a few, for hot terms past
+    ROW_BLOCK_CAP) per (field, term) run present in the batch.
 
     Blocks are self-contained (each starts with an absolute doc id), so almost
     every block is copied VERBATIM — an LSM-style block-preserving merge.
     The verbatim path never touches payload bytes at the Python layer: the
-    batch's ``blocks`` column is viewed through :class:`RawBlocks` (numpy
-    metadata views over the flattened struct children), the output block
-    sequence is assembled as an int64 index vector, and ONE Arrow ``take``
-    gathers the surviving blocks in C. Only spans of >=2 ADJACENT undersized
-    piece-tail blocks decode + re-encode (merging splinters into full blocks),
-    as does every block of a tombstoned segment (the purge moment, where
-    deleted docs physically leave and per-row df re-derives from what
+    output block sequence is assembled as an int64 index vector, and
+    :func:`~.codec.take_blocks` gathers the surviving blocks by it (one
+    Arrow ``take`` per payload). Only spans of >=2 ADJACENT undersized
+    piece-tail blocks decode + re-encode (merging splinters into full
+    blocks), as does every block of a tombstoned segment (the purge moment,
+    where deleted docs physically leave and per-row df re-derives from what
     remains). All of a batch's spans decode in one pass and re-encode in one
     :func:`encode_runs` call. Blocks whose doc RANGES overlap (pieces of one
     term from input batches whose docs interleave) are kept as-is: every
@@ -136,22 +138,14 @@ def _merge_sorted_batch(
     bound on its docs' lengths. ``deleted`` (sorted doc ids) is a tombstoned
     segment's delete set."""
     _limit_worker_threads()
-    if batch.num_rows == 0:
-        return batch
+    fcol = rows.column("field").combine_chunks()
+    tcol = rows.column("term").combine_chunks()
+    nrows = rows.num_rows
+    if nrows == 0:
+        return pa.table({"field": fcol, "term": tcol}), raw, row_off
 
-    lists = batch.column("blocks").combine_chunks()
-    flat = lists.flatten()
-    raw = RawBlocks(flat)
-    nflat = len(raw)
-    row_nb = pc.list_value_length(lists).to_numpy(zero_copy_only=False).astype(np.int64)
-    row_off = np.zeros(row_nb.size + 1, np.int64)
-    np.cumsum(row_nb, out=row_off[1:])
-
-    fcol = batch.column("field").combine_chunks()
-    tcol = batch.column("term").combine_chunks()
     f_idx = pc.dictionary_encode(fcol).indices.to_numpy(zero_copy_only=False)
     t_idx = pc.dictionary_encode(tcol).indices.to_numpy(zero_copy_only=False)
-    nrows = batch.num_rows
     change = np.flatnonzero((np.diff(f_idx) != 0) | (np.diff(t_idx) != 0)) + 1
     run_starts = np.concatenate([[0], change]).astype(np.int64)
     run_ends = np.append(change, nrows)
@@ -182,19 +176,15 @@ def _merge_sorted_batch(
 
     # re-encode: one decode + one encode; new blocks append after the batch's
     # own blocks
-    combined, ns_comb, firsts_comb = flat, raw.ns, raw.firsts
+    parts = [raw]
     span_new_start = span_new_nb = np.zeros(nspans, np.int64)
     if nspans:
-        new = _reencode_spans(
+        new, offs = _reencode_spans(
             raw, order[member], span_nb, run_field[span_run], norms, doc_base, deleted,
         )
-        offs = new.offsets.to_numpy().astype(np.int64)
-        span_new_start = nflat + offs[:-1]
+        span_new_start = raw.count + offs[:-1]
         span_new_nb = np.diff(offs)
-        blocks = new.flatten()
-        combined = pa.concat_arrays([flat, blocks])
-        ns_comb = np.concatenate([raw.ns, blocks.field("n").to_numpy().astype(np.int64)])
-        firsts_comb = np.concatenate([raw.firsts, blocks.field("first_doc").to_numpy()])
+        parts.append(new)
 
     # output block sequence: each verbatim block, each span's new blocks
     unit = np.flatnonzero(~member | (stretch_start & member))
@@ -207,28 +197,16 @@ def _merge_sorted_batch(
         np.cumsum(u_count) - u_count, u_count
     )
     seq_run = np.repeat(o_run[unit], u_count)
-    if not seq.size:
-        return batch.schema.empty_table()
 
     # rows: each run's sequence in chunks of ROW_BLOCK_CAP blocks
     out_runs = np.flatnonzero(np.diff(np.append(-1, seq_run)) != 0)
     row_start, row_count = chunk_starts(
         out_runs, np.diff(np.append(out_runs, seq.size)), ROW_BLOCK_CAP
     )
-    row_run = np.repeat(seq_run[out_runs], row_count)
-    src_row = pa.array(run_starts[row_run])
-    taken = combined.take(pa.array(seq))
-    return pa.table(
-        {
-            "field": fcol.take(src_row).cast(pa.string()),
-            "term": tcol.take(src_row).cast(pa.string()),
-            "bucket": pa.array(firsts_comb[seq[row_start]], pa.int64()),
-            "df": pa.array(np.add.reduceat(ns_comb[seq], row_start), pa.int64()),
-            "blocks": pa.ListArray.from_arrays(
-                pa.array(np.append(row_start, seq.size), pa.int32()), taken
-            ),
-        }
-    )
+    src_row = pa.array(run_starts[np.repeat(seq_run[out_runs], row_count)], pa.int64())
+    keys = pa.table({"field": fcol.take(src_row).cast(pa.string()),
+                     "term": tcol.take(src_row).cast(pa.string())})
+    return keys, take_blocks(parts, seq), np.append(row_start, seq.size)
 
 
 def _at_or_after(t: pa.Table, key: tuple):
@@ -239,30 +217,33 @@ def _at_or_after(t: pa.Table, key: tuple):
 
 
 def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: str,
-                 norms: dict, doc_base: int, deleted: Optional[np.ndarray]) -> dict:
+                 norms: dict, doc_base: int, doc_count: int,
+                 deleted: Optional[np.ndarray]) -> dict:
     """One term range of a segment's compaction, run as a Ray task: read the
     row groups ``groups`` (``[(file, [row group, ...]), ...]``), keep the rows
     with ``lo <= (field, term) < hi`` (``None``: unbounded), stable-sort them
     by (field, term, bucket), unpack them (a one-posting row's block takes
     its doc's norm as ``min_dl``), merge them in one
-    :func:`_merge_sorted_batch` call (``norms``, ``doc_base``, ``deleted``:
-    its arguments) and write the merged rows to ``path`` (nothing when none
-    are left). Returns the row groups read, the rows read, kept and written,
-    and the wall seconds."""
+    :func:`_merge_sorted_batch` call (``doc_base``, ``deleted``: its
+    arguments; ``norms`` as :func:`_shipped_norms` sends them, over the
+    segment's ``doc_count`` docs) and write the merged rows to ``path``
+    (nothing when none are left). Returns the row groups read, the rows
+    read, kept and written, and the wall seconds."""
     from .writer import write_postings_file
 
     t0 = time.perf_counter()
     _limit_worker_threads()
+    norms = {f: np.broadcast_to(v, (doc_count,)) if isinstance(v, int) else v
+             for f, v in norms.items()}
     t = pa.concat_tables([pq.ParquetFile(f).read_row_groups(gs) for f, gs in groups])
     rows_read = t.num_rows
     if lo is not None:
         t = t.filter(_at_or_after(t, lo))
     if hi is not None:
         t = t.filter(pc.invert(_at_or_after(t, hi)))
-    rows, blocks, loff = unpack_rows(t.take(row_order(t, ["field", "term"])),
-                                     norms, doc_base)
-    out = _merge_sorted_batch(rows.append_column("blocks", blocks.list_array(loff)),
-                              norms=norms, doc_base=doc_base, deleted=deleted)
+    out = pack_rows(*_merge_sorted_batch(
+        *unpack_rows(t.take(row_order(t, ["field", "term"])), norms, doc_base),
+        norms=norms, doc_base=doc_base, deleted=deleted))
     if out.num_rows:
         write_postings_file(out, path)
     return {"row_groups": sum(len(gs) for _, gs in groups), "rows_read": rows_read,
@@ -320,6 +301,16 @@ def _plan_ranges(files: list) -> list:
         # fewer cuts, in proportion to their cost, but at least half as many:
         # what a cut costs depends on where it lands
         nranges = max(nranges // 2, min(nranges - 1, 1 + (nranges - 1) * int(n.sum()) // read))
+
+
+def _shipped_norms(reader, norms: dict) -> dict:
+    """A segment's ``norms`` as its range tasks get them: the norms of a
+    field whose docs all have one length as that value, which
+    :func:`_merge_range` broadcasts again (a pickled broadcast array holds
+    one value per doc)."""
+    fields = reader.stats["fields"]
+    return {f: fields[f]["norm"] if "norm" in fields.get(f, {}) else arr
+            for f, arr in norms.items()}
 
 
 def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tuple:
@@ -380,7 +371,7 @@ def _compact_segment(
     # broadcast the segment's norms once (ray.put, zero-copy reads in every
     # merge task) so re-cut blocks keep an exact min_dl for WAND bounds; a
     # tombstoned segment's merge is the purge, so its deleted set goes too
-    shared = (ray.put(norms), reader.doc_base,
+    shared = (ray.put(_shipped_norms(reader, norms)), reader.doc_base, reader.doc_count,
               None if reader.deleted is None else ray.put(reader.deleted))
     tasks = [(groups, lo, hi, os.path.join(postings_path, f"part-{i:06d}.parquet"), *shared)
              for i, (lo, hi, groups) in enumerate(_plan_ranges(files))]

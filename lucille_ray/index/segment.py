@@ -59,8 +59,8 @@ import pyarrow.parquet as pq
 
 from . import commit
 from .build import CONVMAP_FILE, MANIFEST_FILE, _narrowest_uint, norms_file
-from .codec import (BLOCK_STRUCT, RawBlocks, int64_column, numeric_array,
-                    row_order, sort_postings, stored_columns, unpack_rows)
+from .codec import (BLOCK_COLUMNS, RawBlocks, encode_runs, int64_column, numeric_array,
+                    row_order, sort_postings, unpack_rows)
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
 READER_CACHE_BYTES = 384 << 20
@@ -442,7 +442,8 @@ class SegmentReader:
 
     def _empty_raw(self, field: str, term: str) -> RawBlocks:
         """The cached empty blocks of a term this segment does not hold."""
-        rb = RawBlocks(pa.array([], type=BLOCK_STRUCT))
+        none = np.empty(0, np.int64)
+        rb, _ = encode_runs(none, none, none)
         self.cache.put("raw", (field, term), rb)
         return rb
 
@@ -491,7 +492,7 @@ class SegmentReader:
         self,
         field: str,
         terms: Optional[Sequence[str]] = None,
-        columns: Sequence[str] = ("term", "bucket", "blocks"),
+        columns: Sequence[str] = ("term", *BLOCK_COLUMNS),
     ):
         """Stored ``columns`` of the ``postings.parquet`` rows matching (field, term
         in terms) — every row of ``field`` when ``terms`` is None — read
@@ -501,9 +502,9 @@ class SegmentReader:
         bound), so pruning can only over-include — the exact filter below
         decides membership. Row groups spanning a field boundary skip the term
         test (term order restarts per field) and rely on the exact filter.
-        ``blocks`` reads the stored columns ``codec.unpack_rows`` takes. Every
+        The default ``columns`` are those ``codec.unpack_rows`` takes. Every
         call and the row groups it reads count in :attr:`postings_read`."""
-        read_cols = stored_columns(("field", "term", *columns))
+        read_cols = list(dict.fromkeys(("field", "term", *columns)))
         if terms is not None:
             ms = sorted(set(terms))
             ms_np = np.array(ms)
@@ -542,7 +543,7 @@ class SegmentReader:
         if not parts:
             return None
         t = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-        return t.select(stored_columns(columns))
+        return t.select(list(columns))
 
     # ---- doc metadata (conv_id, turn_idx) for result rows ----
 

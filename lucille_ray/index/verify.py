@@ -48,7 +48,6 @@ import os
 from typing import List
 
 import numpy as np
-import pyarrow.compute as pc
 
 from . import commit
 from .build import MANIFEST_FILE, norms_file, read_manifest
@@ -192,9 +191,7 @@ def _verify_file(reader: SegmentReader, pf, where: str, purged: np.ndarray) -> L
         out.append(f"{where}: {hit.size} block(s) where {what}; first: row {r} "
                    f"({fields[r]}, {terms[r]!r}) block {k - loff[r]}{detail}")
 
-    blocks = rb.list_array(loff).flatten()
-    payload = sum(pc.binary_length(blocks.field(c)).to_numpy(zero_copy_only=False)
-                  .astype(np.int64) for c in ("docs", "tfs", "pos"))
+    payload = sum(np.diff(offs) for _, offs in (rb.docs, rb.tfs, rb.pos))
     row_payload = np.bincount(row_of, payload, rows.num_rows).astype(np.int64)
     md = pf.metadata
     group_ends = np.cumsum([md.row_group(g).num_rows for g in range(md.num_row_groups)])
@@ -225,7 +222,7 @@ def _verify_file(reader: SegmentReader, pf, where: str, purged: np.ndarray) -> L
 
     found = len(out)
     check("n < 1", rb.ns < 1)
-    ndocs, ntfs = (varint_counts(blocks.field(c)) for c in ("docs", "tfs"))
+    ndocs, ntfs = varint_counts(rb.docs), varint_counts(rb.tfs)
     check("docs do not hold n varints", ndocs != rb.ns, rb.ns, ndocs)
     check("tfs do not hold n varints", ntfs != rb.ns, rb.ns, ntfs)
     if len(out) > found or not rb.count:
@@ -235,7 +232,7 @@ def _verify_file(reader: SegmentReader, pf, where: str, purged: np.ndarray) -> L
     starts = np.cumsum(rb.ns) - rb.ns
     ends = starts + rb.ns - 1
     tf_sum = np.add.reduceat(tfs, starts)
-    npos = varint_counts(blocks.field("pos"))
+    npos = varint_counts(rb.pos)
     check("pos does not hold one varint per occurrence", npos != tf_sum,
           tf_sum, npos)
     check("last_doc is not the last doc", rb.lasts != docs[ends], rb.lasts, docs[ends])

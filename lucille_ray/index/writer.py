@@ -17,14 +17,13 @@ a cold lookup decodes. Groups are cut by payload, not by a fixed row count:
   reader prunes on) and dictionary encoding only on ``field``;
 - each column has its own codec (:data:`COLUMN_COMPRESSION`; see "Why ZSTD
   on five columns" below);
-- rows are stored packed (``codec.pack_rows``): a row's block list becomes
-  one varint header ``hdr`` and its ``docs``/``tfs``/``pos`` payloads end to
-  end, so the block metadata costs a few bytes per row, not a column chunk
-  per leaf;
+- rows arrive packed (``codec.pack_rows``): a row's blocks are one varint
+  header ``hdr`` and its ``docs``/``tfs``/``pos`` payloads end to end, so
+  the block metadata costs a few bytes per row, not a column chunk per
+  leaf; a one-posting row is stored without its header;
 - the stored columns are ``field``, ``term``, ``df``, ``hdr``, ``docs``,
   ``tfs`` and ``pos``: a block's first doc lives only in its ``docs``
-  payload, so the in-memory ``bucket`` (a row's block 0's first doc) is not
-  stored;
+  payload, so a row's bucket (its block 0's first doc) is not stored;
 - ``df`` is delta-encoded (:data:`COLUMN_ENCODING`: Parquet's
   DELTA_BINARY_PACKED, small values that bit-pack to a few bits each), the
   sorted ``term`` column is DELTA_BYTE_ARRAY (shared prefixes stored once),
@@ -132,7 +131,7 @@ import pyarrow.parquet as pq
 from ray.data import Datasink
 from ray.data.block import Block, BlockAccessor
 
-from .codec import pack_rows, seg_parts
+from .codec import seg_parts, strip_one_posting_headers
 
 #: row cap of one postings row group
 ROW_GROUP_ROWS = 256
@@ -200,9 +199,10 @@ def _field_starts(field) -> np.ndarray:
 
 
 def write_postings_file(table: pa.Table, path: str) -> None:
-    """Write in-memory postings rows (``codec.POSTINGS_SCHEMA``) to one
-    Parquet file in the layout above."""
-    table = pack_rows(table)
+    """Write packed postings rows (``codec.pack_rows``) to one Parquet file
+    in the layout above; the one place a one-posting row's header is
+    dropped (``codec.strip_one_posting_headers``)."""
+    table = strip_one_posting_headers(table)
     bounds = _row_group_bounds(_blob_bytes(table), _field_starts(table["field"]))
     with pq.ParquetWriter(
         path,

@@ -222,7 +222,7 @@ def test_merge_sorted_batch_golden_bytes(name, tmp_path):
     purge of a delete set."""
     import pyarrow.parquet as pq
 
-    from lucille_ray.index.codec import encode_runs
+    from lucille_ray.index.codec import encode_runs, pack_rows
     from lucille_ray.index.compact import _merge_sorted_batch
     from lucille_ray.index.writer import write_postings_file
 
@@ -233,12 +233,11 @@ def test_merge_sorted_batch_golden_bytes(name, tmp_path):
     rows = pa.table({
         "field": pa.array([p[0] for p in pieces], pa.string()),
         "term": pa.array([p[1] for p in pieces], pa.string()),
-        "bucket": pa.array(cat[0][starts], pa.int64()),
-        "df": pa.array(sizes, pa.int64()),
-        "blocks": encode_runs(cat[0], cat[1], starts, cat[2], cat[3]),
     })
+    blocks, offsets = encode_runs(cat[0], cat[1], starts, cat[2], cat[3])
     deleted = np.arange(0, 40_000, 5, dtype=np.int64) if name == "purge" else None
-    out = _merge_sorted_batch(rows, norms=norms, deleted=deleted)
+    out = pack_rows(*_merge_sorted_batch(rows, blocks, offsets, norms=norms,
+                                         deleted=deleted))
     path = str(tmp_path / "merged.parquet")
     write_postings_file(out, path)
     stored = pq.read_table(path)
@@ -270,6 +269,7 @@ def test_batch_encode_work_does_not_grow_with_terms(ray_session, monkeypatch):
     from lucille_ray.analysis import INDEXED_FIELDS
     from lucille_ray.index import codec
     from lucille_ray.index.build import DEFAULT_RANGE_WIDTH, _is_norms_row, _TokenizeEncode
+    from lucille_ray.index.codec import row_order, unpack_rows
     from lucille_ray.index.compact import _merge_sorted_batch
 
     calls = []
@@ -281,13 +281,14 @@ def test_batch_encode_work_does_not_grow_with_terms(ray_session, monkeypatch):
     turns = turns.append_column("seg", pa.array(np.zeros(turns.num_rows, np.int32)))
     out = _TokenizeEncode(INDEXED_FIELDS, DEFAULT_RANGE_WIDTH)(turns)
     assert out.num_rows >= 1000  # one row per distinct (field, term)
-    # per field: docs/tfs/positions for the term rows, docs/tfs for the norms row
-    assert len(calls) <= 5 * len(INDEXED_FIELDS)
+    # per field: docs/tfs/positions and the packed headers for the term
+    # rows, docs/tfs and the header for the norms row
+    assert len(calls) <= 7 * len(INDEXED_FIELDS)
 
     calls.clear()
-    rows = out.drop_columns(["seg"]).filter(pa.compute.invert(_is_norms_row(out))).sort_by(
-        [("field", "ascending"), ("term", "ascending"), ("bucket", "ascending")])
-    merged = _merge_sorted_batch(rows, deleted=np.arange(0, 600, 7, dtype=np.int64))
+    rows = out.drop_columns(["seg"]).filter(pa.compute.invert(_is_norms_row(out)))
+    merged, _, _ = _merge_sorted_batch(*unpack_rows(rows.take(row_order(rows, ["field", "term"]))),
+                                       deleted=np.arange(0, 600, 7, dtype=np.int64))
     assert merged.num_rows >= 1000
     # every term row re-encodes on the purge path: one call for all of them
     assert len(calls) <= 5

@@ -14,7 +14,8 @@ import pytest
 
 from lucille_ray import transcripts as T
 from lucille_ray.index.build import build_index, segment_complete
-from lucille_ray.index.codec import row_order, stored_columns, unpack_rows
+from lucille_ray.index.codec import (BLOCK_COLUMNS, RawBlocks, pack_rows, row_order,
+                                     unpack_rows)
 from lucille_ray.search.engine import SearchEngine
 from lucille_ray.search.oracle import BruteForceOracle
 
@@ -59,10 +60,46 @@ QUERY_SET = [
 ]
 
 
+_BLOCK = pa.struct([(k, pa.int64()) for k in ("n", "max_tf", "min_dl", "first_doc", "last_doc")]
+                   + [(k, pa.binary()) for k in ("docs", "tfs", "pos")])
+
+
+def _spelled(rows: pa.Table, rb: RawBlocks, offsets: np.ndarray) -> pa.Table:
+    """Unpacked postings rows (``codec.unpack_rows``) spelled out for
+    comparison: each row's bucket (its block 0's first doc) before ``df``
+    and its blocks as a ``list<_BLOCK>`` column ``blocks``."""
+    flat = pa.StructArray.from_arrays(
+        [pa.array(a, pa.int64()) for a in (rb.ns, rb.max_tf, rb.min_dl, rb.firsts, rb.lasts)]
+        + [pa.array([v[a:b].tobytes() for a, b in zip(o[:-1], o[1:])], pa.binary())
+           for v, o in (rb.docs, rb.tfs, rb.pos)],
+        fields=list(_BLOCK))
+    out = rows.add_column(rows.schema.get_field_index("df"), "bucket",
+                          pa.array(rb.firsts[offsets[:-1]], pa.int64()))
+    return out.append_column("blocks", pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()), flat))
+
+
 def _unpacked(stored: pa.Table) -> pa.Table:
-    """Stored postings rows in their in-memory form (a ``blocks`` column)."""
-    rows, blocks, offsets = unpack_rows(stored)
-    return rows.append_column("blocks", blocks.list_array(offsets))
+    """Stored postings rows spelled out (:func:`_spelled`)."""
+    return _spelled(*unpack_rows(stored))
+
+
+def _packed(table: pa.Table) -> pa.Table:
+    """Rows spelled out (:func:`_spelled`) packed again for the writer, with
+    the ``df`` the table says (a planted fault may disagree with its
+    blocks)."""
+    lists = table["blocks"].combine_chunks()
+    flat = lists.flatten()
+    views = []
+    for c in ("docs", "tfs", "pos"):
+        vals = flat.field(c).to_pylist()
+        offs = np.concatenate([[0], np.cumsum([len(v) for v in vals])]).astype(np.int64)
+        views.append((np.frombuffer(b"".join(vals), np.uint8), offs))
+    rb = RawBlocks(*(flat.field(c).to_numpy().astype(np.int64)
+                     for c in ("n", "max_tf", "min_dl", "first_doc", "last_doc")), *views)
+    out = pack_rows(table.select(["field", "term"]), rb,
+                    lists.offsets.to_numpy().astype(np.int64))
+    return out.set_column(2, "df", table["df"])
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +358,40 @@ def test_constant_fields_store_one_norm(built, churned, tmp_path):
     check(idx)
     compact_index(idx)
     check(idx)
+
+
+def test_compaction_ships_constant_norms_as_values(built, tmp_path, monkeypatch):
+    """Compaction puts each segment's norms in the object store for its
+    range tasks with ``role``'s and ``tool``'s (one length in every turn)
+    as their one value: they pickle to a few bytes whatever the segment's
+    doc count, where a broadcast array pickles to one byte a doc, while
+    ``text``'s grow with it. The compacted postings are byte-identical to
+    those of a compaction that ships every field's norms as an array."""
+    import pickle
+
+    import ray
+
+    import lucille_ray.index.compact as compact_mod
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.segment import load_segments
+
+    _, index_dir, _ = built
+    put = []
+    real_put = ray.put
+    monkeypatch.setattr(ray, "put", lambda v, *a, **k: put.append(v) or real_put(v, *a, **k))
+    shipped, dense = str(tmp_path / "shipped"), str(tmp_path / "dense")
+    for d in (shipped, dense):
+        shutil.copytree(index_dir, d)
+    compact_index(shipped)
+    norms = [v for v in put if isinstance(v, dict) and "role" in v]
+    counts = [r.doc_count for r in load_segments(index_dir)]
+    assert len(norms) == len(counts) == 2 and min(counts) > 500
+    for v, n in zip(norms, counts):
+        assert all(len(pickle.dumps(v[f], protocol=5)) < 64 for f in ("role", "tool"))
+        assert len(pickle.dumps(v["text"], protocol=5)) > n
+    monkeypatch.setattr(compact_mod, "_shipped_norms", lambda reader, norms: norms)
+    compact_index(dense)
+    assert _postings_bytes(shipped) == _postings_bytes(dense)
 
 
 def test_resume_after_docmap_crash(built, tmp_path):
@@ -1088,7 +1159,7 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
     manifest are left alone."""
     import glob
 
-    from lucille_ray.index.codec import RawBlocks, encode_runs, sort_postings
+    from lucille_ray.index.codec import decode_postings, encode_runs, sort_postings
     from lucille_ray.index.writer import write_postings_file
 
     meta_path = os.path.join(index_dir, "index_meta.json")
@@ -1107,17 +1178,14 @@ def _rewrite_term_partitioned(index_dir: str) -> None:
         parts = []
         for a, b in zip(cut, cut[1:] + [rows.num_rows]):
             blocks = rows["blocks"].slice(a, b - a).combine_chunks().flatten()
-            docs, tfs, pos = RawBlocks(blocks).decode(want_positions=True)
+            docs, tfs, pos = decode_postings(blocks.to_pylist(), want_positions=True)
             docs, tfs, pos = sort_postings(docs, tfs, pos)
             bucket = docs // width
             starts = np.flatnonzero(np.append(True, bucket[1:] != bucket[:-1]))
-            parts.append(pa.table({
+            parts.append(pack_rows(pa.table({
                 "field": pa.array([field[a]] * starts.size, pa.string()),
                 "term": pa.array([term[a]] * starts.size, pa.string()),
-                "bucket": pa.array(docs[starts], pa.int64()),
-                "df": pa.array(np.diff(np.append(starts, docs.size)), pa.int64()),
-                "blocks": encode_runs(docs, tfs, starts, pos),
-            }))
+            }), *encode_runs(docs, tfs, starts, pos)))
         old = pa.concat_tables(parts)
         shutil.rmtree(post)
         os.makedirs(post)
@@ -1148,7 +1216,6 @@ def test_term_partitioned_index_still_serves(
     import lucille_ray.index.build as build_mod
     from lucille_ray.__main__ import main
     from lucille_ray.index import compact_index
-    from lucille_ray.index.codec import RawBlocks
 
     data_dir, index_dir, _ = built
     ds = T.read_transcripts(data_dir)
@@ -1165,7 +1232,7 @@ def test_term_partitioned_index_still_serves(
     _rewrite_term_partitioned(old_dir)
     rows = _stored_rows(old_dir)
     lists = rows["blocks"].combine_chunks()
-    lasts = RawBlocks(lists.flatten()).lasts[lists.offsets.to_numpy()[1:] - 1]
+    lasts = lists.flatten().field("last_doc").to_numpy()[lists.offsets.to_numpy()[1:] - 1]
     assert (rows["bucket"].to_numpy() // 256 == lasts // 256).all()  # one range per row
     assert not rows.equals(_stored_rows(index_dir))
     assert answers(old_dir) == fresh  # (a)
@@ -1860,7 +1927,7 @@ def test_writer_cuts_groups_by_payload(tmp_path):
     """write_postings_file on encoded rows: rows over the byte budget are one
     group each, small rows pack ROW_GROUP_ROWS to a group, and the rows read
     back unchanged."""
-    from lucille_ray.index.codec import POSTINGS_SCHEMA, encode_runs
+    from lucille_ray.index.codec import encode_runs
     from lucille_ray.index.writer import ROW_GROUP_ROWS, write_postings_file
 
     rng = np.random.default_rng(3)
@@ -1870,18 +1937,15 @@ def test_writer_cuts_groups_by_payload(tmp_path):
     tfs = np.ones(docs.size, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     n = len(sizes)
-    table = pa.table(
-        {
-            "field": pa.array(["text"] * (n - 20) + ["tool"] * 20),
-            "term": pa.array([f"t{i:04d}" for i in range(n)]),
-            "bucket": pa.array(docs[starts]),
-            "df": pa.array(np.asarray(sizes, dtype=np.int64)),
-            "blocks": encode_runs(docs, tfs, starts),
-        },
-        schema=POSTINGS_SCHEMA,
-    )
+    keys = pa.table({
+        "field": pa.array(["text"] * (n - 20) + ["tool"] * 20),
+        "term": pa.array([f"t{i:04d}" for i in range(n)]),
+    })
+    rb, offsets = encode_runs(docs, tfs, starts)
+    table = _spelled(keys.append_column("df", pa.array(np.asarray(sizes, dtype=np.int64))),
+                     rb, offsets)
     path = str(tmp_path / "part.parquet")
-    write_postings_file(table, path)
+    write_postings_file(pack_rows(keys, rb, offsets), path)
     groups = _assert_payload_cut_groups(path)
     assert [rows for rows, _ in groups] == [
         ROW_GROUP_ROWS, 36, 1, ROW_GROUP_ROWS, 6, 1, 1, 10, 20,
@@ -1899,24 +1963,21 @@ def test_postings_footer_holds_no_arrow_schema(tmp_path):
     every column still reads back as the type it was written with: the
     dictionary-encoded ``field`` as ``string``, ``df`` as ``int64``, the
     header and payloads as ``binary``."""
-    from lucille_ray.index.codec import POSTINGS_SCHEMA, encode_runs, pack_rows
+    from lucille_ray.index.codec import encode_runs
     from lucille_ray.index.writer import write_postings_file
 
     docs = np.arange(0, 400, 3, dtype=np.int64)
     starts = np.array([0, 50, 100], np.int64)
-    table = pa.table({
-        "field": pa.array(["role", "text", "text"]),
-        "term": pa.array(["a", "b", "c"]),
-        "bucket": pa.array(docs[starts]),
-        "df": pa.array(np.diff(np.append(starts, docs.size))),
-        "blocks": encode_runs(docs, np.ones(docs.size, np.int64), starts),
-    }, schema=POSTINGS_SCHEMA)
+    keys = pa.table({"field": pa.array(["role", "text", "text"]),
+                     "term": pa.array(["a", "b", "c"])})
+    rb, offsets = encode_runs(docs, np.ones(docs.size, np.int64), starts)
+    packed = pack_rows(keys, rb, offsets)
+    table = _spelled(packed.select(["field", "term", "df"]), rb, offsets)
     path = str(tmp_path / "part.parquet")
-    write_postings_file(table, path)
+    write_postings_file(packed, path)
     pf = pq.ParquetFile(path)
     assert pf.metadata.metadata is None or b"ARROW:schema" not in pf.metadata.metadata
-    stored = pack_rows(table).schema
-    assert pf.schema_arrow.equals(stored)
+    assert pf.schema_arrow.equals(packed.schema)
     assert [f.type for f in pf.schema_arrow] == [
         pa.string(), pa.string(), pa.int64(), *[pa.binary()] * 4]
     assert pf.read().schema.field("field").type == pa.string()
@@ -1929,9 +1990,7 @@ def _stored_rows(index_dir: str) -> pa.Table:
     parts = []
     for seg in sorted(os.listdir(os.path.join(index_dir, "segments"))):
         t = _unpacked(pq.read_table(
-            os.path.join(index_dir, "segments", seg, "postings.parquet"),
-            columns=stored_columns(["field", "term", "bucket", "df", "blocks"]),
-        ))
+            os.path.join(index_dir, "segments", seg, "postings.parquet")))
         parts.append(t.append_column("seg", pa.array([seg] * t.num_rows)))
     keys = [(c, "ascending") for c in ("seg", "field", "term", "bucket")]
     return pa.concat_tables(parts).sort_by(keys)
@@ -2147,7 +2206,7 @@ def test_compaction_rewrites_64_row_groups(built, oracle, tmp_path, monkeypatch)
         m.setattr(writer, "ROW_GROUP_ROWS", 64)
         for f in glob.glob(os.path.join(
                 old_dir, "segments", "*", "postings.parquet", "*.parquet")):
-            writer.write_postings_file(_unpacked(pq.read_table(f)), f)
+            writer.write_postings_file(pq.read_table(f), f)
     old_groups, new_groups = _group_rows(old_dir), _group_rows(new_dir)
     assert max(old_groups) == 64 < max(new_groups) <= writer.ROW_GROUP_ROWS
     assert len(old_groups) > len(new_groups)
@@ -2583,7 +2642,7 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
             new = r._read_postings_rows(field, terms)
             old = pq.read_table(
                 os.path.join(seg_dir, "postings.parquet"),
-                columns=stored_columns(["term", "bucket", "blocks"]),
+                columns=["term", *BLOCK_COLUMNS],
                 filters=[("field", "==", field), ("term", "in", terms)],
             )
             if new is None:
@@ -2604,7 +2663,7 @@ def _plant_old_form(index_dir, form, src):
     tombstone ``deleted.npy``, segments without their own doc map (beside a
     root map or ``docmapped/seg=K`` partitions), a doc map as a directory of
     part files, a one-file ``postings.parquet``, a version 4 index (its
-    postings rows hold a ``list<BLOCK_STRUCT>`` column, not packed), a
+    postings rows hold a list-of-struct ``blocks`` column, not packed), a
     version 5 index (no norms files: its readers derived them from the
     postings), a segment without the norms file of one of its fields, a
     version 6 index (its postings rows also store ``bucket`` and
@@ -2749,8 +2808,8 @@ def _rewrite_row_blocks(path: str, pick, change) -> str:
     r = next(i for i, b in enumerate(rows) if pick(b, terms[i]))
     rows[r] = change(rows[r], t["field"][r].as_py())
     col = t.schema.get_field_index("blocks")
-    write_postings_file(
-        t.set_column(col, "blocks", pa.array(rows, t.schema.field(col).type)), path)
+    write_postings_file(_packed(
+        t.set_column(col, "blocks", pa.array(rows, t.schema.field(col).type))), path)
     return terms[r]
 
 
@@ -2844,8 +2903,8 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
             least = int(reader.norms(field)[docs - reader.doc_base].min())
             return [dict(b[0], min_dl=0 if fault == "min_dl_0" else least + 1), *b[1:]]
     elif fault == "dropped_block":
-        def pick(b, term):  # a 2-block row would keep one block whose n is
-            return len(b) != 2  # not its df, which the writer refuses
+        def pick(b, term):  # a 2-block row would keep one block, whose n
+            return len(b) != 2  # a reader takes from its df
 
         def change(b, field):
             return b[:-1]

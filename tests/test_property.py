@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from lucille_ray.analysis import arrow_tokenize, tokenize
 from lucille_ray.index.codec import (
-    BLOCK_STRUCT,
-    POSTINGS_SCHEMA,
     RawBlocks,
     decode_postings,
     decode_varints,
@@ -19,6 +17,8 @@ from lucille_ray.index.codec import (
     encode_varints,
     pack_rows,
     sort_postings,
+    strip_one_posting_headers,
+    take_blocks,
     unpack_rows,
 )
 from lucille_ray.query import Phrase, Term, parse, print_query
@@ -112,10 +112,22 @@ def test_encode_runs_matches_per_list_encoding(data):
         lists.append((doc_ids, tfs, pos, dls))
     docs, tfs, pos, dls = (np.concatenate([lst[j] for lst in lists]) for j in range(4))
     starts = np.cumsum([0] + [lst[0].size for lst in lists[:-1]])
-    enc = encode_runs(docs, tfs, starts, pos, dls)
-    assert enc.to_pylist() == [encode_postings(*lst[:3], dls=lst[3]) for lst in lists]
-    d, t, p = RawBlocks(enc.flatten()).decode(want_positions=True)
+    rb, offsets = encode_runs(docs, tfs, starts, pos, dls)
+    got = _block_tuples(rb)
+    assert [got[a:b] for a, b in zip(offsets[:-1], offsets[1:])] == [
+        [tuple(b.values()) for b in encode_postings(*lst[:3], dls=lst[3])]
+        for lst in lists]
+    d, t, p = rb.decode(want_positions=True)
     assert (d == docs).all() and (t == tfs).all() and (p == pos).all()
+
+
+def _block_tuples(rb: RawBlocks) -> list:
+    """Each block of ``rb`` as ``(n, max_tf, min_dl, first_doc, last_doc,
+    docs, tfs, pos)``, its payloads as bytes."""
+    meta = zip(*(a.tolist() for a in (rb.ns, rb.max_tf, rb.min_dl, rb.firsts, rb.lasts)))
+    payloads = zip(*([vals[a:b].tobytes() for a, b in zip(offs[:-1], offs[1:])]
+                     for vals, offs in (rb.docs, rb.tfs, rb.pos)))
+    return [(*m, *p) for m, p in zip(meta, payloads)]
 
 
 class _DocNorms:
@@ -128,17 +140,18 @@ class _DocNorms:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pack_unpack_rows_round_trip(data):
-    """``unpack_rows(pack_rows(rows))`` with the docs' norms, its blocks
-    made the ``blocks`` column again, equals ``rows`` (and any slice of
-    them) for postings rows of ``encode_runs`` blocks whose ``bucket`` is
-    their block 0's first doc and whose ``min_dl`` is the least norm of
+    """``unpack_rows(pack_rows(rows))`` gives back the rows, their blocks
+    and their block offsets, with the docs' norms also once the writer
+    stripped the one-posting rows' headers (and any slice of them), for
+    rows of ``encode_runs`` blocks whose ``min_dl`` is the least norm of
     their docs: one-posting, one-block and multi-block rows, norms rows (no
     positions), doc gaps up to 2^40, and rows whose blocks overlap in doc
     range, with first docs ascending or not: compaction keeps pieces of
     interleaved input as they are, and a span it re-cuts can end after the
     next block starts. Every block's first doc comes back from its ``docs``
-    payload alone; a one-posting row stores no header, its ``max_tf`` comes
-    back from its one tf and its ``min_dl`` from the norms (0 without)."""
+    payload alone; every packed row keeps its header, and a stripped
+    one-posting row gets its ``max_tf`` back from its one tf and its
+    ``min_dl`` from the norms (0 without)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     sizes = data.draw(st.lists(st.sampled_from([1, 1, 2, 127, 128, 129, 300, 700]),
                                min_size=1, max_size=6))
@@ -153,86 +166,70 @@ def test_pack_unpack_rows_round_trip(data):
     pos = np.concatenate([np.zeros(0, np.int64)] + [
         np.sort(rng.choice(5000, int(t), replace=False)) for t in tfs])
     starts = np.cumsum([0] + [r.size for r in runs[:-1]]).astype(np.int64)
-    enc = encode_runs(docs, tfs, starts, pos if positional else None,
-                      _DocNorms()[docs])
-    flat = enc.flatten()
-    loff = enc.offsets.to_numpy().astype(np.int64)
+    rb, loff = encode_runs(docs, tfs, starts, pos if positional else None,
+                           _DocNorms()[docs])
     if overlap:  # each row: the blocks of two runs, by first doc or not
         loff = loff[::2]
         if by_first:
-            firsts = flat.field("first_doc").to_numpy()
-            flat = flat.take(pa.array(np.concatenate([np.zeros(0, np.int64)] + [
-                loff[i] + np.argsort(firsts[loff[i]: loff[i + 1]], kind="stable")
-                for i in range(loff.size - 1)])))
-    blocks = pa.ListArray.from_arrays(pa.array(loff, pa.int32()), flat)
-    per_block = [(b[0]["first_doc"], sum(x["n"] for x in b)) for b in blocks.to_pylist()]
-    rows = pa.table({
-        "field": pa.array(["text"] * len(blocks)),
-        "term": pa.array([f"t{i:03d}" for i in range(len(blocks))]),
-        "bucket": pa.array([f for f, _ in per_block], pa.int64()),
-        "df": pa.array([n for _, n in per_block], pa.int64()),
-        "blocks": blocks,
-    }, schema=POSTINGS_SCHEMA)
+            rb = take_blocks([rb], np.concatenate([np.zeros(0, np.int64)] + [
+                loff[i] + np.argsort(rb.firsts[loff[i]: loff[i + 1]], kind="stable")
+                for i in range(loff.size - 1)]))
+    n = loff.size - 1
+    keys = pa.table({"field": pa.array(["text"] * n),
+                     "term": pa.array([f"t{i:03d}" for i in range(n)])})
+    df = np.add.reduceat(rb.ns, loff[:-1])
+    blocks = _block_tuples(rb)
 
     def round_trip(stored, norms={"text": _DocNorms()}):
-        out, blocks, offsets = unpack_rows(stored, norms)
-        return out.append_column("blocks", blocks.list_array(offsets))
+        out, got, offsets = unpack_rows(stored, norms)
+        return out.to_pydict(), _block_tuples(got), offsets.tolist()
 
-    stored = pack_rows(rows)
-    assert stored.column_names == ["field", "term", "df", "hdr", "docs", "tfs", "pos"]
-    single = stored["df"].to_numpy() == 1
+    def want(lo, hi):
+        return ({"field": ["text"] * (hi - lo), "term": keys["term"].to_pylist()[lo:hi],
+                 "df": df[lo:hi].tolist()},
+                blocks[loff[lo]: loff[hi]], (loff[lo: hi + 1] - loff[lo]).tolist())
+
+    packed = pack_rows(keys, rb, loff)
+    assert packed.column_names == ["field", "term", "df", "hdr", "docs", "tfs", "pos"]
+    assert (pc.binary_length(packed["hdr"]).to_numpy() > 0).all()
+    stored = strip_one_posting_headers(packed)
+    single = df == 1
     assert (pc.binary_length(stored["hdr"]).to_numpy() == 0).tolist() == single.tolist()
-    assert round_trip(stored).equals(rows)
-    bare = round_trip(stored, None)["blocks"].combine_chunks()
-    min_dl = bare.flatten().field("min_dl").to_numpy()
-    want = rows["blocks"].combine_chunks().flatten().field("min_dl").to_numpy().copy()
-    want[loff[:-1][single]] = 0
-    assert min_dl.tolist() == want.tolist()
-    lo = data.draw(st.integers(0, rows.num_rows))
-    part = rows.slice(lo, data.draw(st.integers(0, rows.num_rows - lo)))
-    assert round_trip(pack_rows(part)).equals(part)
-    assert round_trip(pack_rows(rows).slice(lo, part.num_rows)).equals(part)
+    assert round_trip(packed, None) == round_trip(packed) == round_trip(stored) == want(0, n)
+    min_dl = np.array([b[2] for b in round_trip(stored, None)[1]])
+    expect = rb.min_dl.copy()
+    expect[loff[:-1][single]] = 0
+    assert min_dl.tolist() == expect.tolist()
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    part = take_blocks([rb], np.arange(loff[lo], loff[hi]))
+    assert round_trip(pack_rows(keys.slice(lo, hi - lo), part, loff[lo: hi + 1] - loff[lo])
+                      ) == want(lo, hi)
+    assert round_trip(stored.slice(lo, hi - lo)) == want(lo, hi)
 
 
 @pytest.mark.parametrize("fault,error", [
     ("no_blocks", "row holds no blocks"),
-    ("bucket_not_first_doc", "bucket is not its first block's first_doc"),
     ("first_doc_not_in_docs", "first_doc is not the first varint of its docs"),
     ("last_below_first", "last_doc is below its first_doc"),
 ])
 def test_pack_rows_refuses_rows_a_reader_could_not_recover(fault, error):
-    """``pack_rows`` raises on a row without blocks, a ``bucket`` that is
-    not the row's block 0's first doc, a block whose ``first_doc`` is not
-    the first varint of its ``docs`` and a ``last_doc`` below ``first_doc``:
-    the stored rows keep none of these, so a reader would read other
-    values back."""
+    """``pack_rows`` raises on a row without blocks, a block whose
+    ``first_doc`` is not the first varint of its ``docs`` and a
+    ``last_doc`` below ``first_doc``: the packed rows keep none of these,
+    so a reader would read other values back."""
     docs = np.arange(5, 5 + 300, 2, dtype=np.int64)  # two rows: 1 and 2 blocks
     starts = np.array([0, 20], np.int64)
-    blocks = encode_runs(docs, np.ones(docs.size, np.int64), starts)
-    flat, loff = blocks.flatten(), blocks.offsets
-    bucket = [int(docs[0]), int(docs[20])]
-    meta = {f: flat.field(f).to_numpy().copy() for f in ("first_doc", "last_doc")}
+    rb, loff = encode_runs(docs, np.ones(docs.size, np.int64), starts)
     if fault == "no_blocks":
-        loff = pa.array([0, 0, 3], pa.int32())
-        bucket = [0, int(docs[0])]
-    elif fault == "bucket_not_first_doc":
-        bucket[1] += 1
+        loff = np.array([0, 0, 3], np.int64)
     elif fault == "first_doc_not_in_docs":
-        meta["first_doc"][2] -= 1  # block 1 of row 1, the bucket unchanged
+        rb.firsts[2] -= 1  # block 1 of row 1
     else:
-        meta["last_doc"][1] = meta["first_doc"][1] - 1
-    flat = pa.StructArray.from_arrays(
-        [pa.array(meta[f.name], f.type) if f.name in meta else flat.field(f.name)
-         for f in BLOCK_STRUCT], fields=list(BLOCK_STRUCT))
-    rows = pa.table({
-        "field": pa.array(["text"] * 2),
-        "term": pa.array(["a", "b"]),
-        "bucket": pa.array(bucket, pa.int64()),
-        "df": pa.array([20, docs.size - 20], pa.int64()),
-        "blocks": pa.ListArray.from_arrays(loff, flat),
-    }, schema=POSTINGS_SCHEMA)
+        rb.lasts[1] = rb.firsts[1] - 1
+    keys = pa.table({"field": pa.array(["text"] * 2), "term": pa.array(["a", "b"])})
     with pytest.raises(ValueError, match=error):
-        pack_rows(rows)
+        pack_rows(keys, rb, loff)
 
 
 @settings(max_examples=60, deadline=None)

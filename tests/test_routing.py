@@ -546,21 +546,29 @@ def test_one_postings_layout_owner():
     """Only ``codec.py`` (``pack_rows``/``unpack_rows``) and ``writer.py``
     name the stored postings columns: no other module under
     lucille_ray/index/ names the packed header ``hdr`` or a nested leaf
-    path (``blocks.list.element...``) outside a docstring; readers ask
-    ``codec.stored_columns`` what to read."""
+    path (``blocks.list.element...``) outside a docstring; readers take
+    ``codec.BLOCK_COLUMNS`` to read. And postings have one in-memory form,
+    ``codec.RawBlocks`` with row offsets, beside the packed rows: no module
+    under lucille_ray/index/ builds an Arrow struct or list array
+    (``pa.struct``, ``StructArray``, ``ListArray``, ``pa.list_``)."""
     import ast
     import glob
 
     import lucille_ray.index as index_pkg
 
     pkg_dir = os.path.dirname(index_pkg.__file__)
-    named = []
+    named, nested = [], []
     for path in sorted(glob.glob(os.path.join(pkg_dir, "*.py"))):
         where = os.path.basename(path)
-        if where in ("codec.py", "writer.py"):
-            continue
         with open(path) as f:
             tree = ast.parse(f.read(), path)
+        nested += [
+            f"{where}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("struct", "StructArray", "ListArray", "list_")
+        ]
+        if where in ("codec.py", "writer.py"):
+            continue
         docstrings = {
             id(node.body[0].value)
             for node in ast.walk(tree)
@@ -575,3 +583,4 @@ def test_one_postings_layout_owner():
             and (node.value == "hdr" or "list.element" in node.value)
         ]
     assert named == []
+    assert nested == []

@@ -215,22 +215,20 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
     window merge did re-cut such blocks, each with a positive min_dl."""
     import glob
 
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     import lucille_ray.index.build as build_mod
     from lucille_ray.index import commit, compact_index
-    from lucille_ray.index.codec import RawBlocks, unpack_rows
+    from lucille_ray.index.codec import unpack_rows
     from lucille_ray.index.segment import SegmentReader
     from lucille_ray.index.verify import verify_index
     from perfbench.corpus import make_turns, make_vocabulary, write_corpus
 
-    def term_blocks(rows):
+    def term_blocks(rows, rb, loff):
         """(blocks, field per block, (field, term, first, last, n) per
-        block) of in-memory postings ``rows`` (a window's norms rows pass
-        through its merge as they are, so they are never re-cut)."""
-        nb = pc.list_value_length(rows["blocks"]).to_numpy(zero_copy_only=False)
-        rb = RawBlocks(rows["blocks"].combine_chunks().flatten())
+        block) of unpacked postings rows (a window's norms rows pass through
+        its merge as they are, so they are never re-cut)."""
+        nb = np.diff(loff)
         field = np.repeat(np.asarray(rows["field"].to_pylist(), object), nb)
         term = np.repeat(np.asarray(rows["term"].to_pylist(), object), nb)
         return rb, field, list(zip(field.tolist(), term.tolist(), rb.firsts.tolist(),
@@ -246,25 +244,29 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
     def merge_window(batch):
         """The window merge (in a Ray worker), recording under
         ``record_dir`` how many re-cut term blocks hold a doc without a norm
-        in the window, and how many of those store min_dl 0."""
+        in the window, how many of those store min_dl 0, and how many of
+        those hold the one posting of a one-posting row of the window."""
         import uuid
 
         from lucille_ray.index import build
 
         out = build._piece_merge_batch(batch)
-        norms = build._decode_norms(batch)
-        before = set(term_blocks(batch)[2])
-        rb, field, keys = term_blocks(out)
+        norms = build._decode_norms(*unpack_rows(batch))
+        before = term_blocks(*unpack_rows(batch))[2]
+        singles = {(f, t, first) for f, t, first, _, n in before if n == 1}
+        before = set(before)
+        rb, field, keys = term_blocks(*unpack_rows(out))
         recut = np.array([k not in before for k in keys], bool)
-        orphaned = zero = 0
+        orphaned = zero = single = 0
         for f in set(field[recut].tolist()):
             for i in np.flatnonzero(recut & (field == f)):
                 docs = rb.decode_blocks(np.array([i]))[0]
                 if f not in norms or (norms[f][docs] == 0).any():
                     orphaned += 1
                     zero += int(rb.min_dl[i] == 0)
+                    single += any((f, keys[i][1], d) in singles for d in docs.tolist())
         with open(os.path.join(record_dir, uuid.uuid4().hex), "w") as fh:
-            fh.write(f"{orphaned} {zero}")
+            fh.write(f"{orphaned} {zero} {single}")
         return out
 
     def check():
@@ -273,10 +275,8 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
             reader = SegmentReader(commit.segment_dir(idx, s.name))
             norms = {f: reader.norms(f) for f in reader.manifest["fields"]}
             for path in glob.glob(os.path.join(reader.seg_dir, "postings.parquet", "*")):
-                rows, blocks, loff = unpack_rows(pq.read_table(path), norms,
-                                                 reader.doc_base)
-                rows = rows.append_column("blocks", blocks.list_array(loff))
-                assert (term_blocks(rows)[0].min_dl > 0).all(), path
+                rb = unpack_rows(pq.read_table(path), norms, reader.doc_base)[1]
+                assert (rb.min_dl > 0).all(), path
 
     monkeypatch.setattr(build_mod, "PIECE_MERGE_ROWS", 4096)
     monkeypatch.setattr(build_mod, "_piece_merge_batch", merge_window)
@@ -287,9 +287,42 @@ def test_min_dl_bounds_every_block_after_build_append_compaction(
     counts = np.array([[int(v) for v in open(p).read().split()]
                        for p in glob.glob(os.path.join(record_dir, "*"))])
     assert counts[:, 0].sum() > 0, "no window re-cut a block away from its norms"
+    assert counts[:, 2].sum() > 0, "no such block held a one-posting row"
     assert counts[:, 1].sum() == 0
     compact_index(idx)
     check()
+
+
+def test_window_merge_recuts_a_one_posting_row_at_its_header_min_dl():
+    """A merge window holding a one-posting row of ``zeta`` and another
+    undersized piece of it, but not the norms row of the one-posting row's
+    tokenize batch, re-cuts both into one block whose ``min_dl`` is the
+    one-posting row's doc's norm (the least of the block's docs), taken from
+    the header the row keeps in the build's stream; a stream that dropped
+    it would re-cut at 0."""
+    import pyarrow as pa
+
+    from lucille_ray.index.build import (DEFAULT_RANGE_WIDTH, _is_norms_row,
+                                         _piece_merge_batch, _TokenizeEncode)
+    from lucille_ray.index.codec import unpack_rows
+
+    encode = _TokenizeEncode(("text",), DEFAULT_RANGE_WIDTH)
+
+    def batch(first, texts):
+        n = len(texts)
+        return encode(pa.table({
+            "doc_id": pa.array(np.arange(first, first + n, dtype=np.int64)),
+            "seg": pa.array(np.zeros(n, np.int32)),
+            "text": pa.array(texts),
+        }))
+
+    a = batch(0, ["a b c d", "a b c", "zeta b", "a b c d e"])
+    b = batch(4, ["zeta a b c d", "zeta a b c", "a b c d e f", "zeta b c d"])
+    window = pa.concat_tables([a.filter(pa.compute.invert(_is_norms_row(a))), b])
+    rows, blocks, offsets = unpack_rows(_piece_merge_batch(window))
+    r = rows["term"].to_pylist().index("zeta")
+    assert (offsets[r + 1] - offsets[r], rows["df"][r].as_py()) == (1, 4)
+    assert blocks.min_dl[offsets[r]] == 2  # doc 2, "zeta b"; b's are 4 and 5
 
 
 def test_wand_parts_shapes():
