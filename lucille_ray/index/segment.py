@@ -96,8 +96,9 @@ class ReaderCache:
     straight from ``raw``. **Commit**
     scope also depends on tombstones or on global idf/avgdl: ``post`` and
     ``pruned`` (decoded postings, whole or around a candidate set),
-    ``score``, ``conj_stepfn``, ``match`` (complete match sets), ``term_topk``,
-    ``wand_pruned`` and ``result``.
+    ``score``, ``conj_stepfn``, ``match`` (every block-max pass answer of
+    the term, conjunction and phrase executors: a complete pass's match set,
+    any other pass's top-k), ``wand_pruned`` and ``result``.
 
     Callers use the value they computed, never a re-read after their own
     ``put``: an entry larger than the whole budget is returned but not kept,

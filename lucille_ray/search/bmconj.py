@@ -24,26 +24,29 @@ when any of its members does):
    reader's cache — boost factors out because σ scales linearly in it). Anchor
    blocks where some clause has NO overlapping block are infeasible (no doc in
    them can match every clause) and are dropped;
-3. process anchor blocks in DESCENDING conj_ub order, in geometrically growing
-   chunks: decode the chunk's anchor blocks, selectively decode every other
-   clause's members around those candidate docs (wand's `_decode_candidates`
-   point-interval machinery), intersect, and score the surviving docs exactly
-   — per-clause BM25 accumulated in query-clause order, bit-identical to
+3. anchor blocks go through wand.py's ``block_max_pass`` with conj_ub as
+   the bound (−inf for an infeasible block). Processing a set of anchor
+   blocks decodes them, selectively decodes every other clause's members
+   around those candidate docs (wand's `_decode_candidates` point-interval
+   machinery), intersects, and scores the surviving docs exactly —
+   per-clause BM25 accumulated in query-clause order, bit-identical to
    SegmentEval._bool;
-4. after each chunk, θ = the k-th best pooled score; stop as soon as the best
-   remaining block's conj_ub < θ − ε. Every unprocessed matching doc lives in
-   exactly one unprocessed anchor block, its true score is ≤ that block's
-   conj_ub < θ ≤ the final k-th score, so it cannot enter the top-k even by
-   tie-break (strictly below). ε guards the same float-associativity noise
-   between bound-sum and score-sum that wand.py's θ−ε does (the step-function
-   cumsum may cancel, but only by ~1e-13 against scores O(1-100)).
+4. the pass takes bound-ordered rounds of anchor blocks until k matches
+   pool, sets θ to their k-th best score, and takes one more round of every
+   remaining block with conj_ub ≥ θ − ε. Every skipped matching doc lives in
+   exactly one skipped anchor block, so its true score is ≤ that block's
+   conj_ub < θ − ε ≤ the final k-th score: it cannot enter the top-k even by
+   tie-break. ε guards the same float-associativity noise between bound-sum
+   and score-sum that wand.py's θ−ε does (the step-function cumsum may
+   cancel, but only by ~1e-13 against scores O(1-100)).
 
-Worst case (terms that never co-occur, θ never established) degrades to the
-plain path's work in O(log #blocks) chunk rounds; best case (hot terms whose
-high-tf co-occurrences concentrate in a few blocks) decodes a few hundred
-postings instead of millions. ``tests/test_bmconj.py`` asserts rank+score
-identity vs the plain evaluator over fixed shapes and randomized corpora, plus
-a decode-counting proof that skipping actually skips.
+Worst case (terms that never co-occur, so θ never forms) takes every
+feasible anchor block in O(log #blocks) doubling rounds, and a flat bound
+takes them all in one round; best case (hot terms whose high-tf co-occurrences concentrate in a few
+blocks) decodes a few hundred postings instead of millions.
+``tests/test_bmconj.py`` asserts rank+score identity vs the plain evaluator
+over fixed shapes and randomized corpora, plus a decode-counting proof that
+skipping actually skips.
 """
 
 from __future__ import annotations
@@ -55,11 +58,10 @@ import numpy as np
 
 from ..analysis import DEFAULT_FIELD
 from ..query import nodes as qn
-from .eval import B, EMPTY, EvalContext, K1, _unwrap, simple_term_of, top_k
-from .wand import THETA_EPS, _bm25_exact, _decode_candidates
+from .eval import EMPTY, EvalContext, _unwrap, simple_term_of
+from .wand import _bm25_bound, _bm25_exact, _decode_candidates, block_max_pass, cached_top_k
 
-#: first chunk of anchor blocks decoded per round (doubles every round, so the
-#: no-pruning worst case pays O(log #blocks) rounds of overhead)
+#: first round, in anchor blocks, of conj_top_k_compound's block-max pass
 CONJ_CHUNK0 = 4
 
 
@@ -122,10 +124,7 @@ def _stepfn(reader, ctx: EvalContext, field: str, term: str, rb) -> _StepMax:
     convention as wand.py's ``score`` pool; boost is applied by the caller)."""
     sf = reader.cache.get("conj_stepfn", (field, term))
     if sf is None:
-        avgdl = ctx.avgdl.get(field) or 1.0
-        idf = ctx.idf(field, term)
-        ub = idf * rb.max_tf * (K1 + 1.0) / (
-            rb.max_tf + K1 * (1.0 - B + B * rb.min_dl / avgdl))
+        ub = _bm25_bound(ctx.idf(field, term), rb.max_tf, rb.min_dl, ctx.avgdl.get(field) or 1.0)
         sf = reader.cache.put("conj_stepfn", (field, term), _StepMax(rb.firsts, rb.lasts, ub))
     return sf
 
@@ -217,17 +216,12 @@ def conj_top_k_compound(
     vs eval's _apply_must_not (which filters after scoring) cannot change
     them. Returns None when this segment leaves no single-member clause to
     anchor on (the caller falls back to the plain evaluator for this
-    reader).
-
-    Complete match sets, valid for ANY k (a reader serves one commit point),
-    go to the ``match`` pool, shared with bmphrase (phrase keys are
-    (field, terms, gap) tuples, so the families never collide)."""
-    cache_key = (clauses, negs)
-    cached = reader.cache.get("match", cache_key)
-    if cached is not None:
-        if cached[0].size == 0:
-            return EMPTY
-        return top_k(cached[0], cached[1], k)
+    reader). The answer is cached in the ``match`` pool by the pass, so a
+    repeat at the same or a smaller k decodes nothing."""
+    key = ("conj", clauses, negs)
+    hit = cached_top_k(reader, key, k)
+    if hit is not None:
+        return hit
     by_field: dict = {}
     for members, _cw in clauses:
         for f, t, _b in members:
@@ -249,10 +243,7 @@ def conj_top_k_compound(
             rb = raw.get((f, t))
             if rb is None or not len(rb):
                 continue  # absent from this segment
-            avgdl = ctx.avgdl.get(f) or 1.0
-            ub = b * ctx.idf(f, t) * rb.max_tf * (K1 + 1.0) / (
-                rb.max_tf + K1 * (1.0 - B + B * rb.min_dl / avgdl)
-            )
+            ub = _bm25_bound(ctx.idf(f, t), rb.max_tf, rb.min_dl, ctx.avgdl.get(f) or 1.0, b)
             metas.append((f, t, b, rb, rb.firsts, rb.lasts, ub))
             size += int(rb.ns.sum())
         if not metas:
@@ -284,47 +275,12 @@ def conj_top_k_compound(
         for w in cw_j:
             cwprod *= w
         conj_ub += cwprod * mx
-    idx = np.flatnonzero(feasible)
-    if idx.size == 0:
-        return EMPTY
-    order = idx[np.argsort(-conj_ub[idx], kind="stable")]
+    conj_ub[~feasible] = -np.inf
     others_by_size = sorted(others, key=lambda j: sizes[j])
 
-    # resumable θ-pass prefix (same cache family as the complete-pass match
-    # set): the pool of exact matches in the first `pos` processed blocks is
-    # k-INDEPENDENT and commit-constant — a repeat query recomputes only the
-    # (cached-metadata) bounds and the θ test, and a larger k RESUMES the
-    # sweep where the last one stopped instead of redoing its chunks
-    prefix_key = (clauses, negs, "θ-prefix")
-    state = reader.cache.get("match", prefix_key)
-    if state is not None:
-        pos, chunk, _pd, _ps = state
-        pool_docs = [_pd]
-        pool_scores = [_ps]
-        pooled = int(_pd.size)
-    else:
-        pool_docs: List[np.ndarray] = []
-        pool_scores: List[np.ndarray] = []
-        pooled = 0
-        pos = 0
-        chunk = CONJ_CHUNK0
-    start_pos = pos
-    theta = -np.inf
-    complete = True
-    while pos < order.size:
-        if pooled >= k:
-            theta = float(
-                -np.partition(-np.concatenate(pool_scores), k - 1)[k - 1]
-            )
-            if conj_ub[order[pos]] < theta - THETA_EPS:
-                complete = False
-                break
-        take = order[pos: pos + chunk]
-        pos += take.size
-        chunk *= 2
-        mask = np.zeros(len(a_rb), dtype=bool)
-        mask[take] = True
-        docs_a, tfs_a, _ = reader.decode(a_rb, mask)
+    def process(keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact matches and scores of the anchor blocks ``keep`` selects."""
+        docs_a, tfs_a, _ = reader.decode(a_rb, keep)
         cand = docs_a
         got: dict = {}  # (clause idx, member idx) -> (docs, scores)
         for j in others_by_size:
@@ -340,9 +296,7 @@ def conj_top_k_compound(
                 present |= dj[at] == cand
             cand = cand[present]
             if cand.size == 0:
-                break
-        if cand.size == 0:
-            continue
+                return EMPTY
         for f_n, t_n in negs:
             p = reader.postings_many(
                 f_n, [t_n], want_positions=False, candidates=cand
@@ -353,9 +307,7 @@ def conj_top_k_compound(
             idxn = np.clip(np.searchsorted(nd, cand), 0, nd.size - 1)
             cand = cand[nd[idxn] != cand]
             if cand.size == 0:
-                break
-        if cand.size == 0:
-            continue
+                return EMPTY
         # exact scores in clause order; within a clause, member order; then
         # cweights innermost-first — eval's union + Boost + must-sum sequence
         scores = np.zeros(cand.size, dtype=np.float64)
@@ -379,21 +331,6 @@ def conj_top_k_compound(
             for w in reversed(cw_j):
                 vec = vec * w
             scores += vec
-        pool_docs.append(cand)
-        pool_scores.append(scores)
-        pooled += cand.size
-    if complete:
-        docs_all = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
-        scores_all = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
-        reader.cache.put("match", cache_key, (docs_all, scores_all))
-        reader.cache.pop("match", prefix_key)  # superseded by the full set
-        if docs_all.size == 0:
-            return EMPTY
-        return top_k(docs_all, scores_all, k)
-    if not pool_docs:
-        return EMPTY
-    docs_all = np.concatenate(pool_docs)
-    scores_all = np.concatenate(pool_scores)
-    if pos > start_pos:  # new blocks processed: refresh the resumable prefix
-        reader.cache.put("match", prefix_key, (pos, chunk, docs_all, scores_all))
-    return top_k(docs_all, scores_all, k)
+        return cand, scores
+
+    return block_max_pass(reader, key, conj_ub, k, process, CONJ_CHUNK0)

@@ -25,19 +25,19 @@ analyzer-split Term, gap=0):
 * BM25 is increasing in tf and decreasing in dl, so
   ``σ_ub(b) = idf_sum · tfnorm(freq_ub, min_dl_b)`` bounds every doc in b
   (min_dl is the anchor block's stored minimum doc length);
-* every processed block set goes through ``process``: anchor docs decoded,
-  the other terms' DOC lists fetched pruned to the shrinking candidate set,
-  sorted-array intersection, positions fetched only for the survivors, then
-  the same backward-reachability DP as ``_phrase`` (shared helpers) and the
-  identical float scoring expression;
-* bound-SKEWED segments bootstrap θ from the top-σ_ub blocks (geometric
-  chunks until k matches pool), then take ONE pass over the remaining blocks
-  with σ_ub ≥ θ − ε (wand.py's THETA_EPS convention) — every skipped match
+* the anchor blocks go through wand.py's ``block_max_pass`` with σ_ub as
+  the bound (−inf for an infeasible block). Its ``process`` decodes the
+  anchor docs, fetches the other terms' DOC lists pruned to the shrinking
+  candidate set, intersects the sorted arrays, fetches positions only for
+  the survivors, then runs the same backward-reachability DP as ``_phrase``
+  (shared helpers) and the identical float scoring expression;
+* bound-SKEWED segments bootstrap θ from the top-σ_ub blocks, then take ONE
+  round over the remaining blocks with σ_ub ≥ θ − ε — every skipped match
   lives in exactly one skipped anchor block and its true score is bounded by
   that block's σ_ub < θ ≤ the final k-th score. bound-FLAT segments (θ can
-  never beat the shared max bound) skip the θ machinery and take one
-  anchor-pruned pass over all feasible blocks, which still beats the plain
-  evaluator whenever the anchor is rarer than its companions.
+  never beat the shared max bound) take one anchor-pruned round over all
+  feasible blocks, which still beats the plain evaluator whenever the anchor
+  is rarer than its companions.
 
 ``idf_sum <= 0`` (degenerate: no constituent has a positive global df, or
 every term is in more than ~half the corpus under a raw-idf variant) flips
@@ -56,10 +56,10 @@ import numpy as np
 from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
 from .bmconj import _StepMax
-from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap, top_k
-from .wand import THETA_EPS
+from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap
+from .wand import _bm25_bound, block_max_pass, cached_top_k
 
-#: first chunk of anchor blocks decoded per round (doubles every round)
+#: first round, in anchor blocks, of phrase_top_k's block-max pass
 PHRASE_CHUNK0 = 4
 
 
@@ -150,16 +150,14 @@ def phrase_top_k(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Exact top-k of a phrase/proximity query over one segment, decoding only
     anchor blocks whose phrase upper bound can still beat the running k-th
-    best (and other terms only around those candidates). Complete match sets
-    go to the reader's ``match`` pool, so warm repeats decode nothing. None
-    (decline) when the idf sum is not positive."""
-    cache_key = (field, tuple(terms), gap)
-    cached = reader.cache.get("match", cache_key)
-    if cached is not None:
-        # complete match set known (docs + final scores) — any k, zero decodes
-        if cached[0].size == 0:
-            return EMPTY
-        return top_k(cached[0], cached[1], k)
+    best (and other terms only around those candidates). The pass caches
+    its answer in the reader's ``match`` pool, so a warm repeat at the same
+    or a smaller k decodes nothing. None (decline) when the idf sum is not
+    positive."""
+    key = ("phrase", field, tuple(terms), gap)
+    hit = cached_top_k(reader, key, k)
+    if hit is not None:
+        return hit
     uniq = list(dict.fromkeys(terms))
     raw = reader.raw_blocks_many(field, uniq)
     for t in uniq:
@@ -169,7 +167,6 @@ def phrase_top_k(
     idf_sum = sum(ctx.idf(field, t) for t in terms)
     if idf_sum <= 0.0:
         return None  # the bound direction flips: decline to SegmentEval
-    avgdl = ctx.avgdl.get(field) or 1.0
 
     sizes = {t: int(raw[t].ns.sum()) for t in uniq}
     anchor = min(uniq, key=lambda t: sizes[t])
@@ -192,100 +189,34 @@ def phrase_top_k(
             continue
         mx = _tf_stepfn(reader, field, t, raw[t]).interval_max(a_firsts, a_lasts)
         feasible &= mx > 0.0  # no coverage anywhere in the anchor block
-    sigma = (
-        idf_sum * freq_ub * (K1 + 1.0)
-        / (freq_ub + K1 * (1.0 - B + B * a_rb.min_dl / avgdl))
-    )
-    idx = np.flatnonzero(feasible)
-    if idx.size == 0:
-        return EMPTY
-    order = idx[np.argsort(-sigma[idx], kind="stable")]
-
-    pool_docs: List[np.ndarray] = []
-    pool_scores: List[np.ndarray] = []
-
+    sigma = _bm25_bound(idf_sum, freq_ub, a_rb.min_dl, ctx.avgdl.get(field) or 1.0)
+    sigma[~feasible] = -np.inf
     others_by_size = sorted((t for t in uniq if t != anchor), key=lambda t: sizes[t])
 
-    def process(take: np.ndarray) -> int:
-        """Decode + match + score one set of anchor blocks into the pool.
+    def process(keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Matches and scores of the anchor blocks ``keep`` selects.
         Docs-only intersection FIRST (pruned to the shrinking candidate set),
         positions only for the survivors — the plain evaluator's step
-        structure, so the no-pruning worst case costs ~one plain pass, not a positional decode
-        over the whole anchor range."""
-        mask = np.zeros(len(a_rb), dtype=bool)
-        mask[take] = True
-        docs_a = reader.decode(a_rb, mask)[0]
-        if docs_a.size == 0:
-            return 0
-        cand = docs_a
+        structure, so the no-pruning worst case costs ~one plain pass, not a
+        positional decode over the whole anchor range."""
+        cand = reader.decode(a_rb, keep)[0]
+        if cand.size == 0:
+            return EMPTY
         for t in others_by_size:
             p = reader.postings_many(
                 field, [t], want_positions=False, candidates=cand
             ).get(t)
             if p is None or p[0].size == 0:
-                return 0
+                return EMPTY
             cand = _intersect_sorted(cand, p[0])
             if cand.size == 0:
-                return 0
+                return EMPTY
         posts = _positional_posts(reader, field, terms, cand)
         if posts is None:
-            return 0
+            return EMPTY
         freqs = _match_freqs(posts, cand, gap)
         hit = freqs > 0
-        if not hit.any():
-            return 0
         docs = cand[hit]
-        pool_docs.append(docs)
-        pool_scores.append(_score(reader, ctx, field, docs, freqs[hit], idf_sum))
-        return docs.size
+        return docs, _score(reader, ctx, field, docs, freqs[hit], idf_sum)
 
-    # FLAT bounds (uniform corpora, hot×hot): θ can never exceed the shared
-    # max bound, so score-skipping cannot prune — take ONE anchor-pruned pass
-    # over every feasible block (still a win over the plain evaluator: the
-    # other terms decode only blocks overlapping the anchor's docs, which is
-    # what makes rare-anchor phrases fast). SKEWED bounds: bootstrap θ from
-    # the top-bound blocks, then one pass over the survivors that can still
-    # beat it. Two phases, not a θ-refining chunk loop: chunks are
-    # bound-ordered (not doc-contiguous), so every extra chunk re-decodes the
-    # hot terms' overlapping blocks — a θ-refining loop costs O(log) full
-    # passes in the flat worst case, while this shape is capped at ~one
-    # bootstrap + one pass and keeps the spiky-corpus early exit.
-    s = sigma[idx]
-    prunable = float(np.mean(s < s.max() - THETA_EPS))
-    if prunable < 0.5:
-        process(idx)
-        complete = True
-    else:
-        pooled = 0
-        pos = 0
-        chunk = PHRASE_CHUNK0
-        while pos < order.size and pooled < k:
-            take = order[pos: pos + chunk]
-            pos += take.size
-            chunk *= 2
-            pooled += process(take)
-        complete = pos >= order.size
-        if not complete:
-            theta = float(
-                -np.partition(-np.concatenate(pool_scores), k - 1)[k - 1]
-            )
-            rest = order[pos:]
-            surv = rest[sigma[rest] >= theta - THETA_EPS]
-            # θ pruned nothing (near-flat bounds in practice — the 10M hot×hot
-            # shape: dl_min jitter spreads sigma past THETA_EPS so `prunable`
-            # reads 1.0, yet the k-th match score clears no block's bound):
-            # the pass is then COMPLETE and the match set cacheable, making
-            # warm repeats decode-free at any k.
-            complete = surv.size == rest.size
-            if surv.size:
-                process(surv)
-    if complete:
-        docs_all = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
-        scores_all = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
-        reader.cache.put("match", cache_key, (docs_all, scores_all))
-        if docs_all.size == 0:
-            return EMPTY
-        return top_k(docs_all, scores_all, k)
-    if not pool_docs:
-        return EMPTY
-    return top_k(np.concatenate(pool_docs), np.concatenate(pool_scores), k)
+    return block_max_pass(reader, key, sigma, k, process, PHRASE_CHUNK0)

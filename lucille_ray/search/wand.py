@@ -35,6 +35,11 @@ in pruned intervals) carry scores ≤ bound < θ and rank strictly below the tru
 top-k. ε guards float-associativity noise between the bound sum and the score
 sum. ``tests/test_wand.py`` asserts rank+score identity vs the plain evaluator
 over the full QUERY_SET shapes and randomized corpora.
+
+The module also holds :func:`block_max_pass`, the one θ loop of the
+single-anchor executors (:func:`single_term_top_k`, bmconj.py, bmphrase.py):
+blocks in upper-bound order against a running k-th-best threshold, with one
+answer cache in the reader's ``match`` pool.
 """
 
 from __future__ import annotations
@@ -160,82 +165,130 @@ def term_parts(
     return {"field": field, "term": terms[0]}, weights
 
 
-#: first chunk of bound-ordered blocks decoded by single_term_top_k
+#: first round, in blocks, of single_term_top_k's block-max pass
 TERM_CHUNK0 = 16
+
+
+def _bm25_bound(idf, max_tf, min_dl, avgdl: float, boost: float = 1.0):
+    """Per-block BM25 upper bound: ``boost`` times BM25 at (max_tf, min_dl).
+    BM25 rises with tf and falls with dl, and the expression and operation
+    order are `_bm25_exact`'s, so the bound is >= the score of every doc in a
+    block whose stored max_tf and min_dl these are (``1.0 * x == x``, so the
+    unboosted bound is bit-identical to the bare expression)."""
+    return boost * idf * max_tf * (K1 + 1.0) / (
+        max_tf + K1 * (1.0 - B + B * min_dl / avgdl))
+
+
+def cached_top_k(reader, key, k: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The answer a :func:`block_max_pass` under ``key`` left in the reader's
+    ``match`` pool, or None: a complete pass's match set answers any k, any
+    other pass's top-K answers k <= K by prefix (top_k output is already
+    (score desc, doc_id asc))."""
+    hit = reader.cache.get("match", key)
+    if hit is None:
+        return None
+    limit, docs, scores = hit
+    if limit is None:
+        return top_k(docs, scores, k) if docs.size else EMPTY
+    return (docs[:k], scores[:k]) if k <= limit else None
+
+
+def block_max_pass(
+    reader, key, ub: np.ndarray, k: int, process, chunk0: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact top-k over one segment's blocks taken in upper-bound order
+    against a running k-th-best threshold θ: the one θ loop of the term,
+    conjunction and phrase executors.
+
+    ``ub[b]`` bounds the score of every match in block ``b`` (−inf: block b
+    holds no match); ``process(keep)`` scores every match in the blocks a
+    boolean mask selects, as (docs, scores). Each match must live in exactly
+    one block. A FLAT bound (fewer than half the blocks sit below the
+    maximum) cannot prune, so one round takes every block. Otherwise rounds
+    of ``chunk0``, doubling, take blocks in bound order until k matches pool;
+    θ is their k-th best score (a lower bound on the final k-th), and ONE
+    more round takes every remaining block whose bound reaches θ − ε. A
+    skipped match scores at most its block's bound < θ − ε, strictly below
+    the final k-th, so it cannot enter the top-k even by tie-break. One
+    survivor round instead of a θ-refining loop: rounds are bound-ordered,
+    not doc-contiguous, so every extra round re-decodes the other terms'
+    overlapping blocks.
+
+    The answer goes to the ``match`` pool under ``key`` (read back by
+    :func:`cached_top_k`): a pass that took every block stores its match set,
+    any other its top-k."""
+    live = np.flatnonzero(ub > -np.inf)
+    if not live.size:
+        return EMPTY
+    order = live[np.argsort(-ub[live], kind="stable")]
+    pool_docs: List[np.ndarray] = []
+    pool_scores: List[np.ndarray] = []
+
+    def run(blocks: np.ndarray) -> int:
+        keep = np.zeros(ub.size, dtype=bool)
+        keep[blocks] = True
+        docs, scores = process(keep)
+        if docs.size:
+            pool_docs.append(docs)
+            pool_scores.append(scores)
+        return docs.size
+
+    bounds = ub[order]
+    if np.mean(bounds < bounds[0] - THETA_EPS) < 0.5:
+        run(order)
+        complete = True
+    else:
+        pos, chunk, pooled = 0, chunk0, 0
+        while pos < order.size and pooled < k:
+            pooled += run(order[pos: pos + chunk])
+            pos += chunk
+            chunk *= 2
+        rest = order[pos:]
+        surv = rest
+        if rest.size:
+            theta = float(-np.partition(-np.concatenate(pool_scores), k - 1)[k - 1])
+            surv = rest[ub[rest] >= theta - THETA_EPS]
+            if surv.size:
+                run(surv)
+        complete = surv.size == rest.size
+    docs = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
+    scores = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
+    if complete:
+        reader.cache.put("match", key, (None, docs, scores))
+        return top_k(docs, scores, k) if docs.size else EMPTY
+    docs, scores = top_k(docs, scores, k)
+    reader.cache.put("match", key, (k, docs, scores))
+    return docs, scores
 
 
 def single_term_top_k(
     reader, ctx: EvalContext, field: str, term: str, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact top-k of one term over one segment by block-max score skipping:
-    per-block upper bound = BM25 at (max_tf, min_dl) (score is increasing in
-    tf, decreasing in dl — same expression and op order as `_bm25_exact`, so
-    `ub >= score(doc)` for every doc in the block). Blocks are processed in
-    bound order until every unprocessed bound is < θ - THETA_EPS; scores are
-    unboosted (the caller applies Boost weights innermost-first like eval).
-
-    Results are memoized in the reader's ``term_topk`` pool: a cached (K,
-    docs, scores) answers any k <= K by prefix (top_k output is already
-    (score desc, doc_id asc))."""
-    hit = reader.cache.get("term_topk", (field, term))
-    if hit is not None and hit[0] >= k:
-        return hit[1][:k], hit[2][:k]
+    """Exact top-k of one term over one segment by a :func:`block_max_pass`
+    over its blocks, each bounded by `_bm25_bound`; scores are unboosted
+    (the caller applies Boost weights innermost-first like eval). When the
+    term's full decoded postings and scores are already cached (an earlier
+    plain eval of it), the top-k comes from them with zero decodes."""
+    key = ("term", field, term)
+    hit = cached_top_k(reader, key, k)
+    if hit is not None:
+        return hit
     rb = reader.raw_blocks_many(field, [term]).get(term)
     if rb is None or not len(rb):
         return EMPTY
-    # full decoded+scored postings already cached (e.g. by an earlier plain
-    # eval of the same term): exact top-k with zero decodes
     post = reader.cache.get("post", (field, term, False))
     base = reader.cache.get("score", (field, term))
     if post is not None and base is not None:
         docs, scores = top_k(post[0], base, k)
-        reader.cache.put("term_topk", (field, term), (k, docs, scores))
+        reader.cache.put("match", key, (k, docs, scores))
         return docs, scores
-    idf = ctx.idf(field, term)
-    avgdl = ctx.avgdl.get(field) or 1.0
-    tfm = rb.max_tf
-    ub = idf * tfm * (K1 + 1.0) / (tfm + K1 * (1.0 - B + B * rb.min_dl / avgdl))
-    order = np.argsort(-ub, kind="stable")
+    ub = _bm25_bound(ctx.idf(field, term), rb.max_tf, rb.min_dl, ctx.avgdl.get(field) or 1.0)
 
-    pool_docs: List[np.ndarray] = []
-    pool_scores: List[np.ndarray] = []
-    pooled = 0
+    def process(keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        docs, tfs, _ = reader.decode(rb, keep)
+        return docs, _bm25_exact(reader, ctx, field, term, 1.0, docs, tfs)
 
-    def process(take: np.ndarray) -> None:
-        nonlocal pooled
-        mask = np.zeros(len(rb), dtype=bool)
-        mask[take] = True
-        docs, tfs, _ = reader.decode(rb, mask)
-        if docs.size == 0:
-            return
-        pool_docs.append(docs)
-        pool_scores.append(
-            _bm25_exact(reader, ctx, field, term, 1.0, docs, tfs)
-        )
-        pooled += docs.size
-
-    pos = 0
-    chunk = TERM_CHUNK0
-    while pos < order.size and pooled < k:
-        take = order[pos: pos + chunk]
-        pos += take.size
-        chunk *= 2
-        process(take)
-    if pos < order.size:
-        theta = float(
-            -np.partition(-np.concatenate(pool_scores), k - 1)[k - 1]
-        )
-        rest = order[pos:]
-        surv = rest[ub[rest] >= theta - THETA_EPS]
-        if surv.size:
-            process(surv)
-    if not pool_docs:
-        return EMPTY
-    docs, scores = top_k(
-        np.concatenate(pool_docs), np.concatenate(pool_scores), k
-    )
-    reader.cache.put("term_topk", (field, term), (k, docs, scores))
-    return docs, scores
+    return block_max_pass(reader, key, ub, k, process, TERM_CHUNK0)
 
 
 def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
@@ -291,10 +344,7 @@ def wand_top_k(
         rb = raw.get((field, term))
         if rb is None or not len(rb):
             continue
-        avgdl = ctx.avgdl.get(field) or 1.0
-        ub = boost * idf * rb.max_tf * (K1 + 1.0) / (
-            rb.max_tf + K1 * (1.0 - B + B * rb.min_dl / avgdl)
-        )
+        ub = _bm25_bound(idf, rb.max_tf, rb.min_dl, ctx.avgdl.get(field) or 1.0, boost)
         terms_meta.append((field, term, boost, rb, rb.firsts, rb.lasts, ub))
     if len(terms_meta) < m:
         return EMPTY  # terms absent from the index can never supply m matches

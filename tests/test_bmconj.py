@@ -388,7 +388,8 @@ def test_conj_complete_pass_cached(flat_conj, monkeypatch):
     r = max(scorer.readers, key=lambda rr: rr.doc_count)
     r.cache = ReaderCache()
     d1, s1 = conj_top_k_compound(r, ctx, k=10, **args)
-    assert r.cache.get("match", (args["clauses"], args["negs"])) is not None
+    entry = r.cache.get("match", ("conj", args["clauses"], args["negs"]))
+    assert entry is not None and entry[0] is None  # complete: the match set
 
     decoded = {"n": 0}
     real = codec.decode_varints

@@ -310,7 +310,8 @@ def test_flat_match_cache_warm_repeat(flat, monkeypatch):
     # cold pass populates the cache
     r.cache = ReaderCache()
     d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    assert r.cache.get("match", (field, tuple(terms), gap)) is not None
+    entry = r.cache.get("match", ("phrase", field, tuple(terms), gap))
+    assert entry is not None and entry[0] is None  # complete: the match set
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
@@ -416,7 +417,8 @@ def test_theta_branch_complete_pass_is_cached(jittered, monkeypatch):
 
     r.cache = ReaderCache()
     d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    assert r.cache.get("match", (field, tuple(terms), gap)) is not None
+    entry = r.cache.get("match", ("phrase", field, tuple(terms), gap))
+    assert entry is not None and entry[0] is None  # complete: the match set
 
     decoded_vals = {"n": 0}
     real = codec.decode_varints
