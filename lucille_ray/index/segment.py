@@ -90,15 +90,15 @@ class ReaderCache:
     or a score. Norms, term dictionaries, the doc map and the postings file
     handles are loaded once per reader and pinned outside the budget.
 
-    Pools by scope. **Segment** scope depends only on the segment's immutable
-    files: ``raw`` (undecoded blocks) and ``phr_stepfn`` (max_tf step
-    functions); the block-max executors read each block's bound inputs
-    straight from ``raw``. **Commit**
-    scope also depends on tombstones or on global idf/avgdl: ``post`` and
-    ``pruned`` (decoded postings, whole or around a candidate set),
-    ``score``, ``conj_stepfn``, ``match`` (every block-max pass answer of
-    the term, conjunction and phrase executors: a complete pass's match set,
-    any other pass's top-k), ``wand_pruned`` and ``result``.
+    Pools by scope, seven in all. **Segment** scope depends only on the
+    segment's immutable files: ``raw`` (undecoded blocks) and
+    ``phr_stepfn`` (max_tf step functions); the block-max executors read
+    each block's bound inputs straight from ``raw``. **Commit** scope also
+    depends on tombstones or on global idf/avgdl: ``post`` and ``pruned``
+    (decoded postings, whole or around a candidate set), ``score`` (a whole
+    term's BM25 scores), ``conj_stepfn`` and ``result`` (the top-k answers
+    of ``SegmentScorer.score``, the one answer cache: no executor keeps its
+    own).
 
     Callers use the value they computed, never a re-read after their own
     ``put``: an entry larger than the whole budget is returned but not kept,

@@ -59,7 +59,7 @@ import numpy as np
 from ..analysis import DEFAULT_FIELD
 from ..query import nodes as qn
 from .eval import EMPTY, EvalContext, _unwrap, simple_term_of
-from .wand import _bm25_bound, _bm25_exact, _decode_candidates, block_max_pass, cached_top_k
+from .wand import _bm25_bound, _bm25_exact, _decode_candidates, block_max_pass
 
 #: first round, in anchor blocks, of conj_top_k_compound's block-max pass
 CONJ_CHUNK0 = 4
@@ -216,12 +216,7 @@ def conj_top_k_compound(
     vs eval's _apply_must_not (which filters after scoring) cannot change
     them. Returns None when this segment leaves no single-member clause to
     anchor on (the caller falls back to the plain evaluator for this
-    reader). The answer is cached in the ``match`` pool by the pass, so a
-    repeat at the same or a smaller k decodes nothing."""
-    key = ("conj", clauses, negs)
-    hit = cached_top_k(reader, key, k)
-    if hit is not None:
-        return hit
+    reader)."""
     by_field: dict = {}
     for members, _cw in clauses:
         for f, t, _b in members:
@@ -333,4 +328,4 @@ def conj_top_k_compound(
             scores += vec
         return cand, scores
 
-    return block_max_pass(reader, key, conj_ub, k, process, CONJ_CHUNK0)
+    return block_max_pass(conj_ub, k, process, CONJ_CHUNK0)

@@ -57,7 +57,7 @@ from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
 from .bmconj import _StepMax
 from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap
-from .wand import _bm25_bound, block_max_pass, cached_top_k
+from .wand import _bm25_bound, block_max_pass
 
 #: first round, in anchor blocks, of phrase_top_k's block-max pass
 PHRASE_CHUNK0 = 4
@@ -150,14 +150,8 @@ def phrase_top_k(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Exact top-k of a phrase/proximity query over one segment, decoding only
     anchor blocks whose phrase upper bound can still beat the running k-th
-    best (and other terms only around those candidates). The pass caches
-    its answer in the reader's ``match`` pool, so a warm repeat at the same
-    or a smaller k decodes nothing. None (decline) when the idf sum is not
-    positive."""
-    key = ("phrase", field, tuple(terms), gap)
-    hit = cached_top_k(reader, key, k)
-    if hit is not None:
-        return hit
+    best (and other terms only around those candidates). None (decline) when
+    the idf sum is not positive."""
     uniq = list(dict.fromkeys(terms))
     raw = reader.raw_blocks_many(field, uniq)
     for t in uniq:
@@ -219,4 +213,4 @@ def phrase_top_k(
         docs = cand[hit]
         return docs, _score(reader, ctx, field, docs, freqs[hit], idf_sum)
 
-    return block_max_pass(reader, key, sigma, k, process, PHRASE_CHUNK0)
+    return block_max_pass(sigma, k, process, PHRASE_CHUNK0)

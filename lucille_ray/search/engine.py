@@ -118,6 +118,19 @@ def slice_groups(
     return folded
 
 
+def _wants_rows(k: int) -> bool:
+    """Whether a top-k entry point's ``k`` asks for any rows: False for 0,
+    a ValueError for a negative k (the executors and ``top_k`` assume
+    k >= 1)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got k={k}")
+    return k > 0
+
+
+def _no_rows() -> Tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, np.int64), np.empty(0, np.float64)
+
+
 def _merge_ctx(
     resolved_list: list, n_docs: int, avgdl: Dict[str, float]
 ) -> Tuple[EvalContext, Dict[Tuple[str, str], int], Dict[ExpansionSpec, tuple]]:
@@ -262,7 +275,7 @@ class SegmentScorer:
                 all_docs.append(docs)
                 all_scores.append(scores)
         if not all_docs:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
+            return _no_rows()
         docs = np.concatenate(all_docs)
         scores = np.concatenate(all_scores)
         if k is not None:
@@ -677,8 +690,11 @@ class SearchEngine:
         scores (``score`` / ``score_meta``); a miss submits every scorer's
         ``resolve`` without waiting, then one folded ``resolve_score`` trip
         in which each scorer merges the global stats itself. Only the first
-        query on a cold engine pays one more trip, for the corpus stats."""
+        query on a cold engine pays one more trip, for the corpus stats.
+        ``k=0`` answers no rows with the same columns."""
         q = parse(query) if isinstance(query, str) else query
+        if not _wants_rows(k):
+            return self._to_table(*_no_rows(), with_meta)
         reqs = collect_term_requests(q)
         hit = self._plan_from_cache(q, reqs)
         if hit is not None:
@@ -729,6 +745,8 @@ class SearchEngine:
         ``warm()`` with one term leaves the other sets' postings cold on the
         batch's actual terms — the first striped pass then pays R-1 sets of
         cold decodes (VERDICT r03 #1)."""
+        if not _wants_rows(k):
+            return
         items = [(q, reqs, ctx, k) for (q, reqs, ctx) in self.plan_many(queries)]
         self._gather(
             [self._submit(s, "score_many", items) for s in self._scorer_sets()]
@@ -792,8 +810,11 @@ class SearchEngine:
         batch is striped across the replica sets ("striped" mode: query i
         goes to set i % R, so the whole pool scores concurrently) or across
         the one set the round-robin picks ("single" mode, see
-        :meth:`calibrate`)."""
-        plans = self.plan_many(queries)
+        :meth:`calibrate`). ``k=0`` answers no rows for every query."""
+        parsed = [parse(q) if isinstance(q, str) else q for q in queries]
+        if not _wants_rows(k):
+            return [_no_rows() for _ in parsed]
+        plans = self.plan_many(parsed)
         sets = self._scorer_sets() if self._mode == "striped" else [self._scorers()]
         nr = len(sets)
         # stripe r is plans[r::nr]; only trailing stripes can be empty

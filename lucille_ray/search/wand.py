@@ -38,13 +38,14 @@ over the full QUERY_SET shapes and randomized corpora.
 
 The module also holds :func:`block_max_pass`, the one θ loop of the
 single-anchor executors (:func:`single_term_top_k`, bmconj.py, bmphrase.py):
-blocks in upper-bound order against a running k-th-best threshold, with one
-answer cache in the reader's ``match`` pool.
+blocks in upper-bound order against a running k-th-best threshold. No
+executor keeps its answer: the per-segment answer cache is
+``SegmentScorer.score``'s ``result`` pool, so a scorer built with
+``result_cache=False`` runs an executor on every call.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import List, Optional, Tuple
 
@@ -179,22 +180,8 @@ def _bm25_bound(idf, max_tf, min_dl, avgdl: float, boost: float = 1.0):
         max_tf + K1 * (1.0 - B + B * min_dl / avgdl))
 
 
-def cached_top_k(reader, key, k: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The answer a :func:`block_max_pass` under ``key`` left in the reader's
-    ``match`` pool, or None: a complete pass's match set answers any k, any
-    other pass's top-K answers k <= K by prefix (top_k output is already
-    (score desc, doc_id asc))."""
-    hit = reader.cache.get("match", key)
-    if hit is None:
-        return None
-    limit, docs, scores = hit
-    if limit is None:
-        return top_k(docs, scores, k) if docs.size else EMPTY
-    return (docs[:k], scores[:k]) if k <= limit else None
-
-
 def block_max_pass(
-    reader, key, ub: np.ndarray, k: int, process, chunk0: int
+    ub: np.ndarray, k: int, process, chunk0: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact top-k over one segment's blocks taken in upper-bound order
     against a running k-th-best threshold θ: the one θ loop of the term,
@@ -212,11 +199,7 @@ def block_max_pass(
     the final k-th, so it cannot enter the top-k even by tie-break. One
     survivor round instead of a θ-refining loop: rounds are bound-ordered,
     not doc-contiguous, so every extra round re-decodes the other terms'
-    overlapping blocks.
-
-    The answer goes to the ``match`` pool under ``key`` (read back by
-    :func:`cached_top_k`): a pass that took every block stores its match set,
-    any other its top-k."""
+    overlapping blocks."""
     live = np.flatnonzero(ub > -np.inf)
     if not live.size:
         return EMPTY
@@ -236,7 +219,6 @@ def block_max_pass(
     bounds = ub[order]
     if np.mean(bounds < bounds[0] - THETA_EPS) < 0.5:
         run(order)
-        complete = True
     else:
         pos, chunk, pooled = 0, chunk0, 0
         while pos < order.size and pooled < k:
@@ -244,21 +226,14 @@ def block_max_pass(
             pos += chunk
             chunk *= 2
         rest = order[pos:]
-        surv = rest
         if rest.size:
             theta = float(-np.partition(-np.concatenate(pool_scores), k - 1)[k - 1])
             surv = rest[ub[rest] >= theta - THETA_EPS]
             if surv.size:
                 run(surv)
-        complete = surv.size == rest.size
-    docs = np.concatenate(pool_docs) if pool_docs else EMPTY[0]
-    scores = np.concatenate(pool_scores) if pool_scores else EMPTY[1]
-    if complete:
-        reader.cache.put("match", key, (None, docs, scores))
-        return top_k(docs, scores, k) if docs.size else EMPTY
-    docs, scores = top_k(docs, scores, k)
-    reader.cache.put("match", key, (k, docs, scores))
-    return docs, scores
+    if not pool_docs:
+        return EMPTY
+    return top_k(np.concatenate(pool_docs), np.concatenate(pool_scores), k)
 
 
 def single_term_top_k(
@@ -269,26 +244,20 @@ def single_term_top_k(
     (the caller applies Boost weights innermost-first like eval). When the
     term's full decoded postings and scores are already cached (an earlier
     plain eval of it), the top-k comes from them with zero decodes."""
-    key = ("term", field, term)
-    hit = cached_top_k(reader, key, k)
-    if hit is not None:
-        return hit
     rb = reader.raw_blocks_many(field, [term]).get(term)
     if rb is None or not len(rb):
         return EMPTY
     post = reader.cache.get("post", (field, term, False))
     base = reader.cache.get("score", (field, term))
     if post is not None and base is not None:
-        docs, scores = top_k(post[0], base, k)
-        reader.cache.put("match", key, (k, docs, scores))
-        return docs, scores
+        return top_k(post[0], base, k)
     ub = _bm25_bound(ctx.idf(field, term), rb.max_tf, rb.min_dl, ctx.avgdl.get(field) or 1.0)
 
     def process(keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         docs, tfs, _ = reader.decode(rb, keep)
         return docs, _bm25_exact(reader, ctx, field, term, 1.0, docs, tfs)
 
-    return block_max_pass(reader, key, ub, k, process, TERM_CHUNK0)
+    return block_max_pass(ub, k, process, TERM_CHUNK0)
 
 
 def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
@@ -508,8 +477,7 @@ def _decode_candidates(
     reader, ctx: EvalContext, tm: tuple, cand_lo: np.ndarray, cand_hi: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Decode one term's blocks that overlap the candidate intervals (None when
-    none do), preferring the reader's full-postings cache and memoizing
-    selective decodes per surviving block-subset."""
+    none do), preferring the reader's full-postings cache."""
     field, term, boost, rb, firsts, lasts, _ub = tm
     hit = reader.cache.get("post", (field, term, False))
     if hit is not None:
@@ -531,13 +499,7 @@ def _decode_candidates(
             # in this pinned scorer become cache hits (the skip saves little)
             docs, tfs, _ = reader.postings(field, term)
         else:
-            # selective decode, memoized per block-subset: repeat queries
-            # produce the same surviving mask and skip the decode entirely
-            key = (field, term, hashlib.md5(ok.tobytes()).hexdigest()[:16])
-            cached = reader.cache.get("wand_pruned", key)
-            if cached is None:
-                cached = reader.cache.put("wand_pruned", key, reader.decode(rb, ok)[:2])
-            docs, tfs = cached
+            docs, tfs, _ = reader.decode(rb, ok)
     return (
         docs,
         _bm25_exact(reader, ctx, field, term, boost, docs, tfs, full=full),

@@ -58,3 +58,21 @@ def tombstoned(tmp_path_factory):
         return made[index_dir]
 
     return make
+
+
+@pytest.fixture
+def block_decodes(monkeypatch):
+    """Every ``RawBlocks.decode_blocks`` call the test makes, as (raw blocks,
+    blocks decoded, want_positions): every block decode of the serving path
+    goes through it. ``.clear()`` starts a new count."""
+    from lucille_ray.index.codec import RawBlocks
+
+    calls = []
+    real = RawBlocks.decode_blocks
+
+    def counting(rb, sel, want_positions=False):
+        calls.append((rb, rb.count if sel is None else len(sel), want_positions))
+        return real(rb, sel, want_positions)
+
+    monkeypatch.setattr(RawBlocks, "decode_blocks", counting)
+    return calls

@@ -375,41 +375,35 @@ def flat_conj(ray_session, tmp_path_factory):
     return index_dir
 
 
-def test_conj_complete_pass_cached(flat_conj, monkeypatch):
-    """A flat-bound (hot x hot) conjunction processes every feasible block;
-    the complete match set must be cached so warm repeats decode zero varints
-    and stay bit-identical at any k (shared match_cache with bmphrase)."""
-    from lucille_ray.index import codec
-
+def test_conj_complete_pass_cached(flat_conj, block_decodes):
+    """A flat-bound (hot x hot) conjunction takes every block in one round:
+    a complete pass, exact vs the plain evaluator. Its answer is kept only
+    in the scorer's ``result`` pool (as bmphrase's is): warm repeats at the
+    same or a smaller k decode nothing and stay bit-identical."""
     engine = SearchEngine(flat_conj, parallel=False)
     q, reqs, ctx = engine.plan("data AND query")
     args, _scale = conj_parts_compound(q)
     scorer = engine._scorers()[0]
-    r = max(scorer.readers, key=lambda rr: rr.doc_count)
+    (r,) = [rr for rr in scorer.readers if rr.doc_count]
     r.cache = ReaderCache()
+    raw = r.raw_blocks_many("text", ["data", "query"])
+    block_decodes.clear()
     d1, s1 = conj_top_k_compound(r, ctx, k=10, **args)
-    entry = r.cache.get("match", ("conj", args["clauses"], args["negs"]))
-    assert entry is not None and entry[0] is None  # complete: the match set
+    for term, rb in raw.items():
+        decoded = sum(n for got, n, _pos in block_decodes if got is rb)
+        assert decoded == rb.count, (term, "a complete pass decodes every block")
 
-    decoded = {"n": 0}
-    real = codec.decode_varints
-
-    def counting(buf):
-        out = real(buf)
-        decoded["n"] += out.size
-        return out
-
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    d2, s2 = conj_top_k_compound(r, ctx, k=10, **args)
-    assert decoded["n"] == 0, "warm repeat must not decode"
-    assert d2.tolist() == d1.tolist()
-    np.testing.assert_array_equal(s2, s1)
-    d3, s3 = conj_top_k_compound(r, ctx, k=3, **args)
-    assert decoded["n"] == 0
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
-    ed, es = top_k(*ev.eval(q), 3)
-    assert d3.tolist() == ed.tolist()
-    np.testing.assert_array_equal(s3, es)
+    expected = {k: top_k(*ev.eval(q), k) for k in (10, 3)}
+    assert d1.tolist() == expected[10][0].tolist()
+    np.testing.assert_array_equal(s1, expected[10][1])
+    scorer.score(q, reqs, ctx, 10)
+    for k in (10, 3):
+        block_decodes.clear()
+        d, s = scorer.score(q, reqs, ctx, k)
+        assert block_decodes == [], f"warm repeat at k={k} must not decode"
+        assert d.tolist() == expected[k][0].tolist()
+        np.testing.assert_array_equal(s, expected[k][1])
 
 
 COMPOUND_QUERIES = [

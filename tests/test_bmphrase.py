@@ -294,50 +294,49 @@ def flat(ray_session, tmp_path_factory):
     return index_dir
 
 
-def test_flat_match_cache_warm_repeat(flat, monkeypatch):
-    """Flat-bound (hot x hot) phrase: the first evaluation computes the
-    COMPLETE match set and caches it; a repeat query must decode ZERO varints
-    and return bit-identical results for any k (VERDICT r03 #3)."""
-    from lucille_ray.index import codec
-
-    engine = SearchEngine(flat, parallel=False)
+def _complete_then_cached(engine, qs, block_decodes):
+    """Run ``qs``'s phrase executor cold on the one non-empty segment: it
+    must decode every block of every term for docs (a complete pass) and
+    equal the plain evaluator. Then through the scorer, whose ``result``
+    pool alone keeps the answer: warm repeats at k=10 and k=3 decode
+    nothing and stay bit-identical."""
     scorer = engine._scorers()[0]
-    r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    q, reqs, ctx = engine.plan('"data query"~2')
+    (r,) = [rr for rr in scorer.readers if rr.doc_count]
+    q, reqs, ctx = engine.plan(qs)
     args, _w = phrase_parts(q)
-    field, terms, gap = args["field"], args["terms"], args["gap"]
-
-    # cold pass populates the cache
     r.cache = ReaderCache()
-    d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    entry = r.cache.get("match", ("phrase", field, tuple(terms), gap))
-    assert entry is not None and entry[0] is None  # complete: the match set
+    raw = r.raw_blocks_many(args["field"], list(dict.fromkeys(args["terms"])))
+    block_decodes.clear()
+    d1, s1 = phrase_top_k(r, ctx, k=10, **args)
+    for term, rb in raw.items():
+        decoded = sum(n for got, n, pos in block_decodes if got is rb and not pos)
+        assert decoded == rb.count, (term, "a complete pass decodes every block")
 
-    decoded_vals = {"n": 0}
-    real = codec.decode_varints
-
-    def counting(buf):
-        out = real(buf)
-        decoded_vals["n"] += out.size
-        return out
-
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    d2, s2 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    assert decoded_vals["n"] == 0, "warm repeat must not decode anything"
-    assert d2.tolist() == d1.tolist()
-    np.testing.assert_array_equal(s2, s1)
-    # a different k reuses the same cached match set, still exact vs eval
-    d3, s3 = phrase_top_k(r, ctx, field, terms, gap, k=3)
-    assert decoded_vals["n"] == 0
     ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
-    ed, es = top_k(*ev.eval(q), 3)
-    assert d3.tolist() == ed.tolist()
-    np.testing.assert_array_equal(s3, es)
+    expected = {k: top_k(*ev.eval(q), k) for k in (10, 3)}
+    assert d1.tolist() == expected[10][0].tolist()
+    np.testing.assert_array_equal(s1, expected[10][1])
+    scorer.score(q, reqs, ctx, 10)
+    for k in (10, 3):
+        block_decodes.clear()
+        d, s = scorer.score(q, reqs, ctx, k)
+        assert block_decodes == [], f"warm repeat at k={k} must not decode"
+        assert d.tolist() == expected[k][0].tolist()
+        np.testing.assert_array_equal(s, expected[k][1])
+
+
+def test_flat_match_cache_warm_repeat(flat, block_decodes):
+    """Flat-bound (hot x hot) phrase: the first evaluation is a complete
+    pass, and a repeat query answered from the ``result`` pool decodes
+    nothing and is bit-identical at the same or a smaller k (VERDICT r03
+    #3)."""
+    _complete_then_cached(SearchEngine(flat, parallel=False), '"data query"~2', block_decodes)
 
 
 def test_flat_match_cache_byte_cap(flat, monkeypatch):
-    """The match pool evicts the oldest entries past the reader cache's byte
-    budget instead of growing, and keeps the new entry."""
+    """The answer pool (``result``) evicts the oldest entries past the
+    reader cache's byte budget instead of growing, and keeps the new
+    entry."""
     import lucille_ray.index.segment as seg_mod
 
     engine = SearchEngine(flat, parallel=False)
@@ -347,13 +346,13 @@ def test_flat_match_cache_byte_cap(flat, monkeypatch):
     r.cache = ReaderCache()
     big = np.zeros(1024, np.int64)
     for i in range(3):
-        r.cache.put("match", ("text", (f"t{i}",), 0), (big, big.astype(np.float64)))
-    assert r.cache.stats()["match"]["entries"] == 3  # far under the cap: all kept
+        r.cache.put("result", f"t{i}", (10, big, big.astype(np.float64)))
+    assert r.cache.stats()["result"]["entries"] == 3  # far under the cap: all kept
     monkeypatch.setattr(seg_mod, "READER_CACHE_BYTES", 3 * 2 * big.nbytes)
-    r.cache.put("match", ("text", ("tx",), 0), (big, big.astype(np.float64)))
-    assert r.cache.stats()["match"]["entries"] < 4
-    assert r.cache.get("match", ("text", ("t0",), 0)) is None  # oldest evicted
-    assert r.cache.get("match", ("text", ("tx",), 0)) is not None
+    r.cache.put("result", "tx", (10, big, big.astype(np.float64)))
+    assert r.cache.stats()["result"]["entries"] < 4
+    assert r.cache.get("result", "t0") is None  # oldest evicted
+    assert r.cache.get("result", "tx") is not None
 
 
 @pytest.fixture(scope="module")
@@ -395,47 +394,21 @@ def jittered(ray_session, tmp_path_factory):
     return index_dir
 
 
-def test_theta_branch_complete_pass_is_cached(jittered, monkeypatch):
+def test_theta_branch_complete_pass_is_cached(jittered, block_decodes):
     """When the theta branch ends up processing EVERY feasible block (survivor
-    cut prunes nothing — the measured 10M hot-phrase behavior), the complete
-    match set must be cached exactly like the flat path: warm repeats decode
-    zero varints and stay bit-identical at any k."""
-    from lucille_ray.index import codec
-
+    cut prunes nothing — the measured 10M hot-phrase behavior), the pass is
+    complete and its answer is reused exactly like the flat path's: warm
+    repeats decode nothing and stay bit-identical at the same or a smaller
+    k."""
     engine = SearchEngine(jittered, parallel=False)
-    scorer = engine._scorers()[0]
-    r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    q, reqs, ctx = engine.plan('"data query"')
+    r = max(engine._scorers()[0].readers, key=lambda rr: rr.doc_count)
+    q, _reqs, _ctx = engine.plan('"data query"')
     args, _w = phrase_parts(q)
-    field, terms, gap = args["field"], args["terms"], args["gap"]
 
     # precondition: this corpus really exercises the theta (prunable) branch
-    uniq = list(dict.fromkeys(terms))
-    raw = r.raw_blocks_many(field, uniq)
+    uniq = list(dict.fromkeys(args["terms"]))
+    raw = r.raw_blocks_many(args["field"], uniq)
     anchor = min(uniq, key=lambda t: int(raw[t].ns.sum()))
     assert np.unique(raw[anchor].min_dl).size > 1, "fixture must jitter per-block min_dl"
 
-    r.cache = ReaderCache()
-    d1, s1 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    entry = r.cache.get("match", ("phrase", field, tuple(terms), gap))
-    assert entry is not None and entry[0] is None  # complete: the match set
-
-    decoded_vals = {"n": 0}
-    real = codec.decode_varints
-
-    def counting(buf):
-        out = real(buf)
-        decoded_vals["n"] += out.size
-        return out
-
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    d2, s2 = phrase_top_k(r, ctx, field, terms, gap, k=10)
-    assert decoded_vals["n"] == 0, "warm repeat must not decode anything"
-    assert d2.tolist() == d1.tolist()
-    np.testing.assert_array_equal(s2, s1)
-    d3, s3 = phrase_top_k(r, ctx, field, terms, gap, k=3)
-    assert decoded_vals["n"] == 0
-    ev = SegmentEval(r, ctx, collect_term_requests(q), query=q)
-    ed, es = top_k(*ev.eval(q), 3)
-    assert d3.tolist() == ed.tolist()
-    np.testing.assert_array_equal(s3, es)
+    _complete_then_cached(engine, '"data query"', block_decodes)

@@ -9,6 +9,7 @@ segment instead."""
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -110,6 +111,35 @@ def test_shape_routes_to_its_executor(index_dir, served, monkeypatch, qs, execut
     assert _answer(engine, qs) == got, qs
 
 
+@pytest.mark.parametrize("plain", [False, True], ids=["routed", "plain"])
+def test_k_zero_is_empty_and_negative_k_is_refused(index_dir, monkeypatch, plain):
+    """k=0 answers no rows, with the columns and types of a k=10 answer, for
+    a query of every TOP_K_ROUTES row and with the plain evaluator, through
+    ``search``, ``search_many`` and ``suggest``; a negative k raises a
+    ValueError that names k."""
+    if plain:
+        monkeypatch.setattr(engine_mod, "TOP_K_ROUTES", ())
+    engine = SearchEngine(index_dir, parallel=False)
+    queries = [qs for qs, _ in ROUTED]
+    for qs in queries:
+        for with_meta in (True, False):
+            usual = engine.search(qs, k=10, with_meta=with_meta)
+            assert usual.num_rows
+            got = engine.search(qs, k=0, with_meta=with_meta)
+            assert got.num_rows == 0 and got.schema == usual.schema, (qs, with_meta)
+        with pytest.raises(ValueError, match="k=-1"):
+            engine.search(qs, k=-1)
+    for docs, scores in engine.search_many(queries, k=0):
+        assert docs.size == 0 and docs.dtype == np.int64 and scores.dtype == np.float64
+    with pytest.raises(ValueError, match="k=-1"):
+        engine.search_many(queries, k=-1)
+    usual = engine.suggest("alph", k=10)
+    got = engine.suggest("alph", k=0)
+    assert usual.num_rows and got.num_rows == 0 and got.schema == usual.schema
+    with pytest.raises(ValueError, match="k=-1"):
+        engine.suggest("alph", k=-1)
+
+
 @pytest.mark.parametrize(
     "query",
     [
@@ -193,10 +223,10 @@ def test_search_modules_read_no_environment(package):
 
 def test_reader_cache_docstring_names_every_pool():
     """The pool names passed to ``.cache.get/put/pop`` under lucille_ray/
-    are exactly the pools ``ReaderCache``'s docstring names in its "Pools by
-    scope" paragraph: the pool count stays checkable, and a removed pool
-    leaves no doc behind. A pool name that is not a literal counts as its
-    source text, so it fails too."""
+    are exactly the seven pools ``ReaderCache``'s docstring names in its
+    "Pools by scope" paragraph: the pool count stays checkable, and a
+    removed pool leaves no doc behind. A pool name that is not a literal
+    counts as its source text, so it fails too."""
     import ast
     import glob
     import re
@@ -222,6 +252,8 @@ def test_reader_cache_docstring_names_every_pool():
     doc = ReaderCache.__doc__
     named = set(re.findall(r"``(\w+)``", doc[doc.index("Pools by scope"): doc.index("Callers use")]))
     assert used == named
+    assert named == {"raw", "phr_stepfn", "post", "pruned", "score", "conj_stepfn",
+                     "result"}
 
 
 @pytest.mark.parametrize("package", ["search", "index"])

@@ -607,36 +607,33 @@ def test_single_term_parts_shapes(built):
     assert term_parts(parse("+data"), ctx) is None  # UnaryPlus stays on eval
 
 
-def test_single_term_skips_decodes_and_caches(built, monkeypatch):
-    """A hot term's repeat query must be answered from the per-reader top-k
-    cache (zero varint decodes), and any smaller k served from the same entry."""
-    from lucille_ray.index import codec
+def test_single_term_skips_decodes_and_caches(built, block_decodes):
+    """A hot term's repeat query is answered from the scorer's ``result``
+    pool (zero block decodes), and any smaller k is served from the same
+    entry; the executor itself keeps no answer, so calling it again
+    decodes again."""
     from lucille_ray.search.wand import single_term_top_k
 
     engine = SearchEngine(built, parallel=False)
     q, reqs, ctx = engine.plan("data")
     scorer = engine._scorers()[0]
-    r = max(scorer.readers, key=lambda rr: rr.doc_count)
-    r.cache = ReaderCache()
-    d1, s1 = single_term_top_k(r, ctx, "text", "data", 10)
+    for r in scorer.readers:
+        r.cache = ReaderCache()
+    d1, s1 = scorer.score(q, reqs, ctx, 10)
     assert d1.size == 10
 
-    decoded = {"n": 0}
-    real = codec.decode_varints
-
-    def counting(buf):
-        out = real(buf)
-        decoded["n"] += out.size
-        return out
-
-    monkeypatch.setattr("lucille_ray.index.codec.decode_varints", counting)
-    d2, s2 = single_term_top_k(r, ctx, "text", "data", 10)
-    assert decoded["n"] == 0, "warm repeat must not decode"
+    block_decodes.clear()
+    d2, s2 = scorer.score(q, reqs, ctx, 10)
+    assert block_decodes == [], "warm repeat must not decode"
     assert d2.tolist() == d1.tolist()
     np.testing.assert_array_equal(s2, s1)
-    d3, s3 = single_term_top_k(r, ctx, "text", "data", 3)
-    assert decoded["n"] == 0
+    d3, s3 = scorer.score(q, reqs, ctx, 3)
+    assert block_decodes == []
     assert d3.tolist() == d1.tolist()[:3]
+
+    r = max(scorer.readers, key=lambda rr: rr.doc_count)
+    single_term_top_k(r, ctx, "text", "data", 10)
+    assert block_decodes, "the executor keeps no answer of its own"
 
 
 def test_result_cache_identical_and_prefix(built, monkeypatch):

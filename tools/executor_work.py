@@ -16,12 +16,14 @@ routes queries through ``search.engine.TOP_K_ROUTES``), opens INDEX
 in-process, and walks ``query_pool(vocabulary, 2000, seed)`` for each seed.
 For every query a route matches, and for every segment, it calls the route's
 executor at perfbench's k (10) twice on a fresh ``ReaderCache``: cold,
-then warm. Each run records
-the blocks, postings and calls of ``RawBlocks.decode_blocks`` (every block
-decode of the serving path goes through it), and the answers of both runs
-(doc ids and unboosted scores, or null when the executor declines the
-segment). Queries
-that fail to plan (an expansion past the cap) are skipped.
+then warm. Executors keep no answers (the one answer cache is
+``SegmentScorer.score``'s ``result`` pool, which direct executor calls
+bypass), so the warm run measures only what the decode caches save. Each
+run records the blocks, postings and calls of ``RawBlocks.decode_blocks``
+(every block decode of the serving path goes through it), and the answers
+of both runs (doc ids and unboosted scores, or null when the executor
+declines the segment). Queries that fail to plan (an expansion past the
+cap) are skipped.
 
 The compare mode matches A's and B's rows by (seed, query, segment) and
 prints: rows whose warm answer differs from the cold one, cold answer
