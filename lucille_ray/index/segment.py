@@ -46,7 +46,6 @@ the reader's one :class:`ReaderCache`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import OrderedDict
@@ -90,15 +89,15 @@ class ReaderCache:
     or a score. Norms, term dictionaries, the doc map and the postings file
     handles are loaded once per reader and pinned outside the budget.
 
-    Pools by scope, seven in all. **Segment** scope depends only on the
+    Pools by scope, six in all. **Segment** scope depends only on the
     segment's immutable files: ``raw`` (undecoded blocks) and
     ``phr_stepfn`` (max_tf step functions); the block-max executors read
     each block's bound inputs straight from ``raw``. **Commit** scope also
-    depends on tombstones or on global idf/avgdl: ``post`` and ``pruned``
-    (decoded postings, whole or around a candidate set), ``score`` (a whole
-    term's BM25 scores), ``conj_stepfn`` and ``result`` (the top-k answers
-    of ``SegmentScorer.score``, the one answer cache: no executor keeps its
-    own).
+    depends on tombstones or on global idf/avgdl: ``post`` (a whole term's
+    decoded postings; a decode around a candidate set is not kept),
+    ``score`` (a whole term's BM25 scores), ``conj_stepfn`` and ``result``
+    (the top-k answers of ``SegmentScorer.score``, the one answer cache: no
+    executor keeps its own).
 
     Callers use the value they computed, never a re-read after their own
     ``put``: an entry larger than the whole budget is returned but not kept,
@@ -319,41 +318,36 @@ class SegmentReader:
         candidates: Optional[np.ndarray] = None,
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
         """:meth:`decode` of many terms' blocks from the ``raw`` pool (one
-        predicate-pushdown read for the terms it misses); decoded lists are
-        cached across queries (the readers live in pinned actors).
+        predicate-pushdown read for the terms it misses); whole decoded lists
+        are kept in the ``post`` pool across queries (the readers live in
+        pinned actors).
 
         ``candidates`` (a sorted doc-id array) enables exact conjunctive block
-        pruning: blocks whose [first_doc, last_doc] range contains no candidate
-        are skipped *before* decode (the block-max metadata's range half), in
-        memory — a parquet read per pruned repeat was 77% of repeat
-        conjunctive latency. Pruned results are cached in the ``pruned`` pool
-        under a digest of ``candidates``."""
+        pruning: a term the ``post`` pool lacks decodes only the blocks whose
+        [first_doc, last_doc] range holds a candidate (:func:`overlap_mask`),
+        and that partial list is not cached (a repeat of the same candidates
+        is a repeat of the query, which the ``result`` pool answers; ``raw``
+        still spares the repeat its Parquet read). A term in ``post``
+        answers with its whole list."""
         if self.empty or not terms:
             return {}
         out: Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
-        cand_key = None
-        if candidates is not None:
-            cand_key = hashlib.md5(np.ascontiguousarray(candidates).tobytes()).hexdigest()[:16]
         missing = []
         for term in set(terms):
             hit = self.cache.get("post", (field, term, want_positions))
-            if hit is None and cand_key is not None:
-                hit = self.cache.get("pruned", (field, term, want_positions, cand_key))
             if hit is not None:
                 out[term] = hit
             else:
                 missing.append(term)
         for term, rb in self.raw_blocks_many(field, missing).items():
             keep = None
-            if cand_key is not None:
-                keep = _overlap_mask(rb.firsts, rb.lasts, candidates)
+            if candidates is not None:
+                keep = overlap_mask(rb.firsts, rb.lasts, candidates, candidates + 1)
             if not len(rb) or (keep is not None and not keep.any()):
                 continue
             out[term] = self.decode(rb, keep, want_positions)
-            if cand_key is None:
+            if keep is None:
                 self.cache.put("post", (field, term, want_positions), out[term])
-            else:
-                self.cache.put("pruned", (field, term, want_positions, cand_key), out[term])
         return out
 
     def decode(
@@ -624,13 +618,17 @@ def live_mask(deleted: np.ndarray, docs: np.ndarray) -> np.ndarray:
     return deleted[hit] != docs
 
 
-def _overlap_mask(
-    firsts: np.ndarray, lasts: np.ndarray, candidates: np.ndarray
+def overlap_mask(
+    firsts: np.ndarray, lasts: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """True for blocks whose doc range contains at least one candidate doc."""
-    lo = np.searchsorted(candidates, firsts, side="left")
-    hi = np.searchsorted(candidates, lasts, side="right")
-    return hi > lo
+    """True for each block whose doc range [firsts, lasts] (inclusive) meets
+    one of the sorted, disjoint doc intervals [lo, hi): the one block-overlap
+    test. A candidate doc c is the interval [c, c + 1); a doc d tested
+    against intervals is the block [d, d]."""
+    pos = np.searchsorted(hi, firsts, side="right")
+    ok = pos < lo.size
+    ok[ok] &= lo[pos[ok]] <= lasts[ok]
+    return ok
 
 
 def load_segments(index_dir: str) -> List[SegmentReader]:

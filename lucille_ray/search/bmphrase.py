@@ -28,9 +28,9 @@ analyzer-split Term, gap=0):
 * the anchor blocks go through wand.py's ``block_max_pass`` with σ_ub as
   the bound (−inf for an infeasible block). Its ``process`` decodes the
   anchor docs, fetches the other terms' DOC lists pruned to the shrinking
-  candidate set, intersects the sorted arrays, fetches positions only for
-  the survivors, then runs the same backward-reachability DP as ``_phrase``
-  (shared helpers) and the identical float scoring expression;
+  candidate set, intersects the sorted arrays, and ends in eval's
+  ``phrase_scores``, as ``_phrase`` does: positions only for the
+  survivors, the one backward-reachability DP, the one BM25 kernel;
 * bound-SKEWED segments bootstrap θ from the top-σ_ub blocks, then take ONE
   round over the remaining blocks with σ_ub ≥ θ − ε — every skipped match
   lives in exactly one skipped anchor block and its true score is bounded by
@@ -56,7 +56,7 @@ import numpy as np
 from ..analysis import DEFAULT_FIELD, tokenize
 from ..query import nodes as qn
 from .bmconj import _StepMax
-from .eval import B, EMPTY, EvalContext, K1, SegmentEval, _unwrap
+from .eval import EMPTY, EvalContext, _unwrap, intersect_sorted, phrase_scores
 from .wand import _bm25_bound, block_max_pass
 
 #: first round, in anchor blocks, of phrase_top_k's block-max pass
@@ -93,56 +93,6 @@ def _tf_stepfn(reader, field: str, term: str, rb) -> _StepMax:
         sf = _StepMax(rb.firsts, rb.lasts, rb.max_tf.astype(np.float64))
         reader.cache.put("phr_stepfn", (field, term), sf)
     return sf
-
-
-def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection of two SORTED unique arrays without intersect1d's
-    concatenate+sort (the posting lists are sorted by construction)."""
-    if a.size > b.size:
-        a, b = b, a
-    if b.size == 0:
-        return b[:0] if a.size == 0 else a[:0]
-    idx = np.clip(np.searchsorted(b, a), 0, b.size - 1)
-    return a[b[idx] == a]
-
-
-def _match_freqs(posts: list, cand: np.ndarray, gap: int) -> np.ndarray:
-    """Phrase frequency per candidate doc — the exact `_phrase` DP, shared:
-    backward reachability over global position axes (see eval.py)."""
-    stride = SegmentEval._DOC_STRIDE
-    glob = [SegmentEval._global_positions(p, cand, stride) for p in posts]
-    chain = glob[-1]
-    for i in range(len(glob) - 2, -1, -1):
-        pos_i = glob[i]
-        idx = np.searchsorted(chain, pos_i, side="right")
-        ok = idx < chain.size
-        ok[ok] &= (chain[idx[ok]] - pos_i[ok] - 1) <= gap
-        chain = pos_i[ok]
-        if chain.size == 0:
-            return np.zeros(cand.size, dtype=np.int64)
-    return np.bincount((chain // stride).astype(np.int64), minlength=cand.size)
-
-
-def _score(
-    reader, ctx: EvalContext, field: str, docs: np.ndarray, freqs: np.ndarray,
-    idf_sum: float,
-) -> np.ndarray:
-    """BM25 of the phrase frequency — float-op-identical to SegmentEval._bm25."""
-    dl = reader.norms(field)[docs - reader.doc_base].astype(np.float64)
-    avgdl = ctx.avgdl.get(field) or 1.0
-    tf = freqs.astype(np.float64)
-    denom = tf + K1 * (1.0 - B + B * dl / avgdl)
-    return idf_sum * tf * (K1 + 1.0) / denom
-
-
-def _positional_posts(reader, field: str, terms: List[str], cand: np.ndarray):
-    """Positional postings per term (query order) pruned to candidate blocks;
-    None if any term lacks overlapping positional data."""
-    got = reader.postings_many(field, terms, want_positions=True, candidates=cand)
-    posts = [got.get(t) for t in terms]
-    if any(p is None or p[0].size == 0 or p[2] is None for p in posts):
-        return None
-    return posts
 
 
 def phrase_top_k(
@@ -202,15 +152,9 @@ def phrase_top_k(
             ).get(t)
             if p is None or p[0].size == 0:
                 return EMPTY
-            cand = _intersect_sorted(cand, p[0])
+            cand = intersect_sorted(cand, p[0])
             if cand.size == 0:
                 return EMPTY
-        posts = _positional_posts(reader, field, terms, cand)
-        if posts is None:
-            return EMPTY
-        freqs = _match_freqs(posts, cand, gap)
-        hit = freqs > 0
-        docs = cand[hit]
-        return docs, _score(reader, ctx, field, docs, freqs[hit], idf_sum)
+        return phrase_scores(reader, ctx, field, terms, gap, cand)
 
     return block_max_pass(sigma, k, process, PHRASE_CHUNK0)

@@ -257,9 +257,10 @@ def simple_term_of(
 
     NESTED Boost wrappers are rejected: eval scores them as sequential
     innermost-first multiplies, while the block-max paths apply the clause
-    boost once inside `_bm25_exact` — (s*b1)*b2 != s*(b1*b2) in IEEE-754, so
-    collapsing them could flip an equal-score tie-break. Falling back to the
-    plain evaluator keeps the bit-identity contract unconditionally."""
+    boost once inside `wand._bm25_exact` — (s*b1)*b2 != s*(b1*b2) in
+    IEEE-754, so collapsing them could flip an equal-score tie-break.
+    Falling back to the plain evaluator keeps the bit-identity contract
+    unconditionally."""
     if isinstance(q, qn.Term):
         toks = tokenize(q.value)
         if len(toks) == 1:
@@ -319,6 +320,102 @@ def _conjunctive_prune_plan(q: qn.Query, ctx: "EvalContext") -> Set[Tuple[str, s
     return {(f, t) for i, (f, t, _b) in enumerate(simples) if i != anchor}
 
 
+def bm25(idf, tf, dl, avgdl: float):
+    """BM25 of term frequency ``tf`` in a doc of length ``dl``: the one
+    kernel behind every score and every block bound of the serving path
+    (the reference in oracle.py keeps its own). A bound passes ``boost *
+    idf`` as ``idf`` and a block's max_tf and min_dl as ``tf`` and ``dl``;
+    BM25 rises with tf and falls with dl, and one expression in one
+    operation order makes every score, bound and tie the same wherever it
+    is computed."""
+    return idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))
+
+
+def doc_scores(
+    reader, ctx: "EvalContext", field: str, docs: np.ndarray, tfs: np.ndarray,
+    idf: float,
+) -> np.ndarray:
+    """:func:`bm25` of each doc's tf at its length in ``reader``'s norms."""
+    dl = reader.norms(field)[docs - reader.doc_base].astype(np.float64)
+    return bm25(idf, tfs.astype(np.float64), dl, ctx.avgdl.get(field) or 1.0)
+
+
+def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection of two sorted unique doc arrays without intersect1d's
+    concatenate+sort: the smaller one probes the larger."""
+    if a.size > b.size:
+        a, b = b, a
+    if a.size == 0:
+        return a
+    idx = np.clip(np.searchsorted(b, a), 0, b.size - 1)
+    return a[b[idx] == a]
+
+
+# positions of different docs are separated onto disjoint ranges of one global
+# axis so the whole candidate set is processed in a handful of numpy passes
+_DOC_STRIDE = np.int64(1) << np.int64(22)
+
+
+def _global_positions(post: tuple, cand: np.ndarray) -> np.ndarray:
+    """Concatenated positions of one term's (pruned) postings over the
+    candidate docs, offset by candidate-index * _DOC_STRIDE (sorted ascending
+    by construction)."""
+    docs, tfs, pos = post
+    offs = np.zeros(docs.size + 1, dtype=np.int64)
+    np.cumsum(tfs, out=offs[1:])
+    idx = np.searchsorted(docs, cand)
+    lens = tfs[idx].astype(np.int64)
+    starts = offs[idx]
+    out_off = np.zeros(lens.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=out_off[1:])
+    total = int(lens.sum())
+    gather = np.repeat(starts - out_off, lens) + np.arange(total, dtype=np.int64)
+    doc_rep = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    return doc_rep * _DOC_STRIDE + pos[gather]
+
+
+def _match_freqs(posts: list, cand: np.ndarray, gap: int) -> np.ndarray:
+    """Phrase frequency per candidate doc: backward reachability DP over ALL
+    candidate docs at once. ``chain`` holds the global positions of term_i
+    that can complete a chain to the last term with every consecutive gap <=
+    ``gap``; freq(doc) = count of START positions with a feasible chain
+    (greedy-next is NOT existence-optimal under a per-gap bound, so full
+    frontiers are kept). The doc stride guarantees chains never cross
+    documents (gap + 1 << stride)."""
+    glob = [_global_positions(p, cand) for p in posts]
+    chain = glob[-1]
+    for i in range(len(glob) - 2, -1, -1):
+        pos_i = glob[i]
+        idx = np.searchsorted(chain, pos_i, side="right")
+        ok = idx < chain.size
+        ok[ok] &= (chain[idx[ok]] - pos_i[ok] - 1) <= gap
+        chain = pos_i[ok]
+        if chain.size == 0:
+            return np.zeros(cand.size, dtype=np.int64)
+    return np.bincount((chain // _DOC_STRIDE).astype(np.int64), minlength=cand.size)
+
+
+def phrase_scores(
+    reader, ctx: "EvalContext", field: str, terms: Sequence[str], gap: int,
+    cand: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The docs of ``cand`` (sorted, unique) that hold the phrase or
+    proximity ``terms`` ~ ``gap``, and their BM25 of the phrase frequency
+    under the sum of the terms' idfs. Positions are decoded only for the
+    blocks that overlap ``cand``."""
+    got = reader.postings_many(field, terms, want_positions=True, candidates=cand)
+    posts = [got.get(t) for t in terms]
+    if any(p is None or p[0].size == 0 or p[2] is None for p in posts):
+        return EMPTY
+    freqs = _match_freqs(posts, cand, gap)
+    hit = freqs > 0
+    if not hit.any():
+        return EMPTY
+    docs = cand[hit]
+    idf_sum = sum(ctx.idf(field, t) for t in terms)
+    return docs, doc_scores(reader, ctx, field, docs, freqs[hit], idf_sum)
+
+
 class SegmentEval:
     """Evaluates one AST against one segment with prefetched postings."""
 
@@ -356,17 +453,6 @@ class SegmentEval:
 
     # ---- scoring primitives ----
 
-    def _bm25(
-        self, field: str, docs: np.ndarray, tfs: np.ndarray, idf: float
-    ) -> np.ndarray:
-        if docs.size == 0:
-            return np.empty(0, dtype=np.float64)
-        dl = self.reader.norms(field)[docs - self.reader.doc_base].astype(np.float64)
-        avgdl = self.ctx.avgdl.get(field) or 1.0
-        tf = tfs.astype(np.float64)
-        denom = tf + K1 * (1.0 - B + B * dl / avgdl)
-        return idf * tf * (K1 + 1.0) / denom
-
     def _term(
         self, field: str, term: str, candidates: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -380,7 +466,8 @@ class SegmentEval:
         docs, tfs, _ = post
         if docs.size == 0:
             return EMPTY
-        return docs, self._bm25(field, docs, tfs, self.ctx.idf(field, term))
+        return docs, doc_scores(
+            self.reader, self.ctx, field, docs, tfs, self.ctx.idf(field, term))
 
     def _multi_term(
         self, field: str, terms: Sequence[str]
@@ -393,28 +480,6 @@ class SegmentEval:
         return docs, scores
 
     # ---- positional ----
-
-    # positions of different docs are separated onto disjoint ranges of one global
-    # axis so the whole candidate set is processed in a handful of numpy passes
-    _DOC_STRIDE = np.int64(1) << np.int64(22)
-
-    @staticmethod
-    def _global_positions(post: tuple, cand: np.ndarray, stride: np.int64) -> np.ndarray:
-        """Concatenated positions of one term's (pruned) postings over the
-        candidate docs, offset by candidate-index * stride (sorted ascending by
-        construction)."""
-        docs, tfs, pos = post
-        offs = np.zeros(docs.size + 1, dtype=np.int64)
-        np.cumsum(tfs, out=offs[1:])
-        idx = np.searchsorted(docs, cand)
-        lens = tfs[idx].astype(np.int64)
-        starts = offs[idx]
-        out_off = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=out_off[1:])
-        total = int(lens.sum())
-        gather = np.repeat(starts - out_off, lens) + np.arange(total, dtype=np.int64)
-        doc_rep = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
-        return doc_rep * stride + pos[gather]
 
     def _phrase(
         self, field: str, text: str, gap: int
@@ -439,45 +504,11 @@ class SegmentEval:
             return EMPTY
         cand = plain[0][0]
         for p in plain[1:]:
-            cand = np.intersect1d(cand, p[0], assume_unique=True)
+            cand = intersect_sorted(cand, p[0])
             if cand.size == 0:
                 return EMPTY
-        # 2) positional fetch pruned to candidate-overlapping blocks (cached by
-        #    candidate digest, so repeat queries skip the decode)
-        got = self.reader.postings_many(
-            field, terms, want_positions=True, candidates=cand
-        )
-        posts = [got.get(t) for t in terms]
-        if any(p is None or p[0].size == 0 or p[2] is None for p in posts):
-            return EMPTY
-        # backward reachability DP over ALL candidate docs at once: B holds the
-        # global positions of term_i that can complete a chain to the last term
-        # with every consecutive gap <= `gap`; freq(doc) = count of START
-        # positions with a feasible chain (greedy-next is NOT existence-optimal
-        # under a per-gap bound, so full frontiers are kept). The doc stride
-        # guarantees chains never cross documents (gap + 1 << stride).
-        glob = [
-            self._global_positions(p, cand, self._DOC_STRIDE) for p in posts
-        ]
-        B = glob[-1]
-        for i in range(len(glob) - 2, -1, -1):
-            P = glob[i]
-            idx = np.searchsorted(B, P, side="right")
-            ok = idx < B.size
-            ok[ok] &= (B[idx[ok]] - P[ok] - 1) <= gap
-            B = P[ok]
-            if B.size == 0:
-                return EMPTY
-        freqs = np.bincount(
-            (B // self._DOC_STRIDE).astype(np.int64), minlength=cand.size
-        )
-        hit = freqs > 0
-        if not hit.any():
-            return EMPTY
-        docs = cand[hit]
-        idf_sum = sum(self.ctx.idf(field, t) for t in terms)
-        scores = self._bm25(field, docs, freqs[hit], idf_sum)
-        return docs, scores
+        # 2) positions of the candidates' blocks only, then the phrase DP
+        return phrase_scores(self.reader, self.ctx, field, terms, gap, cand)
 
     # ---- boolean algebra ----
 
@@ -543,7 +574,7 @@ class SegmentEval:
         if must:
             docs = must[0][0]
             for m in must[1:]:
-                docs = np.intersect1d(docs, m[0], assume_unique=True)
+                docs = intersect_sorted(docs, m[0])
                 if docs.size == 0:
                     return EMPTY
             scores = np.zeros(docs.size, dtype=np.float64)
@@ -586,7 +617,7 @@ class SegmentEval:
             results[i] = (docs, scores)
             if docs.size == 0:
                 return [(EMPTY[0], EMPTY[1])]
-            cand = docs if cand is None else np.intersect1d(cand, docs, assume_unique=True)
+            cand = docs if cand is None else intersect_sorted(cand, docs)
             if cand.size == 0:
                 return [(EMPTY[0], EMPTY[1])]
         return results

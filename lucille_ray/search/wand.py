@@ -18,8 +18,7 @@ evaluation decodes and scores every posting of every term):
 3. per-block BM25 upper bound σ(block) = boost · idf · (k1+1)·max_tf /
    (max_tf + k1·(1−b+b·min_dl/avgdl)) with the block's stored ``min_dl``, a
    lower bound on the lengths of its docs (BM25 decreases with dl, so a
-   smaller dl only loosens the bound; a 0 stored by an older writer reads
-   as dl 0 and stays admissible);
+   smaller dl only loosens the bound);
 4. one event sweep over all blocks' doc ranges yields the piecewise-constant
    upper bound Σσ per doc interval; intervals with bound < θ−ε are pruned —
    every block fully inside pruned intervals is never decoded;
@@ -52,16 +51,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis import DEFAULT_FIELD, tokenize
+from ..index.segment import overlap_mask
 from ..query import nodes as qn
 from .eval import (
-    B,
     DENSE_MERGE_MAX_SPAN,
     EMPTY,
     EXPANSION_NODES,
     EvalContext,
-    K1,
     _spec_for,
     _unwrap,
+    bm25,
+    doc_scores,
     simple_term_of,
     top_k,
 )
@@ -143,7 +143,7 @@ def term_parts(
     any (Group/Boost/Field)* wrapper: a bare single-token Term, or a
     dictionary expansion that resolved to exactly ONE index term. The plain
     evaluator fully decodes AND fully BM25-scores that term per query (a hot
-    term at 10M is a 2.5M-row `_bm25` per segment, ~180 ms warm); on a
+    term at 10M is a 2.5M-row `doc_scores` per segment, ~180 ms warm); on a
     synthetic vocabulary the one-term expansion is the COMMON case (``dat*``,
     ``d?ta``, ``data~1`` all collapse to ``data``), and eval scores it as
     BM25(term) with boost 1 — the same contract.
@@ -171,13 +171,11 @@ TERM_CHUNK0 = 16
 
 
 def _bm25_bound(idf, max_tf, min_dl, avgdl: float, boost: float = 1.0):
-    """Per-block BM25 upper bound: ``boost`` times BM25 at (max_tf, min_dl).
-    BM25 rises with tf and falls with dl, and the expression and operation
-    order are `_bm25_exact`'s, so the bound is >= the score of every doc in a
-    block whose stored max_tf and min_dl these are (``1.0 * x == x``, so the
-    unboosted bound is bit-identical to the bare expression)."""
-    return boost * idf * max_tf * (K1 + 1.0) / (
-        max_tf + K1 * (1.0 - B + B * min_dl / avgdl))
+    """Per-block BM25 upper bound: eval's :func:`bm25` at (max_tf, min_dl)
+    under ``boost * idf``, so it is >= the score of every doc in a block
+    whose stored max_tf and min_dl these are (``1.0 * idf == idf``, so the
+    unboosted bound is bit-identical to the bare kernel)."""
+    return bm25(boost * idf, max_tf, min_dl, avgdl)
 
 
 def block_max_pass(
@@ -262,8 +260,8 @@ def single_term_top_k(
 
 def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
                 docs: np.ndarray, tfs: np.ndarray, *, full: bool = False) -> np.ndarray:
-    """Bit-identical to SegmentEval's _bm25 followed by eval's Boost scaling —
-    same expression, same operation order, so ties break identically.
+    """eval's :func:`doc_scores` followed by eval's Boost scaling — the
+    plain evaluator's scores bit for bit, so ties break identically.
 
     ``full=True`` marks docs/tfs as the term's COMPLETE posting list; the
     unboosted scores are then memoized in the ``score`` pool (idf/avgdl are
@@ -271,11 +269,7 @@ def _bm25_exact(reader, ctx: EvalContext, field: str, term: str, boost: float,
     queries)."""
     base = reader.cache.get("score", (field, term)) if full else None
     if base is None:
-        dl = reader.norms(field)[docs - reader.doc_base].astype(np.float64)
-        avgdl = ctx.avgdl.get(field) or 1.0
-        tf = tfs.astype(np.float64)
-        idf = ctx.idf(field, term)
-        base = idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))
+        base = doc_scores(reader, ctx, field, docs, tfs, ctx.idf(field, term))
         if full:
             reader.cache.put("score", (field, term), base)
     if boost != 1.0:
@@ -456,9 +450,7 @@ def _restrict_to_intervals(
         # one interval covering the whole list (the flat hot x hot case:
         # nothing prunable) — skip the 2x searchsorted over millions of docs
         return r
-    pos = np.searchsorted(cand_hi, docs, side="right")
-    ok = pos < cand_lo.size
-    ok[ok] &= cand_lo[pos[ok]] <= docs[ok]
+    ok = overlap_mask(docs, docs, cand_lo, cand_hi)
     if ok.all():
         return r
     return docs[ok], scores[ok]
@@ -487,10 +479,7 @@ def _decode_candidates(
         docs, tfs = hit[0], hit[1]
         full = True
     else:
-        # block survives iff its [first,last] overlaps a candidate interval
-        pos = np.searchsorted(cand_hi, firsts, side="right")
-        ok = pos < cand_lo.size
-        ok[ok] &= cand_lo[pos[ok]] <= lasts[ok]
+        ok = overlap_mask(firsts, lasts, cand_lo, cand_hi)
         if not ok.any():
             return None
         full = ok.mean() > 0.5

@@ -2612,6 +2612,57 @@ def test_build_report_postings_layout(built, tmp_path):
     assert check()["postings_row_groups"] >= 2
 
 
+def _posting_rows(docs, tfs, pos):
+    """A postings triple as sorted (doc, tf, positions) rows."""
+    offs = np.concatenate([[0], np.cumsum(tfs)])
+    return sorted((int(d), int(t), tuple(pos[offs[i]:offs[i + 1]].tolist()))
+                  for i, (d, t) in enumerate(zip(docs, tfs)))
+
+
+def test_candidate_postings_decode_overlapping_blocks_uncached(built, tombstoned):
+    """On a tombstoned segment, ``postings_many(f, [t], candidates=c)`` is
+    the live postings of exactly the blocks whose doc range holds a
+    candidate, and adds no entry to any pool but ``raw``. Once ``post`` holds
+    the term, the same call answers with the whole list."""
+    from lucille_ray.index.segment import ReaderCache, load_segments
+
+    tomb, deleted = tombstoned(built[1])
+    r = max(load_segments(tomb), key=lambda r: r.doc_count)
+    terms, dfs = r.term_dict("text")
+    term = str(terms[int(np.argmax(dfs))])
+    r.cache = ReaderCache()
+    rb = r.raw_blocks_many("text", [term])[term]
+    assert len(rb) >= 4
+    every = rb.decode()[0]
+    dead = every[np.isin(every, deleted)]
+    assert dead.size, "no deleted posting of the term"
+    # a deleted doc, and a doc inside the last block
+    cand = np.unique([dead[0], rb.lasts[-1]])
+    blocks = [b for b in range(len(rb))
+              if ((rb.firsts[b] <= cand) & (cand <= rb.lasts[b])).any()]
+    assert 0 < len(blocks) < len(rb)
+    gone = set(deleted.tolist())
+    rows = [row for b in blocks
+            for row in _posting_rows(*rb.decode_blocks(np.array([b]), True))
+            if row[0] not in gone]
+    assert len(rows) < sum(int(rb.ns[b]) for b in blocks), "no tombstone dropped"
+
+    before = r.cache.stats()
+    got = r.postings_many("text", [term], True, candidates=cand)[term]
+    assert _posting_rows(*got) == sorted(rows)
+    docs_only = r.postings_many("text", [term], candidates=cand)[term]
+    assert docs_only[0].tolist() == [row[0] for row in sorted(rows)]
+    after = r.cache.stats()
+    for pool, c in after.items():
+        if pool != "raw":
+            assert c["entries"] == before.get(pool, {}).get("entries", 0), pool
+
+    whole = r.postings("text", term)
+    assert whole[0].size > docs_only[0].size
+    again = r.postings_many("text", [term], candidates=cand)[term]
+    assert all(a is b for a, b in zip(again, whole))
+
+
 def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
     """_read_postings_rows (cached handles + row-group stat pruning) returns
     exactly what the predicate-pushdown directory scan returns, on both the

@@ -252,7 +252,7 @@ def test_reader_cache_docstring_names_every_pool():
     doc = ReaderCache.__doc__
     named = set(re.findall(r"``(\w+)``", doc[doc.index("Pools by scope"): doc.index("Callers use")]))
     assert used == named
-    assert named == {"raw", "phr_stepfn", "post", "pruned", "score", "conj_stepfn",
+    assert named == {"raw", "phr_stepfn", "post", "score", "conj_stepfn",
                      "result"}
 
 

@@ -14,22 +14,26 @@ run without Ray.
 The count mode imports ``lucille_ray`` from CHECKOUT (any revision that
 routes queries through ``search.engine.TOP_K_ROUTES``), opens INDEX
 in-process, and walks ``query_pool(vocabulary, 2000, seed)`` for each seed.
-For every query a route matches, and for every segment, it calls the route's
-executor at perfbench's k (10) twice on a fresh ``ReaderCache``: cold,
-then warm. Executors keep no answers (the one answer cache is
-``SegmentScorer.score``'s ``result`` pool, which direct executor calls
+For every query and every segment it runs the plain evaluator
+(``SegmentEval``, then the top k, the ``plain`` row) and, when a route
+matches, the route's executor at perfbench's k (10), each twice on a fresh
+``ReaderCache``: cold, then warm. Neither keeps its answer (the one answer
+cache is ``SegmentScorer.score``'s ``result`` pool, which direct calls
 bypass), so the warm run measures only what the decode caches save. Each
 run records the blocks, postings and calls of ``RawBlocks.decode_blocks``
-(every block decode of the serving path goes through it), and the answers
-of both runs (doc ids and unboosted scores, or null when the executor
-declines the segment). Queries that fail to plan (an expansion past the
-cap) are skipped.
+(every block decode of the serving path goes through it), the answers of
+both runs (doc ids and scores, unboosted for an executor, or null when the
+executor declines the segment), and how many ``postings_many`` calls of
+the cold run passed ``candidates`` (a candidate decode). Queries that fail
+to plan (an expansion past the cap) are skipped.
 
-The compare mode matches A's and B's rows by (seed, query, segment) and
-prints: rows whose warm answer differs from the cold one, cold answer
-differences between A and B, per-executor totals, how many rows decoded more
-or fewer cold blocks in B than in A, and how many rows differ at all in cold
-blocks or decode calls.
+The compare mode matches A's and B's rows by (seed, query, segment,
+executor) and prints: rows whose warm answer differs from the cold one,
+cold answer differences between A and B, per-executor totals, how many rows
+decoded more or fewer cold blocks in B than in A, how many rows differ at
+all in cold blocks, postings or decode calls, and how many rows decoded
+more or fewer warm blocks, with those rows' warm totals and how many of
+them took no candidate decode.
 """
 import argparse
 import json
@@ -85,10 +89,12 @@ def build(a: argparse.Namespace) -> None:
 
 
 class _Counter:
-    """Counts what ``RawBlocks.decode_blocks`` decodes while installed."""
+    """Counts what ``RawBlocks.decode_blocks`` decodes, and the
+    ``SegmentReader.postings_many`` calls given candidates, while installed."""
 
-    def __init__(self, raw_blocks):
-        self.real = raw_blocks.decode_blocks
+    def __init__(self, raw_blocks, segment_reader):
+        real_decode = raw_blocks.decode_blocks
+        real_many = segment_reader.postings_many
         self.reset()
         counter = self
 
@@ -97,12 +103,17 @@ class _Counter:
             counter.calls += 1
             counter.blocks += int(ns.size)
             counter.postings += int(ns.sum())
-            return counter.real(rb, sel, want_positions)
+            return real_decode(rb, sel, want_positions)
+
+        def counting_many(reader, field, terms, want_positions=False, candidates=None):
+            counter.cand_calls += candidates is not None
+            return real_many(reader, field, terms, want_positions, candidates)
 
         raw_blocks.decode_blocks = counting
+        segment_reader.postings_many = counting_many
 
     def reset(self) -> None:
-        self.calls = self.blocks = self.postings = 0
+        self.calls = self.blocks = self.postings = self.cand_calls = 0
 
     def take(self) -> dict:
         got = {"blocks": self.blocks, "postings": self.postings, "calls": self.calls}
@@ -115,11 +126,16 @@ def count(a: argparse.Namespace) -> None:
     sys.path.insert(0, os.path.abspath(checkout))
     sys.path.insert(1, ROOT)
     from lucille_ray.index import codec
-    from lucille_ray.index.segment import ReaderCache
+    from lucille_ray.index.segment import ReaderCache, SegmentReader
     from lucille_ray.search import engine as engine_mod
+    from lucille_ray.search.eval import SegmentEval, top_k
     from perfbench import corpus as C
 
-    counter = _Counter(codec.RawBlocks)
+    def plain(r, ctx, k, query, reqs):
+        docs, scores = SegmentEval(r, ctx, reqs, query=query).eval(query)
+        return top_k(docs, scores, k) if docs.size else (docs, scores)
+
+    counter = _Counter(codec.RawBlocks, SegmentReader)
     engine = engine_mod.SearchEngine(index, parallel=False, result_cache=False)
     readers = [r for r in engine._scorers()[0].readers if r.doc_count]
     vocab = C.make_vocabulary(VOCAB_WORDS, VOCAB_SEED)
@@ -127,31 +143,31 @@ def count(a: argparse.Namespace) -> None:
     for seed in [int(s) for s in a.seeds.split(",")]:
         for pq in C.query_pool(vocab, POOL_SIZE, seed):
             try:
-                q, _reqs, ctx = engine.plan(pq.text)
+                q, reqs, ctx = engine.plan(pq.text)
             except ValueError:
                 continue
-            route = None
+            runs = [("plain", plain, {"query": q, "reqs": reqs})]
             for matcher, executor in engine_mod.TOP_K_ROUTES:
                 got = matcher(q, ctx)
                 if got is not None:
-                    route = (executor, got[0])
+                    runs.append((executor.__name__, executor, got[0]))
                     break
-            if route is None:
-                continue
-            executor, args = route
-            for seg, r in enumerate(readers):
-                r.cache = ReaderCache()
-                row = {"seed": seed, "shape": pq.shape, "query": pq.text,
-                       "segment": seg, "executor": executor.__name__}
-                counter.reset()
-                answers = []
-                for run in ("cold", "warm"):
-                    got = executor(r, ctx, k=K, **args)
-                    row[run] = counter.take()
-                    answers.append(None if got is None else [
-                        [int(d) for d in got[0]], [float(s) for s in got[1]]])
-                row["answer"], row["warm_answer"] = answers
-                rows.append(row)
+            for name, executor, args in runs:
+                for seg, r in enumerate(readers):
+                    r.cache = ReaderCache()
+                    row = {"seed": seed, "shape": pq.shape, "query": pq.text,
+                           "segment": seg, "executor": name}
+                    counter.reset()
+                    answers = []
+                    for run in ("cold", "warm"):
+                        got = executor(r, ctx, k=K, **args)
+                        if run == "cold":
+                            row["cand_calls"] = counter.cand_calls
+                        row[run] = counter.take()
+                        answers.append(None if got is None else [
+                            [int(d) for d in got[0]], [float(s) for s in got[1]]])
+                    row["answer"], row["warm_answer"] = answers
+                    rows.append(row)
     with open(out, "w") as f:
         json.dump({"checkout": os.path.abspath(checkout), "index": os.path.abspath(index),
                    "seeds": a.seeds, "k": K, "rows": rows}, f)
@@ -159,10 +175,12 @@ def count(a: argparse.Namespace) -> None:
 
 
 def compare(a_path: str, b_path: str) -> None:
-    with open(a_path) as f:
-        A = {(r["seed"], r["query"], r["segment"]): r for r in json.load(f)["rows"]}
-    with open(b_path) as f:
-        B = {(r["seed"], r["query"], r["segment"]): r for r in json.load(f)["rows"]}
+    def load(path: str) -> dict:
+        with open(path) as f:
+            return {(r["seed"], r["query"], r["segment"], r["executor"]): r
+                    for r in json.load(f)["rows"]}
+
+    A, B = load(a_path), load(b_path)
     if A.keys() != B.keys():
         print(f"rows only in A: {len(A.keys() - B.keys())}, only in B: {len(B.keys() - A.keys())}")
     keys = sorted(A.keys() & B.keys())
@@ -178,6 +196,9 @@ def compare(a_path: str, b_path: str) -> None:
         ra, rb = A[key], B[key]
         t = totals.setdefault(rb["executor"], {
             "rows": 0, "worse": 0, "better": 0, "changed": 0,
+            "warm_worse": 0, "warm_better": 0, "warm_no_cand": 0,
+            **{f"{side}.warm_changed.{c}": 0 for side in "AB"
+               for c in ("blocks", "postings", "calls")},
             **{f"{side}.{run}.{c}": 0 for side in "AB" for run in ("cold", "warm")
                for c in ("blocks", "postings", "calls")}})
         t["rows"] += 1
@@ -188,7 +209,15 @@ def compare(a_path: str, b_path: str) -> None:
         da, db = ra["cold"], rb["cold"]
         t["worse"] += db["blocks"] > da["blocks"]
         t["better"] += db["blocks"] < da["blocks"]
-        t["changed"] += (da["blocks"], da["calls"]) != (db["blocks"], db["calls"])
+        t["changed"] += da != db
+        wa, wb = ra["warm"], rb["warm"]
+        t["warm_worse"] += wb["blocks"] > wa["blocks"]
+        t["warm_better"] += wb["blocks"] < wa["blocks"]
+        if wa != wb:
+            t["warm_no_cand"] += not rb.get("cand_calls")
+            for side, w in (("A", wa), ("B", wb)):
+                for c, v in w.items():
+                    t[f"{side}.warm_changed.{c}"] += v
     for name, t in sorted(totals.items()):
         print(f"{name}: {t['rows']} rows")
         for run in ("cold", "warm"):
@@ -196,7 +225,12 @@ def compare(a_path: str, b_path: str) -> None:
                 f"{c} {t[f'A.{run}.{c}']} -> {t[f'B.{run}.{c}']}"
                 for c in ("blocks", "postings", "calls")))
         print(f"  cold blocks: {t['worse']} rows more, {t['better']} fewer; "
-              f"{t['changed']} rows differ in blocks or calls")
+              f"{t['changed']} rows differ in blocks, postings or calls")
+        print(f"  warm blocks: {t['warm_worse']} rows more, {t['warm_better']} fewer; "
+              f"warm work of the rows that differ: " + ", ".join(
+                  f"{c} {t[f'A.warm_changed.{c}']} -> {t[f'B.warm_changed.{c}']}"
+                  for c in ("blocks", "postings", "calls"))
+              + f"; {t['warm_no_cand']} of them took no candidate decode")
 
 
 def main() -> None:
