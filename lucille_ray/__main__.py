@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     de.add_argument("--conv", action="append", default=[], help="conversation id (repeatable)")
     de.add_argument("--docs", default="", help="comma-separated global doc ids")
 
-    c = sub.add_parser("compact", help="compact posting pieces for serving")
+    c = sub.add_parser("compact", help="compact posting pieces and merge small segments for serving")
     c.add_argument("--index", required=True)
 
     for name, help_ in (("search", "run a query"), ("suggest", "search-as-you-type")):

@@ -1,18 +1,29 @@
 """Segment compaction: merge the per-batch posting *pieces* written by the
-shuffle-free build into one consolidated row per ``(field, term)``.
+shuffle-free build into one consolidated row per ``(field, term)``, and each
+run of adjacent small segments into one segment.
+
+Merge policy (:func:`_merge_groups`, one tier of Lucene's
+``TieredMergePolicy``): a segment of fewer than :data:`SLICE_DOCS` docs is
+small, and each maximal run of adjacent small segments merges into one new
+segment, cut once it holds SLICE_DOCS docs; a larger segment is compacted on
+its own and never merged. A merge needs no executor of its own: doc ranges
+are contiguous and a block's first doc is a global id, so the union of the
+inputs' rows in ``(field, term, first doc)`` order is a valid segment. Norms
+and doc maps concatenate, stats add up, and the inputs' tombstones are
+purged in the same pass.
 
 A build file holds a few ``(field, term)``-sorted runs, one per window the
 build merged (per tokenize batch and field where it skipped the merge), and
 its row groups carry ``(field, term)`` min/max statistics. So compaction
 runs no global sort (as Lucene's ``SegmentMerger`` streams sorted term
-dictionaries): the driver plans term ranges from the footers
+dictionaries): the driver plans term ranges from the footers of every input
 (:func:`_plan_ranges`), and one Ray task per range reads the row groups that
 may overlap it, merges the rows inside it and writes one file. No term
 straddles two ranges, so the output is a pure function of the input. New
 segment directories are published by one commit (``commit.py``);
-compaction is optional, idempotent and per-segment resumable: a segment
-whose ranges all succeeded gets its manifest even when a range of another
-fails, and a re-run reuses that directory.
+compaction is optional, idempotent and resumable per new segment: a new
+segment whose ranges all succeeded gets its manifest even when a range of
+another fails, and a re-run over the same inputs reuses that directory.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import json
 import os
 import shutil
 import time
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -30,7 +41,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import CONVMAP_FILE, MANIFEST_FILE, _limit_worker_threads, read_manifest
+from .build import (CONVMAP_FILE, MANIFEST_FILE, _limit_worker_threads, _narrowest_uint,
+                    norms_file, read_manifest)
 from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, pack_rows,
                     row_order, take_blocks, take_postings, unpack_rows)
 from .segment import live_mask
@@ -42,6 +54,13 @@ from .segment import live_mask
 #: predicate pushdown then reads a bounded byte volume per term lookup instead
 #: of a whole segment's postings for one hot term
 ROW_BLOCK_CAP = 256
+#: a segment of fewer docs is small: compaction merges each run of adjacent
+#: small segments into one (:func:`_merge_groups`), and the search engine
+#: packs small segments onto shared scorer actors (``engine.slice_groups``).
+#: A scorer process costs ~135 MB before it serves anything, and a 32k-doc
+#: segment is ~10 MB on disk; a segment this large or larger is never merged
+#: with another
+SLICE_DOCS = 32_768
 #: sorted doc ids every purge in a segment's lineage removed, written into
 #: the new directory of each compaction that carries any
 PURGED_FILE = "purged.npy"
@@ -219,14 +238,14 @@ def _at_or_after(t: pa.Table, key: tuple):
 def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: str,
                  norms: dict, doc_base: int, doc_count: int,
                  deleted: Optional[np.ndarray]) -> dict:
-    """One term range of a segment's compaction, run as a Ray task: read the
+    """One term range of a new segment's compaction, run as a Ray task: read the
     row groups ``groups`` (``[(file, [row group, ...]), ...]``), keep the rows
     with ``lo <= (field, term) < hi`` (``None``: unbounded), stable-sort them
     by (field, term, bucket), unpack them (a one-posting row's block takes
     its doc's norm as ``min_dl``), merge them in one
     :func:`_merge_sorted_batch` call (``doc_base``, ``deleted``: its
     arguments; ``norms`` as :func:`_shipped_norms` sends them, over the
-    segment's ``doc_count`` docs) and write the merged rows to ``path``
+    new segment's ``doc_count`` docs) and write the merged rows to ``path``
     (nothing when none are left). Returns the row groups read, the rows
     read, kept and written, and the wall seconds."""
     from .writer import write_postings_file
@@ -251,21 +270,37 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
             "wall_s": round(time.perf_counter() - t0, 6)}
 
 
-def _plan_ranges(files: list) -> list:
-    """The term ranges of one segment's compaction, planned from its postings
-    footers (``files``: :meth:`SegmentReader._postings_files`), as ``(lo, hi,
-    groups)`` for :func:`_merge_range`. A range's ``groups`` are the row
-    groups whose (field, term) statistics may overlap it; a group without
-    statistics may overlap every range. Ranges no row group may overlap are
-    left out.
+def _output_rows(readers: list) -> int:
+    """The rows a compaction of the segments ``readers`` (in doc order)
+    writes before a purge drops any, from their term dictionaries: one per
+    distinct (field, term), and one more per ROW_BLOCK_CAP full blocks of
+    its postings."""
+    rows = 0
+    for field in readers[0].manifest.get("fields", []):
+        terms, dfs = (np.concatenate(a) for a in zip(*(r.term_dict(field) for r in readers)))
+        if len(readers) > 1 and terms.size:
+            terms, at = np.unique(terms, return_inverse=True)
+            dfs = np.bincount(at, dfs).astype(np.int64)
+        rows += int((-(-dfs // (ROW_BLOCK_CAP * BLOCK_SIZE))).sum())
+    return rows
 
-    The plan aims at one range per ``ROWS_PER_FILE`` rows, cut at the
-    row-weighted quantiles of the group minima and maxima (half a group's
-    rows count at its minimum, half at its maximum). Each sorted run of the
-    input has a row group across most cuts, which both ranges beside the cut
-    read: where the ranges would read the rows with statistics more than
-    twice over (many runs, or groups spanning a whole field), the plan cuts
-    fewer ranges until they do not."""
+
+def _plan_ranges(files: list, out_rows: int) -> list:
+    """The term ranges of one new segment's compaction, planned from the
+    postings footers of its inputs (``files``: every input's
+    :meth:`SegmentReader._postings_files`), as ``(lo, hi, groups)`` for
+    :func:`_merge_range`. A range's ``groups`` are the row groups whose
+    (field, term) statistics may overlap it; a group without statistics may
+    overlap every range. Ranges no row group may overlap are left out.
+
+    The plan aims at one range per ``ROWS_PER_FILE`` rows of output
+    (``out_rows``, :func:`_output_rows`; a build's piece rows can outnumber
+    them many times over), cut at the row-weighted quantiles of the group
+    minima and maxima (half a group's rows count at its minimum, half at its
+    maximum). Each sorted run of the input has a row group across most cuts,
+    which both ranges beside the cut read: where the ranges would read the
+    rows with statistics more than twice over (many runs, or groups spanning
+    a whole field), the plan cuts fewer ranges until they do not."""
     from .writer import ROWS_PER_FILE
 
     spans = []  # per row group: (file, group, rows, min key, max key)
@@ -284,7 +319,7 @@ def _plan_ranges(files: list) -> list:
     n, m = np.array([s[2] for s in keyed], np.int64), len(cands)
     w = np.bincount(lo_i, n / 2, m) + np.bincount(hi_i, n / 2, m)
     before = np.cumsum(w) - w  # rows before each candidate
-    nranges = max(1, -(-int(n.sum()) // ROWS_PER_FILE))
+    nranges = max(1, -(-min(int(n.sum()), out_rows) // ROWS_PER_FILE))
     while True:
         at = np.searchsorted(before, np.arange(1, nranges) * n.sum() / nranges)
         bounds = sorted({cands[i] for i in at.tolist() if 0 < i < m})
@@ -303,31 +338,60 @@ def _plan_ranges(files: list) -> list:
         nranges = max(nranges // 2, min(nranges - 1, 1 + (nranges - 1) * int(n.sum()) // read))
 
 
-def _shipped_norms(reader, norms: dict) -> dict:
-    """A segment's ``norms`` as its range tasks get them: the norms of a
-    field whose docs all have one length as that value, which
-    :func:`_merge_range` broadcasts again (a pickled broadcast array holds
-    one value per doc)."""
-    fields = reader.stats["fields"]
+def _shipped_norms(fields: dict, norms: dict) -> dict:
+    """A new segment's ``norms`` as its range tasks get them: the norms of a
+    field whose docs all have one length (a ``norm`` in ``fields``, its
+    ``stats.json`` entries) as that value, which :func:`_merge_range`
+    broadcasts again (a pickled broadcast array holds one value per doc)."""
     return {f: fields[f]["norm"] if "norm" in fields.get(f, {}) else arr
             for f, arr in norms.items()}
 
 
-def _load_segment(seg_dir: str, manifest: dict, tombstone: Optional[str]) -> tuple:
-    """(reader, {field: norms}, purged ids) of one segment. Every pending
-    segment loads here, on the calling thread, before any range task starts;
-    the tasks get the norms and tombstones through the object store."""
+class _Input(NamedTuple):
+    """One segment a compaction reads: its manifest, its entry in the new
+    manifest's ``source`` (``{"segment", "deleted"}``: its name and
+    tombstone), its reader, its ``{field: norms}`` and the doc ids earlier
+    compactions purged from it."""
+
+    manifest: dict
+    source: dict
+    reader: object
+    norms: dict
+    purged: np.ndarray
+
+
+def _load_segment(seg_dir: str, manifest: dict, source: dict,
+                  tombstone: Optional[str]) -> _Input:
+    """One input segment, opened. Every input loads here, on the calling
+    thread, before any range task starts; the tasks get the norms and
+    tombstones through the object store."""
     from .segment import SegmentReader
 
     reader = SegmentReader(seg_dir, tombstone)
     norms = {f: reader.norms(f) for f in manifest.get("fields", [])}
-    return reader, norms, purged_ids(seg_dir)
+    return _Input(manifest, source, reader, norms, purged_ids(seg_dir))
+
+
+def _merged_fields(inputs: list) -> Tuple[dict, dict]:
+    """The new segment's ``stats.json`` field entries and ``{field:
+    norms}``: lengths add up, norms concatenate in doc order, and a field
+    keeps a constant ``norm`` only when every input has that same one."""
+    fields, norms = {}, {}
+    for f in inputs[0].manifest.get("fields", []):
+        fields[f] = {"total_dl": sum(i.reader.total_dl(f) for i in inputs)}
+        consts = {i.reader.stats["fields"].get(f, {}).get("norm") for i in inputs}
+        if len(consts) == 1 and None not in consts:
+            fields[f]["norm"] = consts.pop()
+        norms[f] = inputs[0].norms[f] if len(inputs) == 1 else np.concatenate(
+            [i.norms[f] for i in inputs])
+    return fields, norms
 
 
 def _kept(name: str) -> bool:
-    """The files a compacted segment takes unchanged (hard-linked) from its
-    source: the doc map, the build's stage stats and the norms files (a
-    constant field's norm rides in the ``stats.json`` it rewrites)."""
+    """The files a segment compacted on its own takes unchanged
+    (hard-linked) from its source: the doc map, the build's stage stats and
+    the norms files (a constant field's norm rides in the ``stats.json`` it
+    rewrites)."""
     return name in (CONVMAP_FILE, "stage_stats.txt") or (
         name.startswith("norms_") and name.endswith(".npy")
     )
@@ -340,25 +404,52 @@ def _link(src: str, dst: str) -> None:
         shutil.copy2(src, dst)
 
 
-def _compact_segment(
-    seg_dir: str, manifest: dict, source: dict, new_dir: str, reader, norms: dict,
-    purged: np.ndarray,
-) -> tuple:
-    """Prepare compacting one segment into the new directory ``new_dir``
-    (``reader``, ``norms``, ``purged``: :func:`_load_segment`; ``source``
-    names the segment and tombstone it compacts): write all of it but the
-    postings and manifest, and plan the term ranges. Returns ``(tasks,
+def _write_merged_files(inputs: list, new_dir: str, fields: dict, norms: dict) -> None:
+    """The files a merge of several ``inputs`` writes beside its postings
+    and ``stats.json``: the norms file of each field without a constant
+    ``norm``, the doc map and the stage stats, each the inputs' concatenated
+    in doc order."""
+    for f, st in fields.items():
+        if "norm" not in st:
+            np.save(os.path.join(new_dir, norms_file(f)), _narrowest_uint(norms[f]))
+    maps = [i.reader.conv_map() for i in inputs]
+    pq.write_table(pa.table({
+        "conv_id": pa.concat_arrays([m[0].cast(pa.string()) for m in maps]),
+        "base": np.concatenate([m[1] for m in maps]),
+        "cnt": np.concatenate([m[2] for m in maps]),
+    }), os.path.join(new_dir, CONVMAP_FILE))
+    texts = []
+    for i in inputs:
+        path = os.path.join(i.reader.seg_dir, "stage_stats.txt")
+        if os.path.exists(path):
+            with open(path) as f:
+                texts.append(f.read())
+    if texts:
+        with open(os.path.join(new_dir, "stage_stats.txt"), "w") as f:
+            f.write("".join(texts))
+
+
+def _compact_segment(inputs: list, new_dir: str) -> tuple:
+    """Prepare compacting the adjacent segments ``inputs`` (:class:`_Input`,
+    in doc order; one, or a run :func:`_merge_groups` merges) into the new
+    segment directory ``new_dir``: write all of it but the postings and
+    manifest, and plan the term ranges over every input's row groups (doc
+    ranges are contiguous and a block's first doc is a global id, so the
+    inputs' rows in (field, term, first doc) order are one valid segment).
+    The inputs' tombstones are purged in the same pass. Returns ``(tasks,
     finish)``: each range's :func:`_merge_range` arguments, and the function
     that takes the tasks' results, writes the manifest and returns the
     compaction's :func:`compact_index` entry. A complete ``new_dir`` of a
-    failed earlier run over the same source is kept as it is: no tasks."""
+    failed earlier run over the same inputs is kept as it is: no tasks."""
     import ray
 
     t0 = time.perf_counter()
-    files = reader._postings_files()
-    rows = sum(pf.metadata.num_rows for pf, *_ in files)
-    result = {"source": source["segment"], "segment": os.path.basename(new_dir),
-              "posting_rows_in": rows}
+    readers = [i.reader for i in inputs]
+    files = [f for r in readers for f in r._postings_files()]
+    source = [i.source for i in inputs]
+    result = {"source": [s["segment"] for s in source],
+              "segment": os.path.basename(new_dir),
+              "posting_rows_in": sum(pf.metadata.num_rows for pf, *_ in files)}
     done = read_manifest(new_dir)
     if done is not None and done.get("source") == source:
         return [], lambda ranges: dict(
@@ -368,37 +459,48 @@ def _compact_segment(
     postings_path = os.path.join(new_dir, "postings.parquet")
     os.makedirs(postings_path)
 
-    # broadcast the segment's norms once (ray.put, zero-copy reads in every
-    # merge task) so re-cut blocks keep an exact min_dl for WAND bounds; a
-    # tombstoned segment's merge is the purge, so its deleted set goes too
-    shared = (ray.put(_shipped_norms(reader, norms)), reader.doc_base, reader.doc_count,
-              None if reader.deleted is None else ray.put(reader.deleted))
-    tasks = [(groups, lo, hi, os.path.join(postings_path, f"part-{i:06d}.parquet"), *shared)
-             for i, (lo, hi, groups) in enumerate(_plan_ranges(files))]
-    with open(os.path.join(seg_dir, "stats.json")) as f:
-        stats = json.load(f)
-    manifest = dict(manifest, segment_id=os.path.basename(new_dir), source=source,
-                    compacted=True)
-    if reader.deleted is not None:
+    doc_base = readers[0].doc_base
+    doc_count = sum(r.doc_count for r in readers)
+    fields, norms = _merged_fields(inputs)
+    deleted = [r.deleted for r in readers if r.deleted is not None]
+    deleted = np.concatenate(deleted) if deleted else None
+    purged = np.concatenate([i.purged for i in inputs])
+    stats = {k: v for k, v in readers[0].stats.items() if k != "live_docs"}
+    stats.update(doc_count=doc_count, fields=fields)
+    manifest = dict(inputs[0].manifest, segment_id=os.path.basename(new_dir),
+                    source=source, compacted=True, doc_count=doc_count)
+    if deleted is not None or any("live_docs" in r.stats for r in readers):
         # the merged postings no longer contain the tombstoned docs: record
         # LIVE stats (numDocs/liveDl) next to the untouched maxDoc ones —
         # engine-level N and avgdl switch to them, like Lucene after a merge.
         # They already leave out earlier purges: only newly dead docs count
-        dead = np.setdiff1d(reader.deleted, purged)
-        stats["live_docs"] = reader.live_docs - int(dead.size)
-        for f_, st in stats.get("fields", {}).items():
-            arr = norms.get(f_)
-            removed = int(arr[dead - reader.doc_base].sum()) if arr is not None else 0
-            st["live_dl"] = reader.live_total_dl(f_) - removed
-        manifest["purged_docs"] = int(manifest.get("purged_docs", 0)) + int(dead.size)
+        dead = np.empty(0, np.int64) if deleted is None else np.setdiff1d(deleted, purged)
+        stats["live_docs"] = sum(r.live_docs for r in readers) - int(dead.size)
+        for f, st in fields.items():
+            st["live_dl"] = (sum(r.live_total_dl(f) for r in readers)
+                             - int(norms[f][dead - doc_base].sum()))
+        manifest["purged_docs"] = sum(
+            int(i.manifest.get("purged_docs", 0)) for i in inputs) + int(dead.size)
         purged = np.union1d(purged, dead)
     if purged.size:
         np.save(os.path.join(new_dir, PURGED_FILE), purged)
     with open(os.path.join(new_dir, "stats.json"), "w") as f:
         json.dump(stats, f, indent=1)
-    for name in os.listdir(seg_dir):
-        if _kept(name):
-            _link(os.path.join(seg_dir, name), os.path.join(new_dir, name))
+    if len(inputs) == 1:
+        for name in os.listdir(readers[0].seg_dir):
+            if _kept(name):
+                _link(os.path.join(readers[0].seg_dir, name), os.path.join(new_dir, name))
+    else:
+        _write_merged_files(inputs, new_dir, fields, norms)
+
+    # broadcast the norms once (ray.put, zero-copy reads in every merge
+    # task) so re-cut blocks keep an exact min_dl for WAND bounds; the merge
+    # is the purge, so the deleted set goes too
+    shared = (ray.put(_shipped_norms(fields, norms)), doc_base, doc_count,
+              None if deleted is None else ray.put(deleted))
+    tasks = [(groups, lo, hi, os.path.join(postings_path, f"part-{i:06d}.parquet"), *shared)
+             for i, (lo, hi, groups) in enumerate(
+                 _plan_ranges(files, _output_rows(readers)))]
 
     def finish(ranges: list) -> dict:
         manifest["posting_rows"] = sum(r["rows_written"] for r in ranges)
@@ -413,46 +515,81 @@ def _compact_segment(
     return tasks, finish
 
 
+def _merge_groups(segments: list, manifests: list) -> List[List[int]]:
+    """The commit's segments (``segments``, with their complete
+    ``manifests``, None where one is missing) grouped by index into the new
+    segments of a compaction (Lucene's ``TieredMergePolicy``, one tier): a
+    segment of SLICE_DOCS docs or more, or without a manifest, stays alone,
+    and each maximal run of adjacent small segments (fewer docs) is cut into
+    groups, closing a group once it holds SLICE_DOCS docs."""
+    groups: List[List[int]] = []
+    docs = None  # docs of the open group of small segments, None: none open
+    for i, (seg, manifest) in enumerate(zip(segments, manifests)):
+        n = seg.hi - seg.lo
+        if manifest is None or n >= SLICE_DOCS:
+            groups.append([i])
+            docs = None
+            continue
+        if docs is None or docs >= SLICE_DOCS:
+            groups.append([])
+            docs = 0
+        groups[-1].append(i)
+        docs += n
+    return groups
+
+
 def compact_index(index_dir: str, *, resume: bool = True) -> list[dict]:
-    """Compact the postings of every segment of the current commit that is
-    not compacted yet or holds tombstones (with ``resume=False``: every
-    segment), each into a new segment directory, then publish them all in
-    one commit; its sweep deletes the directories they replace. A failure
-    before the publish leaves the previous commit serving; a re-run keeps
-    the new directories that completed.
+    """Compact the postings of the current commit's segments into new
+    segment directories, then publish them all in one commit; its sweep
+    deletes the directories they replace. Each run of adjacent small
+    segments (fewer than SLICE_DOCS docs: :func:`_merge_groups`) merges
+    into one new segment, and every other segment that is not compacted
+    yet or holds tombstones (with ``resume=False``: every segment) is
+    compacted on its own; a segment of SLICE_DOCS docs or more is never
+    merged with another. A failure before the publish leaves the previous
+    commit serving; a re-run keeps the new directories that completed. A
+    compaction of a compacted index without tombstones does nothing.
 
-    Returns one entry per compacted segment, in commit order (empty when
-    nothing needed compacting): ``source`` and new ``segment`` name,
-    ``wall_s``, ``posting_rows_in``/``posting_rows_out`` and ``ranges``, one
-    entry per term-range task with the row groups it read, the rows it read,
-    kept and wrote, and its ``wall_s`` (empty where a complete directory of
-    a failed earlier run was kept). Nothing of it is written to the index.
+    Returns one entry per new segment, in commit order (empty when nothing
+    needed compacting): the ``source`` segment names, the new ``segment``
+    name, ``wall_s``, ``posting_rows_in``/``posting_rows_out`` and
+    ``ranges``, one entry per term-range task with the row groups it read,
+    the rows it read, kept and wrote, and its ``wall_s`` (empty where a
+    complete directory of a failed earlier run was kept). Nothing of it is
+    written to the index.
 
-    Every pending segment's range tasks are submitted at once, so the
-    segments' merges overlap; each segment whose ranges all succeed gets its
-    manifest, also when a range of another fails."""
+    Every new segment's range tasks are submitted at once, so the merges
+    overlap; each new segment whose ranges all succeed gets its manifest,
+    also when a range of another fails."""
     import ray
 
     c = commit.read(index_dir)
-    segments = list(c["segments"])
+    segments = c["segments"]
+    manifests = [read_manifest(commit.segment_dir(index_dir, s.name)) for s in segments]
     number = int(c["next_segment"])
+    published: list = []
     pending: list = []
-    for i, seg in enumerate(segments):
-        seg_dir = commit.segment_dir(index_dir, seg.name)
-        manifest = read_manifest(seg_dir)
-        if manifest is None or manifest.get("empty"):
-            continue
-        # deletes after a previous compaction re-qualify the segment: this
-        # pass is also the tombstone purge
-        if resume and manifest.get("compacted") and seg.deleted is None:
+    for group in _merge_groups(segments, manifests):
+        first = manifests[group[0]]
+        # a segment alone is compacted once, unless deletes after that
+        # re-qualify it: this pass is also the tombstone purge
+        if len(group) == 1 and (first is None or first.get("empty") or (
+                resume and first.get("compacted") and segments[group[0]].deleted is None)):
+            members = []
+        else:
+            members = [i for i in group if not manifests[i].get("empty")]
+        if not members:
+            published += [segments[i] for i in group]
             continue
         name = commit.segment_name(number)
         number += 1
-        segments[i] = commit.Segment(name, seg.lo, seg.hi)
-        source = {"segment": seg.name, "deleted": seg.deleted}
-        pending.append((seg_dir, manifest, source, commit.segment_dir(index_dir, name),
-                        *_load_segment(seg_dir, manifest,
-                                       commit.tombstone_path(index_dir, seg))))
+        published.append(commit.Segment(name, segments[group[0]].lo, segments[group[-1]].hi))
+        inputs = [_load_segment(commit.segment_dir(index_dir, segments[i].name),
+                                manifests[i], {"segment": segments[i].name,
+                                               "deleted": segments[i].deleted},
+                                commit.tombstone_path(index_dir, segments[i]))
+                  for i in members]
+        pending.append((inputs, commit.segment_dir(index_dir, name)))
     if not pending:
         return []
     task = ray.remote(_merge_range)
@@ -466,5 +603,5 @@ def compact_index(index_dir: str, *, resume: bool = True) -> list[dict]:
             failed = failed or e
     if failed is not None:
         raise failed
-    commit.publish(index_dir, dict(c, segments=segments, next_segment=number))
+    commit.publish(index_dir, dict(c, segments=published, next_segment=number))
     return done

@@ -15,7 +15,11 @@ stored as the constant) that sum to its ``total_dl`` (norms stay dense over
 maxDoc, so also after a purge); its manifest's ``posting_rows`` is the
 number of rows in its postings files; its tombstone ids and its
 ``purged.npy`` ids are each sorted, unique and inside the segment's ``[lo,
-hi)``, and no purged id is still in a block.
+hi)``, and no purged id is still in a block; its doc map's rows ascend by
+``base`` and tile ``[lo, hi)`` exactly (a merge concatenates its inputs');
+its ``stats.json`` ``live_docs`` and each field's ``live_dl`` are
+``doc_count`` and ``total_dl`` less the purged docs and their norms (a merge
+adds up its inputs' and purges their tombstones).
 
 Per postings file of each segment:
 
@@ -50,7 +54,7 @@ from typing import List
 import numpy as np
 
 from . import commit
-from .build import MANIFEST_FILE, norms_file, read_manifest
+from .build import CONVMAP_FILE, MANIFEST_FILE, norms_file, read_manifest
 from .codec import headerless, int64_column, unpack_rows, varint_counts
 from .compact import purged_ids
 from .segment import SegmentReader
@@ -97,6 +101,9 @@ def verify_index(index_dir: str) -> List[str]:
             purged = purged_ids(reader.seg_dir)
             for what, ids in (("tombstone", reader.deleted), ("purged.npy", purged)):
                 findings += _verify_ids(f"{s.name}: {what}", ids, s.lo, s.hi)
+            if not reader.empty:
+                findings += _verify_doc_map(reader, s.name)
+                findings += _verify_live_stats(reader, s.name, purged)
             for pf, _stats, _bytes, path in files:
                 where = f"{s.name}/{os.path.basename(path)}"
                 findings += _verify_file(reader, pf, where, purged)
@@ -144,6 +151,47 @@ def _verify_norms(reader: SegmentReader, name: str, field: str) -> List[str]:
     if dl != total:
         out.append(f"{name}: norms of {field} sum to {dl}, its stats.json "
                    f"total_dl is {total}")
+    return out
+
+
+def _verify_doc_map(reader: SegmentReader, name: str) -> List[str]:
+    """Findings for a doc map whose rows do not ascend by ``base`` and tile
+    the segment's docs exactly, each conversation ``[base, base + cnt)``
+    beginning where the one before it ends."""
+    _, base, cnt = reader.conv_map()
+    lo, hi = reader.doc_base, reader.doc_base + reader.doc_count
+    ends = base + cnt
+    starts = np.concatenate([[lo], ends[:-1]])
+    off = np.flatnonzero((base != starts) | (cnt < 1))
+    if off.size:
+        i = int(off[0])
+        return [f"{name}: {CONVMAP_FILE} does not tile [{lo}, {hi}), {off.size} "
+                f"row(s) out of place; first: row {i}, base {base[i]} cnt {cnt[i]} "
+                f"where doc {starts[i]} is next"]
+    if (ends[-1] if ends.size else lo) != hi:
+        return [f"{name}: {CONVMAP_FILE} rows end at doc "
+                f"{ends[-1] if ends.size else lo}, the segment at {hi}"]
+    return []
+
+
+def _verify_live_stats(reader: SegmentReader, name: str, purged: np.ndarray) -> List[str]:
+    """Findings for live stats in ``stats.json`` (``live_docs``, each
+    field's ``live_dl``; absent: ``doc_count`` and ``total_dl``) that are
+    not the maxDoc ones less the purged docs and their norms."""
+    out = []
+    lo, hi = reader.doc_base, reader.doc_base + reader.doc_count
+    purged = purged[(purged >= lo) & (purged < hi)]  # the rest: _verify_ids
+    want = reader.doc_count - int(purged.size)
+    if reader.live_docs != want:
+        out.append(f"{name}: stats.json live_docs is {reader.live_docs}, its "
+                   f"{reader.doc_count} docs less {purged.size} purged are {want}")
+    for field in reader.manifest["fields"]:
+        gone = int(reader.norms(field)[purged - lo].sum())
+        want = reader.total_dl(field) - gone
+        if reader.live_total_dl(field) != want:
+            out.append(f"{name}: stats.json live_dl of {field} is "
+                       f"{reader.live_total_dl(field)}, its total_dl less the "
+                       f"purged docs' norms is {want}")
     return out
 
 

@@ -61,7 +61,7 @@ def engine_for(sf_dir: str) -> SearchEngine:
         try:
             ds = derive_from_documents(sf_dir)
             build_index(ds, index_dir, num_segments=2, batch_size=8192, resume=True)
-            compact_index(index_dir)  # flush-then-merge: build piecewise, serve compact
+            compact_index(index_dir)  # build piecewise, serve compacted, small segments merged
             eng = SearchEngine(index_dir, parallel=False)
         except ValueError:
             # stale cache from an older index format -> rebuild from scratch

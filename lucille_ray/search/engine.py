@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import pyarrow as pa
 
-from ..index import commit
+from ..index import commit, compact
 from ..index.segment import SegmentReader, check_layout
 from ..query import nodes as qn
 from ..query.parser import parse
@@ -81,12 +81,10 @@ TOP_K_ROUTES = (
 )
 
 #: Slice packing: a scorer actor takes segments, in doc order, until it holds
-#: SLICE_DOCS docs or SLICE_SEGMENTS segments. A scorer process costs ~135 MB
-#: before it serves anything, and a 32k-doc segment is ~10 MB on disk, so a
-#: smaller segment on its own actor is almost all process overhead; 5 is
-#: Lucene's ``MAX_SEGMENTS_PER_SLICE``, bounding how many tiny segments one
-#: actor scores in sequence.
-SLICE_DOCS = 32_768
+#: ``compact.SLICE_DOCS`` docs (the one meaning of a small segment: a smaller
+#: segment on its own actor is almost all process overhead) or
+#: SLICE_SEGMENTS segments; 5 is Lucene's ``MAX_SEGMENTS_PER_SLICE``,
+#: bounding how many tiny segments one actor scores in sequence.
 SLICE_SEGMENTS = 5
 
 
@@ -96,7 +94,7 @@ def slice_groups(
     """Pack segments into at most ``max_groups`` scorer groups.
 
     Walk the segments in doc order; start a new group when the current one
-    holds :data:`SLICE_DOCS` docs or more, or :data:`SLICE_SEGMENTS`
+    holds ``compact.SLICE_DOCS`` docs or more, or :data:`SLICE_SEGMENTS`
     segments. More groups than ``max_groups`` fold round-robin (group i goes
     to actor i % max_groups), so every actor's segments stay in doc order;
     when every segment holds SLICE_DOCS docs or more, this is one segment per
@@ -106,7 +104,7 @@ def slice_groups(
     groups: List[List[str]] = []
     docs = 0
     for d, n in zip(seg_dirs, doc_counts):
-        if not groups or docs >= SLICE_DOCS or len(groups[-1]) >= SLICE_SEGMENTS:
+        if not groups or docs >= compact.SLICE_DOCS or len(groups[-1]) >= SLICE_SEGMENTS:
             groups.append([])
             docs = 0
         groups[-1].append(d)
@@ -432,8 +430,9 @@ class SearchEngine:
     """Query entry point over an index directory.
 
     ``parallel="auto"`` uses one Ray actor per segment group when Ray is
-    initialized and the index has more than one segment; ``parallel=False``
-    scores in-process (tests / tiny indexes). Groups come from
+    initialized, also for an index of one segment (compaction merges a
+    small index into one: its scorer keeps its own process, as when it held
+    several); ``parallel=False`` scores in-process (tests / tiny indexes). Groups come from
     :func:`slice_groups`: small segments share an actor, at most
     ``min(8, CPUs)`` actors per replica set.
 
@@ -471,7 +470,7 @@ class SearchEngine:
             try:
                 import ray
 
-                parallel = ray.is_initialized() and len(self.seg_dirs) > 1
+                parallel = ray.is_initialized()
             except ImportError:
                 parallel = False
         self.parallel = bool(parallel)

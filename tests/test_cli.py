@@ -40,7 +40,9 @@ def test_cli_generate_build_append_search_stats(tmp_path):
     out = _cli("compact", "--index", idx).splitlines()
     assert out[0] == "compacted"
     done = json.loads(out[1])
-    assert [d["source"] for d in done] == [s["segment"] for s in stats["segments"]]
+    # the three small segments merge into one
+    assert [d["source"] for d in done] == [[s["segment"] for s in stats["segments"]]]
     stats = json.loads(_cli("stats", "--index", idx))
     assert [d["segment"] for d in done] == [s["segment"] for s in stats["segments"]]
     assert sum(d["posting_rows_out"] for d in done) == stats["totals"]["posting_rows"]
+    _cli("verify", idx)  # exits 1 on any finding in the merged segment

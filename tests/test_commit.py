@@ -135,12 +135,12 @@ def _referenced(index_dir, path):
 def test_writes_only_add_files_and_open_engines_keep_answering(
     built, corpus, victims, tmp_path
 ):
-    """Delete (2 segments), purge compaction (2 tombstoned segments) and a
-    2-segment append each leave every file of the previous commit unchanged
-    or gone because the new commit no longer references it, and create
-    nothing but the new commit's own files and ``index_meta.json``. An
-    engine opened before them keeps answering the first commit, with
-    metadata, after every sweep."""
+    """Delete (2 segments), purge compaction (2 small tombstoned segments
+    merged into one) and a 2-segment append each leave every file of the
+    previous commit unchanged or gone because the new commit no longer
+    references it, and create nothing but the new commit's own files and
+    ``index_meta.json``. An engine opened before them keeps answering the
+    first commit, with metadata, after every sweep."""
     d = _copy(built, tmp_path / "idx")
     first = _answers(d)
     old_engine = SearchEngine(d, parallel=False, result_cache=False)
@@ -179,7 +179,7 @@ def test_writes_only_add_files_and_open_engines_keep_answering(
             assert [r.deleted.tolist() for r in local.readers] == [
                 r.deleted.tolist() for r in engine._scorers()[0].readers]
         if name == "compact":
-            assert len(new_dirs) == 2 and not any(
+            assert len(new_dirs) == 1 and not any(
                 s.deleted for s in after_commit["segments"])
         if name == "append":
             assert len(new_dirs) == 2
@@ -357,8 +357,9 @@ def _plant_crashed_append(index_dir):
 
 
 def test_compaction_visits_only_committed_segments(built, tmp_path, monkeypatch):
-    """compact_index compacts the segments of the commit, never the
-    uncommitted leftover of a failed append, and its commit sweeps it."""
+    """compact_index compacts (here: merges) the segments of the commit,
+    never the uncommitted leftover of a failed append, and its commit sweeps
+    it."""
     import lucille_ray.index.compact as compact_mod
 
     d = _copy(built, tmp_path / "idx")
@@ -367,20 +368,20 @@ def test_compaction_visits_only_committed_segments(built, tmp_path, monkeypatch)
     seen = []
     real = compact_mod._compact_segment
 
-    def recording(seg_dir, *args, **kwargs):
-        seen.append(os.path.basename(seg_dir))
-        return real(seg_dir, *args, **kwargs)
+    def recording(inputs, *args, **kwargs):
+        seen.extend(os.path.basename(i.reader.seg_dir) for i in inputs)
+        return real(inputs, *args, **kwargs)
 
     monkeypatch.setattr(compact_mod, "_compact_segment", recording)
     before = _answers(d)
     compact_index(d)
     assert sorted(seen) == sorted(committed)
-    # the leftover's name went to a compacted segment; nothing else is left
+    # the leftover's name went to the merged segment; nothing else is left
     c = commit.read(d)
     assert sorted(os.listdir(os.path.join(d, "segments"))) == sorted(
         s.name for s in c["segments"])
     with open(os.path.join(leftover, "MANIFEST.json")) as f:
-        assert json.load(f)["source"]["segment"] == committed[0]
+        assert [s["segment"] for s in json.load(f)["source"]] == committed
     assert _answers(d) == before
 
 
@@ -411,13 +412,38 @@ def test_compaction_rebuilds_a_crashed_range_write(built, victims, tmp_path):
     assert _answers(d) == _answers(clean)
 
 
-def test_compaction_keeps_segments_whose_ranges_finished(built, victims, tmp_path):
+def _garble_docs(part):
+    """Overwrite the ``docs`` column chunks of postings file ``part`` with
+    0xff bytes and return its good bytes. The footer and the ``term`` and
+    ``df`` pages still read, so the driver plans the compaction and loads
+    the term dictionaries; the range task that reads the file fails."""
+    with open(part, "rb") as f:
+        good = f.read()
+    bad = bytearray(good)
+    md = pq.ParquetFile(part).metadata
+    col = md.schema.names.index("docs")
+    for g in range(md.num_row_groups):
+        cc = md.row_group(g).column(col)
+        start = (cc.dictionary_page_offset if cc.has_dictionary_page
+                 else cc.data_page_offset)
+        bad[start:start + cc.total_compressed_size] = b"\xff" * cc.total_compressed_size
+    with open(part, "wb") as f:
+        f.write(bytes(bad))
+    pq.ParquetFile(part).read(columns=["field", "term", "df"])
+    return good
+
+
+def test_compaction_keeps_segments_whose_ranges_finished(built, victims, tmp_path,
+                                                        monkeypatch):
     """A range task that fails in the first segment still lets every other
     segment's new directory finish (manifest written) and publishes nothing;
     the next compaction reuses those directories, redoes only the failed
-    segment, and ends at a clean compaction's files and answers."""
+    segment, and ends at a clean compaction's files and answers. Every
+    segment is compacted on its own (SLICE_DOCS=1: none is small)."""
+    import lucille_ray.index.compact as compact_mod
     from lucille_ray.index.build import read_manifest
 
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
     base = _copy(built, tmp_path / "base")
     delete_docs(base, victims)
     clean = _copy(base, tmp_path / "clean")
@@ -427,20 +453,14 @@ def test_compaction_keeps_segments_whose_ranges_finished(built, victims, tmp_pat
     assert len(c["segments"]) == 2
     src = os.path.join(commit.segment_dir(d, c["segments"][0].name), "postings.parquet")
     part = os.path.join(src, sorted(os.listdir(src))[0])
-    with open(part, "rb") as f:
-        good = f.read()
-    # garble the data pages, keep the footer: the driver plans from the
-    # footer, the range task that reads the pages fails
-    data_end = len(good) - 8 - int.from_bytes(good[-8:-4], "little")
-    with open(part, "wb") as f:
-        f.write(good[:4] + b"\xff" * (data_end - 4) + good[data_end:])
-    pq.ParquetFile(part).metadata  # the footer still parses
+    good = _garble_docs(part)
     with pytest.raises(Exception):
         compact_index(d)
     assert commit.read(d) == c
     new = [commit.segment_dir(d, commit.segment_name(c["next_segment"] + i)) for i in (0, 1)]
     assert read_manifest(new[0]) is None
-    assert read_manifest(new[1])["source"]["segment"] == c["segments"][1].name
+    assert read_manifest(new[1])["source"] == [
+        {"segment": c["segments"][1].name, "deleted": c["segments"][1].deleted}]
 
     with open(part, "wb") as f:
         f.write(good)
@@ -450,6 +470,43 @@ def test_compaction_keeps_segments_whose_ranges_finished(built, victims, tmp_pat
                  for x in (d, clean))
     assert got == want
     assert _answers(d) == _answers(clean)
+
+
+def test_crashed_merge_leaves_the_previous_commit_serving(built, victims, tmp_path):
+    """A range task that fails while it merges the two small tombstoned
+    segments into one publishes nothing: the previous commit and its
+    answers stand, and the new directory has no manifest. The re-run merges
+    them to a clean merge's files and answers, and the verifier finds
+    nothing."""
+    from lucille_ray.index.build import read_manifest
+    from lucille_ray.index.verify import verify_index
+
+    base = _copy(built, tmp_path / "base")
+    delete_docs(base, victims)
+    clean = _copy(base, tmp_path / "clean")
+    assert len(compact_index(clean)) == 1
+    d = _copy(base, tmp_path / "failed")
+    c, before = commit.read(d), _answers(d)
+    src = os.path.join(commit.segment_dir(d, c["segments"][1].name), "postings.parquet")
+    part = os.path.join(src, sorted(os.listdir(src))[0])
+    good = _garble_docs(part)
+    with pytest.raises(Exception):
+        compact_index(d)
+    assert commit.read(d) == c
+    new = commit.segment_dir(d, commit.segment_name(c["next_segment"]))
+    assert os.path.isdir(new) and read_manifest(new) is None
+    with open(part, "wb") as f:
+        f.write(good)
+    assert _answers(d) == before
+
+    (done,) = compact_index(d)
+    assert done["source"] == [s.name for s in c["segments"]] and done["ranges"]
+    assert [s.name for s in commit.read(d)["segments"]] == [os.path.basename(new)]
+    got, want = ({p: (size, digest) for p, (size, _, digest) in _files(x).items()}
+                 for x in (d, clean))
+    assert got == want
+    assert _answers(d) == _answers(clean)
+    assert verify_index(d) == []
 
 
 def test_build_report_reads_the_commit(built, tmp_path):

@@ -366,7 +366,8 @@ def test_compaction_ships_constant_norms_as_values(built, tmp_path, monkeypatch)
     as their one value: they pickle to a few bytes whatever the segment's
     doc count, where a broadcast array pickles to one byte a doc, while
     ``text``'s grow with it. The compacted postings are byte-identical to
-    those of a compaction that ships every field's norms as an array."""
+    those of a compaction that ships every field's norms as an array. Each
+    segment is compacted on its own (SLICE_DOCS=1)."""
     import pickle
 
     import ray
@@ -376,6 +377,7 @@ def test_compaction_ships_constant_norms_as_values(built, tmp_path, monkeypatch)
     from lucille_ray.index.segment import load_segments
 
     _, index_dir, _ = built
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
     put = []
     real_put = ray.put
     monkeypatch.setattr(ray, "put", lambda v, *a, **k: put.append(v) or real_put(v, *a, **k))
@@ -389,7 +391,7 @@ def test_compaction_ships_constant_norms_as_values(built, tmp_path, monkeypatch)
     for v, n in zip(norms, counts):
         assert all(len(pickle.dumps(v[f], protocol=5)) < 64 for f in ("role", "tool"))
         assert len(pickle.dumps(v["text"], protocol=5)) > n
-    monkeypatch.setattr(compact_mod, "_shipped_norms", lambda reader, norms: norms)
+    monkeypatch.setattr(compact_mod, "_shipped_norms", lambda fields, norms: norms)
     compact_index(dense)
     assert _postings_bytes(shipped) == _postings_bytes(dense)
 
@@ -612,18 +614,24 @@ def test_delete_tombstones(built, tmp_path):
     assert victim_docs & set(before.match_all("data")["doc_id"].to_pylist())
 
 
-def test_delete_purge_at_compaction(built, tmp_path):
+def test_delete_purge_at_compaction(built, tmp_path, monkeypatch):
     """Compaction purges tombstones (the Lucene merge moment): deleted docs
     leave the postings physically, live stats (numDocs/avgdl/df) take over, the
     new commit names no tombstone and no tombstone file is left, and the
     purged index is rank+score-equivalent to a brute-force oracle over the
     live corpus. (The block-max executors served the tombstoned segments
-    too: readers drop deleted docs wherever anything decodes.)"""
+    too: readers drop deleted docs wherever anything decodes.) Each segment
+    is purged on its own (SLICE_DOCS=1), so the engine sums two segments'
+    live stats; test_churned_index_merges_into_one_segment purges in a
+    merge."""
     import json
 
     import ray.data
 
+    import lucille_ray.index.compact as compact_mod
     from lucille_ray.index import compact_index, delete_conversations
+
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
 
     data_dir, _, table = built
     index_dir = str(tmp_path / "pidx")
@@ -1039,11 +1047,15 @@ def test_expansion_bound_enforced_across_segments(ray_session, tmp_path, monkeyp
 
 def test_compaction_preserves_results(built, oracle, tmp_path, monkeypatch):
     """compact_index merges doc-partitioned pieces; results stay rank-identical
-    and re-compaction is a resume no-op."""
+    and re-compaction is a resume no-op. Each segment is compacted on its
+    own (SLICE_DOCS=1), so the entries are per segment."""
     import pyarrow.parquet as pq2
 
     import lucille_ray.index.build as build_mod
+    import lucille_ray.index.compact as compact_mod
     from lucille_ray.index import compact_index
+
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
 
     data_dir, _, _ = built
     ds = T.read_transcripts(data_dir)
@@ -1068,7 +1080,7 @@ def test_compaction_preserves_results(built, oracle, tmp_path, monkeypatch):
     assert rows_after < rows_before
     # one entry per compacted segment, in commit order; nothing of it is
     # written: the index holds the new directories' files and nothing else
-    assert [d["source"] for d in done] == sources
+    assert [d["source"] for d in done] == [[s] for s in sources]
     assert [d["segment"] for d in done] == [
         s.name for s in commit.read(index_dir)["segments"]]
     assert done[0]["posting_rows_in"] == rows_before
@@ -1444,9 +1456,10 @@ def test_scorer_actors_run_without_pandas(built, ray_session, monkeypatch):
 
     import ray
 
+    import lucille_ray.index.compact as compact_mod
     import lucille_ray.search.engine as engine_mod
 
-    monkeypatch.setattr(engine_mod, "SLICE_DOCS", 1)  # one actor per segment
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)  # one actor per segment
     ref = SearchEngine(built[1], parallel=False)
     engine = SearchEngine(built[1], parallel=True)
     try:
@@ -1622,9 +1635,9 @@ def test_replicated_engine_identical(built, ray_session, monkeypatch):
     run sequentially — the 4-CPU test session can't host both actor pools.
     SLICE_DOCS=1 keeps the fixture's two small segments on two actors per set,
     so the replica cap still has two groups to divide the CPUs by."""
-    from lucille_ray.search import engine as engine_mod
+    import lucille_ray.index.compact as compact_mod
 
-    monkeypatch.setattr(engine_mod, "SLICE_DOCS", 1)
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
     base = SearchEngine(built[1], parallel=True)
     try:
         singles = {qs: base.search(qs, k=7, with_meta=False) for qs in QUERY_SET[:8]}
@@ -2066,33 +2079,47 @@ def pieces(built, tmp_path_factory):
     return index_dir
 
 
-@pytest.mark.parametrize("rows_per_file", [None, 100])
-def test_compaction_is_deterministic(pieces, tmp_path, monkeypatch, rows_per_file):
-    """Two compactions of copies of one index write the same postings files,
-    byte for byte, in one term range per segment and in several: the ranges
-    come from the input's footers, not from how a run schedules its tasks."""
+def _rows_per_file(index_dir: str, ranges: int) -> int:
+    """The ``writer.ROWS_PER_FILE`` at which a compaction of the index's
+    segments into one aims at ``ranges`` term ranges: its output rows (from
+    the term dictionaries, ``compact._output_rows``) over ``ranges``."""
+    from lucille_ray.index.compact import _output_rows
+    from lucille_ray.index.segment import load_segments
+
+    return -(-_output_rows(load_segments(index_dir)) // ranges)
+
+
+@pytest.mark.parametrize("ranges", [None, 4])
+def test_compaction_is_deterministic(pieces, tmp_path, monkeypatch, ranges):
+    """Two compactions of copies of one index, which merge its two small
+    segments into one, write the same postings files, byte for byte, in one
+    term range and in several (``ROWS_PER_FILE`` at the output's rows over
+    ``ranges``): the ranges come from the inputs' footers and term
+    dictionaries, not from how a run schedules its tasks."""
     from lucille_ray.index import compact_index, writer
 
     copies = [str(tmp_path / name) for name in ("a", "b")]
-    if rows_per_file:
-        monkeypatch.setattr(writer, "ROWS_PER_FILE", rows_per_file)
+    if ranges:
+        monkeypatch.setattr(writer, "ROWS_PER_FILE", _rows_per_file(pieces, ranges))
     for d in copies:
         shutil.copytree(pieces, d)
-        for e in compact_index(d):
-            assert len(e["ranges"]) > 1 if rows_per_file else len(e["ranges"]) == 1
+        (e,) = compact_index(d)
+        assert len(e["source"]) == 2
+        assert len(e["ranges"]) > 1 if ranges else len(e["ranges"]) == 1
     a, b = map(_postings_bytes, copies)
     assert a and sorted(a) == sorted(b)
     assert all(a[f] == b[f] for f in a)
 
 
-@pytest.mark.parametrize("rows_per_file", [100, 30])
+@pytest.mark.parametrize("ranges", [4, 16])
 def test_compaction_reads_at_most_twice_the_input(pieces, tmp_path, monkeypatch,
-                                                 rows_per_file):
+                                                 ranges):
     """Over raw pieces (several (field, term)-sorted runs per file, one per
     tokenize batch and field, each row group spanning most of its field, so
     a cut inside a field is straddled by a group of nearly every run), the
-    ranges of every segment together read at most twice its input rows,
-    keep each row once, and still cut the segment in more than one range."""
+    ranges of the merge of both segments together read at most twice their
+    input rows, keep each row once, and still cut it in more than one range
+    (``ROWS_PER_FILE`` at the output's rows over ``ranges``)."""
     from lucille_ray.index import compact_index, writer
     from lucille_ray.index.segment import SegmentReader
 
@@ -2106,7 +2133,7 @@ def test_compaction_reads_at_most_twice_the_input(pieces, tmp_path, monkeypatch,
         assert runs >= 2 * len(files) >= 4
     d = str(tmp_path / "index")
     shutil.copytree(pieces, d)
-    monkeypatch.setattr(writer, "ROWS_PER_FILE", rows_per_file)
+    monkeypatch.setattr(writer, "ROWS_PER_FILE", _rows_per_file(d, ranges))
     for e in compact_index(d):
         assert len(e["ranges"]) > 1
         assert sum(r["rows_kept"] for r in e["ranges"]) == e["posting_rows_in"]
@@ -2129,41 +2156,68 @@ def _live_answers_match(index_dir: str, table: pa.Table, deleted) -> None:
             assert abs(gs - es) < 1e-9, qs
 
 
+def _as_two_runs(seg_dir: str) -> None:
+    """Rewrite a segment's postings as two files, each one (field, term,
+    bucket)-sorted run, as a build that merged two windows writes them: the
+    rows whose first doc lies in the first half of the segment's docs, and
+    the rest."""
+    import glob
+
+    from lucille_ray.index.segment import SegmentReader
+
+    reader = SegmentReader(seg_dir)
+    files = sorted(glob.glob(os.path.join(seg_dir, "postings.parquet", "*.parquet")))
+    t = pa.concat_tables([pq.read_table(f) for f in files])
+    for f in files:
+        os.remove(f)
+    _, rb, offsets = unpack_rows(t)
+    first = rb.firsts[offsets[:-1]] < reader.doc_base + reader.doc_count // 2
+    for name, part in (("a", t.filter(first)), ("b", t.filter(~first))):
+        pq.write_table(part.take(row_order(part, ["field", "term"])),
+                       os.path.join(seg_dir, "postings.parquet", f"part-{name}.parquet"))
+
+
 def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp_path,
                                                  monkeypatch):
     """A purge compaction cut into several term ranges per segment stores the
     rows of a one-range compaction, also over input files in the previous
     layout: one without statistics (it may overlap every range) and fixed
-    16-row groups, some spanning two fields. Each file is first sorted into
-    one run, as a build that merges its windows writes it (over raw pieces'
-    many runs per file, four ranges would read the input more than twice:
-    test_compaction_reads_at_most_twice_the_input). Each range file is
-    in compaction's (field, term, bucket) order, the files' key ranges ascend without
-    overlap, every row is kept by exactly one range, and the answers equal
-    the oracle's."""
+    16-row groups, some spanning two fields. Each segment's rows are first
+    rewritten as two sorted runs, as a build that merges its windows writes
+    them (over raw pieces' many runs per file, four ranges would read the
+    input more than twice: test_compaction_reads_at_most_twice_the_input),
+    and ``ROWS_PER_FILE`` is a fifth of the fewest rows a segment's
+    compaction writes, so the range count follows from the content. Each
+    range file is in compaction's (field, term, bucket) order, the files'
+    key ranges ascend without overlap, every row is kept by exactly one
+    range, and the answers equal the oracle's. Each segment is compacted on
+    its own (SLICE_DOCS=1)."""
     import glob
 
+    import lucille_ray.index.compact as compact_mod
     from lucille_ray.index import compact_index, writer
     from lucille_ray.index.segment import SegmentReader
 
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
     tomb, deleted = tombstoned(pieces)
     many, one = str(tmp_path / "many"), str(tmp_path / "one")
     keys = ["field", "term"]  # then bucket (codec.row_order)
     for d in (many, one):
         shutil.copytree(tomb, d)
-        for f in glob.glob(os.path.join(d, "segments", "*", "postings.parquet", "*")):
-            t = pq.read_table(f)
-            pq.write_table(t.take(row_order(t, keys)), f)
+        for seg in _seg_dirs(d):
+            _as_two_runs(seg)
         _rewrite_old_layout(d)
     readers = [SegmentReader(s) for s in _seg_dirs(many)]
     assert len(readers) == 2 and readers[0]._postings_files()[0][1] is None
+    assert all(len(r._postings_files()) == 2 for r in readers)
     spanning = [g for r in readers for _, stats, _, _ in r._postings_files()
                 if stats is not None for g in np.flatnonzero(stats[0] != stats[1])]
     assert spanning, "no row group spans two fields"
     rows = [sum(pf.metadata.num_rows for pf, *_ in r._postings_files()) for r in readers]
 
     with monkeypatch.context() as m:
-        m.setattr(writer, "ROWS_PER_FILE", min(rows) // 5)
+        m.setattr(writer, "ROWS_PER_FILE",
+                  min(compact_mod._output_rows([r]) for r in readers) // 5)
         done = compact_index(many)
     assert [d["posting_rows_in"] for d in done] == rows
     for d in done:
@@ -2526,15 +2580,19 @@ def test_norms_sidecar_narrow_dtype_round_trip(built):
             assert np.array_equal(got, stored) and stored.dtype.itemsize < 8
 
 
-def test_build_report_postings_layout(built, tmp_path):
+def test_build_report_postings_layout(built, tmp_path, monkeypatch):
     """build_report carries each segment's postings row groups, footer bytes,
     inline chunk metadata bytes, compressed bytes per leaf column and
     one-posting rows plus their totals, and each field's norms form; with
     the magic bytes the byte counts sum to the postings files' sizes, and
-    they follow compaction."""
+    they follow compaction (of each segment on its own, SLICE_DOCS=1: the
+    fixture's two segments each hold one-posting rows, their merge none)."""
     import glob
 
+    import lucille_ray.index.compact as compact_mod
     from lucille_ray.index import build_report, compact_index
+
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
     from lucille_ray.index.report import BYTE_COMPONENTS, PARQUET_MAGIC_BYTES
 
     _, index_dir, _ = built
@@ -2876,6 +2934,16 @@ def _swap_row_groups(path: str) -> str:
     return groups[1]["term"][0].as_py()
 
 
+def _edit_stats(seg_dir: str, edit) -> None:
+    """Rewrite the segment's ``stats.json`` after ``edit(doc)``."""
+    path = os.path.join(seg_dir, "stats.json")
+    with open(path) as f:
+        doc = json.load(f)
+    edit(doc)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
 FAULTS = {  # fault -> the finding it must produce
     "max_tf": "max_tf is not the largest tf",
     "dropped_block": "df is not the sum of their blocks' n",
@@ -2894,6 +2962,9 @@ FAULTS = {  # fault -> the finding it must produce
     "doc_count_mismatch": "its manifest's doc_count is",
     "wrong_constant_norm": "its stats.json total_dl is",
     "singleton_with_header": "row(s) with a df of 1 and a header",
+    "doc_map_gap": "convmap.parquet does not tile",
+    "live_docs_without_purge": "stats.json live_docs is",
+    "live_dl_off_by_one": "stats.json live_dl of text is",
 }
 
 
@@ -2907,8 +2978,11 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
     naming a doc past the segment, a ``purged.npy`` id still in a block, a
     tombstone the commit names but that does not exist, a gap between two
     segments' commit bounds, a manifest ``doc_count`` one above its bounds',
-    a constant norm one above what ``total_dl`` says and a one-posting row
-    that stores a header, are each reported, by
+    a constant norm one above what ``total_dl`` says, a one-posting row
+    that stores a header, a doc map with a gap between two conversations, a
+    ``live_docs`` below ``doc_count`` where no doc was purged and a
+    ``live_dl`` one below what the purged docs' norms leave, are each
+    reported, by
     ``verify_index`` and by the ``verify`` command, which exits 1 on
     findings and 0 on the sound fixture. A file whose row groups break the
     writer's invariant still has its blocks checked: both faults in one
@@ -3011,10 +3085,28 @@ def test_verify_index_reports_planted_faults(built, tmp_path, capsys, fault):
             seg.lo + 1, seg.hi]
         seg = commit.read(d)["segments"][0]
         np.save(commit.tombstone_path(d, seg), np.array(bad, np.int64))
-    elif fault == "purged_id_posted":
+    elif fault == "purged_id_posted":  # with the live stats a purge records
         named = os.path.basename(seg_dir) + "/"
-        np.save(os.path.join(seg_dir, PURGED_FILE),
-                np.array([SegmentReader(seg_dir).doc_base], np.int64))
+        reader = SegmentReader(seg_dir)
+        np.save(os.path.join(seg_dir, PURGED_FILE), np.array([reader.doc_base], np.int64))
+
+        def purge(doc):
+            doc["live_docs"] = doc["doc_count"] - 1
+            for f, st in doc["fields"].items():
+                st["live_dl"] = st["total_dl"] - int(reader.norms(f)[0])
+        _edit_stats(seg_dir, purge)
+    elif fault == "doc_map_gap":
+        cm = pq.read_table(os.path.join(seg_dir, "convmap.parquet"))
+        base = cm["base"].to_pylist()
+        base[1] += 1
+        pq.write_table(cm.set_column(cm.schema.get_field_index("base"), "base",
+                                     pa.array(base, pa.int64())),
+                       os.path.join(seg_dir, "convmap.parquet"))
+    elif fault == "live_docs_without_purge":
+        _edit_stats(seg_dir, lambda doc: doc.update(live_docs=doc["doc_count"] - 1))
+    elif fault == "live_dl_off_by_one":
+        _edit_stats(seg_dir, lambda doc: doc["fields"]["text"].update(
+            live_dl=doc["fields"]["text"]["total_dl"] - 1))
     else:
         named = repr(_rewrite_row_blocks(path, pick, change))
     if fault == "row_group_and_max_tf":
@@ -3077,18 +3169,18 @@ def _actor_segments(engine) -> list:
     ], timeout=60)
 
 
-@pytest.fixture(scope="module")
-def churned(built, tmp_path_factory):
-    """A churn-style index over the fixture corpus: one segment, two appends
-    of later conversations, then tombstones in every segment. Conversations
-    are split in sorted order, so doc ids equal the fixture oracle's."""
+def _churn_index(table: pa.Table, root, compact_base: bool = False,
+                 delete: bool = True) -> tuple:
+    """A churn-style index under ``root`` over ``table``: one segment
+    (compacted when ``compact_base``), two appends of later conversations,
+    then (``delete``) tombstones in every segment. Conversations are split
+    in sorted order, so doc ids equal the oracle's over ``table``. Returns
+    the index directory and the deleted doc ids."""
     import ray.data
 
-    from lucille_ray.index import delete_conversations
+    from lucille_ray.index import compact_index, delete_conversations
     from lucille_ray.index.build import append_index
 
-    _, _, table = built
-    root = tmp_path_factory.mktemp("churned")
     convs = sorted(set(table["conv_id"].to_pylist()))
     cuts = [convs[int(len(convs) * f)] for f in (0.8, 0.9)]
     parts = [
@@ -3103,13 +3195,23 @@ def churned(built, tmp_path_factory):
         pq.write_table(table.filter(mask), paths[-1])
     idx = str(root / "index")
     build_index(ray.data.read_parquet(paths[0]), idx, num_segments=1, batch_size=400)
+    if compact_base:
+        compact_index(idx)
     for p in paths[1:]:
         append_index(ray.data.read_parquet(p), idx, num_segments=1, batch_size=400)
+    if not delete:
+        return idx, set()
     victims = [convs[3], convs[int(len(convs) * 0.85)], convs[-2]]
     assert delete_conversations(idx, victims) > 0
     src = _source_order(table)
     dead = {d for d, c in enumerate(src["conv_id"].to_pylist()) if c in victims}
     return idx, dead
+
+
+@pytest.fixture(scope="module")
+def churned(built, tmp_path_factory):
+    """:func:`_churn_index` over the fixture corpus, its base uncompacted."""
+    return _churn_index(built[2], tmp_path_factory.mktemp("churned"))
 
 
 def _oracle_hits(oracle, query, dead) -> list:
@@ -3130,7 +3232,7 @@ def test_small_segments_share_one_scorer_actor(built, churned, oracle, monkeypat
     """Segments under SLICE_DOCS docs pack onto one scorer actor, in doc order,
     and every answer equals the in-process engine's and the oracle's; with
     SLICE_DOCS=1 each segment gets its own actor again."""
-    from lucille_ray.search import engine as engine_mod
+    import lucille_ray.index.compact as compact_mod
     from lucille_ray.search.engine import SLICE_SEGMENTS, slice_groups
     from lucille_ray.query import nodes as qn
     from lucille_ray.query.parser import parse
@@ -3164,7 +3266,7 @@ def test_small_segments_share_one_scorer_actor(built, churned, oracle, monkeypat
             engine.shutdown()
 
     # one actor per segment, as before packing, when no segment is "small"
-    monkeypatch.setattr(engine_mod, "SLICE_DOCS", 1)
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
     for idx in (built[1], churned[0]):
         engine = SearchEngine(idx)
         try:
@@ -3189,7 +3291,7 @@ def test_small_segments_share_one_scorer_actor(built, churned, oracle, monkeypat
     dirs = [f"seg-{i:05d}" for i in range(20)]
     tiny = slice_groups(dirs[:7], [100] * 7, 8)
     assert tiny == [dirs[:SLICE_SEGMENTS], dirs[SLICE_SEGMENTS:7]]
-    big = engine_mod.SLICE_DOCS
+    big = compact_mod.SLICE_DOCS
     assert slice_groups(dirs[:3], [big, 10, 10], 8) == [dirs[:1], dirs[1:3]]
     assert slice_groups(dirs[:3], [10, big, 10], 8) == [dirs[:2], dirs[2:3]]
     for cap in (1, 2, 4, 8):
@@ -3201,3 +3303,153 @@ def test_small_segments_share_one_scorer_actor(built, churned, oracle, monkeypat
     # every segment at or above SLICE_DOCS: one per actor, dealt round-robin
     assert slice_groups(dirs[:10], [big] * 10, 8) == [
         [dirs[i]] + ([dirs[i + 8]] if i + 8 < 10 else []) for i in range(8)]
+
+
+def test_merge_groups_cut_runs_of_small_segments(monkeypatch):
+    """Compaction's merge policy: a segment of SLICE_DOCS docs or more, or
+    without a manifest, stays alone; each maximal run of adjacent smaller
+    segments is one group, cut once it holds SLICE_DOCS docs. ``bench.py``'s
+    4 x 50k-doc index keeps its 4 segments."""
+    import lucille_ray.index.compact as compact_mod
+    from lucille_ray.index import commit
+    from lucille_ray.index.compact import _merge_groups
+
+    def groups(sizes, manifests=None):
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        segs = [commit.Segment(f"seg-{i:05d}", lo, hi)
+                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        return _merge_groups(segs, manifests or [{}] * len(segs))
+
+    big = compact_mod.SLICE_DOCS
+    assert groups([50_000] * 4) == [[0], [1], [2], [3]]
+    assert groups([3_000, 200, 200]) == [[0, 1, 2]]
+    assert groups([big, 10, 10, big - 1, 5, big]) == [[0], [1, 2, 3], [4], [5]]
+    assert groups([big - 1, 1, 1, 0, 7]) == [[0, 1], [2, 3, 4]]
+    assert groups([10, 10, 10], [{}, None, {}]) == [[0], [1], [2]]
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
+    assert groups([3_000, 200, 200]) == [[0], [1], [2]]
+
+
+def test_churned_index_merges_into_one_segment(built, tmp_path, monkeypatch):
+    """A churn-shaped index -- a compacted base, two appends and tombstones
+    in all three segments -- merges into one segment in one
+    ``compact_index``, its purge included. The merged segment's norms, doc
+    map, purged ids and stage stats are the inputs' concatenated, and its
+    live stats theirs added up. Its answers equal, bit for bit, those of the
+    same index compacted segment by segment (SLICE_DOCS=1: no merge) and
+    the oracle's over the live corpus; the verifier finds nothing in either,
+    and a second compaction does nothing."""
+    import lucille_ray.index.compact as compact_mod
+    from lucille_ray.index import commit, compact_index
+    from lucille_ray.index.build import read_manifest
+    from lucille_ray.index.segment import load_segments
+    from lucille_ray.index.verify import verify_index
+
+    idx, dead = _churn_index(built[2], tmp_path, compact_base=True)
+    c = commit.read(idx)
+    assert len(c["segments"]) == 3 and all(s.deleted for s in c["segments"])
+    assert read_manifest(_seg_dirs(idx)[0])["compacted"]
+    stage = "".join(open(os.path.join(d, "stage_stats.txt")).read()
+                    for d in _seg_dirs(idx)
+                    if os.path.exists(os.path.join(d, "stage_stats.txt")))
+    unmerged = str(tmp_path / "unmerged")
+    shutil.copytree(idx, unmerged)
+
+    (done,) = compact_index(idx)
+    assert done["source"] == [s.name for s in c["segments"]]
+    (seg,) = commit.read(idx)["segments"]
+    assert seg == (done["segment"], 0, c["total_docs"], None)
+    with monkeypatch.context() as m:
+        m.setattr(compact_mod, "SLICE_DOCS", 1)
+        assert len(compact_index(unmerged)) == 3
+    parts = load_segments(unmerged)
+    (merged,) = load_segments(idx)
+    for f in merged.manifest["fields"]:
+        assert np.array_equal(merged.norms(f), np.concatenate([r.norms(f) for r in parts]))
+        assert merged.live_total_dl(f) == sum(r.live_total_dl(f) for r in parts)
+        assert ("norm" in merged.stats["fields"][f]) == (f != "text")
+    assert merged.live_docs == sum(r.live_docs for r in parts) == c["total_docs"] - len(dead)
+    assert compact_mod.purged_ids(merged.seg_dir).tolist() == sorted(dead)
+    for a, b in zip(merged.conv_map(), zip(*(r.conv_map() for r in parts))):
+        assert np.array_equal(np.asarray(a), np.concatenate([np.asarray(x) for x in b]))
+    with open(os.path.join(merged.seg_dir, "stage_stats.txt")) as f:
+        assert stage and f.read() == stage
+
+    for d in (idx, unmerged):
+        assert verify_index(d) == []
+    one, three = (SearchEngine(d, parallel=False, result_cache=False) for d in (idx, unmerged))
+    for qs in QUERY_SET:
+        assert one.search(qs, k=10).equals(three.search(qs, k=10)), qs
+    _live_answers_match(idx, built[2], dead)
+    assert compact_index(idx) == []
+
+
+def test_compaction_never_merges_a_large_segment(built, tmp_path, monkeypatch):
+    """A compacted segment of SLICE_DOCS docs or more is not rewritten: with
+    SLICE_DOCS at the base segment's size, compaction merges only the two
+    appended segments, the base keeps its directory and files, and answers
+    stay the oracle's."""
+    import lucille_ray.index.compact as compact_mod
+    from lucille_ray.index import commit, compact_index
+    from lucille_ray.index.verify import verify_index
+
+    idx, _ = _churn_index(built[2], tmp_path, compact_base=True, delete=False)
+    c = commit.read(idx)
+    base = c["segments"][0]
+    files = {f: open(os.path.join(r, f), "rb").read()
+             for r in [commit.segment_dir(idx, base.name)]
+             for f in ("stats.json", "convmap.parquet", "MANIFEST.json")}
+    monkeypatch.setattr(compact_mod, "SLICE_DOCS", base.hi - base.lo)
+    (done,) = compact_index(idx)
+    assert done["source"] == [s.name for s in c["segments"][1:]]
+    after = commit.read(idx)["segments"]
+    assert after[0] == base and len(after) == 2
+    assert (after[1].lo, after[1].hi) == (c["segments"][1].lo, c["segments"][2].hi)
+    for f, data in files.items():
+        assert open(os.path.join(commit.segment_dir(idx, base.name), f), "rb").read() == data
+    assert verify_index(idx) == []
+    engine = SearchEngine(idx, parallel=False)
+    oracle = BruteForceOracle(built[2])
+    for qs in QUERY_SET[::3]:
+        _compare(engine, oracle, qs)
+
+
+def test_merge_of_differing_constant_norms_stores_a_norms_file(built, tmp_path):
+    """``tool`` is one token in every turn of the base segment and two in
+    every turn of the appended one, so each stores a constant norm, 1 and
+    2; their merge stores ``tool``'s norms as a file of both, ``role`` (one
+    token everywhere) stays a constant, and answers equal the oracle's."""
+    import ray.data
+
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.build import append_index, norms_file
+    from lucille_ray.index.segment import load_segments
+    from lucille_ray.index.verify import verify_index
+
+    _, _, table = built
+    convs = sorted(set(table["conv_id"].to_pylist()))
+    later = pc.greater_equal(table["conv_id"], convs[len(convs) // 2])
+    tool = pc.if_else(later, pa.scalar("run python"), pa.scalar("bash"))
+    table = table.set_column(table.schema.get_field_index("tool"), "tool", tool)
+    paths = [str(tmp_path / f"part{i}.parquet") for i in (0, 1)]
+    pq.write_table(table.filter(pc.invert(later)), paths[0])
+    pq.write_table(table.filter(later), paths[1])
+    idx = str(tmp_path / "index")
+    build_index(ray.data.read_parquet(paths[0]), idx, num_segments=1, batch_size=400)
+    append_index(ray.data.read_parquet(paths[1]), idx, num_segments=1, batch_size=400)
+    assert [r.stats["fields"]["tool"].get("norm") for r in load_segments(idx)] == [1, 2]
+    sizes = [r.doc_count for r in load_segments(idx)]
+
+    (done,) = compact_index(idx)
+    assert len(done["source"]) == 2
+    (r,) = load_segments(idx)
+    assert "norm" not in r.stats["fields"]["tool"]
+    assert os.path.exists(os.path.join(r.seg_dir, norms_file("tool")))
+    assert r.norms("tool").tolist() == [1] * sizes[0] + [2] * sizes[1]
+    assert r.stats["fields"]["role"]["norm"] == 1
+    assert not os.path.exists(os.path.join(r.seg_dir, norms_file("role")))
+    assert verify_index(idx) == []
+    engine = SearchEngine(idx, parallel=False)
+    oracle = BruteForceOracle(table)
+    for qs in ("tool:python", "tool:bash", "tool:(run OR bash) AND data", "data"):
+        _compare(engine, oracle, qs)

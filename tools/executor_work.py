@@ -9,7 +9,12 @@ perfbench query pools. Usage:
 20,000-word vocabulary, seed 1, about N turns) under ``INDEX.corpus`` and
 builds INDEX from it with ``build_index`` over S segments, then compacts it
 unless ``--no-compact``, with Ray at 4 logical CPUs; the other two modes
-run without Ray.
+run without Ray. ``--no-compact`` builds as the ``pieces`` fixture of
+``tests/test_index_search.py`` does, with the in-build merge off
+(``build.PIECE_MERGE_ROWS`` = 0) and 100-turn tokenize batches, so every
+segment keeps several postings files of raw tokenize pieces (9 files at
+3,500 turns in 2 segments), the uncompacted layout at any size.
+Both modes print the index's segment and postings-file counts.
 
 The count mode imports ``lucille_ray`` from CHECKOUT (any revision that
 routes queries through ``search.engine.TOP_K_ROUTES``), opens INDEX
@@ -67,6 +72,7 @@ def build(a: argparse.Namespace) -> None:
     sys.path.insert(0, ROOT)
     import ray
 
+    from lucille_ray.index import build as build_mod
     from lucille_ray.index import build_index, compact_index
     from lucille_ray.transcripts import read_transcripts
     from perfbench import corpus as C
@@ -78,14 +84,31 @@ def build(a: argparse.Namespace) -> None:
         ray.init(num_cpus=4, include_dashboard=False, logging_level="ERROR")
     try:
         t0 = time.perf_counter()
-        build_index(read_transcripts(src), a.build, num_segments=a.segments)
+        # the raw layout of the pieces fixture: no in-build merge, and
+        # 100-turn tokenize batches, so each segment spans several files
+        batch_size = 100 if a.no_compact else 4096
+        if a.no_compact:
+            build_mod.PIECE_MERGE_ROWS = 0
+        build_index(read_transcripts(src), a.build, num_segments=a.segments,
+                    batch_size=batch_size)
         if not a.no_compact:
             compact_index(a.build)
         print(json.dumps({"index": a.build, "turns": table.num_rows,
-                          "segments": a.segments, "compacted": not a.no_compact,
+                          "compacted": not a.no_compact, **_layout(a.build),
                           "seconds": round(time.perf_counter() - t0, 1)}))
     finally:
         ray.shutdown()
+
+
+def _layout(index: str) -> dict:
+    """The segment and postings-file counts of the index's current commit."""
+    from lucille_ray.index import commit
+
+    dirs = commit.segment_dirs(index, commit.read(index))
+    files = sum(len([f for f in os.listdir(os.path.join(d, "postings.parquet"))
+                     if f.endswith(".parquet")])
+                for d in dirs if os.path.isdir(os.path.join(d, "postings.parquet")))
+    return {"segments": len(dirs), "postings_files": files}
 
 
 class _Counter:
@@ -135,6 +158,7 @@ def count(a: argparse.Namespace) -> None:
         docs, scores = SegmentEval(r, ctx, reqs, query=query).eval(query)
         return top_k(docs, scores, k) if docs.size else (docs, scores)
 
+    print(json.dumps({"index": os.path.abspath(index), **_layout(index)}))
     counter = _Counter(codec.RawBlocks, SegmentReader)
     engine = engine_mod.SearchEngine(index, parallel=False, result_cache=False)
     readers = [r for r in engine._scorers()[0].readers if r.doc_count]
