@@ -54,6 +54,13 @@ from .segment import live_mask
 #: predicate pushdown then reads a bounded byte volume per term lookup instead
 #: of a whole segment's postings for one hot term
 ROW_BLOCK_CAP = 256
+#: compressed postings bytes of input per term range of a compaction. A
+#: range task reads about this much and writes about this much as one file
+#: (blocks are mostly copied verbatim), so this sets both the file count and
+#: a task's memory: a task holds its rows decoded, over 20 times their
+#: compressed size (one 26 MB range peaked at 820 MB). On a 1M-turn segment
+#: it gives 24 files, where one range per 16,384 input piece rows gave 51
+RANGE_BYTES = 2 << 20
 #: a segment of fewer docs is small: compaction merges each run of adjacent
 #: small segments into one (:func:`_merge_groups`), and the search engine
 #: packs small segments onto shared scorer actors (``engine.slice_groups``).
@@ -64,6 +71,14 @@ SLICE_DOCS = 32_768
 #: sorted doc ids every purge in a segment's lineage removed, written into
 #: the new directory of each compaction that carries any
 PURGED_FILE = "purged.npy"
+
+
+def written_segments(manifest: Optional[dict]) -> int:
+    """How many segments, as build and append wrote them, the segment of
+    ``manifest`` holds: 1, or for a compaction's new segment the sum over
+    its inputs (its ``merged_segments``). ``SearchEngine`` serves an index
+    on actors by this count, so a merge leaves its serving unchanged."""
+    return int((manifest or {}).get("merged_segments", 1))
 
 
 def purged_ids(seg_dir: str) -> np.ndarray:
@@ -270,22 +285,7 @@ def _merge_range(groups: list, lo: Optional[tuple], hi: Optional[tuple], path: s
             "wall_s": round(time.perf_counter() - t0, 6)}
 
 
-def _output_rows(readers: list) -> int:
-    """The rows a compaction of the segments ``readers`` (in doc order)
-    writes before a purge drops any, from their term dictionaries: one per
-    distinct (field, term), and one more per ROW_BLOCK_CAP full blocks of
-    its postings."""
-    rows = 0
-    for field in readers[0].manifest.get("fields", []):
-        terms, dfs = (np.concatenate(a) for a in zip(*(r.term_dict(field) for r in readers)))
-        if len(readers) > 1 and terms.size:
-            terms, at = np.unique(terms, return_inverse=True)
-            dfs = np.bincount(at, dfs).astype(np.int64)
-        rows += int((-(-dfs // (ROW_BLOCK_CAP * BLOCK_SIZE))).sum())
-    return rows
-
-
-def _plan_ranges(files: list, out_rows: int) -> list:
+def _plan_ranges(files: list) -> list:
     """The term ranges of one new segment's compaction, planned from the
     postings footers of its inputs (``files``: every input's
     :meth:`SegmentReader._postings_files`), as ``(lo, hi, groups)`` for
@@ -293,18 +293,18 @@ def _plan_ranges(files: list, out_rows: int) -> list:
     (field, term) statistics may overlap it; a group without statistics may
     overlap every range. Ranges no row group may overlap are left out.
 
-    The plan aims at one range per ``ROWS_PER_FILE`` rows of output
-    (``out_rows``, :func:`_output_rows`; a build's piece rows can outnumber
-    them many times over), cut at the row-weighted quantiles of the group
-    minima and maxima (half a group's rows count at its minimum, half at its
-    maximum). Each sorted run of the input has a row group across most cuts,
-    which both ranges beside the cut read: where the ranges would read the
-    rows with statistics more than twice over (many runs, or groups spanning
-    a whole field), the plan cuts fewer ranges until they do not."""
-    from .writer import ROWS_PER_FILE
-
+    The plan aims at one range per :data:`RANGE_BYTES` of input (a build's
+    piece rows outnumber the rows they merge into many times over, so rows
+    are no measure of a range's output), cut at the row-weighted quantiles
+    of the group minima and maxima (half a group's rows count at its
+    minimum, half at its maximum). Each sorted run of the input has a row
+    group across most cuts, which both ranges beside the cut read: where the
+    ranges would read the rows with statistics more than twice over (many
+    runs, or groups spanning a whole field), the plan cuts fewer ranges
+    until they do not."""
     spans = []  # per row group: (file, group, rows, min key, max key)
-    for pf, stats, _, path in files:
+    nbytes = 0
+    for pf, stats, group_bytes, path in files:
         md = pf.metadata
         keys = [(None, None)] * md.num_row_groups
         if stats is not None:
@@ -312,6 +312,7 @@ def _plan_ranges(files: list, out_rows: int) -> list:
             keys = list(zip(zip(fmin, tmin), zip(fmax, tmax)))
         spans += [(path, g, md.row_group(g).num_rows, *keys[g])
                   for g in range(md.num_row_groups)]
+        nbytes += int(group_bytes.sum())
     keyed = [s for s in spans if s[3] is not None]
     cands = sorted({k for s in keyed for k in s[3:]})
     rank = {k: i for i, k in enumerate(cands)}
@@ -319,7 +320,7 @@ def _plan_ranges(files: list, out_rows: int) -> list:
     n, m = np.array([s[2] for s in keyed], np.int64), len(cands)
     w = np.bincount(lo_i, n / 2, m) + np.bincount(hi_i, n / 2, m)
     before = np.cumsum(w) - w  # rows before each candidate
-    nranges = max(1, -(-min(int(n.sum()), out_rows) // ROWS_PER_FILE))
+    nranges = max(1, -(-nbytes // RANGE_BYTES))
     while True:
         at = np.searchsorted(before, np.arange(1, nranges) * n.sum() / nranges)
         bounds = sorted({cands[i] for i in at.tolist() if 0 < i < m})
@@ -382,33 +383,15 @@ def _merged_fields(inputs: list) -> Tuple[dict, dict]:
         consts = {i.reader.stats["fields"].get(f, {}).get("norm") for i in inputs}
         if len(consts) == 1 and None not in consts:
             fields[f]["norm"] = consts.pop()
-        norms[f] = inputs[0].norms[f] if len(inputs) == 1 else np.concatenate(
-            [i.norms[f] for i in inputs])
+        norms[f] = np.concatenate([i.norms[f] for i in inputs])
     return fields, norms
 
 
-def _kept(name: str) -> bool:
-    """The files a segment compacted on its own takes unchanged
-    (hard-linked) from its source: the doc map, the build's stage stats and
-    the norms files (a constant field's norm rides in the ``stats.json`` it
-    rewrites)."""
-    return name in (CONVMAP_FILE, "stage_stats.txt") or (
-        name.startswith("norms_") and name.endswith(".npy")
-    )
-
-
-def _link(src: str, dst: str) -> None:
-    try:
-        os.link(src, dst)
-    except OSError:
-        shutil.copy2(src, dst)
-
-
 def _write_merged_files(inputs: list, new_dir: str, fields: dict, norms: dict) -> None:
-    """The files a merge of several ``inputs`` writes beside its postings
-    and ``stats.json``: the norms file of each field without a constant
+    """The files a compaction of ``inputs`` writes beside its postings and
+    ``stats.json``: the norms file of each field without a constant
     ``norm``, the doc map and the stage stats, each the inputs' concatenated
-    in doc order."""
+    in doc order (one input's, rewritten, when it is compacted alone)."""
     for f, st in fields.items():
         if "norm" not in st:
             np.save(os.path.join(new_dir, norms_file(f)), _narrowest_uint(norms[f]))
@@ -468,7 +451,8 @@ def _compact_segment(inputs: list, new_dir: str) -> tuple:
     stats = {k: v for k, v in readers[0].stats.items() if k != "live_docs"}
     stats.update(doc_count=doc_count, fields=fields)
     manifest = dict(inputs[0].manifest, segment_id=os.path.basename(new_dir),
-                    source=source, compacted=True, doc_count=doc_count)
+                    source=source, compacted=True, doc_count=doc_count,
+                    merged_segments=sum(written_segments(i.manifest) for i in inputs))
     if deleted is not None or any("live_docs" in r.stats for r in readers):
         # the merged postings no longer contain the tombstoned docs: record
         # LIVE stats (numDocs/liveDl) next to the untouched maxDoc ones —
@@ -486,12 +470,7 @@ def _compact_segment(inputs: list, new_dir: str) -> tuple:
         np.save(os.path.join(new_dir, PURGED_FILE), purged)
     with open(os.path.join(new_dir, "stats.json"), "w") as f:
         json.dump(stats, f, indent=1)
-    if len(inputs) == 1:
-        for name in os.listdir(readers[0].seg_dir):
-            if _kept(name):
-                _link(os.path.join(readers[0].seg_dir, name), os.path.join(new_dir, name))
-    else:
-        _write_merged_files(inputs, new_dir, fields, norms)
+    _write_merged_files(inputs, new_dir, fields, norms)
 
     # broadcast the norms once (ray.put, zero-copy reads in every merge
     # task) so re-cut blocks keep an exact min_dl for WAND bounds; the merge
@@ -500,7 +479,7 @@ def _compact_segment(inputs: list, new_dir: str) -> tuple:
               None if deleted is None else ray.put(deleted))
     tasks = [(groups, lo, hi, os.path.join(postings_path, f"part-{i:06d}.parquet"), *shared)
              for i, (lo, hi, groups) in enumerate(
-                 _plan_ranges(files, _output_rows(readers)))]
+                 _plan_ranges(files))]
 
     def finish(ranges: list) -> dict:
         manifest["posting_rows"] = sum(r["rows_written"] for r in ranges)

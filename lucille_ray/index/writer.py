@@ -137,9 +137,10 @@ from .codec import seg_parts, strip_one_posting_headers
 ROW_GROUP_ROWS = 256
 #: blob payload (docs + tfs + pos bytes) at which a row group closes
 ROW_GROUP_BYTES = 64 << 10
-#: rows per postings file: the build's cap per file and compaction's target
-#: per term range (a cold lookup opens every file's footer, so fewer, larger
-#: files avoid per-file open cost; the cap bounds one task's file)
+#: rows per postings file: the build's cap per file (a cold lookup opens
+#: every file's footer, so fewer, larger files avoid per-file open cost; the
+#: cap bounds one task's file). Compaction sizes its files by bytes
+#: (``compact.RANGE_BYTES``)
 ROWS_PER_FILE = 16384
 
 _PAYLOAD_COLUMNS = ("docs", "tfs", "pos")

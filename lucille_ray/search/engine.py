@@ -45,6 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..index import commit, compact
+from ..index.build import read_manifest
 from ..index.segment import SegmentReader, check_layout
 from ..query import nodes as qn
 from ..query.parser import parse
@@ -430,10 +431,11 @@ class SearchEngine:
     """Query entry point over an index directory.
 
     ``parallel="auto"`` uses one Ray actor per segment group when Ray is
-    initialized, also for an index of one segment (compaction merges a
-    small index into one: its scorer keeps its own process, as when it held
-    several); ``parallel=False`` scores in-process (tests / tiny indexes). Groups come from
-    :func:`slice_groups`: small segments share an actor, at most
+    initialized and the index holds more than one segment as build and
+    append wrote them (:func:`~..index.compact.written_segments`: a merge
+    changes how the index is stored, not how it is served);
+    ``parallel=False`` scores in-process (tests / tiny indexes). Groups come
+    from :func:`slice_groups`: small segments share an actor, at most
     ``min(8, CPUs)`` actors per replica set.
 
     Both engines run the same plan, search and batch code: every fan-out to
@@ -470,7 +472,8 @@ class SearchEngine:
             try:
                 import ray
 
-                parallel = ray.is_initialized()
+                parallel = ray.is_initialized() and sum(
+                    compact.written_segments(read_manifest(d)) for d in self.seg_dirs) > 1
             except ImportError:
                 parallel = False
         self.parallel = bool(parallel)

@@ -412,24 +412,17 @@ def test_compaction_rebuilds_a_crashed_range_write(built, victims, tmp_path):
     assert _answers(d) == _answers(clean)
 
 
-def _garble_docs(part):
-    """Overwrite the ``docs`` column chunks of postings file ``part`` with
-    0xff bytes and return its good bytes. The footer and the ``term`` and
-    ``df`` pages still read, so the driver plans the compaction and loads
-    the term dictionaries; the range task that reads the file fails."""
+def _garble_pages(part):
+    """Overwrite the data pages of postings file ``part`` with 0xff bytes,
+    keep its footer, and return its good bytes: the driver plans the
+    compaction from the footer, and the range task that reads the pages
+    fails."""
     with open(part, "rb") as f:
         good = f.read()
-    bad = bytearray(good)
-    md = pq.ParquetFile(part).metadata
-    col = md.schema.names.index("docs")
-    for g in range(md.num_row_groups):
-        cc = md.row_group(g).column(col)
-        start = (cc.dictionary_page_offset if cc.has_dictionary_page
-                 else cc.data_page_offset)
-        bad[start:start + cc.total_compressed_size] = b"\xff" * cc.total_compressed_size
+    data_end = len(good) - 8 - int.from_bytes(good[-8:-4], "little")
     with open(part, "wb") as f:
-        f.write(bytes(bad))
-    pq.ParquetFile(part).read(columns=["field", "term", "df"])
+        f.write(good[:4] + b"\xff" * (data_end - 4) + good[data_end:])
+    pq.ParquetFile(part).metadata  # the footer still parses
     return good
 
 
@@ -453,7 +446,7 @@ def test_compaction_keeps_segments_whose_ranges_finished(built, victims, tmp_pat
     assert len(c["segments"]) == 2
     src = os.path.join(commit.segment_dir(d, c["segments"][0].name), "postings.parquet")
     part = os.path.join(src, sorted(os.listdir(src))[0])
-    good = _garble_docs(part)
+    good = _garble_pages(part)
     with pytest.raises(Exception):
         compact_index(d)
     assert commit.read(d) == c
@@ -489,7 +482,7 @@ def test_crashed_merge_leaves_the_previous_commit_serving(built, victims, tmp_pa
     c, before = commit.read(d), _answers(d)
     src = os.path.join(commit.segment_dir(d, c["segments"][1].name), "postings.parquet")
     part = os.path.join(src, sorted(os.listdir(src))[0])
-    good = _garble_docs(part)
+    good = _garble_pages(part)
     with pytest.raises(Exception):
         compact_index(d)
     assert commit.read(d) == c

@@ -2079,28 +2079,31 @@ def pieces(built, tmp_path_factory):
     return index_dir
 
 
-def _rows_per_file(index_dir: str, ranges: int) -> int:
-    """The ``writer.ROWS_PER_FILE`` at which a compaction of the index's
-    segments into one aims at ``ranges`` term ranges: its output rows (from
-    the term dictionaries, ``compact._output_rows``) over ``ranges``."""
-    from lucille_ray.index.compact import _output_rows
-    from lucille_ray.index.segment import load_segments
+def _range_bytes(seg_dirs: list, ranges: int) -> int:
+    """The ``compact.RANGE_BYTES`` at which a compaction of the segments
+    ``seg_dirs`` into one aims at ``ranges`` term ranges: their postings
+    bytes (from the footers) over ``ranges``."""
+    from lucille_ray.index.segment import SegmentReader
 
-    return -(-_output_rows(load_segments(index_dir)) // ranges)
+    nbytes = sum(int(b.sum()) for d in seg_dirs
+                 for _, _, b, _ in SegmentReader(d)._postings_files())
+    return -(-nbytes // ranges)
 
 
 @pytest.mark.parametrize("ranges", [None, 4])
 def test_compaction_is_deterministic(pieces, tmp_path, monkeypatch, ranges):
     """Two compactions of copies of one index, which merge its two small
     segments into one, write the same postings files, byte for byte, in one
-    term range and in several (``ROWS_PER_FILE`` at the output's rows over
-    ``ranges``): the ranges come from the inputs' footers and term
-    dictionaries, not from how a run schedules its tasks."""
-    from lucille_ray.index import compact_index, writer
+    term range and in several (``RANGE_BYTES`` at the input's bytes over
+    ``ranges``): the ranges come from the inputs' footers, not from how a
+    run schedules its tasks."""
+    import lucille_ray.index.compact as compact_mod
+    from lucille_ray.index import compact_index
 
     copies = [str(tmp_path / name) for name in ("a", "b")]
     if ranges:
-        monkeypatch.setattr(writer, "ROWS_PER_FILE", _rows_per_file(pieces, ranges))
+        monkeypatch.setattr(compact_mod, "RANGE_BYTES",
+                            _range_bytes(_seg_dirs(pieces), ranges))
     for d in copies:
         shutil.copytree(pieces, d)
         (e,) = compact_index(d)
@@ -2111,7 +2114,7 @@ def test_compaction_is_deterministic(pieces, tmp_path, monkeypatch, ranges):
     assert all(a[f] == b[f] for f in a)
 
 
-@pytest.mark.parametrize("ranges", [4, 16])
+@pytest.mark.parametrize("ranges", [4, 64])
 def test_compaction_reads_at_most_twice_the_input(pieces, tmp_path, monkeypatch,
                                                  ranges):
     """Over raw pieces (several (field, term)-sorted runs per file, one per
@@ -2119,8 +2122,10 @@ def test_compaction_reads_at_most_twice_the_input(pieces, tmp_path, monkeypatch,
     a cut inside a field is straddled by a group of nearly every run), the
     ranges of the merge of both segments together read at most twice their
     input rows, keep each row once, and still cut it in more than one range
-    (``ROWS_PER_FILE`` at the output's rows over ``ranges``)."""
-    from lucille_ray.index import compact_index, writer
+    (``RANGE_BYTES`` at the input's bytes over ``ranges``). Without the
+    planner's read bound, the 64 asked-for ranges read more than twice."""
+    import lucille_ray.index.compact as compact_mod
+    from lucille_ray.index import compact_index
     from lucille_ray.index.segment import SegmentReader
 
     for seg in _seg_dirs(pieces):
@@ -2133,7 +2138,7 @@ def test_compaction_reads_at_most_twice_the_input(pieces, tmp_path, monkeypatch,
         assert runs >= 2 * len(files) >= 4
     d = str(tmp_path / "index")
     shutil.copytree(pieces, d)
-    monkeypatch.setattr(writer, "ROWS_PER_FILE", _rows_per_file(d, ranges))
+    monkeypatch.setattr(compact_mod, "RANGE_BYTES", _range_bytes(_seg_dirs(d), ranges))
     for e in compact_index(d):
         assert len(e["ranges"]) > 1
         assert sum(r["rows_kept"] for r in e["ranges"]) == e["posting_rows_in"]
@@ -2186,8 +2191,8 @@ def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp
     rewritten as two sorted runs, as a build that merges its windows writes
     them (over raw pieces' many runs per file, four ranges would read the
     input more than twice: test_compaction_reads_at_most_twice_the_input),
-    and ``ROWS_PER_FILE`` is a fifth of the fewest rows a segment's
-    compaction writes, so the range count follows from the content. Each
+    and ``RANGE_BYTES`` is a fifth of the fewest postings bytes a segment
+    holds, so the range count follows from the content. Each
     range file is in compaction's (field, term, bucket) order, the files'
     key ranges ascend without overlap, every row is kept by exactly one
     range, and the answers equal the oracle's. Each segment is compacted on
@@ -2195,7 +2200,7 @@ def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp
     import glob
 
     import lucille_ray.index.compact as compact_mod
-    from lucille_ray.index import compact_index, writer
+    from lucille_ray.index import compact_index
     from lucille_ray.index.segment import SegmentReader
 
     monkeypatch.setattr(compact_mod, "SLICE_DOCS", 1)
@@ -2216,8 +2221,8 @@ def test_compaction_range_merge_matches_one_range(built, pieces, tombstoned, tmp
     rows = [sum(pf.metadata.num_rows for pf, *_ in r._postings_files()) for r in readers]
 
     with monkeypatch.context() as m:
-        m.setattr(writer, "ROWS_PER_FILE",
-                  min(compact_mod._output_rows([r]) for r in readers) // 5)
+        m.setattr(compact_mod, "RANGE_BYTES",
+                  min(_range_bytes([r.seg_dir], 5) for r in readers))
         done = compact_index(many)
     assert [d["posting_rows_in"] for d in done] == rows
     for d in done:
@@ -3453,3 +3458,41 @@ def test_merge_of_differing_constant_norms_stores_a_norms_file(built, tmp_path):
     oracle = BruteForceOracle(table)
     for qs in ("tool:python", "tool:bash", "tool:(run OR bash) AND data", "data"):
         _compare(engine, oracle, qs)
+
+
+def test_auto_engine_serves_a_merged_index_as_written(built, tmp_path):
+    """With Ray up, ``parallel="auto"`` scores an index of one written
+    segment in-process and one of several on actors. A merge of several
+    into one segment, and a later purge of that segment alone, keep it on
+    actors: compaction changes how the index is stored, not how it is
+    served."""
+    import ray.data
+
+    from lucille_ray.index import compact_index, delete_conversations
+    from lucille_ray.index.build import append_index
+    from lucille_ray.index.compact import written_segments
+    from lucille_ray.index.segment import load_segments
+
+    _, _, table = built
+    convs = sorted(set(table["conv_id"].to_pylist()))
+    later = pc.greater_equal(table["conv_id"], convs[len(convs) // 2])
+    paths = [str(tmp_path / f"part{i}.parquet") for i in (0, 1)]
+    pq.write_table(table.filter(pc.invert(later)), paths[0])
+    pq.write_table(table.filter(later), paths[1])
+    idx = str(tmp_path / "index")
+    build_index(ray.data.read_parquet(paths[0]), idx, num_segments=1, batch_size=400)
+    assert not SearchEngine(idx).parallel
+    compact_index(idx)
+    assert not SearchEngine(idx).parallel
+    append_index(ray.data.read_parquet(paths[1]), idx, num_segments=1, batch_size=400)
+    assert SearchEngine(idx).parallel
+    (done,) = compact_index(idx)
+    assert len(done["source"]) == 2
+    (r,) = load_segments(idx)
+    assert written_segments(r.manifest) == 2 and SearchEngine(idx).parallel
+    assert delete_conversations(idx, [convs[1]]) > 0
+    (done,) = compact_index(idx)
+    assert done["source"] == [r.manifest["segment_id"]]
+    (r,) = load_segments(idx)
+    assert written_segments(r.manifest) == 2 and SearchEngine(idx).parallel
+    assert not SearchEngine(idx, parallel=False).parallel
