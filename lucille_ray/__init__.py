@@ -12,6 +12,28 @@ Layers:
   similarity search, text stats, multimodal stubs).
 """
 
-from .query import parse, print_query, ParseError, QueryParser  # noqa: F401
+import importlib
 
 __version__ = "0.1.0"
+
+
+def _lazy(namespace: dict, exports: dict):
+    """A package ``__getattr__`` (PEP 562) that imports the submodule
+    ``exports[name]`` (relative to the package whose ``namespace`` is given)
+    on the first use of ``name`` and keeps its value there. The packages
+    export their names this way so a scorer process loads only the
+    submodules it runs (search/engine.py)."""
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name], namespace["__name__"]), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+#: the query library's entry points: a scorer actor imports this package
+#: but never parses
+__getattr__ = _lazy(globals(), dict.fromkeys(
+    ("parse", "print_query", "ParseError", "QueryParser"), ".query"))

@@ -19,7 +19,6 @@ from typing import List, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 TOKEN_SPLIT = "[^a-z0-9]+"
 _TOKEN_SPLIT_RE = re.compile(TOKEN_SPLIT)
@@ -50,8 +49,11 @@ def arrow_tokenize(texts: pa.Array) -> pa.ListArray:
 
     Uses Arrow kernels only (no per-row Python), so it is safe in the hot
     ``map_batches`` path. Empty tokens produced by leading/trailing separators are
-    removed to match :func:`tokenize`.
+    removed to match :func:`tokenize`. The kernels load here, in the build:
+    the query path tokenizes with :func:`tokenize` and never loads them.
     """
+    import pyarrow.compute as pc
+
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     lowered = pc.utf8_lower(texts)

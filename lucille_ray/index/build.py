@@ -75,12 +75,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute  # noqa: F401  (loads pa.compute, used below)
 import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
 from . import commit
 from .codec import (BLOCK_SIZE, RawBlocks, encode_runs, int64_column, pack_rows,
                     row_order, seg_parts, sort_postings, unpack_rows, with_seg)
+from .segment import CONVMAP_FILE, MANIFEST_FILE, _narrowest_uint, norms_file, read_manifest
 
 DEFAULT_RANGE_WIDTH = 1 << 17  # docs per posting bucket (128k)
 
@@ -113,19 +115,6 @@ def _limit_worker_threads() -> None:
     except Exception:
         pass
     _THREADS_LIMITED = True
-
-MANIFEST_FILE = commit.MANIFEST_FILE
-#: per-segment doc map, one file: one (conv_id, base, cnt) row per
-#: conversation, sorted by base, covering exactly the segment's doc range
-CONVMAP_FILE = "convmap.parquet"
-
-
-def norms_file(field: str) -> str:
-    """A segment's norms of ``field``: per-doc lengths, dense over its doc
-    range, in the narrowest unsigned dtype that holds them. A field whose
-    docs all have one length ``c`` has no such file: its ``stats.json``
-    entry holds ``"norm": c`` beside ``total_dl`` (Lucene's constant norms)."""
-    return f"norms_{field}.npy"
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +725,6 @@ def _segment_dir(index_dir: str, seg: int) -> str:
     return commit.segment_dir(index_dir, commit.segment_name(seg))
 
 
-def read_manifest(seg_dir: str) -> Optional[dict]:
-    """The segment's manifest when it is complete, else None."""
-    try:
-        with open(os.path.join(seg_dir, MANIFEST_FILE)) as f:
-            manifest = json.load(f)
-    except (json.JSONDecodeError, OSError):
-        return None
-    return manifest if manifest.get("status") == "complete" else None
-
-
 def segment_complete(index_dir: str, seg: int) -> bool:
     return read_manifest(_segment_dir(index_dir, seg)) is not None
 
@@ -1093,16 +1072,6 @@ def _finish_segment(
             fh.write(stage_stats)
     write_conv_map(os.path.join(seg_dir, CONVMAP_FILE))
     _write_manifest(index_dir, seg, hi - lo, n_terms, fields)
-
-
-def _narrowest_uint(a: np.ndarray) -> np.ndarray:
-    """``a`` (non-negative ints) in the narrowest of uint8/16/32 that holds its
-    max — the norms files' storage dtype; int64 beyond uint32."""
-    mx = int(a.max()) if a.size else 0
-    for dt in (np.uint8, np.uint16, np.uint32):
-        if mx <= np.iinfo(dt).max:
-            return a.astype(dt)
-    return a.astype(np.int64)
 
 
 def _write_manifest(

@@ -66,7 +66,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 BLOCK_SIZE = 128
 
@@ -286,10 +285,11 @@ def encode_postings(
 
 
 def _bin_view(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
-    """(flat uint8 values, int64 offsets) zero-copy view of a Binary array
-    (slice offsets respected)."""
+    """(flat uint8 values, int64 offsets) zero-copy view of a binary or
+    string array, 32- or 64-bit offsets (slice offsets respected)."""
     bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int32)[
+    wide = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
+    offs = np.frombuffer(bufs[1], dtype=np.int64 if wide else np.int32)[
         arr.offset: arr.offset + len(arr) + 1
     ].astype(np.int64)
     vals = (
@@ -298,6 +298,133 @@ def _bin_view(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
         else np.empty(0, np.uint8)
     )
     return vals, offs
+
+
+def _chunks(col) -> list:
+    """The Arrays of a table column (a ChunkedArray) or of one Array."""
+    return col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+
+
+#: a gather of more byte runs than this out of one buffer goes through one
+#: numpy index over all their bytes instead of a slice per run
+_FEW_RUNS = 64
+
+
+def _spans(col, index: Optional[np.ndarray] = None) -> tuple:
+    """``(views, chunk, starts, ends)`` of the elements ``index`` (every
+    row when None) of a binary or string column: each chunk's
+    :func:`_bin_view`, and per element its chunk (None for a one-chunk
+    column) and its bytes' start and end in that chunk's buffer."""
+    views = [_bin_view(c) for c in _chunks(col)]
+    if len(views) == 1:
+        chunk = None
+        starts, ends = views[0][1][:-1], views[0][1][1:]
+    else:
+        chunk = np.repeat(np.arange(len(views)), [o.size - 1 for _, o in views])
+        starts = np.concatenate([o[:-1] for _, o in views])
+        ends = np.concatenate([o[1:] for _, o in views])
+    if index is not None:
+        index = np.asarray(index, np.int64)
+        starts, ends = starts[index], ends[index]
+        chunk = None if chunk is None else chunk[index]
+    return views, chunk, starts, ends
+
+
+def _rows_view(col, index: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bytes, offsets)`` of the elements ``index`` (row numbers, any
+    order; every row when None) of a binary or string column, in that
+    order, ``offsets`` absolute in ``bytes``: a view of the column's own
+    buffer when those elements lie end to end in one chunk (for an
+    ``index``, also filling at least half of its buffer, so a view a reader
+    caches pins at most twice the bytes its cache charges), else one copy
+    of their bytes made with numpy (``take`` and ``filter`` load Arrow's
+    compute kernels, which a scorer process does without)."""
+    views, chunk, starts, ends = _spans(col, index)
+    if starts.size == 0:
+        return np.empty(0, np.uint8), np.zeros(1, np.int64)
+    # runs of elements whose bytes follow each other in one buffer
+    brk = starts[1:] != ends[:-1]
+    if chunk is not None:
+        brk |= chunk[1:] != chunk[:-1]
+    first = np.concatenate(([0], np.flatnonzero(brk) + 1))
+    if first.size == 1:
+        buf = views[0 if chunk is None else int(chunk[0])][0]
+        if index is None or 2 * (ends[-1] - starts[0]) >= buf.size:
+            return buf, np.append(starts, ends[-1])
+    offs = np.zeros(starts.size + 1, np.int64)
+    np.cumsum(ends - starts, out=offs[1:])
+    last = np.append(first[1:], starts.size) - 1
+    if chunk is None and first.size > _FEW_RUNS:
+        run_len = ends[last] - starts[first]
+        at = np.repeat(starts[first] - offs[first], run_len) + np.arange(
+            int(offs[-1]), dtype=np.int64)
+        return views[0][0][at], offs
+    bufs = [views[0][0]] * first.size if chunk is None else [
+        views[c][0] for c in chunk[first].tolist()]
+    return np.concatenate([b[s:e] for b, s, e in zip(
+        bufs, starts[first].tolist(), ends[last].tolist())]), offs
+
+
+def _int64_rows(col, index: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`int64_column` of a column's elements ``index`` (every row when
+    None), in that order."""
+    parts = [int64_column(c) for c in _chunks(col)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out if index is None else out[index]
+
+
+def take_binary(col, index: np.ndarray) -> pa.Array:
+    """Elements ``index`` of a null-free binary or string column (an Array
+    or a ChunkedArray) as one Array of its type, gathered with numpy
+    (:func:`_rows_view`): ``take`` loads Arrow's compute kernels."""
+    vals, offs = _rows_view(col, index)
+    wide = pa.types.is_large_binary(col.type) or pa.types.is_large_string(col.type)
+    return pa.Array.from_buffers(
+        col.type, offs.size - 1,
+        [None, pa.py_buffer((offs - offs[0]).astype(np.int64 if wide else np.int32)),
+         pa.py_buffer(vals[offs[0]: offs[-1]])])
+
+
+def byte_keys(wanted: Sequence[str]) -> list:
+    """``wanted`` (distinct strings) prepared for :func:`match_rows`: per
+    UTF-8 byte length, the values of that length as sorted fixed-width
+    bytes and their positions in ``wanted``."""
+    enc = [w.encode() for w in wanted]
+    out = []
+    for n in sorted({len(b) for b in enc}):
+        ids = np.array([i for i, b in enumerate(enc) if len(b) == n], np.int64)
+        keys = np.array([enc[i] for i in ids], dtype=f"S{max(n, 1)}")
+        order = np.argsort(keys)
+        out.append((n, keys[order], ids[order]))
+    return out
+
+
+def match_rows(col, keys: list) -> np.ndarray:
+    """For each row of a string column (a ChunkedArray or Array): the
+    position in ``wanted`` of the value it holds, or -1 (``keys``:
+    :func:`byte_keys` of ``wanted``). Compares UTF-8 bytes with numpy, one
+    fixed-width comparison per byte length of ``wanted`` over the rows of
+    that length (Arrow's ``is_in`` and ``equal`` load its compute
+    kernels)."""
+    out = []
+    for arr in _chunks(col):
+        vals, offs = _bin_view(arr)
+        starts, lens = offs[:-1], np.diff(offs)
+        pos = np.full(lens.size, -1, np.int64)
+        for n, sorted_keys, ids in keys:
+            rows = np.flatnonzero(lens == n)
+            if not rows.size:
+                continue
+            if n == 0:
+                pos[rows] = ids[0]
+                continue
+            got = vals[starts[rows][:, None] + np.arange(n)].view(f"S{n}").ravel()
+            at = np.minimum(np.searchsorted(sorted_keys, got), sorted_keys.size - 1)
+            hit = sorted_keys[at] == got
+            pos[rows[hit]] = ids[at[hit]]
+        out.append(pos)
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def int64_column(arr: pa.Array) -> np.ndarray:
@@ -399,15 +526,30 @@ def _few_varints_at(buf: np.ndarray, at: np.ndarray, end: np.ndarray) -> np.ndar
     return out
 
 
+def row_buckets(rows: pa.Table, index: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each stored postings row's bucket (rows ``index``; all when None):
+    the first varint of its ``docs``, its block 0's ``first_doc``, read
+    without unpacking."""
+    views, chunk, starts, ends = _spans(rows["docs"], index)
+    if chunk is None:
+        return varints_at(views[0][0], starts, ends)
+    out = np.empty(starts.size, np.int64)
+    for c in np.unique(chunk).tolist():
+        at = chunk == c
+        out[at] = varints_at(views[c][0], starts[at], ends[at])
+    return out
+
+
 def row_order(rows: pa.Table, keys: Sequence[str]) -> pa.Array:
     """Indices that stably sort stored postings rows by their ``keys``
-    columns and then by ``bucket``, each row's first varint of ``docs`` (its
-    block 0's ``first_doc``): the order readers unpack rows in, found
-    without unpacking."""
-    vals, offs = _bin_view(_one_array(rows["docs"]))
-    bucket = varints_at(vals, offs[:-1], offs[1:])
+    columns and then by bucket (:func:`row_buckets`): the order the build
+    and compaction unpack rows in. A segment reader orders the rows of a
+    read with numpy instead (``SegmentReader.raw_blocks_many``): this sort
+    loads Arrow's compute kernels."""
+    import pyarrow.compute as pc
+
     return pc.sort_indices(
-        rows.select(list(keys)).append_column("bucket", numeric_array(bucket)),
+        rows.select(list(keys)).append_column("bucket", numeric_array(row_buckets(rows))),
         sort_keys=[(k, "ascending") for k in (*keys, "bucket")],
     )
 
@@ -419,11 +561,6 @@ def varint_counts(view: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     ends = np.zeros(offs[-1] - offs[0] + 1, np.int64)
     np.cumsum(vals[offs[0]: offs[-1]] < 128, out=ends[1:])
     return np.diff(ends[offs - offs[0]])
-
-
-def _one_array(col: pa.ChunkedArray) -> pa.Array:
-    """A table column as one Array (a one-chunk column without a copy)."""
-    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
 
 
 def _binary_over(vals: np.ndarray, offsets: np.ndarray) -> pa.Array:
@@ -487,9 +624,9 @@ def strip_one_posting_headers(rows: pa.Table) -> pa.Table:
     """Packed rows as the writer stores them: each one-posting row's header
     emptied (its ``max_tf``, ``min_dl`` and span are its tf, its doc's norm
     and 0, which the readers fill in)."""
-    vals, offs = _bin_view(_one_array(rows["hdr"]))
+    vals, offs = _rows_view(rows["hdr"])
     lens = np.diff(offs)
-    lens[int64_column(_one_array(rows["df"])) == 1] = 0
+    lens[_int64_rows(rows["df"]) == 1] = 0
     kept = np.repeat(lens > 0, np.diff(offs))  # per header byte
     hdr = _binary_over(vals[offs[0]: offs[-1]][kept], np.append(0, np.cumsum(lens)))
     return rows.set_column(rows.schema.get_field_index("hdr"), "hdr", hdr)
@@ -503,15 +640,15 @@ _ONE_POSTING_HDR = np.array([1, 0, 0, 0], np.int64)
 def headerless(rows: pa.Table) -> np.ndarray:
     """True for each stored postings row whose header is empty (the writer
     leaves exactly the one-posting rows' empty)."""
-    _, offs = _bin_view(_one_array(rows["hdr"]))
+    _, offs = _rows_view(rows["hdr"])
     return np.diff(offs) == 0
 
 
-def _varint_streams(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
-    """(every varint of a binary array of varint streams, its elements end
-    to end; the number of varints in each element), from one scan for the
-    bytes that end a varint."""
-    vals, offs = _bin_view(arr)
+def _varint_streams(view: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(every varint of a ``(bytes, offsets)`` view of varint streams, its
+    elements end to end; the number of varints in each element), from one
+    scan for the bytes that end a varint."""
+    vals, offs = view
     b = vals[offs[0]: offs[-1]]
     ends = np.flatnonzero(b < 128)
     starts = np.empty_like(ends)
@@ -524,10 +661,21 @@ def _varint_streams(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
 def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
                 ) -> Tuple[pa.Table, "RawBlocks", np.ndarray]:
     """Packed postings rows -> ``(rows, blocks, offsets)``: the rows without
-    ``hdr`` and the payload columns; every row's blocks, in row order, as
-    one :class:`RawBlocks` whose payloads are views over the rows' buffers;
-    and the block offsets of the rows (row ``i`` holds blocks ``offsets[i]``
-    to ``offsets[i + 1]``). One varint pass decodes every header and one
+    ``hdr`` and the payload columns, then :func:`unpack_blocks` of every
+    row."""
+    return (rows.drop_columns(["hdr", *_PAYLOADS]),
+            *unpack_blocks(rows, norms, doc_base))
+
+
+def unpack_blocks(rows: pa.Table, norms=None, doc_base: int = 0,
+                  index: Optional[np.ndarray] = None) -> Tuple["RawBlocks", np.ndarray]:
+    """The blocks of packed postings rows -> ``(blocks, offsets)``: the
+    blocks of the rows ``index`` (row numbers, in the order given; every
+    row when None), as one :class:`RawBlocks`, and their block offsets
+    (the ``i``-th row holds blocks ``offsets[i]`` to ``offsets[i + 1]``).
+    The payloads are views over the rows' own buffers where the rows lie
+    end to end in one chunk, and one numpy copy of their bytes otherwise
+    (:func:`_rows_view`). One varint pass decodes every header and one
     gather (:func:`varints_at`) reads every block's ``first_doc``, and one
     more each one-posting row's tf, its ``max_tf``.
 
@@ -538,8 +686,8 @@ def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
     ``field`` column), its block takes its doc's norm, an exact bound;
     without, 0. Raises when a row's header disagrees with its payload
     bytes."""
-    vals, nvals = _varint_streams(_one_array(rows["hdr"]))
-    df = int64_column(_one_array(rows["df"]))
+    vals, nvals = _varint_streams(_rows_view(rows["hdr"], index))
+    df = _int64_rows(rows["df"], index)
     single = nvals == 0
     # a one-posting row reads the header appended here, then its max_tf and
     # min_dl are filled in below
@@ -549,7 +697,7 @@ def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
     nb = vals[vstart]
     if (nb < 1).any():
         raise ValueError("a postings row header holds no blocks")
-    views = [_bin_view(_one_array(rows[name])) for name in _PAYLOADS]
+    views = [_rows_view(rows[name], index) for name in _PAYLOADS]
     loff = np.zeros(nb.size + 1, np.int64)
     np.cumsum(nb, out=loff[1:])
     rows_of = np.repeat(np.arange(nb.size), nb)
@@ -583,14 +731,17 @@ def unpack_rows(rows: pa.Table, norms=None, doc_base: int = 0
             (arr,) = norms.values()
             min_dl[one] = arr[firsts[one] - doc_base]
         else:
-            fields = pc.dictionary_encode(_one_array(rows["field"]))
-            code = int64_column(fields.indices)[single]
-            for c, field in enumerate(fields.dictionary.to_pylist()):
+            fields = list(norms)
+            code = match_rows(rows["field"], byte_keys(fields))
+            code = (code if index is None else code[index])[single]
+            if (code < 0).any():
+                raise ValueError("a one-posting row's field has no norms")
+            for c, field in enumerate(fields):
                 at = one[code == c]
                 min_dl[at] = norms[field][firsts[at] - doc_base]
     blocks = RawBlocks(ns, max_tf, min_dl, firsts, firsts + span,
                        *((v, b) for (v, _), b in zip(views, boffs)))
-    return rows.drop_columns(["hdr", *_PAYLOADS]), blocks, loff
+    return blocks, loff
 
 
 class RawBlocks:

@@ -41,11 +41,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import (CONVMAP_FILE, MANIFEST_FILE, _limit_worker_threads, _narrowest_uint,
-                    norms_file, read_manifest)
+from .build import _limit_worker_threads
 from .codec import (BLOCK_SIZE, RawBlocks, chunk_starts, encode_runs, pack_rows,
                     row_order, take_blocks, take_postings, unpack_rows)
-from .segment import live_mask
+from .segment import (CONVMAP_FILE, MANIFEST_FILE, _narrowest_uint, live_mask, norms_file,
+                      read_manifest)
 
 
 #: max blocks per consolidated posting row (~32k postings, a few hundred KB):
@@ -390,8 +390,12 @@ def _merged_fields(inputs: list) -> Tuple[dict, dict]:
 def _write_merged_files(inputs: list, new_dir: str, fields: dict, norms: dict) -> None:
     """The files a compaction of ``inputs`` writes beside its postings and
     ``stats.json``: the norms file of each field without a constant
-    ``norm``, the doc map and the stage stats, each the inputs' concatenated
-    in doc order (one input's, rewritten, when it is compacted alone)."""
+    ``norm`` and the doc map, each the inputs' concatenated in doc order
+    (one input's, rewritten, when it is compacted alone), and the stage
+    stats of the newest input that has them (the last in doc order: writes
+    append docs). Keeping one write's Ray Data stats, not all of them,
+    keeps a segment that is appended to and compacted over and over from
+    carrying every earlier write's stats forward."""
     for f, st in fields.items():
         if "norm" not in st:
             np.save(os.path.join(new_dir, norms_file(f)), _narrowest_uint(norms[f]))
@@ -401,15 +405,11 @@ def _write_merged_files(inputs: list, new_dir: str, fields: dict, norms: dict) -
         "base": np.concatenate([m[1] for m in maps]),
         "cnt": np.concatenate([m[2] for m in maps]),
     }), os.path.join(new_dir, CONVMAP_FILE))
-    texts = []
-    for i in inputs:
+    for i in reversed(inputs):
         path = os.path.join(i.reader.seg_dir, "stage_stats.txt")
         if os.path.exists(path):
-            with open(path) as f:
-                texts.append(f.read())
-    if texts:
-        with open(os.path.join(new_dir, "stage_stats.txt"), "w") as f:
-            f.write("".join(texts))
+            shutil.copyfile(path, os.path.join(new_dir, "stage_stats.txt"))
+            break
 
 
 def _compact_segment(inputs: list, new_dir: str) -> tuple:

@@ -9,8 +9,8 @@ state (tombstones, purges, appends).
 This is the metrics/lineage surface: scaling and health claims should be
 corroborated by these per-stage numbers (plus each segment's Ray Data
 ``stage_stats.txt``, written into the first segment each Ray Data execution
-wrote, so that execution's operators count once), not only end-to-end wall
-clock.
+wrote, so that execution's operators count once; a merged segment keeps its
+newest input's), not only end-to-end wall clock.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import norms_file
+from .segment import norms_file
 
 _TIME_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
 

@@ -36,8 +36,10 @@ the tombstone), so it keeps answering after that sweep.
 Readers hold numpy norms arrays indexed by ``doc_id - doc_base`` (loaded at
 open at their stored width, a constant field's a zero-memory broadcast of its
 one value — designed to be pinned inside long-lived scorer actors) and fetch postings by
-``(field, term)`` through parquet predicate pushdown, so a term lookup touches only
-the row groups whose min/max term stats overlap. :meth:`SegmentReader.decode`
+``(field, term)`` through Parquet handles opened once per reader, pruning row
+groups on their (field, term) min/max statistics, so a term lookup touches
+only the row groups whose statistics overlap it; the rows of those groups
+are selected and ordered with numpy over their own buffers. :meth:`SegmentReader.decode`
 is the one place raw blocks become postings, and the one place tombstoned
 docs are dropped: the plain evaluator and every block-max executor decode
 through it. Everything a query derives and keeps for the next one lives in
@@ -53,13 +55,49 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import commit
-from .build import CONVMAP_FILE, MANIFEST_FILE, _narrowest_uint, norms_file
-from .codec import (BLOCK_COLUMNS, RawBlocks, encode_runs, int64_column, numeric_array,
-                    row_order, sort_postings, unpack_rows)
+from .codec import (BLOCK_COLUMNS, RawBlocks, _int64_rows, byte_keys, encode_runs,
+                    int64_column, match_rows, numeric_array, row_buckets, sort_postings,
+                    take_binary, unpack_blocks)
+
+# The names of a segment's files, and the helpers its writers (build.py,
+# compact.py) and this reader share: defined here so that a reader loads
+# no writer module.
+MANIFEST_FILE = commit.MANIFEST_FILE
+#: per-segment doc map, one file: one (conv_id, base, cnt) row per
+#: conversation, sorted by base, covering exactly the segment's doc range
+CONVMAP_FILE = "convmap.parquet"
+
+
+def norms_file(field: str) -> str:
+    """A segment's norms of ``field``: per-doc lengths, dense over its doc
+    range, in the narrowest unsigned dtype that holds them. A field whose
+    docs all have one length ``c`` has no such file: its ``stats.json``
+    entry holds ``"norm": c`` beside ``total_dl`` (Lucene's constant norms)."""
+    return f"norms_{field}.npy"
+
+
+def read_manifest(seg_dir: str) -> Optional[dict]:
+    """The segment's manifest when it is complete, else None."""
+    try:
+        with open(os.path.join(seg_dir, MANIFEST_FILE)) as f:
+            manifest = json.load(f)
+    except (json.JSONDecodeError, OSError):
+        return None
+    return manifest if manifest.get("status") == "complete" else None
+
+
+def _narrowest_uint(a: np.ndarray) -> np.ndarray:
+    """``a`` (non-negative ints) in the narrowest of uint8/16/32 that holds its
+    max — the norms files' storage dtype; int64 beyond uint32."""
+    mx = int(a.max()) if a.size else 0
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if mx <= np.iinfo(dt).max:
+            return a.astype(dt)
+    return a.astype(np.int64)
+
 
 #: byte budget of one reader's :class:`ReaderCache`, all pools together
 READER_CACHE_BYTES = 384 << 20
@@ -273,23 +311,27 @@ class SegmentReader:
     def term_dict(self, field: str) -> Tuple[np.ndarray, np.ndarray]:
         """(terms sorted unique, df per term) for one field (buckets aggregated)."""
         if field not in self._term_dicts:
-            t = None
+            read = None
             if not self.empty:
-                t = self._read_postings_rows(field, columns=("term", "df"))
-            if t is None:
+                read = self._read_postings_rows(field, columns=("term", "df"))
+            if read is None:
                 self._term_dicts[field] = (
                     np.empty(0, dtype=object),
                     np.empty(0, dtype=np.int64),
                 )
             else:
-                # sort and sum runs in numpy: Table.group_by imports
-                # pyarrow.acero, whose first import tries pandas three times
-                t = t.take(pc.sort_indices(t["term"]))
-                terms = np.asarray(t["term"].to_pylist(), dtype=object)
+                # sort and sum runs in numpy (a compacted segment's rows
+                # come sorted): Table.group_by imports pyarrow.acero, whose
+                # first import tries pandas three times
+                t, index, _ = read
+                terms = np.asarray(take_binary(t["term"], index).to_pylist(), dtype=object)
+                dfs = _int64_rows(t["df"], index)
+                if terms.size > 1 and not (terms[1:] >= terms[:-1]).all():
+                    order = np.argsort(terms, kind="stable")
+                    terms, dfs = terms[order], dfs[order]
                 first = np.ones(terms.size, dtype=bool)
                 first[1:] = terms[1:] != terms[:-1]
                 starts = np.flatnonzero(first)
-                dfs = int64_column(t["df"].combine_chunks())
                 self._term_dicts[field] = (
                     terms[starts],
                     np.add.reduceat(dfs, starts) if starts.size else dfs,
@@ -318,7 +360,7 @@ class SegmentReader:
         candidates: Optional[np.ndarray] = None,
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
         """:meth:`decode` of many terms' blocks from the ``raw`` pool (one
-        predicate-pushdown read for the terms it misses); whole decoded lists
+        postings read for the terms it misses); whole decoded lists
         are kept in the ``post`` pool across queries (the readers live in
         pinned actors).
 
@@ -386,8 +428,13 @@ class SegmentReader:
     def raw_blocks_many(self, field: str, terms: Sequence[str]) -> Dict[str, RawBlocks]:
         """UNDECODED blocks per term (bucket order) as zero-copy
         :class:`RawBlocks` views, for metadata-guided selective decode
-        (block-max WAND / conjunctive pruning). One predicate-pushdown read for
-        all missing terms; cached like decoded postings.
+        (block-max WAND / conjunctive pruning). One postings read
+        (:meth:`_read_postings_rows`) for all missing terms; cached like
+        decoded postings. The rows of a term come out in bucket order: a
+        read whose rows are not already so (rows from several files or
+        merge-window runs of an uncompacted segment) is ordered by (term,
+        bucket) with numpy before its blocks are unpacked, which copies
+        their bytes only where a term's rows do not lie end to end.
 
         Missing terms are first looked up in ``field``'s term dictionary
         (loaded on first use; ``resolve`` usually has loaded it at plan time):
@@ -413,21 +460,18 @@ class SegmentReader:
             self.postings_read["absent_terms"] += len(absent)
             missing = [t for t in missing if dfs[t]]
         if missing:
-            t = self._read_postings_rows(field, missing)
-            if t is not None and t.num_rows:
-                term = t["term"]  # increasing: one row a term, in (term, bucket) order
-                if not pc.all(pc.greater(term[1:], term[:-1]), min_count=0).as_py():
-                    t = t.take(row_order(t, ["term"]))
-                t, blocks, loff = unpack_rows(t, {field: self._norms[field]},
-                                              self.doc_base)
-                terms_np = t["term"].to_pylist()
-                i = 0
-                while i < len(terms_np):
-                    j = i
-                    while j < len(terms_np) and terms_np[j] == terms_np[i]:
-                        j += 1
-                    out[terms_np[i]] = blocks.slice(int(loff[i]), int(loff[j]))
-                    i = j
+            read = self._read_postings_rows(field, missing)
+            if read is not None:
+                t, index, rank = read
+                if not (rank[1:] > rank[:-1]).all():  # not one row a term
+                    order = np.lexsort((row_buckets(t, index), rank))
+                    index, rank = index[order], rank[order]
+                blocks, loff = unpack_blocks(t, {field: self._norms[field]},
+                                             self.doc_base, index)
+                first = np.flatnonzero(np.diff(rank, prepend=-1))
+                terms = sorted(set(missing))
+                for i, j in zip(first.tolist(), np.append(first[1:], rank.size).tolist()):
+                    out[terms[rank[i]]] = blocks.slice(int(loff[i]), int(loff[j]))
             for term in missing:
                 if term in out:
                     self.cache.put("raw", (field, term), out[term])
@@ -488,25 +532,37 @@ class SegmentReader:
         field: str,
         terms: Optional[Sequence[str]] = None,
         columns: Sequence[str] = ("term", *BLOCK_COLUMNS),
-    ):
-        """Stored ``columns`` of the ``postings.parquet`` rows matching (field, term
-        in terms) — every row of ``field`` when ``terms`` is None — read
-        through cached handles with row-group pruning on the writers' (field,
-        term) min/max stats. Parquet stat truncation keeps min a prefix (a
-        valid lower bound) and increments max's last byte (a valid upper
-        bound), so pruning can only over-include — the exact filter below
-        decides membership. Row groups spanning a field boundary skip the term
-        test (term order restarts per field) and rely on the exact filter.
-        The default ``columns`` are those ``codec.unpack_rows`` takes. Every
-        call and the row groups it reads count in :attr:`postings_read`."""
+    ) -> Optional[Tuple[pa.Table, np.ndarray, Optional[np.ndarray]]]:
+        """The ``postings.parquet`` rows matching (field, term in terms) —
+        every row of ``field`` when ``terms`` is None — read through cached
+        handles with row-group pruning on the writers' (field, term) min/max
+        stats, as ``(rows, index, rank)``: ``rows`` every row of the row
+        groups read (its ``field``, ``term`` and ``columns``), ``index`` the
+        matching rows' numbers, ascending, and ``rank`` the position of each
+        one's term in ``sorted(set(terms))`` (None without terms); None when
+        no row matches. Callers read the matching rows over the row groups'
+        own buffers (``codec.unpack_blocks``): no Arrow filter or take, which
+        would load Arrow's compute kernels and copy the rows' payloads.
+
+        Parquet stat truncation keeps min a prefix (a valid lower bound) and
+        increments max's last byte (a valid upper bound), so pruning can only
+        over-include — the exact byte comparison (``codec.match_rows``)
+        decides membership. Row groups spanning a field boundary skip the
+        term test (term order restarts per field) and rely on the exact
+        comparison. The default ``columns`` are those ``codec.unpack_blocks``
+        takes. Every call and the row groups it reads count in
+        :attr:`postings_read`."""
         read_cols = list(dict.fromkeys(("field", "term", *columns)))
         if terms is not None:
             ms = sorted(set(terms))
             ms_np = np.array(ms)
-            vs = pa.array(ms, pa.string())
-        parts = []
+            term_keys = byte_keys(ms)
+        field_keys = byte_keys([field])
+        tables, indexes, ranks = [], [], []
+        base = 0
         self.postings_read["calls"] += 1
         for pf, stats, group_bytes, _ in self._postings_files():
+            mixed = True  # some row group read may hold another field
             if stats is None:
                 gs = np.arange(group_bytes.size)
                 t = pf.read(columns=read_cols)
@@ -526,19 +582,28 @@ class SegmentReader:
                 gs = np.flatnonzero(hit)
                 if gs.size == 0:
                     continue
+                mixed = not pure[gs].all()  # a pure group read holds field alone
                 t = pf.read_row_groups(gs.tolist(), columns=read_cols)
             self.postings_read["row_groups"] += int(gs.size)
             self.postings_read["compressed_bytes"] += int(group_bytes[gs].sum())
-            keep = pc.equal(t["field"], pa.scalar(field, pa.string()))
+            keep = np.ones(t.num_rows, bool)
+            if mixed:
+                keep = match_rows(t["field"], field_keys) == 0
             if terms is not None:
-                keep = pc.and_(keep, pc.is_in(t["term"], value_set=vs))
-            t = t.filter(keep)
-            if t.num_rows:
-                parts.append(t)
-        if not parts:
+                rank = match_rows(t["term"], term_keys)
+                keep &= rank >= 0
+            index = np.flatnonzero(keep)
+            if index.size:
+                tables.append(t)
+                indexes.append(index + base)
+                if terms is not None:
+                    ranks.append(rank[index])
+                base += t.num_rows
+        if not tables:
             return None
-        t = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-        return t.select(list(columns))
+        t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+        return (t, np.concatenate(indexes),
+                np.concatenate(ranks) if terms is not None else None)
 
     # ---- doc metadata (conv_id, turn_idx) for result rows ----
 
@@ -570,14 +635,17 @@ class SegmentReader:
         return pa.table(
             {
                 "doc_id": numeric_array(ids),
-                "conv_id": convs.take(numeric_array(idx)),
+                "conv_id": take_binary(convs, idx),
                 "turn_idx": numeric_array((ids - bases[idx]).astype(np.int32)),
             }
         )
 
     def conv_docs(self, conv_ids: pa.Array) -> np.ndarray:
         """Doc ids of every turn of the conversations ``conv_ids`` (plain string
-        array) that live in this segment, ascending."""
+        array) that live in this segment, ascending. For deletes, not
+        scoring: it loads Arrow's compute kernels."""
+        import pyarrow.compute as pc
+
         convs, bases, cnts = self.conv_map()
         hit = pc.is_in(convs, value_set=conv_ids).to_numpy(zero_copy_only=False)
         b, n = bases[hit], cnts[hit]

@@ -54,10 +54,9 @@ from typing import List
 import numpy as np
 
 from . import commit
-from .build import CONVMAP_FILE, MANIFEST_FILE, norms_file, read_manifest
 from .codec import headerless, int64_column, unpack_rows, varint_counts
 from .compact import purged_ids
-from .segment import SegmentReader
+from .segment import CONVMAP_FILE, MANIFEST_FILE, SegmentReader, norms_file, read_manifest
 from .writer import ROW_GROUP_BYTES, ROW_GROUP_ROWS
 
 

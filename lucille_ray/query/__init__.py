@@ -4,7 +4,12 @@ This package is driver-side metadata machinery for the Ray Data engine: query AS
 are tiny and picklable, so they are broadcast into Ray tasks, never stored in a
 Dataset. Conformance-ported from the reference library's munit suites (see SURVEY.md
 §2, §5).
+
+The parser and printer names load their modules on first use (PEP 562): a
+scorer actor unpickles query ASTs (``nodes``) and never parses or prints.
 """
+
+from .. import _lazy
 
 from .assoc import Op, associate_ops
 from .nodes import (
@@ -33,16 +38,7 @@ from .nodes import (
     WildCardOp,
     f32,
 )
-from .parser import (
-    ParseError,
-    QueryParser,
-    and_parser,
-    default_parser,
-    parse,
-    with_default_operator_and,
-    with_default_operator_or,
-)
-from .printer import print_query
+
 
 __all__ = [
     "And", "Boost", "Field", "Fuzzy", "Group", "ManyChar", "MinimumMatch", "Not",
@@ -52,3 +48,9 @@ __all__ = [
     "and_parser", "associate_ops", "default_parser", "f32", "parse",
     "print_query", "with_default_operator_and", "with_default_operator_or",
 ]
+
+__getattr__ = _lazy(globals(), {
+    **dict.fromkeys(("ParseError", "QueryParser", "and_parser", "default_parser", "parse",
+                     "with_default_operator_and", "with_default_operator_or"), ".parser"),
+    "print_query": ".printer",
+})

@@ -33,6 +33,21 @@ Scorer actors are :class:`_ScorerActor` processes, which refuse to import
 pandas: no scorer code uses it, yet pyarrow would load it lazily on its first
 numpy conversion, and it was the largest single part of a scorer process.
 The driver, in-process scorers and Ray Data workers keep pandas.
+
+A scorer process loads only what scoring runs: this module, the readers
+(``index.segment``, ``index.codec``, ``index.commit``), the executors, the
+query AST (``query.nodes``), numpy and ``pyarrow.parquet``. None of
+:data:`SCORER_UNLOADED` loads there: the package ``__init__`` files load
+their names on first use, the parser and the writers (``compact``,
+``build``) load only in driver code here, and the readers select and order
+postings rows with numpy, not with Arrow's compute kernels. On the serve
+benchmark (Ray at 5 logical CPUs) a bare Ray actor holds 121 MB after its
+first call. A scorer that also loaded every submodule of the index and
+search packages held 148 MB: ``pyarrow.compute`` alone costs 7.3 MB in a
+fresh actor (about 3 MB once Parquet reads have loaded libarrow), and the
+writers, ``report``, ``oracle``, ``batch``, the parser and the printer were
+the rest of what it imported and never ran. A scorer that loads only the
+serving path holds 144 MB.
 """
 
 from __future__ import annotations
@@ -44,11 +59,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import pyarrow as pa
 
-from ..index import commit, compact
-from ..index.build import read_manifest
-from ..index.segment import SegmentReader, check_layout
+from ..index import commit
+from ..index.codec import numeric_array
+from ..index.segment import SegmentReader, check_layout, read_manifest
 from ..query import nodes as qn
-from ..query.parser import parse
 from .bmconj import conj_parts_compound, conj_top_k_compound
 from .bmphrase import phrase_parts, phrase_top_k
 from .eval import (
@@ -63,6 +77,26 @@ from .eval import (
 from .wand import single_term_top_k, term_parts, wand_parts, wand_top_k
 
 QueryLike = Union[str, qn.Query]
+
+#: modules a scorer process never loads (module docstring): Arrow's compute
+#: kernels and the modules that load with them, pandas, the index writers
+#: and tools, and the search modules scoring never runs
+SCORER_UNLOADED = (
+    "pyarrow.compute", "pyarrow.dataset", "pyarrow.acero", "pandas",
+    *(f"lucille_ray.index.{m}"
+      for m in ("build", "compact", "delete", "report", "verify", "writer")),
+    "lucille_ray.search.batch", "lucille_ray.search.oracle",
+)
+
+
+def _as_query(query: QueryLike) -> qn.Query:
+    """``query`` parsed when it is a string. The parser loads here, on the
+    driver: scorers receive ASTs."""
+    if isinstance(query, str):
+        from ..query.parser import parse
+
+        return parse(query)
+    return query
 
 #: Per-segment top-k routing: (shape matcher, executor) rows, first match wins.
 #: ``matcher(query, ctx)`` runs once per query and returns (executor keyword
@@ -102,6 +136,8 @@ def slice_groups(
     group, dealt round-robin under the same cap. Answers do not depend on
     the grouping: each actor returns its local top-k and the driver merges by
     (score desc, doc_id asc)."""
+    from ..index import compact
+
     groups: List[List[str]] = []
     docs = 0
     for d, n in zip(seg_dirs, doc_counts):
@@ -346,19 +382,19 @@ class SegmentScorer:
         with_meta: bool = False,
     ) -> pa.Table:
         """This scorer's segments' full match set as ONE Arrow table (doc_id
-        ascending) — the block the streaming corpus filter hands to Ray Data."""
+        ascending) — the block the streaming corpus filter hands to Ray Data.
+        The metadata rows line up with ``docs`` (:meth:`doc_meta` keeps their
+        order), so no join: Arrow's joins and sorts load its compute kernels
+        and acero, which a scorer process does without."""
         docs, scores = self.score(query, reqs, ctx, None)
-        t = pa.table(
-            {"doc_id": pa.array(docs, pa.int64()),
-             "score": pa.array(scores, pa.float64())}
-        )
+        score = numeric_array(scores.astype(np.float64))
         if with_meta and docs.size:
-            meta = self.doc_meta(docs)
-            t = t.join(meta, keys="doc_id", join_type="left outer").sort_by("doc_id")
-            t = t.select(["doc_id", "conv_id", "turn_idx", "score"])
-        return t
+            return self.doc_meta(docs).append_column("score", score)
+        return pa.table({"doc_id": numeric_array(docs.astype(np.int64)), "score": score})
 
     def doc_meta(self, doc_ids: np.ndarray) -> pa.Table:
+        """(doc_id, conv_id, turn_idx) of ``doc_ids``, in their order when
+        they ascend (readers hold their segments in doc order)."""
         tables = []
         for r in self.readers:
             lo, hi = r.doc_base, r.doc_base + r.doc_count
@@ -366,13 +402,13 @@ class SegmentScorer:
             if mine.size:
                 tables.append(r.doc_meta(mine))
         if not tables:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "conv_id": pa.array([], pa.string()),
-                    "turn_idx": pa.array([], pa.int32()),
-                }
-            )
+            # from buffers: pa.array and Schema.empty_table load pandas
+            return pa.table({
+                "doc_id": numeric_array(np.empty(0, np.int64)),
+                "conv_id": pa.Array.from_buffers(pa.string(), 0, [
+                    None, pa.py_buffer(np.zeros(1, np.int32)), pa.py_buffer(b"")]),
+                "turn_idx": numeric_array(np.empty(0, np.int32)),
+            })
         return pa.concat_tables(tables)
 
 
@@ -391,7 +427,12 @@ class _RefusePandas(importlib.abc.MetaPathFinder):
 
 class _ScorerActor(SegmentScorer):
     """The Ray actor form of :class:`SegmentScorer`: the same scorer in a
-    process that never loads pandas.
+    process that never loads pandas, nor anything else of
+    :data:`SCORER_UNLOADED` (module docstring: on the serve benchmark a
+    bare Ray actor is 121 MB and a scorer of the serving path alone 144
+    MB, against 148 MB with ``pyarrow.compute`` and the writer modules
+    loaded). The driver sends it parsed queries and plans, so it never
+    loads the parser either.
 
     No scorer code uses pandas, but pyarrow imports it lazily on its first
     Python/numpy conversion (``pa.scalar`` of a str, ``to_numpy``), and that
@@ -469,6 +510,8 @@ class SearchEngine:
             if s.hi > s.lo:
                 check_layout(d, self.meta["fields"])
         if parallel == "auto":
+            from ..index import compact
+
             try:
                 import ray
 
@@ -648,7 +691,7 @@ class SearchEngine:
         """Plan a batch with ONE driver round-trip: every query the caches
         cannot plan sends its resolve fan-out to replica set i % R, all in
         flight at once, then the driver merges each to global stats."""
-        parsed = [parse(q) if isinstance(q, str) else q for q in queries]
+        parsed = [_as_query(q) for q in queries]
         reqs_list = [collect_term_requests(q) for q in parsed]
         out: List[Optional[tuple]] = [
             self._plan_from_cache(q, reqs) for q, reqs in zip(parsed, reqs_list)
@@ -694,7 +737,7 @@ class SearchEngine:
         in which each scorer merges the global stats itself. Only the first
         query on a cold engine pays one more trip, for the corpus stats.
         ``k=0`` answers no rows with the same columns."""
-        q = parse(query) if isinstance(query, str) else query
+        q = _as_query(query)
         if not _wants_rows(k):
             return self._to_table(*_no_rows(), with_meta)
         reqs = collect_term_requests(q)
@@ -798,7 +841,7 @@ class SearchEngine:
         """Search-as-you-type: rewrite the last positional Term into
         ``Term OR Prefix`` (the reference's mapLastTerm use case,
         docs/index.md:67-96) and search the expanded query."""
-        q = parse(query) if isinstance(query, str) else query
+        q = _as_query(query)
         expanded = q.map_last_term(
             lambda t: qn.Or(qn.Term(t.value), qn.Prefix(t.value))
         )
@@ -813,7 +856,7 @@ class SearchEngine:
         goes to set i % R, so the whole pool scores concurrently) or across
         the one set the round-robin picks ("single" mode, see
         :meth:`calibrate`). ``k=0`` answers no rows for every query."""
-        parsed = [parse(q) if isinstance(q, str) else q for q in queries]
+        parsed = [_as_query(q) for q in queries]
         if not _wants_rows(k):
             return [_no_rows() for _ in parsed]
         plans = self.plan_many(parsed)
@@ -853,9 +896,11 @@ class SearchEngine:
             )
         if metas is None:
             metas = self._call("doc_meta", docs)
+        import pyarrow.compute as pc
+
         meta = pa.concat_tables(metas)
         joined = base.join(meta, keys="doc_id", join_type="left outer")
-        order = pa.compute.sort_indices(
+        order = pc.sort_indices(
             joined,
             sort_keys=[("score", "descending"), ("doc_id", "ascending")],
         )

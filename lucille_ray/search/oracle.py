@@ -14,6 +14,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..analysis import DEFAULT_FIELD, INDEXED_FIELDS, tokenize
 from ..query import nodes as qn
@@ -23,7 +24,7 @@ from .eval import K1, B, levenshtein_within, wildcard_to_regex
 
 class BruteForceOracle:
     def __init__(self, table: pa.Table, fields: Sequence[str] = INDEXED_FIELDS):
-        order = pa.compute.sort_indices(
+        order = pc.sort_indices(
             table,
             sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")],
         )

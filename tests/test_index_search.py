@@ -1451,7 +1451,8 @@ def test_scorer_actors_run_without_pandas(built, ray_session, monkeypatch):
     answer exactly like the in-process engine: every query shape through
     ``search``, plus ``search_many``, ``suggest`` and ``match_all_stream``
     (whose tables the actors return). The driver and Ray Data workers keep
-    pandas, and the driver's import path holds no refusal."""
+    pandas, and the driver's import path holds no refusal. After all of
+    that, no module of ``engine.SCORER_UNLOADED`` is loaded in an actor."""
     import sys
 
     import ray
@@ -1480,12 +1481,14 @@ def test_scorer_actors_run_without_pandas(built, ray_session, monkeypatch):
         assert {c: df[c].tolist() for c in want} == want
         ids = ds.map_batches(lambda b: b[["doc_id"]], batch_format="pandas")
         assert sorted(ids.to_pandas()["doc_id"]) == want["doc_id"]
+        unloaded = engine_mod.SCORER_UNLOADED
         in_actors = ray.get([
             a.__ray_call__.remote(lambda scorer: (
-                "pandas" in sys.modules, type(sys.meta_path[0]).__name__))
+                "pandas" in sys.modules, type(sys.meta_path[0]).__name__,
+                [m for m in unloaded if m in sys.modules]))
             for a in engine._actors
         ], timeout=60)
-        assert in_actors == [(False, "_RefusePandas")] * 2
+        assert in_actors == [(False, "_RefusePandas", [])] * 2
     finally:
         engine.shutdown()
     assert not any(isinstance(f, engine_mod._RefusePandas) for f in sys.meta_path)
@@ -1576,6 +1579,81 @@ def test_first_reader_open_loads_no_pandas(built):
     out = subprocess.run([sys.executable, "-c", script, built[1]],
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+def test_scorer_loads_only_the_serving_path(built, pieces):
+    """A scorer process loads only what scoring runs: in a fresh interpreter
+    without Ray, an in-process ``SegmentScorer`` opens the readers of the
+    built index and of the raw-piece one (several postings files a
+    segment, so some reads are reordered by (term, bucket)), answers one
+    query per ``TOP_K_ROUTES`` row and every query through the plain
+    evaluator (``k=None``), and resolves doc metadata, and none of
+    ``engine.SCORER_UNLOADED`` is loaded. The queries arrive parsed and
+    pickled, as the driver sends them to scorer actors."""
+    import base64
+    import pickle
+    import subprocess
+    import sys
+    import textwrap
+
+    from lucille_ray import parse
+    from lucille_ray.search.engine import TOP_K_ROUTES
+
+    script = textwrap.dedent("""
+        import base64, json, pickle, sys
+
+        import lucille_ray.index.segment as segment_mod
+        from lucille_ray.index import commit
+        from lucille_ray.search.engine import (SCORER_UNLOADED, TOP_K_ROUTES,
+                                               SegmentScorer, _merge_ctx)
+        from lucille_ray.search.eval import collect_term_requests
+
+        reorders = [0]
+        buckets = segment_mod.row_buckets
+
+        def counted(*args):
+            reorders[0] += 1
+            return buckets(*args)
+
+        segment_mod.row_buckets = counted
+        queries = pickle.loads(base64.b64decode(sys.argv[2]))
+        routes, metas = set(), 0
+        for index_dir in sys.argv[1].split(","):
+            scorer = SegmentScorer(commit.segment_dirs(index_dir, commit.read(index_dir)))
+            st = scorer.local_stats()
+            avgdl = {f: v / st["n_docs"] for f, v in st["total_dl"].items()}
+            for q in queries:
+                reqs = collect_term_requests(q)
+                ctx, _, _ = _merge_ctx([scorer.resolve(reqs)], st["n_docs"], avgdl)
+                for matcher, executor in TOP_K_ROUTES:  # first match wins
+                    if matcher(q, ctx) is not None:
+                        routes.add(executor.__name__)
+                        break
+                for k in (10, None):
+                    docs, _ = scorer.score(q, reqs, ctx, k)
+                    meta = scorer.doc_meta(docs)
+                    assert sorted(meta["doc_id"].to_pylist()) == sorted(docs.tolist())
+                    metas += meta.num_rows
+        print(json.dumps({"routes": sorted(routes), "reorders": reorders[0],
+                          "metas": metas,
+                          "loaded": [m for m in SCORER_UNLOADED if m in sys.modules]}))
+    """)
+    queries = [parse(q) for q in ("data OR query", "data AND query",
+                                  '"lazy evaluation"', "data", "NOT data",
+                                  "deploy*", "role:assistant AND deploy")]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", script, f"{built[1]},{pieces}",
+         base64.b64encode(pickle.dumps(queries)).decode()],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["routes"] == sorted(ex.__name__ for _, ex in TOP_K_ROUTES)
+    assert got["reorders"] > 0 and got["metas"] > 0
+    assert got["loaded"] == []
 
 
 def test_each_write_runs_one_postings_execution(built, tmp_path, monkeypatch):
@@ -2727,10 +2805,10 @@ def test_candidate_postings_decode_overlapping_blocks_uncached(built, tombstoned
 
 
 def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
-    """_read_postings_rows (cached handles + row-group stat pruning) returns
-    exactly what the predicate-pushdown directory scan returns, on both the
-    multi-piece built layout and the compacted layout, for present / absent /
-    mixed term sets."""
+    """_read_postings_rows (cached handles + row-group stat pruning) selects
+    exactly the rows the predicate-pushdown directory scan returns, on both
+    the multi-piece built layout and the compacted layout, for present /
+    absent / mixed term sets."""
     import lucille_ray.index.build as build_mod
     from lucille_ray.index import compact_index
     from lucille_ray.index.segment import SegmentReader
@@ -2753,15 +2831,18 @@ def test_pruned_postings_read_matches_scan(built, tmp_path, monkeypatch):
     def check(seg_dir):
         r = SegmentReader(seg_dir)
         for field, terms in cases:
-            new = r._read_postings_rows(field, terms)
+            read = r._read_postings_rows(field, terms)
             old = pq.read_table(
                 os.path.join(seg_dir, "postings.parquet"),
                 columns=["term", *BLOCK_COLUMNS],
                 filters=[("field", "==", field), ("term", "in", terms)],
             )
-            if new is None:
+            if read is None:
                 assert old.num_rows == 0, (field, terms)
                 continue
+            rows, index, rank = read
+            new = rows.take(pa.array(index)).select(["term", *BLOCK_COLUMNS])
+            assert [sorted(set(terms))[i] for i in rank] == new["term"].to_pylist()
             assert new.take(row_order(new, ["term"])).equals(
                 old.take(row_order(old, ["term"]))), (field, terms)
 
@@ -3339,8 +3420,9 @@ def test_churned_index_merges_into_one_segment(built, tmp_path, monkeypatch):
     """A churn-shaped index -- a compacted base, two appends and tombstones
     in all three segments -- merges into one segment in one
     ``compact_index``, its purge included. The merged segment's norms, doc
-    map, purged ids and stage stats are the inputs' concatenated, and its
-    live stats theirs added up. Its answers equal, bit for bit, those of the
+    map and purged ids are the inputs' concatenated, its stage stats the
+    newest input's (the last append's), and its live stats theirs added
+    up. Its answers equal, bit for bit, those of the
     same index compacted segment by segment (SLICE_DOCS=1: no merge) and
     the oracle's over the live corpus; the verifier finds nothing in either,
     and a second compaction does nothing."""
@@ -3354,9 +3436,8 @@ def test_churned_index_merges_into_one_segment(built, tmp_path, monkeypatch):
     c = commit.read(idx)
     assert len(c["segments"]) == 3 and all(s.deleted for s in c["segments"])
     assert read_manifest(_seg_dirs(idx)[0])["compacted"]
-    stage = "".join(open(os.path.join(d, "stage_stats.txt")).read()
-                    for d in _seg_dirs(idx)
-                    if os.path.exists(os.path.join(d, "stage_stats.txt")))
+    with open(os.path.join(_seg_dirs(idx)[-1], "stage_stats.txt")) as f:
+        stage = f.read()
     unmerged = str(tmp_path / "unmerged")
     shutil.copytree(idx, unmerged)
 
@@ -3387,6 +3468,49 @@ def test_churned_index_merges_into_one_segment(built, tmp_path, monkeypatch):
         assert one.search(qs, k=10).equals(three.search(qs, k=10)), qs
     _live_answers_match(idx, built[2], dead)
     assert compact_index(idx) == []
+
+
+def test_stage_stats_do_not_grow_over_append_compact_cycles(built, tmp_path):
+    """A merge keeps the newest input's ``stage_stats.txt`` only, so three
+    append-and-compact cycles on a compacted base leave the one merged
+    segment the last append's stats, no larger than one write's: the
+    earlier writes' stats are not carried forward."""
+    import ray.data
+
+    from lucille_ray.index import compact_index
+    from lucille_ray.index.build import append_index
+
+    table = built[2]
+    convs = sorted(set(table["conv_id"].to_pylist()))
+    cuts = [convs[int(len(convs) * f)] for f in (0.7, 0.8, 0.9)]
+    bounds = [None, *cuts, None]
+    paths = []
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        mask = pa.array(np.ones(table.num_rows, bool))
+        if lo is not None:
+            mask = pc.and_(mask, pc.greater_equal(table["conv_id"], lo))
+        if hi is not None:
+            mask = pc.and_(mask, pc.less(table["conv_id"], hi))
+        paths.append(str(tmp_path / f"part{i}.parquet"))
+        pq.write_table(table.filter(mask), paths[-1])
+    idx = str(tmp_path / "index")
+    build_index(ray.data.read_parquet(paths[0]), idx, num_segments=1, batch_size=400)
+    compact_index(idx)
+
+    def stats_text(seg_dir):
+        with open(os.path.join(seg_dir, "stage_stats.txt")) as f:
+            return f.read()
+
+    written = [len(stats_text(_seg_dirs(idx)[0]))]
+    for p in paths[1:]:
+        append_index(ray.data.read_parquet(p), idx, num_segments=1, batch_size=400)
+        appended = stats_text(_seg_dirs(idx)[-1])
+        written.append(len(appended))
+        (done,) = compact_index(idx)
+        assert len(done["source"]) == 2
+        (merged,) = _seg_dirs(idx)
+        assert stats_text(merged) == appended
+    assert len(stats_text(merged)) <= max(written)
 
 
 def test_compaction_never_merges_a_large_segment(built, tmp_path, monkeypatch):

@@ -526,6 +526,97 @@ def test_scorer_modules_use_no_pandas():
     assert offenders == []
 
 
+#: what no scorer module imports at module level: Arrow's compute kernels
+#: and the modules that load with them, and the index writers and tools
+#: (engine.SCORER_UNLOADED, which also pins them at runtime)
+SCORER_FREE_IMPORTS = (
+    "pyarrow.compute", "pyarrow.dataset", "pyarrow.acero",
+    *(f"lucille_ray.index.{m}"
+      for m in ("build", "compact", "delete", "report", "verify", "writer")),
+    "lucille_ray.search.batch", "lucille_ray.search.oracle",
+)
+
+
+def _module_level_imports_of(source: str, where: str, package: str,
+                             flagged=SCORER_FREE_IMPORTS) -> list:
+    """Imports in ``source`` (a module of ``package``) that run when it is
+    imported — outside any function, class bodies included — of a module
+    in ``flagged`` or under one; relative imports resolved against
+    ``package``, and ``from X import y`` read as importing both X and
+    X.y."""
+    import ast
+
+    def absolute(module, level):
+        if not level:
+            return module or ""
+        base = package.split(".")[: len(package.split(".")) - level + 1]
+        return ".".join(base + ([module] if module else []))
+
+    def hit(name):
+        return any(name == f or name.startswith(f + ".") for f in flagged)
+
+    offenders = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                mod = absolute(child.module, child.level)
+                names = [mod] + [f"{mod}.{a.name}" for a in child.names]
+            if any(hit(n) for n in names):
+                offenders.append(f"{where}:{child.lineno}")
+            visit(child)
+
+    visit(ast.parse(source, where))
+    return offenders
+
+
+def test_scorer_modules_import_no_writer_or_compute_kernels():
+    """The modules a scorer runs import neither Arrow's compute kernels
+    (nor ``pyarrow.dataset`` or ``pyarrow.acero``) nor the index writers,
+    ``report``, ``verify``, ``batch`` or ``oracle`` when they load: code that
+    needs one imports it inside the function that runs it. The lint flags
+    each planted form; the package ``__init__`` files and ``analysis`` are
+    checked too, since a scorer loads them."""
+    import glob
+
+    import lucille_ray
+
+    planted = (
+        "import pyarrow.compute as pc\n"
+        "from pyarrow import dataset\n"
+        "import pyarrow.acero\n"
+        "from .build import read_manifest\n"
+        "from ..index import compact\n"
+        "class A:\n"
+        "    from ..search.oracle import BruteForceOracle\n"
+        "def f():\n"
+        "    import pyarrow.compute as pc\n"
+        "ok = ('import pyarrow.compute', __import__('json'))\n"
+        "from . import segment, commit\n"
+        "import pyarrow.parquet as pq\n"
+    )
+    assert _module_level_imports_of(planted, "planted", "lucille_ray.index") == [
+        f"planted:{i}" for i in (1, 2, 3, 4, 5, 7)]
+    assert set(engine_mod.SCORER_UNLOADED) == {*SCORER_FREE_IMPORTS, "pandas"}
+    root = os.path.dirname(lucille_ray.__file__)
+    patterns = (*SCORER_MODULES, "__init__.py", "index/__init__.py",
+                "search/__init__.py", "analysis.py")
+    paths = sorted({p for pattern in patterns for p in glob.glob(os.path.join(root, pattern))})
+    assert len(paths) >= len(patterns)
+    offenders = []
+    for path in paths:
+        rel = os.path.relpath(path, root)
+        package = ".".join(["lucille_ray", *os.path.dirname(rel).split(os.sep)]).rstrip(".")
+        with open(path) as f:
+            offenders += _module_level_imports_of(f.read(), rel, package)
+    assert offenders == []
+
+
 def test_one_segment_writer():
     """Every new segment is written by one streaming pipeline
     (``build._write_segments``): no module under lucille_ray/index/ imports

@@ -16,7 +16,8 @@ Prints one JSON object: every ``ReaderCache`` pool's entries, bytes, hits,
 misses and evictions summed over the segments, and the bytes of all pools
 together. ``--no-result-cache`` opens the engine with ``result_cache=False``.
 Runs without Ray, and imports ``perfbench/corpus.py`` and
-``perfbench/workloads.py`` without changing them.
+``perfbench/workloads.py`` without changing them. :func:`replay` is the
+stream, for other tools (``tools/scorer_memory.py``).
 """
 import argparse
 import json
@@ -28,6 +29,34 @@ sys.path.insert(0, ROOT)
 sys.path.insert(1, os.path.join(ROOT, "perfbench"))
 
 
+def replay(engine, seed: int = 1, calls: int = 120, batches: int = 6) -> None:
+    """Send a warmed ``engine`` what perfbench's ``serve`` workload sends
+    after its warm-up: ``calls`` sequential ``search`` calls (``suggest``
+    for the typeahead shape) from its query stream, then ``batches``
+    ``search_many`` batches from its disjoint batch stream, all at its k.
+    The streams and the vocabulary come from ``seed`` as in perfbench."""
+    import corpus as C
+    import workloads as W
+
+    from lucille_ray import parse
+
+    # the two streams perfbench's Workload draws from, built the same way
+    vocab = C.make_vocabulary(W.VOCAB_SIZE, seed)
+    pool = C.query_pool(vocab, 2000, seed)
+    stream = C.query_stream(pool, 5000, seed)
+    seen = {q.text for q in pool}
+    bpool = [q for q in C.query_pool(vocab, 1200, seed + 7919) if q.text not in seen]
+    batch_stream = C.query_stream(bpool, 5000, seed + 7919)
+
+    for q in stream[:calls]:
+        call = engine.suggest if q.shape == "typeahead" else engine.search
+        call(q.text, k=W.K)
+    for b in range(batches):
+        batch = batch_stream[b * W.BATCH_SIZE: (b + 1) * W.BATCH_SIZE]
+        engine.search_many([W.typeahead(parse(q.text)) if q.shape == "typeahead"
+                            else q.text for q in batch], k=W.K)
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("index")
@@ -37,29 +66,11 @@ def main() -> None:
     p.add_argument("--no-result-cache", action="store_true")
     a = p.parse_args()
 
-    import corpus as C
-    import workloads as W
-
-    from lucille_ray import parse
     from lucille_ray.search import SearchEngine
-
-    # the two streams perfbench's Workload draws from, built the same way
-    vocab = C.make_vocabulary(W.VOCAB_SIZE, a.seed)
-    pool = C.query_pool(vocab, 2000, a.seed)
-    stream = C.query_stream(pool, 5000, a.seed)
-    seen = {q.text for q in pool}
-    bpool = [q for q in C.query_pool(vocab, 1200, a.seed + 7919) if q.text not in seen]
-    batch_stream = C.query_stream(bpool, 5000, a.seed + 7919)
 
     engine = SearchEngine(a.index, parallel=False, result_cache=not a.no_result_cache)
     engine.warm()
-    for q in stream[: a.calls]:
-        call = engine.suggest if q.shape == "typeahead" else engine.search
-        call(q.text, k=W.K)
-    for b in range(a.batches):
-        batch = batch_stream[b * W.BATCH_SIZE: (b + 1) * W.BATCH_SIZE]
-        engine.search_many([W.typeahead(parse(q.text)) if q.shape == "typeahead"
-                            else q.text for q in batch], k=W.K)
+    replay(engine, a.seed, a.calls, a.batches)
 
     pools: dict = {}
     (per_segment,) = engine.cache_stats()
