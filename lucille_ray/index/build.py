@@ -75,7 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute  # noqa: F401  (loads pa.compute, used below)
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..analysis import INDEXED_FIELDS, arrow_tokenize
@@ -150,7 +150,7 @@ def _conv_partial_counts(batch: pa.Table) -> pa.Table:
     if n == 1:
         starts = np.zeros(1, dtype=np.int64)
     else:
-        neq = pa.compute.not_equal(
+        neq = pc.not_equal(
             conv.slice(1), conv.slice(0, n - 1)
         ).to_numpy(zero_copy_only=False)
         starts = np.concatenate(([0], np.flatnonzero(neq) + 1)).astype(np.int64)
@@ -199,16 +199,16 @@ def _merge_conv_partials(tables: List[pa.Table]) -> pa.Table:
     # sorted fast path: ordered input yields sorted per-block partials whose
     # concat (block order) is already globally sorted — the O(n log n)
     # sort_indices + take was the tree root's ~1 s fixed tail at 10M
-    if n > 1 and not pa.compute.all(
-        pa.compute.less_equal(conv_col.slice(0, n - 1), conv_col.slice(1))
+    if n > 1 and not pc.all(
+        pc.less_equal(conv_col.slice(0, n - 1), conv_col.slice(1))
     ).as_py():
-        order = pa.compute.sort_indices(parts["conv_id"])
+        order = pc.sort_indices(parts["conv_id"])
         parts = parts.take(order)
         conv_col = parts["conv_id"].combine_chunks()
     if n == 1:
         starts = np.zeros(1, dtype=np.int64)
     else:
-        neq = pa.compute.not_equal(
+        neq = pc.not_equal(
             conv_col.slice(1), conv_col.slice(0, n - 1)
         ).to_numpy(zero_copy_only=False)
         starts = np.concatenate(([0], np.flatnonzero(neq) + 1)).astype(np.int64)
@@ -450,7 +450,7 @@ def _driver_conv_maps(
     segment is a contiguous run of conversations (``[0, 0]`` when empty)."""
     seg_of_conv = np.minimum(bases // seg_target, nseg - 1)
     cut = np.searchsorted(seg_of_conv, np.arange(nseg + 1))
-    conv_str = pa.compute.cast(convs, pa.string())
+    conv_str = pc.cast(convs, pa.string())
     maps, bounds = [], []
     for s in range(nseg):
         a, b = int(cut[s]), int(cut[s + 1])
@@ -484,12 +484,11 @@ def _write_ranged_conv_map(base_refs: list, path: str, lo: int, hi: int) -> None
         for ref in base_refs:  # (conv_id, base, cnt), see _conv_block_bases
             tbl = ray.get(ref)
             base = tbl["base"]
-            sub = tbl.filter(pa.compute.and_(pa.compute.greater_equal(base, lo),
-                                             pa.compute.less(base, hi)))
+            sub = tbl.filter(pc.and_(pc.greater_equal(base, lo), pc.less(base, hi)))
             del tbl
             if sub.num_rows:
                 writer.write_table(pa.table(
-                    [pa.compute.cast(sub["conv_id"], pa.string()),
+                    [pc.cast(sub["conv_id"], pa.string()),
                      sub["base"], sub["cnt"]], schema=schema,
                 ))
 
@@ -544,7 +543,7 @@ class _TokenizeEncode:
             toks = arrow_tokenize(batch[field])
             flat = toks.flatten()
             n_tok = len(flat)
-            counts = pa.compute.list_value_length(toks).to_numpy(
+            counts = pc.list_value_length(toks).to_numpy(
                 zero_copy_only=False
             ).astype(np.int64)
             # norms ride along as a reserved-term posting row: every doc of the
@@ -626,7 +625,7 @@ class _SparseDls:
 
 def _is_norms_row(rows: pa.Table) -> pa.ChunkedArray:
     """Mask of the norms rows among postings rows ``rows``."""
-    return pa.compute.equal(rows["term"], pa.scalar(NORMS_TERM, pa.string()))
+    return pc.equal(rows["term"], pa.scalar(NORMS_TERM, pa.string()))
 
 
 def _decode_norms(rows: pa.Table, blocks: RawBlocks, offsets: np.ndarray) -> dict:
@@ -707,7 +706,7 @@ def _merge_pieces(batch: pa.Table) -> pa.Table:
 
     is_norms = _is_norms_row(batch)
     norms = batch.filter(is_norms)
-    terms = batch.filter(pa.compute.invert(is_norms))
+    terms = batch.filter(pc.invert(is_norms))
     merged = _merge_sorted_batch(
         *unpack_rows(terms.take(row_order(terms, ["field", "term"]))),
         norms=_decode_norms(*unpack_rows(norms)),

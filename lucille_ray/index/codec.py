@@ -284,20 +284,18 @@ def encode_postings(
     return [dict(zip((*_META, *_PAYLOADS), (*m, *p))) for m, p in zip(meta, payloads)]
 
 
-def _bin_view(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
-    """(flat uint8 values, int64 offsets) zero-copy view of a binary or
-    string array, 32- or 64-bit offsets (slice offsets respected)."""
-    bufs = arr.buffers()
+def _raw_offsets(arr: pa.Array) -> np.ndarray:
+    """The offsets of a binary or string array as stored (int32, or int64
+    for the large types; slice offset respected): a view, not widened."""
     wide = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
-    offs = np.frombuffer(bufs[1], dtype=np.int64 if wide else np.int32)[
-        arr.offset: arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    vals = (
-        np.frombuffer(bufs[2], dtype=np.uint8)
-        if bufs[2] is not None
-        else np.empty(0, np.uint8)
-    )
-    return vals, offs
+    return np.frombuffer(arr.buffers()[1], dtype=np.int64 if wide else np.int32)[
+        arr.offset: arr.offset + len(arr) + 1]
+
+
+def _values(arr: pa.Array) -> np.ndarray:
+    """The value bytes of a binary or string array, a uint8 view."""
+    buf = arr.buffers()[2]
+    return np.frombuffer(buf, dtype=np.uint8) if buf is not None else np.empty(0, np.uint8)
 
 
 def _chunks(col) -> list:
@@ -305,63 +303,89 @@ def _chunks(col) -> list:
     return col.chunks if isinstance(col, pa.ChunkedArray) else [col]
 
 
-#: a gather of more byte runs than this out of one buffer goes through one
-#: numpy index over all their bytes instead of a slice per run
-_FEW_RUNS = 64
-
-
-def _spans(col, index: Optional[np.ndarray] = None) -> tuple:
-    """``(views, chunk, starts, ends)`` of the elements ``index`` (every
+def _spans(col, index: Optional[np.ndarray] = None, at: Optional[tuple] = None) -> tuple:
+    """``(values, groups, starts, ends)`` of the elements ``index`` (every
     row when None) of a binary or string column: each chunk's
-    :func:`_bin_view`, and per element its chunk (None for a one-chunk
-    column) and its bytes' start and end in that chunk's buffer."""
-    views = [_bin_view(c) for c in _chunks(col)]
-    if len(views) == 1:
-        chunk = None
-        starts, ends = views[0][1][:-1], views[0][1][1:]
-    else:
-        chunk = np.repeat(np.arange(len(views)), [o.size - 1 for _, o in views])
-        starts = np.concatenate([o[:-1] for _, o in views])
-        ends = np.concatenate([o[1:] for _, o in views])
-    if index is not None:
-        index = np.asarray(index, np.int64)
-        starts, ends = starts[index], ends[index]
-        chunk = None if chunk is None else chunk[index]
-    return views, chunk, starts, ends
+    :func:`_values`; per chunk that holds some of the elements, ``(chunk,
+    positions among the elements)``; and each element's byte start and end
+    in its chunk's values. Only the offsets of the elements asked for are
+    read and widened; ``at`` is :func:`_rows_at` of ``index`` in a column
+    of the same table, reused when it is chunked alike."""
+    chunks = _chunks(col)
+    values = [_values(c) for c in chunks]
+    if index is None:
+        offs = [_raw_offsets(c).astype(np.int64) for c in chunks]
+        bounds = np.cumsum([0] + [o.size - 1 for o in offs]).tolist()
+        groups = [(c, slice(lo, hi)) for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+                  if hi > lo]
+        if len(offs) == 1:
+            return values, groups, offs[0][:-1], offs[0][1:]
+        return (values, groups, np.concatenate([o[:-1] for o in offs]),
+                np.concatenate([o[1:] for o in offs]))
+    if at is None or at[0] != [len(c) for c in chunks]:
+        at = _rows_at(col, index)
+    _, groups, local = at
+    starts = np.empty(local.size, np.int64)
+    ends = np.empty(local.size, np.int64)
+    for c, where in groups:
+        offs = _raw_offsets(chunks[c])
+        starts[where] = offs[local[where]]
+        ends[where] = offs[local[where] + 1]
+    return values, groups, starts, ends
 
 
-def _rows_view(col, index: Optional[np.ndarray] = None
+def _rows_at(col, index: np.ndarray) -> tuple:
+    """Where the rows ``index`` lie among a column's chunks: ``(sizes,
+    groups, local)``, the chunks' lengths; per chunk that holds some of
+    them, ``(chunk, positions in index)`` (a slice when one chunk holds
+    them all); and each row's number within its chunk. The columns of a
+    table chunked alike share it (:func:`_spans`)."""
+    index = np.asarray(index, np.int64)
+    sizes = [len(c) for c in _chunks(col)]
+    if len(sizes) == 1:
+        return sizes, [(0, slice(None))], index
+    bounds = np.cumsum(sizes)
+    chunk = np.searchsorted(bounds, index, side="right")
+    local = index - (bounds - sizes)[chunk]
+    hit = np.flatnonzero(np.bincount(chunk, minlength=len(sizes))).tolist()
+    if len(hit) == 1:
+        return sizes, [(hit[0], slice(None))], local
+    return sizes, [(c, np.flatnonzero(chunk == c)) for c in hit], local
+
+
+def _rows_view(col, index: Optional[np.ndarray] = None, at: Optional[tuple] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
     """``(bytes, offsets)`` of the elements ``index`` (row numbers, any
     order; every row when None) of a binary or string column, in that
-    order, ``offsets`` absolute in ``bytes``: a view of the column's own
-    buffer when those elements lie end to end in one chunk (for an
-    ``index``, also filling at least half of its buffer, so a view a reader
-    caches pins at most twice the bytes its cache charges), else one copy
-    of their bytes made with numpy (``take`` and ``filter`` load Arrow's
-    compute kernels, which a scorer process does without)."""
-    views, chunk, starts, ends = _spans(col, index)
+    order, ``offsets`` absolute in ``bytes`` (``at``: as :func:`_spans`).
+    A view of the column's own buffer when those elements lie end to end
+    in one chunk and are every row, or fill that chunk's whole buffer (so
+    a view a reader caches pins no byte it was not asked for); else one
+    copy, a slice per run of elements that lie end to end in one chunk
+    (``take`` and ``filter`` load Arrow's compute kernels, which a scorer
+    process does without)."""
+    chunks = _chunks(col)
+    if index is None and len(chunks) == 1:
+        return _values(chunks[0]), _raw_offsets(chunks[0]).astype(np.int64)
+    values, groups, starts, ends = _spans(col, index, at)
     if starts.size == 0:
         return np.empty(0, np.uint8), np.zeros(1, np.int64)
     # runs of elements whose bytes follow each other in one buffer
     brk = starts[1:] != ends[:-1]
-    if chunk is not None:
+    chunk = None
+    if len(groups) > 1:
+        chunk = np.empty(starts.size, np.int64)
+        for c, where in groups:
+            chunk[where] = c
         brk |= chunk[1:] != chunk[:-1]
     first = np.concatenate(([0], np.flatnonzero(brk) + 1))
-    if first.size == 1:
-        buf = views[0 if chunk is None else int(chunk[0])][0]
-        if index is None or 2 * (ends[-1] - starts[0]) >= buf.size:
-            return buf, np.append(starts, ends[-1])
+    bufs = ([values[groups[0][0]]] * first.size if chunk is None
+            else [values[c] for c in chunk[first].tolist()])
+    if first.size == 1 and (index is None or ends[-1] - starts[0] == bufs[0].size):
+        return bufs[0], np.append(starts, ends[-1])
+    last = np.append(first[1:], starts.size) - 1
     offs = np.zeros(starts.size + 1, np.int64)
     np.cumsum(ends - starts, out=offs[1:])
-    last = np.append(first[1:], starts.size) - 1
-    if chunk is None and first.size > _FEW_RUNS:
-        run_len = ends[last] - starts[first]
-        at = np.repeat(starts[first] - offs[first], run_len) + np.arange(
-            int(offs[-1]), dtype=np.int64)
-        return views[0][0][at], offs
-    bufs = [views[0][0]] * first.size if chunk is None else [
-        views[c][0] for c in chunk[first].tolist()]
     return np.concatenate([b[s:e] for b, s, e in zip(
         bufs, starts[first].tolist(), ends[last].tolist())]), offs
 
@@ -386,45 +410,52 @@ def take_binary(col, index: np.ndarray) -> pa.Array:
          pa.py_buffer(vals[offs[0]: offs[-1]])])
 
 
-def byte_keys(wanted: Sequence[str]) -> list:
-    """``wanted`` (distinct strings) prepared for :func:`match_rows`: per
-    UTF-8 byte length, the values of that length as sorted fixed-width
-    bytes and their positions in ``wanted``."""
-    enc = [w.encode() for w in wanted]
-    out = []
-    for n in sorted({len(b) for b in enc}):
-        ids = np.array([i for i, b in enumerate(enc) if len(b) == n], np.int64)
-        keys = np.array([enc[i] for i in ids], dtype=f"S{max(n, 1)}")
-        order = np.argsort(keys)
-        out.append((n, keys[order], ids[order]))
-    return out
+def byte_keys(wanted: Sequence[str]) -> tuple:
+    """``wanted`` (distinct strings) prepared for :func:`match_rows`:
+    ``(groups, last)``, per UTF-8 byte length ``n`` the values of that
+    length as sorted fixed-width bytes and their positions in ``wanted``,
+    ``(n, keys, ids)``; and ``last[n, b]``, whether a wanted value of
+    ``n`` bytes ends in byte ``b``."""
+    by_len: dict = {}
+    for i, w in enumerate(wanted):
+        b = w.encode()
+        by_len.setdefault(len(b), []).append((b, i))
+    last = np.zeros((max(by_len, default=0) + 1, 256), bool)
+    groups = []
+    for n in sorted(by_len):
+        pairs = sorted(by_len[n])
+        groups.append((n, np.array([b for b, _ in pairs], f"S{max(n, 1)}"),
+                       np.array([i for _, i in pairs], np.int64)))
+        if n:
+            last[n, [b[-1] for b, _ in pairs]] = True
+    return groups, last
 
 
-def match_rows(col, keys: list) -> np.ndarray:
+def match_rows(col, keys: tuple) -> np.ndarray:
     """For each row of a string column (a ChunkedArray or Array): the
     position in ``wanted`` of the value it holds, or -1 (``keys``:
-    :func:`byte_keys` of ``wanted``). Compares UTF-8 bytes with numpy, one
-    fixed-width comparison per byte length of ``wanted`` over the rows of
-    that length (Arrow's ``is_in`` and ``equal`` load its compute
-    kernels)."""
-    out = []
-    for arr in _chunks(col):
-        vals, offs = _bin_view(arr)
-        starts, lens = offs[:-1], np.diff(offs)
-        pos = np.full(lens.size, -1, np.int64)
-        for n, sorted_keys, ids in keys:
-            rows = np.flatnonzero(lens == n)
-            if not rows.size:
-                continue
-            if n == 0:
-                pos[rows] = ids[0]
-                continue
-            got = vals[starts[rows][:, None] + np.arange(n)].view(f"S{n}").ravel()
-            at = np.minimum(np.searchsorted(sorted_keys, got), sorted_keys.size - 1)
-            hit = sorted_keys[at] == got
-            pos[rows[hit]] = ids[at[hit]]
-        out.append(pos)
-    return out[0] if len(out) == 1 else np.concatenate(out)
+    :func:`byte_keys` of ``wanted``). Compares UTF-8 bytes with numpy in
+    one pass over the column's bytes (joined into one buffer when it has
+    several chunks), per byte length of ``wanted``: the rows of that length
+    whose last byte is a wanted one's, by one fixed-width comparison
+    (Arrow's ``is_in`` and ``equal`` load its compute kernels)."""
+    vals, offs = _rows_view(col)
+    starts, lens = offs[:-1], np.diff(offs)
+    pos = np.full(lens.size, -1, np.int64)
+    groups, last = keys
+    for n, sorted_keys, ids in groups:
+        rows = np.flatnonzero(lens == n)
+        if not rows.size:
+            continue
+        if n == 0:
+            pos[rows] = ids[0]
+            continue
+        rows = rows[last[n, vals[starts[rows] + (n - 1)]]]
+        got = vals[starts[rows][:, None] + np.arange(n)].view(f"S{n}").ravel()
+        at = np.minimum(np.searchsorted(sorted_keys, got), sorted_keys.size - 1)
+        hit = sorted_keys[at] == got
+        pos[rows[hit]] = ids[at[hit]]
+    return pos
 
 
 def int64_column(arr: pa.Array) -> np.ndarray:
@@ -530,13 +561,10 @@ def row_buckets(rows: pa.Table, index: Optional[np.ndarray] = None) -> np.ndarra
     """Each stored postings row's bucket (rows ``index``; all when None):
     the first varint of its ``docs``, its block 0's ``first_doc``, read
     without unpacking."""
-    views, chunk, starts, ends = _spans(rows["docs"], index)
-    if chunk is None:
-        return varints_at(views[0][0], starts, ends)
+    values, groups, starts, ends = _spans(rows["docs"], index)
     out = np.empty(starts.size, np.int64)
-    for c in np.unique(chunk).tolist():
-        at = chunk == c
-        out[at] = varints_at(views[c][0], starts[at], ends[at])
+    for c, where in groups:
+        out[where] = varints_at(values[c], starts[where], ends[where])
     return out
 
 
@@ -640,8 +668,8 @@ _ONE_POSTING_HDR = np.array([1, 0, 0, 0], np.int64)
 def headerless(rows: pa.Table) -> np.ndarray:
     """True for each stored postings row whose header is empty (the writer
     leaves exactly the one-posting rows' empty)."""
-    _, offs = _rows_view(rows["hdr"])
-    return np.diff(offs) == 0
+    _, _, starts, ends = _spans(rows["hdr"])
+    return ends == starts
 
 
 def _varint_streams(view: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -673,11 +701,11 @@ def unpack_blocks(rows: pa.Table, norms=None, doc_base: int = 0,
     blocks of the rows ``index`` (row numbers, in the order given; every
     row when None), as one :class:`RawBlocks`, and their block offsets
     (the ``i``-th row holds blocks ``offsets[i]`` to ``offsets[i + 1]``).
-    The payloads are views over the rows' own buffers where the rows lie
-    end to end in one chunk, and one numpy copy of their bytes otherwise
-    (:func:`_rows_view`). One varint pass decodes every header and one
-    gather (:func:`varints_at`) reads every block's ``first_doc``, and one
-    more each one-posting row's tf, its ``max_tf``.
+    The payloads are views over the rows' own buffers where the rows are
+    every row of one chunk (or fill its whole buffer), and one copy of
+    their bytes otherwise (:func:`_rows_view`). One varint pass decodes
+    every header and one gather (:func:`varints_at`) reads every block's
+    ``first_doc``, and one more each one-posting row's tf, its ``max_tf``.
 
     A row without a header is a one-posting row (``verify.py`` checks that
     its ``df`` is 1); it stores no ``min_dl``: given ``norms`` ({field: its
@@ -686,7 +714,8 @@ def unpack_blocks(rows: pa.Table, norms=None, doc_base: int = 0,
     ``field`` column), its block takes its doc's norm, an exact bound;
     without, 0. Raises when a row's header disagrees with its payload
     bytes."""
-    vals, nvals = _varint_streams(_rows_view(rows["hdr"], index))
+    at = None if index is None else _rows_at(rows["hdr"], index)
+    vals, nvals = _varint_streams(_rows_view(rows["hdr"], index, at))
     df = _int64_rows(rows["df"], index)
     single = nvals == 0
     # a one-posting row reads the header appended here, then its max_tf and
@@ -697,7 +726,7 @@ def unpack_blocks(rows: pa.Table, norms=None, doc_base: int = 0,
     nb = vals[vstart]
     if (nb < 1).any():
         raise ValueError("a postings row header holds no blocks")
-    views = [_rows_view(rows[name], index) for name in _PAYLOADS]
+    views = [_rows_view(rows[name], index, at) for name in _PAYLOADS]
     loff = np.zeros(nb.size + 1, np.int64)
     np.cumsum(nb, out=loff[1:])
     rows_of = np.repeat(np.arange(nb.size), nb)
@@ -855,7 +884,7 @@ def take_blocks(parts: Sequence[RawBlocks], sel: np.ndarray) -> RawBlocks:
     for name in _PAYLOADS:
         arrs = [_binary_over(*getattr(p, name)) for p in parts]
         arr = arrs[0] if len(arrs) == 1 else pa.concat_arrays(arrs)
-        views.append(_bin_view(arr.take(index)))
+        views.append(_rows_view(arr.take(index)))
     return RawBlocks(*meta, *views)
 
 

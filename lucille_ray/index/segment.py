@@ -433,8 +433,11 @@ class SegmentReader:
         decoded postings. The rows of a term come out in bucket order: a
         read whose rows are not already so (rows from several files or
         merge-window runs of an uncompacted segment) is ordered by (term,
-        bucket) with numpy before its blocks are unpacked, which copies
-        their bytes only where a term's rows do not lie end to end.
+        bucket) with numpy before its blocks are unpacked. The blocks hold
+        one copy of the read's matched rows' payload bytes unless those
+        rows fill a column chunk's whole buffer: a cached term pins at most
+        the rows of the terms read with it, never a row group's unmatched
+        rows (``codec._rows_view``).
 
         Missing terms are first looked up in ``field``'s term dictionary
         (loaded on first use; ``resolve`` usually has loaded it at plan time):
@@ -557,7 +560,6 @@ class SegmentReader:
             ms = sorted(set(terms))
             ms_np = np.array(ms)
             term_keys = byte_keys(ms)
-        field_keys = byte_keys([field])
         tables, indexes, ranks = [], [], []
         base = 0
         self.postings_read["calls"] += 1
@@ -588,7 +590,7 @@ class SegmentReader:
             self.postings_read["compressed_bytes"] += int(group_bytes[gs].sum())
             keep = np.ones(t.num_rows, bool)
             if mixed:
-                keep = match_rows(t["field"], field_keys) == 0
+                keep = match_rows(t["field"], byte_keys([field])) == 0
             if terms is not None:
                 rank = match_rows(t["term"], term_keys)
                 keep &= rank >= 0

@@ -106,29 +106,36 @@ def test_int64_column_reads_sliced_children_like_to_numpy():
 @pytest.mark.parametrize("string_type", [pa.string(), pa.large_string()])
 def test_numpy_row_selection_matches_python(string_type):
     """The numpy row selection a segment reader uses in place of Arrow's
-    compute kernels agrees with plain Python on a chunked column (sliced
-    chunks, an empty string, multi-byte UTF-8, lengths shared by several
-    wanted values): ``match_rows`` gives each row its value's position in
-    ``wanted`` or -1; ``_rows_view`` and ``take_binary`` give the elements
-    of any row index, in its order, as views or copies."""
+    compute kernels agrees with plain Python on one Array and on a chunked
+    column (sliced chunks, an empty string, multi-byte UTF-8, lengths shared
+    by several wanted values): ``match_rows`` gives each row its value's
+    position in ``wanted`` or -1; ``_rows_view`` and ``take_binary`` give
+    the elements of any row index, in its order. ``_rows_view`` views the
+    column's buffer only for rows that fill a chunk's whole buffer, so a
+    cached view pins no row that was not asked for."""
     from lucille_ray.index.codec import _rows_view, byte_keys, match_rows, take_binary
 
     rng = np.random.default_rng(7)
     vocab = ["", "a", "b", "ab", "ba", "abc", "héllo", "x" * 40, "zz", "data"]
     values = [vocab[i] for i in rng.integers(0, len(vocab), 300)]
     full = pa.array(values, string_type)
-    col = pa.chunked_array([full.slice(0, 120), full.slice(120, 1), full.slice(121)])
+    chunked = pa.chunked_array([full.slice(0, 120), full.slice(120, 1), full.slice(121)])
+    buf = np.frombuffer(full.buffers()[2], np.uint8)
     wanted = ["ab", "", "héllo", "zz", "data", "nothere", "a"]
-    assert match_rows(col, byte_keys(wanted)).tolist() == [
-        wanted.index(v) if v in wanted else -1 for v in values]
-    for index in (np.arange(300), np.arange(10, 20), np.array([5, 3, 250, 121, 120, 121]),
-                  rng.permutation(300), np.array([], np.int64)):
-        vals, offs = _rows_view(col, index)
-        got = [vals[a:b].tobytes().decode() for a, b in zip(offs[:-1], offs[1:])]
-        want = [values[i] for i in index]
-        assert got == want
-        arr = take_binary(col, index)
-        assert arr.type == string_type and arr.to_pylist() == want
+    for col in (full, chunked):
+        assert match_rows(col, byte_keys(wanted)).tolist() == [
+            wanted.index(v) if v in wanted else -1 for v in values]
+        for index in (np.arange(300), np.arange(10, 20), np.array([5, 3, 250, 121, 120, 121]),
+                      rng.permutation(300), np.array([], np.int64)):
+            vals, offs = _rows_view(col, index)
+            got = [vals[a:b].tobytes().decode() for a, b in zip(offs[:-1], offs[1:])]
+            want = [values[i] for i in index]
+            assert got == want
+            whole = col is full and np.array_equal(index, np.arange(300))
+            assert np.shares_memory(vals, buf) == whole
+            arr = take_binary(col, index)
+            assert arr.type == string_type and arr.to_pylist() == want
+    assert match_rows(pa.array(["", "", "q"]), byte_keys(["", "q"])).tolist() == [0, 0, 1]
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])

@@ -526,15 +526,10 @@ def test_scorer_modules_use_no_pandas():
     assert offenders == []
 
 
-#: what no scorer module imports at module level: Arrow's compute kernels
-#: and the modules that load with them, and the index writers and tools
-#: (engine.SCORER_UNLOADED, which also pins them at runtime)
-SCORER_FREE_IMPORTS = (
-    "pyarrow.compute", "pyarrow.dataset", "pyarrow.acero",
-    *(f"lucille_ray.index.{m}"
-      for m in ("build", "compact", "delete", "report", "verify", "writer")),
-    "lucille_ray.search.batch", "lucille_ray.search.oracle",
-)
+#: what no scorer module imports at module level: the modules a scorer
+#: process never loads (engine.SCORER_UNLOADED, which the runtime tests pin)
+#: but pandas, which ``_pandas_uses`` lints in its own forms
+SCORER_FREE_IMPORTS = tuple(m for m in engine_mod.SCORER_UNLOADED if m != "pandas")
 
 
 def _module_level_imports_of(source: str, where: str, package: str,
@@ -602,7 +597,6 @@ def test_scorer_modules_import_no_writer_or_compute_kernels():
     )
     assert _module_level_imports_of(planted, "planted", "lucille_ray.index") == [
         f"planted:{i}" for i in (1, 2, 3, 4, 5, 7)]
-    assert set(engine_mod.SCORER_UNLOADED) == {*SCORER_FREE_IMPORTS, "pandas"}
     root = os.path.dirname(lucille_ray.__file__)
     patterns = (*SCORER_MODULES, "__init__.py", "index/__init__.py",
                 "search/__init__.py", "analysis.py")
